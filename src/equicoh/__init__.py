@@ -10,4 +10,4 @@ contraction and Lie-operator actions, Weil algebras, Cartan models),
 polynomial Poisson structures, momentum data, the equivariant theory),
 and `cli` (the `equicoh` command)."""
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

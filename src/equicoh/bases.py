@@ -36,18 +36,26 @@ def remove_slot(j: int, idx: tuple):
     return sign, idx[:pos] + idx[pos + 1:]
 
 
+def remove_slots(s: tuple, idx: tuple):
+    """Contract lambda_s out of lambda_idx (both strictly increasing):
+    sign(s, idx minus s) and the remaining indices, or None unless s is a
+    subset of idx.  remove_slot(j, idx) is the case s = (j,)."""
+    if not set(s) <= set(idx):
+        return None
+    rest = tuple(i for i in idx if i not in set(s))
+    inversions = sum(1 for a in s for b in rest if a > b)
+    return (-1) ** inversions, rest
+
+
 def wedge_merge(a: tuple, b: tuple):
-    """lambda_a wedge lambda_b.  Returns (sign, tuple) or None on repeats.
-    Sign is the parity of the shuffle sorting the concatenation."""
+    """lambda_a wedge lambda_b for strictly increasing tuples a and b.
+    Returns (sign, tuple) or None on repeats.  The sign is the parity of the
+    shuffle sorting the concatenation, i.e. of the pairs x in a, y in b with
+    x > y."""
     if set(a) & set(b):
         return None
-    seq = list(a) + list(b)
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return (-1 if inv % 2 else 1), tuple(sorted(seq))
+    inversions = sum(1 for x in a for y in b if x > y)
+    return (-1) ** inversions, tuple(sorted(a + b))
 
 
 def sym_basis(n: int, m: int) -> list:

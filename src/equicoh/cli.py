@@ -17,14 +17,13 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from . import gdiff as gd
 from . import lie
 from . import poisson as po
 from .core import cohomology
-from .poly import PolyForm, PolyMultivector
+from .poly import PolyMultivector
 
 
 KINDS = ("lie-cohomology", "gdiff-check", "equivariant", "weil-check",
@@ -80,6 +79,21 @@ def _expect_int(value, field: str, low: Optional[int] = None) -> int:
     if low is not None and value < low:
         raise SchemaError(field, f"expected an integer >= {low}")
     return value
+
+
+def _int_key(key: str, field: str, message: str = "degree must be an int"):
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(field, message)
+
+
+def _int_pair(key: str, field: str) -> tuple:
+    """The two integers of a table key "a,b"."""
+    message = "expected a key 'a,b' of two integers"
+    parts = key.split(",")
+    _expect(len(parts) == 2, field, message)
+    return tuple(_int_key(part, field, message) for part in parts)
 
 
 def _parse_term(data, ambient: int, field: str):
@@ -301,10 +315,7 @@ def parse_gdiff(data, field: str = "payload",
     _expect(isinstance(dims_raw, dict), f"{field}.dims", "expected an object")
     dims = {}
     for key, value in dims_raw.items():
-        try:
-            deg = int(key)
-        except ValueError:
-            raise SchemaError(f"{field}.dims.{key}", "degree must be an int")
+        deg = _int_key(key, f"{field}.dims.{key}")
         dims[deg] = _expect_int(value, f"{field}.dims.{key}", low=0)
     space = GradedSpace.from_dims(dims)
 
@@ -312,10 +323,7 @@ def parse_gdiff(data, field: str = "payload",
         _expect(isinstance(raw, dict), here, "expected an object of blocks")
         blocks = {}
         for key, mat in raw.items():
-            try:
-                deg = int(key)
-            except ValueError:
-                raise SchemaError(f"{here}.{key}", "degree must be an int")
+            deg = _int_key(key, f"{here}.{key}")
             rows, cols = dims.get(deg + shift, 0), dims.get(deg, 0)
             blocks[deg] = _parse_mat(mat, rows, cols, f"{here}.{key}")
         return LinearMap.from_blocks(space, space, shift, blocks)
@@ -343,18 +351,35 @@ def parse_gdiff(data, field: str = "payload",
                 f"{field}.product", "expected {'table': {...}}")
         table = {}
         for dkey, pairs in raw["table"].items():
-            da, db = (int(x) for x in dkey.split(","))
+            here = f"{field}.product.table.{dkey}"
+            da, db = _int_pair(dkey, here)
+            _expect(isinstance(pairs, dict), here,
+                    "expected an object of basis pairs")
             inner = {}
             for pkey, terms in pairs.items():
-                ia, ib = (int(x) for x in pkey.split(","))
-                inner[(ia, ib)] = tuple(
-                    (int(k), _parse_frac(c, f"{field}.product.table"))
-                    for k, c in terms)
+                at = f"{here}.{pkey}"
+                ia, ib = _int_pair(pkey, at)
+                _expect(0 <= ia < dims.get(da, 0) and 0 <= ib < dims.get(db, 0),
+                        at, "basis index out of range")
+                _expect(isinstance(terms, list), at,
+                        "expected a list of [k, coeff] terms")
+                parsed = []
+                for t, term in enumerate(terms):
+                    _expect(isinstance(term, list) and len(term) == 2,
+                            f"{at}[{t}]", "expected [k, coeff]")
+                    k = _expect_int(term[0], f"{at}[{t}][0]", low=0)
+                    _expect(k < dims.get(da + db, 0), f"{at}[{t}][0]",
+                            "basis index out of range")
+                    parsed.append((k, _parse_frac(term[1], f"{at}[{t}][1]")))
+                inner[(ia, ib)] = tuple(parsed)
             table[(da, db)] = inner
         product = gd.Product(table)
     unit = None
     if data.get("unit") is not None:
         raw = data["unit"]
+        _expect(isinstance(raw, list) and len(raw) == dims.get(0, 0),
+                f"{field}.unit",
+                f"expected a list of {dims.get(0, 0)} degree-0 coordinates")
         unit = tuple(_parse_frac(x, f"{field}.unit[{t}]")
                      for t, x in enumerate(raw))
     try:
@@ -393,39 +418,6 @@ def gdiff_to_json(c: gd.GDiffComplex) -> dict:
     if c.unit is not None:
         data["unit"] = [str(Fraction(x)) for x in c.unit]
     return data
-
-
-# ---------------------------------------------------------------------------
-# Bundled inputs
-
-
-def bundled_names() -> list:
-    root = resources.files("equicoh") / "data"
-    return sorted(entry.name for entry in root.iterdir()
-                  if entry.name.endswith(".json"))
-
-
-def bundled_text(name: str) -> str:
-    path = resources.files("equicoh") / "data" / name
-    if not path.is_file():
-        raise SchemaError("file", f"no bundled input named {name!r}")
-    return path.read_text()
-
-
-def bundled_momentum_fixtures() -> dict:
-    """Every bundled input that assembles to momentum data, by file name."""
-    out = {}
-    for name in bundled_names():
-        try:
-            data = json.loads(bundled_text(name))
-        except ValueError:
-            continue
-        if not isinstance(data, dict) or "pi" not in data:
-            continue
-        if data.get("action") is None or data.get("mu") is None:
-            continue
-        out[name] = momentum_from_payload(parse_poisson(data))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +482,7 @@ def _parse_rational_list(text: str, field: str) -> list:
 
 
 def _parse_int_range(text: str, field: str) -> list:
+    """Non-negative integers given as "lo..hi" or "a,b,..."."""
     text = str(text).strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -499,11 +492,14 @@ def _parse_int_range(text: str, field: str) -> list:
             raise SchemaError(field, f"cannot parse range {text!r}")
         if hi < lo:
             raise SchemaError(field, "range upper end below lower end")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SchemaError(field, f"cannot parse {text!r}")
+        out = list(range(lo, hi + 1))
+    else:
+        try:
+            out = [int(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise SchemaError(field, f"cannot parse {text!r}")
+    _expect(all(x >= 0 for x in out), field, "degrees must be non-negative")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +530,7 @@ def _rotation_momentum(planes: int) -> po.MomentumData:
 
 def _example_poiss1(params: dict) -> dict:
     slices = _parse_int_range(params.get("slices", "0..4"), "slices")
-    sym_cap = int(params.get("sym_cap", 2))
+    sym_cap = _expect_int(params.get("sym_cap", 2), "sym_cap", low=0)
     md = _su2_momentum()
     computed, predicted = [], []
     for s in slices:
@@ -562,10 +558,10 @@ def _product_line_example(params: dict, fprime_default: str) -> dict:
     report = po.product_line_report(model)
     m = len(roots)
     rank = sum(1 for v in values if v != 0)
+    diagonal = [[values[i] if i == j else 0 for j in range(m)]
+                for i in range(m)]
     predicted = {"final_dims": [m, m - rank, m - rank, m],
-                 "page_matrix": _mat_json(
-                     [[values[i] if i == j else 0 for j in range(m)]
-                      for i in range(m)])}
+                 "page_matrix": _mat_json(diagonal)}
     page = report["page_differential"]
     computed = {"final_dims": report["final_dims"],
                 "direct_dims": report["direct_dims"],
@@ -576,41 +572,18 @@ def _product_line_example(params: dict, fprime_default: str) -> dict:
     agrees = (computed["final_dims"] == predicted["final_dims"]
               and computed["direct_dims"] == predicted["final_dims"]
               and (rank == 0 or (page is not None
-                                 and page_matrix_equal(page["matrix"],
-                                                       values))))
+                                 and page["matrix"] == diagonal)))
     return {"roots": [str(r) for r in roots],
             "fprime_values": [str(v) for v in values],
             "computed": computed, "predicted": predicted, "agrees": agrees}
 
 
-def page_matrix_equal(matrix, values) -> bool:
-    m = len(values)
-    return matrix == [[values[i] if i == j else 0 for j in range(m)]
-                      for i in range(m)]
-
-
-def _example_poiss2(params: dict) -> dict:
-    params = dict(params)
-    params.setdefault("fprime", "1")
-    return _product_line_example(params, "1")
-
-
-def _example_poiss3(params: dict) -> dict:
-    return _product_line_example(params, "t*(t-1)")
-
-
-def _example_poiss4(params: dict) -> dict:
-    params = dict(params)
-    params.setdefault("fprime", "0")
-    return _product_line_example(params, "0")
-
-
 def _example_torus(params: dict) -> dict:
-    planes = int(params.get("planes", 1))
+    planes = _expect_int(params.get("planes", 1), "planes")
     if planes < 1:
         raise SchemaError("planes", "expected a positive integer")
     slices = _parse_int_range(params.get("slices", "0..3"), "slices")
-    sym_cap = int(params.get("sym_cap", 2))
+    sym_cap = _expect_int(params.get("sym_cap", 2), "sym_cap", low=0)
     md = _rotation_momentum(planes)
     rows = []
     for s in slices:
@@ -643,7 +616,7 @@ def _example_coh_inv(params: dict) -> dict:
 
 
 def _example_su2_dual(params: dict) -> dict:
-    max_degree = int(params.get("max_degree", 4))
+    max_degree = _expect_int(params.get("max_degree", 4), "max_degree", low=0)
     p = po.linear_poisson(lie.su2())
     h = po.poisson_cohomology(p, truncation=max_degree)
     model = po.poisson_complex(p, slice_degree=2)
@@ -656,7 +629,7 @@ def _example_su2_dual(params: dict) -> dict:
 
 
 def _example_weil(params: dict) -> dict:
-    sym_cap = int(params.get("sym_cap", 2))
+    sym_cap = _expect_int(params.get("sym_cap", 2), "sym_cap", low=0)
     out = {}
     agrees = True
     for g in (lie.su2(), lie.abelian(2)):
@@ -685,9 +658,9 @@ def _example_weil(params: dict) -> dict:
 
 _EXAMPLE_RUNNERS = {
     "poiss1": _example_poiss1,
-    "poiss2": _example_poiss2,
-    "poiss3": _example_poiss3,
-    "poiss4": _example_poiss4,
+    "poiss2": lambda params: _product_line_example(params, "1"),
+    "poiss3": lambda params: _product_line_example(params, "t*(t-1)"),
+    "poiss4": lambda params: _product_line_example(params, "0"),
     "torus": _example_torus,
     "coh-inv": _example_coh_inv,
     "su2-dual": _example_su2_dual,
@@ -760,13 +733,18 @@ def _run_lie_cohomology(payload: dict, opts: dict) -> tuple:
     return result, []
 
 
-def _run_gdiff_check(payload: dict, opts: dict) -> tuple:
-    c = parse_gdiff(payload, check=False)
+def _check_axioms(c: gd.GDiffComplex) -> gd.AxiomReport:
+    """The axiom report of c; raises MathError carrying it when an axiom
+    fails."""
     report = gd.check_gdiff_axioms(c, check_product=c.product is not None)
     if not report.ok:
         raise MathError(json.dumps(report.to_json(), sort_keys=True,
                                    default=_frac_json))
-    return report.to_json(), []
+    return report
+
+
+def _run_gdiff_check(payload: dict, opts: dict) -> tuple:
+    return _check_axioms(parse_gdiff(payload, check=False)).to_json(), []
 
 
 def _opt(opts: dict, key: str, default=None):
@@ -915,16 +893,15 @@ def run_compute(task: dict, opts: Optional[dict] = None) -> dict:
     _expect(isinstance(task_opts, dict), "options", "expected an object")
     for key, value in task_opts.items():
         opts.setdefault(key, value)
+    for key in _BOUNDS:
+        if opts.get(key) is not None:
+            _expect_int(opts[key], key, low=1 if key == "sym_cap" else 0)
     result, warnings = _KIND_RUNNERS[kind](payload, opts)
     return {"kind": kind, "result": result, "warnings": warnings}
 
 
 # ---------------------------------------------------------------------------
 # Validation command
-
-
-class MathGateError(Exception):
-    pass
 
 
 class _GateTable:
@@ -938,7 +915,7 @@ class _GateTable:
             self.rows.append({"gate": name, "ok": False,
                               "field": exc.field, "detail": exc.message})
             return False
-        except (MathError, MathGateError) as exc:
+        except MathError as exc:
             self.rows.append({"gate": name, "ok": False,
                               "detail": str(exc)})
             return False
@@ -951,73 +928,52 @@ class _GateTable:
         return False
 
 
-def _poisson_gates(data, table: _GateTable, prefix: str = "") -> bool:
+def _gates(table: _GateTable, parse: Callable, checks: Sequence) -> bool:
+    """A schema gate running `parse`, then the named math gates in order,
+    each skipped once a gate has failed.  A math gate first reports any
+    mathematical defect `parse` found, then runs its check (if any) on the
+    parsed object."""
     held = {}
 
     def schema():
         try:
-            held["parsed"] = parse_poisson(data, prefix or "payload")
+            held["parsed"] = parse()
         except MathError as exc:
             # Shape is fine; remember the defect for the math gates.
             held["math"] = exc
 
-    def antisymmetry():
-        if "math" in held:
-            raise MathGateError(str(held["math"]))
-
-    def jacobi():
-        p = held["parsed"]["structure"]
-        if not p.certified:
-            raise MathGateError(
-                f"the bivector does not self-commute; defect "
-                f"{p.jacobiator.as_dict()!r}")
-
-    s = table.run("schema", schema)
-    a = table.run("antisymmetry", antisymmetry) if s else table.skip(
-        "antisymmetry")
-    j = table.run("jacobi", jacobi) if s and a else table.skip("jacobi")
-    return s and a and j
+    ok = table.run("schema", schema)
+    for name, check in checks:
+        def gate(check=check):
+            if "math" in held:
+                raise held["math"]
+            if check is not None:
+                check(held["parsed"])
+        ok = table.run(name, gate) if ok else table.skip(name)
+    return ok
 
 
-def _algebra_gates(data, table: _GateTable, prefix: str = "") -> bool:
-    held = {}
-
-    def schema():
-        try:
-            parse_algebra(data, prefix or "algebra")
-        except MathError as exc:
-            held["math"] = exc
-
-    def brackets():
-        if "math" in held:
-            raise MathGateError(str(held["math"]))
-
-    s = table.run("schema", schema)
-    j = table.run("jacobi", brackets) if s else table.skip("jacobi")
-    return s and j
+def _jacobi_gate(parsed: dict):
+    p = parsed["structure"]
+    if not p.certified:
+        raise MathError(
+            f"the bivector does not self-commute; defect "
+            f"{p.jacobiator.as_dict()!r}")
 
 
-def _gdiff_gates(data, table: _GateTable, prefix: str = "") -> bool:
-    held = {}
+def _poisson_gates(data, table: _GateTable) -> bool:
+    return _gates(table, lambda: parse_poisson(data),
+                  (("antisymmetry", None), ("jacobi", _jacobi_gate)))
 
-    def schema():
-        try:
-            held["c"] = parse_gdiff(data, prefix or "payload", check=False)
-        except MathError as exc:
-            held["math"] = exc
 
-    def axioms():
-        if "math" in held:
-            raise MathGateError(str(held["math"]))
-        c = held["c"]
-        report = gd.check_gdiff_axioms(c, check_product=c.product is not None)
-        if not report.ok:
-            raise MathGateError(json.dumps(report.to_json(), sort_keys=True,
-                                           default=_frac_json))
+def _gdiff_gates(data, table: _GateTable) -> bool:
+    return _gates(table, lambda: parse_gdiff(data, check=False),
+                  (("axioms", _check_axioms),))
 
-    s = table.run("schema", schema)
-    x = table.run("axioms", axioms) if s else table.skip("axioms")
-    return s and x
+
+def _algebra_gates(data, table: _GateTable, field: str) -> bool:
+    return _gates(table, lambda: parse_algebra(data, field),
+                  (("jacobi", None),))
 
 
 def validate_input(data) -> dict:
@@ -1047,9 +1003,9 @@ def validate_input(data) -> dict:
         payload = data.get("payload")
         if ok and isinstance(payload, dict):
             if "pi" in payload:
-                ok = _poisson_gates(payload, table, "payload") and ok
+                ok = _poisson_gates(payload, table) and ok
             elif "d" in payload and "dims" in payload:
-                ok = _gdiff_gates(payload, table, "payload") and ok
+                ok = _gdiff_gates(payload, table) and ok
             elif "algebra" in payload:
                 ok = _algebra_gates(payload["algebra"], table,
                                     "payload.algebra") and ok
@@ -1059,7 +1015,8 @@ def validate_input(data) -> dict:
     if isinstance(data, dict) and "d" in data and "dims" in data:
         return {"gates": table.rows, "ok": _gdiff_gates(data, table)}
     if isinstance(data, dict) and ("brackets" in data or "dim" in data):
-        return {"gates": table.rows, "ok": _algebra_gates(data, table)}
+        return {"gates": table.rows,
+                "ok": _algebra_gates(data, table, "algebra")}
     raise SchemaError("", "unrecognized input shape: expected a task file, "
                       "a bivector payload, an algebra, or a complex")
 
@@ -1124,21 +1081,19 @@ def _read_task_file(path: str) -> tuple:
         raise SchemaError("file", f"{path} is not valid JSON: {exc}")
 
 
-def _collect_opts(args) -> dict:
-    opts = {}
-    for key in ("sym_cap", "max_degree", "slice", "pages", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
-    return opts
+def _given(args, keys: Sequence) -> dict:
+    """The options among `keys` that were given on the command line."""
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
 
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--timing", action="store_true",
                      help="append wall-clock timing to the report")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="parallelism hint for module internals")
+
+
+_BOUNDS = ("sym_cap", "max_degree", "slice", "pages")
 
 
 def _add_bounds(sub):
@@ -1183,23 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _example_parameters(args) -> dict:
-    params = {}
-    if args.roots is not None:
-        params["roots"] = args.roots
-    if args.fprime is not None:
-        params["fprime"] = args.fprime
-    if args.slices is not None:
-        params["slices"] = args.slices
-    if args.planes is not None:
-        params["planes"] = args.planes
-    if args.sym_cap is not None:
-        params["sym_cap"] = args.sym_cap
-    if args.max_degree is not None:
-        params["max_degree"] = args.max_degree
-    return params
-
-
 def main(argv: Optional[Sequence] = None) -> int:
     args = build_parser().parse_args(argv)
     fmt = args.format
@@ -1210,10 +1148,11 @@ def main(argv: Optional[Sequence] = None) -> int:
     try:
         if args.command == "compute":
             data, raw = _read_task_file(args.file)
-            report = run_compute(data, _collect_opts(args))
+            report = run_compute(data, _given(args, _BOUNDS))
             report["digest"] = _digest(raw)
         elif args.command == "example":
-            params = _example_parameters(args)
+            params = _given(args, ("roots", "fprime", "slices", "planes",
+                                   "sym_cap", "max_degree"))
             try:
                 result = run_example(args.name, params)
             except UnknownExample as exc:
@@ -1237,7 +1176,7 @@ def main(argv: Optional[Sequence] = None) -> int:
         else:
             data, raw = _read_task_file(args.file)
             report = run_compute({"kind": args.command, "payload": data},
-                                 _collect_opts(args))
+                                 _given(args, _BOUNDS))
             report["digest"] = _digest(raw)
     except SchemaError as exc:
         return _emit_error(2, exc, fmt)

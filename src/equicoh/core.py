@@ -10,8 +10,8 @@ therefore deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from . import ratlin as rl
 
@@ -26,6 +26,18 @@ class NotContained(Exception):
 
 class NotReductive(Exception):
     """Joint kernel of the operators meets the sum of their images."""
+
+
+class NotSubcomplex(Exception):
+    """A subspace that must be a subcomplex is not closed under the
+    differential, or a filtration level is not nested or level 0 is not the
+    whole space; the message carries the witness level and degree."""
+
+
+class InconsistentResult(Exception):
+    """An identity that exact arithmetic guarantees failed (rank-nullity, a
+    system known to be solvable): a defect of the program, not of the
+    input."""
 
 
 def _freeze_matrix(m):
@@ -130,8 +142,8 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self o other (apply other first)."""
-        assert other.target is self.source or other.target == self.source, \
-            "composition source/target mismatch"
+        if not (other.target is self.source or other.target == self.source):
+            raise rl.ShapeMismatch("composition source/target mismatch")
         blocks = {}
         for n, m in other.blocks:
             mine = self.block(n + other.shift)
@@ -143,8 +155,9 @@ class LinearMap:
                                      self.shift + other.shift, blocks)
 
     def add(self, other: "LinearMap") -> "LinearMap":
-        assert self.shift == other.shift and self.source == other.source \
-            and self.target == other.target
+        if not (self.shift == other.shift and self.source == other.source
+                and self.target == other.target):
+            raise rl.ShapeMismatch("sum of maps with different shapes")
         degs = {n for n, _ in self.blocks} | {n for n, _ in other.blocks}
         blocks = {n: rl.mat_add(self.block(n), other.block(n)) for n in degs}
         return LinearMap.from_blocks(self.source, self.target, self.shift, blocks)
@@ -187,7 +200,8 @@ class CochainComplex:
 
     @staticmethod
     def build(space: GradedSpace, d: LinearMap) -> "CochainComplex":
-        assert d.shift == 1
+        if d.shift != 1:
+            raise ValueError(f"a differential has degree 1, not {d.shift}")
         dd = d.compose(d)
         if not dd.is_zero():
             n, m = dd.blocks[0]
@@ -271,16 +285,23 @@ class Subspace:
         return self.contains(other) and other.contains(self)
 
 
+def stacked_kernel(blocks: Sequence, dim: int):
+    """Kernel columns of the blocks stacked on top of each other (each has
+    `dim` columns; empty blocks are skipped), or the identity when no block
+    is left."""
+    stacked = [row for blk in blocks if blk and blk[0] for row in blk]
+    return rl.kernel(stacked) if stacked else rl.identity(dim)
+
+
+def joint_kernel(space: GradedSpace, ops: Sequence[LinearMap]) -> Subspace:
+    """Common kernel of the operators, degree by degree."""
+    return Subspace.from_spans(space, {
+        n: stacked_kernel([op.block(n) for op in ops], space.dim(n))
+        for n in space.degrees()})
+
+
 def map_kernel(m: LinearMap) -> Subspace:
-    spans = {}
-    for n in m.source.degrees():
-        sd = m.source.dim(n)
-        td = m.target.dim(n + m.shift)
-        if td == 0:
-            spans[n] = rl.identity(sd)
-        else:
-            spans[n] = rl.kernel(m.block(n))
-    return Subspace.from_spans(m.source, spans)
+    return joint_kernel(m.source, [m])
 
 
 def map_image(m: LinearMap) -> Subspace:
@@ -300,26 +321,38 @@ def image_of_subspace(m: LinearMap, sub: Subspace) -> Subspace:
     return Subspace.from_spans(m.target, spans)
 
 
-def preimage_in_subspace(m: LinearMap, domain: Subspace, target_sub: Subspace) -> Subspace:
-    """{x in domain : m(x) in target_sub}, degreewise."""
-    spans = {}
-    for n, _ in domain.basis:
-        b = domain.matrix(n)
-        td = m.target.dim(n + m.shift)
-        if td == 0:
-            spans[n] = b
+def linear_combination(ops: Sequence[LinearMap], coeffs: Sequence) -> LinearMap:
+    """sum_j coeffs[j] ops[j] over the nonzero coefficients, scaled and added
+    left to right; the zero map shaped like ops[0] when every one vanishes."""
+    out = None
+    for op, coeff in zip(ops, coeffs):
+        if coeff:
+            t = op.scale(coeff)
+            out = t if out is None else out.add(t)
+    if out is None:
+        return LinearMap.zero(ops[0].source, ops[0].target, ops[0].shift)
+    return out
+
+
+def restrict_map(op: LinearMap, inclusion: LinearMap, what: str) -> LinearMap:
+    """The map op induces on the subspace spanned by the columns of an
+    injective degree-0 `inclusion`: per degree, the X with
+    (target basis) X = op (source basis).  Raises NotContained, naming
+    `what` and the degree, when op leaves the subspace."""
+    small = inclusion.source
+    blocks = {}
+    for n in small.degrees():
+        blk = op.block(n)
+        if not (blk and blk[0]):
             continue
-        mb = rl.mat_mul(m.block(n), b)
-        t = target_sub.matrix(n + m.shift)
-        aug = rl.hstack(mb, t)
-        ker = rl.kernel(aug)
-        kb = rl.ncols(b)
-        coeffs = [col[:kb] for col in rl.columns(ker)]
-        if not coeffs:
+        img = rl.mat_mul(blk, inclusion.block(n))
+        if rl.is_zero(img):
             continue
-        vecs = rl.mat_mul(b, rl.mat_from_columns(coeffs, nrows=kb))
-        spans[n] = vecs
-    return Subspace.from_spans(m.source, spans)
+        sol = rl.solve(inclusion.block(n + op.shift), img)
+        if sol is None:
+            raise NotContained(f"{what} at degree {n}")
+        blocks[n] = sol
+    return LinearMap.from_blocks(small, small, op.shift, blocks)
 
 
 def rank_kernel_image(m: LinearMap, degree: int):
@@ -335,7 +368,8 @@ def rank_kernel_image(m: LinearMap, degree: int):
     ker = rl.kernel(blk)
     img, _ = rl.column_echelon(blk)
     r = rl.ncols(img)
-    assert r + rl.ncols(ker) == sd, "rank-nullity violated"
+    if r + rl.ncols(ker) != sd:
+        raise InconsistentResult(f"rank-nullity violated at degree {degree}")
     return r, ker, img
 
 
@@ -431,7 +465,8 @@ def homotopy_witness(c: CochainComplex, n: int) -> LinearMap:
     if not rl.ncols(img):
         return LinearMap.zero(c.space, c.space, -1)
     x = rl.solve(dprev, img)
-    assert x is not None
+    if x is None:
+        raise InconsistentResult(f"image of d not solvable at degree {n}")
     # h = x o (pivot-row extraction): on the image, coordinates are just the
     # pivot-row entries because img is in reduced column echelon form.
     h = rl.zeros(src_dim, tgt_dim)
@@ -451,29 +486,26 @@ def invariant_projection(space: GradedSpace, operators: Sequence[LinearMap]) -> 
     """Joint kernel of degree-0 operators plus the projection onto it along
     the sum of their images.  Raises NotReductive when the kernel meets the
     image sum (then no canonical complement exists)."""
-    for op in operators:
-        assert op.shift == 0
-    spans_k, spans_s = {}, {}
+    if any(op.shift for op in operators):
+        raise ValueError("invariant projection needs degree-0 operators")
+    spans_k = {}
     proj_blocks = {}
     for n in space.degrees():
         dim = space.dim(n)
-        stacked = rl.vstack(*[op.block(n) for op in operators]) if operators else []
-        if not stacked:
-            spans_k[n] = rl.identity(dim)
+        blocks = [op.block(n) for op in operators]
+        ker = stacked_kernel(blocks, dim)
+        spans_k[n] = ker
+        if not operators:
             proj_blocks[n] = rl.identity(dim)
             continue
-        ker = rl.kernel(stacked)
-        imgs = rl.hstack(*[op.block(n) for op in operators])
-        img, _ = rl.column_echelon(imgs)
+        img, _ = rl.column_echelon(rl.hstack(*blocks))
         if rl.ncols(rl.intersect_spans(ker, img)):
             raise NotReductive(f"invariants meet the image sum at degree {n}")
         if rl.ncols(ker) + rl.ncols(img) != dim:
             raise NotReductive(f"invariants + images do not fill degree {n}")
-        spans_k[n] = ker
-        spans_s[n] = img
-        basis = rl.hstack(ker, img)
-        inv = rl.solve(basis, rl.identity(dim))
-        assert inv is not None
+        inv = rl.solve(rl.hstack(ker, img), rl.identity(dim))
+        if inv is None:
+            raise InconsistentResult(f"complementary bases not invertible at degree {n}")
         k = rl.ncols(ker)
         sel = [row[:] for row in inv[:k]]
         proj_blocks[n] = rl.mat_mul(ker, sel) if k else rl.zeros(dim, dim)
@@ -490,19 +522,7 @@ def restrict_complex(c: CochainComplex, sub: Subspace,
     labels = {n: tuple(f"{label_prefix}{n}.{i}" for i in range(sub.dim(n)))
               for n in sorted(dict(sub.basis))}
     small = GradedSpace.from_labels(labels)
-    blocks = {}
-    incl = {}
-    for n, _ in sub.basis:
-        b = sub.matrix(n)
-        incl[n] = b
-        db = rl.mat_mul(c.d.block(n), b) if c.space.dim(n + 1) else None
-        if db is None or rl.is_zero(db):
-            continue
-        t = sub.matrix(n + 1)
-        sol = rl.solve(t, db)
-        if sol is None:
-            raise NotContained(f"subspace is not closed under d at degree {n}")
-        blocks[n] = sol
-    d = LinearMap.from_blocks(small, small, 1, blocks)
-    inclusion = LinearMap.from_blocks(small, c.space, 0, incl)
+    inclusion = LinearMap.from_blocks(small, c.space, 0,
+                                      {n: sub.matrix(n) for n, _ in sub.basis})
+    d = restrict_map(c.d, inclusion, "subspace is not closed under d")
     return CochainComplex.build(small, d), inclusion

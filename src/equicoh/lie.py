@@ -11,6 +11,10 @@ contractions insert into the first slot, i_b lambda_I = (-1)^pos lambda_{I-b},
 and Lie derivatives act diagonally with ad*_b lambda^m = - sum_l c^m_{bl}
 lambda^l.  With these choices d*d = 0, L = d i + i d, and every operator
 identity used downstream holds as an exact matrix identity.
+
+Every action on symmetric powers (polynomial coefficients here, S(g*) in the
+Weil algebra and the Cartan model) is `sym_derivation`: a generator matrix
+extended to S^m as a derivation.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Mapping, Optional, Sequence
 
 from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, LinearMap, NotContained,
-                   Subspace, cohomology, invariant_projection, restrict_complex)
+                   NotSubcomplex, Subspace, cohomology, joint_kernel,
+                   linear_combination, restrict_complex, stacked_kernel)
 
 
 class JacobiViolation(Exception):
@@ -42,10 +47,6 @@ class CocycleViolation(Exception):
 
 class DualJacobiViolation(Exception):
     pass
-
-
-class NotSubcomplex(Exception):
-    """The joint kernel is not closed under the differential."""
 
 
 class FactorizationMismatch(Exception):
@@ -85,6 +86,10 @@ class LieAlgebra:
             for k in range(n):
                 m[k][j] = self.c[i][j][k]
         return m
+
+    def coad(self, i: int):
+        """Matrix of ad*(e_i) = -ad(e_i)^T on g*."""
+        return rl.mat_scale(rl.transpose(self.ad(i)), -1)
 
 
 def build_lie_algebra(dim: int, brackets: Sequence, compact_type: bool = False,
@@ -196,35 +201,38 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
-    # ad*_i = -(ad_i)^T
-    return build_representation(
-        g, [rl.mat_scale(rl.transpose(g.ad(i)), -1) for i in range(g.dim)],
-        name="coadjoint")
+    return build_representation(g, [g.coad(i) for i in range(g.dim)],
+                                name="coadjoint")
+
+
+def sym_derivation(gen, m: int):
+    """The derivation of S^m extending x_j -> sum_t gen[t][j] x_t, as a
+    matrix over the monomials bases.sym_basis(len(gen), m)."""
+    n = len(gen)
+    mons = bases.sym_basis(n, m)
+    index = {e: i for i, e in enumerate(mons)}
+    out = rl.zeros(len(mons), len(mons))
+    for col, e in enumerate(mons):
+        for j in range(n):
+            if not e[j]:
+                continue
+            for t in range(n):
+                coeff = gen[t][j]
+                if coeff:
+                    new = list(e)
+                    new[j] -= 1
+                    new[t] += 1
+                    out[index[tuple(new)]][col] += e[j] * coeff
+    return out
 
 
 def sym_power_rep(g: LieAlgebra, k: int) -> Representation:
     """Degree-k polynomials on g* (coordinates x_j dual to e_j); generators
     act as derivations with e_a . x_j = sum_m c^m_{aj} x_m, the derivative of
     the coadjoint flow on functions."""
-    n = g.dim
-    mons = bases.sym_basis(n, k)
-    index = {m: i for i, m in enumerate(mons)}
-    ops = []
-    for a in range(n):
-        m = rl.zeros(len(mons), len(mons))
-        for col, e in enumerate(mons):
-            for j in range(n):
-                if not e[j]:
-                    continue
-                for tgt in range(n):
-                    coeff = g.c[a][j][tgt]
-                    if coeff:
-                        new = list(e)
-                        new[j] -= 1
-                        new[tgt] += 1
-                        m[index[tuple(new)]][col] += e[j] * coeff
-        ops.append(m)
-    return build_representation(g, ops, name=f"sym{k}-coadjoint")
+    return build_representation(
+        g, [sym_derivation(g.ad(a), k) for a in range(g.dim)],
+        name=f"sym{k}-coadjoint")
 
 
 def sym_range_rep(g: LieAlgebra, kmax: int) -> Representation:
@@ -247,12 +255,8 @@ def sym_range_rep(g: LieAlgebra, kmax: int) -> Representation:
 
 def invariants(rep: Representation) -> Subspace:
     space = GradedSpace.from_dims({0: rep.space_dim})
-    ops = [LinearMap.from_blocks(space, space, 0, {0: rep.op(i)})
-           for i in range(rep.algebra.dim)]
-    spans = {}
-    stacked = rl.vstack(*[o.block(0) for o in ops]) if ops else []
-    spans[0] = rl.kernel(stacked) if stacked else rl.identity(rep.space_dim)
-    return Subspace.from_spans(space, spans)
+    ops = [rep.op(i) for i in range(rep.algebra.dim)]
+    return Subspace.from_spans(space, {0: stacked_kernel(ops, rep.space_dim)})
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +292,8 @@ class CEComplex:
 
 def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex:
     rep = rep if rep is not None else trivial_rep(g)
-    assert rep.algebra == g
+    if rep.algebra != g:
+        raise RepresentationInvalid("the representation is of another algebra")
     n = g.dim
     vd = rep.space_dim
     labels = _ce_labels(rep)
@@ -378,6 +383,25 @@ def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex
             lblocks[k] = m
         lie_ops.append(LinearMap.from_blocks(space, space, 0, lblocks))
     return CEComplex(g, rep, cx, tuple(contractions), tuple(lie_ops))
+
+
+def spanned_algebra(g: LieAlgebra, cols: Sequence, name: str,
+                    compact_type: bool = False) -> LieAlgebra:
+    """The Lie algebra spanned by the columns `cols` of g, in the basis they
+    form.  Raises ValueError when the span is not closed under the
+    bracket."""
+    kb = rl.mat_from_columns(cols, nrows=g.dim)
+    brackets = []
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            coords = rl.solve_vec(kb, g.bracket(cols[i], cols[j]))
+            if coords is None:
+                raise ValueError("chosen generators do not span a subalgebra")
+            terms = [[k, v] for k, v in enumerate(coords) if v]
+            if terms:
+                brackets.append([i, j, terms])
+    return build_lie_algebra(len(cols), brackets, compact_type=compact_type,
+                             name=name)
 
 
 @dataclass(frozen=True)
@@ -482,29 +506,9 @@ def relative_subcomplex(ce: CEComplex, k: Subalgebra) -> tuple:
     if the kernel is not d-stable."""
     ops = []
     for col in rl.columns(k.basis_matrix()):
-        i_op = None
-        l_op = None
-        for j, coeff in enumerate(col):
-            if not coeff:
-                continue
-            ic = ce.contractions[j].scale(coeff)
-            lc = ce.lie_ops[j].scale(coeff)
-            i_op = ic if i_op is None else i_op.add(ic)
-            l_op = lc if l_op is None else l_op.add(lc)
-        if i_op is not None:
-            ops.append(i_op)
-            ops.append(l_op)
-    space = ce.space
-    spans = {}
-    for n in space.degrees():
-        dim = space.dim(n)
-        stacked = []
-        for op in ops:
-            blk = op.block(n)
-            if blk and blk[0]:
-                stacked.extend(blk)
-        spans[n] = rl.kernel(stacked) if stacked else rl.identity(dim)
-    sub = Subspace.from_spans(space, spans)
+        ops.append(linear_combination(ce.contractions, col))
+        ops.append(linear_combination(ce.lie_ops, col))
+    sub = joint_kernel(ce.space, ops)
     try:
         small, incl = restrict_complex(ce.complex, sub, label_prefix="rel")
     except NotContained as e:

@@ -57,16 +57,16 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 from . import bases, lie, ratlin as rl
 from . import gdiff as gd
 from . import spectral
+from .bases import wedge_merge
 from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
-                   anticommutator, cohomology, map_kernel, image_of_subspace,
-                   restrict_complex, subquotient)
+                   anticommutator, cohomology, joint_kernel, map_kernel,
+                   restrict_complex)
 from .poly import (AmbientMismatch, DegreeMismatch, PolyForm, PolyMultivector,
                    apply_vector_field, as_form, as_multivector, basis_form,
                    contract, contract_form, exterior_d, function, pairing,
                    scale_by_function, tensor_add, tensor_is_zero,
                    tensor_lwedge, tensor_scale, tilde_i, wedge, zero_form,
                    zero_multivector)
-from .poly import _merge_sign
 
 
 class UncertifiedPoisson(Exception):
@@ -129,7 +129,7 @@ def _star_into(acc: dict, a: PolyMultivector, b: PolyMultivector, scalar):
             for (jb, eb), cb in b.coeffs:
                 if eb[j] == 0:
                     continue
-                m = _merge_sign(rest, jb)
+                m = wedge_merge(rest, jb)
                 if m is None:
                     continue
                 msign, idx = m
@@ -400,20 +400,12 @@ def _rand_coeff(rng):
     return Fraction(rng.choice([-3, -2, -1, 1, 1, 2, 3]))
 
 
-def _rand_form(rng, n, degree, cdeg=2, terms=2):
+def _rand(kind, rng, n, degree, cdeg=2, terms=2):
     acc = {}
     for _ in range(terms):
         idx = tuple(sorted(rng.sample(range(n), degree)))
         acc[(idx, _rand_poly(rng, n, cdeg))] = _rand_coeff(rng)
-    return PolyForm(n, degree, acc)
-
-
-def _rand_mv(rng, n, degree, cdeg=2, terms=2):
-    acc = {}
-    for _ in range(terms):
-        idx = tuple(sorted(rng.sample(range(n), degree)))
-        acc[(idx, _rand_poly(rng, n, cdeg))] = _rand_coeff(rng)
-    return PolyMultivector(n, degree, acc)
+    return kind(n, degree, acc)
 
 
 def _witness(diff, **inputs):
@@ -429,8 +421,8 @@ def _witness(diff, **inputs):
 
 def _id_schouten_antisymmetry(p, rng):
     n = p.ambient
-    a = _rand_mv(rng, n, rng.randrange(1, min(n, 3) + 1))
-    b = _rand_mv(rng, n, rng.randrange(0, min(n, 3) + 1))
+    a = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1))
+    b = _rand(PolyMultivector, rng, n, rng.randrange(0, min(n, 3) + 1))
     s = (-1) ** ((a.degree - 1) * (b.degree - 1))
     diff = schouten(a, b).add(schouten(b, a).scale(s))
     return _witness(diff, a=a, b=b)
@@ -438,17 +430,17 @@ def _id_schouten_antisymmetry(p, rng):
 
 def _id_schouten_jacobi(p, rng):
     n = p.ambient
-    a = _rand_mv(rng, n, rng.randrange(1, 3), terms=1)
-    b = _rand_mv(rng, n, rng.randrange(1, 3), terms=1)
-    c = _rand_mv(rng, n, rng.randrange(0, 3), terms=1)
+    a = _rand(PolyMultivector, rng, n, rng.randrange(1, 3), terms=1)
+    b = _rand(PolyMultivector, rng, n, rng.randrange(1, 3), terms=1)
+    c = _rand(PolyMultivector, rng, n, rng.randrange(0, 3), terms=1)
     return _witness(schouten_jacobiator(a, b, c), a=a, b=b, c=c)
 
 
 def _id_schouten_leibniz(p, rng):
     n = p.ambient
-    a = _rand_mv(rng, n, rng.randrange(1, 3), terms=1)
-    b = _rand_mv(rng, n, rng.randrange(0, 2), terms=1)
-    c = _rand_mv(rng, n, rng.randrange(0, 2), terms=1)
+    a = _rand(PolyMultivector, rng, n, rng.randrange(1, 3), terms=1)
+    b = _rand(PolyMultivector, rng, n, rng.randrange(0, 2), terms=1)
+    c = _rand(PolyMultivector, rng, n, rng.randrange(0, 2), terms=1)
     lhs = schouten(a, wedge(b, c))
     s = (-1) ** ((a.degree - 1) * b.degree)
     rhs = wedge(schouten(a, b), c).add(wedge(b, schouten(a, c)).scale(s))
@@ -457,8 +449,8 @@ def _id_schouten_leibniz(p, rng):
 
 def _id_bracket_variants(p, rng):
     n = p.ambient
-    alpha = _rand_form(rng, n, 1)
-    beta = _rand_form(rng, n, 1)
+    alpha = _rand(PolyForm, rng, n, 1)
+    beta = _rand(PolyForm, rng, n, 1)
     lhs = form_bracket(p, alpha, beta)
     rhs = field_lie_derivative_form(pi_sharp(p, alpha), beta).sub(
         contract_form(pi_sharp(p, beta), exterior_d(alpha)))
@@ -476,9 +468,9 @@ def _id_bracket_exact(p, rng):
 
 def _id_bracket_jacobi(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1, terms=1)
-    be = _rand_form(rng, n, 1, terms=1)
-    ga = _rand_form(rng, n, 1, terms=1)
+    al = _rand(PolyForm, rng, n, 1, terms=1)
+    be = _rand(PolyForm, rng, n, 1, terms=1)
+    ga = _rand(PolyForm, rng, n, 1, terms=1)
     lhs = form_bracket(p, al, form_bracket(p, be, ga))
     rhs = form_bracket(p, form_bracket(p, al, be), ga).add(
         form_bracket(p, be, form_bracket(p, al, ga)))
@@ -487,9 +479,9 @@ def _id_bracket_jacobi(p, rng):
 
 def _id_cartan_module_law(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1, terms=1)
-    be = _rand_form(rng, n, 1, terms=1)
-    w = _rand_mv(rng, n, rng.randrange(0, min(n, 2) + 1), terms=1)
+    al = _rand(PolyForm, rng, n, 1, terms=1)
+    be = _rand(PolyForm, rng, n, 1, terms=1)
+    w = _rand(PolyMultivector, rng, n, rng.randrange(0, min(n, 2) + 1), terms=1)
     lhs = lie_derivative_multivector(p, form_bracket(p, al, be), w)
     rhs = lie_derivative_multivector(p, al,
                                      lie_derivative_multivector(p, be, w))
@@ -500,8 +492,8 @@ def _id_cartan_module_law(p, rng):
 
 def _id_lie_derivative_variants(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1, terms=1)
-    w = _rand_mv(rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
+    al = _rand(PolyForm, rng, n, 1, terms=1)
+    w = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
     lhs = lie_derivative_multivector(p, al, w)
     rhs = schouten(pi_sharp(p, al), w).add(
         sharp_tensor_fold(p, tilde_i(w, exterior_d(al)), n, w.degree))
@@ -510,8 +502,8 @@ def _id_lie_derivative_variants(p, rng):
 
 def _id_vector_field_formula(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1)
-    v = _rand_mv(rng, n, 1)
+    al = _rand(PolyForm, rng, n, 1)
+    v = _rand(PolyMultivector, rng, n, 1)
     lhs = lie_derivative_multivector(p, al, v)
     rhs = schouten(pi_sharp(p, al), v).add(
         pi_sharp(p, contract_form(v, exterior_d(al))))
@@ -520,13 +512,12 @@ def _id_vector_field_formula(p, rng):
 
 def _id_function_action(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1)
+    al = _rand(PolyForm, rng, n, 1)
     f = function(n, {_rand_poly(rng, n, 3): _rand_coeff(rng)})
-    d1 = lie_derivative_multivector(p, al, f).sub(
-        apply_vector_field(pi_sharp(p, al), f))
-    if not d1.is_zero():
-        return {"difference": repr(d1),
-                "inputs": {"alpha": repr(al), "f": repr(f)}}
+    d1 = _witness(lie_derivative_multivector(p, al, f).sub(
+        apply_vector_field(pi_sharp(p, al), f)), alpha=al, f=f)
+    if d1 is not None:
+        return d1
     g = function(n, {_rand_poly(rng, n, 3): _rand_coeff(rng)})
     d2 = lie_derivative_multivector(p, exterior_d(f), g).sub(
         poisson_bracket(p, f, g))
@@ -535,9 +526,9 @@ def _id_function_action(p, rng):
 
 def _id_contraction_bracket(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1, terms=1)
-    be = _rand_form(rng, n, 1, terms=1)
-    w = _rand_mv(rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
+    al = _rand(PolyForm, rng, n, 1, terms=1)
+    be = _rand(PolyForm, rng, n, 1, terms=1)
+    w = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
     lhs = contract(form_bracket(p, al, be), w)
     rhs = lie_derivative_multivector(p, al, contract(be, w)).sub(
         contract(be, lie_derivative_multivector(p, al, w)))
@@ -546,9 +537,9 @@ def _id_contraction_bracket(p, rng):
 
 def _id_module_leibniz(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1, terms=1)
-    w1 = _rand_mv(rng, n, rng.randrange(0, 2), terms=1)
-    w2 = _rand_mv(rng, n, rng.randrange(0, 2), terms=1)
+    al = _rand(PolyForm, rng, n, 1, terms=1)
+    w1 = _rand(PolyMultivector, rng, n, rng.randrange(0, 2), terms=1)
+    w2 = _rand(PolyMultivector, rng, n, rng.randrange(0, 2), terms=1)
     lhs = lie_derivative_multivector(p, al, wedge(w1, w2))
     rhs = wedge(lie_derivative_multivector(p, al, w1), w2).add(
         wedge(w1, lie_derivative_multivector(p, al, w2)))
@@ -557,8 +548,8 @@ def _id_module_leibniz(p, rng):
 
 def _id_slot_contraction(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1)
-    w = _rand_mv(rng, n, rng.randrange(1, min(n, 3) + 1))
+    al = _rand(PolyForm, rng, n, 1)
+    w = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1))
     t = tilde_i(w, al)
     folded = zero_multivector(n, w.degree - 1)
     for (fi, mi, e), c in t.items():
@@ -573,26 +564,22 @@ def _id_slot_wedge(p, rng):
     n = p.ambient
     k = rng.randrange(1, 3)
     l = rng.randrange(1, 3)
-    a1 = _rand_form(rng, n, k, terms=1)
-    a2 = _rand_form(rng, n, l, terms=1)
-    w = _rand_mv(rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
+    a1 = _rand(PolyForm, rng, n, k, terms=1)
+    a2 = _rand(PolyForm, rng, n, l, terms=1)
+    w = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
     lhs = tilde_i(w, wedge(a1, a2))
     rhs = tensor_add(
         tensor_scale(tensor_lwedge(a2, tilde_i(w, a1)), (-1) ** ((k - 1) * l)),
         tensor_scale(tensor_lwedge(a1, tilde_i(w, a2)), (-1) ** k))
-    diff = tensor_add(lhs, tensor_scale(rhs, -1))
-    if tensor_is_zero(diff):
-        return None
-    return {"difference": repr(diff),
-            "inputs": {"a1": repr(a1), "a2": repr(a2), "w": repr(w)}}
+    return _witness(tensor_add(lhs, tensor_scale(rhs, -1)), a1=a1, a2=a2, w=w)
 
 
 def _id_dual(p, rng):
     n = p.ambient
     q = rng.randrange(1, min(n, 2) + 1)
-    al = _rand_form(rng, n, 1, terms=1)
-    be = _rand_form(rng, n, q, terms=1)
-    w = _rand_mv(rng, n, q, terms=1)
+    al = _rand(PolyForm, rng, n, 1, terms=1)
+    be = _rand(PolyForm, rng, n, q, terms=1)
+    w = _rand(PolyMultivector, rng, n, q, terms=1)
     lhs = apply_vector_field(pi_sharp(p, al), pairing(be, w))
     rhs = pairing(form_lie_derivative(p, al, be), w).add(
         pairing(be, lie_derivative_multivector(p, al, w)))
@@ -601,8 +588,8 @@ def _id_dual(p, rng):
 
 def _id_sharp_intertwines(p, rng):
     n = p.ambient
-    al = _rand_form(rng, n, 1)
-    be = _rand_form(rng, n, 1)
+    al = _rand(PolyForm, rng, n, 1)
+    be = _rand(PolyForm, rng, n, 1)
     lhs = pi_sharp(p, field_lie_derivative_form(pi_sharp(p, al), be))
     rhs = lie_derivative_multivector(p, al, pi_sharp(p, be))
     return _witness(lhs.sub(rhs), alpha=al, beta=be)
@@ -612,7 +599,7 @@ def _id_form_module_closed(p, rng):
     n = p.ambient
     f = function(n, {_rand_poly(rng, n, 3): _rand_coeff(rng)})
     al = exterior_d(f)
-    be = _rand_form(rng, n, rng.randrange(0, min(n, 2) + 1))
+    be = _rand(PolyForm, rng, n, rng.randrange(0, min(n, 2) + 1))
     lhs = form_lie_derivative(p, al, be)
     rhs = field_lie_derivative_form(pi_sharp(p, al), be)
     return _witness(lhs.sub(rhs), f=f, beta=be)
@@ -620,7 +607,7 @@ def _id_form_module_closed(p, rng):
 
 def _id_sharp_differential(p, rng):
     n = p.ambient
-    be = _rand_form(rng, n, rng.randrange(0, min(n, 2) + 1))
+    be = _rand(PolyForm, rng, n, rng.randrange(0, min(n, 2) + 1))
     lhs = pi_sharp(p, exterior_d(be))
     rhs = d_pi(p, pi_sharp(p, be)).scale(-1)
     return _witness(lhs.sub(rhs), beta=be)
@@ -770,17 +757,7 @@ def build_poly_model(ambient: int, kind: type, mode: str, bound: int,
         {q: tuple(repr(k) for k in ks) for q, ks in basis.items()})
     model = PolyModel(ambient, kind, mode, bound, basis, index, space,
                       None, exact, band)
-    blocks = {}
-    for q in sorted(basis):
-        if space.dim(q + 1) == 0:
-            continue
-        cols = []
-        for i in range(len(basis[q])):
-            out = differential(model.element(q, i))
-            cols.append(model.to_vector(out, project=not exact))
-        blocks[q] = rl.mat_from_columns(cols, nrows=space.dim(q + 1))
-    d = LinearMap.from_blocks(space, space, 1, blocks)
-    cx = CochainComplex.build(space, d)
+    cx = CochainComplex.build(space, operator_matrix(model, differential, 1))
     return PolyModel(ambient, kind, mode, bound, basis, index, space,
                      cx, exact, band)
 
@@ -1036,29 +1013,10 @@ def _sub_algebra(md: MomentumData, generators: Optional[Sequence]) -> tuple:
         return md.algebra, md.one_forms
     g = md.algebra
     idx = list(generators)
-    r = len(idx)
     basis = rl.identity(g.dim)
-    entries = []
-    for a in range(r):
-        for b in range(a + 1, r):
-            br = g.bracket(basis[idx[a]], basis[idx[b]])
-            terms = []
-            for m in range(g.dim):
-                if br[m]:
-                    if m not in idx:
-                        raise ValueError(
-                            "chosen generators do not span a subalgebra")
-                    terms.append([idx.index(m), br[m]])
-            entries.append([a, b, terms])
-    sub = lie.build_lie_algebra(r, entries, compact_type=g.compact_type,
-                                name=f"{g.name}-sub{tuple(idx)}")
+    sub = lie.spanned_algebra(g, [basis[i] for i in idx],
+                              f"{g.name}-sub{tuple(idx)}", g.compact_type)
     return sub, tuple(md.one_forms[i] for i in idx)
-
-
-def _model_for(md: MomentumData, truncation: Optional[int],
-               slice_degree: Optional[int]) -> PolyModel:
-    return poisson_complex(md.pi, truncation=truncation,
-                           slice_degree=slice_degree)
 
 
 def _check_ops_stay(model: PolyModel, forms: Sequence) -> None:
@@ -1095,15 +1053,20 @@ def momentum_gdiff(md: MomentumData, truncation: Optional[int] = None,
     the lifts reverse brackets, so negating them turns the package into a
     genuine action satisfying the standard operator axioms."""
     algebra, forms = _sub_algebra(md, generators)
-    model = _model_for(md, truncation, slice_degree)
+    model = poisson_complex(md.pi, truncation=truncation,
+                            slice_degree=slice_degree)
     _check_ops_stay(model, forms)
-    contractions = []
-    lie_ops = []
-    for a in forms:
-        neg = a.scale(-1)
-        i_op = operator_matrix(model, lambda w: contract(neg, w), -1)
-        contractions.append(i_op)
-        lie_ops.append(anticommutator(model.complex.d, i_op))
+    return _with_contractions(
+        algebra, model,
+        [lambda w, neg=a.scale(-1): contract(neg, w) for a in forms], check)
+
+
+def _with_contractions(algebra: lie.LieAlgebra, model: PolyModel,
+                       fns: Sequence, check: bool) -> tuple:
+    """(GDiffComplex, model): the model's complex with one contraction per
+    generator, fns[j] on basis elements, and the Lie operators d i + i d."""
+    contractions = [operator_matrix(model, fn, -1) for fn in fns]
+    lie_ops = [anticommutator(model.complex.d, i_op) for i_op in contractions]
     return gd.build_gdiff(algebra, model.complex, contractions, lie_ops,
                           check=check), model
 
@@ -1133,11 +1096,11 @@ def mu_tangent_complex(md: MomentumData, truncation: Optional[int] = None,
     the contractions and of the operators d i + i d); a discrepancy raises
     BasicMismatch."""
     c, model = momentum_gdiff(md, truncation, slice_degree)
-    hor = gd.joint_kernel_subspace(model.space, c.contractions)
+    hor = joint_kernel(model.space, c.contractions)
     tangent = hor.intersect(
-        gd.joint_kernel_subspace(model.space, _geometric_lie_ops(md, model)))
+        joint_kernel(model.space, _geometric_lie_ops(md, model)))
     basic = hor.intersect(
-        gd.joint_kernel_subspace(model.space, c.lie_ops))
+        joint_kernel(model.space, c.lie_ops))
     if not tangent.equals(basic):
         bad = [n for n in model.space.degrees()
                if tangent.dim(n) != basic.dim(n)]
@@ -1159,7 +1122,7 @@ def invariance_comparison(md: MomentumData, truncation: Optional[int] = None,
     anchor field.  Returns, per generator and degree, both operator
     matrices applied to a basis of that kernel (they must be equal)."""
     c, model = momentum_gdiff(md, truncation, slice_degree)
-    hor = gd.joint_kernel_subspace(model.space, c.contractions)
+    hor = joint_kernel(model.space, c.contractions)
     out = {}
     for j, a in enumerate(md.one_forms):
         lmod = operator_matrix(model,
@@ -1211,12 +1174,9 @@ def de_rham_gdiff(algebra: lie.LieAlgebra, fields: Sequence,
     else:
         raise ValueError("either truncation or slice_degree is required")
     model = build_poly_model(n, PolyForm, mode, bound, exterior_d, True, None)
-    contractions = [operator_matrix(
-        model, lambda w, v=v: contract_form(v, w), -1) for v in fields]
-    lie_ops = [anticommutator(model.complex.d, i_op) for i_op in contractions]
-    c = gd.build_gdiff(algebra, model.complex, contractions, lie_ops,
-                       check=check)
-    return c, model
+    return _with_contractions(
+        algebra, model,
+        [lambda w, v=v: contract_form(v, w) for v in fields], check)
 
 
 def sharp_comparison(md: MomentumData, slice_degree: int,
@@ -1273,7 +1233,7 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
         and rl.rank(phi[q]) == model_o.space.dim(q)
         for q in sorted(model_o.basis))
     tangent = mu_tangent_complex(md, slice_degree=slice_degree)
-    basic_o = gd.joint_kernel_subspace(
+    basic_o = joint_kernel(
         model_o.space, list(c_o.contractions) + list(c_o.lie_ops))
     spans = {}
     for q in model_o.space.degrees():
@@ -1325,7 +1285,7 @@ def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
     c, model = momentum_gdiff(md, truncation, slice_degree,
                               generators=generators)
     h = gd.equivariant_cohomology(c, sym_cap)
-    inv = gd.joint_kernel_subspace(model.space, c.lie_ops)
+    inv = joint_kernel(model.space, c.lie_ops)
     inv_casimir = inv.intersect(map_kernel(c.d))
     cross = None
     try:
@@ -1344,27 +1304,15 @@ def poisson_low_degree(md: MomentumData, sym_cap: int,
                        truncation: Optional[int] = None,
                        slice_degree: Optional[int] = None) -> dict:
     """Both sides of the low-degree description of equivariant cohomology
-    for the action: degree 0 from closed invariant functions, and degree 1
-    (valid when the algebra has no degree-1 cohomology) as closed one-fields
-    killed by every lifted form, modulo differentials of invariant
-    functions."""
-    c, model = momentum_gdiff(md, truncation, slice_degree)
-    h = gd.equivariant_cohomology(c, sym_cap)
-    hg = lie.lie_cohomology(md.algebra)
-    z = map_kernel(c.d)
-    inv = gd.joint_kernel_subspace(model.space, c.lie_ops)
-    hor = gd.joint_kernel_subspace(model.space, c.contractions)
-    z0 = Subspace.from_spans(model.space, {0: z.matrix(0)})
-    inv0 = Subspace.from_spans(model.space, {0: inv.matrix(0)})
-    h0_direct = z0.intersect(inv0).dim(0)
-    z1 = Subspace.from_spans(model.space, {1: z.matrix(1)})
-    hor1 = Subspace.from_spans(model.space, {1: hor.matrix(1)})
-    num = z1.intersect(hor1)
-    den = image_of_subspace(c.d, inv0)
-    h1_direct = subquotient(num, den).dim(1)
-    return {"h1_lie_vanishes": hg.dims.get(1, 0) == 0,
-            "h0_model": h.dim(0), "h0_direct": h0_direct,
-            "h1_model": h.dim(1), "h1_direct": h1_direct}
+    for the action (`gdiff.low_degree_data`): degree 0 from closed functions,
+    all of them invariant, and degree 1 (valid when the algebra has no
+    degree-1 cohomology) as closed one-fields killed by every lifted form,
+    modulo differentials of invariant functions."""
+    c, _ = momentum_gdiff(md, truncation, slice_degree)
+    low = gd.low_degree_data(c, gd.cartan_model(c, sym_cap))
+    return {"h1_lie_vanishes": lie.lie_cohomology(md.algebra).dims.get(1, 0) == 0,
+            "h0_model": low["h0_model"], "h0_direct": low["h0_kernel"],
+            "h1_model": low["h1_model"], "h1_direct": low["h1_direct"]}
 
 
 @dataclass(frozen=True)
@@ -1399,22 +1347,13 @@ def momentum_spectral_sequence(md: MomentumData,
     first and second pages are compared against the product of the algebra
     cohomology with the fiber-tangent complex (dimensions, cell by cell).
     A product-line model is accepted directly in place of momentum data."""
-    if isinstance(md, ProductLineModel):
-        pgs = spectral.pages(
-            spectral.contraction_filtration(md.gdiff), r_max)
-        first = next((pg.r for pg in pgs if pg.diffs), None)
-        return MomentumSpectral(tuple(pgs), first, None, None, None, None)
-    c, model = momentum_gdiff(md, truncation, slice_degree)
-    fc = spectral.contraction_filtration(c)
-    pgs = spectral.pages(fc, r_max)
-    first = None
-    for pg in pgs:
-        if pg.diffs:
-            first = pg.r
-            break
+    line = isinstance(md, ProductLineModel)
+    c = md.gdiff if line else momentum_gdiff(md, truncation, slice_degree)[0]
+    pgs = spectral.pages(spectral.contraction_filtration(c), r_max)
+    first = next((pg.r for pg in pgs if pg.diffs), None)
     pe1 = pe2 = None
     m1 = m2 = None
-    if md.submersive:
+    if not line and md.submersive:
         tang = mu_tangent_complex(md, truncation, slice_degree)
         hq = lie.lie_cohomology(md.algebra)
         pe1, pe2 = {}, {}

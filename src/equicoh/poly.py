@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Tuple, Union
+
+from .bases import remove_slot, remove_slots, wedge_merge
 
 
 class AmbientMismatch(Exception):
@@ -206,15 +208,6 @@ def as_multivector(f: PolyForm) -> PolyMultivector:
 # Polynomial-coefficient helpers (plain {expo: Fraction} dicts)
 
 
-def poly_mul(ambient: int, p1: Mapping, p2: Mapping) -> dict:
-    out = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def poly_of(x: Union[PolyMultivector, PolyForm]) -> dict:
     if x.degree != 0:
         raise DegreeMismatch("not a polynomial: degree is nonzero")
@@ -238,15 +231,6 @@ def scale_by_function(f, x):
 # Wedge products and the exterior differential
 
 
-def _merge_sign(i1: Idx, i2: Idx) -> Optional[Tuple[int, Idx]]:
-    """Sign and result of sorting the concatenation (i1, i2); None if they
-    share an index."""
-    if set(i1) & set(i2):
-        return None
-    inversions = sum(1 for a in i1 for b in i2 if a > b)
-    return (-1) ** inversions, tuple(sorted(i1 + i2))
-
-
 def wedge(x, y):
     """Exterior product of two multivectors or two forms."""
     if type(x) is not type(y):
@@ -256,7 +240,7 @@ def wedge(x, y):
     out = {}
     for (i1, e1), c1 in x.coeffs:
         for (i2, e2), c2 in y.coeffs:
-            m = _merge_sign(i1, i2)
+            m = wedge_merge(i1, i2)
             if m is None:
                 continue
             sign, idx = m
@@ -276,7 +260,7 @@ def exterior_d(x: Union[PolyForm, PolyMultivector]) -> PolyForm:
         for i in range(n):
             if expo[i] == 0:
                 continue
-            m = _merge_sign((i,), idx)
+            m = wedge_merge((i,), idx)
             if m is None:
                 continue
             sign, nidx = m
@@ -311,13 +295,18 @@ def pairing(beta: PolyForm, w: PolyMultivector) -> PolyMultivector:
     return PolyMultivector(w.ambient, 0, out)
 
 
-def _interior(s: Idx, j: Idx) -> Optional[Tuple[int, Idx]]:
-    """Contract basis_S out of basis_J: sign and remaining indices, or None."""
-    if not set(s) <= set(j):
-        return None
-    rest = tuple(i for i in j if i not in set(s))
-    inversions = sum(1 for a in s for b in rest if a > b)
-    return (-1) ** inversions, rest
+def _contract_terms(x, y) -> dict:
+    """Terms of the basis-wise contraction of x's index tuples out of y's."""
+    out = {}
+    for (s, e1), c1 in x.coeffs:
+        for (j, e2), c2 in y.coeffs:
+            m = remove_slots(s, j)
+            if m is None:
+                continue
+            sign, rest = m
+            key = (rest, tuple(a + b for a, b in zip(e1, e2)))
+            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return out
 
 
 def contract(alpha: PolyForm, w: PolyMultivector) -> PolyMultivector:
@@ -331,16 +320,7 @@ def contract(alpha: PolyForm, w: PolyMultivector) -> PolyMultivector:
     deg = max(w.degree - alpha.degree, 0)
     if alpha.degree > w.degree:
         return zero_multivector(w.ambient, 0)
-    out = {}
-    for (s, e1), c1 in alpha.coeffs:
-        for (j, e2), c2 in w.coeffs:
-            m = _interior(s, j)
-            if m is None:
-                continue
-            sign, rest = m
-            key = (rest, tuple(a + b for a, b in zip(e1, e2)))
-            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-    return PolyMultivector(w.ambient, deg, out)
+    return PolyMultivector(w.ambient, deg, _contract_terms(alpha, w))
 
 
 def contract_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
@@ -352,16 +332,8 @@ def contract_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
         raise AmbientMismatch(f"ambient {v.ambient} vs {beta.ambient}")
     if v.degree > beta.degree:
         return zero_form(beta.ambient, 0)
-    out = {}
-    for (s, e1), c1 in v.coeffs:
-        for (j, e2), c2 in beta.coeffs:
-            m = _interior(s, j)
-            if m is None:
-                continue
-            sign, rest = m
-            key = (rest, tuple(a + b for a, b in zip(e1, e2)))
-            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-    return PolyForm(beta.ambient, beta.degree - v.degree, out)
+    return PolyForm(beta.ambient, beta.degree - v.degree,
+                    _contract_terms(v, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +374,7 @@ def tensor_lwedge(alpha: PolyForm, t: dict) -> dict:
     out = {}
     for (ai, ae), ca in alpha.coeffs:
         for (fi, mi, e), c in t.items():
-            m = _merge_sign(ai, fi)
+            m = wedge_merge(ai, fi)
             if m is None:
                 continue
             sign, nfi = m
@@ -423,7 +395,7 @@ def tilde_i(w: PolyMultivector, beta: PolyForm) -> dict:
             rest = j[:t] + j[t + 1:]
             slot_sign = (-1) ** t
             for (fi, fe), cf in beta.coeffs:
-                m = _interior((axis,), fi)
+                m = remove_slot(axis, fi)
                 if m is None:
                     continue
                 sign, nfi = m

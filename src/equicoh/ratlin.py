@@ -14,6 +14,10 @@ from fractions import Fraction
 from math import gcd
 
 
+class ShapeMismatch(ValueError):
+    """Matrix shapes do not fit the operation."""
+
+
 def q(x):
     """Normalize a scalar: ints pass through, 'num/den' strings and Fractions
     are reduced, integral Fractions collapse to int."""
@@ -54,7 +58,8 @@ def mat_mul(a, b):
         return []
     ca = len(a[0])
     cb = len(b[0]) if b else 0
-    assert ca == len(b), "shape mismatch"
+    if ca != len(b):
+        raise ShapeMismatch("shape mismatch")
     out = zeros(ra, cb)
     for i in range(ra):
         arow = a[i]
@@ -104,15 +109,9 @@ def hstack(*mats):
     if not mats:
         return []
     r = len(mats[0])
-    assert all(len(m) == r for m in mats), "row mismatch in hstack"
+    if any(len(m) != r for m in mats):
+        raise ShapeMismatch("row mismatch in hstack")
     return [sum((list(m[i]) for m in mats), []) for i in range(r)]
-
-
-def vstack(*mats):
-    out = []
-    for m in mats:
-        out.extend(list(row) for row in m)
-    return out
 
 
 def mat_from_columns(cols, nrows=None):
@@ -265,7 +264,7 @@ def solve(a, b):
     particular solution with free variables 0, or None if inconsistent."""
     na = len(a[0]) if a else 0
     if a and len(b) != len(a):
-        raise ValueError("shape mismatch in solve")
+        raise ShapeMismatch("shape mismatch in solve")
     aug = hstack(a, b) if a else b
     nb = len(b[0]) if b else 0
     r, pivots = rref(aug)

@@ -10,8 +10,8 @@ with the convention Z_{-1}(p, n) = F_p^n.  The page differential
 d_r : E_r^{p,q} -> E_r^{p+r, q-r+1} is induced by d on representatives.
 Everything is finite, so the sequence reaches a final page where all
 differentials vanish identically and the antidiagonals of E_oo are the
-associated graded of H(C); both facts are asserted on every run, as is
-E_{r+1} = H(E_r, d_r) cell by cell.
+associated graded of H(C); every run checks the latter (NotConvergent) and
+E_{r+1} = H(E_r, d_r) with d_r o d_r = 0 cell by cell (PageMismatch).
 
 Two filtration constructors cover the main applications: the symmetric-degree
 filtration of a Cartan model (levels 2m >= p) and the contraction filtration
@@ -26,14 +26,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import ratlin as rl
-from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
-                   cohomology, subquotient)
-from .gdiff import CartanModel, GDiffComplex
+from .core import (CochainComplex, LinearMap, NotSubcomplex, Subspace,
+                   cohomology, restrict_map, stacked_kernel, subquotient)
+from .gdiff import CartanModel, GDiffComplex, _add_twist
 
 
-class NotSubcomplex(Exception):
-    """A filtration level fails nesting, d-stability, or exhaustiveness;
-    the message carries the witness level and degree."""
+class PageMismatch(Exception):
+    """A page differs from the homology of its predecessor, or a page
+    differential does not square to zero; the message names the cell."""
+
+
+class NotConvergent(Exception):
+    """The antidiagonals of the stable page differ from the cohomology of
+    the total complex."""
 
 
 @dataclass(frozen=True)
@@ -213,17 +218,18 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
                       and not diffs and not out[-1].diffs)
         out.append(Page(r, cells, reps, diffs, stable, sq))
         if r >= 1:
-            _assert_page_consistency(out[-2], out[-1])
+            _check_page_consistency(out[-2], out[-1])
     final = out[-1]
     if final.stable:
         h = cohomology(fc.complex)
         for n in range(max_n + 1):
-            assert final.antidiagonal(n) == h.dim(n), \
-                "spectral sequence must converge to the total cohomology"
+            if final.antidiagonal(n) != h.dim(n):
+                raise NotConvergent(
+                    f"antidiagonal {n} of the stable page differs from H^{n}")
     return out
 
 
-def _assert_page_consistency(prev: Page, cur: Page):
+def _check_page_consistency(prev: Page, cur: Page):
     """E_{r+1} = H(E_r, d_r) and d_r o d_r = 0, cell by cell."""
     r = prev.r
     keys = set(prev.cells) | set(cur.cells)
@@ -233,11 +239,12 @@ def _assert_page_consistency(prev: Page, cur: Page):
         in_m = prev.diffs.get((p - r, q + r - 1))
         rank_out = rl.rank(out_m) if out_m is not None else 0
         rank_in = rl.rank(in_m) if in_m is not None else 0
-        assert cur.dim(p, q) == dim - rank_out - rank_in, \
-            f"page {r + 1} cell ({p},{q}) disagrees with homology of page {r}"
-        if out_m is not None and in_m is not None:
-            assert rl.is_zero(rl.mat_mul(out_m, in_m)), \
-                f"d_{r} fails to square to zero at ({p},{q})"
+        if cur.dim(p, q) != dim - rank_out - rank_in:
+            raise PageMismatch(f"page {r + 1} cell ({p},{q}) disagrees with "
+                               f"homology of page {r}")
+        if out_m is not None and in_m is not None and \
+                not rl.is_zero(rl.mat_mul(out_m, in_m)):
+            raise PageMismatch(f"d_{r} fails to square to zero at ({p},{q})")
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +305,8 @@ def contraction_filtration(c: GDiffComplex) -> FilteredComplex:
             elif k > r:
                 spans[n] = rl.identity(dim)
             else:
-                stacked = []
-                for op in products[k]:
-                    blk = op.block(n)
-                    if blk and blk[0]:
-                        stacked.extend(blk)
-                spans[n] = rl.kernel(stacked) if stacked else rl.identity(dim)
+                spans[n] = stacked_kernel([op.block(n) for op in products[k]],
+                                          dim)
         return spans
 
     levels = [Subspace.from_spans(space, level_spans(p))
@@ -319,9 +322,6 @@ def _twist_on_invariants(model: CartanModel) -> LinearMap:
     """The part of the Cartan differential that raises symmetric degree
     (contraction paired with multiplication by the coordinate generator),
     restricted to the invariant complex."""
-    c = model.base
-    sp = c.space
-    mons = model.mons
     mspace = model.model_space
     blocks = {}
     for deg in mspace.degrees():
@@ -329,51 +329,16 @@ def _twist_on_invariants(model: CartanModel) -> LinearMap:
             continue
         blk = rl.zeros(mspace.dim(deg + 1), mspace.dim(deg))
         nonzero = False
-        fine_by = {(n, m): (off, size) for (n, m, _, off, size)
-                   in model.fine.get(deg, ())}
-        tgt_by = {(n, m): (off, size) for (n, m, _, off, size)
+        tgt_by = {(n, m): off for (n, m, _, off, _)
                   in model.fine.get(deg + 1, ())}
-        for (n, m), (off, _) in fine_by.items():
-            if (n - 1, m + 1) not in tgt_by:
-                continue
-            to = tgt_by[(n - 1, m + 1)][0]
-            nm = len(mons[m])
-            pos2 = {e: i for i, e in enumerate(mons[m + 1])}
-            for j in range(c.algebra.dim):
-                iblk = c.contractions[j].block(n)
-                if not (iblk and iblk[0]):
-                    continue
-                for t in range(len(iblk)):
-                    for ai in range(sp.dim(n)):
-                        v = iblk[t][ai]
-                        if not v:
-                            continue
-                        for mi, expo in enumerate(mons[m]):
-                            e2 = list(expo)
-                            e2[j] += 1
-                            mj = pos2[tuple(e2)]
-                            blk[to + t * len(mons[m + 1]) + mj][off + ai * nm + mi] += v
-                            nonzero = True
+        for (n, m, _, off, _) in model.fine.get(deg, ()):
+            if (n - 1, m + 1) in tgt_by:
+                nonzero = _add_twist(blk, model.base, model.mons, n, m, off,
+                                     tgt_by[(n - 1, m + 1)]) or nonzero
         if nonzero:
             blocks[deg] = blk
-    twist_full = LinearMap.from_blocks(mspace, mspace, 1, blocks)
-
-    inv = model.complex.space
-    inv_blocks = {}
-    for deg in inv.degrees():
-        src = model.inclusion.block(deg)
-        if not (src and src[0]) or inv.dim(deg + 1) == 0:
-            continue
-        fb = twist_full.block(deg)
-        if not (fb and fb[0]):
-            continue
-        img = rl.mat_mul(fb, src)
-        if rl.is_zero(img):
-            continue
-        sol = rl.solve(model.inclusion.block(deg + 1), img)
-        assert sol is not None, "twist must preserve invariants"
-        inv_blocks[deg] = sol
-    return LinearMap.from_blocks(inv, inv, 1, inv_blocks)
+    return restrict_map(LinearMap.from_blocks(mspace, mspace, 1, blocks),
+                        model.inclusion, "the Cartan twist leaves the invariants")
 
 
 def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
@@ -382,7 +347,8 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
     part of the Cartan differential to the representative's leading
     (symmetric degree p/2) component.  Returns {"ok": bool, "cells": [...],
     "failures": [...]}."""
-    assert page2.r == 2, "second-page check requires the r = 2 page"
+    if page2.r != 2:
+        raise ValueError("second-page check requires the r = 2 page")
     twist = _twist_on_invariants(model)
     space = model.complex.space
     checked, failures = [], []

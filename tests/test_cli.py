@@ -1,0 +1,387 @@
+"""The `equicoh` command end to end: every example and every task kind exits
+0 with the pinned output bytes on every run; malformed payloads exit 2
+(schema) or 3 (math) and never end in a traceback."""
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, Phase, given, seed, settings
+from hypothesis import strategies as st
+
+from equicoh import cli, gdiff as gd, lie
+
+SU2 = {"dim": 3, "compact_type": True, "name": "su2",
+       "brackets": [[0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]],
+                    [0, 2, [[1, "-1"]]]]}
+
+
+def unit_exp(n, j):
+    return [1 if t == j else 0 for t in range(n)]
+
+
+SU2_DUAL = {
+    "ambient": 3, "maxdeg": 2, "regime": "linear",
+    "pi": [[[0, 1], {"exponents": unit_exp(3, 2), "coeff": "1"}],
+           [[1, 2], {"exponents": unit_exp(3, 0), "coeff": "1"}],
+           [[0, 2], {"exponents": unit_exp(3, 1), "coeff": "-1"}]],
+    "action": {"algebra": SU2},
+    "mu": [[{"exponents": unit_exp(3, j), "coeff": "1"}] for j in range(3)],
+    "submersive": True,
+}
+
+CIRCLE_Q2 = {
+    "ambient": 2, "regime": "constant",
+    "pi": [[[0, 1], {"exponents": [0, 0], "coeff": "1"}]],
+    "action": {"algebra": {"dim": 1, "brackets": [], "name": "circle"}},
+    "mu": [[{"exponents": [2, 0], "coeff": "-1/2"},
+            {"exponents": [0, 2], "coeff": "-1/2"}]],
+}
+
+NON_JACOBI = {"dim": 3, "name": "broken3",
+              "brackets": [[0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]],
+                           [0, 2, [[0, "1"]]]]}
+
+# Lambda of the dual of the one-dimensional algebra: 1 in degree 0, lambda
+# in degree 1, the contraction sends lambda to 1.
+ONE_GEN = {
+    "algebra": {"dim": 1, "brackets": []},
+    "dims": {"0": 1, "1": 1},
+    "d": {},
+    "contractions": [{"1": [["1"]]}],
+    "lie_ops": [{}],
+    "product": {"table": {"0,0": {"0,0": [[0, "1"]]},
+                          "0,1": {"0,0": [[0, "1"]]},
+                          "1,0": {"0,0": [[0, "1"]]}}},
+    "unit": ["1"],
+}
+
+
+def ce_su2_export():
+    return cli.gdiff_to_json(gd.ce_gdiff(lie.ce_complex(lie.su2())))
+
+
+def broken_contraction():
+    broken = ce_su2_export()
+    block = broken["contractions"][0]["1"]
+    assert block[0][0] == "1"
+    block[0][0] = "0"  # i_{e_0} no longer hits the e_0-coordinate
+    return broken
+
+
+NO_FILE = object()
+
+
+def run(argv, payload=NO_FILE):
+    """Exit code and stdout bytes of one in-process `equicoh` run.  A payload
+    is written to a file whose path is appended to argv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if payload is not NO_FILE:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, sort_keys=True, indent=2))
+            argv = list(argv) + [path]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(argv))
+    return code, buf.getvalue().encode("utf-8")
+
+
+# name -> (argv, payload builder or None, exit code).
+CASES = {
+    "example-poiss1": (["example", "poiss1", "--slices", "0..2"], None, 0),
+    "example-poiss2": (["example", "poiss2"], None, 0),
+    "example-poiss3": (["example", "poiss3"], None, 0),
+    "example-poiss4": (["example", "poiss4"], None, 0),
+    "example-torus": (["example", "torus", "--slices", "0..1"], None, 0),
+    "example-coh-inv": (["example", "coh-inv"], None, 0),
+    "example-su2-dual": (["example", "su2-dual", "--max-degree", "2"], None,
+                         0),
+    "example-weil": (["example", "weil", "--sym-cap", "2"], None, 0),
+    "lie-cohomology": (["lie-cohomology"], lambda: {"algebra": SU2}, 0),
+    "lie-cohomology-relative": (
+        ["lie-cohomology"],
+        lambda: {"algebra": SU2, "relative": [0], "factorized": True,
+                 "coefficients": {"type": "sym-coadjoint", "power": 2}},
+        0),
+    "gdiff-check": (["gdiff-check"], ce_su2_export, 0),
+    "gdiff-check-one-generator": (["gdiff-check"], lambda: ONE_GEN, 0),
+    "gdiff-check-broken": (["gdiff-check"], broken_contraction, 3),
+    "equivariant": (["equivariant", "--sym-cap", "2"], ce_su2_export, 0),
+    "weil-check": (["weil-check", "--sym-cap", "2"],
+                   lambda: {"algebra": SU2}, 0),
+    "poisson-cohomology": (["poisson-cohomology"], lambda: SU2_DUAL, 0),
+    "poisson-cohomology-constant": (
+        ["poisson-cohomology", "--max-degree", "3"], lambda: CIRCLE_Q2, 0),
+    "equivariant-poisson": (["equivariant-poisson", "--slice", "1"],
+                            lambda: SU2_DUAL, 0),
+    "equivariant-poisson-subalgebra": (
+        ["equivariant-poisson", "--slice", "2"],
+        lambda: dict(SU2_DUAL, action={"algebra": SU2, "generators": [0]}),
+        0),
+    "equivariant-poisson-constant": (["equivariant-poisson", "--slice", "2"],
+                                     lambda: CIRCLE_Q2, 0),
+    "momentum-ss": (["momentum-ss", "--slice", "1"], lambda: SU2_DUAL, 0),
+    "compute-example": (
+        ["compute"],
+        lambda: {"kind": "example",
+                 "payload": {"name": "poiss3",
+                             "parameters": {"roots": "0,1,2"}}},
+        0),
+    "compute-lie-cohomology": (
+        ["compute", "--format", "csv"],
+        lambda: {"kind": "lie-cohomology",
+                 "payload": {"algebra": {"dim": 3, "name": "heis3",
+                                         "brackets": [[0, 1, [[2, "1"]]]]}}},
+        0),
+    "validate-complex": (["validate"], ce_su2_export, 0),
+    "validate-broken-contraction": (["validate"], broken_contraction, 3),
+    "validate-non-jacobi": (["validate"], lambda: NON_JACOBI, 3),
+    "validate-task": (["validate"],
+                      lambda: {"kind": "momentum-ss", "payload": SU2_DUAL},
+                      0),
+    "validate-task-algebra": (
+        ["validate"],
+        lambda: {"kind": "lie-cohomology", "payload": {"algebra": NON_JACOBI}},
+        3),
+    "validate-algebra": (["validate"], lambda: SU2, 0),
+    "validate-repeated-index": (
+        ["validate"],
+        lambda: dict(CIRCLE_Q2, pi=[[[1, 1], {"exponents": [0, 0],
+                                              "coeff": "1"}]]),
+        3),
+    "validate-not-poisson": (
+        ["validate"],
+        lambda: {"ambient": 3,
+                 "pi": [[[0, 1], {"exponents": [0, 0, 1], "coeff": "1"}],
+                        [[1, 2], {"exponents": [0, 1, 0], "coeff": "1"}]]},
+        3),
+}
+
+
+# SHA-256 of the stdout of each case.  The outputs are exact answers in
+# canonical bases, so any change of these bytes is a change of behaviour.
+DIGESTS = {
+    "compute-example":
+        "bb77047ec2d11bb8580a40eb1fc708b8e64f0fb4fac4ac3b44de973d32a42431",
+    "compute-lie-cohomology":
+        "3665ec95e88f522b48d79dc2dd25f17f11e3642f2afedd0f2b18a2b145fd3b90",
+    "equivariant":
+        "56d3ab5edd16f0fd79d6e691205a57d29b993a9f5bb130ef5896f3ddc7fc48a7",
+    "equivariant-poisson":
+        "a5c2ff8912abe8e9e53bbb9320c8e27a36257d40be6948dc9a104055aec816dd",
+    "equivariant-poisson-constant":
+        "e3d140901cc7f9466aa476142d344d445f282f91b4702a67bc7ebf86f9a18f5e",
+    "equivariant-poisson-subalgebra":
+        "8af4b49daeed5de191e2c2ae8a48531771a9fba239f129567eb2224fb4134e84",
+    "example-coh-inv":
+        "73cb9cb23398256189912f3967a7770028b090b96948b39e4105866ad05d3c64",
+    "example-poiss1":
+        "780c86744d31ef9579b281f52600cc08d031dcd9441648b07c9b3e857ee7ceb1",
+    "example-poiss2":
+        "8d8bdc96e42e5afa71ab92187492f31b1577026d04f84a2841d4f31abda0d84f",
+    "example-poiss3":
+        "4bdd6d3e060198b2a26b3050bce91a691c5d69fc803233167baca3a2e9e7a86f",
+    "example-poiss4":
+        "75d5beec1a0e7a9da336ac789d3d843a79dd67ed7ba3446c77a7d22d0a9113a2",
+    "example-su2-dual":
+        "7ac936f44dcf2271e037031430db48c38f29a1a3799ba6d18518112396c9e31e",
+    "example-torus":
+        "042f8db62fd110f0cca89c2928e9cbb48264b26436ba6006c00bd090c7e38e8d",
+    "example-weil":
+        "4a5ab263fdf9670e5143e41dd8288f8d920eb6f5cef989764d0f612c1cb271a1",
+    "gdiff-check":
+        "5322a96b4de5e2434c2428629df576e0b0495bccfebb5081d49f11344f891f02",
+    "gdiff-check-broken":
+        "a99e565254721895a027bc0599b19f887c5c9a9b8dabedf054870b27d3504814",
+    "gdiff-check-one-generator":
+        "87fe0e1964c40aa4d6a88da14e42bea332254c22d8034d590a1ad6e32b221b33",
+    "lie-cohomology":
+        "f300c1b3522dbcc731c5ae7d434616d1a9e6735f9d80933536e1825da497e8fb",
+    "lie-cohomology-relative":
+        "afdcb30a60300c7163ca5f48abf89db23afb31ba56296bde410e961db8a8a06f",
+    "momentum-ss":
+        "ac353b19baa46f68463ef6237bda8825971e1c7f7075c45c3651b73287b69324",
+    "poisson-cohomology":
+        "371a13ca335c8e2a64815daf98b4283bc0afb474846604086ea9bc60b92d7118",
+    "poisson-cohomology-constant":
+        "6ba169e5f7b332c69a62e8fc94a73b5ac94bd1fbcf800313d40fda4ba56149cd",
+    "validate-algebra":
+        "77d59c7d5fd3338ac059feb3a3f40a02f7d221726fd7712d7b5ab34f32d68f23",
+    "validate-broken-contraction":
+        "deda06b7e060fafcec7985cc9a962e6a1864cda01a296e54608d84cf072ddcd7",
+    "validate-complex":
+        "24a04ad8aec3b9c3fd71f0a773a4a382e729f8d2c4afbbde26dfb01f92193536",
+    "validate-non-jacobi":
+        "0b424c844224d1059e25e01960e56be8fea82de81fd4ebb092f48087f67ebb83",
+    "validate-not-poisson":
+        "6f605d944df540b2ea14c85efcb9dc2ee1bfe7cf9a03caba2266a2bec75e7af2",
+    "validate-repeated-index":
+        "bacfe115bb9f82399d2940f228fb35f0f537536c3aeec1bff87ff2c078d8ae61",
+    "validate-task":
+        "b819e5f26c496d3b366e1e9c48851f574ffcb7545529b3bf1052df437cb7d4ce",
+    "validate-task-algebra":
+        "d8c57d7cc0629b3bb5b555e7e4b480caf4bc29e87a13cb552dfc0b08e2f65e4f",
+    "weil-check":
+        "623daa233a0bcd5995a826a3a4eee3f450189b2dca00080de5a5c611d6a8ea32",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_case_exit_code_and_pinned_bytes(name):
+    argv, build, code = CASES[name]
+    payload = build() if build is not None else NO_FILE
+    first = run(argv, payload)
+    assert run(argv, payload) == first
+    assert first[0] == code, first[1].decode()
+    assert hashlib.sha256(first[1]).hexdigest() == DIGESTS[name]
+
+
+def _one_gen(**changes):
+    data = copy.deepcopy(ONE_GEN)
+    data.update(changes)
+    return data
+
+
+def _with_table(table):
+    return _one_gen(product={"table": table})
+
+
+def _example_task(name, **parameters):
+    return {"kind": "example",
+            "payload": {"name": name, "parameters": parameters}}
+
+
+# Malformed inputs the parser must stop before they reach the builders and
+# checks; each exits 2.
+MALFORMED = {
+    "product-degree-key": (
+        ["gdiff-check"], _with_table({"x,0": {"0,0": [[0, "1"]]}})),
+    "product-pair-key": (
+        ["gdiff-check"], _with_table({"0,0": {"0": [[0, "1"]]}})),
+    "product-pairs-list": (["gdiff-check"], _with_table({"0,0": []})),
+    "product-pair-index-past-space": (
+        ["gdiff-check"], _with_table({"0,1": {"0,1": [[0, "1"]]}})),
+    "product-term-index-past-space": (
+        ["gdiff-check"], _with_table({"0,1": {"0,0": [[1, "1"]]}})),
+    "product-term-shape": (
+        ["gdiff-check"], _with_table({"0,1": {"0,0": [0, "1"]}})),
+    "unit-not-list": (["gdiff-check"], _one_gen(unit=5)),
+    "unit-wrong-length": (["gdiff-check"], _one_gen(unit=[1, 2])),
+    "validate-unit-wrong-length": (["validate"], _one_gen(unit=[1, 2])),
+    "example-sym-cap": (["compute"], _example_task("weil", sym_cap="x")),
+    "example-planes": (["compute"], _example_task("torus", planes="a")),
+    "example-max-degree": (["compute"],
+                           _example_task("su2-dual", max_degree=[])),
+    "example-poiss1-sym-cap": (["compute"],
+                               _example_task("poiss1", sym_cap=True)),
+    "option-slice": (["compute"], {"kind": "momentum-ss", "payload": SU2_DUAL,
+                                   "options": {"slice": "x"}}),
+    "option-max-degree": (["compute"],
+                          {"kind": "poisson-cohomology", "payload": SU2_DUAL,
+                           "options": {"max_degree": "2"}}),
+    "negative-pages": (["momentum-ss", "--slice", "1", "--pages", "-1"],
+                       SU2_DUAL),
+    "negative-slice": (["momentum-ss", "--slice", "-1"], SU2_DUAL),
+    "example-negative-slices": (["compute"],
+                                _example_task("poiss1", slices="-1..0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2_as_a_schema_error(name):
+    argv, payload = MALFORMED[name]
+    code, out = run(argv, payload)
+    assert code == 2, out.decode()
+    if argv[0] != "validate":
+        assert json.loads(out)["error"]["kind"] == "schema"
+
+
+# Leaves and subtrees a mutation may put anywhere in a payload: small
+# integers (dims stay small), rational strings, malformed keys and shapes.
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.sampled_from(["1", "-1/2", "0", "x", "1/0", "", "0,0", "x,0", "1,2,3",
+                     "0,1", "2"]))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["0", "1", "0,0", "0,1", "x"]),
+                        inner, max_size=2)),
+    max_leaves=6)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for t, value in enumerate(obj):
+            yield from _paths(value, prefix + (t,))
+
+
+def _mutate(data, path, value, delete):
+    if not path:
+        return value
+    out = copy.deepcopy(data)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if delete and isinstance(node, dict):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+_BASES = (ONE_GEN, ce_su2_export())
+
+
+@seed(20260101)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_payloads_exit_0_2_or_3(data):
+    base = data.draw(st.sampled_from(_BASES))
+    paths = list(_paths(base))
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(_VALUES)
+    payload = _mutate(base, path, value, data.draw(st.booleans()))
+    for command in ("gdiff-check", "validate"):
+        code, _ = run([command], payload)
+        assert code in (0, 2, 3)
+
+
+def test_checks_still_raise_under_optimized_python():
+    """The checks are exceptions, not asserts: `python -O` keeps them."""
+    script = (
+        "from equicoh import core, ratlin\n"
+        "sp = core.GradedSpace.from_dims({0: 1})\n"
+        "other = core.GradedSpace.from_dims({0: 2})\n"
+        "one = core.LinearMap.identity(sp)\n"
+        "checks = [lambda: ratlin.mat_mul([[1, 2]], [[1, 2]]),\n"
+        "          lambda: one.compose(core.LinearMap.identity(other)),\n"
+        "          lambda: core.CochainComplex.build(sp, one)]\n"
+        "for check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__)\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["ShapeMismatch", "ShapeMismatch",
+                                  "ValueError"]
