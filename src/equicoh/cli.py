@@ -427,10 +427,14 @@ def gdiff_to_json(c: gd.GDiffComplex) -> dict:
 def fprime_function(expr: str) -> Callable:
     """Exact evaluator for a univariate polynomial expression in t, built
     from integer literals, + - * / and non-negative integer powers."""
+    _expect(isinstance(expr, str), "fprime", "expected a string")
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise SchemaError("fprime", f"cannot parse {expr!r}: {exc}")
+    except (RecursionError, MemoryError):
+        # the parser's own depth limits, hit by deeply nested input
+        raise SchemaError("fprime", "expression nested too deeply")
 
     def ev(node, t: Fraction) -> Fraction:
         if isinstance(node, ast.Expression):
@@ -465,15 +469,19 @@ def fprime_function(expr: str) -> Callable:
                           f"unsupported syntax near {ast.dump(node)[:60]}")
 
     def fn(t) -> Fraction:
-        return ev(tree, Fraction(t))
+        try:
+            return ev(tree, Fraction(t))
+        except RecursionError:
+            raise SchemaError("fprime", "expression nested too deeply")
 
     fn(0)  # validate eagerly
     return fn
 
 
 def _parse_rational_list(text: str, field: str) -> list:
+    _expect(isinstance(text, str), field, "expected a string")
     out = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             raise SchemaError(field, "empty entry in the list")
@@ -483,7 +491,8 @@ def _parse_rational_list(text: str, field: str) -> list:
 
 def _parse_int_range(text: str, field: str) -> list:
     """Non-negative integers given as "lo..hi" or "a,b,..."."""
-    text = str(text).strip()
+    _expect(isinstance(text, str), field, "expected a string")
+    text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -549,7 +558,7 @@ def _example_poiss1(params: dict) -> dict:
 
 def _product_line_example(params: dict, fprime_default: str) -> dict:
     roots = _parse_rational_list(params.get("roots", "0,1,2,3,4"), "roots")
-    fn = fprime_function(str(params.get("fprime", fprime_default)))
+    fn = fprime_function(params.get("fprime", fprime_default))
     values = [fn(r) for r in roots]
     try:
         model = po.build_product_line_model(roots, values)
@@ -656,15 +665,19 @@ def _example_weil(params: dict) -> dict:
     return {"sym_cap": sym_cap, "algebras": out, "agrees": agrees}
 
 
+# Each example's runner and the only parameters run_example lets through.
 _EXAMPLE_RUNNERS = {
-    "poiss1": _example_poiss1,
-    "poiss2": lambda params: _product_line_example(params, "1"),
-    "poiss3": lambda params: _product_line_example(params, "t*(t-1)"),
-    "poiss4": lambda params: _product_line_example(params, "0"),
-    "torus": _example_torus,
-    "coh-inv": _example_coh_inv,
-    "su2-dual": _example_su2_dual,
-    "weil": _example_weil,
+    "poiss1": (_example_poiss1, ("slices", "sym_cap")),
+    "poiss2": (lambda params: _product_line_example(params, "1"),
+               ("roots", "fprime")),
+    "poiss3": (lambda params: _product_line_example(params, "t*(t-1)"),
+               ("roots", "fprime")),
+    "poiss4": (lambda params: _product_line_example(params, "0"),
+               ("roots", "fprime")),
+    "torus": (_example_torus, ("planes", "slices", "sym_cap")),
+    "coh-inv": (_example_coh_inv, ()),
+    "su2-dual": (_example_su2_dual, ("max_degree",)),
+    "weil": (_example_weil, ("sym_cap",)),
 }
 
 
@@ -672,7 +685,11 @@ def run_example(name: str, parameters: dict) -> dict:
     if name not in _EXAMPLE_RUNNERS:
         raise UnknownExample(
             f"unknown example {name!r}; available: {', '.join(EXAMPLES)}")
-    return _EXAMPLE_RUNNERS[name](parameters)
+    runner, keys = _EXAMPLE_RUNNERS[name]
+    unknown = set(parameters) - set(keys)
+    _expect(not unknown, "parameters",
+            f"example {name} reads no {sorted(unknown)}")
+    return runner(parameters)
 
 
 # ---------------------------------------------------------------------------

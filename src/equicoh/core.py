@@ -40,14 +40,6 @@ class InconsistentResult(Exception):
     input."""
 
 
-def _freeze_matrix(m):
-    return tuple(tuple(rl.q(x) for x in row) for row in m)
-
-
-def _thaw(m):
-    return [list(row) for row in m]
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """Finitely supported graded space: degree -> ordered basis labels."""
@@ -119,7 +111,7 @@ class LinearMap:
                 raise ValueError(
                     f"block at degree {n} has shape {len(m)}x{len(m[0]) if m else 0}, "
                     f"expected {td}x{sd}")
-            fm = _freeze_matrix(m)
+            fm = rl.freeze(m)
             if any(any(row) for row in fm):
                 frozen.append((n, fm))
         return LinearMap(source, target, shift, tuple(frozen))
@@ -134,11 +126,11 @@ class LinearMap:
         return LinearMap.from_blocks(space, space, 0, blocks)
 
     def block(self, n: int):
-        """Dense block at degree n (zeros if absent)."""
+        """Stored block at degree n, read in place (frozen zeros if absent)."""
         for deg, m in self.blocks:
             if deg == n:
-                return _thaw(m)
-        return rl.zeros(self.target.dim(n + self.shift), self.source.dim(n))
+                return m
+        return ((0,) * self.source.dim(n),) * self.target.dim(n + self.shift)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self o other (apply other first)."""
@@ -148,7 +140,7 @@ class LinearMap:
         for n, m in other.blocks:
             mine = self.block(n + other.shift)
             if mine and mine[0]:
-                prod = rl.mat_mul(mine, _thaw(m))
+                prod = rl.mat_mul(mine, m)
                 if not rl.is_zero(prod):
                     blocks[n] = prod
         return LinearMap.from_blocks(other.source, self.target,
@@ -163,7 +155,7 @@ class LinearMap:
         return LinearMap.from_blocks(self.source, self.target, self.shift, blocks)
 
     def scale(self, s) -> "LinearMap":
-        blocks = {n: rl.mat_scale(_thaw(m), s) for n, m in self.blocks}
+        blocks = {n: rl.mat_scale(m, s) for n, m in self.blocks}
         return LinearMap.from_blocks(self.source, self.target, self.shift, blocks)
 
     def sub(self, other: "LinearMap") -> "LinearMap":
@@ -205,7 +197,7 @@ class CochainComplex:
         dd = d.compose(d)
         if not dd.is_zero():
             n, m = dd.blocks[0]
-            raise DifferentialNotSquareZero((n, _thaw(m)))
+            raise DifferentialNotSquareZero((n, [list(row) for row in m]))
         return CochainComplex(space, d)
 
     def degrees(self):
@@ -229,9 +221,9 @@ class Subspace:
             if len(m) != ambient.dim(n):
                 raise ValueError(f"span at degree {n} has {len(m)} rows, "
                                  f"ambient dim is {ambient.dim(n)}")
-            ech, _ = rl.column_echelon([list(row) for row in m])
+            ech, _ = rl.column_echelon(m)
             if rl.ncols(ech):
-                basis.append((n, _freeze_matrix(ech)))
+                basis.append((n, rl.freeze(ech)))
         return Subspace(ambient, tuple(basis))
 
     @staticmethod
@@ -244,10 +236,12 @@ class Subspace:
         return Subspace(ambient, ())
 
     def matrix(self, n: int):
+        """Stored basis columns at degree n, read in place (no columns if
+        absent)."""
         for deg, m in self.basis:
             if deg == n:
-                return _thaw(m)
-        return rl.zeros(self.ambient.dim(n), 0)
+                return m
+        return ((),) * self.ambient.dim(n)
 
     def dim(self, n: int) -> int:
         for deg, m in self.basis:
@@ -307,7 +301,7 @@ def map_kernel(m: LinearMap) -> Subspace:
 def map_image(m: LinearMap) -> Subspace:
     spans = {}
     for n, blk in m.blocks:
-        ech, _ = rl.column_echelon(_thaw(blk))
+        ech, _ = rl.column_echelon(blk)
         spans[n + m.shift] = ech
     return Subspace.from_spans(m.target, spans)
 
@@ -507,8 +501,7 @@ def invariant_projection(space: GradedSpace, operators: Sequence[LinearMap]) -> 
         if inv is None:
             raise InconsistentResult(f"complementary bases not invertible at degree {n}")
         k = rl.ncols(ker)
-        sel = [row[:] for row in inv[:k]]
-        proj_blocks[n] = rl.mat_mul(ker, sel) if k else rl.zeros(dim, dim)
+        proj_blocks[n] = rl.mat_mul(ker, inv[:k]) if k else rl.zeros(dim, dim)
     sub = Subspace.from_spans(space, spans_k)
     proj = LinearMap.from_blocks(space, space, 0, proj_blocks)
     return InvariantProjection(sub, proj)

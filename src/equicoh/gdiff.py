@@ -152,14 +152,6 @@ def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
     return AxiomReport(not failures, tuple(failures))
 
 
-def _op_col(op: LinearMap, deg: int, i: int) -> dict:
-    """Sparse column of an operator block: index -> coefficient."""
-    blk = op.block(deg)
-    if not (blk and blk[0]):
-        return {}
-    return {t: blk[t][i] for t in range(len(blk)) if blk[t][i]}
-
-
 def _mult_sparse(prod: Product, da: int, va: dict, db: int, vb: dict) -> dict:
     out = {}
     for ia, ca in va.items():
@@ -202,15 +194,17 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
     r = c.algebra.dim
     for da, ia, partners in _leibniz_pairs(sp, degs, budget):
         sgn = -1 if da % 2 else 1
-        d_ea = _op_col(c.d, da, ia)
-        i_ea = [_op_col(op, da, ia) for op in c.contractions]
-        l_ea = [_op_col(op, da, ia) for op in c.lie_ops]
+        ea = {ia: 1}
+        d_ea = _apply_sparse(c.d, da, ea)
+        i_ea = [_apply_sparse(op, da, ea) for op in c.contractions]
+        l_ea = [_apply_sparse(op, da, ea) for op in c.lie_ops]
         for db, ib in partners:
-            ab = _mult_sparse(prod, da, {ia: 1}, db, {ib: 1})
-            d_eb = _op_col(c.d, db, ib)
+            eb = {ib: 1}
+            ab = _mult_sparse(prod, da, ea, db, eb)
+            d_eb = _apply_sparse(c.d, db, eb)
             lhs = _apply_sparse(c.d, da + db, ab)
-            rhs = _dadd(_mult_sparse(prod, da + 1, d_ea, db, {ib: 1}),
-                        _dscale(_mult_sparse(prod, da, {ia: 1}, db + 1, d_eb), sgn))
+            rhs = _dadd(_mult_sparse(prod, da + 1, d_ea, db, eb),
+                        _dscale(_mult_sparse(prod, da, ea, db + 1, d_eb), sgn))
             if lhs != rhs:
                 failures.append({"axiom": "d-Leibniz", "generators": [],
                                  "degree": da, "basis_index": ia,
@@ -218,10 +212,10 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
                 return failures
             for x in range(r):
                 ilhs = _apply_sparse(c.contractions[x], da + db, ab)
+                i_eb = _apply_sparse(c.contractions[x], db, eb)
                 irhs = _dadd(
-                    _mult_sparse(prod, da - 1, i_ea[x], db, {ib: 1}),
-                    _dscale(_mult_sparse(prod, da, {ia: 1}, db - 1,
-                                         _op_col(c.contractions[x], db, ib)), sgn))
+                    _mult_sparse(prod, da - 1, i_ea[x], db, eb),
+                    _dscale(_mult_sparse(prod, da, ea, db - 1, i_eb), sgn))
                 if ilhs != irhs:
                     failures.append({"axiom": "i-Leibniz", "generators": [x],
                                      "degree": da, "basis_index": ia,
@@ -229,9 +223,9 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
                     return failures
                 llhs = _apply_sparse(c.lie_ops[x], da + db, ab)
                 lrhs = _dadd(
-                    _mult_sparse(prod, da, l_ea[x], db, {ib: 1}),
-                    _mult_sparse(prod, da, {ia: 1}, db,
-                                 _op_col(c.lie_ops[x], db, ib)))
+                    _mult_sparse(prod, da, l_ea[x], db, eb),
+                    _mult_sparse(prod, da, ea, db,
+                                 _apply_sparse(c.lie_ops[x], db, eb)))
                 if llhs != lrhs:
                     failures.append({"axiom": "L-Leibniz", "generators": [x],
                                      "degree": da, "basis_index": ia,
@@ -1227,10 +1221,8 @@ def forgetful_matrices(model: CartanModel, up_to: Optional[int] = None) -> dict:
     top = up_to if up_to is not None else model.band
     out = {}
     for n in range(top + 1):
-        k = hg.dim(n)
         cols = []
-        for j in range(k):
-            rep = [hg.reps[n][t][j] for t in range(len(hg.reps[n]))]
+        for rep in rl.columns(hg.reps.get(n, ())):
             full = model.inclusion.apply(n, rep)
             avec = [0] * a.space.dim(n)
             for (nn, m, _, off, size) in model.fine.get(n, ()):

@@ -165,11 +165,11 @@ class Representation:
     name: str = ""
 
     def op(self, i: int):
-        return [list(row) for row in self.operators[i]]
+        return self.operators[i]
 
 
 def build_representation(g: LieAlgebra, operators: Sequence, name: str = "") -> Representation:
-    ops = [[list(map(rl.q, row)) for row in m] for m in operators]
+    ops = tuple(rl.freeze(m) for m in operators)
     if len(ops) != g.dim:
         raise RepresentationInvalid("one operator per generator required")
     dim = len(ops[0]) if ops else 0
@@ -187,8 +187,7 @@ def build_representation(g: LieAlgebra, operators: Sequence, name: str = "") -> 
                     rhs = rl.mat_add(rhs, rl.mat_scale(ops[k], br[k]))
             if not rl.mat_eq(lhs, rhs):
                 raise RepresentationInvalid(((i, j), rl.mat_sub(lhs, rhs)))
-    return Representation(g, dim, tuple(tuple(tuple(row) for row in m) for m in ops),
-                          name)
+    return Representation(g, dim, ops, name)
 
 
 def trivial_rep(g: LieAlgebra, dim: int = 1) -> Representation:
@@ -411,7 +410,7 @@ class Subalgebra:
     complement: tuple  # columns: k-stable complement (may be empty tuple)
 
     def basis_matrix(self):
-        return [list(row) for row in self.basis]
+        return self.basis
 
 
 def build_subalgebra(g: LieAlgebra, vectors: Sequence,
@@ -433,8 +432,7 @@ def build_subalgebra(g: LieAlgebra, vectors: Sequence,
         comp = w
     else:
         comp = _solve_stable_complement(g, b)
-    return Subalgebra(g, tuple(tuple(row) for row in b),
-                      tuple(tuple(row) for row in comp) if comp else ())
+    return Subalgebra(g, rl.freeze(b), rl.freeze(comp) if comp else ())
 
 
 def _verify_stable_complement(g, b, w):

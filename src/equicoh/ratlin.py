@@ -30,6 +30,12 @@ def q(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+def freeze(m):
+    """The stored form of a matrix: a tuple of tuples of normalized scalars.
+    It is built once and read in place; writing through it raises TypeError."""
+    return tuple(tuple(q(x) for x in row) for row in m)
+
+
 def scalar_str(x) -> str:
     x = q(x)
     return str(x)
@@ -47,9 +53,11 @@ def identity(n: int):
 
 
 def transpose(a):
-    if not a:
-        return []
+    """The columns of `a` as lists: the rows of its transpose."""
     return [list(col) for col in zip(*a)]
+
+
+columns = transpose
 
 
 def mat_mul(a, b):
@@ -120,12 +128,6 @@ def mat_from_columns(cols, nrows=None):
         return [[] for _ in range(nrows)] if nrows else []
     n = len(cols[0])
     return [[col[i] for col in cols] for i in range(n)]
-
-
-def columns(a):
-    if not a or not a[0]:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def _int_row(row):

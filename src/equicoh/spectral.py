@@ -150,10 +150,8 @@ def _z_subspace(fc: FilteredComplex, cache: dict, r: int, p: int, n: int) -> Sub
             else:
                 aug = rl.hstack(mb, rl.mat_scale(target, -1)) \
                     if rl.ncols(target) else mb
-                ker = rl.kernel(aug)
-                coeffs = [row[:] for row in ker[:rl.ncols(b)]] \
-                    if ker and ker[0] else []
-                if not coeffs or not coeffs[0]:
+                coeffs = rl.kernel(aug)[:rl.ncols(b)]
+                if not coeffs[0]:
                     out = Subspace.zero(space)
                 else:
                     out = Subspace.from_spans(space, {n: rl.mat_mul(b, coeffs)})
@@ -203,14 +201,13 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
                 cells[(p, q)] = cell.dim(n)
                 reps[(p, q)] = cell.reps[n]
                 sq[(p, q)] = cell
-        for (p, q), k in cells.items():
+        for (p, q) in cells:
             n = p + q
             tgt = (p + r, q - r + 1)
             if tgt not in cells:
                 continue
-            rep = reps[(p, q)]
-            cols = [sq[tgt].project(n + 1, fc.complex.d.apply(
-                n, [rep[t][j] for t in range(len(rep))])) for j in range(k)]
+            cols = [sq[tgt].project(n + 1, fc.complex.d.apply(n, rep))
+                    for rep in rl.columns(reps[(p, q)])]
             mat = rl.mat_from_columns(cols, nrows=cells[tgt])
             if not rl.is_zero(mat):
                 diffs[(p, q)] = mat
@@ -352,7 +349,7 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
     twist = _twist_on_invariants(model)
     space = model.complex.space
     checked, failures = [], []
-    for (p, q), k in sorted(page2.cells.items()):
+    for (p, q) in sorted(page2.cells):
         if p % 2:
             failures.append({"cell": [p, q], "reason": "odd column nonzero"})
             continue
@@ -367,8 +364,7 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
             if m == m_lead:
                 lead = (offset, inv_dim)
             offset += inv_dim
-        for j in range(k):
-            vec = [rep[t][j] for t in range(len(rep))]
+        for j, vec in enumerate(rl.columns(rep)):
             xl = [0] * len(vec)
             if lead is not None:
                 for t in range(lead[0], lead[0] + lead[1]):

@@ -292,6 +292,21 @@ MALFORMED = {
     "negative-slice": (["momentum-ss", "--slice", "-1"], SU2_DUAL),
     "example-negative-slices": (["compute"],
                                 _example_task("poiss1", slices="-1..0")),
+    "example-unknown-parameter": (["compute"],
+                                  _example_task("weil", symcap=4)),
+    "example-roots-number": (["compute"], _example_task("poiss2", roots=1.5)),
+    "example-slices-number": (["compute"], _example_task("poiss1", slices=0)),
+    "example-fprime-number": (["compute"], _example_task("poiss3", fprime=2)),
+    # Nesting deep enough to exhaust the evaluator's recursion, the parser's
+    # recursion, or the parser's stack.
+    "fprime-deep-evaluation": (["compute"],
+                               _example_task("poiss2", fprime="-" * 1000 + "t")),
+    "fprime-long-sum": (["compute"],
+                        _example_task("poiss2", fprime="+".join(["t"] * 5000))),
+    "fprime-deep-parse": (["compute"],
+                          _example_task("poiss2", fprime="-" * 3000 + "t")),
+    "fprime-parser-stack": (["compute"],
+                            _example_task("poiss2", fprime="-" * 50000 + "t")),
 }
 
 

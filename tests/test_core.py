@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from equicoh import lie
 from equicoh import ratlin as rl
 from equicoh.core import (CochainComplex, DifferentialNotSquareZero, GradedSpace,
                           LinearMap, NotContained, NotReductive, Subspace,
@@ -124,3 +125,48 @@ def test_map_kernel_image_subspaces():
     assert k.dim(0) == 1 and k.dim(1) == 1 and k.dim(2) == 1
     assert i.dim(1) == 1 and i.dim(2) == 1
     assert k.contains(i)
+
+
+def _stored_matrices():
+    c = small_complex()
+    g = lie.su2()
+    return {
+        "block": c.d.block(0),
+        "absent block": LinearMap.zero(c.space, c.space, 0).block(0),
+        "matrix": map_kernel(c.d).matrix(1),
+        "op": lie.adjoint_rep(g).op(0),
+        "basis_matrix": lie.build_subalgebra(g, [[0, 0, 1]]).basis_matrix(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stored_matrices()))
+def test_stored_matrix_is_read_in_place_and_cannot_be_written(name):
+    m = _stored_matrices()[name]
+    with pytest.raises(TypeError):
+        m[0][0] = 7
+    with pytest.raises(TypeError):
+        m[0] = m[0]
+
+
+def test_stored_matrix_does_not_alias_the_given_lists():
+    sp = GradedSpace.from_dims({0: 2})
+    given = [[1, 0], [0, 1]]
+    m = LinearMap.from_blocks(sp, sp, 0, {0: given})
+    s = Subspace.from_spans(sp, {0: given})
+    g = lie.su2()
+    ops = [g.ad(i) for i in range(g.dim)]
+    op0 = tuple(tuple(row) for row in ops[0])
+    rep = lie.build_representation(g, ops)
+    given[0][0] = 5
+    ops[0][0][0] = 5
+    assert m.block(0) == ((1, 0), (0, 1))
+    assert s.matrix(0) == ((1, 0), (0, 1))
+    assert rep.op(0) == op0
+
+
+def test_absent_block_has_target_by_source_shape():
+    src = GradedSpace.from_dims({0: 3})
+    tgt = GradedSpace.from_dims({1: 2})
+    assert LinearMap.zero(src, tgt, 1).block(0) == ((0, 0, 0), (0, 0, 0))
+    assert LinearMap.zero(tgt, src, -1).block(1) == ((0, 0), (0, 0), (0, 0))
+    assert Subspace.zero(src).matrix(0) == ((), (), ())
