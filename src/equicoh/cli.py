@@ -424,6 +424,11 @@ def gdiff_to_json(c: gd.GDiffComplex) -> dict:
 # Expression parameters
 
 
+def _shown(text: str) -> str:
+    """repr of an input string for an error message, cut to 60 characters."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
+
+
 def fprime_function(expr: str) -> Callable:
     """Exact evaluator for a univariate polynomial expression in t, built
     from integer literals, + - * / and non-negative integer powers."""
@@ -431,7 +436,7 @@ def fprime_function(expr: str) -> Callable:
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
-        raise SchemaError("fprime", f"cannot parse {expr!r}: {exc}")
+        raise SchemaError("fprime", f"cannot parse {_shown(expr)}: {exc}")
     except (RecursionError, MemoryError):
         # the parser's own depth limits, hit by deeply nested input
         raise SchemaError("fprime", "expression nested too deeply")
@@ -498,7 +503,7 @@ def _parse_int_range(text: str, field: str) -> list:
         try:
             lo, hi = int(lo), int(hi)
         except ValueError:
-            raise SchemaError(field, f"cannot parse range {text!r}")
+            raise SchemaError(field, f"cannot parse range {_shown(text)}")
         if hi < lo:
             raise SchemaError(field, "range upper end below lower end")
         out = list(range(lo, hi + 1))
@@ -506,7 +511,7 @@ def _parse_int_range(text: str, field: str) -> list:
         try:
             out = [int(part) for part in text.split(",") if part.strip()]
         except ValueError:
-            raise SchemaError(field, f"cannot parse {text!r}")
+            raise SchemaError(field, f"cannot parse {_shown(text)}")
     _expect(all(x >= 0 for x in out), field, "degrees must be non-negative")
     return out
 
@@ -537,9 +542,7 @@ def _rotation_momentum(planes: int) -> po.MomentumData:
     return po.momentum_setup(p, lie.abelian(planes), mu=mu)
 
 
-def _example_poiss1(params: dict) -> dict:
-    slices = _parse_int_range(params.get("slices", "0..4"), "slices")
-    sym_cap = _expect_int(params.get("sym_cap", 2), "sym_cap", low=0)
+def _example_poiss1(slices: list, sym_cap: int) -> dict:
     md = _su2_momentum()
     computed, predicted = [], []
     for s in slices:
@@ -556,10 +559,8 @@ def _example_poiss1(params: dict) -> dict:
     return {"computed": computed, "predicted": predicted, "agrees": agrees}
 
 
-def _product_line_example(params: dict, fprime_default: str) -> dict:
-    roots = _parse_rational_list(params.get("roots", "0,1,2,3,4"), "roots")
-    fn = fprime_function(params.get("fprime", fprime_default))
-    values = [fn(r) for r in roots]
+def _product_line_example(roots: list, fprime: Callable) -> dict:
+    values = [fprime(r) for r in roots]
     try:
         model = po.build_product_line_model(roots, values)
     except po.DuplicateRoots as exc:
@@ -587,12 +588,13 @@ def _product_line_example(params: dict, fprime_default: str) -> dict:
             "computed": computed, "predicted": predicted, "agrees": agrees}
 
 
-def _example_torus(params: dict) -> dict:
-    planes = _expect_int(params.get("planes", 1), "planes")
-    if planes < 1:
-        raise SchemaError("planes", "expected a positive integer")
-    slices = _parse_int_range(params.get("slices", "0..3"), "slices")
-    sym_cap = _expect_int(params.get("sym_cap", 2), "sym_cap", low=0)
+def _parse_planes(value) -> int:
+    planes = _expect_int(value, "planes")
+    _expect(planes >= 1, "planes", "expected a positive integer")
+    return planes
+
+
+def _example_torus(planes: int, slices: list, sym_cap: int) -> dict:
     md = _rotation_momentum(planes)
     rows = []
     for s in slices:
@@ -613,7 +615,7 @@ def _example_torus(params: dict) -> dict:
                           and r["d_intertwines"] for r in rows)}
 
 
-def _example_coh_inv(params: dict) -> dict:
+def _example_coh_inv() -> dict:
     g = lie.su2()
     p = po.linear_poisson(g)
     h = po.poisson_cohomology(p, truncation=0, slice_degree=0)
@@ -624,8 +626,7 @@ def _example_coh_inv(params: dict) -> dict:
             "agrees": computed == predicted}
 
 
-def _example_su2_dual(params: dict) -> dict:
-    max_degree = _expect_int(params.get("max_degree", 4), "max_degree", low=0)
+def _example_su2_dual(max_degree: int) -> dict:
     p = po.linear_poisson(lie.su2())
     h = po.poisson_cohomology(p, truncation=max_degree)
     model = po.poisson_complex(p, slice_degree=2)
@@ -637,8 +638,7 @@ def _example_su2_dual(params: dict) -> dict:
             "agrees": bool(h.matches)}
 
 
-def _example_weil(params: dict) -> dict:
-    sym_cap = _expect_int(params.get("sym_cap", 2), "sym_cap", low=0)
+def _example_weil(sym_cap: int) -> dict:
     out = {}
     agrees = True
     for g in (lie.su2(), lie.abelian(2)):
@@ -665,19 +665,28 @@ def _example_weil(params: dict) -> dict:
     return {"sym_cap": sym_cap, "algebras": out, "agrees": agrees}
 
 
-# Each example's runner and the only parameters run_example lets through.
+# Each example's runner and the only parameters it reads, with their
+# defaults, in the order they are parsed.
 _EXAMPLE_RUNNERS = {
-    "poiss1": (_example_poiss1, ("slices", "sym_cap")),
-    "poiss2": (lambda params: _product_line_example(params, "1"),
-               ("roots", "fprime")),
-    "poiss3": (lambda params: _product_line_example(params, "t*(t-1)"),
-               ("roots", "fprime")),
-    "poiss4": (lambda params: _product_line_example(params, "0"),
-               ("roots", "fprime")),
-    "torus": (_example_torus, ("planes", "slices", "sym_cap")),
-    "coh-inv": (_example_coh_inv, ()),
-    "su2-dual": (_example_su2_dual, ("max_degree",)),
-    "weil": (_example_weil, ("sym_cap",)),
+    "poiss1": (_example_poiss1, {"slices": "0..4", "sym_cap": 2}),
+    "poiss2": (_product_line_example, {"roots": "0,1,2,3,4", "fprime": "1"}),
+    "poiss3": (_product_line_example,
+               {"roots": "0,1,2,3,4", "fprime": "t*(t-1)"}),
+    "poiss4": (_product_line_example, {"roots": "0,1,2,3,4", "fprime": "0"}),
+    "torus": (_example_torus, {"planes": 1, "slices": "0..3", "sym_cap": 2}),
+    "coh-inv": (_example_coh_inv, {}),
+    "su2-dual": (_example_su2_dual, {"max_degree": 4}),
+    "weil": (_example_weil, {"sym_cap": 2}),
+}
+
+# The parser of each example parameter.
+_PARAMETER_PARSERS = {
+    "slices": lambda value: _parse_int_range(value, "slices"),
+    "sym_cap": lambda value: _expect_int(value, "sym_cap", low=0),
+    "roots": lambda value: _parse_rational_list(value, "roots"),
+    "fprime": fprime_function,
+    "planes": _parse_planes,
+    "max_degree": lambda value: _expect_int(value, "max_degree", low=0),
 }
 
 
@@ -685,11 +694,8 @@ def run_example(name: str, parameters: dict) -> dict:
     if name not in _EXAMPLE_RUNNERS:
         raise UnknownExample(
             f"unknown example {name!r}; available: {', '.join(EXAMPLES)}")
-    runner, keys = _EXAMPLE_RUNNERS[name]
-    unknown = set(parameters) - set(keys)
-    _expect(not unknown, "parameters",
-            f"example {name} reads no {sorted(unknown)}")
-    return runner(parameters)
+    runner, params = _example_task({"name": name, "parameters": parameters})
+    return runner(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +879,30 @@ def _run_momentum_ss(payload: dict, opts: dict) -> tuple:
     return ss.to_json(), []
 
 
-def _run_example_task(payload: dict, opts: dict) -> tuple:
+def _example_task(payload) -> tuple:
+    """The runner and the parsed parameters, defaults filled in, of an
+    example task's payload; nothing is computed."""
     _expect(isinstance(payload, dict), "payload", "expected an object")
     unknown = set(payload) - {"name", "parameters"}
     _expect(not unknown, "payload", f"unknown keys {sorted(unknown)}")
     name = payload.get("name")
     _expect(isinstance(name, str), "payload.name", "expected a string")
+    _expect(name in EXAMPLES, "payload.name",
+            f"expected one of {', '.join(EXAMPLES)}")
     parameters = payload.get("parameters", {})
     _expect(isinstance(parameters, dict), "payload.parameters",
             "expected an object")
-    return run_example(name, parameters), []
+    runner, defaults = _EXAMPLE_RUNNERS[name]
+    unknown = set(parameters) - set(defaults)
+    _expect(not unknown, "parameters",
+            f"example {name} reads no {sorted(unknown)}")
+    return runner, {key: _PARAMETER_PARSERS[key](parameters.get(key, default))
+                    for key, default in defaults.items()}
+
+
+def _run_example_task(payload: dict, opts: dict) -> tuple:
+    runner, params = _example_task(payload)
+    return runner(**params), []
 
 
 _KIND_RUNNERS = {
@@ -897,8 +917,9 @@ _KIND_RUNNERS = {
 }
 
 
-def run_compute(task: dict, opts: Optional[dict] = None) -> dict:
-    """Dispatch a schema-validated task and assemble the result report."""
+def _task_shape(task, opts: Optional[dict] = None) -> tuple:
+    """(kind, payload, options) of a task, after the checks made before the
+    payload is read: the kind, a payload, options within their bounds."""
     opts = dict(opts or {})
     _expect(isinstance(task, dict), "", "expected a task object")
     kind = task.get("kind")
@@ -913,6 +934,12 @@ def run_compute(task: dict, opts: Optional[dict] = None) -> dict:
     for key in _BOUNDS:
         if opts.get(key) is not None:
             _expect_int(opts[key], key, low=1 if key == "sym_cap" else 0)
+    return kind, payload, opts
+
+
+def run_compute(task: dict, opts: Optional[dict] = None) -> dict:
+    """Dispatch a schema-validated task and assemble the result report."""
+    kind, payload, opts = _task_shape(task, opts)
     result, warnings = _KIND_RUNNERS[kind](payload, opts)
     return {"kind": kind, "result": result, "warnings": warnings}
 
@@ -1000,21 +1027,9 @@ def validate_input(data) -> dict:
     table = _GateTable()
     if isinstance(data, dict) and "kind" in data:
         def shape():
-            kind = data.get("kind")
-            if kind not in KINDS:
-                raise SchemaError("kind",
-                                  f"expected one of {', '.join(KINDS)}")
-            if data.get("payload") is None:
-                raise SchemaError("payload", "missing payload")
-            if not isinstance(data.get("options", {}), dict):
-                raise SchemaError("options", "expected an object")
+            kind, payload, _ = _task_shape(data)
             if kind == "example":
-                name = data["payload"].get("name") if isinstance(
-                    data["payload"], dict) else None
-                if name not in EXAMPLES:
-                    raise SchemaError("payload.name",
-                                      f"expected one of "
-                                      f"{', '.join(EXAMPLES)}")
+                _example_task(payload)
 
         ok = table.run("task-shape", shape)
         payload = data.get("payload")
@@ -1087,7 +1102,8 @@ def _emit_error(code: int, exc: Exception, fmt: str) -> int:
 
 def _read_task_file(path: str) -> tuple:
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise SchemaError("file", f"cannot read {path}: {exc.strerror}")
     if not raw.strip():

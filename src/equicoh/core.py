@@ -6,6 +6,11 @@ are immutable after construction, so they can be shared freely.  Every basis
 this module produces (kernels, images, cohomology representatives, quotient
 representatives) comes out of canonical reduced echelon forms and is
 therefore deterministic.
+
+Coordinates in a stored basis are read, not solved for: each column of a
+Subspace basis (reduced column echelon) or of a kernel basis (`rl.kernel`,
+`stacked_kernel`, hence the Cartan inclusion) has a row equal to its unit
+row, and `_coordinates` reads those rows and checks one multiply-back.
 """
 
 from __future__ import annotations
@@ -256,12 +261,8 @@ class Subspace:
         return sum(len(m[0]) for _, m in self.basis)
 
     def contains(self, other: "Subspace") -> bool:
-        for n, _ in other.basis:
-            if self.ambient.dim(n) == 0:
-                continue
-            if not rl.span_contains(self.matrix(n), other.matrix(n)):
-                return False
-        return True
+        return all(_coordinates(self.matrix(n), m) is not None
+                   for n, m in other.basis)
 
     def add(self, other: "Subspace") -> "Subspace":
         degs = {n for n, _ in self.basis} | {n for n, _ in other.basis}
@@ -277,6 +278,23 @@ class Subspace:
 
     def equals(self, other: "Subspace") -> bool:
         return self.contains(other) and other.contains(self)
+
+
+def _coordinates(basis, m):
+    """The rows of X with basis X = m, read off the unit rows of `basis`, or
+    None when m leaves its span; InconsistentResult (a program defect) when
+    a column of `basis` has no unit row."""
+    k = rl.ncols(basis)
+    if not k:
+        return [] if rl.is_zero(m) else None
+    rows = {}
+    for i, row in enumerate(basis):
+        if sum(map(bool, row)) == 1 and 1 in row:
+            rows.setdefault(row.index(1), i)
+    if len(rows) < k:
+        raise InconsistentResult("basis without a unit row for every column")
+    x = [m[rows[j]] for j in range(k)]
+    return x if rl.mat_eq(rl.mat_mul(basis, x), m) else None
 
 
 def stacked_kernel(blocks: Sequence, dim: int):
@@ -331,8 +349,9 @@ def linear_combination(ops: Sequence[LinearMap], coeffs: Sequence) -> LinearMap:
 def restrict_map(op: LinearMap, inclusion: LinearMap, what: str) -> LinearMap:
     """The map op induces on the subspace spanned by the columns of an
     injective degree-0 `inclusion`: per degree, the X with
-    (target basis) X = op (source basis).  Raises NotContained, naming
-    `what` and the degree, when op leaves the subspace."""
+    (target basis) X = op (source basis), read off the unit rows of the
+    inclusion.  Raises NotContained, naming `what` and the degree, when op
+    leaves the subspace."""
     small = inclusion.source
     blocks = {}
     for n in small.degrees():
@@ -342,7 +361,7 @@ def restrict_map(op: LinearMap, inclusion: LinearMap, what: str) -> LinearMap:
         img = rl.mat_mul(blk, inclusion.block(n))
         if rl.is_zero(img):
             continue
-        sol = rl.solve(inclusion.block(n + op.shift), img)
+        sol = _coordinates(inclusion.block(n + op.shift), img)
         if sol is None:
             raise NotContained(f"{what} at degree {n}")
         blocks[n] = sol
@@ -375,7 +394,8 @@ class SubquotientResult:
     ambient: GradedSpace
     dims: dict
     reps: dict       # degree -> ambient-coordinate columns, one per class
-    _den: dict       # degree -> denominator basis (columns)
+    _z: Subspace     # the numerator
+    _proj: dict      # degree -> z-coordinates -> class coordinates
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -383,45 +403,36 @@ class SubquotientResult:
     def project(self, n: int, vec: Sequence):
         """Coordinates of [vec] in the chosen representative basis.
         vec must lie in z (ambient coordinates)."""
-        den = self._den.get(n, rl.zeros(len(vec), 0))
-        reps = self.reps.get(n, rl.zeros(len(vec), 0))
-        aug = rl.hstack(den, reps)
-        if not aug or not aug[0]:
-            if any(vec):
-                raise NotContained(f"vector not in the subquotient at degree {n}")
-            return []
-        sol = rl.solve_vec(aug, list(vec))
-        if sol is None:
+        c = _coordinates(self._z.matrix(n), [[x] for x in vec])
+        if c is None:
             raise NotContained(f"vector not in the subquotient at degree {n}")
-        return sol[rl.ncols(den):]
+        return [rl.q(row[0]) for row in rl.mat_mul(self._proj.get(n, []), c)]
 
 
 def subquotient(z: Subspace, b: Subspace) -> SubquotientResult:
     """Form z/b.  Raises NotContained (with a witness degree) if b is not
     inside z.  Representatives are the canonical kernel/echelon columns of z
     that extend a basis of b, so repeated runs agree exactly."""
-    if not z.contains(b):
-        for n, _ in b.basis:
-            if not rl.span_contains(z.matrix(n), b.matrix(n)):
-                raise NotContained(f"denominator escapes numerator at degree {n}")
-        raise NotContained("denominator escapes numerator")
-    dims, reps, dens = {}, {}, {}
+    dims, reps, projs = {}, {}, {}
     degs = sorted({n for n, _ in z.basis} | {n for n, _ in b.basis})
     for n in degs:
         zb = z.matrix(n)
         bb = b.matrix(n)
-        dens[n] = bb
         k = rl.ncols(bb)
         # pivot columns of [b | z] are the greedy left-to-right independent
         # set, so the pivots landing in the z-part are the canonical
-        # representatives completing a basis of b.
-        _, pivots = rl.rref(rl.hstack(bb, zb))
+        # representatives completing a basis of b, to one of z iff b <= z.
+        # Rows k.. of the reduced form write each column of z through them:
+        # the projector from z-coordinates.
+        r, pivots = rl.rref(rl.hstack(bb, zb))
         chosen = [p - k for p in pivots if p >= k]
+        if k + len(chosen) != rl.ncols(zb):
+            raise NotContained(f"denominator escapes numerator at degree {n}")
         dims[n] = len(chosen)
+        projs[n] = [row[k:] for row in r[k:k + len(chosen)]]
         if chosen:
-            zcols = rl.columns(zb)
-            reps[n] = rl.mat_from_columns([zcols[j] for j in chosen], nrows=len(zb))
-    return SubquotientResult(z.ambient, dims, reps, dens)
+            reps[n] = [[row[j] for j in chosen] for row in zb]
+    return SubquotientResult(z.ambient, dims, reps, z, projs)
 
 
 @dataclass(frozen=True)

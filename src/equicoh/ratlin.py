@@ -36,11 +36,6 @@ def freeze(m):
     return tuple(tuple(q(x) for x in row) for row in m)
 
 
-def scalar_str(x) -> str:
-    x = q(x)
-    return str(x)
-
-
 def zeros(r: int, c: int):
     return [[0] * c for _ in range(r)]
 
@@ -294,26 +289,6 @@ def in_span(basis, v) -> bool:
     if not basis or not basis[0]:
         return False
     return solve_vec(basis, v) is not None
-
-
-def span_contains(big, small) -> bool:
-    """Are all columns of `small` in the column span of `big`?"""
-    if not small or not small[0]:
-        return True
-    return solve(big, small) is not None if big and big[0] else is_zero(small)
-
-
-def sum_spans(*bases):
-    nrows = None
-    cols = []
-    for b in bases:
-        if b:
-            nrows = len(b)
-            cols.extend(columns(b))
-    if nrows is None:
-        return []
-    e, _ = column_echelon(mat_from_columns(cols, nrows=nrows) if cols else zeros(nrows, 0))
-    return e
 
 
 def intersect_spans(b1, b2):

@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 from . import ratlin as rl
 from .core import (CochainComplex, LinearMap, NotSubcomplex, Subspace,
-                   cohomology, restrict_map, stacked_kernel, subquotient)
+                   _coordinates, cohomology, restrict_map, stacked_kernel,
+                   subquotient)
 from .gdiff import CartanModel, GDiffComplex, _add_twist
 
 
@@ -68,27 +69,16 @@ def build_filtered(complex_: CochainComplex, levels: Sequence[Subspace],
             raise NotSubcomplex("level 0 must be the whole space")
         for p in range(1, len(levels)):
             for n in space.degrees():
-                if levels[p - 1].dim(n) == space.dim(n):
-                    continue
-                if levels[p].dim(n) > levels[p - 1].dim(n) or \
-                        not rl.span_contains(levels[p - 1].matrix(n),
-                                             levels[p].matrix(n)):
+                if levels[p - 1].dim(n) < space.dim(n) and _coordinates(
+                        levels[p - 1].matrix(n), levels[p].matrix(n)) is None:
                     raise NotSubcomplex(
                         f"level {p} escapes level {p - 1} at degree {n}")
         for p, sub in enumerate(levels):
             for n in space.degrees():
-                b = sub.matrix(n)
-                if not rl.ncols(b):
+                if not sub.dim(n) or sub.dim(n + 1) == space.dim(n + 1):
                     continue
-                if sub.dim(n + 1) == space.dim(n + 1):
-                    continue
-                blk = complex_.d.block(n)
-                if not (blk and blk[0]):
-                    continue
-                img = rl.mat_mul(blk, b)
-                if rl.is_zero(img):
-                    continue
-                if not rl.span_contains(sub.matrix(n + 1), img):
+                img = rl.mat_mul(complex_.d.block(n), sub.matrix(n))
+                if _coordinates(sub.matrix(n + 1), img) is None:
                     raise NotSubcomplex(
                         f"level {p} is not d-stable at degree {n}")
     return FilteredComplex(complex_, levels)

@@ -307,6 +307,18 @@ MALFORMED = {
                           _example_task("poiss2", fprime="-" * 3000 + "t")),
     "fprime-parser-stack": (["compute"],
                             _example_task("poiss2", fprime="-" * 50000 + "t")),
+    "example-unknown-name": (["compute"], _example_task("nope")),
+    # validate runs the checks compute runs before it starts computing.
+    "validate-example-sym-cap": (["validate"],
+                                 _example_task("weil", sym_cap="x")),
+    "validate-example-unknown-parameter": (["validate"],
+                                           _example_task("weil", symcap=4)),
+    "validate-example-planes": (["validate"],
+                                _example_task("torus", planes=0)),
+    "validate-option-sym-cap": (["validate"],
+                                {"kind": "weil-check",
+                                 "payload": {"algebra": SU2},
+                                 "options": {"sym_cap": 0}}),
 }
 
 
@@ -317,6 +329,16 @@ def test_malformed_input_exits_2_as_a_schema_error(name):
     assert code == 2, out.decode()
     if argv[0] != "validate":
         assert json.loads(out)["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize("example, parameter, text", [
+    ("poiss2", "fprime", "t+" * 20000),
+    ("poiss1", "slices", "0," * 20000 + "x"),
+], ids=["fprime", "slices"])
+def test_unparsable_parameter_is_not_echoed_in_full(example, parameter, text):
+    code, out = run(["compute"], _example_task(example, **{parameter: text}))
+    assert code == 2
+    assert len(out) < 400, len(out)
 
 
 # Leaves and subtrees a mutation may put anywhere in a payload: small

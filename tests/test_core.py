@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from equicoh import lie
 from equicoh import ratlin as rl
 from equicoh.core import (CochainComplex, DifferentialNotSquareZero, GradedSpace,
-                          LinearMap, NotContained, NotReductive, Subspace,
-                          cohomology, homotopy_witness, invariant_projection,
-                          map_image, map_kernel, rank_kernel_image, subquotient)
+                          InconsistentResult, LinearMap, NotContained,
+                          NotReductive, Subspace, cohomology, homotopy_witness,
+                          invariant_projection, map_image, map_kernel,
+                          rank_kernel_image, restrict_map, subquotient)
 
 
 def small_complex():
@@ -85,6 +87,89 @@ def test_subquotient_not_contained():
     b = Subspace.from_spans(sp, {0: rl.mat_from_columns([[0, 1]], nrows=2)})
     with pytest.raises(NotContained):
         subquotient(z, b)
+
+
+def _typed(m):
+    """Entries with their types: 1 and Fraction(1) are told apart."""
+    return [[(type(x), x) for x in row] for row in m]
+
+
+def _rand_vec(rng, n):
+    return [rl.q(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(n)]
+
+
+def _combination(rng, cols, n):
+    """A random rational combination of the columns (zero if none)."""
+    vec = [0] * n
+    for col in cols:
+        c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        vec = [rl.q(v + c * x) for v, x in zip(vec, col)]
+    return vec
+
+
+def _span(sp, cols):
+    return Subspace.from_spans(sp, {0: rl.mat_from_columns(cols, nrows=sp.dim(0))})
+
+
+def test_coordinates_read_off_bases_agree_with_a_solve():
+    """contains, project and restrict_map read coordinates off the unit rows
+    of stored bases; a solve of the same systems gives the same values of
+    the same types, and NotContained exactly when the solve has none."""
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        sp = GradedSpace.from_dims({0: n})
+        zcols = [_rand_vec(rng, n) for _ in range(rng.randint(0, n))]
+        z = _span(sp, zcols)
+        b = _span(sp, [_combination(rng, zcols, n)
+                            for _ in range(rng.randint(0, len(zcols)))])
+        zm = z.matrix(0)
+
+        # contains: a subspace of z, and an arbitrary one
+        for w in (b, _span(sp, [_rand_vec(rng, n)
+                                     for _ in range(rng.randint(1, 2))])):
+            assert z.contains(w) == (rl.solve(zm, w.matrix(0)) is not None)
+
+        # project: the reference solves against [b | reps]
+        sq = subquotient(z, b)
+        aug = rl.hstack(b.matrix(0), sq.reps.get(0, rl.zeros(n, 0)))
+        for vec in (_combination(rng, zcols, n), _rand_vec(rng, n)):
+            if not (aug and aug[0]):
+                expected = [] if not any(vec) else None
+            else:
+                sol = rl.solve_vec(aug, vec)
+                expected = None if sol is None else sol[rl.ncols(b.matrix(0)):]
+            if expected is None:
+                with pytest.raises(NotContained):
+                    sq.project(0, vec)
+            else:
+                assert _typed([sq.project(0, vec)]) == _typed([expected])
+
+        # restrict_map: an operator into z, and an arbitrary one
+        k = z.dim(0)
+        if not k:
+            continue
+        small = GradedSpace.from_dims({0: k})
+        incl = LinearMap.from_blocks(small, sp, 0, {0: zm})
+        into_z = rl.mat_mul(zm, [_rand_vec(rng, n) for _ in range(k)])
+        for m in (into_z, [_rand_vec(rng, n) for _ in range(n)]):
+            op = LinearMap.from_blocks(sp, sp, 0, {0: m})
+            sol = rl.solve(zm, rl.mat_mul(op.block(0), zm))
+            if sol is None:
+                with pytest.raises(NotContained):
+                    restrict_map(op, incl, "op")
+            else:
+                got = restrict_map(op, incl, "op").block(0)
+                assert _typed(got) == _typed(rl.freeze(sol))
+
+
+def test_restrict_map_refuses_a_basis_without_unit_rows():
+    # injective, but no row is the unit row of the first column
+    sp = GradedSpace.from_dims({0: 2})
+    incl = LinearMap.from_blocks(sp, sp, 0, {0: [[1, 1], [0, 1]]})
+    with pytest.raises(InconsistentResult):
+        restrict_map(LinearMap.identity(sp), incl, "op")
 
 
 def test_homotopy_witness_contract():

@@ -88,8 +88,8 @@ def test_column_echelon_idempotent_and_spanning():
             for k in range(rl.ncols(e)):
                 assert e[pr][k] == (1 if k == j else 0)
         # e spans the same column space
-        assert rl.span_contains(e, a)
-        assert rl.span_contains(a, e)
+        assert rl.solve(e, a) is not None
+        assert rl.solve(a, e) is not None
         e2, _ = rl.column_echelon(e)
         assert rl.mat_eq(e, e2)
 
@@ -100,8 +100,7 @@ def test_span_operations():
     inter = rl.intersect_spans(b1, b2)
     assert rl.ncols(inter) == 1
     assert rl.in_span(inter, [0, 1, 0])
-    s = rl.sum_spans(b1, b2)
-    assert rl.ncols(s) == 3
+    assert rl.rank(rl.hstack(b1, b2)) == 3
 
 
 def test_intersection_random_consistency():
@@ -110,12 +109,12 @@ def test_intersection_random_consistency():
         b1 = rand_mat(rng, 5, rng.randint(1, 4))
         b2 = rand_mat(rng, 5, rng.randint(1, 4))
         inter = rl.intersect_spans(b1, b2)
-        assert rl.span_contains(b1, inter)
-        assert rl.span_contains(b2, inter)
+        assert rl.solve(b1, inter) is not None
+        assert rl.solve(b2, inter) is not None
         # dim(U+V) = dim U + dim V - dim(U&V)
         d1 = rl.rank(rl.transpose(b1))
         d2 = rl.rank(rl.transpose(b2))
-        assert rl.ncols(rl.sum_spans(b1, b2)) == d1 + d2 - rl.ncols(inter)
+        assert rl.rank(rl.hstack(b1, b2)) == d1 + d2 - rl.ncols(inter)
 
 
 def test_q_parsing():
@@ -123,4 +122,4 @@ def test_q_parsing():
     assert rl.q("4/2") == 2
     assert isinstance(rl.q("4/2"), int)
     assert rl.q(Fraction(6, 3)) == 2
-    assert rl.scalar_str(Fraction(-1, 2)) == "-1/2"
+    assert str(rl.q(Fraction(-1, 2))) == "-1/2"
