@@ -15,17 +15,6 @@ def ext_basis(n: int, k: int) -> list:
     return [tuple(c) for c in combinations(range(n), k)]
 
 
-def wedge_insert(j: int, idx: tuple):
-    """lambda_j wedge lambda_idx.  Returns (sign, tuple) or None if j in idx."""
-    if j in idx:
-        return None
-    pos = 0
-    while pos < len(idx) and idx[pos] < j:
-        pos += 1
-    sign = -1 if pos % 2 else 1
-    return sign, idx[:pos] + (j,) + idx[pos:]
-
-
 def remove_slot(j: int, idx: tuple):
     """First-slot contraction: coefficient of removing j from lambda_idx.
     Returns (sign, tuple) or None if j not in idx."""

@@ -59,13 +59,18 @@ class UnknownExample(Exception):
 # Fractions, polynomials, matrices
 
 
+def _shown(text: str) -> str:
+    """repr of an input string for an error message, cut to 60 characters."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
+
+
 def _parse_frac(value, field: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(field, "expected an integer or a 'num/den' string")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(field, f"not a rational number: {exc}")
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(field, f"not a rational number: {_shown(value)}")
 
 
 def _expect(cond: bool, field: str, message: str):
@@ -302,8 +307,9 @@ def momentum_from_payload(parsed: dict) -> po.MomentumData:
 # G-differential payloads
 
 
-def parse_gdiff(data, field: str = "payload",
-                check: bool = True) -> gd.GDiffComplex:
+def parse_gdiff(data, field: str = "payload") -> gd.GDiffComplex:
+    """The G-differential complex of a payload; its axioms are checked by
+    `_check_axioms`."""
     from .core import CochainComplex, GradedSpace, LinearMap
 
     _expect(isinstance(data, dict), field, "expected an object")
@@ -382,11 +388,8 @@ def parse_gdiff(data, field: str = "payload",
                 f"expected a list of {dims.get(0, 0)} degree-0 coordinates")
         unit = tuple(_parse_frac(x, f"{field}.unit[{t}]")
                      for t, x in enumerate(raw))
-    try:
-        return gd.build_gdiff(algebra, complex_, contractions, lie_ops,
-                              product=product, unit=unit, check=check)
-    except gd.AxiomFailure as exc:
-        raise MathError(f"axiom check failed: {exc.args[0].to_json()}")
+    return gd.build_gdiff(algebra, complex_, contractions, lie_ops,
+                          product=product, unit=unit, check=False)
 
 
 def gdiff_to_json(c: gd.GDiffComplex) -> dict:
@@ -422,11 +425,6 @@ def gdiff_to_json(c: gd.GDiffComplex) -> dict:
 
 # ---------------------------------------------------------------------------
 # Expression parameters
-
-
-def _shown(text: str) -> str:
-    """repr of an input string for an error message, cut to 60 characters."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
 
 
 def fprime_function(expr: str) -> Callable:
@@ -694,33 +692,30 @@ def run_example(name: str, parameters: dict) -> dict:
     if name not in _EXAMPLE_RUNNERS:
         raise UnknownExample(
             f"unknown example {name!r}; available: {', '.join(EXAMPLES)}")
-    runner, params = _example_task({"name": name, "parameters": parameters})
-    return runner(**params)
+    result, _ = _example_task({"name": name, "parameters": parameters})()
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Task dispatch
 
 
-def _run_lie_cohomology(payload: dict, opts: dict) -> tuple:
+def _lie_cohomology_task(payload: dict, opts: dict) -> Callable:
     _expect(isinstance(payload, dict), "payload", "expected an object")
     unknown = set(payload) - {"algebra", "coefficients", "relative",
                               "factorized"}
     _expect(not unknown, "payload", f"unknown keys {sorted(unknown)}")
     g = parse_algebra(payload.get("algebra"), "payload.algebra")
-    rep = None
+    power = None   # trivial coefficients
     coeff = payload.get("coefficients")
     if coeff is not None:
         _expect(isinstance(coeff, dict), "payload.coefficients",
                 "expected an object")
         ctype = coeff.get("type")
-        if ctype == "trivial":
-            rep = None
-        elif ctype == "sym-coadjoint":
+        if ctype == "sym-coadjoint":
             power = _expect_int(coeff.get("power"),
                                 "payload.coefficients.power", low=0)
-            rep = lie.sym_power_rep(g, power)
-        else:
+        elif ctype != "trivial":
             raise SchemaError("payload.coefficients.type",
                               "expected 'trivial' or 'sym-coadjoint'")
     sub = None
@@ -742,18 +737,22 @@ def _run_lie_cohomology(payload: dict, opts: dict) -> tuple:
     factorized = payload.get("factorized", False)
     _expect(isinstance(factorized, bool), "payload.factorized",
             "expected a boolean")
-    try:
-        h = lie.lie_cohomology(g, rep, k=sub, factorized=factorized)
-    except lie.FactorizationMismatch as exc:
-        raise MathError(f"factorization mismatch: {exc}")
-    except ValueError as exc:
-        raise MathError(str(exc))
-    top = g.dim
-    result = {"dims": [h.dims.get(n, 0) for n in range(top + 1)]}
-    if h.predicted_dims is not None:
-        result["predicted"] = [h.predicted_dims.get(n, 0)
-                               for n in range(top + 1)]
-    return result, []
+
+    def run():
+        rep = None if power is None else lie.sym_power_rep(g, power)
+        try:
+            h = lie.lie_cohomology(g, rep, k=sub, factorized=factorized)
+        except lie.FactorizationMismatch as exc:
+            raise MathError(f"factorization mismatch: {exc}")
+        except ValueError as exc:
+            raise MathError(str(exc))
+        top = g.dim
+        result = {"dims": [h.dims.get(n, 0) for n in range(top + 1)]}
+        if h.predicted_dims is not None:
+            result["predicted"] = [h.predicted_dims.get(n, 0)
+                                   for n in range(top + 1)]
+        return result, []
+    return run
 
 
 def _check_axioms(c: gd.GDiffComplex) -> gd.AxiomReport:
@@ -766,8 +765,9 @@ def _check_axioms(c: gd.GDiffComplex) -> gd.AxiomReport:
     return report
 
 
-def _run_gdiff_check(payload: dict, opts: dict) -> tuple:
-    return _check_axioms(parse_gdiff(payload, check=False)).to_json(), []
+def _gdiff_check_task(payload: dict, opts: dict) -> Callable:
+    c = parse_gdiff(payload)
+    return lambda: (_check_axioms(c).to_json(), [])
 
 
 def _opt(opts: dict, key: str, default=None):
@@ -775,18 +775,22 @@ def _opt(opts: dict, key: str, default=None):
     return default if value is None else value
 
 
-def _run_equivariant(payload: dict, opts: dict) -> tuple:
-    c = parse_gdiff(payload, check=True)
+def _equivariant_task(payload: dict, opts: dict) -> Callable:
+    c = parse_gdiff(payload)
     sym_cap = _expect_int(_opt(opts, "sym_cap", 2), "sym_cap", low=1)
-    h = gd.equivariant_cohomology(c, sym_cap)
-    warnings = [f"dims above total degree {h.band} are affected by the "
-                f"symmetric-degree cap {sym_cap}"]
-    result = h.to_json()
-    result["dims_list"] = h.dims_list()
-    return result, warnings
+
+    def run():
+        _check_axioms(c)
+        h = gd.equivariant_cohomology(c, sym_cap)
+        warnings = [f"dims above total degree {h.band} are affected by the "
+                    f"symmetric-degree cap {sym_cap}"]
+        result = h.to_json()
+        result["dims_list"] = h.dims_list()
+        return result, warnings
+    return run
 
 
-def _run_weil_check(payload: dict, opts: dict) -> tuple:
+def _weil_check_task(payload: dict, opts: dict) -> Callable:
     _expect(isinstance(payload, dict), "payload", "expected an object")
     unknown = set(payload) - {"algebra", "sym_cap"}
     _expect(not unknown, "payload", f"unknown keys {sorted(unknown)}")
@@ -794,25 +798,28 @@ def _run_weil_check(payload: dict, opts: dict) -> tuple:
     sym_cap = _opt(opts, "sym_cap", payload.get("sym_cap"))
     sym_cap = _expect_int(2 if sym_cap is None else sym_cap,
                           "sym_cap", low=1)
-    w = gd.weil_algebra(g, sym_cap)
-    h = cohomology(w.gdiff.complex)
-    basic, _ = gd.basic_subcomplex(w.gdiff)
-    hb = cohomology(basic)
-    top = 2 * sym_cap
-    result = {
-        "sym_cap": sym_cap,
-        "dims": [w.gdiff.complex.space.dim(n) for n in range(top + 1)],
-        "cohomology_band": [h.dim(n) for n in range(sym_cap + 1)],
-        "acyclic_in_band": all(h.dim(n) == 0
-                               for n in range(1, sym_cap + 1))
-        and h.dim(0) == 1,
-        "basic_dims": [hb.dim(n) for n in range(top + 1)],
-    }
-    warnings = [f"acyclicity is certified for degrees <= {sym_cap} only"]
-    return result, warnings
+
+    def run():
+        w = gd.weil_algebra(g, sym_cap)
+        h = cohomology(w.gdiff.complex)
+        basic, _ = gd.basic_subcomplex(w.gdiff)
+        hb = cohomology(basic)
+        top = 2 * sym_cap
+        result = {
+            "sym_cap": sym_cap,
+            "dims": [w.gdiff.complex.space.dim(n) for n in range(top + 1)],
+            "cohomology_band": [h.dim(n) for n in range(sym_cap + 1)],
+            "acyclic_in_band": all(h.dim(n) == 0
+                                   for n in range(1, sym_cap + 1))
+            and h.dim(0) == 1,
+            "basic_dims": [hb.dim(n) for n in range(top + 1)],
+        }
+        warnings = [f"acyclicity is certified for degrees <= {sym_cap} only"]
+        return result, warnings
+    return run
 
 
-def _run_poisson_cohomology(payload: dict, opts: dict) -> tuple:
+def _poisson_cohomology_task(payload: dict, opts: dict) -> Callable:
     parsed = parse_poisson(payload)
     _require_certified_cli(parsed["structure"])
     truncation = _opt(opts, "max_degree", parsed["maxdeg"])
@@ -820,68 +827,76 @@ def _run_poisson_cohomology(payload: dict, opts: dict) -> tuple:
     if truncation is None and slice_degree is None:
         raise SchemaError("payload.maxdeg",
                           "a truncation bound or --slice is required")
-    try:
-        h = po.poisson_cohomology(parsed["structure"],
-                                  truncation=0 if truncation is None
-                                  else truncation,
-                                  slice_degree=slice_degree)
-    except (po.UnsupportedRegime, ValueError) as exc:
-        raise MathError(str(exc))
-    warnings = []
-    if h.band is not None:
-        warnings.append(f"cohomology above coefficient degree {h.band} is "
-                        "affected by the truncation cap")
-    return h.to_json(), warnings
+
+    def run():
+        try:
+            h = po.poisson_cohomology(parsed["structure"],
+                                      truncation=0 if truncation is None
+                                      else truncation,
+                                      slice_degree=slice_degree)
+        except (po.UnsupportedRegime, ValueError) as exc:
+            raise MathError(str(exc))
+        warnings = []
+        if h.band is not None:
+            warnings.append(f"cohomology above coefficient degree {h.band} "
+                            "is affected by the truncation cap")
+        return h.to_json(), warnings
+    return run
 
 
-def _run_equivariant_poisson(payload: dict, opts: dict) -> tuple:
+def _momentum_input(payload: dict, opts: dict) -> tuple:
+    """The parsed payload, momentum data, truncation and slice of a task
+    on momentum data: the slice, when given, replaces the truncation."""
     parsed = parse_poisson(payload)
     _require_certified_cli(parsed["structure"])
     md = momentum_from_payload(parsed)
+    slice_degree = opts.get("slice")
+    truncation = None if slice_degree is not None else (
+        _opt(opts, "max_degree", parsed["maxdeg"]))
+    if truncation is None and slice_degree is None:
+        raise SchemaError("payload.maxdeg",
+                          "a truncation bound or --slice is required")
+    return parsed, md, truncation, slice_degree
+
+
+def _equivariant_poisson_task(payload: dict, opts: dict) -> Callable:
+    parsed, md, truncation, slice_degree = _momentum_input(payload, opts)
     sym_cap = _expect_int(_opt(opts, "sym_cap", 2), "sym_cap", low=1)
-    slice_degree = opts.get("slice")
-    truncation = None if slice_degree is not None else (
-        _opt(opts, "max_degree", parsed["maxdeg"]))
-    if truncation is None and slice_degree is None:
-        raise SchemaError("payload.maxdeg",
-                          "a truncation bound or --slice is required")
-    try:
-        rep = po.equivariant_poisson_cohomology(
-            md, sym_cap=sym_cap, truncation=truncation,
-            slice_degree=slice_degree, generators=parsed["generators"])
-    except (po.UnsupportedRegime, ValueError) as exc:
-        raise MathError(str(exc))
-    h = rep.cohomology
-    result = {"dims": h.dims_list(), "band": h.band,
-              "invariant_function_dim": rep.invariant_function_dim,
-              "basic_cross_check": rep.basic_cross_check}
-    warnings = [f"dims above total degree {h.band} are affected by the "
-                f"symmetric-degree cap {sym_cap}"]
-    return result, warnings
+
+    def run():
+        try:
+            rep = po.equivariant_poisson_cohomology(
+                md, sym_cap=sym_cap, truncation=truncation,
+                slice_degree=slice_degree, generators=parsed["generators"])
+        except (po.UnsupportedRegime, ValueError) as exc:
+            raise MathError(str(exc))
+        h = rep.cohomology
+        result = {"dims": h.dims_list(), "band": h.band,
+                  "invariant_function_dim": rep.invariant_function_dim,
+                  "basic_cross_check": rep.basic_cross_check}
+        warnings = [f"dims above total degree {h.band} are affected by the "
+                    f"symmetric-degree cap {sym_cap}"]
+        return result, warnings
+    return run
 
 
-def _run_momentum_ss(payload: dict, opts: dict) -> tuple:
-    parsed = parse_poisson(payload)
-    _require_certified_cli(parsed["structure"])
-    md = momentum_from_payload(parsed)
-    slice_degree = opts.get("slice")
-    truncation = None if slice_degree is not None else (
-        _opt(opts, "max_degree", parsed["maxdeg"]))
-    if truncation is None and slice_degree is None:
-        raise SchemaError("payload.maxdeg",
-                          "a truncation bound or --slice is required")
-    try:
-        ss = po.momentum_spectral_sequence(md, truncation=truncation,
-                                           slice_degree=slice_degree,
-                                           r_max=opts.get("pages"))
-    except (po.UnsupportedRegime, ValueError) as exc:
-        raise MathError(str(exc))
-    return ss.to_json(), []
+def _momentum_ss_task(payload: dict, opts: dict) -> Callable:
+    _, md, truncation, slice_degree = _momentum_input(payload, opts)
+
+    def run():
+        try:
+            ss = po.momentum_spectral_sequence(md, truncation=truncation,
+                                               slice_degree=slice_degree,
+                                               r_max=opts.get("pages"))
+        except (po.UnsupportedRegime, ValueError) as exc:
+            raise MathError(str(exc))
+        return ss.to_json(), []
+    return run
 
 
-def _example_task(payload) -> tuple:
-    """The runner and the parsed parameters, defaults filled in, of an
-    example task's payload; nothing is computed."""
+def _example_task(payload, opts: Optional[dict] = None) -> Callable:
+    """An example task's payload parse: the example's runner on the parsed
+    parameters, defaults filled in, giving (result, warnings)."""
     _expect(isinstance(payload, dict), "payload", "expected an object")
     unknown = set(payload) - {"name", "parameters"}
     _expect(not unknown, "payload", f"unknown keys {sorted(unknown)}")
@@ -896,24 +911,23 @@ def _example_task(payload) -> tuple:
     unknown = set(parameters) - set(defaults)
     _expect(not unknown, "parameters",
             f"example {name} reads no {sorted(unknown)}")
-    return runner, {key: _PARAMETER_PARSERS[key](parameters.get(key, default))
-                    for key, default in defaults.items()}
+    params = {key: _PARAMETER_PARSERS[key](parameters.get(key, default))
+              for key, default in defaults.items()}
+    return lambda: (runner(**params), [])
 
 
-def _run_example_task(payload: dict, opts: dict) -> tuple:
-    runner, params = _example_task(payload)
-    return runner(**params), []
-
-
-_KIND_RUNNERS = {
-    "lie-cohomology": _run_lie_cohomology,
-    "gdiff-check": _run_gdiff_check,
-    "equivariant": _run_equivariant,
-    "weil-check": _run_weil_check,
-    "poisson-cohomology": _run_poisson_cohomology,
-    "equivariant-poisson": _run_equivariant_poisson,
-    "momentum-ss": _run_momentum_ss,
-    "example": _run_example_task,
+# Each kind's payload parse: it checks payload and options (SchemaError, or
+# MathError on a mathematical defect) and returns the computation, a
+# callable giving (result, warnings).  validate only parses.
+_KIND_TASKS = {
+    "lie-cohomology": _lie_cohomology_task,
+    "gdiff-check": _gdiff_check_task,
+    "equivariant": _equivariant_task,
+    "weil-check": _weil_check_task,
+    "poisson-cohomology": _poisson_cohomology_task,
+    "equivariant-poisson": _equivariant_poisson_task,
+    "momentum-ss": _momentum_ss_task,
+    "example": _example_task,
 }
 
 
@@ -940,7 +954,7 @@ def _task_shape(task, opts: Optional[dict] = None) -> tuple:
 def run_compute(task: dict, opts: Optional[dict] = None) -> dict:
     """Dispatch a schema-validated task and assemble the result report."""
     kind, payload, opts = _task_shape(task, opts)
-    result, warnings = _KIND_RUNNERS[kind](payload, opts)
+    result, warnings = _KIND_TASKS[kind](payload, opts)()
     return {"kind": kind, "result": result, "warnings": warnings}
 
 
@@ -1011,7 +1025,7 @@ def _poisson_gates(data, table: _GateTable) -> bool:
 
 
 def _gdiff_gates(data, table: _GateTable) -> bool:
-    return _gates(table, lambda: parse_gdiff(data, check=False),
+    return _gates(table, lambda: parse_gdiff(data),
                   (("axioms", _check_axioms),))
 
 
@@ -1026,10 +1040,17 @@ def validate_input(data) -> dict:
     exported complex; the heavy cohomology routines are never invoked."""
     table = _GateTable()
     if isinstance(data, dict) and "kind" in data:
+        defects = []
+
         def shape():
-            kind, payload, _ = _task_shape(data)
-            if kind == "example":
-                _example_task(payload)
+            kind, payload, opts = _task_shape(data)
+            try:
+                _KIND_TASKS[kind](payload, opts)
+            except MathError as exc:
+                defects.append(exc)
+
+        def task_math():
+            raise defects[0]
 
         ok = table.run("task-shape", shape)
         payload = data.get("payload")
@@ -1041,6 +1062,9 @@ def validate_input(data) -> dict:
             elif "algebra" in payload:
                 ok = _algebra_gates(payload["algebra"], table,
                                     "payload.algebra") and ok
+        # a defect of the payload parse that no gate above reported
+        if ok and defects:
+            ok = table.run("task-math", task_math)
         return {"gates": table.rows, "ok": ok}
     if isinstance(data, dict) and "pi" in data:
         return {"gates": table.rows, "ok": _poisson_gates(data, table)}

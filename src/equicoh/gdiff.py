@@ -498,35 +498,31 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
                                      for deg in sorted(comps)})
     pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
 
-    def build_op(op1: Optional[LinearMap], op2: Optional[LinearMap], shift, koszul):
+    one1, one2 = ({n: rl.identity(sp.dim(n)) for n in sp.degrees()}
+                  for sp in (sp1, sp2))
+
+    def build_op(op1: LinearMap, op2: LinearMap, shift, koszul):
+        """Blocks of op1 (x) 1 + koszul(d1) * (1 (x) op2) on each component
+        (d1, d2); a component starts at the position of its (d1, 0, d2, 0)."""
         blocks = {}
-        for deg, labs in comps.items():
-            tgt = comps.get(deg + shift)
+        for deg in comps:
+            tgt = pos.get(deg + shift)
             if tgt is None:
                 continue
-            blk = rl.zeros(len(tgt), len(labs))
-            nonzero = False
-            for col, (d1, i1, d2, i2) in enumerate(labs):
-                if op1 is not None:
-                    b = op1.block(d1)
-                    if b and b[0]:
-                        for t in range(len(b)):
-                            v = b[t][i1]
-                            if v:
-                                lab = (d1 + shift, t, d2, i2)
-                                blk[pos[deg + shift][lab]][col] += v
-                                nonzero = True
-                if op2 is not None:
-                    b = op2.block(d2)
-                    if b and b[0]:
-                        sgn = koszul(d1)
-                        for t in range(len(b)):
-                            v = b[t][i2]
-                            if v:
-                                lab = (d1, i1, d2 + shift, t)
-                                blk[pos[deg + shift][lab]][col] += sgn * v
-                                nonzero = True
-            if nonzero:
+            blk = rl.zeros(len(tgt), len(comps[deg]))
+            for d1 in sp1.degrees():
+                d2 = deg - d1
+                col0 = pos[deg].get((d1, 0, d2, 0))
+                if col0 is None:
+                    continue
+                row0 = tgt.get((d1 + shift, 0, d2, 0))
+                if row0 is not None:
+                    rl.add_kron(blk, op1.block(d1), one2[d2], row0, col0)
+                row0 = tgt.get((d1, 0, d2 + shift, 0))
+                if row0 is not None:
+                    rl.add_kron(blk, one1[d1], op2.block(d2), row0, col0,
+                                koszul(d1))
+            if not rl.is_zero(blk):
                 blocks[deg] = blk
         return blocks
 
@@ -677,31 +673,36 @@ def trivial_action_gdiff(algebra: LieAlgebra, complex_: CochainComplex,
                         product, tuple(unit) if unit is not None else None)
 
 
-def _add_twist(blk, c: GDiffComplex, mons: dict, n: int, m: int,
-               src_off: int, tgt_off: int) -> bool:
-    """Add the Cartan twist sum_j i_j (x) u_j from the fine component (n, m),
-    whose columns start at src_off in the dense block blk, into the
-    component (n - 1, m + 1), whose rows start at tgt_off.  Returns whether
-    an entry was added."""
-    nm, nm2 = len(mons[m]), len(mons[m + 1])
-    pos2 = {e: i for i, e in enumerate(mons[m + 1])}
-    nonzero = False
-    for j in range(c.algebra.dim):
-        iblk = c.contractions[j].block(n)
-        if not (iblk and iblk[0]):
+def cartan_twist(c: GDiffComplex, model_space: GradedSpace, fine: dict,
+                 mons: dict) -> dict:
+    """Dense blocks, degree deg -> deg + 1 of the full Cartan model space
+    (laid out as `fine` and `mons` of CartanModel), of the twist
+    sum_j i_j (x) u_j: u_j multiplies by the j-th generator of S(g*), from
+    S^m to S^(m+1)."""
+    r = c.algebra.dim
+    mult = {}   # (m, j) -> u_j from S^m to S^(m+1)
+    for m in mons:
+        if m + 1 not in mons:
             continue
-        for t in range(len(iblk)):
-            for ai in range(len(iblk[0])):
-                v = iblk[t][ai]
-                if not v:
-                    continue
-                for mi, expo in enumerate(mons[m]):
-                    e2 = list(expo)
-                    e2[j] += 1
-                    mj = pos2[tuple(e2)]
-                    blk[tgt_off + t * nm2 + mj][src_off + ai * nm + mi] += v
-                    nonzero = True
-    return nonzero
+        index = {e: i for i, e in enumerate(mons[m + 1])}
+        for j in range(r):
+            u = mult[(m, j)] = rl.zeros(len(mons[m + 1]), len(mons[m]))
+            for mi, e in enumerate(mons[m]):
+                u[index[bases.sym_mul(e, bases.unit_exp(r, j))]][mi] = 1
+    blocks = {}
+    for deg, entries in fine.items():
+        if deg + 1 not in fine:
+            continue
+        tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
+        blk = blocks[deg] = rl.zeros(model_space.dim(deg + 1),
+                                     model_space.dim(deg))
+        for (n, m, _, off, _) in entries:
+            row0 = tgt.get((n - 1, m + 1))
+            if row0 is not None:
+                for j in range(r):
+                    rl.add_kron(blk, c.contractions[j].block(n),
+                                mult[(m, j)], row0, off)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -728,129 +729,77 @@ class CartanModel:
 
 
 def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
+    """The Cartan model of c with symmetric degree <= sym_cap.
+
+    The full model space is A (x) S(g*), graded by deg(a) + 2m.  Degree deg
+    is the sum of the fine components A^n (x) S^m with n + 2m = deg, in
+    increasing m; fine[deg] lists (n, m, invariant dim, offset, size) for
+    each, and a (x) u^E sits at offset + (form index) * |S^m| + (monomial
+    index of E in mons[m]).  On each fine component the differential is the
+    Kronecker sum
+
+        d_G = d (x) 1 + sum_j i_j (x) u_j      (cartan_twist),
+
+    u_j multiplication by the j-th generator, S^m -> S^(m+1), and the model
+    is its restriction to the joint kernel of the invariance operators
+    L_b (x) 1 + 1 (x) L_b, with L_b on S^m the coadjoint derivation."""
     g = c.algebra
     r = g.dim
     sp = c.space
     mons = {m: bases.sym_basis(r, m) for m in range(sym_cap + 1)}
-    coad = [g.coad(b) for b in range(r)]
-    ls_mats = {m: [sym_derivation(x, m) for x in coad] for m in mons}
+    ls_mats = {m: [sym_derivation(g.coad(b), m) for b in range(r)]
+               for m in mons}
+    ones = {m: rl.identity(len(mons[m])) for m in mons}
+    a_ones = {n: rl.identity(sp.dim(n)) for n in sp.degrees()}
 
-    # components of the full model per total degree, ordered by increasing m
     adegs = sp.degrees()
-    max_deg = (max(adegs) if adegs else 0) + 2 * sym_cap
-    comps = {}
-    for deg in range(max_deg + 1):
-        lst = []
+    labels, fine, inv_labels, incl_blocks = {}, {}, {}, {}
+    for deg in range((max(adegs) if adegs else 0) + 2 * sym_cap + 1):
+        labs, entries, kernels = [], [], []
         for m in range(sym_cap + 1):
             n = deg - 2 * m
-            if n in adegs and sp.dim(n):
-                lst.append((n, m))
-        if lst:
-            comps[deg] = lst
-
-    labels = {}
-    offsets = {}
-    for deg, lst in comps.items():
-        labs = []
-        offs = {}
-        for (n, m) in lst:
-            offs[(n, m)] = len(labs)
+            if n not in adegs:
+                continue
+            # the total Lie derivative preserves each fine component, so the
+            # invariant basis is fine-graded
+            size = sp.dim(n) * len(mons[m])
+            mats = [rl.zeros(size, size) for _ in range(r)]
+            for b, mat in enumerate(mats):
+                rl.add_kron(mat, c.lie_ops[b].block(n), ones[m])
+                rl.add_kron(mat, a_ones[n], ls_mats[m][b])
+            kernels.append(stacked_kernel(mats, size))
+            entries.append((n, m, rl.ncols(kernels[-1]), len(labs), size))
             labs.extend(("c", n, m, ai, mi)
                         for ai in range(sp.dim(n)) for mi in range(len(mons[m])))
-        labels[deg] = labs
-        offsets[deg] = offs
-    model_space = GradedSpace.from_labels(labels)
-
-    def comp_size(n, m):
-        return sp.dim(n) * len(mons[m])
-
-    # full-model differential blocks (note: d_G^2 is only zero on invariants)
-    dblocks = {}
-    for deg, lst in comps.items():
-        if deg + 1 not in comps:
+        if not labs:
             continue
-        rows = model_space.dim(deg + 1)
-        cols = model_space.dim(deg)
-        blk = rl.zeros(rows, cols)
-        tg_off = offsets[deg + 1]
-        nonzero = False
-        for (n, m) in lst:
-            base_off = offsets[deg][(n, m)]
-            nm = len(mons[m])
-            dblk = c.d.block(n)
-            if dblk and dblk[0] and (n + 1, m) in tg_off:
-                to = tg_off[(n + 1, m)]
-                for t in range(len(dblk)):
-                    for ai in range(sp.dim(n)):
-                        v = dblk[t][ai]
-                        if v:
-                            for mi in range(nm):
-                                blk[to + t * nm + mi][base_off + ai * nm + mi] += v
-                            nonzero = True
-            if (n - 1, m + 1) in tg_off:
-                nonzero = _add_twist(blk, c, mons, n, m, base_off,
-                                     tg_off[(n - 1, m + 1)]) or nonzero
-        if nonzero:
-            dblocks[deg] = blk
-    d_full = LinearMap.from_blocks(model_space, model_space, 1, dblocks)
-
-    # invariants per fine component (n, m); the total Lie derivative is
-    # block-diagonal there, so the invariant basis is fine-graded
-    inv_cols = {}   # (n, m) -> kernel columns (size comp_size)
-    for deg, lst in comps.items():
-        for (n, m) in lst:
-            if (n, m) in inv_cols:
-                continue
-            nm = len(mons[m])
-            size = comp_size(n, m)
-            mats = []
-            for b in range(r):
-                mat = rl.zeros(size, size)
-                ablk = c.lie_ops[b].block(n)
-                sblk = ls_mats[m][b]
-                for ai in range(sp.dim(n)):
-                    if ablk and ablk[0]:
-                        for t in range(sp.dim(n)):
-                            v = ablk[t][ai]
-                            if v:
-                                for mi in range(nm):
-                                    mat[t * nm + mi][ai * nm + mi] += v
-                    for mi in range(nm):
-                        for t2 in range(nm):
-                            v = sblk[t2][mi]
-                            if v:
-                                mat[ai * nm + t2][ai * nm + mi] += v
-                mats.append(mat)
-            inv_cols[(n, m)] = stacked_kernel(mats, size)
-
-    fine = {}
-    inv_labels = {}
-    incl_blocks = {}
-    for deg, lst in comps.items():
-        entries = []
-        total_inv = 0
-        for (n, m) in lst:
-            k = rl.ncols(inv_cols[(n, m)])
-            entries.append((n, m, k, offsets[deg][(n, m)], comp_size(n, m)))
-            total_inv += k
+        labels[deg] = labs
         fine[deg] = tuple(entries)
+        total_inv = sum(k for (_, _, k, _, _) in entries)
         if total_inv == 0:
             continue
         inv_labels[deg] = tuple(f"inv{deg}.{i}" for i in range(total_inv))
-        blk = rl.zeros(model_space.dim(deg), total_inv)
+        blk = incl_blocks[deg] = rl.zeros(len(labs), total_inv)
         colpos = 0
-        for (n, m, k, off, size) in entries:
-            cols = inv_cols[(n, m)]
-            for j in range(k):
-                for t in range(size):
-                    v = cols[t][j]
-                    if v:
-                        blk[off + t][colpos + j] = v
+        for (_, _, k, off, size), kernel in zip(entries, kernels):
+            for t in range(size):
+                blk[off + t][colpos:colpos + k] = kernel[t]
             colpos += k
-        incl_blocks[deg] = blk
+    model_space = GradedSpace.from_labels(labels)
     inv_space = GradedSpace.from_labels(inv_labels)
     inclusion = LinearMap.from_blocks(inv_space, model_space, 0, incl_blocks)
 
+    # full-model differential (note: d_G^2 is only zero on invariants)
+    dblocks = cartan_twist(c, model_space, fine, mons)
+    for deg, blk in dblocks.items():
+        tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
+        for (n, m, _, off, _) in fine[deg]:
+            row0 = tgt.get((n + 1, m))
+            if row0 is not None:
+                rl.add_kron(blk, c.d.block(n), ones[m], row0, off)
+    d_full = LinearMap.from_blocks(
+        model_space, model_space, 1,
+        {deg: blk for deg, blk in dblocks.items() if not rl.is_zero(blk)})
     d_inv = restrict_map(d_full, inclusion,
                          "the Cartan differential leaves the invariants")
     cx = CochainComplex.build(inv_space, d_inv)
@@ -914,32 +863,23 @@ def locally_free_connection(c: GDiffComplex) -> ConnectionResult:
     dim0 = c.space.dim(0)
     if dim1 == 0:
         return ConnectionResult(False, None)
-    rows = []
-    rhs = []
+    # unknowns Theta_k on g (x) A^1: (1 (x) i_b) Theta = delta_bk 1 and
+    # (1 (x) L_b + C_b (x) 1) Theta = 0 with C_b[k][l] = c^k_{bl}
+    one = rl.identity(r)
+    rows, rhs = [], []
     for b in range(r):
-        iblk = c.contractions[b].block(1)
-        for k in range(r):
-            for t in range(dim0):
-                row = [0] * (r * dim1)
-                if iblk and iblk[0]:
-                    for j in range(dim1):
-                        row[k * dim1 + j] = iblk[t][j]
-                rows.append(row)
-                rhs.append(c.unit[t] if b == k else 0)
+        m = rl.zeros(r * dim0, r * dim1)
+        rl.add_kron(m, one, c.contractions[b].block(1))
+        rows += m
+        rhs += [c.unit[t] if b == k else 0 for k in range(r)
+                for t in range(dim0)]
     for b in range(r):
-        lblk = c.lie_ops[b].block(1)
-        for k in range(r):
-            for t in range(dim1):
-                row = [0] * (r * dim1)
-                if lblk and lblk[0]:
-                    for j in range(dim1):
-                        row[k * dim1 + j] += lblk[t][j]
-                for l in range(r):
-                    coeff = g.c[b][l][k]
-                    if coeff:
-                        row[l * dim1 + t] += coeff
-                rows.append(row)
-                rhs.append(0)
+        m = rl.zeros(r * dim1, r * dim1)
+        rl.add_kron(m, one, c.lie_ops[b].block(1))
+        rl.add_kron(m, [[g.c[b][l][k] for l in range(r)] for k in range(r)],
+                    rl.identity(dim1))
+        rows += m
+        rhs += [0] * (r * dim1)
     sol = rl.solve(rows, [[v] for v in rhs])
     if sol is None:
         return ConnectionResult(False, None)
@@ -1054,31 +994,29 @@ def _mq_twist(a: GDiffComplex, w: WeilAlgebra, tensor: GDiffComplex,
               pos: dict, variant) -> LinearMap:
     s, p, q = variant
     tsp = tensor.space
+    wsp = w.gdiff.space
+    lam = {}   # (b, wd) -> left multiplication by lambda^b on W^wd
+    for b in range(a.algebra.dim):
+        for wd in wsp.degrees():
+            m = lam[(b, wd)] = rl.zeros(wsp.dim(wd + 1), wsp.dim(wd))
+            for i2 in range(wsp.dim(wd)):
+                for k, sgn in w.gdiff.product.terms(
+                        1, w.lambda_positions[b], wd, i2):
+                    m[k][i2] += sgn
     blocks = {}
     for deg in tsp.degrees():
-        labs = {lab: i for lab, i in pos[deg].items()}
-        dim = tsp.dim(deg)
-        blk = rl.zeros(dim, dim)
-        nonzero = False
-        for lab, col in labs.items():
-            (n, i1, wd, i2) = lab
+        blk = rl.zeros(tsp.dim(deg), tsp.dim(deg))
+        for n in a.space.degrees():
+            wd = deg - n
+            col0 = pos[deg].get((n, 0, wd, 0))
+            row0 = pos[deg].get((n - 1, 0, wd + 1, 0))
+            if col0 is None or row0 is None:
+                continue
             eps = s * (-1 if (p * n + q * wd) % 2 else 1)
             for b in range(a.algebra.dim):
-                iblk = a.contractions[b].block(n)
-                if not (iblk and iblk[0]):
-                    continue
-                lam_terms = w.gdiff.product.terms(1, w.lambda_positions[b], wd, i2)
-                if not lam_terms:
-                    continue
-                for t in range(len(iblk)):
-                    v = iblk[t][i1]
-                    if not v:
-                        continue
-                    for k, sgn in lam_terms:
-                        out = pos[deg][(n - 1, t, wd + 1, k)]
-                        blk[out][col] += eps * v * sgn
-                        nonzero = True
-        if nonzero:
+                rl.add_kron(blk, a.contractions[b].block(n), lam[(b, wd)],
+                            row0, col0, eps)
+        if not rl.is_zero(blk):
             blocks[deg] = blk
     return LinearMap.from_blocks(tsp, tsp, 0, blocks)
 

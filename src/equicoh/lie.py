@@ -262,16 +262,52 @@ def invariants(rep: Representation) -> Subspace:
 # Chevalley-Eilenberg complex
 
 
-def _ce_labels(rep: Representation):
-    n = rep.algebra.dim
-    out = {}
-    for k in range(n + 1):
-        labels = []
-        for idx in bases.ext_basis(n, k):
-            for a in range(rep.space_dim):
-                labels.append((a, idx))
-        out[k] = labels
-    return out
+def _exterior_operators(g: LieAlgebra) -> tuple:
+    """The operators on Lambda g* that build every CE complex, as matrices
+    per exterior degree k: (wedge, d, contractions, coad) with wedge[b][k] =
+    lambda^b ^ and d[k] from Lambda^k to Lambda^(k+1), contractions[b][k] =
+    i_b to Lambda^(k-1), and coad[b][k] = ad*_b on Lambda^k."""
+    n = g.dim
+    ext = [bases.ext_basis(n, k) for k in range(n + 1)]
+    pos = [{idx: i for i, idx in enumerate(e)} for e in ext]
+
+    def family(lo, hi, shift, terms):
+        """{k: matrix} for lo <= k < hi; terms(idx) lists the (coeff, new
+        idx) of the image of lambda_idx, None for no term."""
+        out = {}
+        for k in range(lo, hi):
+            m = out[k] = rl.zeros(len(ext[k + shift]), len(ext[k]))
+            for col, idx in enumerate(ext[k]):
+                for term in terms(idx):
+                    if term is not None:
+                        m[pos[k + shift][term[1]]][col] += term[0]
+        return out
+
+    def derivation(image):
+        """The derivation with lambda^m -> image(m), a list of (coeff,
+        increasing tuple): slot p of lambda_idx gives (-1)^p image ^ rest."""
+        def terms(idx):
+            for p, mgen in enumerate(idx):
+                rest = idx[:p] + idx[p + 1:]
+                for coeff, t in image(mgen):
+                    mg = bases.wedge_merge(t, rest)
+                    if mg is not None:
+                        yield (-1) ** p * coeff * mg[0], mg[1]
+        return terms
+
+    wedge = [family(0, n, 1, lambda idx, b=b: [bases.wedge_merge((b,), idx)])
+             for b in range(n)]
+    # d lambda^m = -sum_{i<j} c^m_{ij} lambda^i ^ lambda^j
+    d_ext = family(0, n, 1, derivation(lambda m: [
+        (-g.c[i][j][m], (i, j)) for i, j in bases.ext_basis(n, 2)
+        if g.c[i][j][m]]))
+    contr = [family(1, n + 1, -1, lambda idx, b=b: [bases.remove_slot(b, idx)])
+             for b in range(n)]
+    # ad*_b lambda^m = -sum_l c^m_{bl} lambda^l
+    coad = [family(0, n + 1, 0, derivation(lambda m, b=b: [
+        (-g.c[b][l][m], (l,)) for l in range(n) if g.c[b][l][m]]))
+        for b in range(n)]
+    return wedge, d_ext, contr, coad
 
 
 @dataclass(frozen=True)
@@ -290,98 +326,40 @@ class CEComplex:
 
 
 def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex:
+    """C(g; V) on Lambda^k g* (x) V, exterior index major, as sums of
+    Kronecker products of the exterior operators with operators on V:
+
+        d   = sum_b (lambda^b ^) (x) rho(e_b) + d_Lambda (x) 1,
+        i_b = i_b (x) 1,
+        L_b = 1 (x) rho(e_b) + ad*_b (x) 1."""
     rep = rep if rep is not None else trivial_rep(g)
     if rep.algebra != g:
         raise RepresentationInvalid("the representation is of another algebra")
     n = g.dim
-    vd = rep.space_dim
-    labels = _ce_labels(rep)
-    space = GradedSpace.from_labels(labels)
-    ext = {k: bases.ext_basis(n, k) for k in range(n + 1)}
-    pos = {k: {idx: i for i, idx in enumerate(ext[k])} for k in ext}
+    ext = [bases.ext_basis(n, k) for k in range(n + 1)]
+    space = GradedSpace.from_labels({
+        k: [(a, idx) for idx in ext[k] for a in range(rep.space_dim)]
+        for k in range(n + 1)})
+    wedge, d_ext, contr, coad = _exterior_operators(g)
+    one = rl.identity(rep.space_dim)
+    ext_one = [rl.identity(len(e)) for e in ext]
 
-    def slot(k, idx, a):
-        return pos[k][idx] * vd + a
+    def kron_sum(shift, terms):
+        """The map of degree `shift` that is sum of family[k] (x) v over the
+        (family, v) in terms on each Lambda^k (x) V."""
+        blocks = {}
+        for k in range(max(0, -shift), min(n, n - shift) + 1):
+            out = blocks[k] = rl.zeros(space.dim(k + shift), space.dim(k))
+            for fam, v in terms:
+                rl.add_kron(out, fam[k], v)
+        return LinearMap.from_blocks(space, space, shift, blocks)
 
-    dblocks = {}
-    for k in range(n):
-        rows = len(ext[k + 1]) * vd
-        cols = len(ext[k]) * vd
-        m = rl.zeros(rows, cols)
-        for idx in ext[k]:
-            for a in range(vd):
-                col = slot(k, idx, a)
-                # action part: sum_b lambda^b ^ (rho(e_b) v)
-                for b in range(n):
-                    ins = bases.wedge_insert(b, idx)
-                    if ins is None:
-                        continue
-                    s, new = ins
-                    rho = rep.op(b)
-                    for t in range(vd):
-                        if rho[t][a]:
-                            m[slot(k + 1, new, t)][col] += s * rho[t][a]
-                # exterior part: v (x) d(lambda_idx), odd derivation with
-                # d lambda^m = -sum_{i<j} c^m_{ij} lambda^i lambda^j
-                for p_i, mgen in enumerate(idx):
-                    dsign = -1 if p_i % 2 else 1
-                    rest = idx[:p_i] + idx[p_i + 1:]
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            cm = g.c[i][j][mgen]
-                            if not cm:
-                                continue
-                            mg = bases.wedge_merge((i, j), rest)
-                            if mg is None:
-                                continue
-                            s2, new = mg
-                            m[slot(k + 1, new, a)][col] += -cm * dsign * s2
-        dblocks[k] = m
-    d = LinearMap.from_blocks(space, space, 1, dblocks)
-    cx = CochainComplex.build(space, d)
-
-    contractions = []
-    lie_ops = []
-    for b in range(n):
-        iblocks = {}
-        for k in range(1, n + 1):
-            m = rl.zeros(len(ext[k - 1]) * vd, len(ext[k]) * vd)
-            for idx in ext[k]:
-                rem = bases.remove_slot(b, idx)
-                if rem is None:
-                    continue
-                s, new = rem
-                for a in range(vd):
-                    m[slot(k - 1, new, a)][slot(k, idx, a)] = s
-            iblocks[k] = m
-        contractions.append(LinearMap.from_blocks(space, space, -1, iblocks))
-
-        rho = rep.op(b)
-        lblocks = {}
-        for k in range(n + 1):
-            dim_k = len(ext[k]) * vd
-            m = rl.zeros(dim_k, dim_k)
-            for idx in ext[k]:
-                for a in range(vd):
-                    col = slot(k, idx, a)
-                    for t in range(vd):
-                        if rho[t][a]:
-                            m[slot(k, idx, t)][col] += rho[t][a]
-                    # ad*_b lambda^m = -sum_l c^m_{bl} lambda^l on each slot
-                    for p_i, mgen in enumerate(idx):
-                        for l in range(n):
-                            coeff = -g.c[b][l][mgen]
-                            if not coeff:
-                                continue
-                            ins = bases.wedge_merge((l,), idx[:p_i] + idx[p_i + 1:])
-                            if ins is None:
-                                continue
-                            s2, new = ins
-                            sgn = -1 if p_i % 2 else 1
-                            m[slot(k, new, a)][col] += coeff * s2 * sgn
-            lblocks[k] = m
-        lie_ops.append(LinearMap.from_blocks(space, space, 0, lblocks))
-    return CEComplex(g, rep, cx, tuple(contractions), tuple(lie_ops))
+    d = kron_sum(1, [(wedge[b], rep.op(b)) for b in range(n)] + [(d_ext, one)])
+    contractions = tuple(kron_sum(-1, [(contr[b], one)]) for b in range(n))
+    lie_ops = tuple(kron_sum(0, [(ext_one, rep.op(b)), (coad[b], one)])
+                    for b in range(n))
+    return CEComplex(g, rep, CochainComplex.build(space, d), contractions,
+                     lie_ops)
 
 
 def spanned_algebra(g: LieAlgebra, cols: Sequence, name: str,

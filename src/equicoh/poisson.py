@@ -924,16 +924,14 @@ class MomentumData:
     submersive: bool = False
 
 
-def _aext(md_forms: Sequence, coeffs: Mapping, n: int, kind: str) -> object:
-    """Extend a generator-indexed family multiplicatively over a two-vector
-    of the algebra given as {(p, q): coeff}."""
-    deg2 = None
+def _aext(family: Sequence, coeffs: Mapping) -> object:
+    """Extend a generator-indexed family of forms or of fields
+    multiplicatively over a two-vector of the algebra given as
+    {(p, q): coeff}."""
+    out = type(family[0])(family[0].ambient, 2)
     for (a, b), c in coeffs.items():
-        term = wedge(md_forms[a], md_forms[b]).scale(c)
-        deg2 = term if deg2 is None else deg2.add(term)
-    if deg2 is None:
-        return (zero_form(n, 2) if kind == "form" else zero_multivector(n, 2))
-    return deg2
+        out = out.add(wedge(family[a], family[b]).scale(c))
+    return out
 
 
 def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,
@@ -991,13 +989,13 @@ def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,
     for j in range(r):
         delta = cobracket.delta_of(j) if cobracket is not None else {}
         dform = exterior_d(one_forms[j])
-        ext = _aext(one_forms, delta, n, "form")
+        ext = _aext(one_forms, delta)
         if not dform.sub(ext).is_zero():
             raise DDeltaViolation(
                 f"generator {j}: d(lift) = {dform!r} but the cobracket "
                 f"extension is {ext!r}")
         dfield = d_pi(p, fields[j])
-        extf = _aext(fields, delta, n, "field")
+        extf = _aext(fields, delta)
         if not dfield.sub(extf).is_zero():
             raise PoissonActionViolation(
                 f"generator {j}: differential of the action field is "

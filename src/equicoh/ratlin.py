@@ -104,7 +104,30 @@ def mat_eq(a, b):
 
 
 def is_zero(a):
-    return all(not x for row in a for x in row)
+    return not any(map(any, a))
+
+
+def add_kron(out, a, b, row0: int = 0, col0: int = 0, scale=1):
+    """Add scale * (a (x) b) into the matrix `out` at offset (row0, col0), on
+    the product layout: a[i][j] * b[k][l] lands in row row0 + i * rows(b) + k
+    and column col0 + j * cols(b) + l.  Only nonzero entries are visited."""
+    br = len(b)
+    bc = len(b[0]) if br else 0
+    bnz = [(k, [(l, y) for l, y in enumerate(row) if y])
+           for k, row in enumerate(b)]
+    bnz = [(k, terms) for k, terms in bnz if terms]
+    if not bnz:
+        return
+    for i, arow in enumerate(a):
+        r = row0 + i * br
+        for j, x in enumerate(arow):
+            if x:
+                x *= scale
+                c = col0 + j * bc
+                for k, terms in bnz:
+                    orow = out[r + k]
+                    for l, y in terms:
+                        orow[c + l] += x * y
 
 
 def hstack(*mats):

@@ -29,7 +29,7 @@ from . import ratlin as rl
 from .core import (CochainComplex, LinearMap, NotSubcomplex, Subspace,
                    _coordinates, cohomology, restrict_map, stacked_kernel,
                    subquotient)
-from .gdiff import CartanModel, GDiffComplex, _add_twist
+from .gdiff import CartanModel, GDiffComplex, cartan_twist
 
 
 class PageMismatch(Exception):
@@ -310,22 +310,11 @@ def _twist_on_invariants(model: CartanModel) -> LinearMap:
     (contraction paired with multiplication by the coordinate generator),
     restricted to the invariant complex."""
     mspace = model.model_space
-    blocks = {}
-    for deg in mspace.degrees():
-        if mspace.dim(deg + 1) == 0:
-            continue
-        blk = rl.zeros(mspace.dim(deg + 1), mspace.dim(deg))
-        nonzero = False
-        tgt_by = {(n, m): off for (n, m, _, off, _)
-                  in model.fine.get(deg + 1, ())}
-        for (n, m, _, off, _) in model.fine.get(deg, ()):
-            if (n - 1, m + 1) in tgt_by:
-                nonzero = _add_twist(blk, model.base, model.mons, n, m, off,
-                                     tgt_by[(n - 1, m + 1)]) or nonzero
-        if nonzero:
-            blocks[deg] = blk
-    return restrict_map(LinearMap.from_blocks(mspace, mspace, 1, blocks),
-                        model.inclusion, "the Cartan twist leaves the invariants")
+    blocks = cartan_twist(model.base, mspace, model.fine, model.mons)
+    return restrict_map(
+        LinearMap.from_blocks(mspace, mspace, 1, {
+            deg: blk for deg, blk in blocks.items() if not rl.is_zero(blk)}),
+        model.inclusion, "the Cartan twist leaves the invariants")
 
 
 def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:

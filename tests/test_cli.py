@@ -2,6 +2,7 @@
 0 with the pinned output bytes on every run; malformed payloads exit 2
 (schema) or 3 (math) and never end in a traceback."""
 
+import ast
 import contextlib
 import copy
 import hashlib
@@ -319,6 +320,29 @@ MALFORMED = {
                                 {"kind": "weil-check",
                                  "payload": {"algebra": SU2},
                                  "options": {"sym_cap": 0}}),
+    "validate-lie-cohomology-unknown-key": (
+        ["validate"], {"kind": "lie-cohomology",
+                       "payload": {"algebra": SU2, "bogus": 1}}),
+    "validate-lie-cohomology-coefficients": (
+        ["validate"], {"kind": "lie-cohomology",
+                       "payload": {"algebra": SU2,
+                                   "coefficients": {"type": "bogus"}}}),
+    "validate-lie-cohomology-relative": (
+        ["validate"], {"kind": "lie-cohomology",
+                       "payload": {"algebra": SU2, "relative": [7]}}),
+    "validate-lie-cohomology-factorized": (
+        ["validate"], {"kind": "lie-cohomology",
+                       "payload": {"algebra": SU2, "factorized": 3}}),
+    "validate-weil-check-unknown-key": (
+        ["validate"], {"kind": "weil-check",
+                       "payload": {"algebra": SU2, "symcap": 2}}),
+    "validate-weil-check-sym-cap": (
+        ["validate"], {"kind": "weil-check",
+                       "payload": {"algebra": SU2, "sym_cap": "x"}}),
+    "validate-equivariant-poisson-no-action": (
+        ["validate"], {"kind": "equivariant-poisson",
+                       "payload": {k: v for k, v in SU2_DUAL.items()
+                                   if k != "action"}}),
 }
 
 
@@ -331,14 +355,43 @@ def test_malformed_input_exits_2_as_a_schema_error(name):
         assert json.loads(out)["error"]["kind"] == "schema"
 
 
-@pytest.mark.parametrize("example, parameter, text", [
-    ("poiss2", "fprime", "t+" * 20000),
-    ("poiss1", "slices", "0," * 20000 + "x"),
-], ids=["fprime", "slices"])
-def test_unparsable_parameter_is_not_echoed_in_full(example, parameter, text):
-    code, out = run(["compute"], _example_task(example, **{parameter: text}))
+# Tasks whose payload parse meets a mathematical defect that no validate
+# gate of the payload's shape checks; compute and validate both exit 3.
+MATH_DEFECTS = {
+    "relative-not-a-subalgebra": {
+        "kind": "lie-cohomology",
+        "payload": {"algebra": SU2, "relative": [0, 1]}},
+    "momentum-not-anti-homomorphism": {
+        "kind": "equivariant-poisson", "options": {"slice": 1},
+        "payload": dict(SU2_DUAL, mu=[[{"exponents": unit_exp(3, j),
+                                        "coeff": "2"}] for j in range(3)])},
+}
+
+
+@pytest.mark.parametrize("command", ["compute", "validate"])
+@pytest.mark.parametrize("name", sorted(MATH_DEFECTS))
+def test_task_math_defect_exits_3(name, command):
+    code, out = run([command], MATH_DEFECTS[name])
+    assert code == 3, out.decode()
+
+
+_UNPARSABLE = [("poiss2", "fprime", "t+" * 20000),
+               ("poiss1", "slices", "0," * 20000 + "x"),
+               ("poiss2", "roots", "x" * 40000)]
+
+
+# A report echoing the input in full would be over 40 kB; the bounds leave
+# room for each command's envelope and a 60-character excerpt.
+@pytest.mark.parametrize("command, example, parameter, text", [
+    (command,) + case for command in ("compute", "validate")
+    for case in _UNPARSABLE],
+    ids=[prefix + case[1] for prefix in ("", "validate-")
+         for case in _UNPARSABLE])
+def test_unparsable_parameter_is_not_echoed_in_full(command, example,
+                                                     parameter, text):
+    code, out = run([command], _example_task(example, **{parameter: text}))
     assert code == 2
-    assert len(out) < 400, len(out)
+    assert len(out) < {"compute": 400, "validate": 600}[command], len(out)
 
 
 # Leaves and subtrees a mutation may put anywhere in a payload: small
@@ -397,6 +450,20 @@ def test_mutated_payloads_exit_0_2_or_3(data):
     for command in ("gdiff-check", "validate"):
         code, _ = run([command], payload)
         assert code in (0, 2, 3)
+
+
+def test_no_assert_statements_in_the_package():
+    """`python -O` strips `assert` statements, so a check written as one
+    would silently stop running there; every check raises instead."""
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found
 
 
 def test_checks_still_raise_under_optimized_python():

@@ -1,9 +1,11 @@
 """G-differential complexes: axioms, Weil algebras, Cartan models,
 the twisted embedding into the basic subcomplex, connections."""
 
+import hashlib
+
 import pytest
 
-from equicoh import core, gdiff, lie, ratlin as rl
+from equicoh import core, gdiff, lie, ratlin as rl, spectral
 
 
 def su2_ce():
@@ -289,3 +291,78 @@ def test_forgetful_map_iso_degree_one_epi_degree_two():
     assert rl.ncols(fm[1]) == len(fm[1]) == 2 and rl.rank(fm[1]) == 2
     assert rl.rank(fm[2]) == h.dim(2) == 1
     assert rl.rank(fm[0]) == 1
+
+
+def _blocks_digest(*items):
+    """SHA-256 of the spaces, shifts and stored blocks of linear maps, and of
+    the repr of any other item."""
+    h = hashlib.sha256()
+    for m in items:
+        if isinstance(m, core.LinearMap):
+            m = (m.source, m.target, m.shift, m.blocks)
+        h.update(repr(m).encode())
+    return h.hexdigest()
+
+
+def _ce_operators(ce):
+    return (ce.complex.d,) + tuple(ce.contractions) + tuple(ce.lie_ops)
+
+
+def _pinned_builders():
+    """Name -> the maps whose stored blocks are pinned."""
+    g = lie.su2()
+    ce_s2 = lie.ce_complex(g, lie.sym_power_rep(g, 2))
+    ce_ad = lie.ce_complex(g, lie.adjoint_rep(g))
+    ce_sl2 = lie.ce_complex(lie.sl2(), lie.coadjoint_rep(lie.sl2()))
+    _, a = su2_ce()
+    w1 = gdiff.weil_algebra(g, 1, check=False)
+    tensor, pos = gdiff.tensor_product(a, w1.gdiff, check=False)
+    model = gdiff.cartan_model(a, 2)
+    model_s2 = gdiff.cartan_model(gdiff.ce_gdiff(ce_s2), 1)
+    return {
+        "ce-su2-sym2": lambda: _ce_operators(ce_s2),
+        "ce-su2-adjoint": lambda: _ce_operators(ce_ad),
+        "ce-sl2-coadjoint": lambda: _ce_operators(ce_sl2),
+        "tensor-ce-su2-weil1": lambda: (
+            (tensor.d,) + tensor.contractions + tensor.lie_ops + (pos,)),
+        "cartan-su2-2": lambda: (model.complex.d, model.inclusion,
+                                 model.model_space, model.fine, model.mons),
+        "cartan-su2-sym2-1": lambda: (
+            model_s2.complex.d, model_s2.inclusion, model_s2.model_space,
+            model_s2.fine, model_s2.mons),
+        "twist-on-invariants-su2-2": lambda: (
+            spectral._twist_on_invariants(model),),
+        "cartan-weil-inclusion-su2-2": lambda: (gdiff.cartan_weil_inclusion(
+            model, gdiff.weil_algebra(g, 2, check=False),
+            verify=False).inclusion,),
+    }
+
+
+def test_builder_blocks_are_pinned():
+    """Every stored block of the product-basis builders, value for value,
+    with labels and basis order."""
+    digests = {name: _blocks_digest(*maps())
+               for name, maps in _pinned_builders().items()}
+    assert digests == BUILDER_DIGESTS
+
+
+# The bases are canonical, so any change of these digests is a change of
+# behaviour.
+BUILDER_DIGESTS = {
+    "ce-su2-sym2":
+        "01ae0e5c6e5bf7e81c5270f1147e1ace76fad95a182ee65b8df00adb873e935f",
+    "ce-su2-adjoint":
+        "f28bbf8b969a6a5579cfa2edfb92a9afe606a278254ee600582de48121dd37a6",
+    "ce-sl2-coadjoint":
+        "c12d656613665f72f53c8bc36d9d83e478b1e8ddd8cd4ec8e3ff7e481d48d153",
+    "tensor-ce-su2-weil1":
+        "8142c9a06fde8f02a6e5dd90a8aac9509eb2611d24f0758aca5df950d706034e",
+    "cartan-su2-2":
+        "8e024584bd770a7b2b85ce1da3d27b6dd902eeb436ce862ec17dc043ce865d4c",
+    "cartan-su2-sym2-1":
+        "214dd4fd9866396ca570c6fc3ad0e5df332427dab52911d181e4bc394d1f8bea",
+    "twist-on-invariants-su2-2":
+        "3d6e3fa82ca46c529325b4c818207e20f9b94aea5d7ca05ae35b94a3c55e6358",
+    "cartan-weil-inclusion-su2-2":
+        "1bdad1712abec72b3459c81675d0b596ff9cd34b04439e7df121d6f508e3e3b8",
+}

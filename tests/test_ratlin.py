@@ -123,3 +123,30 @@ def test_q_parsing():
     assert isinstance(rl.q("4/2"), int)
     assert rl.q(Fraction(6, 3)) == 2
     assert str(rl.q(Fraction(-1, 2))) == "-1/2"
+
+
+def test_add_kron_matches_the_kronecker_product():
+    """add_kron against the definition: entry (i, j) of a times (k, l) of b,
+    scaled, added at row row0 + i*rows(b) + k, column col0 + j*cols(b) + l;
+    every other entry of the target keeps its value."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        ra, ca, rb, cb = (rng.randint(0, 4) for _ in range(4))
+        a = rl.freeze(rand_mat(rng, ra, ca, lo=-2, hi=2, frac=True))
+        b = rl.freeze(rand_mat(rng, rb, cb, lo=-2, hi=2, frac=True))
+        row0, col0 = rng.randint(0, 3), rng.randint(0, 3)
+        base = rand_mat(rng, row0 + ra * rb + rng.randint(0, 2),
+                        col0 + ca * cb + rng.randint(0, 2), frac=True)
+        scale = rng.choice([1, -1, Fraction(rng.randint(-5, 5),
+                                            rng.randint(1, 5))])
+        expect = [row[:] for row in base]
+        for i in range(ra):
+            for j in range(ca):
+                for k in range(rb):
+                    for l in range(cb):
+                        expect[row0 + i * rb + k][col0 + j * cb + l] += \
+                            scale * a[i][j] * b[k][l]
+        out = [row[:] for row in base]
+        rl.add_kron(out, a, b, row0, col0, scale)
+        assert out == expect
+        assert rl.freeze(out) == rl.freeze(expect)
