@@ -415,8 +415,8 @@ def weil_algebra(g: LieAlgebra, sym_cap: int, check: bool = True) -> WeilAlgebra
 
     coad = [g.coad(a) for a in range(n)]
     ces = [ce_complex(g, build_representation(
-        g, [sym_derivation(x, m) for x in coad], name=f"sym{m}(g*)"))
-        for m in range(m_max + 1)]
+        g, [sym_derivation(x, m) for x in coad], len(bases.sym_basis(n, m)),
+        name=f"sym{m}(g*)")) for m in range(m_max + 1)]
     where = {}   # (k, m) -> W position of each CE basis element (a, idx)
     for m, ce in enumerate(ces):
         mons = bases.sym_basis(n, m)
@@ -1022,18 +1022,19 @@ def _mq_twist(a: GDiffComplex, w: WeilAlgebra, tensor: GDiffComplex,
 
 
 def _exp_nilpotent(nmap: LinearMap) -> LinearMap:
-    out = LinearMap.identity(nmap.source)
-    power = LinearMap.identity(nmap.source)
-    fact = 1
-    k = 0
-    while True:
-        power = nmap.compose(power)
-        if power.is_zero():
-            break
-        k += 1
-        fact *= k
-        out = out.add(power.scale(Fraction(1, fact)))
-    return out
+    """exp(N) of a nilpotent degree-preserving map: the sum of N^k / k!,
+    added up as one plain matrix per degree and frozen once."""
+    blocks = {}
+    for n in nmap.source.degrees():
+        m = nmap.block(n)
+        power = out = rl.identity(nmap.source.dim(n))
+        k = 0
+        while not rl.is_zero(power := rl.mat_mul(m, power)):
+            k += 1
+            power = rl.mat_scale(power, Fraction(1, k))
+            out = rl.mat_add(out, power)
+        blocks[n] = out
+    return LinearMap.from_blocks(nmap.source, nmap.source, 0, blocks)
 
 
 @dataclass(frozen=True)

@@ -168,14 +168,16 @@ class Representation:
         return self.operators[i]
 
 
-def build_representation(g: LieAlgebra, operators: Sequence, name: str = "") -> Representation:
+def build_representation(g: LieAlgebra, operators: Sequence, dim: int,
+                         name: str = "") -> Representation:
+    """The representation of g on a space of dimension `dim` given by one
+    dim x dim operator per generator (none when g is zero)."""
     ops = tuple(rl.freeze(m) for m in operators)
     if len(ops) != g.dim:
         raise RepresentationInvalid("one operator per generator required")
-    dim = len(ops[0]) if ops else 0
     for m in ops:
         if len(m) != dim or any(len(row) != dim for row in m):
-            raise RepresentationInvalid("operators must be square of equal size")
+            raise RepresentationInvalid(f"operators must be {dim} x {dim}")
     basis = rl.identity(g.dim)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -192,15 +194,16 @@ def build_representation(g: LieAlgebra, operators: Sequence, name: str = "") -> 
 
 def trivial_rep(g: LieAlgebra, dim: int = 1) -> Representation:
     z = rl.zeros(dim, dim)
-    return build_representation(g, [z] * g.dim, name=f"trivial{dim}")
+    return build_representation(g, [z] * g.dim, dim, name=f"trivial{dim}")
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
-    return build_representation(g, [g.ad(i) for i in range(g.dim)], name="adjoint")
+    return build_representation(g, [g.ad(i) for i in range(g.dim)], g.dim,
+                                name="adjoint")
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
-    return build_representation(g, [g.coad(i) for i in range(g.dim)],
+    return build_representation(g, [g.coad(i) for i in range(g.dim)], g.dim,
                                 name="coadjoint")
 
 
@@ -231,7 +234,7 @@ def sym_power_rep(g: LieAlgebra, k: int) -> Representation:
     the coadjoint flow on functions."""
     return build_representation(
         g, [sym_derivation(g.ad(a), k) for a in range(g.dim)],
-        name=f"sym{k}-coadjoint")
+        len(bases.sym_basis(g.dim, k)), name=f"sym{k}-coadjoint")
 
 
 def sym_range_rep(g: LieAlgebra, kmax: int) -> Representation:
@@ -249,7 +252,7 @@ def sym_range_rep(g: LieAlgebra, kmax: int) -> Representation:
                     m[off + i][off + j] = blk[i][j]
             off += p.space_dim
         ops.append(m)
-    return build_representation(g, ops, name=f"sym<={kmax}-coadjoint")
+    return build_representation(g, ops, dim, name=f"sym<={kmax}-coadjoint")
 
 
 def invariants(rep: Representation) -> Subspace:

@@ -1,6 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows; entries are ints or Fractions (they mix freely).
+Matrices are lists of rows.  Inputs may hold ints and Fractions, integral
+Fractions such as Fraction(4, 2) included; `q` alone also reads 'num/den'
+strings.  Stored entries (see `freeze`) are ints or non-integral Fractions.
+Per-entry work tests the exact type first and visits nonzero entries only,
+so a mostly-zero matrix costs what its nonzeros cost.
 All elimination is fraction-free: rows are scaled to integers and combined by
 integer cross-multiplication with gcd normalization, so ranks, kernels and
 echelon forms are exact.  Reduced row echelon form is unique, which makes
@@ -11,7 +15,9 @@ deterministic regardless of pivot-selection heuristics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import compress, count
+from math import gcd, lcm
+from operator import attrgetter
 
 
 class ShapeMismatch(ValueError):
@@ -21,19 +27,31 @@ class ShapeMismatch(ValueError):
 def q(x):
     """Normalize a scalar: ints pass through, 'num/den' strings and Fractions
     are reduced, integral Fractions collapse to int."""
-    if isinstance(x, int):
+    if type(x) is int:
         return x
-    if isinstance(x, str):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"not an exact scalar: {x!r}")
+    if type(x) is not Fraction:
+        if isinstance(x, int):
+            return x
+        if isinstance(x, str):
+            x = Fraction(x)
+        elif not isinstance(x, Fraction):
+            raise TypeError(f"not an exact scalar: {x!r}")
+    return int(x) if x.denominator == 1 else x
 
 
 def freeze(m):
-    """The stored form of a matrix: a tuple of tuples of normalized scalars.
-    It is built once and read in place; writing through it raises TypeError."""
-    return tuple(tuple(q(x) for x in row) for row in m)
+    """The stored form of a matrix: a tuple of tuples of ints and
+    non-integral Fractions, from rows of ints and Fractions (integral ones
+    included).  A row of ints only is kept as it is; other rows go through
+    `q`.  It is built once and read in place; writing through it raises
+    TypeError."""
+    return tuple(tuple(row) if set(map(type, row)) <= {int}
+                 else tuple(map(q, row)) for row in m)
+
+
+def _nonzeros(row):
+    """(column, entry) for each nonzero entry of `row`, in column order."""
+    return zip(compress(count(), row), filter(None, row))
 
 
 def zeros(r: int, c: int):
@@ -64,17 +82,14 @@ def mat_mul(a, b):
     if ca != len(b):
         raise ShapeMismatch("shape mismatch")
     out = zeros(ra, cb)
-    for i in range(ra):
-        arow = a[i]
-        orow = out[i]
-        for k in range(ca):
-            v = arow[k]
-            if v:
-                brow = b[k]
-                for j in range(cb):
-                    w = brow[j]
-                    if w:
-                        orow[j] += v * w
+    bnz = [None] * ca    # nonzeros of b's rows, listed when a first reaches one
+    for arow, orow in zip(a, out):
+        for k, v in _nonzeros(arow):
+            terms = bnz[k]
+            if terms is None:
+                terms = bnz[k] = list(_nonzeros(b[k]))
+            for j, w in terms:
+                orow[j] += v * w
     return out
 
 
@@ -88,7 +103,7 @@ def mat_sub(a, b):
 
 def mat_scale(a, s):
     s = q(s)
-    return [[q(s * x) for x in row] for row in a]
+    return [[q(s * x) if x else 0 for x in row] for row in a]
 
 
 def mat_eq(a, b):
@@ -113,21 +128,19 @@ def add_kron(out, a, b, row0: int = 0, col0: int = 0, scale=1):
     and column col0 + j * cols(b) + l.  Only nonzero entries are visited."""
     br = len(b)
     bc = len(b[0]) if br else 0
-    bnz = [(k, [(l, y) for l, y in enumerate(row) if y])
-           for k, row in enumerate(b)]
-    bnz = [(k, terms) for k, terms in bnz if terms]
+    bnz = [(k, terms) for k, row in enumerate(b)
+           if (terms := list(_nonzeros(row)))]
     if not bnz:
         return
     for i, arow in enumerate(a):
         r = row0 + i * br
-        for j, x in enumerate(arow):
-            if x:
-                x *= scale
-                c = col0 + j * bc
-                for k, terms in bnz:
-                    orow = out[r + k]
-                    for l, y in terms:
-                        orow[c + l] += x * y
+        for j, x in _nonzeros(arow):
+            x *= scale
+            c = col0 + j * bc
+            for k, terms in bnz:
+                orow = out[r + k]
+                for l, y in terms:
+                    orow[c + l] += x * y
 
 
 def hstack(*mats):
@@ -149,23 +162,21 @@ def mat_from_columns(cols, nrows=None):
 
 
 def _int_row(row):
-    """Clear denominators and content; return sparse dict col -> int."""
-    lcm = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    d = {}
-    for j, x in enumerate(row):
-        if x:
-            d[j] = int(x * lcm) if lcm != 1 else int(x)
-    if d:
-        g = 0
-        for v in d.values():
-            g = gcd(g, v)
-        if g > 1:
-            d = {j: v // g for j, v in d.items()}
-    return d
+    """Clear denominators and content of a row of ints and Fractions; return
+    the sparse dict col -> int of its nonzeros, each an int even where the
+    entry was an integral Fraction (products from `mat_mul` are not
+    normalized).  Only nonzero entries are visited."""
+    cols = list(compress(count(), row))
+    vals = list(filter(None, row))
+    den = lcm(*map(attrgetter("denominator"), vals))
+    if den == 1:
+        vals = list(map(int, vals))
+    else:
+        vals = [x.numerator * (den // x.denominator) for x in vals]
+    g = gcd(*vals)
+    if g > 1:
+        vals = [v // g for v in vals]
+    return dict(zip(cols, vals))
 
 
 def _normalize(row):
@@ -243,7 +254,7 @@ def rref(a):
     for i, (col, row) in enumerate(pivrows):
         pv = row[col]
         for j, v in row.items():
-            out[i][j] = q(Fraction(v, pv))
+            out[i][j] = v // pv if v % pv == 0 else Fraction(v, pv)
         pivots.append(col)
     return out, pivots
 

@@ -241,7 +241,7 @@ def test_stored_matrix_does_not_alias_the_given_lists():
     g = lie.su2()
     ops = [g.ad(i) for i in range(g.dim)]
     op0 = tuple(tuple(row) for row in ops[0])
-    rep = lie.build_representation(g, ops)
+    rep = lie.build_representation(g, ops, g.dim)
     given[0][0] = 5
     ops[0][0][0] = 5
     assert m.block(0) == ((1, 0), (0, 1))

@@ -335,6 +335,8 @@ def _pinned_builders():
         "cartan-weil-inclusion-su2-2": lambda: (gdiff.cartan_weil_inclusion(
             model, gdiff.weil_algebra(g, 2, check=False),
             verify=False).inclusion,),
+        "cartan-weil-inclusion-su2-sym2-1": lambda: (
+            gdiff.cartan_weil_inclusion(model_s2, w1, verify=False).inclusion,),
     }
 
 
@@ -365,4 +367,6 @@ BUILDER_DIGESTS = {
         "3d6e3fa82ca46c529325b4c818207e20f9b94aea5d7ca05ae35b94a3c55e6358",
     "cartan-weil-inclusion-su2-2":
         "1bdad1712abec72b3459c81675d0b596ff9cd34b04439e7df121d6f508e3e3b8",
+    "cartan-weil-inclusion-su2-sym2-1":
+        "59f4940b921d257ba65cb92ab054efa903d65010f0a006dcba3372c29cc21530",
 }

@@ -36,7 +36,7 @@ def test_representation_validation():
     coadjoint_rep(g)
     bad = [rl.identity(2)] * 3
     with pytest.raises(RepresentationInvalid):
-        build_representation(g, bad)
+        build_representation(g, bad, 2)
 
 
 def test_ce_d_squared_zero_and_cartan_identity():
@@ -100,6 +100,13 @@ def test_abelian_cohomology_binomials():
     for n in range(1, 5):
         h = lie_cohomology(abelian(n))
         assert h.dims_list(0, n) == [comb(n, k) for k in range(n + 1)]
+
+
+def test_zero_lie_algebra_keeps_the_space_dimension():
+    # With no generators there is no operator to read the dimension from.
+    g = abelian(0)
+    assert lie_cohomology(g).dims == {0: 1}
+    assert trivial_rep(g, 2).space_dim == 2
 
 
 def test_su2_coadjoint_slices_whitehead():

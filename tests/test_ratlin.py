@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from equicoh import ratlin as rl
 
 
@@ -150,3 +152,105 @@ def test_add_kron_matches_the_kronecker_product():
         rl.add_kron(out, a, b, row0, col0, scale)
         assert out == expect
         assert rl.freeze(out) == rl.freeze(expect)
+
+
+# Reference implementations, written from the definitions for the scalar
+# contract test below.
+
+def _ref_q(x):
+    """ints (bools too) as they are; strings and Fractions reduced, the
+    integral ones as ints."""
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ref_mat_mul(a, b):
+    """Entry (i, j) is the sum over k of a[i][k] * b[k][j], starting from
+    int 0 and taking the nonzero products in k order, not normalized."""
+    return [[sum((x * y for x, y in zip(row, col) if x and y), 0)
+             for col in zip(*b)] for row in a]
+
+
+def _ref_rref(a):
+    """Gauss-Jordan over Fractions, pivots scaled to 1, entries as `q`."""
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [[_ref_q(x) for x in row] for row in m], pivots
+
+
+def _ref_kernel(a):
+    """One column per free variable f: x_f = 1, the other free ones 0, and
+    each pivot variable solved from its row of the reduced form."""
+    n = len(a[0]) if a else 0
+    r, pivots = _ref_rref(a)
+    cols = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = _ref_q(-r[i][f])
+        cols.append(v)
+    return [[v[i] for v in cols] for i in range(n)]
+
+
+def _typed(m):
+    """A matrix with the container and type of every entry made visible."""
+    return type(m), [(type(row), [(type(x), x) for x in row]) for row in m]
+
+
+def _contract_scalar(rng):
+    """Mostly zeros, as in the program's blocks; otherwise an int, a reduced
+    Fraction, an integral Fraction such as Fraction(4, 2), or a bool."""
+    if rng.random() < 0.5:
+        return 0
+    return rng.choice((
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                         rng.randint(2, 4)),
+        lambda: Fraction(2 * rng.randint(-3, 3), 2),
+        lambda: rng.random() < 0.5,
+    ))()
+
+
+def test_scalar_contract_against_the_definitions():
+    """Values and entry types of the per-entry paths: stored entries are
+    ints or non-integral Fractions, products are left unnormalized, and
+    elimination accepts integral Fractions and bools in its input."""
+    rng = random.Random(20261018)
+
+    def draw(r, c):
+        return [[_contract_scalar(rng) for _ in range(c)] for _ in range(r)]
+
+    for x in [_contract_scalar(rng) for _ in range(200)] + ["4/2", "-3/6"]:
+        assert (type(rl.q(x)), rl.q(x)) == (type(_ref_q(x)), _ref_q(x))
+    with pytest.raises(TypeError):
+        rl.q(0.5)
+    for _ in range(300):
+        r, k, c = (rng.randint(0, 5) for _ in range(3))
+        a, b = draw(r, k), draw(k, c)
+        assert _typed(rl.freeze(a)) == _typed(
+            tuple(tuple(map(_ref_q, row)) for row in a))
+        prod = rl.mat_mul(a, b)
+        assert _typed(prod) == _typed(_ref_mat_mul(a, b))
+        s = rng.choice((0, 2, Fraction(1, 3), Fraction(6, 3), True))
+        assert _typed(rl.mat_scale(a, s)) == _typed(
+            [[_ref_q(_ref_q(s) * x) for x in row] for row in a])
+        for m in (a, prod, rl.freeze(b)):
+            out, pivots = rl.rref(m)
+            ref, ref_pivots = _ref_rref(m)
+            assert (_typed(out), pivots) == (_typed(ref), ref_pivots)
+            assert rl.rank(m) == len(ref_pivots)
+            assert _typed(rl.kernel(m)) == _typed(_ref_kernel(m))
