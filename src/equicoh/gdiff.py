@@ -22,10 +22,9 @@ from typing import Optional, Sequence
 
 from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, InconsistentResult,
-                   LinearMap, Subspace, anticommutator, cohomology,
-                   commutator, image_of_subspace, joint_kernel,
-                   linear_combination, map_image, map_kernel, restrict_complex,
-                   restrict_map, stacked_kernel, subquotient)
+                   LinearMap, Subspace, cohomology, image_of_subspace,
+                   joint_kernel, linear_combination, map_image, map_kernel,
+                   restrict_complex, restrict_map, stacked_kernel, subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, build_representation,
                   ce_complex, spanned_algebra, sym_derivation)
 
@@ -101,69 +100,83 @@ def _first_defect(m: LinearMap):
     return {"degree": n, "basis_index": 0}
 
 
+def _sparse_columns(blk):
+    """The nonzero (row, value) entries of each column of a block."""
+    return [[(t, v) for t, v in enumerate(col) if v] or ()
+            for col in zip(*blk)]
+
+
 def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
                        product_samples: int = 200) -> AxiomReport:
-    failures = []
-    g = c.algebra
-    r = g.dim
-    d = c.d
+    """The axioms of c in the order d^2 = 0, (i), (iii) with [L, d] = 0,
+    (ii') with L-bracket, each failing instance (per generator or pair of
+    generators) reported at its first nonzero column in degree order.  With
+    a product and check_product, then the Leibniz rules: for each D
+    among d, i_x, L_x of degree s,
 
-    dd = d.compose(d)
-    if not dd.is_zero():
-        w = _first_defect(dd)
-        failures.append({"axiom": "d^2=0", "generators": [], **w})
+        D M_{a,b} = M_{a+s,b} (D_a (x) 1) + eps_a M_{a,b+s} (1 (x) D_b),
 
+    eps_a = (-1)^a for d and i_x, 1 for L_x, on every basis pair up to
+    120,000 pairs, else on a seeded sample; at most one witness, the first
+    failing pair in `_leibniz_pairs` order and there the first failing
+    operator in the order d, i_0, L_0, i_1, L_1, ...  Last the unit and
+    product_samples seeded associativity triples."""
+    g, r = c.algebra, c.algebra.dim
+    d, i, lie_ops = c.d, c.contractions, c.lie_ops
     basis = rl.identity(r)
-    for a in range(r):
-        for b in range(a, r):
-            anti = anticommutator(c.contractions[a], c.contractions[b])
-            if not anti.is_zero():
-                failures.append({"axiom": "i", "generators": [a, b],
-                                 **_first_defect(anti)})
-    for a in range(r):
-        cartan = anticommutator(d, c.contractions[a]).sub(c.lie_ops[a])
-        if not cartan.is_zero():
-            failures.append({"axiom": "iii", "generators": [a],
-                             **_first_defect(cartan)})
-        ld = commutator(c.lie_ops[a], d)
-        if not ld.is_zero():
-            failures.append({"axiom": "[L,d]=0", "generators": [a],
-                             **_first_defect(ld)})
-    for a in range(r):
-        for b in range(r):
-            if a == b:
-                continue
-            br = g.bracket(basis[a], basis[b])
-            lhs = linear_combination(c.contractions, br)
-            rhs = commutator(c.lie_ops[a], c.contractions[b])
-            diff = lhs.sub(rhs)
-            if not diff.is_zero():
-                failures.append({"axiom": "ii'", "generators": [a, b],
-                                 **_first_defect(diff)})
-            lbr = linear_combination(c.lie_ops, br)
-            ldiff = lbr.sub(commutator(c.lie_ops[a], c.lie_ops[b]))
-            if not ldiff.is_zero():
-                failures.append({"axiom": "L-bracket", "generators": [a, b],
-                                 **_first_defect(ldiff)})
+    # Each axiom: a sum of terms (coefficient, operators applied right to
+    # left) that must vanish.
+    axioms = [("d^2=0", [], [(1, d, d)])]
+    axioms += [("i", [a, b], [(1, i[a], i[b]), (1, i[b], i[a])])
+               for a in range(r) for b in range(a, r)]
+    for a, la in enumerate(lie_ops):
+        axioms += [("iii", [a], [(1, d, i[a]), (1, i[a], d), (-1, la)]),
+                   ("[L,d]=0", [a], [(1, la, d), (-1, d, la)])]
+    for a, b in [(a, b) for a in range(r) for b in range(r) if a != b]:
+        br = [(x, k) for k, x in enumerate(g.bracket(basis[a], basis[b])) if x]
+        for name, ops in (("ii'", i), ("L-bracket", lie_ops)):
+            axioms.append((name, [a, b], [(x, ops[k]) for x, k in br] + [
+                (-1, lie_ops[a], ops[b]), (1, ops[b], lie_ops[a])]))
+    columns = {}   # (id(op), degree) -> _sparse_columns of its block
 
+    def apply(op, n, vec):
+        """op on the sparse vector vec of degree n."""
+        if (id(op), n) not in columns:
+            columns[id(op), n] = (_sparse_columns(op.block(n))
+                                  or [()] * c.space.dim(n))
+        out = {}
+        for j, x in vec.items():
+            for t, v in columns[id(op), n][j]:
+                out[t] = out.get(t, 0) + x * v
+        return out
+
+    failures = []   # per axiom its first nonzero column, in degree order
+    for axiom, gens, terms in axioms:
+        for n, j in [(n, j) for n in c.space.degrees()
+                     for j in range(c.space.dim(n))]:
+            acc = {}
+            for coeff, *ops in terms:
+                vec, deg = {j: coeff}, n
+                for op in reversed(ops):
+                    vec, deg = apply(op, deg, vec), deg + op.shift
+                for t, v in vec.items():
+                    acc[t] = acc.get(t, 0) + v
+            if any(acc.values()):
+                failures.append({"axiom": axiom, "generators": gens,
+                                 "degree": n, "basis_index": j})
+                break
     if check_product and c.product is not None:
         failures.extend(_check_leibniz(c))
         failures.extend(_check_assoc_unit(c, product_samples))
     return AxiomReport(not failures, tuple(failures))
 
 
-def _mult_sparse(prod: Product, da: int, va: dict, db: int, vb: dict) -> dict:
-    out = {}
-    for ia, ca in va.items():
-        for ib, cb in vb.items():
-            c = ca * cb
-            for k, coeff in prod.terms(da, ia, db, ib):
-                out[k] = out.get(k, 0) + c * coeff
-    return {k: v for k, v in out.items() if v}
-
-
 def _leibniz_pairs(sp, degs, budget: int):
-    """All basis pairs when affordable, else a seeded uniform sample."""
+    """The basis pairs of the Leibniz check, as (da, ia, partners (db, ib)).
+    All pairs in order when there are at most `budget`.  Otherwise each
+    (da, ia) in order gets budget // dim A seeded draws of a degree among
+    `degs`, then of an index in it: pairs in small components are drawn
+    more often, and a partner can repeat."""
     total = sum(sp.dim(da) * sp.dim(db) for da in degs for db in degs)
     if total <= budget:
         for da in degs:
@@ -185,77 +198,64 @@ def _leibniz_pairs(sp, degs, budget: int):
 
 
 def _check_leibniz(c: GDiffComplex, budget: int = 120000):
-    """d odd derivation, i_xi odd derivations, L_xi even derivations — over
-    every basis pair (seeded sampling once the pair count exceeds budget)."""
-    failures = []
-    sp = c.space
-    prod = c.product
-    degs = sp.degrees()
-    r = c.algebra.dim
-    for da, ia, partners in _leibniz_pairs(sp, degs, budget):
-        sgn = -1 if da % 2 else 1
-        ea = {ia: 1}
-        d_ea = _apply_sparse(c.d, da, ea)
-        i_ea = [_apply_sparse(op, da, ea) for op in c.contractions]
-        l_ea = [_apply_sparse(op, da, ea) for op in c.lie_ops]
+    """d and every i_x are odd derivations of the product, every L_x an even
+    one.  With M_{a,b} the product table on A^a (x) A^b, one column per basis
+    pair (ia, ib), each operator D of degree s and each degree block (a, b)
+    must satisfy
+
+        D M_{a,b} = M_{a+s,b} (D_a (x) 1) + eps_a M_{a,b+s} (1 (x) D_b),
+
+    eps_a = (-1)^a for d and i_x, 1 for L_x.  Both sides are summed over the
+    nonzero entries of the table and of D, so a block costs its nonzeros, not
+    its pairs.  A failing column is reported only at a pair `_leibniz_pairs`
+    yields: every pair up to `budget`, else its seeded sample.  Returns []
+    or one witness: the first failing pair in that order and, at that pair,
+    the first failing operator in the order d, i_0, L_0, i_1, L_1, ..."""
+    sp, table, degs = c.space, c.product.table, c.space.degrees()
+    ops = [("d-Leibniz", [], c.d, True)]
+    for x in range(c.algebra.dim):
+        ops += [("i-Leibniz", [x], c.contractions[x], True),
+                ("L-Leibniz", [x], c.lie_ops[x], False)]
+    failing = {}   # (da, ia, db, ib) -> index of the first failing operator
+    for k, (_, _, op, odd) in enumerate(ops):
+        s = op.shift
+        # Per source degree of D: each column's nonzero (row, value), and
+        # each row's nonzero (column, value) as a column of the transpose.
+        cols = {n: _sparse_columns(blk) for n, blk in op.blocks}
+        rows = {n: _sparse_columns(zip(*blk)) for n, blk in op.blocks}
+        for da, db in [(da, db) for da in degs for db in degs]:
+            eps = -1 if odd and da % 2 else 1
+            acc = {}   # (ia, ib, row) -> left side minus right side
+            d_ab, d_a, d_b = cols.get(da + db), rows.get(da), rows.get(db)
+            if d_ab:
+                for (ia, ib), terms in table.get((da, db), {}).items():
+                    for kk, cc in terms:
+                        for t, v in d_ab[kk]:
+                            key = (ia, ib, t)
+                            acc[key] = acc.get(key, 0) + cc * v
+            if d_a:
+                for (t, ib), terms in table.get((da + s, db), {}).items():
+                    for ia, v in d_a[t]:
+                        for kk, cc in terms:
+                            key = (ia, ib, kk)
+                            acc[key] = acc.get(key, 0) - v * cc
+            if d_b:
+                for (ia, t), terms in table.get((da, db + s), {}).items():
+                    for ib, v in d_b[t]:
+                        for kk, cc in terms:
+                            key = (ia, ib, kk)
+                            acc[key] = acc.get(key, 0) - eps * v * cc
+            for (ia, ib, _), v in acc.items():
+                if v:
+                    failing.setdefault((da, ia, db, ib), k)
+    pairs = _leibniz_pairs(sp, degs, budget) if failing else ()
+    for da, ia, partners in pairs:
         for db, ib in partners:
-            eb = {ib: 1}
-            ab = _mult_sparse(prod, da, ea, db, eb)
-            d_eb = _apply_sparse(c.d, db, eb)
-            lhs = _apply_sparse(c.d, da + db, ab)
-            rhs = _dadd(_mult_sparse(prod, da + 1, d_ea, db, eb),
-                        _dscale(_mult_sparse(prod, da, ea, db + 1, d_eb), sgn))
-            if lhs != rhs:
-                failures.append({"axiom": "d-Leibniz", "generators": [],
-                                 "degree": da, "basis_index": ia,
-                                 "other": [db, ib]})
-                return failures
-            for x in range(r):
-                ilhs = _apply_sparse(c.contractions[x], da + db, ab)
-                i_eb = _apply_sparse(c.contractions[x], db, eb)
-                irhs = _dadd(
-                    _mult_sparse(prod, da - 1, i_ea[x], db, eb),
-                    _dscale(_mult_sparse(prod, da, ea, db - 1, i_eb), sgn))
-                if ilhs != irhs:
-                    failures.append({"axiom": "i-Leibniz", "generators": [x],
-                                     "degree": da, "basis_index": ia,
-                                     "other": [db, ib]})
-                    return failures
-                llhs = _apply_sparse(c.lie_ops[x], da + db, ab)
-                lrhs = _dadd(
-                    _mult_sparse(prod, da, l_ea[x], db, eb),
-                    _mult_sparse(prod, da, ea, db,
-                                 _apply_sparse(c.lie_ops[x], db, eb)))
-                if llhs != lrhs:
-                    failures.append({"axiom": "L-Leibniz", "generators": [x],
-                                     "degree": da, "basis_index": ia,
-                                     "other": [db, ib]})
-                    return failures
-    return failures
-
-
-def _apply_sparse(op: LinearMap, deg: int, vec: dict) -> dict:
-    out = {}
-    blk = op.block(deg)
-    if not (blk and blk[0]):
-        return {}
-    for i, cv in vec.items():
-        for t in range(len(blk)):
-            v = blk[t][i]
-            if v:
-                out[t] = out.get(t, 0) + cv * v
-    return {k: v for k, v in out.items() if v}
-
-
-def _dadd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _dscale(a: dict, s) -> dict:
-    return {k: s * v for k, v in a.items()} if s else {}
+            k = failing.get((da, ia, db, ib))
+            if k is not None:
+                return [{"axiom": ops[k][0], "generators": ops[k][1],
+                         "degree": da, "basis_index": ia, "other": [db, ib]}]
+    return []
 
 
 def _check_assoc_unit(c: GDiffComplex, samples: int):

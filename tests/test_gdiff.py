@@ -1,7 +1,11 @@
 """G-differential complexes: axioms, Weil algebras, Cartan models,
 the twisted embedding into the basic subcomplex, connections."""
 
+import dataclasses
 import hashlib
+import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +73,24 @@ def test_weil_product_axioms():
     w = gdiff.weil_algebra(lie.su2(), 2)
     report = gdiff.check_gdiff_axioms(w.gdiff)
     assert report.ok
+
+
+def test_leibniz_rules_hold_on_every_pair():
+    """The axioms with the full Leibniz check, no pair sampled, on the
+    benchmark's Weil algebras (78,400 pairs for su2) and on further Weil and
+    Chevalley-Eilenberg algebras."""
+    h, sl2 = lie.heisenberg(), lie.sl2()
+    weil = {"su2-4": (lie.su2(), 4), "abelian2-4": (lie.abelian(2), 4),
+            "heisenberg-2": (h, 2), "sl2-2": (sl2, 2)}
+    subjects = {f"weil-{name}": gdiff.weil_algebra(g, cap, check=False).gdiff
+                for name, (g, cap) in weil.items()}
+    for g in (h, sl2):
+        subjects[f"ce-{g.name}"] = gdiff.ce_gdiff(
+            lie.ce_complex(g, lie.trivial_rep(g)))
+    assert _pair_count(subjects["weil-su2-4"]) == 78400
+    for name, c in subjects.items():
+        assert _pair_count(c) <= 120000, name   # the default budget
+        assert gdiff.check_gdiff_axioms(c).ok, name
 
 
 def test_equivariant_point_is_invariant_polynomials():
@@ -370,3 +392,222 @@ BUILDER_DIGESTS = {
     "cartan-weil-inclusion-su2-sym2-1":
         "59f4940b921d257ba65cb92ab054efa903d65010f0a006dcba3372c29cc21530",
 }
+
+
+# ---------------------------------------------------------------------------
+# The Leibniz check on seeded one-entry mutations
+
+
+def _leibniz_subjects():
+    """Name -> a G-differential algebra whose operators and product the
+    Leibniz tests mutate."""
+    h = lie.heisenberg()
+    return {
+        "weil-su2-2": gdiff.weil_algebra(lie.su2(), 2, check=False).gdiff,
+        "weil-abelian2-2":
+            gdiff.weil_algebra(lie.abelian(2), 2, check=False).gdiff,
+        "ce-su2": su2_ce()[1],
+        "ce-heisenberg": gdiff.ce_gdiff(lie.ce_complex(h, lie.trivial_rep(h))),
+    }
+
+
+def _mutate_op(op, rng):
+    """op with one seeded entry of one block moved by a nonzero rational."""
+    sp = op.source
+    degs = [n for n in sp.degrees() if op.target.dim(n + op.shift)]
+    n = rng.choice(degs)
+    blk = [list(row) for row in op.block(n)]
+    blk[rng.randrange(len(blk))][rng.randrange(len(blk[0]))] += \
+        rng.choice((1, -1, 2, Fraction(1, 2)))
+    blocks = dict(op.blocks)
+    blocks[n] = blk
+    return core.LinearMap.from_blocks(sp, op.target, op.shift, blocks)
+
+
+def _mutate_product(prod, sp, rng):
+    """prod with one seeded term added to one basis pair."""
+    keys = sorted(k for k in prod.table if sp.dim(k[0] + k[1]))
+    da, db = rng.choice(keys)
+    pair = (rng.randrange(sp.dim(da)), rng.randrange(sp.dim(db)))
+    table = dict(prod.table)
+    table[(da, db)] = dict(table[(da, db)])
+    table[(da, db)][pair] = table[(da, db)].get(pair, ()) + (
+        (rng.randrange(sp.dim(da + db)), rng.choice((1, -1, Fraction(1, 3)))),)
+    return gdiff.Product(table)
+
+
+def _mutant(c, family, x, rng):
+    """c with one entry of d ("d"), i_x ("i"), L_x ("L") or of the product
+    table ("product") moved."""
+    if family == "d":
+        return dataclasses.replace(
+            c, complex=core.CochainComplex(c.space, _mutate_op(c.d, rng)))
+    if family == "product":
+        return dataclasses.replace(
+            c, product=_mutate_product(c.product, c.space, rng))
+    field = "contractions" if family == "i" else "lie_ops"
+    ops = list(getattr(c, field))
+    ops[x] = _mutate_op(ops[x], rng)
+    return dataclasses.replace(c, **{field: tuple(ops)})
+
+
+def _pinned_mutants():
+    """(subject, family, generator, mutant): one mutation of d, of each i_x,
+    of each L_x and of the product, per subject."""
+    out = []
+    for s, (name, c) in enumerate(_leibniz_subjects().items()):
+        rng = random.Random(9611002 + s)
+        fams = ([("d", None)]
+                + [(f, x) for x in range(c.algebra.dim) for f in ("i", "L")]
+                + [("product", None)])
+        for family, x in fams:
+            out.append((name, family, x, _mutant(c, family, x, rng)))
+    return out
+
+
+def _pair_count(c):
+    return c.space.total_dim() ** 2
+
+
+def test_leibniz_witnesses_are_pinned():
+    """The axiom report and the Leibniz witness of every pinned mutation,
+    over every pair and over a seeded sample (budget below the pair count),
+    as recorded before the check became blockwise."""
+    full, sampled = {}, {}
+    for name, family, x, m in _pinned_mutants():
+        key = f"{name}/{family}{'' if x is None else x}"
+        full[key] = gdiff.check_gdiff_axioms(m).to_json()
+        budget = _pair_count(m) // 3
+        sampled[key] = gdiff._check_leibniz(m, budget=budget)
+    assert all(full[k]["failures"] for k in full)
+    assert _json_digest(full) == LEIBNIZ_FULL_DIGEST
+    assert _json_digest(sampled) == LEIBNIZ_SAMPLED_DIGEST
+
+
+def _json_digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True,
+                                     default=str).encode()).hexdigest()
+
+
+# Recorded with the per-pair check that the blockwise one replaced.
+LEIBNIZ_FULL_DIGEST = \
+    "ec5e132b6cbb107ead7d91af908836025ef7bb7b6af0101a92c3291d33451ac3"
+LEIBNIZ_SAMPLED_DIGEST = \
+    "e7b56df3e648b7401ac94887bc7869c6d838375b049f373b9dd6a8865e422ae0"
+
+
+def _apply(op, deg, vec):
+    """op applied to the sparse vector vec of degree deg, read off the
+    dense block."""
+    out = {}
+    blk = op.block(deg)
+    for i, cv in vec.items():
+        for t in range(len(blk)):
+            if blk[t][i]:
+                out[t] = out.get(t, 0) + cv * blk[t][i]
+    return {k: v for k, v in out.items() if v}
+
+
+def _mult(prod, da, va, db, vb):
+    out = {}
+    for ia, ca in va.items():
+        for ib, cb in vb.items():
+            for k, coeff in prod.terms(da, ia, db, ib):
+                out[k] = out.get(k, 0) + ca * cb * coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def _plus(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_leibniz(c, budget=120000):
+    """The Leibniz check one basis pair at a time: each product e_a e_b is
+    pushed through d, i_x and L_x and compared with the derivation rule, in
+    the order of `_leibniz_pairs`, stopping at the first failure."""
+    sp, prod = c.space, c.product
+    rules = [("d-Leibniz", [], c.d, -1)]
+    for x in range(c.algebra.dim):
+        rules += [("i-Leibniz", [x], c.contractions[x], -1),
+                  ("L-Leibniz", [x], c.lie_ops[x], 1)]
+    for da, ia, partners in gdiff._leibniz_pairs(sp, sp.degrees(), budget):
+        ea = {ia: 1}
+        for db, ib in partners:
+            eb = {ib: 1}
+            ab = _mult(prod, da, ea, db, eb)
+            for axiom, gens, op, odd_sign in rules:
+                s = op.shift
+                sign = odd_sign ** da
+                lhs = _apply(op, da + db, ab)
+                rhs = _plus(_mult(prod, da + s, _apply(op, da, ea), db, eb),
+                            _mult(prod, da, ea, db + s, _apply(op, db, eb)),
+                            sign)
+                if lhs != rhs:
+                    return [{"axiom": axiom, "generators": gens,
+                             "degree": da, "basis_index": ia,
+                             "other": [db, ib]}]
+    return []
+
+
+def _reference_operator_axioms(c):
+    """The failures of the operator axioms, each identity formed as a
+    LinearMap and reported at its first nonzero block and column."""
+    r, d, i, lie_ops = c.algebra.dim, c.d, c.contractions, c.lie_ops
+    out = []
+
+    def defect(axiom, gens, m):
+        if not m.is_zero():
+            out.append({"axiom": axiom, "generators": gens,
+                        **gdiff._first_defect(m)})
+
+    defect("d^2=0", [], d.compose(d))
+    for a in range(r):
+        for b in range(a, r):
+            defect("i", [a, b], core.anticommutator(i[a], i[b]))
+    for a in range(r):
+        defect("iii", [a], core.anticommutator(d, i[a]).sub(lie_ops[a]))
+        defect("[L,d]=0", [a], core.commutator(lie_ops[a], d))
+    basis = rl.identity(r)
+    for a in range(r):
+        for b in range(r):
+            if a != b:
+                br = c.algebra.bracket(basis[a], basis[b])
+                defect("ii'", [a, b], core.linear_combination(i, br).sub(
+                    core.commutator(lie_ops[a], i[b])))
+                defect("L-bracket", [a, b],
+                       core.linear_combination(lie_ops, br).sub(
+                           core.commutator(lie_ops[a], lie_ops[b])))
+    return out
+
+
+def test_leibniz_check_agrees_with_the_per_pair_reference():
+    """Seeded property: on random one- and two-entry mutations of d, i_x,
+    L_x and the product of small algebras, the blockwise check gives the
+    per-pair reference's report, at the default budget and at a budget
+    below the pair count (the sampled path), and the operator axioms give
+    the reports of the identities formed as maps."""
+    sl2 = lie.sl2()
+    subjects = [
+        gdiff.weil_algebra(lie.su2(), 1, check=False).gdiff,
+        gdiff.weil_algebra(lie.abelian(2), 2, check=False).gdiff,
+        gdiff.weil_algebra(lie.heisenberg(), 1, check=False).gdiff,
+        su2_ce()[1],
+        gdiff.ce_gdiff(lie.ce_complex(sl2, lie.trivial_rep(sl2))),
+    ]
+    rng = random.Random(20261018)
+    failing = 0
+    for _ in range(50):
+        m = rng.choice(subjects)
+        for _ in range(rng.choice((1, 1, 2))):
+            family = rng.choice(("d", "i", "L", "product"))
+            m = _mutant(m, family, rng.randrange(m.algebra.dim), rng)
+        for budget in (120000, rng.randrange(1, _pair_count(m))):
+            report = gdiff._check_leibniz(m, budget=budget)
+            assert report == _reference_leibniz(m, budget)
+            failing += bool(report)
+        report = gdiff.check_gdiff_axioms(m, check_product=False)
+        assert list(report.failures) == _reference_operator_axioms(m)
+    assert failing >= 60
