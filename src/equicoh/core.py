@@ -125,11 +125,6 @@ class LinearMap:
     def zero(source, target, shift) -> "LinearMap":
         return LinearMap(source, target, shift, ())
 
-    @staticmethod
-    def identity(space) -> "LinearMap":
-        blocks = {n: rl.identity(space.dim(n)) for n in space.degrees()}
-        return LinearMap.from_blocks(space, space, 0, blocks)
-
     def block(self, n: int):
         """Stored block at degree n, read in place (frozen zeros if absent)."""
         for deg, m in self.blocks:
@@ -178,10 +173,6 @@ class LinearMap:
         if not b or not b[0]:
             return [0] * self.target.dim(n + self.shift)
         return [row[0] for row in rl.mat_mul(b, [[x] for x in vec])]
-
-
-def commutator(a: LinearMap, b: LinearMap) -> LinearMap:
-    return a.compose(b).sub(b.compose(a))
 
 
 def anticommutator(a: LinearMap, b: LinearMap) -> LinearMap:
@@ -400,13 +391,15 @@ class SubquotientResult:
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def project(self, n: int, vec: Sequence):
-        """Coordinates of [vec] in the chosen representative basis.
-        vec must lie in z (ambient coordinates)."""
-        c = _coordinates(self._z.matrix(n), [[x] for x in vec])
+    def project(self, n: int, columns: Sequence):
+        """Coordinates of the classes of the columns of a matrix in the
+        chosen representative basis, one column each, by one multiply-back.
+        Every column must lie in z (ambient coordinates)."""
+        c = _coordinates(self._z.matrix(n), columns)
         if c is None:
             raise NotContained(f"vector not in the subquotient at degree {n}")
-        return [rl.q(row[0]) for row in rl.mat_mul(self._proj.get(n, []), c)]
+        return [list(map(rl.q, row))
+                for row in rl.mat_mul(self._proj.get(n, []), c)]
 
 
 def subquotient(z: Subspace, b: Subspace) -> SubquotientResult:

@@ -610,20 +610,9 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> tuple:
               for n in c.space.degrees() if sq.dim(n)}
     qspace = GradedSpace.from_labels(labels)
 
-    proj_blocks = {}
-    for n in c.space.degrees():
-        dim = c.space.dim(n)
-        qd = sq.dim(n)
-        if qd == 0:
-            continue
-        blk = rl.zeros(qd, dim)
-        for j in range(dim):
-            e = [1 if t == j else 0 for t in range(dim)]
-            coords = sq.project(n, e)
-            for i, v in enumerate(coords):
-                blk[i][j] = v
-        proj_blocks[n] = blk
-    proj = LinearMap.from_blocks(c.space, qspace, 0, proj_blocks)
+    proj = LinearMap.from_blocks(c.space, qspace, 0, {
+        n: sq.project(n, rl.identity(c.space.dim(n)))
+        for n in c.space.degrees() if sq.dim(n)})
 
     def induce(op: LinearMap) -> LinearMap:
         blocks = {}
@@ -634,18 +623,7 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> tuple:
             blk = op.block(n)
             if not (blk and blk[0]):
                 continue
-            img = rl.mat_mul(blk, reps)
-            tgt_deg = n + op.shift
-            if sq.dim(tgt_deg) == 0:
-                if not rl.is_zero(img):
-                    # image lives entirely in the killed part
-                    for colv in rl.columns(img):
-                        sq.project(tgt_deg, colv)  # raises if not in sub+reps
-                continue
-            cols = []
-            for colv in rl.columns(img):
-                cols.append(sq.project(tgt_deg, colv))
-            blocks[n] = rl.mat_from_columns(cols, nrows=sq.dim(tgt_deg)) if cols else None
+            blocks[n] = sq.project(n + op.shift, rl.mat_mul(blk, reps))
         return LinearMap.from_blocks(qspace, qspace, op.shift,
                                      {k: v for k, v in blocks.items() if v})
 
@@ -1167,6 +1145,7 @@ def forgetful_matrices(model: CartanModel, up_to: Optional[int] = None) -> dict:
             for (nn, m, _, off, size) in model.fine.get(n, ()):
                 if m == 0:
                     avec = full[off:off + size]
-            cols.append(proj.project(n, avec))
-        out[n] = rl.mat_from_columns(cols, nrows=proj.dim(n))
+            cols.append(avec)
+        out[n] = proj.project(
+            n, rl.mat_from_columns(cols, nrows=a.space.dim(n)))
     return out

@@ -242,6 +242,28 @@ def _sparse_echelon(rows):
     return pivrows
 
 
+def filtration_pairs(a, row_levels, col_levels):
+    """Persistence pairing of a matrix whose rows and columns carry
+    filtration levels.  Columns are reduced in filtration order (decreasing
+    level, then index), each only by columns processed before it; the low
+    of a column is its nonzero row of lowest level, the larger index on
+    ties.  Returns the (row, column) pairs of the distinct lows left."""
+    rows = sorted(range(len(row_levels)), key=lambda i: (-row_levels[i], i))
+    pos = {i: k for k, i in enumerate(rows)}   # low = largest position
+    cols = transpose(a)
+    by_low, pairs = {}, []
+    for j in sorted(range(len(col_levels)), key=lambda j: -col_levels[j]):
+        col = {pos[i]: v for i, v in _int_row(cols[j]).items()} if rows else {}
+        while col:
+            low = max(col)
+            if low not in by_low:
+                by_low[low] = col
+                pairs.append((rows[low], j))
+                break
+            col = _combine(col, by_low[low], low)
+    return pairs
+
+
 def rref(a):
     """Canonical reduced row echelon form.  Returns (R, pivots): R has the
     same shape as `a` with pivot entries 1, pivots is the list of pivot

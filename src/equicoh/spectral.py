@@ -10,8 +10,17 @@ with the convention Z_{-1}(p, n) = F_p^n.  The page differential
 d_r : E_r^{p,q} -> E_r^{p+r, q-r+1} is induced by d on representatives.
 Everything is finite, so the sequence reaches a final page where all
 differentials vanish identically and the antidiagonals of E_oo are the
-associated graded of H(C); every run checks the latter (NotConvergent) and
-E_{r+1} = H(E_r, d_r) with d_r o d_r = 0 cell by cell (PageMismatch).
+associated graded of H(C).
+
+The dimensions of every page come first, from the persistence pairing of
+one column reduction of d in filtration order (Zomorodian-Carlsson, read as
+in Romero-Rubio-Sergeraert): in a basis adapted to the levels, E_r^{p,q}
+counts the level-p elements of degree p+q that are unpaired or paired with
+gap >= r, and rank d_r counts the pairs with gap r.  Subquotients and
+representatives are then built only for the cells live by that count.
+Every run checks: each built cell against the pairing's dimension
+(PageMismatch), E_{r+1} = H(E_r, d_r) with d_r o d_r = 0 cell by cell
+(PageMismatch), and the stable page against H(C) (NotConvergent).
 
 Two filtration constructors cover the main applications: the symmetric-degree
 filtration of a Cartan model (levels 2m >= p) and the contraction filtration
@@ -22,6 +31,7 @@ of a G-differential complex (level p in degree n = joint kernel of all
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -149,13 +159,63 @@ def _z_subspace(fc: FilteredComplex, cache: dict, r: int, p: int, n: int) -> Sub
     return out
 
 
+def _pairing_gaps(fc: FilteredComplex, degs) -> dict:
+    """(p, n) -> the gap of each level-p element of degree n in a basis
+    adapted to the levels (inf when unpaired), from one filtration-ordered
+    reduction of d per degree.  Pivots of reduced echelon bases nest, so the
+    columns of F_p whose pivot is not one of F_{p+1} complete F_{p+1} to F_p;
+    in that basis d is written with one solve per degree."""
+    basis, levels, gaps = {}, {}, {}
+    for n in degs:
+        cols, levels[n] = [], []
+        for p in range(fc.top + 1):
+            inner = set(map(_pivot, rl.columns(fc.level(p + 1).matrix(n))))
+            for col in rl.columns(fc.level(p).matrix(n)):
+                if _pivot(col) not in inner:
+                    cols.append(col)
+                    levels[n].append(p)
+        basis[n] = rl.mat_from_columns(cols, nrows=fc.complex.space.dim(n))
+        gaps[n] = [math.inf] * len(cols)
+    for n, m in fc.complex.d.blocks:
+        x = rl.solve(basis[n + 1], rl.mat_mul(m, basis[n]))
+        if x is None:
+            raise NotSubcomplex(f"the levels give no basis at degree {n + 1}")
+        for i, j in rl.filtration_pairs(x, levels[n + 1], levels[n]):
+            gaps[n][j] = gaps[n + 1][i] = levels[n + 1][i] - levels[n][j]
+    out = {}
+    for n in degs:
+        for p, gap in zip(levels[n], gaps[n]):
+            out.setdefault((p, n), []).append(gap)
+    return out
+
+
+def _pivot(col) -> int:
+    return next(i for i, x in enumerate(col) if x)
+
+
 def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
     """Pages E_0, E_1, ... through the final stable page (or through r_max).
+
+    The dimensions come from the persistence pairing of one reduction of d
+    in filtration order (`_pairing_gaps`): E_r^{p,q} counts the level-p
+    elements of degree p+q that are unpaired or paired with gap >= r, and
+    rank d_r is the number of pairs with gap r.  Only the cells that are
+    live by that count are materialised, as Z_r(p, n) modulo
+    Z_{r-1}(p+1, n) + d Z_{r-1}(p-r+1, n-1) with canonical representatives;
+    page 0 materialises every cell with F_p/F_{p+1} nonzero.  Checks:
+    PageMismatch when a materialised cell's dimension differs from the
+    pairing's, or (`_check_page_consistency`, on every page) when a page
+    differs from the homology of its predecessor or d_r fails to square to
+    zero, d_r being formed between every two materialised cells.  A cell
+    skipped while truly nonzero was materialised on the page before, so
+    the latter check catches it.
 
     The final page is flagged stable only when the filtration length is
     exhausted and it agrees with its predecessor, both free of
     differentials; when stable, its antidiagonal sums are checked against
-    the cohomology of the total complex."""
+    the cohomology of the total complex (NotConvergent)."""
+    if r_max is not None and r_max < 0:
+        raise ValueError(f"r_max must be at least 0, not {r_max}")
     space = fc.complex.space
     degs = space.degrees()
     if not degs:
@@ -168,27 +228,35 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
     # levels agree are zero on every page.
     support = [(p, n) for n in degs for p in range(0, top_p + 2)
                if fc.level(p).dim(n) > fc.level(p + 1).dim(n)]
+    gaps = _pairing_gaps(fc, degs)
     cache = {}
     out = []
     for r in range(limit + 1):
         cells, reps, diffs, sq = {}, {}, {}, {}
         for (p, n) in support:
             q = n - p
-            znum = _z_subspace(fc, cache, r, p, n)
-            if not znum.dim(n):
+            want = sum(gap >= r for gap in gaps.get((p, n), ()))
+            if r and not want:
                 continue
-            den = _z_subspace(fc, cache, r - 1, p + 1, n)
-            zden2 = _z_subspace(fc, cache, r - 1, p - r + 1, n - 1)
-            b2 = zden2.matrix(n - 1)
-            if rl.ncols(b2):
-                m = fc.complex.d.block(n - 1)
-                if m and m[0]:
-                    img = rl.mat_mul(m, b2)
-                    if not rl.is_zero(img):
-                        den = den.add(Subspace.from_spans(space, {n: img}))
-            cell = subquotient(znum, den)
-            if cell.dim(n):
-                cells[(p, q)] = cell.dim(n)
+            znum = _z_subspace(fc, cache, r, p, n)
+            got = 0
+            if znum.dim(n):
+                den = _z_subspace(fc, cache, r - 1, p + 1, n)
+                zden2 = _z_subspace(fc, cache, r - 1, p - r + 1, n - 1)
+                b2 = zden2.matrix(n - 1)
+                if rl.ncols(b2):
+                    m = fc.complex.d.block(n - 1)
+                    if m and m[0]:
+                        img = rl.mat_mul(m, b2)
+                        if not rl.is_zero(img):
+                            den = den.add(Subspace.from_spans(space, {n: img}))
+                cell = subquotient(znum, den)
+                got = cell.dim(n)
+            if got != want:
+                raise PageMismatch(f"page {r} cell ({p},{q}) has dimension "
+                                   f"{got}, the pairing gives {want}")
+            if got:
+                cells[(p, q)] = got
                 reps[(p, q)] = cell.reps[n]
                 sq[(p, q)] = cell
         for (p, q) in cells:
@@ -196,9 +264,8 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
             tgt = (p + r, q - r + 1)
             if tgt not in cells:
                 continue
-            cols = [sq[tgt].project(n + 1, fc.complex.d.apply(n, rep))
-                    for rep in rl.columns(reps[(p, q)])]
-            mat = rl.mat_from_columns(cols, nrows=cells[tgt])
+            mat = sq[tgt].project(n + 1, rl.mat_mul(fc.complex.d.block(n),
+                                                    reps[(p, q)]))
             if not rl.is_zero(mat):
                 diffs[(p, q)] = mat
         stable = bool(r >= stop_r and out and out[-1].cells == cells
@@ -336,28 +403,22 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
         tgt = (p + 2, q - 1)
         target_cell = page2.cellmaps.get(tgt)
         rep = page2.reps[(p, q)]
-        m_lead = p // 2
-        offset = 0
-        lead = None
+        offset, lead = 0, range(0)
         for (_, m, inv_dim, _, _) in model.fine.get(n, ()):
-            if m == m_lead:
-                lead = (offset, inv_dim)
+            if m == p // 2:
+                lead = range(offset, offset + inv_dim)
             offset += inv_dim
-        for j, vec in enumerate(rl.columns(rep)):
-            xl = [0] * len(vec)
-            if lead is not None:
-                for t in range(lead[0], lead[0] + lead[1]):
-                    xl[t] = vec[t]
-            tv = twist.apply(n, xl)
-            dv = model.complex.d.apply(n, vec)
-            if target_cell is None:
-                # the target group is zero; both classes vanish, nothing to compare
-                continue
-            lhs = target_cell.project(n + 1, dv)
-            rhs = target_cell.project(n + 1, tv)
-            if lhs != rhs:
-                failures.append({"cell": [p, q], "rep": j,
-                                 "reason": "formula mismatch"})
+        # a zero target group: both classes vanish, nothing to compare
+        if target_cell is not None:
+            xl = [list(row) if t in lead else [0] * len(row)
+                  for t, row in enumerate(rep)]
+            lhs = target_cell.project(
+                n + 1, rl.mat_mul(model.complex.d.block(n), rep))
+            rhs = target_cell.project(n + 1, rl.mat_mul(twist.block(n), xl))
+            for j, (a, b) in enumerate(zip(rl.columns(lhs), rl.columns(rhs))):
+                if a != b:
+                    failures.append({"cell": [p, q], "rep": j,
+                                     "reason": "formula mismatch"})
         checked.append([p, q])
     return {"ok": not failures, "cells": checked, "failures": failures}
 

@@ -472,9 +472,11 @@ def test_checks_still_raise_under_optimized_python():
         "from equicoh import core, ratlin\n"
         "sp = core.GradedSpace.from_dims({0: 1})\n"
         "other = core.GradedSpace.from_dims({0: 2})\n"
-        "one = core.LinearMap.identity(sp)\n"
+        "one = core.LinearMap.from_blocks(sp, sp, 0, {0: [[1]]})\n"
+        "two = core.LinearMap.from_blocks(other, other, 0,\n"
+        "                                 {0: [[1, 0], [0, 1]]})\n"
         "checks = [lambda: ratlin.mat_mul([[1, 2]], [[1, 2]]),\n"
-        "          lambda: one.compose(core.LinearMap.identity(other)),\n"
+        "          lambda: one.compose(two),\n"
         "          lambda: core.CochainComplex.build(sp, one)]\n"
         "for check in checks:\n"
         "    try:\n"

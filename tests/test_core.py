@@ -77,8 +77,8 @@ def test_subquotient_and_projection():
     sq = subquotient(z, b)
     assert sq.dim(0) == 1
     # [e1 + e2] = [e2]
-    assert sq.project(0, [1, 1, 0]) == [1]
-    assert sq.project(0, [1, 0, 0]) == [0]
+    assert sq.project(0, [[1], [1], [0]]) == [[1]]
+    assert sq.project(0, [[1], [0], [0]]) == [[0]]
 
 
 def test_subquotient_not_contained():
@@ -140,11 +140,13 @@ def test_coordinates_read_off_bases_agree_with_a_solve():
             else:
                 sol = rl.solve_vec(aug, vec)
                 expected = None if sol is None else sol[rl.ncols(b.matrix(0)):]
+            col = [[x] for x in vec]
             if expected is None:
                 with pytest.raises(NotContained):
-                    sq.project(0, vec)
+                    sq.project(0, col)
             else:
-                assert _typed([sq.project(0, vec)]) == _typed([expected])
+                assert _typed(sq.project(0, col)) == \
+                    _typed([[x] for x in expected])
 
         # restrict_map: an operator into z, and an arbitrary one
         k = z.dim(0)
@@ -164,12 +166,37 @@ def test_coordinates_read_off_bases_agree_with_a_solve():
                 assert _typed(got) == _typed(rl.freeze(sol))
 
 
+def test_project_of_a_matrix_is_the_project_of_each_column():
+    """Seeded property: projecting several columns at once gives, entry for
+    entry and type for type, the one-column projections side by side, and
+    NotContained as soon as any one column leaves z."""
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        sp = GradedSpace.from_dims({0: n})
+        zcols = [_rand_vec(rng, n) for _ in range(rng.randint(0, n))]
+        z = _span(sp, zcols)
+        sq = subquotient(z, _span(sp, [_combination(rng, zcols, n)
+                                       for _ in range(rng.randint(0, 2))]))
+        vecs = [_combination(rng, zcols, n) for _ in range(rng.randint(1, 4))]
+        each = [sq.project(0, [[x] for x in vec]) for vec in vecs]
+        got = sq.project(0, rl.mat_from_columns(vecs))
+        assert _typed(got) == _typed(rl.hstack(*each))
+        outside = [[x] for x in _rand_vec(rng, n)]
+        if rl.solve(z.matrix(0), outside) is None:
+            at = rng.randint(0, len(vecs))
+            with pytest.raises(NotContained):
+                sq.project(0, rl.mat_from_columns(
+                    vecs[:at] + [[row[0] for row in outside]] + vecs[at:]))
+
+
 def test_restrict_map_refuses_a_basis_without_unit_rows():
     # injective, but no row is the unit row of the first column
     sp = GradedSpace.from_dims({0: 2})
     incl = LinearMap.from_blocks(sp, sp, 0, {0: [[1, 1], [0, 1]]})
     with pytest.raises(InconsistentResult):
-        restrict_map(LinearMap.identity(sp), incl, "op")
+        restrict_map(LinearMap.from_blocks(sp, sp, 0, {0: rl.identity(2)}),
+                     incl, "op")
 
 
 def test_homotopy_witness_contract():

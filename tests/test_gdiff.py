@@ -552,6 +552,10 @@ def _reference_leibniz(c, budget=120000):
     return []
 
 
+def commutator(a, b):
+    return a.compose(b).sub(b.compose(a))
+
+
 def _reference_operator_axioms(c):
     """The failures of the operator axioms, each identity formed as a
     LinearMap and reported at its first nonzero block and column."""
@@ -569,17 +573,17 @@ def _reference_operator_axioms(c):
             defect("i", [a, b], core.anticommutator(i[a], i[b]))
     for a in range(r):
         defect("iii", [a], core.anticommutator(d, i[a]).sub(lie_ops[a]))
-        defect("[L,d]=0", [a], core.commutator(lie_ops[a], d))
+        defect("[L,d]=0", [a], commutator(lie_ops[a], d))
     basis = rl.identity(r)
     for a in range(r):
         for b in range(r):
             if a != b:
                 br = c.algebra.bracket(basis[a], basis[b])
                 defect("ii'", [a, b], core.linear_combination(i, br).sub(
-                    core.commutator(lie_ops[a], i[b])))
+                    commutator(lie_ops[a], i[b])))
                 defect("L-bracket", [a, b],
                        core.linear_combination(lie_ops, br).sub(
-                           core.commutator(lie_ops[a], lie_ops[b])))
+                           commutator(lie_ops[a], lie_ops[b])))
     return out
 
 

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from equicoh import ratlin as rl
-from equicoh.core import anticommutator, cohomology, commutator
+from equicoh.core import anticommutator, cohomology
 from equicoh.lie import (CocycleViolation, DualJacobiViolation,
                          FactorizationMismatch, JacobiViolation,
                          RepresentationInvalid, abelian, adjoint_rep,
@@ -12,6 +12,10 @@ from equicoh.lie import (CocycleViolation, DualJacobiViolation,
                          coadjoint_rep, coboundary_bialgebra, heisenberg,
                          invariants, lie_cohomology, relative_subcomplex, sl2,
                          su2, sym_power_rep, sym_range_rep, trivial_rep)
+
+
+def commutator(a, b):
+    return a.compose(b).sub(b.compose(a))
 
 
 def test_jacobi_enforced():

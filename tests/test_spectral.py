@@ -1,10 +1,14 @@
 """Spectral sequences of filtered complexes: filtration validation, page
 arithmetic, the symmetric-degree filtration of Cartan models, and the
-contraction filtration of G-differential complexes."""
+contraction filtration of G-differential complexes, and the pages read off
+the filtration-ordered pairing against the per-cell page loop."""
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from equicoh import core, gdiff, lie, ratlin as rl, spectral
+from equicoh import core, gdiff, lie, poisson as po, ratlin as rl, spectral
 
 
 def su2_model(sym_cap=2):
@@ -48,6 +52,21 @@ def test_build_filtered_rejects_non_d_stable_level():
     assert "not d-stable at degree 1" in str(exc.value)
 
 
+def test_unchecked_levels_that_are_no_filtration_are_refused():
+    """Unchecked levels are trusted, but pages still refuse a level 0 that d
+    leaves, and levels whose echelon pivots do not nest."""
+    g = lie.su2()
+    cx = lie.ce_complex(g, lie.trivial_rep(g)).complex
+    full = core.Subspace.full(cx.space)
+    line = core.Subspace.from_spans(cx.space, {1: [[1], [0], [0]]})
+    unchecked = spectral.build_filtered(cx, [line], check=False)
+    with pytest.raises(spectral.NotSubcomplex, match="no basis at degree 2"):
+        spectral.pages(unchecked)
+    unchecked = spectral.build_filtered(cx, [full, line, full], check=False)
+    with pytest.raises(spectral.PageMismatch, match="page 0 cell"):
+        spectral.pages(unchecked)
+
+
 def test_one_step_filtration_gives_total_cohomology():
     g = lie.su2()
     cx = lie.ce_complex(g, lie.trivial_rep(g)).complex
@@ -69,6 +88,12 @@ def test_page_csv_table():
     fc = spectral.build_filtered(cx, [core.Subspace.full(cx.space)])
     pgs = spectral.pages(fc)
     assert spectral.page_csv(pgs[-1]) == "p,q,dim\n0,0,1\n0,3,1\n"
+
+
+def test_negative_r_max_is_refused():
+    fc = spectral.symdegree_filtration(su2_model(1)[1])
+    with pytest.raises(ValueError, match="r_max"):
+        spectral.pages(fc, r_max=-1)
 
 
 def test_r_max_truncates_and_is_not_stable():
@@ -158,6 +183,21 @@ def test_symdegree_torus_first_page_dims_and_d2_matrix():
     eq = gdiff.equivariant_cohomology(a, 2)
     assert [final.antidiagonal(n) for n in range(5)] == eq.dims_list()
     assert eq.dims_list() == [1, 0, 0, 0, 0]
+
+
+def test_cartan_d2_check_names_each_failing_representative(monkeypatch):
+    # twice the twist disagrees with d_2 on every representative whose
+    # class d_2 moves, and on no other
+    model = _torus_model()
+    pgs = spectral.pages(spectral.symdegree_filtration(model))
+    real = spectral._twist_on_invariants
+    monkeypatch.setattr(spectral, "_twist_on_invariants",
+                        lambda m: real(m).scale(2))
+    report = spectral.verify_cartan_d2(model, pgs[2])
+    assert not report["ok"]
+    assert [(tuple(f["cell"]), f["rep"]) for f in report["failures"]] == [
+        ((0, 1), 0), ((0, 1), 1), ((0, 2), 0), ((2, 1), 0), ((2, 1), 1),
+        ((2, 1), 2), ((2, 1), 3), ((2, 2), 0), ((2, 2), 1)]
 
 
 def test_symdegree_torus_d2_operator_identity_by_hand():
@@ -290,3 +330,215 @@ def test_contraction_filtration_zero_contractions_degenerates():
     h = core.cohomology(cx)
     assert pgs[2].cells == {(p, 0): h.dim(p) for p in range(3) if h.dim(p)}
     assert pgs[-1].stable
+
+
+# ---------------------------------------------------------------------------
+# The pairing against the per-cell page loop
+
+
+def _reference_pages(fc):
+    """(cells, reps, diffs, stable) per page from the per-cell loop: every
+    cell of the support is formed as a subquotient on every page, and d_r
+    is projected one representative at a time."""
+    space = fc.complex.space
+    degs = space.degrees()
+    stop_r = fc.top + 2
+    support = [(p, n) for n in degs for p in range(fc.top + 2)
+               if fc.level(p).dim(n) > fc.level(p + 1).dim(n)]
+    cache, out = {}, []
+    for r in range(stop_r + 1):
+        cells, reps, diffs, sq = {}, {}, {}, {}
+        for (p, n) in support:
+            znum = spectral._z_subspace(fc, cache, r, p, n)
+            if not znum.dim(n):
+                continue
+            den = spectral._z_subspace(fc, cache, r - 1, p + 1, n)
+            b2 = spectral._z_subspace(fc, cache, r - 1, p - r + 1,
+                                      n - 1).matrix(n - 1)
+            if rl.ncols(b2):
+                img = rl.mat_mul(fc.complex.d.block(n - 1), b2)
+                den = den.add(core.Subspace.from_spans(space, {n: img}))
+            cell = core.subquotient(znum, den)
+            if cell.dim(n):
+                cells[(p, n - p)] = cell.dim(n)
+                reps[(p, n - p)] = cell.reps[n]
+                sq[(p, n - p)] = cell
+        for (p, q) in cells:
+            tgt = (p + r, q - r + 1)
+            if tgt in cells:
+                mat = rl.hstack(*[
+                    sq[tgt].project(p + q + 1, [[x] for x in
+                                                fc.complex.d.apply(p + q, v)])
+                    for v in rl.columns(reps[(p, q)])])
+                if not rl.is_zero(mat):
+                    diffs[(p, q)] = mat
+        stable = bool(r >= stop_r and out and out[-1][0] == cells
+                      and not diffs and not out[-1][2])
+        out.append((cells, reps, diffs, stable))
+    return out
+
+
+def _typed(mats):
+    return {k: [[(type(x), x) for x in row] for row in m]
+            for k, m in mats.items()}
+
+
+def _assert_pages_match_reference(fc):
+    pgs = spectral.pages(fc)
+    ref = _reference_pages(fc)
+    assert len(pgs) == len(ref)
+    for pg, (cells, reps, diffs, stable) in zip(pgs, ref):
+        assert list(pg.cells.items()) == list(cells.items())
+        assert _typed(pg.reps) == _typed(reps)
+        assert list(pg.diffs) == list(diffs)
+        assert _typed(pg.diffs) == _typed(diffs)
+        assert pg.stable == stable
+    return pgs
+
+
+def _doubled_su2():
+    fc = spectral.symdegree_filtration(su2_model(1)[1])
+    return spectral.build_filtered(fc.complex, (fc.levels[0],) + fc.levels)
+
+
+def _ce_weil_su2():
+    g = lie.su2()
+    a = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
+    big, _ = gdiff.tensor_product(a, gdiff.weil_algebra(g, 1).gdiff,
+                                  check=False)
+    return spectral.contraction_filtration(big)
+
+
+def _su2_dual_momentum():
+    g = lie.su2()
+    mu = [po.function(3, {tuple(int(t == j) for t in range(3)): Fraction(1)})
+          for j in range(3)]
+    md = po.momentum_setup(po.linear_poisson(g), g, mu=mu, submersive=True)
+    return spectral.contraction_filtration(
+        po.momentum_gdiff(md, slice_degree=2)[0])
+
+
+def _torus_model():
+    t = lie.abelian(2)
+    return gdiff.cartan_model(gdiff.ce_gdiff(lie.ce_complex(
+        t, lie.trivial_rep(t))), 2)
+
+
+FILTRATIONS = {
+    "su2-symdegree": lambda: spectral.symdegree_filtration(su2_model(2)[1]),
+    "torus-symdegree": lambda: spectral.symdegree_filtration(_torus_model()),
+    "su2-doubled-level": _doubled_su2,
+    "product-line": lambda: spectral.contraction_filtration(
+        po.build_product_line_model([0, 1, 2, 3, 4],
+                                    [t * (t - 1) for t in range(5)]).gdiff),
+    "su2-dual-momentum": _su2_dual_momentum,
+    "ce-su2-weil-1": _ce_weil_su2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTRATIONS))
+def test_pairing_pages_equal_the_per_cell_loop(name):
+    _assert_pages_match_reference(FILTRATIONS[name]())
+
+
+def _random_filtered(rng):
+    """g J g^-1 in general position.  J is a sum of elementary pairs
+    x -> y with level(y) >= level(x) on a basis with random levels, g is
+    invertible and preserves the coordinate levels, and a random invertible
+    h moves everything, levels included, off the coordinate axes.  Returns
+    the filtered complex, the levels per degree and the pairs (n, x, y)."""
+    dims = {n: rng.randint(1, 4) for n in range(4)}
+    top = rng.randint(1, 4)
+    level = {n: [rng.randint(0, top) for _ in range(dims[n])] for n in dims}
+    used = {n: set() for n in dims}
+    pairs = []
+    for n in range(3):
+        for x in rng.sample(range(dims[n]), dims[n]):
+            ys = [y for y in range(dims[n + 1]) if y not in used[n + 1]
+                  and level[n + 1][y] >= level[n][x]]
+            if x not in used[n] and ys and rng.random() < 0.8:
+                y = rng.choice(ys)
+                used[n].add(x)
+                used[n + 1].add(y)
+                pairs.append((n, x, y))
+
+    def frac():
+        return rl.q(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+    def invertible(n, keeps_levels):
+        while True:
+            m = [[1 if i == j else frac() if not keeps_levels
+                  or (level[n][i], i) > (level[n][j], j) else 0
+                  for j in range(dims[n])] for i in range(dims[n])]
+            if rl.rank(m) == dims[n]:
+                return m, rl.solve(m, rl.identity(dims[n]))
+
+    move = {n: invertible(n, False) for n in dims}
+    conj = {}
+    for n in dims:
+        g, g_inv = invertible(n, True)
+        conj[n] = (rl.mat_mul(move[n][0], g),
+                   rl.mat_mul(g_inv, move[n][1]))
+    blocks = {}
+    for n in range(3):
+        j = rl.zeros(dims[n + 1], dims[n])
+        for (m, x, y) in pairs:
+            if m == n:
+                j[y][x] = 1
+        blocks[n] = rl.mat_mul(rl.mat_mul(conj[n + 1][0], j), conj[n][1])
+    space = core.GradedSpace.from_dims(dims)
+    cx = core.CochainComplex.build(
+        space, core.LinearMap.from_blocks(space, space, 1, blocks))
+    levels = [core.Subspace.from_spans(space, {
+        n: rl.mat_from_columns([col for col, lv in zip(
+            rl.columns(move[n][0]), level[n]) if lv >= p], nrows=dims[n])
+        for n in dims}) for p in range(top + 1)]
+    return spectral.build_filtered(cx, levels), level, pairs
+
+
+def test_random_pages_follow_the_pairs_they_were_built_from():
+    """Seeded property: on complexes built from known elementary pairs, the
+    pages equal the per-cell loop's, E_r counts the elements that are
+    unpaired or paired with gap >= r, and rank d_r counts the pairs with
+    gap r leaving each cell."""
+    rng = random.Random(20261020)
+    for _ in range(40):
+        fc, level, pairs = _random_filtered(rng)
+        pgs = _assert_pages_match_reference(fc)
+        gap = {}
+        for (n, x, y) in pairs:
+            gap[(n, x)] = gap[(n + 1, y)] = level[n + 1][y] - level[n][x]
+        for pg in pgs:
+            cells = {}
+            for n, lv in level.items():
+                for i, p in enumerate(lv):
+                    if gap.get((n, i), pg.r) >= pg.r:
+                        cells[(p, n - p)] = cells.get((p, n - p), 0) + 1
+            assert pg.cells == cells
+            ranks = {}
+            for (n, x, y) in pairs:
+                if level[n + 1][y] - level[n][x] == pg.r:
+                    key = (level[n][x], n - level[n][x])
+                    ranks[key] = ranks.get(key, 0) + 1
+            assert {k: rl.rank(m) for k, m in pg.diffs.items()} == ranks
+
+
+def test_a_cell_the_pairing_gets_wrong_is_a_page_mismatch(monkeypatch):
+    """A materialised cell whose dimension differs from the pairing's, and a
+    cell the pairing skips although it is nonzero, both raise."""
+    fc = spectral.symdegree_filtration(_torus_model())
+    real = spectral._pairing_gaps
+
+    def unpaired(fc, degs):
+        return {k: [float("inf")] * len(v) for k, v in real(fc, degs).items()}
+
+    monkeypatch.setattr(spectral, "_pairing_gaps", unpaired)
+    with pytest.raises(spectral.PageMismatch, match="the pairing gives"):
+        spectral.pages(fc)
+
+    def all_gap_zero(fc, degs):
+        return {k: [0] * len(v) for k, v in real(fc, degs).items()}
+
+    monkeypatch.setattr(spectral, "_pairing_gaps", all_gap_zero)
+    with pytest.raises(spectral.PageMismatch, match="homology of page 0"):
+        spectral.pages(fc)
