@@ -131,7 +131,8 @@ def _frac_json(value):
 
 
 def _mat_json(matrix) -> list:
-    return [[str(Fraction(x)) for x in row] for row in matrix]
+    """A ratlin.Matrix as dense rows of strings."""
+    return [[str(Fraction(x)) for x in row] for row in matrix.dense()]
 
 
 def _parse_mat(data, rows: int, cols: int, field: str) -> list:
@@ -566,10 +567,9 @@ def _product_line_example(roots: list, fprime: Callable) -> dict:
     report = po.product_line_report(model)
     m = len(roots)
     rank = sum(1 for v in values if v != 0)
-    diagonal = [[values[i] if i == j else 0 for j in range(m)]
-                for i in range(m)]
     predicted = {"final_dims": [m, m - rank, m - rank, m],
-                 "page_matrix": _mat_json(diagonal)}
+                 "page_matrix": [[str(Fraction(values[i] if i == j else 0))
+                                  for j in range(m)] for i in range(m)]}
     page = report["page_differential"]
     computed = {"final_dims": report["final_dims"],
                 "direct_dims": report["direct_dims"],
@@ -580,7 +580,8 @@ def _product_line_example(roots: list, fprime: Callable) -> dict:
     agrees = (computed["final_dims"] == predicted["final_dims"]
               and computed["direct_dims"] == predicted["final_dims"]
               and (rank == 0 or (page is not None
-                                 and page["matrix"] == diagonal)))
+                                 and computed["page_differential"]["matrix"]
+                                 == predicted["page_matrix"])))
     return {"roots": [str(r) for r in roots],
             "fprime_values": [str(v) for v in values],
             "computed": computed, "predicted": predicted, "agrees": agrees}
@@ -916,24 +917,27 @@ def _example_task(payload, opts: Optional[dict] = None) -> Callable:
     return lambda: (runner(**params), [])
 
 
-# Each kind's payload parse: it checks payload and options (SchemaError, or
-# MathError on a mathematical defect) and returns the computation, a
-# callable giving (result, warnings).  validate only parses.
+# Each kind's payload parse and the only bounds it reads.  The parse checks
+# payload and options (SchemaError, or MathError on a mathematical defect)
+# and returns the computation, a callable giving (result, warnings).
+# validate only parses.
 _KIND_TASKS = {
-    "lie-cohomology": _lie_cohomology_task,
-    "gdiff-check": _gdiff_check_task,
-    "equivariant": _equivariant_task,
-    "weil-check": _weil_check_task,
-    "poisson-cohomology": _poisson_cohomology_task,
-    "equivariant-poisson": _equivariant_poisson_task,
-    "momentum-ss": _momentum_ss_task,
-    "example": _example_task,
+    "lie-cohomology": (_lie_cohomology_task, ()),
+    "gdiff-check": (_gdiff_check_task, ()),
+    "equivariant": (_equivariant_task, ("sym_cap",)),
+    "weil-check": (_weil_check_task, ("sym_cap",)),
+    "poisson-cohomology": (_poisson_cohomology_task, ("max_degree", "slice")),
+    "equivariant-poisson": (_equivariant_poisson_task,
+                            ("sym_cap", "max_degree", "slice")),
+    "momentum-ss": (_momentum_ss_task, ("max_degree", "slice", "pages")),
+    "example": (_example_task, ()),
 }
 
 
 def _task_shape(task, opts: Optional[dict] = None) -> tuple:
     """(kind, payload, options) of a task, after the checks made before the
-    payload is read: the kind, a payload, options within their bounds."""
+    payload is read: the kind, a payload, and options that the kind reads,
+    within their bounds."""
     opts = dict(opts or {})
     _expect(isinstance(task, dict), "", "expected a task object")
     kind = task.get("kind")
@@ -945,16 +949,18 @@ def _task_shape(task, opts: Optional[dict] = None) -> tuple:
     _expect(isinstance(task_opts, dict), "options", "expected an object")
     for key, value in task_opts.items():
         opts.setdefault(key, value)
-    for key in _BOUNDS:
-        if opts.get(key) is not None:
-            _expect_int(opts[key], key, low=1 if key == "sym_cap" else 0)
+    reads = _KIND_TASKS[kind][1]
+    for key, value in opts.items():
+        if value is not None:
+            _expect(key in reads, key, f"a {kind} task reads no {key}")
+            _expect_int(value, key, low=1 if key == "sym_cap" else 0)
     return kind, payload, opts
 
 
 def run_compute(task: dict, opts: Optional[dict] = None) -> dict:
     """Dispatch a schema-validated task and assemble the result report."""
     kind, payload, opts = _task_shape(task, opts)
-    result, warnings = _KIND_TASKS[kind](payload, opts)()
+    result, warnings = _KIND_TASKS[kind][0](payload, opts)()
     return {"kind": kind, "result": result, "warnings": warnings}
 
 
@@ -1045,7 +1051,7 @@ def validate_input(data) -> dict:
         def shape():
             kind, payload, opts = _task_shape(data)
             try:
-                _KIND_TASKS[kind](payload, opts)
+                _KIND_TASKS[kind][0](payload, opts)
             except MathError as exc:
                 defects.append(exc)
 
@@ -1208,8 +1214,8 @@ def main(argv: Optional[Sequence] = None) -> int:
             report = run_compute(data, _given(args, _BOUNDS))
             report["digest"] = _digest(raw)
         elif args.command == "example":
-            params = _given(args, ("roots", "fprime", "slices", "planes",
-                                   "sym_cap", "max_degree"))
+            params = _given(args, ("roots", "fprime", "slices", "planes")
+                            + _BOUNDS)
             try:
                 result = run_example(args.name, params)
             except UnknownExample as exc:

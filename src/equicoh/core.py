@@ -2,10 +2,11 @@
 subquotients over the rationals.
 
 Degrees are integers; every graded object is finitely supported.  All values
-are immutable after construction, so they can be shared freely.  Every basis
-this module produces (kernels, images, cohomology representatives, quotient
-representatives) comes out of canonical reduced echelon forms and is
-therefore deterministic.
+are immutable after construction, so they can be shared freely; matrices
+are `ratlin.Matrix` values (read-only sparse rows, column index built on
+first use), read in place.  Every basis this module produces (kernels,
+images, cohomology representatives, quotient representatives) comes out of
+canonical reduced echelon forms and is therefore deterministic.
 
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis (reduced column echelon) or of a kernel basis (`rl.kernel`,
@@ -95,7 +96,7 @@ class LinearMap:
 
     blocks[n] maps the degree-n component of source to degree n+shift of
     target; rows index target basis, columns source basis.  Blocks are stored
-    only where both dimensions are positive."""
+    only where both dimensions are positive and the block is not zero."""
 
     source: GradedSpace
     target: GradedSpace
@@ -106,19 +107,14 @@ class LinearMap:
     def from_blocks(source, target, shift, blocks: Mapping[int, Sequence]) -> "LinearMap":
         frozen = []
         for n in sorted(blocks):
-            m = blocks[n]
+            m = rl.freeze(blocks[n])
             sd, td = source.dim(n), target.dim(n + shift)
-            if sd == 0 or td == 0:
-                if m and not rl.is_zero(m):
-                    raise ValueError(f"block at degree {n} maps between zero spaces")
-                continue
-            if len(m) != td or any(len(row) != sd for row in m):
-                raise ValueError(
-                    f"block at degree {n} has shape {len(m)}x{len(m[0]) if m else 0}, "
-                    f"expected {td}x{sd}")
-            fm = rl.freeze(m)
-            if any(any(row) for row in fm):
-                frozen.append((n, fm))
+            # a zero block between zero spaces may come in any shape
+            if m.shape != (td, sd) and (sd and td or not rl.is_zero(m)):
+                raise ValueError(f"block at degree {n} has shape "
+                                 f"{m.shape[0]}x{m.shape[1]}, expected {td}x{sd}")
+            if not rl.is_zero(m):
+                frozen.append((n, m))
         return LinearMap(source, target, shift, tuple(frozen))
 
     @staticmethod
@@ -126,23 +122,18 @@ class LinearMap:
         return LinearMap(source, target, shift, ())
 
     def block(self, n: int):
-        """Stored block at degree n, read in place (frozen zeros if absent)."""
+        """Stored block at degree n, read in place (zeros if absent)."""
         for deg, m in self.blocks:
             if deg == n:
                 return m
-        return ((0,) * self.source.dim(n),) * self.target.dim(n + self.shift)
+        return rl.zeros(self.target.dim(n + self.shift), self.source.dim(n))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self o other (apply other first)."""
         if not (other.target is self.source or other.target == self.source):
             raise rl.ShapeMismatch("composition source/target mismatch")
-        blocks = {}
-        for n, m in other.blocks:
-            mine = self.block(n + other.shift)
-            if mine and mine[0]:
-                prod = rl.mat_mul(mine, m)
-                if not rl.is_zero(prod):
-                    blocks[n] = prod
+        blocks = {n: rl.mat_mul(self.block(n + other.shift), m)
+                  for n, m in other.blocks}
         return LinearMap.from_blocks(other.source, self.target,
                                      self.shift + other.shift, blocks)
 
@@ -169,10 +160,8 @@ class LinearMap:
 
     def apply(self, n: int, vec: Sequence):
         """Apply to a degree-n coordinate vector; returns degree n+shift vector."""
-        b = self.block(n)
-        if not b or not b[0]:
-            return [0] * self.target.dim(n + self.shift)
-        return [row[0] for row in rl.mat_mul(b, [[x] for x in vec])]
+        return [sum((v * vec[j] for j, v in row.items() if vec[j]), 0)
+                for row in self.block(n)]
 
 
 def anticommutator(a: LinearMap, b: LinearMap) -> LinearMap:
@@ -193,7 +182,7 @@ class CochainComplex:
         dd = d.compose(d)
         if not dd.is_zero():
             n, m = dd.blocks[0]
-            raise DifferentialNotSquareZero((n, [list(row) for row in m]))
+            raise DifferentialNotSquareZero((n, m.dense()))
         return CochainComplex(space, d)
 
     def degrees(self):
@@ -211,15 +200,15 @@ class Subspace:
     def from_spans(ambient: GradedSpace, spans: Mapping[int, Sequence]) -> "Subspace":
         basis = []
         for n in sorted(spans):
-            m = spans[n]
-            if not m or not len(m[0]):
+            m = rl.freeze(spans[n])
+            if not rl.ncols(m):
                 continue
             if len(m) != ambient.dim(n):
                 raise ValueError(f"span at degree {n} has {len(m)} rows, "
                                  f"ambient dim is {ambient.dim(n)}")
             ech, _ = rl.column_echelon(m)
             if rl.ncols(ech):
-                basis.append((n, rl.freeze(ech)))
+                basis.append((n, ech))
         return Subspace(ambient, tuple(basis))
 
     @staticmethod
@@ -237,19 +226,19 @@ class Subspace:
         for deg, m in self.basis:
             if deg == n:
                 return m
-        return ((),) * self.ambient.dim(n)
+        return rl.zeros(self.ambient.dim(n), 0)
 
     def dim(self, n: int) -> int:
         for deg, m in self.basis:
             if deg == n:
-                return len(m[0]) if m else 0
+                return rl.ncols(m)
         return 0
 
     def dims(self) -> dict:
-        return {deg: len(m[0]) for deg, m in self.basis}
+        return {deg: rl.ncols(m) for deg, m in self.basis}
 
     def total_dim(self) -> int:
-        return sum(len(m[0]) for _, m in self.basis)
+        return sum(rl.ncols(m) for _, m in self.basis)
 
     def contains(self, other: "Subspace") -> bool:
         return all(_coordinates(self.matrix(n), m) is not None
@@ -277,23 +266,23 @@ def _coordinates(basis, m):
     a column of `basis` has no unit row."""
     k = rl.ncols(basis)
     if not k:
-        return [] if rl.is_zero(m) else None
+        return rl.zeros(0, rl.ncols(m)) if rl.is_zero(m) else None
     rows = {}
     for i, row in enumerate(basis):
-        if sum(map(bool, row)) == 1 and 1 in row:
-            rows.setdefault(row.index(1), i)
+        if len(row) == 1 and 1 in row.values():
+            rows.setdefault(*row, i)
     if len(rows) < k:
         raise InconsistentResult("basis without a unit row for every column")
-    x = [m[rows[j]] for j in range(k)]
-    return x if rl.mat_eq(rl.mat_mul(basis, x), m) else None
+    x = rl.freeze([m[rows[j]] for j in range(k)], rl.ncols(m))
+    return x if rl.mat_mul(basis, x) == m else None
 
 
 def stacked_kernel(blocks: Sequence, dim: int):
     """Kernel columns of the blocks stacked on top of each other (each has
     `dim` columns; empty blocks are skipped), or the identity when no block
     is left."""
-    stacked = [row for blk in blocks if blk and blk[0] for row in blk]
-    return rl.kernel(stacked) if stacked else rl.identity(dim)
+    stacked = [row for blk in blocks if rl.ncols(blk) for row in blk]
+    return rl.kernel(rl.freeze(stacked, dim)) if stacked else rl.identity(dim)
 
 
 def joint_kernel(space: GradedSpace, ops: Sequence[LinearMap]) -> Subspace:
@@ -319,7 +308,7 @@ def image_of_subspace(m: LinearMap, sub: Subspace) -> Subspace:
     spans = {}
     for n, _ in sub.basis:
         blk = m.block(n)
-        if blk and blk[0]:
+        if len(blk):
             spans[n + m.shift] = rl.mat_mul(blk, sub.matrix(n))
     return Subspace.from_spans(m.target, spans)
 
@@ -347,7 +336,7 @@ def restrict_map(op: LinearMap, inclusion: LinearMap, what: str) -> LinearMap:
     blocks = {}
     for n in small.degrees():
         blk = op.block(n)
-        if not (blk and blk[0]):
+        if not len(blk):
             continue
         img = rl.mat_mul(blk, inclusion.block(n))
         if rl.is_zero(img):
@@ -366,9 +355,9 @@ def rank_kernel_image(m: LinearMap, degree: int):
     sd = m.source.dim(degree)
     td = m.target.dim(degree + m.shift)
     if sd == 0:
-        return 0, [], []
+        return 0, rl.zeros(0, 0), rl.zeros(td, 0)
     if td == 0:
-        return 0, rl.identity(sd), []
+        return 0, rl.identity(sd), rl.zeros(0, 0)
     ker = rl.kernel(blk)
     img, _ = rl.column_echelon(blk)
     r = rl.ncols(img)
@@ -398,8 +387,9 @@ class SubquotientResult:
         c = _coordinates(self._z.matrix(n), columns)
         if c is None:
             raise NotContained(f"vector not in the subquotient at degree {n}")
-        return [list(map(rl.q, row))
-                for row in rl.mat_mul(self._proj.get(n, []), c)]
+        proj = self._proj.get(n)
+        return rl.zeros(0, rl.ncols(c)) if proj is None else \
+            rl.freeze(rl.mat_mul(proj, c))
 
 
 def subquotient(z: Subspace, b: Subspace) -> SubquotientResult:
@@ -422,9 +412,11 @@ def subquotient(z: Subspace, b: Subspace) -> SubquotientResult:
         if k + len(chosen) != rl.ncols(zb):
             raise NotContained(f"denominator escapes numerator at degree {n}")
         dims[n] = len(chosen)
-        projs[n] = [row[k:] for row in r[k:k + len(chosen)]]
+        projs[n] = rl.freeze([{j - k: v for j, v in row.items()}
+                              for row in r[k:k + len(chosen)]], rl.ncols(zb))
         if chosen:
-            reps[n] = [[row[j] for j in chosen] for row in zb]
+            reps[n] = rl.mat_from_columns([zb.cols[j] for j in chosen],
+                                          len(zb))
     return SubquotientResult(z.ambient, dims, reps, z, projs)
 
 
@@ -467,11 +459,9 @@ def homotopy_witness(c: CochainComplex, n: int) -> LinearMap:
         raise InconsistentResult(f"image of d not solvable at degree {n}")
     # h = x o (pivot-row extraction): on the image, coordinates are just the
     # pivot-row entries because img is in reduced column echelon form.
-    h = rl.zeros(src_dim, tgt_dim)
-    for j, pr in enumerate(piv_rows):
-        for i in range(src_dim):
-            h[i][pr] = x[i][j]
-    return LinearMap.from_blocks(c.space, c.space, -1, {n: h})
+    h = [{piv_rows[j]: v for j, v in row.items()} for row in x]
+    return LinearMap.from_blocks(c.space, c.space, -1,
+                                 {n: rl.freeze(h, tgt_dim)})
 
 
 @dataclass(frozen=True)
@@ -504,8 +494,7 @@ def invariant_projection(space: GradedSpace, operators: Sequence[LinearMap]) -> 
         inv = rl.solve(rl.hstack(ker, img), rl.identity(dim))
         if inv is None:
             raise InconsistentResult(f"complementary bases not invertible at degree {n}")
-        k = rl.ncols(ker)
-        proj_blocks[n] = rl.mat_mul(ker, inv[:k]) if k else rl.zeros(dim, dim)
+        proj_blocks[n] = rl.mat_mul(ker, rl.freeze(inv[:rl.ncols(ker)], dim))
     sub = Subspace.from_spans(space, spans_k)
     proj = LinearMap.from_blocks(space, space, 0, proj_blocks)
     return InvariantProjection(sub, proj)

@@ -26,7 +26,7 @@ from .core import (CochainComplex, GradedSpace, InconsistentResult,
                    joint_kernel, linear_combination, map_image, map_kernel,
                    restrict_complex, restrict_map, stacked_kernel, subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, build_representation,
-                  ce_complex, spanned_algebra, sym_derivation)
+                  ce_complex, column_vectors, spanned_algebra, sym_derivation)
 
 
 class AxiomFailure(Exception):
@@ -94,16 +94,7 @@ def _first_defect(m: LinearMap):
     if m.is_zero():
         return None
     n, blk = m.blocks[0]
-    for j in range(len(blk[0])):
-        if any(row[j] for row in blk):
-            return {"degree": n, "basis_index": j}
-    return {"degree": n, "basis_index": 0}
-
-
-def _sparse_columns(blk):
-    """The nonzero (row, value) entries of each column of a block."""
-    return [[(t, v) for t, v in enumerate(col) if v] or ()
-            for col in zip(*blk)]
+    return {"degree": n, "basis_index": min(min(row) for row in blk if row)}
 
 
 def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
@@ -123,7 +114,6 @@ def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
     product_samples seeded associativity triples."""
     g, r = c.algebra, c.algebra.dim
     d, i, lie_ops = c.d, c.contractions, c.lie_ops
-    basis = rl.identity(r)
     # Each axiom: a sum of terms (coefficient, operators applied right to
     # left) that must vanish.
     axioms = [("d^2=0", [], [(1, d, d)])]
@@ -133,21 +123,21 @@ def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
         axioms += [("iii", [a], [(1, d, i[a]), (1, i[a], d), (-1, la)]),
                    ("[L,d]=0", [a], [(1, la, d), (-1, d, la)])]
     for a, b in [(a, b) for a in range(r) for b in range(r) if a != b]:
-        br = [(x, k) for k, x in enumerate(g.bracket(basis[a], basis[b])) if x]
+        br = [(x, k) for k, x in enumerate(g.c[a][b]) if x]
         for name, ops in (("ii'", i), ("L-bracket", lie_ops)):
             axioms.append((name, [a, b], [(x, ops[k]) for x, k in br] + [
                 (-1, lie_ops[a], ops[b]), (1, ops[b], lie_ops[a])]))
-    columns = {}   # (id(op), degree) -> _sparse_columns of its block
 
     def apply(op, n, vec):
-        """op on the sparse vector vec of degree n."""
-        if (id(op), n) not in columns:
-            columns[id(op), n] = (_sparse_columns(op.block(n))
-                                  or [()] * c.space.dim(n))
+        """op on the sparse vector vec of degree n, by the column index of
+        its stored block."""
         out = {}
-        for j, x in vec.items():
-            for t, v in columns[id(op), n][j]:
-                out[t] = out.get(t, 0) + x * v
+        for deg, blk in op.blocks:
+            if deg == n:
+                cols = blk.cols
+                for j, x in vec.items():
+                    for t, v in cols[j].items():
+                        out[t] = out.get(t, 0) + x * v
         return out
 
     failures = []   # per axiom its first nonzero column, in degree order
@@ -219,10 +209,10 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
     failing = {}   # (da, ia, db, ib) -> index of the first failing operator
     for k, (_, _, op, odd) in enumerate(ops):
         s = op.shift
-        # Per source degree of D: each column's nonzero (row, value), and
-        # each row's nonzero (column, value) as a column of the transpose.
-        cols = {n: _sparse_columns(blk) for n, blk in op.blocks}
-        rows = {n: _sparse_columns(zip(*blk)) for n, blk in op.blocks}
+        # Per source degree of D: the nonzero {row: value} of each column
+        # and {column: value} of each row.
+        cols = {n: blk.cols for n, blk in op.blocks}
+        rows = dict(op.blocks)
         for da, db in [(da, db) for da in degs for db in degs]:
             eps = -1 if odd and da % 2 else 1
             acc = {}   # (ia, ib, row) -> left side minus right side
@@ -230,18 +220,18 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
             if d_ab:
                 for (ia, ib), terms in table.get((da, db), {}).items():
                     for kk, cc in terms:
-                        for t, v in d_ab[kk]:
+                        for t, v in d_ab[kk].items():
                             key = (ia, ib, t)
                             acc[key] = acc.get(key, 0) + cc * v
             if d_a:
                 for (t, ib), terms in table.get((da + s, db), {}).items():
-                    for ia, v in d_a[t]:
+                    for ia, v in d_a[t].items():
                         for kk, cc in terms:
                             key = (ia, ib, kk)
                             acc[key] = acc.get(key, 0) - v * cc
             if d_b:
                 for (ia, t), terms in table.get((da, db + s), {}).items():
-                    for ib, v in d_b[t]:
+                    for ib, v in d_b[t].items():
                         for kk, cc in terms:
                             key = (ia, ib, kk)
                             acc[key] = acc.get(key, 0) - eps * v * cc
@@ -367,7 +357,7 @@ def ce_gdiff(ce: CEComplex, acting: Optional[Subalgebra] = None,
     if acting is None:
         return build_gdiff(ce.algebra, ce.complex, ce.contractions, ce.lie_ops,
                            product=prod, unit=unit, check=check)
-    cols = rl.columns(acting.basis_matrix())
+    cols = column_vectors(acting.basis_matrix())
     k_alg = spanned_algebra(ce.algebra, cols, "acting-subalgebra")
     contr = [linear_combination(ce.contractions, col) for col in cols]
     lies = [linear_combination(ce.lie_ops, col) for col in cols]
@@ -425,21 +415,24 @@ def weil_algebra(g: LieAlgebra, sym_cap: int, check: bool = True) -> WeilAlgebra
                              for a, idx in ce.space.labels(k)]
 
     def lift(ops, shift):
-        """Dense blocks of the operator that is ops[m] on symmetric degree m."""
+        """Sparse rows, per degree, of the operator that is ops[m] on
+        symmetric degree m."""
         blocks = {}
         for m, op in enumerate(ops):
             for k, blk in op.blocks:
                 deg = k + 2 * m
                 if deg not in blocks:
-                    blocks[deg] = rl.zeros(len(comps[deg + shift]),
-                                           len(comps[deg]))
+                    blocks[deg] = [{} for _ in comps[deg + shift]]
                 out = blocks[deg]
                 rows, cols = where[(k + shift, m)], where[(k, m)]
                 for i, row in enumerate(blk):
-                    for j, v in enumerate(row):
-                        if v:
-                            out[rows[i]][cols[j]] = v
+                    for j, v in row.items():
+                        out[rows[i]][cols[j]] = v
         return blocks
+
+    def frozen(blocks):
+        return {deg: rl.freeze(rows, len(comps[deg]))
+                for deg, rows in blocks.items()}
 
     dblocks = lift([ce.complex.d for ce in ces], 1)
     # -delta: -(sum_a (i_a idx) (x) u_a expo), truncated at sym cap
@@ -449,18 +442,19 @@ def weil_algebra(g: LieAlgebra, sym_cap: int, check: bool = True) -> WeilAlgebra
                 continue
             for p_i, t in enumerate(idx):
                 if deg not in dblocks:
-                    dblocks[deg] = rl.zeros(len(comps[deg + 1]), len(labs))
+                    dblocks[deg] = [{} for _ in comps[deg + 1]]
                 new_e = list(expo)
                 new_e[t] += 1
-                row = pos[deg + 1][(idx[:p_i] + idx[p_i + 1:], tuple(new_e))]
-                dblocks[deg][row][col] -= -1 if p_i % 2 else 1
-    d = LinearMap.from_blocks(space, space, 1, dblocks)
+                row = dblocks[deg][
+                    pos[deg + 1][(idx[:p_i] + idx[p_i + 1:], tuple(new_e))]]
+                row[col] = row.get(col, 0) - (-1 if p_i % 2 else 1)
+    d = LinearMap.from_blocks(space, space, 1, frozen(dblocks))
     cx = CochainComplex.build(space, d)
     contractions = [LinearMap.from_blocks(
-        space, space, -1, lift([ce.contractions[b] for ce in ces], -1))
+        space, space, -1, frozen(lift([ce.contractions[b] for ce in ces], -1)))
         for b in range(n)]
     lie_ops = [LinearMap.from_blocks(
-        space, space, 0, lift([ce.lie_ops[b] for ce in ces], 0))
+        space, space, 0, frozen(lift([ce.lie_ops[b] for ce in ces], 0)))
         for b in range(n)]
 
     unit = [0] * len(comps[0])
@@ -509,7 +503,7 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
             tgt = pos.get(deg + shift)
             if tgt is None:
                 continue
-            blk = rl.zeros(len(tgt), len(comps[deg]))
+            blk = [{} for _ in tgt]
             for d1 in sp1.degrees():
                 d2 = deg - d1
                 col0 = pos[deg].get((d1, 0, d2, 0))
@@ -522,8 +516,7 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
                 if row0 is not None:
                     rl.add_kron(blk, one1[d1], op2.block(d2), row0, col0,
                                 koszul(d1))
-            if not rl.is_zero(blk):
-                blocks[deg] = blk
+            blocks[deg] = rl.freeze(blk, len(comps[deg]))
         return blocks
 
     parity = lambda d1: -1 if d1 % 2 else 1
@@ -543,29 +536,24 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
     product = None
     unit = None
     if c1.product is not None and c2.product is not None:
+        # (a1 (x) a2)(b1 (x) b2) = (-1)^(|a2||b1|) a1 b1 (x) a2 b2, over the
+        # nonzero entries of the two factor tables.
         table = {}
-        for da in sorted(comps):
-            for db in sorted(comps):
-                if da + db not in comps:
-                    continue
-                pairs = {}
-                for ia, (a1, i1, a2, i2) in enumerate(comps[da]):
-                    for ib, (b1, j1, b2, j2) in enumerate(comps[db]):
-                        t1 = c1.product.terms(a1, i1, b1, j1)
-                        t2 = c2.product.terms(a2, i2, b2, j2)
-                        if not t1 or not t2:
-                            continue
-                        sgn = -1 if (a2 % 2) and (b1 % 2) else 1
-                        terms = []
-                        for k1, co1 in t1:
-                            for k2, co2 in t2:
-                                lab = (a1 + b1, k1, a2 + b2, k2)
-                                terms.append((pos[da + db][lab], sgn * co1 * co2))
-                        if terms:
-                            pairs[(ia, ib)] = tuple(terms)
-                if pairs:
-                    table[(da, db)] = pairs
-        product = Product(table)
+        for (a1, b1), pairs1 in c1.product.table.items():
+            for (a2, b2), pairs2 in c2.product.table.items():
+                sgn = -1 if (a2 % 2) and (b1 % 2) else 1
+                pa, pb = pos.get(a1 + a2), pos.get(b1 + b2)
+                pout = pos.get(a1 + b1 + a2 + b2)
+                pairs = table.setdefault((a1 + a2, b1 + b2), {})
+                for (i1, j1), t1 in pairs1.items():
+                    for (i2, j2), t2 in pairs2.items():
+                        if t1 and t2:
+                            pairs[pa[(a1, i1, a2, i2)], pb[(b1, j1, b2, j2)]] = \
+                                tuple((pout[(a1 + b1, k1, a2 + b2, k2)],
+                                       sgn * co1 * co2)
+                                      for k1, co1 in t1 for k2, co2 in t2)
+        product = Product({key: dict(sorted(pairs.items()))
+                           for key, pairs in sorted(table.items()) if pairs})
         if c1.unit is not None and c2.unit is not None:
             unit = [0] * len(comps[0])
             for i1, v1 in enumerate(c1.unit):
@@ -620,12 +608,9 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> tuple:
             reps = sq.reps.get(n)
             if reps is None:
                 continue
-            blk = op.block(n)
-            if not (blk and blk[0]):
-                continue
-            blocks[n] = sq.project(n + op.shift, rl.mat_mul(blk, reps))
-        return LinearMap.from_blocks(qspace, qspace, op.shift,
-                                     {k: v for k, v in blocks.items() if v})
+            blocks[n] = sq.project(n + op.shift,
+                                   rl.mat_mul(op.block(n), reps))
+        return LinearMap.from_blocks(qspace, qspace, op.shift, blocks)
 
     dq = induce(c.d)
     cx = CochainComplex.build(qspace, dq)
@@ -653,10 +638,10 @@ def trivial_action_gdiff(algebra: LieAlgebra, complex_: CochainComplex,
 
 def cartan_twist(c: GDiffComplex, model_space: GradedSpace, fine: dict,
                  mons: dict) -> dict:
-    """Dense blocks, degree deg -> deg + 1 of the full Cartan model space
-    (laid out as `fine` and `mons` of CartanModel), of the twist
-    sum_j i_j (x) u_j: u_j multiplies by the j-th generator of S(g*), from
-    S^m to S^(m+1)."""
+    """Sparse rows (dicts column -> entry, for the caller to add to and
+    freeze), degree deg -> deg + 1 of the full Cartan model space (laid out
+    as `fine` and `mons` of CartanModel), of the twist sum_j i_j (x) u_j:
+    u_j multiplies by the j-th generator of S(g*), from S^m to S^(m+1)."""
     r = c.algebra.dim
     mult = {}   # (m, j) -> u_j from S^m to S^(m+1)
     for m in mons:
@@ -664,16 +649,16 @@ def cartan_twist(c: GDiffComplex, model_space: GradedSpace, fine: dict,
             continue
         index = {e: i for i, e in enumerate(mons[m + 1])}
         for j in range(r):
-            u = mult[(m, j)] = rl.zeros(len(mons[m + 1]), len(mons[m]))
+            u = [{} for _ in mons[m + 1]]
             for mi, e in enumerate(mons[m]):
                 u[index[bases.sym_mul(e, bases.unit_exp(r, j))]][mi] = 1
+            mult[(m, j)] = rl.freeze(u, len(mons[m]))
     blocks = {}
     for deg, entries in fine.items():
         if deg + 1 not in fine:
             continue
         tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
-        blk = blocks[deg] = rl.zeros(model_space.dim(deg + 1),
-                                     model_space.dim(deg))
+        blk = blocks[deg] = [{} for _ in range(model_space.dim(deg + 1))]
         for (n, m, _, off, _) in entries:
             row0 = tgt.get((n - 1, m + 1))
             if row0 is not None:
@@ -741,10 +726,12 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
             # the total Lie derivative preserves each fine component, so the
             # invariant basis is fine-graded
             size = sp.dim(n) * len(mons[m])
-            mats = [rl.zeros(size, size) for _ in range(r)]
-            for b, mat in enumerate(mats):
+            mats = []
+            for b in range(r):
+                mat = [{} for _ in range(size)]
                 rl.add_kron(mat, c.lie_ops[b].block(n), ones[m])
                 rl.add_kron(mat, a_ones[n], ls_mats[m][b])
+                mats.append(rl.freeze(mat, size))
             kernels.append(stacked_kernel(mats, size))
             entries.append((n, m, rl.ncols(kernels[-1]), len(labs), size))
             labs.extend(("c", n, m, ai, mi)
@@ -757,12 +744,12 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
         if total_inv == 0:
             continue
         inv_labels[deg] = tuple(f"inv{deg}.{i}" for i in range(total_inv))
-        blk = incl_blocks[deg] = rl.zeros(len(labs), total_inv)
-        colpos = 0
-        for (_, _, k, off, size), kernel in zip(entries, kernels):
-            for t in range(size):
-                blk[off + t][colpos:colpos + k] = kernel[t]
+        # the fine components in order, each kernel in its own columns
+        rows, colpos = [], 0
+        for (_, _, k, _, _), kernel in zip(entries, kernels):
+            rows += [{colpos + j: v for j, v in row.items()} for row in kernel]
             colpos += k
+        incl_blocks[deg] = rl.freeze(rows, total_inv)
     model_space = GradedSpace.from_labels(labels)
     inv_space = GradedSpace.from_labels(inv_labels)
     inclusion = LinearMap.from_blocks(inv_space, model_space, 0, incl_blocks)
@@ -777,7 +764,8 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
                 rl.add_kron(blk, c.d.block(n), ones[m], row0, off)
     d_full = LinearMap.from_blocks(
         model_space, model_space, 1,
-        {deg: blk for deg, blk in dblocks.items() if not rl.is_zero(blk)})
+        {deg: rl.freeze(blk, model_space.dim(deg))
+         for deg, blk in dblocks.items()})
     d_inv = restrict_map(d_full, inclusion,
                          "the Cartan differential leaves the invariants")
     cx = CochainComplex.build(inv_space, d_inv)
@@ -846,22 +834,22 @@ def locally_free_connection(c: GDiffComplex) -> ConnectionResult:
     one = rl.identity(r)
     rows, rhs = [], []
     for b in range(r):
-        m = rl.zeros(r * dim0, r * dim1)
+        m = [{} for _ in range(r * dim0)]
         rl.add_kron(m, one, c.contractions[b].block(1))
         rows += m
-        rhs += [c.unit[t] if b == k else 0 for k in range(r)
+        rhs += [{0: c.unit[t]} if b == k else {} for k in range(r)
                 for t in range(dim0)]
     for b in range(r):
-        m = rl.zeros(r * dim1, r * dim1)
+        m = [{} for _ in range(r * dim1)]
         rl.add_kron(m, one, c.lie_ops[b].block(1))
-        rl.add_kron(m, [[g.c[b][l][k] for l in range(r)] for k in range(r)],
-                    rl.identity(dim1))
+        rl.add_kron(m, rl.freeze([{l: g.c[b][l][k] for l in range(r)}
+                                  for k in range(r)], r), rl.identity(dim1))
         rows += m
-        rhs += [0] * (r * dim1)
-    sol = rl.solve(rows, [[v] for v in rhs])
+        rhs += [{}] * (r * dim1)
+    sol = rl.solve(rl.freeze(rows, r * dim1), rl.freeze(rhs, 1))
     if sol is None:
         return ConnectionResult(False, None)
-    flat = [row[0] for row in sol]
+    flat = [row.get(0, 0) for row in sol]
     theta = tuple(tuple(flat[k * dim1:(k + 1) * dim1]) for k in range(r))
     return ConnectionResult(True, theta)
 
@@ -904,7 +892,7 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
     blocks = {}
     for deg in wsp.degrees():
         labs = wsp.labels(deg)
-        blk = rl.zeros(sp.dim(deg), len(labs)) if sp.dim(deg) else None
+        blk = [{} for _ in range(sp.dim(deg))]
         for col, lab in enumerate(labs):
             _, idx, expo = lab
             cur_deg = 0
@@ -918,11 +906,10 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
                     cur_deg += 2
             if cur_deg != deg:
                 raise InconsistentResult(f"Weil label {lab} is not of degree {deg}")
-            if blk is not None:
-                for t, v in enumerate(cur):
+            for t, v in enumerate(cur):
+                if v:
                     blk[t][col] = v
-        if blk is not None and not rl.is_zero(blk):
-            blocks[deg] = blk
+        blocks[deg] = rl.freeze(blk, len(labs))
     phi = LinearMap.from_blocks(wsp, sp, 0, blocks)
 
     # compatibility with contractions and Lie derivatives (no truncation there)
@@ -976,14 +963,15 @@ def _mq_twist(a: GDiffComplex, w: WeilAlgebra, tensor: GDiffComplex,
     lam = {}   # (b, wd) -> left multiplication by lambda^b on W^wd
     for b in range(a.algebra.dim):
         for wd in wsp.degrees():
-            m = lam[(b, wd)] = rl.zeros(wsp.dim(wd + 1), wsp.dim(wd))
+            m = [{} for _ in range(wsp.dim(wd + 1))]
             for i2 in range(wsp.dim(wd)):
                 for k, sgn in w.gdiff.product.terms(
                         1, w.lambda_positions[b], wd, i2):
-                    m[k][i2] += sgn
+                    m[k][i2] = m[k].get(i2, 0) + sgn
+            lam[(b, wd)] = rl.freeze(m, wsp.dim(wd))
     blocks = {}
     for deg in tsp.degrees():
-        blk = rl.zeros(tsp.dim(deg), tsp.dim(deg))
+        blk = [{} for _ in range(tsp.dim(deg))]
         for n in a.space.degrees():
             wd = deg - n
             col0 = pos[deg].get((n, 0, wd, 0))
@@ -994,8 +982,7 @@ def _mq_twist(a: GDiffComplex, w: WeilAlgebra, tensor: GDiffComplex,
             for b in range(a.algebra.dim):
                 rl.add_kron(blk, a.contractions[b].block(n), lam[(b, wd)],
                             row0, col0, eps)
-        if not rl.is_zero(blk):
-            blocks[deg] = blk
+        blocks[deg] = rl.freeze(blk, tsp.dim(deg))
     return LinearMap.from_blocks(tsp, tsp, 0, blocks)
 
 
@@ -1048,12 +1035,12 @@ def cartan_weil_inclusion(model: CartanModel, w: WeilAlgebra,
         labs = msp.labels(deg)
         if tensor.space.dim(deg) == 0:
             continue
-        blk = rl.zeros(tensor.space.dim(deg), len(labs))
+        blk = [{} for _ in range(tensor.space.dim(deg))]
         for col, lab in enumerate(labs):
             _, n, m, ai, mi = lab
             expo = model.mons[m][mi]
             blk[pos[deg][(n, ai, 2 * m, wpos[expo])]][col] = 1
-        rblocks[deg] = blk
+        rblocks[deg] = rl.freeze(blk, len(labs))
     rearr = LinearMap.from_blocks(msp, tensor.space, 0, rblocks)
 
     twist = _mq_twist(a, w, tensor, pos, variant)
@@ -1077,7 +1064,7 @@ def cartan_weil_inclusion(model: CartanModel, w: WeilAlgebra,
         for deg in model.complex.space.degrees():
             dim = model.complex.space.dim(deg)
             blk = inc.block(deg)
-            if dim and (not (blk and blk[0]) or rl.rank(blk) != dim):
+            if dim and (not len(blk) or rl.rank(blk) != dim):
                 failures.append({"axiom": "injective", "degree": deg,
                                  "basis_index": 0})
         if failures:
@@ -1104,10 +1091,8 @@ def low_degree_data(c: GDiffComplex, model: Optional[CartanModel] = None) -> dic
     h_model = cohomology(model.complex)
 
     kernel0 = z.matrix(0)
-    kernel_invariant = all(
-        rl.is_zero(rl.mat_mul(op.block(0), kernel0))
-        for op in c.lie_ops
-        if rl.ncols(kernel0) and op.block(0) and op.block(0)[0])
+    kernel_invariant = not rl.ncols(kernel0) or all(
+        rl.is_zero(rl.mat_mul(op.block(0), kernel0)) for op in c.lie_ops)
 
     z1 = Subspace.from_spans(sp, {1: z.matrix(1)})
     hor1 = z1.intersect(joint_kernel(sp, c.contractions))
@@ -1138,14 +1123,11 @@ def forgetful_matrices(model: CartanModel, up_to: Optional[int] = None) -> dict:
     top = up_to if up_to is not None else model.band
     out = {}
     for n in range(top + 1):
-        cols = []
-        for rep in rl.columns(hg.reps.get(n, ())):
-            full = model.inclusion.apply(n, rep)
-            avec = [0] * a.space.dim(n)
-            for (nn, m, _, off, size) in model.fine.get(n, ()):
-                if m == 0:
-                    avec = full[off:off + size]
-            cols.append(avec)
-        out[n] = proj.project(
-            n, rl.mat_from_columns(cols, nrows=a.space.dim(n)))
+        reps = hg.reps.get(n, rl.zeros(model.complex.space.dim(n), 0))
+        full = rl.mat_mul(model.inclusion.block(n), reps)
+        rows = [{}] * a.space.dim(n)
+        for (_, m, _, off, size) in model.fine.get(n, ()):
+            if m == 0:
+                rows = full[off:off + size]
+        out[n] = proj.project(n, rl.freeze(rows, rl.ncols(reps)))
     return out

@@ -81,15 +81,13 @@ class LieAlgebra:
     def ad(self, i: int):
         """Matrix of ad(e_i) acting on g (rows = output index)."""
         n = self.dim
-        m = rl.zeros(n, n)
-        for j in range(n):
-            for k in range(n):
-                m[k][j] = self.c[i][j][k]
-        return m
+        return rl.freeze([{j: self.c[i][j][k] for j in range(n)}
+                          for k in range(n)], n)
 
     def coad(self, i: int):
         """Matrix of ad*(e_i) = -ad(e_i)^T on g*."""
-        return rl.mat_scale(rl.transpose(self.ad(i)), -1)
+        return rl.freeze([{k: -x for k, x in enumerate(self.c[i][j])}
+                          for j in range(self.dim)], self.dim)
 
 
 def build_lie_algebra(dim: int, brackets: Sequence, compact_type: bool = False,
@@ -126,13 +124,13 @@ def build_lie_algebra(dim: int, brackets: Sequence, compact_type: bool = False,
 
 def _check_jacobi(g: LieAlgebra):
     n = g.dim
-    basis = rl.identity(n)
+    basis = [[int(t == i) for t in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                d1 = g.bracket(basis[i], g.bracket(basis[j], basis[k]))
-                d2 = g.bracket(basis[j], g.bracket(basis[k], basis[i]))
-                d3 = g.bracket(basis[k], g.bracket(basis[i], basis[j]))
+                d1 = g.bracket(basis[i], g.c[j][k])
+                d2 = g.bracket(basis[j], g.c[k][i])
+                d3 = g.bracket(basis[k], g.c[i][j])
                 defect = [a + b + c_ for a, b, c_ in zip(d1, d2, d3)]
                 if any(defect):
                     raise JacobiViolation(((i, j, k), defect))
@@ -176,19 +174,19 @@ def build_representation(g: LieAlgebra, operators: Sequence, dim: int,
     if len(ops) != g.dim:
         raise RepresentationInvalid("one operator per generator required")
     for m in ops:
-        if len(m) != dim or any(len(row) != dim for row in m):
+        if m.shape != (dim, dim):
             raise RepresentationInvalid(f"operators must be {dim} x {dim}")
-    basis = rl.identity(g.dim)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = rl.mat_sub(rl.mat_mul(ops[i], ops[j]), rl.mat_mul(ops[j], ops[i]))
-            br = g.bracket(basis[i], basis[j])
+            lhs = rl.mat_add(rl.mat_mul(ops[i], ops[j]),
+                             rl.mat_mul(ops[j], ops[i]), -1)
+            br = g.c[i][j]
             rhs = rl.zeros(dim, dim)
             for k in range(g.dim):
                 if br[k]:
                     rhs = rl.mat_add(rhs, rl.mat_scale(ops[k], br[k]))
-            if not rl.mat_eq(lhs, rhs):
-                raise RepresentationInvalid(((i, j), rl.mat_sub(lhs, rhs)))
+            if lhs != rhs:
+                raise RepresentationInvalid(((i, j), rl.mat_add(lhs, rhs, -1)))
     return Representation(g, dim, ops, name)
 
 
@@ -213,19 +211,18 @@ def sym_derivation(gen, m: int):
     n = len(gen)
     mons = bases.sym_basis(n, m)
     index = {e: i for i, e in enumerate(mons)}
-    out = rl.zeros(len(mons), len(mons))
+    out = [{} for _ in mons]
     for col, e in enumerate(mons):
         for j in range(n):
             if not e[j]:
                 continue
-            for t in range(n):
-                coeff = gen[t][j]
-                if coeff:
-                    new = list(e)
-                    new[j] -= 1
-                    new[t] += 1
-                    out[index[tuple(new)]][col] += e[j] * coeff
-    return out
+            for t, coeff in gen.cols[j].items():
+                new = list(e)
+                new[j] -= 1
+                new[t] += 1
+                row = out[index[tuple(new)]]
+                row[col] = row.get(col, 0) + e[j] * coeff
+    return rl.freeze(out, len(mons))
 
 
 def sym_power_rep(g: LieAlgebra, k: int) -> Representation:
@@ -243,15 +240,11 @@ def sym_range_rep(g: LieAlgebra, kmax: int) -> Representation:
     dim = sum(p.space_dim for p in pieces)
     ops = []
     for a in range(g.dim):
-        m = rl.zeros(dim, dim)
-        off = 0
+        rows, off = [], 0
         for p in pieces:
-            blk = p.op(a)
-            for i in range(p.space_dim):
-                for j in range(p.space_dim):
-                    m[off + i][off + j] = blk[i][j]
+            rows += [{off + j: v for j, v in row.items()} for row in p.op(a)]
             off += p.space_dim
-        ops.append(m)
+        ops.append(rl.freeze(rows, dim))
     return build_representation(g, ops, dim, name=f"sym<={kmax}-coadjoint")
 
 
@@ -279,11 +272,13 @@ def _exterior_operators(g: LieAlgebra) -> tuple:
         idx) of the image of lambda_idx, None for no term."""
         out = {}
         for k in range(lo, hi):
-            m = out[k] = rl.zeros(len(ext[k + shift]), len(ext[k]))
+            m = [{} for _ in ext[k + shift]]
             for col, idx in enumerate(ext[k]):
                 for term in terms(idx):
                     if term is not None:
-                        m[pos[k + shift][term[1]]][col] += term[0]
+                        row = m[pos[k + shift][term[1]]]
+                        row[col] = row.get(col, 0) + term[0]
+            out[k] = rl.freeze(m, len(ext[k]))
         return out
 
     def derivation(image):
@@ -352,9 +347,10 @@ def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex
         (family, v) in terms on each Lambda^k (x) V."""
         blocks = {}
         for k in range(max(0, -shift), min(n, n - shift) + 1):
-            out = blocks[k] = rl.zeros(space.dim(k + shift), space.dim(k))
+            out = [{} for _ in range(space.dim(k + shift))]
             for fam, v in terms:
                 rl.add_kron(out, fam[k], v)
+            blocks[k] = rl.freeze(out, space.dim(k))
         return LinearMap.from_blocks(space, space, shift, blocks)
 
     d = kron_sum(1, [(wedge[b], rep.op(b)) for b in range(n)] + [(d_ext, one)])
@@ -365,12 +361,17 @@ def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex
                      lie_ops)
 
 
+def column_vectors(m) -> list:
+    """The columns of a matrix as coordinate vectors (lists)."""
+    return [[col.get(i, 0) for i in range(len(m))] for col in m.cols]
+
+
 def spanned_algebra(g: LieAlgebra, cols: Sequence, name: str,
                     compact_type: bool = False) -> LieAlgebra:
     """The Lie algebra spanned by the columns `cols` of g, in the basis they
     form.  Raises ValueError when the span is not closed under the
     bracket."""
-    kb = rl.mat_from_columns(cols, nrows=g.dim)
+    kb = rl.mat_from_columns([dict(enumerate(col)) for col in cols], g.dim)
     brackets = []
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
@@ -399,8 +400,9 @@ def build_subalgebra(g: LieAlgebra, vectors: Sequence,
     """vectors: columns spanning k.  Verifies closure under the bracket and,
     when given (or found by solving the stability system), a k-stable
     complement."""
-    b = rl.mat_from_columns([list(map(rl.q, v)) for v in vectors], nrows=g.dim)
-    cols = rl.columns(b)
+    b = rl.mat_from_columns([dict(enumerate(map(rl.q, v))) for v in vectors],
+                            g.dim)
+    cols = column_vectors(b)
     if rl.rank(b) != len(cols):
         raise ValueError("subalgebra basis is dependent")
     for i, x in enumerate(cols):
@@ -408,19 +410,20 @@ def build_subalgebra(g: LieAlgebra, vectors: Sequence,
             if i < j and not rl.in_span(b, g.bracket(x, y)):
                 raise ValueError(f"not closed under bracket: basis pair ({i},{j})")
     if complement is not None:
-        w = rl.mat_from_columns([list(map(rl.q, v)) for v in complement], nrows=g.dim)
+        w = rl.mat_from_columns([dict(enumerate(map(rl.q, v)))
+                                 for v in complement], g.dim)
         _verify_stable_complement(g, b, w)
         comp = w
     else:
         comp = _solve_stable_complement(g, b)
-    return Subalgebra(g, rl.freeze(b), rl.freeze(comp) if comp else ())
+    return Subalgebra(g, b, comp if comp is not None else ())
 
 
 def _verify_stable_complement(g, b, w):
     if rl.ncols(b) + rl.ncols(w) != g.dim or rl.ncols(rl.intersect_spans(b, w)):
         raise ValueError("complement does not complement")
-    for x in rl.columns(b):
-        for y in rl.columns(w):
+    for x in column_vectors(b):
+        for y in column_vectors(w):
             if not rl.in_span(w, g.bracket(x, y)):
                 raise ValueError("complement is not stable under the subalgebra")
 
@@ -439,39 +442,29 @@ def _solve_stable_complement(g, b):
     rows, rhs = [], []
     for i in range(s):
         for j in range(s):
-            row = [0] * nunk
-            for t in range(r):
-                if b[t][j]:
-                    row[unk(i, t)] = b[t][j]
-            rows.append(row)
-            rhs.append([1 if i == j else 0])
-    for eta in rl.columns(b):
-        ad = rl.zeros(r, r)
-        for j in range(r):
-            col = g.bracket(eta, [1 if t == j else 0 for t in range(r)])
-            for t in range(r):
-                ad[t][j] = col[t]
+            rows.append({unk(i, t): v for t, v in b.cols[j].items()})
+            rhs.append({0: 1} if i == j else {})
+    for eta in column_vectors(b):
+        ad = rl.mat_from_columns([dict(enumerate(g.bracket(
+            eta, [int(t == j) for t in range(r)]))) for j in range(r)], r)
+        adb = rl.mat_mul(ad, b)
         # B phi ad - ad B phi = 0, row (t, j)
         for t in range(r):
             for j in range(r):
-                row = [0] * nunk
-                for i in range(s):
-                    for u in range(r):
-                        if b[t][i] and ad[u][j]:
-                            row[unk(i, u)] += b[t][i] * ad[u][j]
-                    v = 0
-                    for u in range(r):
-                        if ad[t][u] and b[u][i]:
-                            v += ad[t][u] * b[u][i]
-                    if v:
-                        row[unk(i, j)] -= v
-                if any(row):
+                row = {}
+                for i, x in b[t].items():
+                    for u, y in ad.cols[j].items():
+                        row[unk(i, u)] = row.get(unk(i, u), 0) + x * y
+                for i, v in adb[t].items():
+                    row[unk(i, j)] = row.get(unk(i, j), 0) - v
+                if any(row.values()):
                     rows.append(row)
-                    rhs.append([0])
-    sol = rl.solve(rows, rhs)
+                    rhs.append({})
+    sol = rl.solve(rl.freeze(rows, nunk), rl.freeze(rhs, 1))
     if sol is None:
         return None
-    phi = [[sol[unk(i, j)][0] for j in range(r)] for i in range(s)]
+    phi = rl.freeze([{j: sol[unk(i, j)].get(0, 0) for j in range(r)}
+                     for i in range(s)], r)
     theta = rl.mat_mul(b, phi)
     comp = rl.kernel(theta)
     if rl.ncols(comp) != r - s:
@@ -484,7 +477,7 @@ def relative_subcomplex(ce: CEComplex, k: Subalgebra) -> tuple:
     differential.  Returns (CochainComplex, inclusion).  Raises NotSubcomplex
     if the kernel is not d-stable."""
     ops = []
-    for col in rl.columns(k.basis_matrix()):
+    for col in column_vectors(k.basis_matrix()):
         ops.append(linear_combination(ce.contractions, col))
         ops.append(linear_combination(ce.lie_ops, col))
     sub = joint_kernel(ce.space, ops)
@@ -609,10 +602,9 @@ def build_bialgebra(g: LieAlgebra, delta_triples: Sequence) -> Bialgebra:
 def _check_cocycle(bi: Bialgebra):
     g = bi.algebra
     n = g.dim
-    basis = rl.identity(n)
     for i in range(n):
         for j in range(i + 1, n):
-            br = g.bracket(basis[i], basis[j])
+            br = g.c[i][j]
             lhs: dict = {}
             for k in range(n):
                 if br[k]:

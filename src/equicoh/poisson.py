@@ -702,8 +702,9 @@ class PolyModel:
         key = self.basis[q][position]
         return self.kind(self.ambient, q, {key: Fraction(1)})
 
-    def to_vector(self, w, project: bool = False) -> list:
-        vec = [Fraction(0)] * self.space.dim(w.degree)
+    def to_vector(self, w, project: bool = False) -> dict:
+        """The coordinates {basis index: coefficient} of w."""
+        vec = {}
         for key, c in w.coeffs:
             pos = self.index.get((w.degree, key))
             if pos is None:
@@ -773,7 +774,7 @@ def operator_matrix(model: PolyModel, fn: Callable, shift: int,
         cols = [model.to_vector(fn(model.element(q, i)),
                                 project=project or not model.exact)
                 for i in range(len(model.basis[q]))]
-        blocks[q] = rl.mat_from_columns(cols, nrows=tgt)
+        blocks[q] = rl.mat_from_columns(cols, tgt)
     return LinearMap.from_blocks(model.space, model.space, shift, blocks)
 
 
@@ -973,10 +974,9 @@ def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,
                 raise MomentMismatch(
                     f"generator {j}: anchor image {fields[j]!r} differs "
                     f"from the declared field {action_fields[j]!r}")
-    basis = rl.identity(r)
     for a in range(r):
         for b in range(a + 1, r):
-            br = algebra.bracket(basis[a], basis[b])
+            br = algebra.c[a][b]
             lhs = zero_form(n, 1)
             for m in range(r):
                 if br[m]:
@@ -1011,8 +1011,8 @@ def _sub_algebra(md: MomentumData, generators: Optional[Sequence]) -> tuple:
         return md.algebra, md.one_forms
     g = md.algebra
     idx = list(generators)
-    basis = rl.identity(g.dim)
-    sub = lie.spanned_algebra(g, [basis[i] for i in idx],
+    sub = lie.spanned_algebra(g, [[int(t == i) for t in range(g.dim)]
+                                  for i in idx],
                               f"{g.name}-sub{tuple(idx)}", g.compact_type)
     return sub, tuple(md.one_forms[i] for i in idx)
 
@@ -1204,12 +1204,16 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
     for q in sorted(model_o.basis):
         cols = [model_x.to_vector(pi_sharp(p, model_o.element(q, i)))
                 for i in range(len(model_o.basis[q]))]
-        phi[q] = rl.mat_from_columns(cols, nrows=model_x.space.dim(q))
+        phi[q] = rl.freeze(rl.mat_from_columns(cols, model_x.space.dim(q)))
+
+    def sharp(q):
+        return phi[q] if q in phi else rl.zeros(model_x.space.dim(q),
+                                                model_o.space.dim(q))
     d_sign = None
     d_intertwines = True
     for q in sorted(model_o.basis):
-        a = rl.mat_mul(phi.get(q + 1, []), c_o.d.block(q))
-        b = rl.mat_mul(c_x.d.block(q), phi.get(q, []))
+        a = rl.mat_mul(sharp(q + 1), c_o.d.block(q))
+        b = rl.mat_mul(c_x.d.block(q), phi[q])
         if rl.is_zero(a) and rl.is_zero(b):
             continue
         s = (1 if a == b
@@ -1222,8 +1226,8 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
     inter = True
     for j in range(md.algebra.dim):
         for q in sorted(model_o.basis):
-            a = rl.mat_mul(phi.get(q - 1, []), c_o.contractions[j].block(q))
-            b = rl.mat_mul(c_x.contractions[j].block(q), phi.get(q, []))
+            a = rl.mat_mul(sharp(q - 1), c_o.contractions[j].block(q))
+            b = rl.mat_mul(c_x.contractions[j].block(q), phi[q])
             if a != b:
                 inter = False
     invertible = all(
@@ -1402,8 +1406,7 @@ def build_product_line_model(roots: Sequence,
         raise ValueError("need one derivative value per root")
     m = len(roots)
     space = GradedSpace.from_dims({0: m, 1: m, 2: m, 3: m}, prefix="line")
-    dblocks = {1: [[values[i] if i == j else 0 for j in range(m)]
-                   for i in range(m)]}
+    dblocks = {1: rl.freeze([{i: values[i]} for i in range(m)], m)}
     d = LinearMap.from_blocks(space, space, 1, dblocks)
     cx = CochainComplex.build(space, d)
     iblocks = {1: rl.identity(m), 3: rl.identity(m)}

@@ -1,23 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows.  Inputs may hold ints and Fractions, integral
-Fractions such as Fraction(4, 2) included; `q` alone also reads 'num/den'
-strings.  Stored entries (see `freeze`) are ints or non-integral Fractions.
-Per-entry work tests the exact type first and visits nonzero entries only,
-so a mostly-zero matrix costs what its nonzeros cost.
-All elimination is fraction-free: rows are scaled to integers and combined by
-integer cross-multiplication with gcd normalization, so ranks, kernels and
-echelon forms are exact.  Reduced row echelon form is unique, which makes
-every derived basis (kernels, column spaces, quotient representatives)
-deterministic regardless of pivot-selection heuristics.
+A matrix is a `Matrix`: the tuple of its rows, each a read-only mapping
+{column: entry} of the row's nonzero entries (every empty row is one shared
+mapping), with its shape; its column index, the same mappings by column, is
+built on first use and kept.  `freeze` alone builds one: from the sparse
+rows this package's writers fill, or from dense rows where a matrix enters
+from outside; `Matrix.dense` gives dense rows back for JSON and witnesses.
+Work is per nonzero entry throughout.
+
+Inputs may hold ints and Fractions, integral ones such as Fraction(4, 2)
+included; `q` alone also reads 'num/den' strings.  Stored entries (see
+`freeze`) are ints or non-integral Fractions; `mat_mul` leaves its products
+unnormalized.  All elimination is fraction-free: rows are scaled to integers
+and combined by integer cross-multiplication with gcd normalization, so
+ranks, kernels and echelon forms are exact.  Reduced row echelon form is
+unique, which makes every derived basis (kernels, column spaces, quotient
+representatives) deterministic regardless of pivot-selection heuristics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, is_
+from types import MappingProxyType
+
+_EMPTY = MappingProxyType({})   # every empty row and column
 
 
 class ShapeMismatch(ValueError):
@@ -39,135 +47,175 @@ def q(x):
     return int(x) if x.denominator == 1 else x
 
 
-def freeze(m):
-    """The stored form of a matrix: a tuple of tuples of ints and
-    non-integral Fractions, from rows of ints and Fractions (integral ones
-    included).  A row of ints only is kept as it is; other rows go through
-    `q`.  It is built once and read in place; writing through it raises
-    TypeError."""
-    return tuple(tuple(row) if set(map(type, row)) <= {int}
-                 else tuple(map(q, row)) for row in m)
+class Matrix(tuple):
+    """An immutable sparse matrix: the tuple of its rows (read-only
+    mappings column -> nonzero entry), its `shape` (rows, columns) and
+    `cols` (mappings row -> nonzero entry per column, built on first use).
+    Built only by `freeze`."""
+
+    def __new__(cls, rows, ncols: int):
+        m = tuple.__new__(cls, rows)
+        m.shape, m._cols = (len(m), ncols), None
+        return m
+
+    def __eq__(self, other):
+        return (type(other) is Matrix and self.shape == other.shape
+                and tuple.__eq__(self, other))
+
+    def __ne__(self, other):
+        return not self == other
+
+    @property
+    def cols(self) -> tuple:
+        if self._cols is None:
+            cols = [{} for _ in range(self.shape[1])]
+            for i, row in enumerate(self):
+                for j, v in row.items():
+                    cols[j][i] = v
+            self._cols = tuple(MappingProxyType(c) if c else _EMPTY
+                               for c in cols)
+        return self._cols
+
+    def dense(self) -> list:
+        """Dense rows, zeros as int 0."""
+        return [[row.get(j, 0) for j in range(self.shape[1])] for row in self]
 
 
-def _nonzeros(row):
-    """(column, entry) for each nonzero entry of `row`, in column order."""
-    return zip(compress(count(), row), filter(None, row))
+def _sparse(row):
+    """A read-only row from a sparse row (its zero entries dropped) or from
+    a dense row of scalars (through `q`)."""
+    if type(row) is MappingProxyType:
+        return row
+    if type(row) is not dict:
+        row = {j: q(x) for j, x in enumerate(row) if x}
+    elif not all(row.values()):
+        row = {j: x for j, x in row.items() if x}
+    return MappingProxyType(row) if row else _EMPTY
 
 
-def zeros(r: int, c: int):
-    return [[0] * c for _ in range(r)]
+def _normal(row):
+    """`row` with every entry through `q` (itself when they all are)."""
+    vals = row.values()
+    if set(map(type, vals)) <= {int} or all(
+            type(x) is not Fraction or x.denominator != 1 for x in vals):
+        return row
+    return MappingProxyType({j: q(x) for j, x in row.items()})
 
 
-def identity(n: int):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
+def freeze(m, ncols=None) -> Matrix:
+    """The stored form of a matrix.  From a Matrix: itself when its entries
+    are ints and non-integral Fractions, else a copy with each through `q`.
+    From rows with `ncols` columns (by default the first row's length):
+    sparse rows (dicts column -> scalar, adopted as they are, or rows of a
+    Matrix) less their zero entries, or dense rows read through `q`."""
+    if type(m) is Matrix:
+        rows = tuple(map(_normal, m))
+        return m if all(map(is_, rows, m)) else Matrix(rows, m.shape[1])
+    m = list(m)
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    return Matrix(map(_sparse, m), ncols)
 
 
-def transpose(a):
-    """The columns of `a` as lists: the rows of its transpose."""
-    return [list(col) for col in zip(*a)]
+def ncols(a) -> int:
+    return a.shape[1]
 
 
-columns = transpose
+def zeros(r: int, c: int) -> Matrix:
+    return freeze((_EMPTY,) * r, c)
 
 
-def mat_mul(a, b):
-    ra = len(a)
-    if ra == 0:
-        return []
-    ca = len(a[0])
-    cb = len(b[0]) if b else 0
-    if ca != len(b):
+def identity(n: int) -> Matrix:
+    return freeze([{i: 1} for i in range(n)], n)
+
+
+def mat_mul(a, b) -> Matrix:
+    """a b, each entry the sum of its nonzero products in the order of a's
+    row, started from int 0 and not normalized."""
+    if a.shape[1] != b.shape[0]:
         raise ShapeMismatch("shape mismatch")
-    out = zeros(ra, cb)
-    bnz = [None] * ca    # nonzeros of b's rows, listed when a first reaches one
-    for arow, orow in zip(a, out):
-        for k, v in _nonzeros(arow):
-            terms = bnz[k]
-            if terms is None:
-                terms = bnz[k] = list(_nonzeros(b[k]))
-            for j, w in terms:
-                orow[j] += v * w
-    return out
+    out = []
+    for arow in a:
+        acc = {}
+        for k, v in arow.items():
+            for j, w in b[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append(acc)
+    return freeze(out, b.shape[1])
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    s = q(s)
-    return [[q(s * x) if x else 0 for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
+def mat_add(a, b, sign=1) -> Matrix:
+    """a + sign * b (sums not normalized)."""
+    if a.shape != b.shape:
+        raise ShapeMismatch("sum of matrices of different shapes")
+    out = []
     for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
+        if rb:
+            ra = dict(ra)
+            for j, v in rb.items():
+                ra[j] = ra.get(j, 0) + sign * v
+        out.append(ra)
+    return freeze(out, a.shape[1])
 
 
-def is_zero(a):
-    return not any(map(any, a))
+def mat_scale(a, s) -> Matrix:
+    s = q(s)
+    return freeze([{j: q(s * x) for j, x in row.items()} for row in a],
+                  a.shape[1])
+
+
+def is_zero(a) -> bool:
+    return not any(a)
 
 
 def add_kron(out, a, b, row0: int = 0, col0: int = 0, scale=1):
-    """Add scale * (a (x) b) into the matrix `out` at offset (row0, col0), on
-    the product layout: a[i][j] * b[k][l] lands in row row0 + i * rows(b) + k
-    and column col0 + j * cols(b) + l.  Only nonzero entries are visited."""
-    br = len(b)
-    bc = len(b[0]) if br else 0
-    bnz = [(k, terms) for k, row in enumerate(b)
-           if (terms := list(_nonzeros(row)))]
-    if not bnz:
-        return
+    """Add scale * (a (x) b) into `out`, a list of sparse rows (dicts
+    column -> scalar), at offset (row0, col0), on the product layout:
+    a[i][j] * b[k][l] lands in row row0 + i * rows(b) + k and column
+    col0 + j * cols(b) + l."""
+    br, bc = b.shape
+    brows = [(k, row.items()) for k, row in enumerate(b) if row]
     for i, arow in enumerate(a):
         r = row0 + i * br
-        for j, x in _nonzeros(arow):
+        for j, x in arow.items():
             x *= scale
             c = col0 + j * bc
-            for k, terms in bnz:
+            for k, terms in brows:
                 orow = out[r + k]
                 for l, y in terms:
-                    orow[c + l] += x * y
+                    orow[c + l] = orow.get(c + l, 0) + x * y
 
 
-def hstack(*mats):
-    mats = [m for m in mats if m and m[0] is not None]
-    if not mats:
-        return []
+def hstack(*mats) -> Matrix:
     r = len(mats[0])
     if any(len(m) != r for m in mats):
         raise ShapeMismatch("row mismatch in hstack")
-    return [sum((list(m[i]) for m in mats), []) for i in range(r)]
+    rows = [dict(row) for row in mats[0]]
+    off = mats[0].shape[1]
+    for m in mats[1:]:
+        for row, mrow in zip(rows, m):
+            for j, v in mrow.items():
+                row[off + j] = v
+        off += m.shape[1]
+    return freeze(rows, off)
 
 
-def mat_from_columns(cols, nrows=None):
-    """Assemble column vectors into a matrix."""
-    if not cols:
-        return [[] for _ in range(nrows)] if nrows else []
-    n = len(cols[0])
-    return [[col[i] for col in cols] for i in range(n)]
+def mat_from_columns(cols, nrows: int) -> Matrix:
+    """The nrows-row matrix whose columns are the mappings row -> entry of
+    `cols`."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return freeze(rows, len(cols))
 
 
 def _int_row(row):
-    """Clear denominators and content of a row of ints and Fractions; return
-    the sparse dict col -> int of its nonzeros, each an int even where the
-    entry was an integral Fraction (products from `mat_mul` are not
-    normalized).  Only nonzero entries are visited."""
-    cols = list(compress(count(), row))
-    vals = list(filter(None, row))
+    """Clear denominators and content of a sparse row of nonzero ints and
+    Fractions; return the dict col -> int, each an int even where the entry
+    was an integral Fraction (products from `mat_mul` are not
+    normalized)."""
+    vals = list(row.values())
     den = lcm(*map(attrgetter("denominator"), vals))
     if den == 1:
         vals = list(map(int, vals))
@@ -176,16 +224,7 @@ def _int_row(row):
     g = gcd(*vals)
     if g > 1:
         vals = [v // g for v in vals]
-    return dict(zip(cols, vals))
-
-
-def _normalize(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
+    return dict(zip(row, vals))
 
 
 def _combine(r, piv, col):
@@ -204,7 +243,8 @@ def _combine(r, piv, col):
             w = -rv * v
             if w:
                 new[j] = w
-    return _normalize(new)
+    g = gcd(*new.values())
+    return {j: v // g for j, v in new.items()} if g > 1 else new
 
 
 def _sparse_echelon(rows):
@@ -250,10 +290,10 @@ def filtration_pairs(a, row_levels, col_levels):
     ties.  Returns the (row, column) pairs of the distinct lows left."""
     rows = sorted(range(len(row_levels)), key=lambda i: (-row_levels[i], i))
     pos = {i: k for k, i in enumerate(rows)}   # low = largest position
-    cols = transpose(a)
+    cols = a.cols
     by_low, pairs = {}, []
     for j in sorted(range(len(col_levels)), key=lambda j: -col_levels[j]):
-        col = {pos[i]: v for i, v in _int_row(cols[j]).items()} if rows else {}
+        col = {pos[i]: v for i, v in _int_row(cols[j]).items()}
         while col:
             low = max(col)
             if low not in by_low:
@@ -268,101 +308,71 @@ def rref(a):
     """Canonical reduced row echelon form.  Returns (R, pivots): R has the
     same shape as `a` with pivot entries 1, pivots is the list of pivot
     column indices in increasing order."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivrows = _sparse_echelon([_int_row(row) for row in a])
-    out = zeros(nrows, ncols)
-    pivots = []
-    for i, (col, row) in enumerate(pivrows):
+    rows, pivots = [], []
+    for col, row in _sparse_echelon(map(_int_row, a)):
         pv = row[col]
-        for j, v in row.items():
-            out[i][j] = v // pv if v % pv == 0 else Fraction(v, pv)
+        rows.append({j: v // pv if v % pv == 0 else Fraction(v, pv)
+                     for j, v in row.items()})
         pivots.append(col)
-    return out, pivots
+    rows += [_EMPTY] * (len(a) - len(rows))
+    return freeze(rows, a.shape[1]), pivots
 
 
 def rank(a) -> int:
-    return len(_sparse_echelon([_int_row(row) for row in a]))
+    return len(_sparse_echelon(map(_int_row, a)))
 
 
-def kernel(a):
+def kernel(a) -> Matrix:
     """Canonical kernel basis as a matrix whose columns span ker(a).
     (ncols(a) rows; one column per free variable, in column order.)"""
-    ncols = len(a[0]) if a else 0
+    n = a.shape[1]
     r, pivots = rref(a)
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    cols = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            if r[i][f]:
-                v[p] = q(-r[i][f])
-        cols.append(v)
-    return mat_from_columns(cols, nrows=ncols)
+    free = {f: k for k, f in enumerate(j for j in range(n) if j not in pivset)}
+    rows = [None if k is None else {k: 1} for k in map(free.get, range(n))]
+    for p, row in zip(pivots, r):
+        rows[p] = {free[j]: -v for j, v in row.items() if j != p}
+    return freeze(rows, len(free))
 
 
 def column_echelon(a):
     """Canonical reduced column echelon basis of the column space.
     Returns (B, pivot_rows): B is nrows x rank, B[pivot_rows[i]][j] = delta_ij."""
-    nrows = len(a)
-    r, pivots = rref(transpose(a))
-    b = [[r[j][i] for j in range(len(pivots))] for i in range(nrows)]
-    return b, pivots
+    r, pivots = rref(freeze(a.cols, len(a)))
+    return mat_from_columns(r[:len(pivots)], len(a)), pivots
 
 
 def solve(a, b):
     """Solve a @ X = b exactly.  b is a matrix (or column).  Returns the
     particular solution with free variables 0, or None if inconsistent."""
-    na = len(a[0]) if a else 0
-    if a and len(b) != len(a):
-        raise ShapeMismatch("shape mismatch in solve")
-    aug = hstack(a, b) if a else b
-    nb = len(b[0]) if b else 0
-    r, pivots = rref(aug)
-    for p in pivots:
-        if p >= na:
-            return None
-    x = zeros(na, nb)
-    for i, p in enumerate(pivots):
-        for j in range(nb):
-            x[p][j] = r[i][na + j]
-    return x
+    na = a.shape[1]
+    r, pivots = rref(hstack(a, b))
+    if pivots and pivots[-1] >= na:
+        return None
+    rows = [_EMPTY] * na
+    for p, row in zip(pivots, r):
+        rows[p] = {j - na: v for j, v in row.items() if j >= na}
+    return freeze(rows, b.shape[1])
 
 
 def solve_vec(a, v):
-    x = solve(a, [[e] for e in v])
-    if x is None:
-        return None
-    return [row[0] for row in x]
+    x = solve(a, freeze([{0: e} for e in v], 1))
+    return None if x is None else [row.get(0, 0) for row in x]
 
 
 def in_span(basis, v) -> bool:
     """Is column vector v in the span of the columns of `basis`?"""
-    if all(not e for e in v):
-        return True
-    if not basis or not basis[0]:
-        return False
-    return solve_vec(basis, v) is not None
+    return not any(v) or (basis.shape[1] > 0
+                          and solve_vec(basis, v) is not None)
 
 
-def intersect_spans(b1, b2):
+def intersect_spans(b1, b2) -> Matrix:
     """Canonical basis of span(b1) & span(b2) (columns)."""
-    if not b1 or not b2 or not b1[0] or not b2[0]:
-        return zeros(len(b1) if b1 else len(b2), 0)
-    k1 = len(b1[0])
-    ker = kernel(hstack(b1, b2))
-    vecs = []
-    for col in columns(ker):
-        a_part = mat_from_columns([col[:k1]], nrows=k1)
-        v = mat_mul(b1, a_part)
-        vecs.append([row[0] for row in v])
-    if not vecs:
+    if not b1.shape[1] or not b2.shape[1]:
         return zeros(len(b1), 0)
-    e, _ = column_echelon(mat_from_columns(vecs, nrows=len(b1)))
+    ker = kernel(hstack(b1, b2))
+    if not ker.shape[1]:
+        return zeros(len(b1), 0)
+    e, _ = column_echelon(mat_mul(b1, freeze(ker[:b1.shape[1]],
+                                             ker.shape[1])))
     return e
-
-
-def ncols(a) -> int:
-    return len(a[0]) if a else 0

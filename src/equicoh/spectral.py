@@ -141,7 +141,7 @@ def _z_subspace(fc: FilteredComplex, cache: dict, r: int, p: int, n: int) -> Sub
     else:
         target = fc.level(p + r).matrix(n + 1)
         m = fc.complex.d.block(n)
-        if not (m and m[0]) or rl.ncols(target) == space.dim(n + 1):
+        if not len(m) or rl.ncols(target) == space.dim(n + 1):
             out = Subspace.from_spans(space, {n: b})
         else:
             mb = rl.mat_mul(m, b)
@@ -150,10 +150,11 @@ def _z_subspace(fc: FilteredComplex, cache: dict, r: int, p: int, n: int) -> Sub
             else:
                 aug = rl.hstack(mb, rl.mat_scale(target, -1)) \
                     if rl.ncols(target) else mb
-                coeffs = rl.kernel(aug)[:rl.ncols(b)]
-                if not coeffs[0]:
+                ker = rl.kernel(aug)
+                if not rl.ncols(ker):
                     out = Subspace.zero(space)
                 else:
+                    coeffs = rl.freeze(ker[:rl.ncols(b)], rl.ncols(ker))
                     out = Subspace.from_spans(space, {n: rl.mat_mul(b, coeffs)})
     cache[key] = out
     return out
@@ -169,12 +170,13 @@ def _pairing_gaps(fc: FilteredComplex, degs) -> dict:
     for n in degs:
         cols, levels[n] = [], []
         for p in range(fc.top + 1):
-            inner = set(map(_pivot, rl.columns(fc.level(p + 1).matrix(n))))
-            for col in rl.columns(fc.level(p).matrix(n)):
-                if _pivot(col) not in inner:
+            # a column's pivot is its first nonzero row
+            inner = set(map(min, fc.level(p + 1).matrix(n).cols))
+            for col in fc.level(p).matrix(n).cols:
+                if min(col) not in inner:
                     cols.append(col)
                     levels[n].append(p)
-        basis[n] = rl.mat_from_columns(cols, nrows=fc.complex.space.dim(n))
+        basis[n] = rl.mat_from_columns(cols, fc.complex.space.dim(n))
         gaps[n] = [math.inf] * len(cols)
     for n, m in fc.complex.d.blocks:
         x = rl.solve(basis[n + 1], rl.mat_mul(m, basis[n]))
@@ -187,10 +189,6 @@ def _pairing_gaps(fc: FilteredComplex, degs) -> dict:
         for p, gap in zip(levels[n], gaps[n]):
             out.setdefault((p, n), []).append(gap)
     return out
-
-
-def _pivot(col) -> int:
-    return next(i for i, x in enumerate(col) if x)
 
 
 def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
@@ -245,11 +243,9 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
                 zden2 = _z_subspace(fc, cache, r - 1, p - r + 1, n - 1)
                 b2 = zden2.matrix(n - 1)
                 if rl.ncols(b2):
-                    m = fc.complex.d.block(n - 1)
-                    if m and m[0]:
-                        img = rl.mat_mul(m, b2)
-                        if not rl.is_zero(img):
-                            den = den.add(Subspace.from_spans(space, {n: img}))
+                    img = rl.mat_mul(fc.complex.d.block(n - 1), b2)
+                    if not rl.is_zero(img):
+                        den = den.add(Subspace.from_spans(space, {n: img}))
                 cell = subquotient(znum, den)
                 got = cell.dim(n)
             if got != want:
@@ -315,17 +311,13 @@ def symdegree_filtration(model: CartanModel) -> FilteredComplex:
     for p in range(2 * model.sym_cap + 2):
         spans = {}
         for n in space.degrees():
-            dim = space.dim(n)
             cols = []
             offset = 0
             for (_, m, inv_dim, _, _) in model.fine.get(n, ()):
                 if 2 * m >= p:
-                    for j in range(inv_dim):
-                        v = [0] * dim
-                        v[offset + j] = 1
-                        cols.append(v)
+                    cols += [{offset + j: 1} for j in range(inv_dim)]
                 offset += inv_dim
-            spans[n] = rl.mat_from_columns(cols, nrows=dim)
+            spans[n] = rl.mat_from_columns(cols, space.dim(n))
         levels.append(Subspace.from_spans(space, spans))
     return build_filtered(model.complex, levels)
 
@@ -380,7 +372,8 @@ def _twist_on_invariants(model: CartanModel) -> LinearMap:
     blocks = cartan_twist(model.base, mspace, model.fine, model.mons)
     return restrict_map(
         LinearMap.from_blocks(mspace, mspace, 1, {
-            deg: blk for deg, blk in blocks.items() if not rl.is_zero(blk)}),
+            deg: rl.freeze(rows, mspace.dim(deg))
+            for deg, rows in blocks.items()}),
         model.inclusion, "the Cartan twist leaves the invariants")
 
 
@@ -410,12 +403,12 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
             offset += inv_dim
         # a zero target group: both classes vanish, nothing to compare
         if target_cell is not None:
-            xl = [list(row) if t in lead else [0] * len(row)
-                  for t, row in enumerate(rep)]
+            xl = rl.freeze([row if t in lead else {}
+                            for t, row in enumerate(rep)], rl.ncols(rep))
             lhs = target_cell.project(
                 n + 1, rl.mat_mul(model.complex.d.block(n), rep))
             rhs = target_cell.project(n + 1, rl.mat_mul(twist.block(n), xl))
-            for j, (a, b) in enumerate(zip(rl.columns(lhs), rl.columns(rhs))):
+            for j, (a, b) in enumerate(zip(lhs.cols, rhs.cols)):
                 if a != b:
                     failures.append({"cell": [p, q], "rep": j,
                                      "reason": "formula mismatch"})

@@ -309,6 +309,17 @@ MALFORMED = {
     "fprime-parser-stack": (["compute"],
                             _example_task("poiss2", fprime="-" * 50000 + "t")),
     "example-unknown-name": (["compute"], _example_task("nope")),
+    # A bound the task does not read is refused, not dropped.
+    "option-example-sym-cap": (["compute"], {"kind": "example",
+                                             "payload": {"name": "weil"},
+                                             "options": {"sym_cap": 1}}),
+    "flag-example-task-sym-cap": (["compute", "--sym-cap", "1"],
+                                  {"kind": "example",
+                                   "payload": {"name": "weil"}}),
+    "example-weil-pages": (["example", "weil", "--pages", "3"], NO_FILE),
+    "example-weil-slice": (["example", "weil", "--slice", "3"], NO_FILE),
+    "lie-cohomology-sym-cap": (["lie-cohomology", "--sym-cap", "9"],
+                               {"algebra": SU2}),
     # validate runs the checks compute runs before it starts computing.
     "validate-example-sym-cap": (["validate"],
                                  _example_task("weil", sym_cap="x")),
@@ -316,6 +327,10 @@ MALFORMED = {
                                            _example_task("weil", symcap=4)),
     "validate-example-planes": (["validate"],
                                 _example_task("torus", planes=0)),
+    "validate-option-example-sym-cap": (["validate"],
+                                        {"kind": "example",
+                                         "payload": {"name": "weil"},
+                                         "options": {"sym_cap": 1}}),
     "validate-option-sym-cap": (["validate"],
                                 {"kind": "weil-check",
                                  "payload": {"algebra": SU2},
@@ -475,7 +490,8 @@ def test_checks_still_raise_under_optimized_python():
         "one = core.LinearMap.from_blocks(sp, sp, 0, {0: [[1]]})\n"
         "two = core.LinearMap.from_blocks(other, other, 0,\n"
         "                                 {0: [[1, 0], [0, 1]]})\n"
-        "checks = [lambda: ratlin.mat_mul([[1, 2]], [[1, 2]]),\n"
+        "checks = [lambda: ratlin.mat_mul(ratlin.freeze([[1, 2]]),\n"
+        "                                 ratlin.freeze([[1, 2]])),\n"
         "          lambda: one.compose(two),\n"
         "          lambda: core.CochainComplex.build(sp, one)]\n"
         "for check in checks:\n"

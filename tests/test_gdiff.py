@@ -229,6 +229,58 @@ def test_tensor_rejects_mismatched_algebras():
         gdiff.tensor_product(a, b)
 
 
+def _per_pair_table(c1, c2, pos):
+    """The product table of c1 (x) c2 from every pair of product basis
+    elements, two factor-table lookups per pair, with the Koszul sign."""
+    comps = {deg: sorted(labs, key=labs.get) for deg, labs in pos.items()}
+    table = {}
+    for da in sorted(comps):
+        for db in sorted(comps):
+            if da + db not in comps:
+                continue
+            pairs = {}
+            for ia, (a1, i1, a2, i2) in enumerate(comps[da]):
+                for ib, (b1, j1, b2, j2) in enumerate(comps[db]):
+                    t1 = c1.product.terms(a1, i1, b1, j1)
+                    t2 = c2.product.terms(a2, i2, b2, j2)
+                    if not t1 or not t2:
+                        continue
+                    sgn = -1 if (a2 % 2) and (b1 % 2) else 1
+                    pairs[(ia, ib)] = tuple(
+                        (pos[da + db][(a1 + b1, k1, a2 + b2, k2)],
+                         sgn * co1 * co2) for k1, co1 in t1 for k2, co2 in t2)
+            if pairs:
+                table[(da, db)] = pairs
+    return table
+
+
+def _tensor_factors():
+    g, h, t = lie.su2(), lie.heisenberg(), lie.abelian(2)
+    ce = {alg.name: gdiff.ce_gdiff(lie.ce_complex(alg, lie.trivial_rep(alg)))
+          for alg in (g, h, t)}
+    return {
+        "ce-su2-weil-su2-1": (ce["su2"],
+                              gdiff.weil_algebra(g, 1, check=False).gdiff),
+        "weil-heisenberg-1-ce-heisenberg": (
+            gdiff.weil_algebra(h, 1, check=False).gdiff, ce["heisenberg"]),
+        "weil-abelian2-1-weil-abelian2-2": (
+            gdiff.weil_algebra(t, 1, check=False).gdiff,
+            gdiff.weil_algebra(t, 2, check=False).gdiff),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tensor_factors()))
+def test_tensor_product_table_is_the_per_pair_table(name):
+    """The table built from the nonzero pairs of the factor tables is the
+    one every basis pair gives, keys and terms in the same order."""
+    c1, c2 = _tensor_factors()[name]
+    tensor, pos = gdiff.tensor_product(c1, c2, check=False)
+    ref = _per_pair_table(c1, c2, pos)
+    assert [(key, list(pairs.items())) for key, pairs in
+            tensor.product.table.items()] == \
+        [(key, list(pairs.items())) for key, pairs in ref.items()]
+
+
 def test_short_exact_sequence_euler_characteristic():
     g = lie.su2()
     w = gdiff.weil_algebra(g, 2)
@@ -239,10 +291,8 @@ def test_short_exact_sequence_euler_characteristic():
         cols = []
         for i, lab in enumerate(labs):
             if sum(lab[2]) >= 1:   # positive symmetric degree
-                v = [0] * len(labs)
-                v[i] = 1
-                cols.append(v)
-        spans[deg] = rl.mat_from_columns(cols, nrows=len(labs))
+                cols.append({i: 1})
+        spans[deg] = rl.mat_from_columns(cols, len(labs))
     subsp = core.Subspace.from_spans(wsp, spans)
     b = gdiff.sub_gdiff(w.gdiff, subsp)
     c, _ = gdiff.quotient_gdiff(w.gdiff, subsp)
@@ -316,12 +366,13 @@ def test_forgetful_map_iso_degree_one_epi_degree_two():
 
 
 def _blocks_digest(*items):
-    """SHA-256 of the spaces, shifts and stored blocks of linear maps, and of
-    the repr of any other item."""
+    """SHA-256 of the spaces, shifts and stored blocks of linear maps (each
+    as a tuple of dense rows), and of the repr of any other item."""
     h = hashlib.sha256()
     for m in items:
         if isinstance(m, core.LinearMap):
-            m = (m.source, m.target, m.shift, m.blocks)
+            m = (m.source, m.target, m.shift,
+                 tuple((n, tuple(map(tuple, b.dense()))) for n, b in m.blocks))
         h.update(repr(m).encode())
     return h.hexdigest()
 
@@ -416,7 +467,7 @@ def _mutate_op(op, rng):
     sp = op.source
     degs = [n for n in sp.degrees() if op.target.dim(n + op.shift)]
     n = rng.choice(degs)
-    blk = [list(row) for row in op.block(n)]
+    blk = op.block(n).dense()
     blk[rng.randrange(len(blk))][rng.randrange(len(blk[0]))] += \
         rng.choice((1, -1, 2, Fraction(1, 2)))
     blocks = dict(op.blocks)
@@ -500,7 +551,7 @@ def _apply(op, deg, vec):
     """op applied to the sparse vector vec of degree deg, read off the
     dense block."""
     out = {}
-    blk = op.block(deg)
+    blk = op.block(deg).dense()
     for i, cv in vec.items():
         for t in range(len(blk)):
             if blk[t][i]:
@@ -574,7 +625,7 @@ def _reference_operator_axioms(c):
     for a in range(r):
         defect("iii", [a], core.anticommutator(d, i[a]).sub(lie_ops[a]))
         defect("[L,d]=0", [a], commutator(lie_ops[a], d))
-    basis = rl.identity(r)
+    basis = rl.identity(r).dense()
     for a in range(r):
         for b in range(r):
             if a != b:

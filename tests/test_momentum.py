@@ -112,7 +112,7 @@ def test_momentum_gdiff_contractions_negate_the_lifts():
     w = model.element(1, 0)
     expected = po.contract(md.one_forms[0].scale(-1), w)
     got = model.from_vector(0, [row[model.index[(1, model.basis[1][0])]]
-                                for row in c.contractions[0].block(1)])
+                                for row in c.contractions[0].block(1).dense()])
     assert got.sub(expected).is_zero()
 
 

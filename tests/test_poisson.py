@@ -423,8 +423,8 @@ def test_product_line_generic_derivative():
     assert rep["direct_dims"] == [5, 2, 2, 5]
     page = rep["page_differential"]
     assert page["page"] == 2
-    assert page["matrix"] == [[vals[i] if i == j else 0 for j in range(5)]
-                              for i in range(5)]
+    assert page["matrix"].dense() == [[vals[i] if i == j else 0
+                                       for j in range(5)] for i in range(5)]
 
 
 def test_product_line_unit_derivative():

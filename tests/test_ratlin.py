@@ -7,6 +7,11 @@ from equicoh import ratlin as rl
 
 
 def rand_mat(rng, r, c, lo=-4, hi=4, frac=False):
+    """A seeded random matrix in its stored form."""
+    return rl.freeze(rand_rows(rng, r, c, lo, hi, frac), c)
+
+
+def rand_rows(rng, r, c, lo=-4, hi=4, frac=False):
     m = []
     for _ in range(r):
         row = []
@@ -19,20 +24,26 @@ def rand_mat(rng, r, c, lo=-4, hi=4, frac=False):
     return m
 
 
+def cols(vectors, n):
+    """The n-row matrix with the given columns (lists)."""
+    return rl.mat_from_columns([dict(enumerate(v)) for v in vectors], n)
+
+
 def test_rref_known():
-    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    a = rl.freeze([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     r, pivots = rl.rref(a)
     assert pivots == [0, 1]
+    r = r.dense()
     assert r[0] == [1, 0, 1]
     assert r[1] == [0, 1, 1]
     assert r[2] == [0, 0, 0]
 
 
 def test_rref_fractions():
-    a = [[Fraction(1, 2), 1], [1, 3]]
+    a = rl.freeze([[Fraction(1, 2), 1], [1, 3]])
     r, pivots = rl.rref(a)
     assert pivots == [0, 1]
-    assert r == [[1, 0], [0, 1]]
+    assert r.dense() == [[1, 0], [0, 1]]
 
 
 def test_kernel_matches_rank_nullity():
@@ -53,11 +64,11 @@ def test_rref_canonical_under_row_shuffle():
         a = rand_mat(rng, 5, 6)
         perm = list(range(5))
         rng.shuffle(perm)
-        b = [a[i] for i in perm]
+        b = rl.freeze([a[i] for i in perm], 6)
         ra, pa = rl.rref(a)
         rb, pb = rl.rref(b)
         assert pa == pb
-        assert rl.mat_eq(ra, rb)
+        assert ra == rb
 
 
 def test_solve_roundtrip():
@@ -70,12 +81,12 @@ def test_solve_roundtrip():
         b = rl.mat_mul(a, x)
         y = rl.solve(a, b)
         assert y is not None
-        assert rl.mat_eq(rl.mat_mul(a, y), b)
+        assert rl.mat_mul(a, y) == b
 
 
 def test_solve_inconsistent():
-    a = [[1, 0], [0, 0]]
-    b = [[0], [1]]
+    a = rl.freeze([[1, 0], [0, 0]])
+    b = rl.freeze([[0], [1]])
     assert rl.solve(a, b) is None
 
 
@@ -88,17 +99,17 @@ def test_column_echelon_idempotent_and_spanning():
         # reduced column echelon: pivot rows carry identity
         for j, pr in enumerate(piv):
             for k in range(rl.ncols(e)):
-                assert e[pr][k] == (1 if k == j else 0)
+                assert e.dense()[pr][k] == (1 if k == j else 0)
         # e spans the same column space
         assert rl.solve(e, a) is not None
         assert rl.solve(a, e) is not None
         e2, _ = rl.column_echelon(e)
-        assert rl.mat_eq(e, e2)
+        assert e == e2
 
 
 def test_span_operations():
-    b1 = rl.mat_from_columns([[1, 0, 0], [0, 1, 0]], nrows=3)
-    b2 = rl.mat_from_columns([[0, 1, 0], [0, 0, 1]], nrows=3)
+    b1 = cols([[1, 0, 0], [0, 1, 0]], 3)
+    b2 = cols([[0, 1, 0], [0, 0, 1]], 3)
     inter = rl.intersect_spans(b1, b2)
     assert rl.ncols(inter) == 1
     assert rl.in_span(inter, [0, 1, 0])
@@ -113,9 +124,9 @@ def test_intersection_random_consistency():
         inter = rl.intersect_spans(b1, b2)
         assert rl.solve(b1, inter) is not None
         assert rl.solve(b2, inter) is not None
-        # dim(U+V) = dim U + dim V - dim(U&V)
-        d1 = rl.rank(rl.transpose(b1))
-        d2 = rl.rank(rl.transpose(b2))
+        # dim(U+V) = dim U + dim V - dim(U&V), U and V the column spans
+        d1 = rl.rank(rl.freeze(b1.cols, len(b1)))
+        d2 = rl.rank(rl.freeze(b2.cols, len(b2)))
         assert rl.rank(rl.hstack(b1, b2)) == d1 + d2 - rl.ncols(inter)
 
 
@@ -134,11 +145,13 @@ def test_add_kron_matches_the_kronecker_product():
     rng = random.Random(20261018)
     for _ in range(300):
         ra, ca, rb, cb = (rng.randint(0, 4) for _ in range(4))
-        a = rl.freeze(rand_mat(rng, ra, ca, lo=-2, hi=2, frac=True))
-        b = rl.freeze(rand_mat(rng, rb, cb, lo=-2, hi=2, frac=True))
+        a = rand_mat(rng, ra, ca, lo=-2, hi=2, frac=True)
+        b = rand_mat(rng, rb, cb, lo=-2, hi=2, frac=True)
+        da, db = a.dense(), b.dense()
         row0, col0 = rng.randint(0, 3), rng.randint(0, 3)
-        base = rand_mat(rng, row0 + ra * rb + rng.randint(0, 2),
-                        col0 + ca * cb + rng.randint(0, 2), frac=True)
+        width = col0 + ca * cb + rng.randint(0, 2)
+        base = rand_rows(rng, row0 + ra * rb + rng.randint(0, 2), width,
+                         frac=True)
         scale = rng.choice([1, -1, Fraction(rng.randint(-5, 5),
                                             rng.randint(1, 5))])
         expect = [row[:] for row in base]
@@ -147,11 +160,11 @@ def test_add_kron_matches_the_kronecker_product():
                 for k in range(rb):
                     for l in range(cb):
                         expect[row0 + i * rb + k][col0 + j * cb + l] += \
-                            scale * a[i][j] * b[k][l]
-        out = [row[:] for row in base]
+                            scale * da[i][j] * db[k][l]
+        out = [{j: x for j, x in enumerate(row) if x} for row in base]
         rl.add_kron(out, a, b, row0, col0, scale)
-        assert out == expect
-        assert rl.freeze(out) == rl.freeze(expect)
+        assert [[row.get(j, 0) for j in range(width)] for row in out] == expect
+        assert rl.freeze(out, width) == rl.freeze(expect, width)
 
 
 # Reference implementations, written from the definitions for the scalar
@@ -166,18 +179,21 @@ def _ref_q(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _ref_mat_mul(a, b):
-    """Entry (i, j) is the sum over k of a[i][k] * b[k][j], starting from
-    int 0 and taking the nonzero products in k order, not normalized."""
-    return [[sum((x * y for x, y in zip(row, col) if x and y), 0)
-             for col in zip(*b)] for row in a]
+def _ref_mat_mul(a, b, c):
+    """Entry (i, j) of a b (c columns) is the sum over k of a[i][k] *
+    b[k][j], starting from int 0 and taking the nonzero products in k order,
+    not normalized; a sum that cancels to zero is not stored and reads as
+    int 0."""
+    return [[sum((x * brow[j] for x, brow in zip(row, b) if x and brow[j]),
+                 0) or 0 for j in range(c)] for row in a]
 
 
-def _ref_rref(a):
-    """Gauss-Jordan over Fractions, pivots scaled to 1, entries as `q`."""
+def _ref_rref(a, n=None):
+    """Gauss-Jordan over Fractions of the rows a (n columns), pivots scaled
+    to 1, entries as `q`."""
     m = [[Fraction(x) for x in row] for row in a]
     pivots = []
-    for c in range(len(a[0]) if a else 0):
+    for c in range(len(a[0]) if n is None else n):
         r = len(pivots)
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
@@ -191,11 +207,11 @@ def _ref_rref(a):
     return [[_ref_q(x) for x in row] for row in m], pivots
 
 
-def _ref_kernel(a):
-    """One column per free variable f: x_f = 1, the other free ones 0, and
-    each pivot variable solved from its row of the reduced form."""
-    n = len(a[0]) if a else 0
-    r, pivots = _ref_rref(a)
+def _ref_kernel(a, n):
+    """One column per free variable f of the n: x_f = 1, the other free
+    ones 0, and each pivot variable solved from its row of the reduced
+    form."""
+    r, pivots = _ref_rref(a, n)
     cols = []
     for f in (j for j in range(n) if j not in pivots):
         v = [0] * n
@@ -206,9 +222,37 @@ def _ref_kernel(a):
     return [[v[i] for v in cols] for i in range(n)]
 
 
-def _typed(m):
-    """A matrix with the container and type of every entry made visible."""
-    return type(m), [(type(row), [(type(x), x) for x in row]) for row in m]
+def _ref_kron(a, b, scale):
+    """a (x) b scaled: entry (i*rows(b) + k, j*cols(b) + l) is
+    (a[i][j] * scale) * b[k][l], not normalized, where that is nonzero."""
+    return [[(x * scale * y or 0) if x and y else 0
+             for x in arow for y in brow] for arow in a for brow in b]
+
+
+def _ref_column_echelon(a):
+    """The first rank rows of the reduced form of the transpose, as
+    columns, with the pivots."""
+    r, pivots = _ref_rref([list(col) for col in zip(*a)], len(a))
+    return [[r[j][i] for j in range(len(pivots))] for i in range(len(a))], \
+        pivots
+
+
+def _ref_solve(a, na, b, nb):
+    """Read off the reduced form of [a | b] (na and nb columns): None when
+    a pivot lies in b, else each pivot variable's row of the b part, the
+    free ones 0."""
+    r, pivots = _ref_rref([ra + rb for ra, rb in zip(a, b)], na + nb)
+    if any(p >= na for p in pivots):
+        return None
+    x = [[0] * nb for _ in range(na)]
+    for i, p in enumerate(pivots):
+        x[p] = r[i][na:]
+    return x
+
+
+def _typed(rows):
+    """Dense rows with the type of every entry made visible."""
+    return [[(type(x), x) for x in row] for row in rows]
 
 
 def _contract_scalar(rng):
@@ -226,13 +270,19 @@ def _contract_scalar(rng):
 
 
 def test_scalar_contract_against_the_definitions():
-    """Values and entry types of the per-entry paths: stored entries are
-    ints or non-integral Fractions, products are left unnormalized, and
-    elimination accepts integral Fractions and bools in its input."""
+    """Values and entry types of the per-entry paths, read through dense
+    rows (zeros are not stored and read as int 0): dense rows are stored
+    through `q`; sparse rows are adopted as they are, so products are left
+    unnormalized and elimination accepts integral Fractions and bools in
+    its input."""
     rng = random.Random(20261018)
 
     def draw(r, c):
         return [[_contract_scalar(rng) for _ in range(c)] for _ in range(r)]
+
+    def adopted(rows, c):
+        """The matrix of `rows` stored without normalizing its entries."""
+        return rl.freeze([dict(enumerate(row)) for row in rows], c)
 
     for x in [_contract_scalar(rng) for _ in range(200)] + ["4/2", "-3/6"]:
         assert (type(rl.q(x)), rl.q(x)) == (type(_ref_q(x)), _ref_q(x))
@@ -241,16 +291,37 @@ def test_scalar_contract_against_the_definitions():
     for _ in range(300):
         r, k, c = (rng.randint(0, 5) for _ in range(3))
         a, b = draw(r, k), draw(k, c)
-        assert _typed(rl.freeze(a)) == _typed(
-            tuple(tuple(map(_ref_q, row)) for row in a))
-        prod = rl.mat_mul(a, b)
-        assert _typed(prod) == _typed(_ref_mat_mul(a, b))
+        stored = rl.freeze(a, k) if not r else rl.freeze(a)
+        assert stored.shape == (r, k)
+        assert _typed(stored.dense()) == _typed(
+            [[_ref_q(x) if x else 0 for x in row] for row in a])
+        ma, mb = adopted(a, k), adopted(b, c)
+        prod = rl.mat_mul(ma, mb)
+        assert _typed(prod.dense()) == _typed(_ref_mat_mul(a, b, c))
         s = rng.choice((0, 2, Fraction(1, 3), Fraction(6, 3), True))
-        assert _typed(rl.mat_scale(a, s)) == _typed(
+        assert _typed(rl.mat_scale(ma, s).dense()) == _typed(
             [[_ref_q(_ref_q(s) * x) for x in row] for row in a])
-        for m in (a, prod, rl.freeze(b)):
+        out = [{} for _ in range(r * k)]
+        rl.add_kron(out, ma, mb, scale=s)
+        assert _typed(rl.freeze(out, k * c).dense()) == _typed(
+            _ref_kron(ma.dense(), mb.dense(), s))
+        assert _typed(rl.hstack(ma, prod).dense()) == _typed(
+            [x + y for x, y in zip(ma.dense(), prod.dense())])
+        rhs = adopted(draw(r, c), c)
+        for m in (ma, prod, mb):
+            dense = m.dense()
             out, pivots = rl.rref(m)
-            ref, ref_pivots = _ref_rref(m)
-            assert (_typed(out), pivots) == (_typed(ref), ref_pivots)
+            ref, ref_pivots = _ref_rref(dense, rl.ncols(m))
+            assert (_typed(out.dense()), pivots) == (_typed(ref), ref_pivots)
             assert rl.rank(m) == len(ref_pivots)
-            assert _typed(rl.kernel(m)) == _typed(_ref_kernel(m))
+            assert _typed(rl.kernel(m).dense()) == _typed(
+                _ref_kernel(dense, rl.ncols(m)))
+            ech, ech_pivots = rl.column_echelon(m)
+            ref, ref_pivots = _ref_column_echelon(dense)
+            assert (_typed(ech.dense()), ech_pivots) == (_typed(ref), ref_pivots)
+        for m, y in ((ma, prod), (ma, rhs)):
+            x = rl.solve(m, y)
+            ref = _ref_solve(m.dense(), rl.ncols(m), y.dense(), rl.ncols(y))
+            assert (x is None) == (ref is None)
+            if x is not None:
+                assert _typed(x.dense()) == _typed(ref)

@@ -129,7 +129,7 @@ def test_symdegree_su2_pages_and_transgression():
     assert not pgs[1].diffs and not pgs[2].diffs and not pgs[3].diffs
     assert set(pgs[4].diffs) == {(0, 3)}
     mat = pgs[4].diffs[(0, 3)]
-    assert len(mat) == 1 and len(mat[0]) == 1 and mat[0][0] != 0
+    assert mat.shape == (1, 1) and mat.dense()[0][0] != 0
     assert pgs[5].cells == {(0, 0): 1, (4, 3): 1}
 
     final = pgs[-1]
@@ -175,7 +175,7 @@ def test_symdegree_torus_first_page_dims_and_d2_matrix():
     # Representatives of (0,1) are the two generator 1-forms and the target
     # cell is spanned by the two coordinate generators, so the matrix is the
     # identity.
-    assert pgs[2].diffs[(0, 1)] == [[1, 0], [0, 1]]
+    assert pgs[2].diffs[(0, 1)].dense() == [[1, 0], [0, 1]]
     assert spectral.verify_cartan_d2(model, pgs[2])["ok"]
 
     final = pgs[-1]
@@ -367,9 +367,9 @@ def _reference_pages(fc):
             tgt = (p + r, q - r + 1)
             if tgt in cells:
                 mat = rl.hstack(*[
-                    sq[tgt].project(p + q + 1, [[x] for x in
-                                                fc.complex.d.apply(p + q, v)])
-                    for v in rl.columns(reps[(p, q)])])
+                    sq[tgt].project(p + q + 1, rl.freeze(
+                        [[x] for x in fc.complex.d.apply(p + q, v)]))
+                    for v in lie.column_vectors(reps[(p, q)])])
                 if not rl.is_zero(mat):
                     diffs[(p, q)] = mat
         stable = bool(r >= stop_r and out and out[-1][0] == cells
@@ -379,7 +379,7 @@ def _reference_pages(fc):
 
 
 def _typed(mats):
-    return {k: [[(type(x), x) for x in row] for row in m]
+    return {k: [[(type(x), x) for x in row] for row in m.dense()]
             for k, m in mats.items()}
 
 
@@ -467,9 +467,9 @@ def _random_filtered(rng):
 
     def invertible(n, keeps_levels):
         while True:
-            m = [[1 if i == j else frac() if not keeps_levels
-                  or (level[n][i], i) > (level[n][j], j) else 0
-                  for j in range(dims[n])] for i in range(dims[n])]
+            m = rl.freeze([[1 if i == j else frac() if not keeps_levels
+                            or (level[n][i], i) > (level[n][j], j) else 0
+                            for j in range(dims[n])] for i in range(dims[n])])
             if rl.rank(m) == dims[n]:
                 return m, rl.solve(m, rl.identity(dims[n]))
 
@@ -481,17 +481,18 @@ def _random_filtered(rng):
                    rl.mat_mul(g_inv, move[n][1]))
     blocks = {}
     for n in range(3):
-        j = rl.zeros(dims[n + 1], dims[n])
+        j = [{} for _ in range(dims[n + 1])]
         for (m, x, y) in pairs:
             if m == n:
                 j[y][x] = 1
-        blocks[n] = rl.mat_mul(rl.mat_mul(conj[n + 1][0], j), conj[n][1])
+        blocks[n] = rl.mat_mul(rl.mat_mul(conj[n + 1][0],
+                                          rl.freeze(j, dims[n])), conj[n][1])
     space = core.GradedSpace.from_dims(dims)
     cx = core.CochainComplex.build(
         space, core.LinearMap.from_blocks(space, space, 1, blocks))
     levels = [core.Subspace.from_spans(space, {
         n: rl.mat_from_columns([col for col, lv in zip(
-            rl.columns(move[n][0]), level[n]) if lv >= p], nrows=dims[n])
+            move[n][0].cols, level[n]) if lv >= p], dims[n])
         for n in dims}) for p in range(top + 1)]
     return spectral.build_filtered(cx, levels), level, pairs
 
