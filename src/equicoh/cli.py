@@ -116,12 +116,9 @@ def _parse_term(data, ambient: int, field: str):
 
 def _parse_poly(data, ambient: int, field: str) -> PolyMultivector:
     _expect(isinstance(data, list), field, "expected a list of terms")
-    acc = {}
-    for t, term in enumerate(data):
-        exps, coeff = _parse_term(term, ambient, f"{field}[{t}]")
-        key = ((), exps)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    return PolyMultivector(ambient, 0, acc)
+    terms = [_parse_term(term, ambient, f"{field}[{t}]")
+             for t, term in enumerate(data)]
+    return PolyMultivector(ambient, 0, [(((), e), c) for e, c in terms])
 
 
 def _frac_json(value):
@@ -222,7 +219,7 @@ def parse_poisson(data, field: str = "payload") -> dict:
     entries = data.get("pi")
     _expect(isinstance(entries, list), f"{field}.pi",
             "expected a list of [[i, j], term] entries")
-    acc = {}
+    terms = []
     for t, item in enumerate(entries):
         here = f"{field}.pi[{t}]"
         _expect(isinstance(item, list) and len(item) == 2, here,
@@ -238,9 +235,9 @@ def parse_poisson(data, field: str = "payload") -> dict:
             raise MathError(
                 f"antisymmetry violated at pi[{t}]: repeated index {i}")
         exps, coeff = _parse_term(item[1], ambient, f"{here}[1]")
-        key, sign = (((i, j), exps), 1) if i < j else (((j, i), exps), -1)
-        acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-    bivector = PolyMultivector(ambient, 2, acc)
+        terms.append((((i, j), exps), coeff) if i < j
+                     else (((j, i), exps), -coeff))
+    bivector = PolyMultivector(ambient, 2, terms)
     p = po.poisson_structure(bivector)
     declared = data.get("regime")
     if declared is not None:
@@ -267,6 +264,9 @@ def parse_poisson(data, field: str = "payload") -> dict:
                 k = _expect_int(k, f"{field}.action.generators[{s}]", low=0)
                 _expect(k < algebra.dim, f"{field}.action.generators[{s}]",
                         "generator index out of range")
+                _expect(k not in generators[:s],
+                        f"{field}.action.generators[{s}]",
+                        "repeated generator index")
     mu = None
     if data.get("mu") is not None:
         _expect(isinstance(data["mu"], list), f"{field}.mu",

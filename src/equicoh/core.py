@@ -30,10 +30,6 @@ class NotContained(Exception):
     """Subquotient requested for spans without the required inclusion."""
 
 
-class NotReductive(Exception):
-    """Joint kernel of the operators meets the sum of their images."""
-
-
 class NotSubcomplex(Exception):
     """A subspace that must be a subcomplex is not closed under the
     differential, or a filtration level is not nested or level 0 is not the
@@ -348,24 +344,6 @@ def restrict_map(op: LinearMap, inclusion: LinearMap, what: str) -> LinearMap:
     return LinearMap.from_blocks(small, small, op.shift, blocks)
 
 
-def rank_kernel_image(m: LinearMap, degree: int):
-    """(rank, kernel columns, image columns) of the block at `degree`.
-    Verifies rank-nullity before returning."""
-    blk = m.block(degree)
-    sd = m.source.dim(degree)
-    td = m.target.dim(degree + m.shift)
-    if sd == 0:
-        return 0, rl.zeros(0, 0), rl.zeros(td, 0)
-    if td == 0:
-        return 0, rl.identity(sd), rl.zeros(0, 0)
-    ker = rl.kernel(blk)
-    img, _ = rl.column_echelon(blk)
-    r = rl.ncols(img)
-    if r + rl.ncols(ker) != sd:
-        raise InconsistentResult(f"rank-nullity violated at degree {degree}")
-    return r, ker, img
-
-
 @dataclass(frozen=True)
 class SubquotientResult:
     """z/b: dims, canonical representatives (columns per degree, living in
@@ -441,63 +419,6 @@ def cohomology(c: CochainComplex) -> CohomologyResult:
     degs = sorted(set(c.space.degrees()) | set(sq.dims))
     dims = {n: sq.dim(n) for n in degs}
     return CohomologyResult(c.space, dims, dict(sq.reps))
-
-
-def homotopy_witness(c: CochainComplex, n: int) -> LinearMap:
-    """H: C^n -> C^{n-1} with d o H = id on the image of d_{n-1};
-    consequently d o H o d = d in degree n-1."""
-    dprev = c.d.block(n - 1)
-    tgt_dim = c.space.dim(n)
-    src_dim = c.space.dim(n - 1)
-    if tgt_dim == 0 or src_dim == 0:
-        return LinearMap.zero(c.space, c.space, -1)
-    img, piv_rows = rl.column_echelon(dprev)
-    if not rl.ncols(img):
-        return LinearMap.zero(c.space, c.space, -1)
-    x = rl.solve(dprev, img)
-    if x is None:
-        raise InconsistentResult(f"image of d not solvable at degree {n}")
-    # h = x o (pivot-row extraction): on the image, coordinates are just the
-    # pivot-row entries because img is in reduced column echelon form.
-    h = [{piv_rows[j]: v for j, v in row.items()} for row in x]
-    return LinearMap.from_blocks(c.space, c.space, -1,
-                                 {n: rl.freeze(h, tgt_dim)})
-
-
-@dataclass(frozen=True)
-class InvariantProjection:
-    subspace: Subspace
-    projector: LinearMap
-
-
-def invariant_projection(space: GradedSpace, operators: Sequence[LinearMap]) -> InvariantProjection:
-    """Joint kernel of degree-0 operators plus the projection onto it along
-    the sum of their images.  Raises NotReductive when the kernel meets the
-    image sum (then no canonical complement exists)."""
-    if any(op.shift for op in operators):
-        raise ValueError("invariant projection needs degree-0 operators")
-    spans_k = {}
-    proj_blocks = {}
-    for n in space.degrees():
-        dim = space.dim(n)
-        blocks = [op.block(n) for op in operators]
-        ker = stacked_kernel(blocks, dim)
-        spans_k[n] = ker
-        if not operators:
-            proj_blocks[n] = rl.identity(dim)
-            continue
-        img, _ = rl.column_echelon(rl.hstack(*blocks))
-        if rl.ncols(rl.intersect_spans(ker, img)):
-            raise NotReductive(f"invariants meet the image sum at degree {n}")
-        if rl.ncols(ker) + rl.ncols(img) != dim:
-            raise NotReductive(f"invariants + images do not fill degree {n}")
-        inv = rl.solve(rl.hstack(ker, img), rl.identity(dim))
-        if inv is None:
-            raise InconsistentResult(f"complementary bases not invertible at degree {n}")
-        proj_blocks[n] = rl.mat_mul(ker, rl.freeze(inv[:rl.ncols(ker)], dim))
-    sub = Subspace.from_spans(space, spans_k)
-    proj = LinearMap.from_blocks(space, space, 0, proj_blocks)
-    return InvariantProjection(sub, proj)
 
 
 def restrict_complex(c: CochainComplex, sub: Subspace,

@@ -369,9 +369,11 @@ def column_vectors(m) -> list:
 def spanned_algebra(g: LieAlgebra, cols: Sequence, name: str,
                     compact_type: bool = False) -> LieAlgebra:
     """The Lie algebra spanned by the columns `cols` of g, in the basis they
-    form.  Raises ValueError when the span is not closed under the
-    bracket."""
+    form.  Raises ValueError when the columns are dependent or their span
+    is not closed under the bracket."""
     kb = rl.mat_from_columns([dict(enumerate(col)) for col in cols], g.dim)
+    if rl.rank(kb) != len(cols):
+        raise ValueError("subalgebra basis is dependent")
     brackets = []
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):

@@ -22,6 +22,9 @@ anchor's intertwining properties), and the shipped combination of signs is
 the unique one under which every registered identity holds.  The three
 module-level switches below exist only so regression tests can demonstrate
 that each alternative breaks a named identity with an explicit witness.
+The anchor of a structure (the images of the dx_i) is built when first read
+and kept with the structure, so it is fixed when first built:
+`_SHARP_TRANSPOSE` is read at that moment.
 
 Cohomology is computed on exact finite truncations whose flavor depends on
 the coefficient regime of the bivector:
@@ -52,19 +55,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from . import bases, lie, ratlin as rl
 from . import gdiff as gd
 from . import spectral
-from .bases import wedge_merge
 from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
                    anticommutator, cohomology, joint_kernel, map_kernel,
                    restrict_complex)
 from .poly import (AmbientMismatch, DegreeMismatch, PolyForm, PolyMultivector,
-                   apply_vector_field, as_form, as_multivector, basis_form,
-                   contract, contract_form, exterior_d, function, pairing,
-                   scale_by_function, tensor_add, tensor_is_zero,
+                   _derivatives, _slots, apply_vector_field, as_form,
+                   as_multivector, basis_form, contract, contract_form,
+                   exterior_d, function, pairing, scale_by_function,
+                   tensor_add, tensor_fold_functions, tensor_is_zero,
                    tensor_lwedge, tensor_scale, tilde_i, wedge, zero_form,
                    zero_multivector)
 
@@ -116,29 +121,9 @@ _DIFF_NEGATE = False    # True: d(w) = -[pi, w]
 # The graded bracket
 
 
-def _star_into(acc: dict, a: PolyMultivector, b: PolyMultivector, scalar):
-    """Accumulate scalar * sum_j (a <-d/d.odd_j) ^ (db/dx_j) into acc."""
-    for (ja, ea), ca in a.coeffs:
-        qa = len(ja)
-        for t, j in enumerate(ja):
-            if _STAR_LEFT:
-                sign_theta = -1 if t % 2 else 1
-            else:
-                sign_theta = -1 if (qa - 1 - t) % 2 else 1
-            rest = ja[:t] + ja[t + 1:]
-            for (jb, eb), cb in b.coeffs:
-                if eb[j] == 0:
-                    continue
-                m = wedge_merge(rest, jb)
-                if m is None:
-                    continue
-                msign, idx = m
-                ne = list(eb)
-                ne[j] -= 1
-                expo = tuple(x + y for x, y in zip(ea, ne))
-                key = (idx, expo)
-                val = scalar * sign_theta * msign * ca * cb * eb[j]
-                acc[key] = acc.get(key, Fraction(0)) + val
+def _star(a: PolyMultivector, b: PolyMultivector):
+    """The terms of sum_j (a <-d/d.odd_j) ^ (db/dx_j)."""
+    return _derivatives(_slots(a, from_tail=not _STAR_LEFT), b)
 
 
 def schouten(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
@@ -148,11 +133,9 @@ def schouten(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     deg = a.degree + b.degree - 1
     if deg < 0:
         return zero_multivector(a.ambient, 0)
-    acc = {}
-    _star_into(acc, a, b, Fraction(1))
     swap = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 == 0 else 1
-    _star_into(acc, b, a, Fraction(swap))
-    return PolyMultivector(a.ambient, deg, acc)
+    return PolyMultivector(a.ambient, deg, chain(
+        _star(a, b), ((k, swap * c) for k, c in _star(b, a))))
 
 
 def schouten_jacobiator(a: PolyMultivector, b: PolyMultivector,
@@ -196,6 +179,12 @@ class PoissonStructure:
     def max_coeff_degree(self) -> int:
         return self.bivector.coefficient_degree()
 
+    @cached_property
+    def anchor_rows(self) -> tuple:
+        """Row i: the anchor image of dx_i, built on first use and kept;
+        not a compared field."""
+        return _sharp_rows(self)
+
 
 def _detect_regime(w: PolyMultivector) -> str:
     degs = {sum(e) for (_, e), _ in w.coeffs}
@@ -225,13 +214,12 @@ def zero_poisson(ambient: int) -> PoissonStructure:
 def constant_poisson(ambient: int, entries: Mapping) -> PoissonStructure:
     """Bivector sum entries[(i, j)] * e_i ^ e_j with constant coefficients."""
     zero = (0,) * ambient
-    acc = {}
-    for (i, j), c in entries.items():
-        if i == j:
-            raise ValueError("diagonal entry in an antisymmetric bivector")
-        key, s = ((i, j), 1) if i < j else ((j, i), -1)
-        acc[(key, zero)] = acc.get((key, zero), Fraction(0)) + s * Fraction(c)
-    return poisson_structure(PolyMultivector(ambient, 2, acc))
+    if any(i == j for i, j in entries):
+        raise ValueError("diagonal entry in an antisymmetric bivector")
+    return poisson_structure(PolyMultivector(ambient, 2, (
+        (((i, j), zero), Fraction(c)) if i < j
+        else (((j, i), zero), -Fraction(c))
+        for (i, j), c in entries.items())))
 
 
 def symplectic_poisson(planes: int) -> PoissonStructure:
@@ -244,16 +232,10 @@ def linear_poisson(g: lie.LieAlgebra) -> PoissonStructure:
     """The linear bivector on the dual of a Lie algebra: the component along
     e_i ^ e_j is sum_m c^m_{ij} x_m, so {x_i, x_j} = sum_m c^m_{ij} x_m."""
     n = g.dim
-    acc = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for m in range(n):
-                cm = g.c[i][j][m]
-                if cm:
-                    e = [0] * n
-                    e[m] = 1
-                    acc[((i, j), tuple(e))] = Fraction(cm)
-    return poisson_structure(PolyMultivector(n, 2, acc), algebra=g)
+    return poisson_structure(PolyMultivector(n, 2, (
+        (((i, j), bases.unit_exp(n, m)), cm)
+        for i in range(n) for j in range(i + 1, n)
+        for m, cm in enumerate(g.c[i][j]) if cm)), algebra=g)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +255,20 @@ def d_pi(p: PoissonStructure, w: PolyMultivector) -> PolyMultivector:
     return out.scale(-1) if _DIFF_NEGATE else out
 
 
-def _sharp_rows(p: PoissonStructure) -> list:
+def _sharp_rows(p: PoissonStructure) -> tuple:
     """Row i: the anchor image of dx_i, as a polynomial vector field."""
-    n = p.ambient
-    rows = [dict() for _ in range(n)]
-    for ((i, j), e), c in p.bivector.coeffs:
-        rows[i][((j,), e)] = rows[i].get(((j,), e), Fraction(0)) + c
-        rows[j][((i,), e)] = rows[j].get(((i,), e), Fraction(0)) - c
     sign = -1 if _SHARP_TRANSPOSE else 1
-    return [PolyMultivector(n, 1, {k: sign * v for k, v in r.items()})
-            for r in rows]
+    rows = [[] for _ in range(p.ambient)]
+    for ((i, j), e), c in p.bivector.coeffs:
+        rows[i].append((((j,), e), sign * c))
+        rows[j].append((((i,), e), -sign * c))
+    return tuple(PolyMultivector(p.ambient, 1, r) for r in rows)
+
+
+def _sum(kind: type, ambient: int, degree: int, parts) -> object:
+    """The sum of objects of one kind and degree, as one set of terms."""
+    return kind(ambient, degree,
+                chain.from_iterable(x.coeffs for x in parts))
 
 
 def pi_sharp(p: PoissonStructure, alpha: PolyForm) -> PolyMultivector:
@@ -293,14 +279,11 @@ def pi_sharp(p: PoissonStructure, alpha: PolyForm) -> PolyMultivector:
         raise AmbientMismatch(f"ambient {alpha.ambient} vs {p.ambient}")
     if alpha.degree == 0:
         return as_multivector(alpha)
-    rows = _sharp_rows(p)
-    total = zero_multivector(p.ambient, alpha.degree)
-    for (s, e), c in alpha.coeffs:
-        cur = PolyMultivector(p.ambient, 0, {((), e): c})
-        for j in s:
-            cur = wedge(cur, rows[j])
-        total = total.add(cur)
-    return total
+    rows = p.anchor_rows
+    return _sum(PolyMultivector, p.ambient, alpha.degree, (
+        reduce(wedge, (rows[j] for j in s),
+               PolyMultivector(p.ambient, 0, {((), e): c}))
+        for (s, e), c in alpha.coeffs))
 
 
 def poisson_bracket(p: PoissonStructure, f: PolyMultivector,
@@ -359,30 +342,30 @@ def form_lie_derivative(p: PoissonStructure, alpha: PolyForm,
     if beta.degree == 0:
         return as_form(apply_vector_field(xi, as_multivector(beta)))
     gen = [form_bracket(p, alpha, basis_form(n, i)) for i in range(n)]
-    out = zero_form(n, beta.degree)
-    for (s, e), c in beta.coeffs:
-        f = PolyMultivector(n, 0, {((), e): c})
-        out = out.add(scale_by_function(apply_vector_field(xi, f),
-                                        PolyForm(n, beta.degree,
-                                                 {(s, (0,) * n): 1})))
-        for t in range(len(s)):
-            left = PolyForm(n, t, {(s[:t], (0,) * n): 1})
-            right = PolyForm(n, len(s) - t - 1, {(s[t + 1:], (0,) * n): 1})
-            piece = wedge(wedge(left, gen[s[t]]), right)
-            out = out.add(scale_by_function(f, piece))
-    return out
+    zero = (0,) * n
+
+    def parts():
+        for (s, e), c in beta.coeffs:
+            f = PolyMultivector(n, 0, {((), e): c})
+            yield scale_by_function(apply_vector_field(xi, f),
+                                    PolyForm(n, beta.degree, {(s, zero): 1}))
+            for t in range(len(s)):
+                left = PolyForm(n, t, {(s[:t], zero): 1})
+                right = PolyForm(n, len(s) - t - 1, {(s[t + 1:], zero): 1})
+                piece = wedge(wedge(left, gen[s[t]]), right)
+                yield scale_by_function(f, piece)
+    return _sum(PolyForm, n, beta.degree, parts())
 
 
 def sharp_tensor_fold(p: PoissonStructure, t: dict, ambient: int,
                       mv_degree: int) -> PolyMultivector:
     """Collapse a (form (x) multivector) tensor through the anchor:
     beta (x) v  ->  pi_sharp(beta) ^ v."""
-    out = zero_multivector(ambient, mv_degree)
-    for (fi, mi, e), c in t.items():
-        beta = PolyForm(ambient, len(fi), {(fi, e): c})
-        v = PolyMultivector(ambient, len(mi), {(mi, (0,) * ambient): 1})
-        out = out.add(wedge(pi_sharp(p, beta), v))
-    return out
+    zero = (0,) * ambient
+    return _sum(PolyMultivector, ambient, mv_degree, (
+        wedge(pi_sharp(p, PolyForm(ambient, len(fi), {(fi, e): c})),
+              PolyMultivector(ambient, len(mi), {(mi, zero): 1}))
+        for (fi, mi, e), c in t.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +533,11 @@ def _id_slot_contraction(p, rng):
     n = p.ambient
     al = _rand(PolyForm, rng, n, 1)
     w = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1))
-    t = tilde_i(w, al)
-    folded = zero_multivector(n, w.degree - 1)
-    for (fi, mi, e), c in t.items():
-        if fi != ():
-            return {"difference": "tensor form part has positive degree",
-                    "inputs": {"alpha": repr(al), "w": repr(w)}}
-        folded = folded.add(PolyMultivector(n, w.degree - 1, {(mi, e): c}))
+    try:
+        folded = tensor_fold_functions(tilde_i(w, al), n, w.degree - 1)
+    except DegreeMismatch:
+        return {"difference": "tensor form part has positive degree",
+                "inputs": {"alpha": repr(al), "w": repr(w)}}
     return _witness(folded.sub(contract(al, w)), alpha=al, w=w)
 
 
@@ -929,10 +910,9 @@ def _aext(family: Sequence, coeffs: Mapping) -> object:
     """Extend a generator-indexed family of forms or of fields
     multiplicatively over a two-vector of the algebra given as
     {(p, q): coeff}."""
-    out = type(family[0])(family[0].ambient, 2)
-    for (a, b), c in coeffs.items():
-        out = out.add(wedge(family[a], family[b]).scale(c))
-    return out
+    return _sum(type(family[0]), family[0].ambient, 2,
+                (wedge(family[a], family[b]).scale(c)
+                 for (a, b), c in coeffs.items()))
 
 
 def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,

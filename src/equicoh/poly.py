@@ -20,12 +20,22 @@ Fixed normalizations (all other sign rules in this file follow from them):
 
 Degree-0 objects of either kind represent polynomial functions; `as_form`
 and `as_multivector` convert between the two interpretations.
+
+Every operation yields its terms ((index tuple, exponent tuple), coefficient),
+repeated keys allowed, straight to the constructor of its result; the
+constructor alone checks, sums and sorts them.  The bilinear operations share
+one loop over pairs of terms (`_products`), and the exterior differential,
+the derivative along a vector field and the graded bracket of `poisson`
+share one loop over partial derivatives (`_derivatives`).  The tensors of the
+slot-sum operator are summed the same way, by `_tensor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Mapping, Tuple, Union
 
 from .bases import remove_slot, remove_slots, wedge_merge
@@ -45,6 +55,7 @@ Key = Tuple[Idx, Expo]
 
 
 def _validate_terms(ambient: int, degree: int, terms) -> tuple:
+    """Check every term, sum the coefficients of repeated keys and sort."""
     acc = {}
     items = terms.items() if isinstance(terms, Mapping) else terms
     for (idx, expo), coeff in items:
@@ -69,16 +80,23 @@ def _validate_terms(ambient: int, degree: int, terms) -> tuple:
     return tuple(sorted((k, v) for k, v in acc.items() if v))
 
 
+@dataclass(frozen=True, repr=False)
 class _Graded:
-    """Shared arithmetic for multivectors and forms."""
+    """The one body of multivectors and forms; the two subclasses are kind
+    tags (they keep the kinds apart in `==`, `repr` and `_same_shape`)."""
 
-    __slots__ = ()
+    ambient: int
+    degree: int
+    coeffs: tuple
+
+    def __init__(self, ambient: int, degree: int, terms=()):
+        object.__setattr__(self, "ambient", int(ambient))
+        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "coeffs",
+                           _validate_terms(self.ambient, self.degree, terms))
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
-
-    def terms(self):
-        return iter(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -89,10 +107,8 @@ class _Graded:
 
     def add(self, other):
         self._same_shape(other)
-        acc = self.as_dict()
-        for k, v in other.coeffs:
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return type(self)(self.ambient, self.degree, acc)
+        return type(self)(self.ambient, self.degree,
+                          self.coeffs + other.coeffs)
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -100,7 +116,7 @@ class _Graded:
     def scale(self, c):
         c = Fraction(c)
         return type(self)(self.ambient, self.degree,
-                          {k: c * v for k, v in self.coeffs})
+                          ((k, c * v) for k, v in self.coeffs))
 
     def _same_shape(self, other):
         if type(self) is not type(other):
@@ -127,34 +143,12 @@ class _Graded:
         return f"{kind}^{self.degree}(" + " + ".join(bits) + tail + ")"
 
 
-@dataclass(frozen=True, repr=False)
 class PolyMultivector(_Graded):
     """Polynomial multivector field of fixed exterior degree on Q^ambient."""
 
-    ambient: int
-    degree: int
-    coeffs: tuple
 
-    def __init__(self, ambient: int, degree: int, terms=()):
-        object.__setattr__(self, "ambient", int(ambient))
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "coeffs",
-                           _validate_terms(self.ambient, self.degree, terms))
-
-
-@dataclass(frozen=True, repr=False)
 class PolyForm(_Graded):
     """Polynomial differential form of fixed exterior degree on Q^ambient."""
-
-    ambient: int
-    degree: int
-    coeffs: tuple
-
-    def __init__(self, ambient: int, degree: int, terms=()):
-        object.__setattr__(self, "ambient", int(ambient))
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "coeffs",
-                           _validate_terms(self.ambient, self.degree, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +189,67 @@ def basis_form(ambient: int, i: int) -> PolyForm:
 def as_form(f: PolyMultivector) -> PolyForm:
     if f.degree != 0:
         raise DegreeMismatch("only degree-0 objects convert between kinds")
-    return PolyForm(f.ambient, 0, dict(f.coeffs))
+    return PolyForm(f.ambient, 0, f.coeffs)
 
 
 def as_multivector(f: PolyForm) -> PolyMultivector:
     if f.degree != 0:
         raise DegreeMismatch("only degree-0 objects convert between kinds")
-    return PolyMultivector(f.ambient, 0, dict(f.coeffs))
+    return PolyMultivector(f.ambient, 0, f.coeffs)
 
 
 # ---------------------------------------------------------------------------
-# Polynomial-coefficient helpers (plain {expo: Fraction} dicts)
+# The term loops every operation below is made of
 
 
-def poly_of(x: Union[PolyMultivector, PolyForm]) -> dict:
-    if x.degree != 0:
-        raise DegreeMismatch("not a polynomial: degree is nonzero")
-    return {e: c for ((_, e), c) in x.coeffs}
+def _products(xs, ys, merge):
+    """The terms sign * c1 * c2 at (index, e1 + e2) over the pairs of terms
+    ((i1, e1), c1) of xs and ((i2, e2), c2) of ys for which merge(i1, i2)
+    gives (sign, index); the pairs it maps to None drop out."""
+    ys = tuple(ys)
+    for (i1, e1), c1 in xs:
+        for (i2, e2), c2 in ys:
+            m = merge(i1, i2)
+            if m is not None:
+                yield (m[1], tuple(map(add, e1, e2))), m[0] * c1 * c2
+
+
+def _slots(x, from_tail: bool = False):
+    """(axis, ((rest, e), +-c)) for each term c x^e basis_I of x and each
+    axis of I: the odd derivative along that axis, with basis_rest the
+    remaining slots and the sign counted from the head of I, or from its
+    tail."""
+    for (idx, e), c in x.coeffs:
+        for t, axis in enumerate(idx):
+            odd = (len(idx) - 1 - t if from_tail else t) % 2
+            yield axis, ((idx[:t] + idx[t + 1:], e), -c if odd else c)
+
+
+def _derivatives(xs, y):
+    """The terms of sum term ^ (dy/dx_axis) over the (axis, term) of xs,
+    wedged by index tuples."""
+    partials = [[] for _ in range(y.ambient)]
+    for (idx, e), c in y.coeffs:
+        for i, k in enumerate(e):
+            if k:
+                lowered = e[:i] + (k - 1,) + e[i + 1:]
+                partials[i].append(((idx, lowered), k * c))
+    for axis, term in xs:
+        yield from _products((term,), partials[axis], wedge_merge)
+
+
+# ---------------------------------------------------------------------------
+# Products with functions, wedge products and the exterior differential
 
 
 def scale_by_function(f, x):
     """Multiply a multivector or form by a polynomial function."""
     if f.ambient != x.ambient:
         raise AmbientMismatch(f"ambient {f.ambient} vs {x.ambient}")
-    p = poly_of(f)
-    out = {}
-    for (idx, e), c in x.coeffs:
-        for ef, cf in p.items():
-            key = (idx, tuple(a + b for a, b in zip(e, ef)))
-            out[key] = out.get(key, Fraction(0)) + c * cf
-    return type(x)(x.ambient, x.degree, out)
-
-
-# ---------------------------------------------------------------------------
-# Wedge products and the exterior differential
+    if f.degree != 0:
+        raise DegreeMismatch("not a polynomial: degree is nonzero")
+    return type(x)(x.ambient, x.degree,
+                   _products(x.coeffs, f.coeffs, lambda i, _: (1, i)))
 
 
 def wedge(x, y):
@@ -237,16 +258,8 @@ def wedge(x, y):
         raise TypeError("wedge requires two objects of the same kind")
     if x.ambient != y.ambient:
         raise AmbientMismatch(f"ambient {x.ambient} vs {y.ambient}")
-    out = {}
-    for (i1, e1), c1 in x.coeffs:
-        for (i2, e2), c2 in y.coeffs:
-            m = wedge_merge(i1, i2)
-            if m is None:
-                continue
-            sign, idx = m
-            key = (idx, tuple(a + b for a, b in zip(e1, e2)))
-            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-    return type(x)(x.ambient, x.degree + y.degree, out)
+    return type(x)(x.ambient, x.degree + y.degree,
+                   _products(x.coeffs, y.coeffs, wedge_merge))
 
 
 def exterior_d(x: Union[PolyForm, PolyMultivector]) -> PolyForm:
@@ -254,21 +267,9 @@ def exterior_d(x: Union[PolyForm, PolyMultivector]) -> PolyForm:
     and polynomial functions given as degree-0 multivectors."""
     if isinstance(x, PolyMultivector):
         x = as_form(x)
-    out = {}
     n = x.ambient
-    for (idx, expo), c in x.coeffs:
-        for i in range(n):
-            if expo[i] == 0:
-                continue
-            m = wedge_merge((i,), idx)
-            if m is None:
-                continue
-            sign, nidx = m
-            ne = list(expo)
-            ne[i] -= 1
-            key = (nidx, tuple(ne))
-            out[key] = out.get(key, Fraction(0)) + sign * c * expo[i]
-    return PolyForm(x.ambient, x.degree + 1, out)
+    dx = ((i, (((i,), (0,) * n), 1)) for i in range(n))
+    return PolyForm(n, x.degree + 1, _derivatives(dx, x))
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +285,8 @@ def pairing(beta: PolyForm, w: PolyMultivector) -> PolyMultivector:
     if beta.degree != w.degree:
         raise DegreeMismatch(
             f"pairing needs equal degrees, got {beta.degree} and {w.degree}")
-    out = {}
-    lookup = {}
-    for (idx, e), c in w.coeffs:
-        lookup.setdefault(idx, []).append((e, c))
-    for (idx, e1), c1 in beta.coeffs:
-        for e2, c2 in lookup.get(idx, ()):
-            key = ((), tuple(a + b for a, b in zip(e1, e2)))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return PolyMultivector(w.ambient, 0, out)
-
-
-def _contract_terms(x, y) -> dict:
-    """Terms of the basis-wise contraction of x's index tuples out of y's."""
-    out = {}
-    for (s, e1), c1 in x.coeffs:
-        for (j, e2), c2 in y.coeffs:
-            m = remove_slots(s, j)
-            if m is None:
-                continue
-            sign, rest = m
-            key = (rest, tuple(a + b for a, b in zip(e1, e2)))
-            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-    return out
+    return PolyMultivector(w.ambient, 0, _products(
+        beta.coeffs, w.coeffs, lambda i, j: (1, ()) if i == j else None))
 
 
 def contract(alpha: PolyForm, w: PolyMultivector) -> PolyMultivector:
@@ -317,10 +297,10 @@ def contract(alpha: PolyForm, w: PolyMultivector) -> PolyMultivector:
         raise TypeError("contract takes (form, multivector)")
     if alpha.ambient != w.ambient:
         raise AmbientMismatch(f"ambient {alpha.ambient} vs {w.ambient}")
-    deg = max(w.degree - alpha.degree, 0)
     if alpha.degree > w.degree:
         return zero_multivector(w.ambient, 0)
-    return PolyMultivector(w.ambient, deg, _contract_terms(alpha, w))
+    return PolyMultivector(w.ambient, w.degree - alpha.degree,
+                           _products(alpha.coeffs, w.coeffs, remove_slots))
 
 
 def contract_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
@@ -333,7 +313,7 @@ def contract_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
     if v.degree > beta.degree:
         return zero_form(beta.ambient, 0)
     return PolyForm(beta.ambient, beta.degree - v.degree,
-                    _contract_terms(v, beta))
+                    _products(v.coeffs, beta.coeffs, remove_slots))
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +322,29 @@ def contract_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
 # Tensors over the function ring are stored as
 #     {(form index tuple, multivector index tuple, exponent tuple): coeff}
 # with all polynomial coefficients collected in the shared exponent slot.
+# In the term loops a tensor term reads
+#     (((form index tuple, multivector index tuple), exponent tuple), coeff).
+
+
+def _tensor(terms) -> dict:
+    """The tensor of the given terms: repeats summed, zeros dropped, keys in
+    the order they first appear."""
+    out = {}
+    for ((fi, mi), e), c in terms:
+        out[fi, mi, e] = out.get((fi, mi, e), 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _tensor_terms(t: dict):
+    return ((((fi, mi), e), c) for (fi, mi, e), c in t.items())
 
 
 def tensor_from_pair(beta: PolyForm, w: PolyMultivector) -> dict:
-    out = {}
-    for (fi, fe), cf in beta.coeffs:
-        for (mi, me), cm in w.coeffs:
-            key = (fi, mi, tuple(a + b for a, b in zip(fe, me)))
-            out[key] = out.get(key, Fraction(0)) + cf * cm
-    return out
+    return _tensor(_products(beta.coeffs, w.coeffs, lambda i, j: (1, (i, j))))
 
 
 def tensor_add(t1: dict, t2: dict) -> dict:
-    out = dict(t1)
-    for k, v in t2.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
+    return _tensor(chain(_tensor_terms(t1), _tensor_terms(t2)))
 
 
 def tensor_scale(t: dict, c) -> dict:
@@ -371,16 +358,10 @@ def tensor_is_zero(t: dict) -> bool:
 
 def tensor_lwedge(alpha: PolyForm, t: dict) -> dict:
     """alpha ^ (beta (x) v) = (alpha ^ beta) (x) v, term by term."""
-    out = {}
-    for (ai, ae), ca in alpha.coeffs:
-        for (fi, mi, e), c in t.items():
-            m = wedge_merge(ai, fi)
-            if m is None:
-                continue
-            sign, nfi = m
-            key = (nfi, mi, tuple(a + b for a, b in zip(ae, e)))
-            out[key] = out.get(key, Fraction(0)) + sign * ca * c
-    return {k: v for k, v in out.items() if v}
+    def merge(ai, index):
+        m = wedge_merge(ai, index[0])
+        return None if m is None else (m[0], (m[1], index[1]))
+    return _tensor(_products(alpha.coeffs, _tensor_terms(t), merge))
 
 
 def tilde_i(w: PolyMultivector, beta: PolyForm) -> dict:
@@ -389,30 +370,20 @@ def tilde_i(w: PolyMultivector, beta: PolyForm) -> dict:
     extended bilinearly over polynomial coefficients.  Returns a tensor."""
     if w.ambient != beta.ambient:
         raise AmbientMismatch(f"ambient {w.ambient} vs {beta.ambient}")
-    out = {}
-    for (j, e), c in w.coeffs:
-        for t, axis in enumerate(j):
-            rest = j[:t] + j[t + 1:]
-            slot_sign = (-1) ** t
-            for (fi, fe), cf in beta.coeffs:
-                m = remove_slot(axis, fi)
-                if m is None:
-                    continue
-                sign, nfi = m
-                key = (nfi, rest, tuple(a + b for a, b in zip(e, fe)))
-                val = slot_sign * sign * c * cf
-                out[key] = out.get(key, Fraction(0)) + val
-    return {k: v for k, v in out.items() if v}
+
+    def merge(slot, fi):
+        m = remove_slot(slot[0], fi)
+        return None if m is None else (m[0], (m[1], slot[1]))
+    slots = ((((axis, rest), e), c) for axis, ((rest, e), c) in _slots(w))
+    return _tensor(_products(slots, beta.coeffs, merge))
 
 
 def tensor_fold_functions(t: dict, ambient: int, mv_degree: int) -> PolyMultivector:
     """Collapse a tensor whose form part is degree 0 into a multivector."""
-    out = {}
-    for (fi, mi, e), c in t.items():
-        if fi != ():
-            raise DegreeMismatch("tensor form part has positive degree")
-        out[(mi, e)] = out.get((mi, e), Fraction(0)) + c
-    return PolyMultivector(ambient, mv_degree, out)
+    if any(fi != () for fi, _, _ in t):
+        raise DegreeMismatch("tensor form part has positive degree")
+    return PolyMultivector(ambient, mv_degree,
+                           (((mi, e), c) for (_, mi, e), c in t.items()))
 
 
 def apply_vector_field(v: PolyMultivector, f: PolyMultivector) -> PolyMultivector:
@@ -421,13 +392,4 @@ def apply_vector_field(v: PolyMultivector, f: PolyMultivector) -> PolyMultivecto
         raise DegreeMismatch("apply_vector_field takes (vector field, function)")
     if v.ambient != f.ambient:
         raise AmbientMismatch(f"ambient {v.ambient} vs {f.ambient}")
-    out = {}
-    for ((i,), ev), cv in v.coeffs:
-        for ((_, ef), cf) in f.coeffs:
-            if ef[i] == 0:
-                continue
-            ne = list(ef)
-            ne[i] -= 1
-            e = tuple(a + b for a, b in zip(ev, ne))
-            out[((), e)] = out.get(((), e), Fraction(0)) + cv * cf * ef[i]
-    return PolyMultivector(f.ambient, 0, out)
+    return PolyMultivector(f.ambient, 0, _derivatives(_slots(v), f))

@@ -358,6 +358,14 @@ MALFORMED = {
         ["validate"], {"kind": "equivariant-poisson",
                        "payload": {k: v for k, v in SU2_DUAL.items()
                                    if k != "action"}}),
+    # A repeated generator index would act twice along one direction.
+    "equivariant-poisson-repeated-generator": (
+        ["equivariant-poisson", "--slice", "2"],
+        dict(SU2_DUAL, action={"algebra": SU2, "generators": [0, 0]})),
+    "validate-equivariant-poisson-repeated-generator": (
+        ["validate"], {"kind": "equivariant-poisson", "options": {"slice": 2},
+                       "payload": dict(SU2_DUAL, action={
+                           "algebra": SU2, "generators": [0, 1, 2, 0]})}),
 }
 
 

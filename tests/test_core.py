@@ -7,9 +7,8 @@ from equicoh import lie
 from equicoh import ratlin as rl
 from equicoh.core import (CochainComplex, DifferentialNotSquareZero, GradedSpace,
                           InconsistentResult, LinearMap, NotContained,
-                          NotReductive, Subspace, cohomology, homotopy_witness,
-                          invariant_projection, map_image, map_kernel,
-                          rank_kernel_image, restrict_map, subquotient)
+                          Subspace, cohomology, map_image, map_kernel,
+                          restrict_map, subquotient)
 
 
 def _rows(m):
@@ -45,15 +44,6 @@ def test_d_square_zero_enforced():
     d = LinearMap.from_blocks(sp, sp, 1, {0: [[1]], 1: [[1]]})
     with pytest.raises(DifferentialNotSquareZero):
         CochainComplex.build(sp, d)
-
-
-def test_rank_kernel_image():
-    c = small_complex()
-    r, ker, img = rank_kernel_image(c.d, 0)
-    assert r == 1
-    assert rl.ncols(ker) == 1
-    assert rl.ncols(img) == 1
-    assert rl.is_zero(rl.mat_mul(c.d.block(0), ker))
 
 
 def test_cohomology_invariant_under_basis_permutation():
@@ -208,37 +198,6 @@ def test_restrict_map_refuses_a_basis_without_unit_rows():
     with pytest.raises(InconsistentResult):
         restrict_map(LinearMap.from_blocks(sp, sp, 0, {0: rl.identity(2)}),
                      incl, "op")
-
-
-def test_homotopy_witness_contract():
-    c = small_complex()
-    for n in [1, 2]:
-        h = homotopy_witness(c, n)
-        img = map_image(c.d).matrix(n)
-        if rl.ncols(img):
-            dh = rl.mat_mul(c.d.block(n - 1), h.block(n))
-            assert rl.mat_mul(dh, img) == img
-        # d o H o d = d in degree n-1
-        lhs = rl.mat_mul(rl.mat_mul(c.d.block(n - 1), h.block(n)), c.d.block(n - 1))
-        assert lhs == c.d.block(n - 1)
-
-
-def test_invariant_projection_rotation():
-    sp = GradedSpace.from_dims({0: 3})
-    rot = LinearMap.from_blocks(sp, sp, 0, {0: [[0, -1, 0], [1, 0, 0], [0, 0, 0]]})
-    ip = invariant_projection(sp, [rot])
-    assert ip.subspace.dim(0) == 1
-    p = ip.projector.block(0)
-    assert rl.mat_mul(p, p) == p
-    assert rl.is_zero(rl.mat_mul(p, rot.block(0)))
-    assert rl.is_zero(rl.mat_mul(rot.block(0), p))
-
-
-def test_invariant_projection_not_reductive():
-    sp = GradedSpace.from_dims({0: 2})
-    nil = LinearMap.from_blocks(sp, sp, 0, {0: [[0, 1], [0, 0]]})
-    with pytest.raises(NotReductive):
-        invariant_projection(sp, [nil])
 
 
 def test_map_kernel_image_subspaces():

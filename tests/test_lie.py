@@ -11,7 +11,8 @@ from equicoh.lie import (CocycleViolation, DualJacobiViolation,
                          build_representation, build_subalgebra, ce_complex,
                          coadjoint_rep, coboundary_bialgebra, heisenberg,
                          invariants, lie_cohomology, relative_subcomplex, sl2,
-                         su2, sym_power_rep, sym_range_rep, trivial_rep)
+                         spanned_algebra, su2, sym_power_rep, sym_range_rep,
+                         trivial_rep)
 
 
 def commutator(a, b):
@@ -147,6 +148,18 @@ def test_relative_su2_full():
     small, _ = relative_subcomplex(ce, k)
     h = cohomology(small)
     assert [h.dims.get(n, 0) for n in range(4)] == [1, 0, 0, 0]
+
+
+def test_dependent_generators_are_refused_as_for_a_subalgebra():
+    """A repeated or dependent column would count one direction twice; both
+    ways of naming a subalgebra refuse it."""
+    g = su2()
+    assert spanned_algebra(g, [[0, 0, 1]], "circle").dim == 1
+    for cols in ([[1, 0, 0], [1, 0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(ValueError, match="dependent"):
+            spanned_algebra(g, cols, "dependent")
+        with pytest.raises(ValueError, match="dependent"):
+            build_subalgebra(g, cols)
 
 
 def test_relative_with_coefficients():

@@ -4,6 +4,8 @@ bracket calculus on functions and one-forms, the identity suite with its
 convention-flip regression fixtures, truncated cohomology in every
 coefficient regime, and the sampled product-line models."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -304,12 +306,53 @@ def test_convention_flips_break_the_module_law(monkeypatch, knob):
         assert "inputs" in rep.witnesses[0]
 
 
+def test_anchor_is_built_once_per_structure_and_only_when_read(monkeypatch):
+    built = []
+    rows = po._sharp_rows
+    monkeypatch.setattr(po, "_sharp_rows",
+                        lambda p: built.append(p) or rows(p))
+    p = po.linear_poisson(lie.su2())
+    po.d_pi(p, field(3, 0, (1, 0, 0)))
+    assert built == []
+    po.verify_all(p, samples=2, seed=0)
+    again = po.linear_poisson(lie.su2())
+    po.pi_sharp(again, PolyForm(3, 1, {((0,), (0, 0, 1)): Fraction(1)}))
+    assert [id(q) for q in built] == [id(p), id(again)]
+    assert again == p
+
+
+#: SHA-256 of the full `verify_all` JSON (samples 12, seed 1) on the three
+#: structures of `_FLIP_STRUCTURES` under each flipped convention: every
+#: witness string, its terms' order included, is pinned.
+_FLIP_DIGESTS = {
+    "_STAR_LEFT":
+        "41e3e9605478dbb1e2d9458e6ecc99b2cf25d12f679507ff7bd0c706fcd6b5a6",
+    "_SHARP_TRANSPOSE":
+        "8d5e666bee92cdeb7dfb3433f1be9f3ad78ac85fe4fc058ab6b1cef1fa3166ad",
+    "_DIFF_NEGATE":
+        "8134b6c4f290685c44966da21ebe11db09f0dfb61c8bee3b490d4f296b8068a4",
+}
+_FLIP_STRUCTURES = [("symplectic-1", lambda: po.symplectic_poisson(1)),
+                    ("symplectic-2", lambda: po.symplectic_poisson(2)),
+                    ("su2-dual", lambda: po.linear_poisson(lie.su2()))]
+
+
 def test_convention_flips_break_many_identities(monkeypatch):
     monkeypatch.setattr(po, "_SHARP_TRANSPOSE", True)
     p = po.symplectic_poisson(1)
     rep = po.verify_all(p, samples=12, seed=1)
     bad = [n for n, r in rep.items() if not r.ok]
     assert len(bad) >= 7
+    monkeypatch.undo()
+    for knob, digest in _FLIP_DIGESTS.items():
+        with monkeypatch.context() as m:
+            m.setattr(po, knob, True)
+            report = {name: [r.to_json() for r in
+                             po.verify_all(build(), samples=12,
+                                           seed=1).values()]
+                      for name, build in _FLIP_STRUCTURES}
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, knob
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from equicoh import poly
+from equicoh.bases import remove_slot, remove_slots, wedge_merge
 
 
 def V(n, i):
@@ -179,3 +181,211 @@ def test_function_conversions():
     assert g == f
     with pytest.raises(poly.DegreeMismatch):
         poly.as_form(V(n, 0))
+
+
+# ---------------------------------------------------------------------------
+# The calculus against hand-written reference loops: each operation below
+# sums its terms in a dict of its own, as every operation once did.
+
+
+def _acc(out, key, val):
+    out[key] = out.get(key, F(0)) + val
+
+
+def _ref_scale_by_function(f, x):
+    out = {}
+    for (idx, e), c in x.coeffs:
+        for ((_, ef), cf) in f.coeffs:
+            _acc(out, (idx, tuple(a + b for a, b in zip(e, ef))), c * cf)
+    return type(x)(x.ambient, x.degree, out)
+
+
+def _ref_pair_loop(x, y, merge):
+    out = {}
+    for (i1, e1), c1 in x.coeffs:
+        for (i2, e2), c2 in y.coeffs:
+            m = merge(i1, i2)
+            if m is not None:
+                _acc(out, (m[1], tuple(a + b for a, b in zip(e1, e2))),
+                     m[0] * c1 * c2)
+    return out
+
+
+def _ref_wedge(x, y):
+    return type(x)(x.ambient, x.degree + y.degree,
+                   _ref_pair_loop(x, y, wedge_merge))
+
+
+def _ref_pairing(beta, w):
+    out = {}
+    lookup = {}
+    for (idx, e), c in w.coeffs:
+        lookup.setdefault(idx, []).append((e, c))
+    for (idx, e1), c1 in beta.coeffs:
+        for e2, c2 in lookup.get(idx, ()):
+            _acc(out, ((), tuple(a + b for a, b in zip(e1, e2))), c1 * c2)
+    return poly.PolyMultivector(w.ambient, 0, out)
+
+
+def _ref_contract(alpha, w):
+    if alpha.degree > w.degree:
+        return poly.zero_multivector(w.ambient, 0)
+    return poly.PolyMultivector(w.ambient, w.degree - alpha.degree,
+                                _ref_pair_loop(alpha, w, remove_slots))
+
+
+def _ref_contract_form(v, beta):
+    if v.degree > beta.degree:
+        return poly.zero_form(beta.ambient, 0)
+    return poly.PolyForm(beta.ambient, beta.degree - v.degree,
+                         _ref_pair_loop(v, beta, remove_slots))
+
+
+def _ref_exterior_d(x):
+    out = {}
+    for (idx, expo), c in x.coeffs:
+        for i in range(x.ambient):
+            m = wedge_merge((i,), idx) if expo[i] else None
+            if m is not None:
+                ne = list(expo)
+                ne[i] -= 1
+                _acc(out, (m[1], tuple(ne)), m[0] * c * expo[i])
+    return poly.PolyForm(x.ambient, x.degree + 1, out)
+
+
+def _ref_apply_vector_field(v, f):
+    out = {}
+    for ((i,), ev), cv in v.coeffs:
+        for ((_, ef), cf) in f.coeffs:
+            if ef[i]:
+                ne = list(ef)
+                ne[i] -= 1
+                _acc(out, ((), tuple(a + b for a, b in zip(ev, ne))),
+                     cv * cf * ef[i])
+    return poly.PolyMultivector(f.ambient, 0, out)
+
+
+def _ref_tilde_i(w, beta):
+    out = {}
+    for (j, e), c in w.coeffs:
+        for t, axis in enumerate(j):
+            rest = j[:t] + j[t + 1:]
+            for (fi, fe), cf in beta.coeffs:
+                m = remove_slot(axis, fi)
+                if m is not None:
+                    key = (m[1], rest, tuple(a + b for a, b in zip(e, fe)))
+                    _acc(out, key, (-1) ** t * m[0] * c * cf)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_tensor_lwedge(alpha, t):
+    out = {}
+    for (ai, ae), ca in alpha.coeffs:
+        for (fi, mi, e), c in t.items():
+            m = wedge_merge(ai, fi)
+            if m is not None:
+                key = (m[1], mi, tuple(a + b for a, b in zip(ae, e)))
+                _acc(out, key, m[0] * ca * c)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_star_into(out, a, b, scalar):
+    for (ja, ea), ca in a.coeffs:
+        for t, j in enumerate(ja):
+            sign_theta = -1 if (len(ja) - 1 - t) % 2 else 1
+            rest = ja[:t] + ja[t + 1:]
+            for (jb, eb), cb in b.coeffs:
+                m = wedge_merge(rest, jb) if eb[j] else None
+                if m is not None:
+                    ne = list(eb)
+                    ne[j] -= 1
+                    key = (m[1], tuple(x + y for x, y in zip(ea, ne)))
+                    _acc(out, key, scalar * sign_theta * m[0] * ca * cb * eb[j])
+
+
+def _ref_schouten(a, b):
+    deg = a.degree + b.degree - 1
+    if deg < 0:
+        return poly.zero_multivector(a.ambient, 0)
+    out = {}
+    _ref_star_into(out, a, b, F(1))
+    swap = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 == 0 else 1
+    _ref_star_into(out, b, a, F(swap))
+    return poly.PolyMultivector(a.ambient, deg, out)
+
+
+def _ref_pi_sharp(p, alpha):
+    if alpha.degree == 0:
+        return poly.as_multivector(alpha)
+    n = p.ambient
+    rows = [dict() for _ in range(n)]
+    for ((i, j), e), c in p.bivector.coeffs:
+        _acc(rows[i], ((j,), e), c)
+        _acc(rows[j], ((i,), e), -c)
+    rows = [poly.PolyMultivector(n, 1, r) for r in rows]
+    total = poly.zero_multivector(n, alpha.degree)
+    for (s, e), c in alpha.coeffs:
+        cur = poly.PolyMultivector(n, 0, {((), e): c})
+        for j in s:
+            cur = _ref_wedge(cur, rows[j])
+        total = total.add(cur)
+    return total
+
+
+def _random_terms(rng, n, degree, count):
+    """Terms over a small pool of keys, so that keys repeat, with some
+    terms cancelled by their negatives."""
+    pool = [(tuple(sorted(rng.sample(range(n), degree))),
+             tuple(rng.randrange(3) for _ in range(n))) for _ in range(3)]
+    terms = []
+    for _ in range(count):
+        key = rng.choice(pool)
+        c = F(rng.choice([-2, -1, 1, 2, 3])) / rng.choice([1, 2])
+        terms.append((key, c))
+        if rng.random() < 0.3:
+            terms.append((key, -c))
+    return terms
+
+
+def test_calculus_matches_the_reference_loops():
+    from equicoh import lie, poisson as po
+    rng = random.Random(20261018)
+    n = 3
+
+    def draw(kind, degree, count=4):
+        return kind(n, degree, _random_terms(rng, n, degree, count))
+
+    structures = [po.linear_poisson(lie.su2()), po.zero_poisson(n),
+                  po.constant_poisson(n, {(0, 1): 2, (2, 1): F(1, 2)}),
+                  po.poisson_structure(draw(poly.PolyMultivector, 2, 6))]
+    for _ in range(60):
+        k, q = rng.randrange(n + 1), rng.randrange(n + 1)
+        a, b = draw(poly.PolyForm, k), draw(poly.PolyForm, q)
+        v, w = draw(poly.PolyMultivector, k), draw(poly.PolyMultivector, q)
+        f = draw(poly.PolyMultivector, 0)
+        assert poly.wedge(a, b) == _ref_wedge(a, b)
+        assert poly.wedge(v, w) == _ref_wedge(v, w)
+        assert poly.pairing(a, v) == _ref_pairing(a, v)
+        assert poly.contract(a, w) == _ref_contract(a, w)
+        assert poly.contract_form(v, b) == _ref_contract_form(v, b)
+        assert poly.scale_by_function(f, a) == _ref_scale_by_function(f, a)
+        assert poly.scale_by_function(f, w) == _ref_scale_by_function(f, w)
+        assert poly.exterior_d(a) == _ref_exterior_d(a)
+        assert poly.exterior_d(f) == _ref_exterior_d(poly.as_form(f))
+        field = draw(poly.PolyMultivector, 1)
+        assert (poly.apply_vector_field(field, f)
+                == _ref_apply_vector_field(field, f))
+        one = draw(poly.PolyForm, 1)
+        for t, ref in [(poly.tilde_i(w, b), _ref_tilde_i(w, b)),
+                       (poly.tilde_i(w, one), _ref_tilde_i(w, one))]:
+            assert list(t.items()) == list(ref.items())
+            lw = poly.tensor_lwedge(a, t)
+            assert list(lw.items()) == list(_ref_tensor_lwedge(a, t).items())
+        assert po.schouten(v, w) == _ref_schouten(v, w)
+        for p in structures:
+            assert po.pi_sharp(p, a) == _ref_pi_sharp(p, a)
+    with pytest.raises(poly.DegreeMismatch):
+        poly.scale_by_function(field, a)
+    assert poly.contract(draw(poly.PolyForm, 2),
+                         draw(poly.PolyMultivector, 1)) == \
+        poly.zero_multivector(n, 0)
