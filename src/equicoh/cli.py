@@ -186,21 +186,6 @@ def parse_algebra(data, field: str = "algebra") -> lie.LieAlgebra:
         raise MathError(f"bracket table rejected: {exc}")
 
 
-def algebra_to_json(g: lie.LieAlgebra) -> dict:
-    brackets = []
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            terms = [[k, str(Fraction(c))] for k, c in enumerate(g.c[a][b])
-                     if c]
-            if terms:
-                brackets.append([a, b, terms])
-    out = {"dim": g.dim, "brackets": brackets,
-           "compact_type": bool(g.compact_type)}
-    if g.name:
-        out["name"] = g.name
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Poisson payloads
 
@@ -391,37 +376,6 @@ def parse_gdiff(data, field: str = "payload") -> gd.GDiffComplex:
                      for t, x in enumerate(raw))
     return gd.build_gdiff(algebra, complex_, contractions, lie_ops,
                           product=product, unit=unit, check=False)
-
-
-def gdiff_to_json(c: gd.GDiffComplex) -> dict:
-    space = c.complex.space
-    degs = sorted(space.degrees())
-    dims = {str(n): space.dim(n) for n in degs}
-
-    def blocks_json(op, shift):
-        out = {}
-        for n in degs:
-            if space.dim(n) and space.dim(n + shift):
-                out[str(n)] = _mat_json(op.block(n))
-        return out
-
-    data = {"algebra": algebra_to_json(c.algebra),
-            "dims": dims,
-            "d": blocks_json(c.d, 1),
-            "contractions": [blocks_json(op, -1) for op in c.contractions],
-            "lie_ops": [blocks_json(op, 0) for op in c.lie_ops]}
-    if c.product is not None:
-        table = {}
-        for (da, db), pairs in c.product.table.items():
-            inner = {}
-            for (ia, ib), terms in pairs.items():
-                inner[f"{ia},{ib}"] = [[k, str(Fraction(v))]
-                                       for k, v in terms]
-            table[f"{da},{db}"] = inner
-        data["product"] = {"table": table}
-    if c.unit is not None:
-        data["unit"] = [str(Fraction(x)) for x in c.unit]
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +828,7 @@ def _equivariant_poisson_task(payload: dict, opts: dict) -> Callable:
         h = rep.cohomology
         result = {"dims": h.dims_list(), "band": h.band,
                   "invariant_function_dim": rep.invariant_function_dim,
-                  "basic_cross_check": rep.basic_cross_check}
+                  "basic_cross_check": None}
         warnings = [f"dims above total degree {h.band} are affected by the "
                     f"symmetric-degree cap {sym_cap}"]
         return result, warnings

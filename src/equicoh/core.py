@@ -8,6 +8,11 @@ first use), read in place.  Every basis this module produces (kernels,
 images, cohomology representatives, quotient representatives) comes out of
 canonical reduced echelon forms and is therefore deterministic.
 
+`Subspace.from_spans` is the one place where a span is reduced.  A basis
+that is already stored in reduced form (an identity, the echelon that
+`rl.intersect_spans` returns, a degree of another Subspace) is passed on as
+it is, never reduced again.
+
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis (reduced column echelon) or of a kernel basis (`rl.kernel`,
 `stacked_kernel`, hence the Cartan inclusion) has a row equal to its unit
@@ -209,8 +214,9 @@ class Subspace:
 
     @staticmethod
     def full(ambient: GradedSpace) -> "Subspace":
-        return Subspace.from_spans(
-            ambient, {n: rl.identity(ambient.dim(n)) for n in ambient.degrees()})
+        return Subspace(ambient, tuple((n, rl.identity(ambient.dim(n)))
+                                       for n in ambient.degrees()
+                                       if ambient.dim(n)))
 
     @staticmethod
     def zero(ambient: GradedSpace) -> "Subspace":
@@ -223,6 +229,11 @@ class Subspace:
             if deg == n:
                 return m
         return rl.zeros(self.ambient.dim(n), 0)
+
+    def part(self, n: int) -> "Subspace":
+        """The degree-n part, on the stored basis."""
+        return Subspace(self.ambient,
+                        tuple((deg, m) for deg, m in self.basis if deg == n))
 
     def dim(self, n: int) -> int:
         for deg, m in self.basis:
@@ -247,10 +258,10 @@ class Subspace:
             {n: rl.hstack(self.matrix(n), other.matrix(n)) for n in degs})
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        degs = {n for n, _ in self.basis} & {n for n, _ in other.basis}
-        return Subspace.from_spans(
-            self.ambient,
-            {n: rl.intersect_spans(self.matrix(n), other.matrix(n)) for n in degs})
+        meets = ((n, rl.intersect_spans(m, other.matrix(n)))
+                 for n, m in self.basis if other.dim(n))
+        return Subspace(self.ambient,
+                        tuple((n, m) for n, m in meets if rl.ncols(m)))
 
     def equals(self, other: "Subspace") -> bool:
         return self.contains(other) and other.contains(self)
@@ -293,11 +304,8 @@ def map_kernel(m: LinearMap) -> Subspace:
 
 
 def map_image(m: LinearMap) -> Subspace:
-    spans = {}
-    for n, blk in m.blocks:
-        ech, _ = rl.column_echelon(blk)
-        spans[n + m.shift] = ech
-    return Subspace.from_spans(m.target, spans)
+    return Subspace.from_spans(m.target,
+                               {n + m.shift: blk for n, blk in m.blocks})
 
 
 def image_of_subspace(m: LinearMap, sub: Subspace) -> Subspace:

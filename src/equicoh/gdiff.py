@@ -12,6 +12,13 @@ finite-dimensional Lie algebra, subject to
 
 [L_xi, d] = 0 and L_[xi,zeta] = [L_xi, L_zeta] follow and are checked too,
 as are the graded Leibniz rules when a product is declared.
+
+Checks of the paper's introduction to G-differential complexes that have no
+caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
+quotient by it are G-differential complexes), `locally_free_connection` and
+`weil_universal_map` (a connection gives a G-map from the Weil algebra),
+`cartan_weil_inclusion` (the Cartan model is the basic part of A (x) W) and
+`forgetful_matrices` (the map from equivariant to ordinary cohomology).
 """
 
 from __future__ import annotations
@@ -1094,12 +1101,11 @@ def low_degree_data(c: GDiffComplex, model: Optional[CartanModel] = None) -> dic
     kernel_invariant = not rl.ncols(kernel0) or all(
         rl.is_zero(rl.mat_mul(op.block(0), kernel0)) for op in c.lie_ops)
 
-    z1 = Subspace.from_spans(sp, {1: z.matrix(1)})
+    z1 = z.part(1)
     hor1 = z1.intersect(joint_kernel(sp, c.contractions))
     inv = joint_kernel(sp, c.lie_ops)
     inv1 = z1.intersect(inv)
-    inv0 = Subspace.from_spans(sp, {0: inv.matrix(0)})
-    den = image_of_subspace(c.d, inv0)
+    den = image_of_subspace(c.d, inv.part(0))
     h1_direct = subquotient(hor1, den).dim(1)
 
     return {

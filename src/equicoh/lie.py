@@ -15,6 +15,11 @@ identity used downstream holds as an exact matrix identity.
 Every action on symmetric powers (polynomial coefficients here, S(g*) in the
 Weil algebra and the Cartan model) is `sym_derivation`: a generator matrix
 extended to S^m as a derivation.
+
+Two builders have no caller here: `coboundary_bialgebra` (the Lie
+bialgebra of an r-matrix, the infinitesimal form of a coboundary Poisson
+group) and `sym_range_rep` (S(g*) up to a degree, whose invariants are the
+equivariant cohomology of a point).
 """
 
 from __future__ import annotations

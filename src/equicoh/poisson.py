@@ -48,6 +48,14 @@ compatibility laws with explicit basis witnesses, and feeds the resulting
 equivariant structure to the generic machinery: equivariant cohomology via
 the polynomial Cartan model, and the spectral sequence of the
 contraction-depth filtration.
+
+Three checks of the paper have no caller here: `poisson_to_lie_matrices`
+(the Poisson complex of the linear structure on g* is the Lie algebra
+complex of g with polynomial coefficients), `invariance_comparison` (on
+horizontal multivectors the action of a lifted form is the Lie derivative
+along its field) and `poisson_low_degree` (in degrees 0 and 1, equivariant
+Poisson cohomology is the invariant Casimirs, and the horizontal Poisson
+vector fields modulo Hamiltonian fields of invariant functions).
 """
 
 from __future__ import annotations
@@ -695,13 +703,6 @@ class PolyModel:
             vec[pos] = c
         return vec
 
-    def from_vector(self, q: int, vec: Sequence):
-        acc = {}
-        for i, c in enumerate(vec):
-            if c:
-                acc[self.basis[q][i]] = Fraction(c)
-        return self.kind(self.ambient, q, acc)
-
 
 def _coeff_degrees_for(mode: str, bound: int, q: int) -> Optional[range]:
     if mode == "slice-coeff":
@@ -1066,14 +1067,14 @@ def _geometric_lie_ops(md: MomentumData, model: PolyModel) -> list:
             for v in md.fields]
 
 
-def mu_tangent_complex(md: MomentumData, truncation: Optional[int] = None,
-                       slice_degree: Optional[int] = None) -> TangentReport:
+def mu_tangent_complex(md: MomentumData, c: gd.GDiffComplex,
+                       model: PolyModel) -> TangentReport:
     """The subcomplex of invariant multivectors killed by every lifted
-    one-form.  Closure under the differential is verified exactly, and the
-    space is cross-checked against the basic subcomplex (joint kernel of
-    the contractions and of the operators d i + i d); a discrepancy raises
+    one-form, in the complex (c, model) that `momentum_gdiff` built from md.
+    Closure under the differential is verified exactly, and the space is
+    cross-checked against the basic subcomplex (joint kernel of the
+    contractions and of the operators d i + i d); a discrepancy raises
     BasicMismatch."""
-    c, model = momentum_gdiff(md, truncation, slice_degree)
     hor = joint_kernel(model.space, c.contractions)
     tangent = hor.intersect(
         joint_kernel(model.space, _geometric_lie_ops(md, model)))
@@ -1214,7 +1215,7 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
         model_o.space.dim(q) == model_x.space.dim(q)
         and rl.rank(phi[q]) == model_o.space.dim(q)
         for q in sorted(model_o.basis))
-    tangent = mu_tangent_complex(md, slice_degree=slice_degree)
+    tangent = mu_tangent_complex(md, c_x, model_x)
     basic_o = joint_kernel(
         model_o.space, list(c_o.contractions) + list(c_o.lie_ops))
     spans = {}
@@ -1247,7 +1248,6 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
 class EquivariantPoissonReport:
     cohomology: object      # gdiff.EquivariantCohomology
     invariant_function_dim: int
-    basic_cross_check: Optional[bool]
 
     def dims_list(self, up_to: int) -> list:
         return self.cohomology.dims_list(up_to)
@@ -1261,25 +1261,13 @@ def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
     """Equivariant cohomology of the truncated multivector complex for the
     action packaged in the momentum data, via the polynomial Cartan model.
     Also reports the invariant-function dimension (joint kernel of the Lie
-    operators among the degree-0 cocycles) and, when a locally free
-    connection exists, whether the basic subcomplex gives the same dims
-    inside the reliable band."""
+    operators among the degree-0 cocycles)."""
     c, model = momentum_gdiff(md, truncation, slice_degree,
                               generators=generators)
     h = gd.equivariant_cohomology(c, sym_cap)
     inv = joint_kernel(model.space, c.lie_ops)
     inv_casimir = inv.intersect(map_kernel(c.d))
-    cross = None
-    try:
-        gd.locally_free_connection(c)
-    except (gd.ConnectionInvalid, gd.NotMultiplicative):
-        pass
-    else:
-        basic_complex, _ = gd.basic_subcomplex(c)
-        hb = cohomology(basic_complex)
-        top = min(h.band, max(model.space.degrees(), default=0))
-        cross = all(hb.dim(nn) == h.dim(nn) for nn in range(top + 1))
-    return EquivariantPoissonReport(h, inv_casimir.dim(0), cross)
+    return EquivariantPoissonReport(h, inv_casimir.dim(0))
 
 
 def poisson_low_degree(md: MomentumData, sym_cap: int,
@@ -1330,13 +1318,14 @@ def momentum_spectral_sequence(md: MomentumData,
     cohomology with the fiber-tangent complex (dimensions, cell by cell).
     A product-line model is accepted directly in place of momentum data."""
     line = isinstance(md, ProductLineModel)
-    c = md.gdiff if line else momentum_gdiff(md, truncation, slice_degree)[0]
+    c, model = (md.gdiff, None) if line else momentum_gdiff(
+        md, truncation, slice_degree)
     pgs = spectral.pages(spectral.contraction_filtration(c), r_max)
     first = next((pg.r for pg in pgs if pg.diffs), None)
     pe1 = pe2 = None
     m1 = m2 = None
     if not line and md.submersive:
-        tang = mu_tangent_complex(md, truncation, slice_degree)
+        tang = mu_tangent_complex(md, c, model)
         hq = lie.lie_cohomology(md.algebra)
         pe1, pe2 = {}, {}
         for pp in range(md.pi.ambient + 1):

@@ -168,20 +168,6 @@ def function(ambient: int, poly: Mapping[Expo, Fraction]) -> PolyMultivector:
     return PolyMultivector(ambient, 0, {((), e): c for e, c in poly.items()})
 
 
-def constant(ambient: int, c) -> PolyMultivector:
-    return function(ambient, {(0,) * ambient: Fraction(c)})
-
-
-def coordinate(ambient: int, i: int) -> PolyMultivector:
-    e = [0] * ambient
-    e[i] = 1
-    return function(ambient, {tuple(e): Fraction(1)})
-
-
-def basis_vector(ambient: int, i: int) -> PolyMultivector:
-    return PolyMultivector(ambient, 1, {((i,), (0,) * ambient): Fraction(1)})
-
-
 def basis_form(ambient: int, i: int) -> PolyForm:
     return PolyForm(ambient, 1, {((i,), (0,) * ambient): Fraction(1)})
 
@@ -337,10 +323,6 @@ def _tensor(terms) -> dict:
 
 def _tensor_terms(t: dict):
     return ((((fi, mi), e), c) for (fi, mi, e), c in t.items())
-
-
-def tensor_from_pair(beta: PolyForm, w: PolyMultivector) -> dict:
-    return _tensor(_products(beta.coeffs, w.coeffs, lambda i, j: (1, (i, j))))
 
 
 def tensor_add(t1: dict, t2: dict) -> dict:

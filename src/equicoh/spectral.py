@@ -26,6 +26,9 @@ Two filtration constructors cover the main applications: the symmetric-degree
 filtration of a Cartan model (levels 2m >= p) and the contraction filtration
 of a G-differential complex (level p in degree n = joint kernel of all
 (n - p + 1)-fold contraction products).
+
+`verify_cartan_d2` has no caller here; it checks that d_2 of the
+symmetric-degree filtration is the Cartan twist on leading terms.
 """
 
 from __future__ import annotations
@@ -132,30 +135,17 @@ def _z_subspace(fc: FilteredComplex, cache: dict, r: int, p: int, n: int) -> Sub
     if key in cache:
         return cache[key]
     space = fc.complex.space
-    fp = fc.level(p)
-    b = fp.matrix(n)
-    if not rl.ncols(b):
-        out = Subspace.zero(space)
-    elif r < 0:
-        out = Subspace.from_spans(space, {n: b})
-    else:
-        target = fc.level(p + r).matrix(n + 1)
-        m = fc.complex.d.block(n)
-        if not len(m) or rl.ncols(target) == space.dim(n + 1):
-            out = Subspace.from_spans(space, {n: b})
-        else:
-            mb = rl.mat_mul(m, b)
-            if rl.is_zero(mb):
-                out = Subspace.from_spans(space, {n: b})
-            else:
-                aug = rl.hstack(mb, rl.mat_scale(target, -1)) \
-                    if rl.ncols(target) else mb
-                ker = rl.kernel(aug)
-                if not rl.ncols(ker):
-                    out = Subspace.zero(space)
-                else:
-                    coeffs = rl.freeze(ker[:rl.ncols(b)], rl.ncols(ker))
-                    out = Subspace.from_spans(space, {n: rl.mat_mul(b, coeffs)})
+    out = fc.level(p).part(n)
+    target = fc.level(p + r).matrix(n + 1)
+    if r >= 0 and out.dim(n) and rl.ncols(target) < space.dim(n + 1):
+        b = out.matrix(n)
+        mb = rl.mat_mul(fc.complex.d.block(n), b)
+        if not rl.is_zero(mb):
+            aug = rl.hstack(mb, rl.mat_scale(target, -1)) \
+                if rl.ncols(target) else mb
+            ker = rl.kernel(aug)
+            coeffs = rl.freeze(ker[:rl.ncols(b)], rl.ncols(ker))
+            out = Subspace.from_spans(space, {n: rl.mat_mul(b, coeffs)})
     cache[key] = out
     return out
 
@@ -245,7 +235,8 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
                 if rl.ncols(b2):
                     img = rl.mat_mul(fc.complex.d.block(n - 1), b2)
                     if not rl.is_zero(img):
-                        den = den.add(Subspace.from_spans(space, {n: img}))
+                        den = Subspace.from_spans(
+                            space, {n: rl.hstack(den.matrix(n), img)})
                 cell = subquotient(znum, den)
                 got = cell.dim(n)
             if got != want:
@@ -415,10 +406,3 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
         checked.append([p, q])
     return {"ok": not failures, "cells": checked, "failures": failures}
 
-
-def page_csv(page: Page) -> str:
-    """Cells of one page as CSV rows p,q,dim (sorted)."""
-    lines = ["p,q,dim"]
-    for (p, q), d in sorted(page.cells.items()):
-        lines.append(f"{p},{q},{d}")
-    return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, seed, settings
@@ -65,8 +66,48 @@ ONE_GEN = {
 }
 
 
+def _frac(x):
+    return str(Fraction(x))
+
+
+def gdiff_payload(c):
+    """The `gdiff` payload of a G-differential complex: every nonzero-shaped
+    block as dense rows of strings, with its product table and unit."""
+    space = c.complex.space
+    degs = sorted(space.degrees())
+
+    def blocks(op, shift):
+        return {str(n): [list(map(_frac, row)) for row in op.block(n).dense()]
+                for n in degs if space.dim(n) and space.dim(n + shift)}
+
+    g = c.algebra
+    brackets = []
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            terms = [[k, _frac(x)] for k, x in enumerate(g.c[a][b]) if x]
+            if terms:
+                brackets.append([a, b, terms])
+    algebra = {"dim": g.dim, "brackets": brackets,
+               "compact_type": bool(g.compact_type)}
+    if g.name:
+        algebra["name"] = g.name
+    data = {"algebra": algebra,
+            "dims": {str(n): space.dim(n) for n in degs},
+            "d": blocks(c.d, 1),
+            "contractions": [blocks(op, -1) for op in c.contractions],
+            "lie_ops": [blocks(op, 0) for op in c.lie_ops]}
+    if c.product is not None:
+        data["product"] = {"table": {
+            f"{da},{db}": {f"{ia},{ib}": [[k, _frac(v)] for k, v in terms]
+                           for (ia, ib), terms in pairs.items()}
+            for (da, db), pairs in c.product.table.items()}}
+    if c.unit is not None:
+        data["unit"] = list(map(_frac, c.unit))
+    return data
+
+
 def ce_su2_export():
-    return cli.gdiff_to_json(gd.ce_gdiff(lie.ce_complex(lie.su2())))
+    return gdiff_payload(gd.ce_gdiff(lie.ce_complex(lie.su2())))
 
 
 def broken_contraction():

@@ -200,6 +200,64 @@ def test_restrict_map_refuses_a_basis_without_unit_rows():
                      incl, "op")
 
 
+def _sparse_span(rng, rows, k):
+    """k random sparse rational columns of length `rows`: some zero, some
+    repeating an earlier column up to a factor, the rest with few
+    nonzeros."""
+    cols = []
+    for _ in range(k):
+        kind = rng.random()
+        if kind < 0.15:
+            col = [0] * rows
+        elif kind < 0.35 and cols:
+            f = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+            col = [rl.q(f * x) for x in rng.choice(cols)]
+        else:
+            col = [rl.q(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                   if rng.random() < 0.4 else 0 for _ in range(rows)]
+        cols.append(col)
+    return _cols(cols, rows)
+
+
+def _random_subspace(rng, sp):
+    """from_spans on random sparse spans in a random set of degrees (some
+    absent, some given only zero columns)."""
+    spans = {n: _sparse_span(rng, sp.dim(n), rng.randint(0, sp.dim(n) + 2))
+             for n in sp.degrees() if rng.random() < 0.8}
+    return Subspace.from_spans(sp, spans)
+
+
+def _same(got, ref):
+    assert got.ambient == ref.ambient
+    assert [n for n, _ in got.basis] == [n for n, _ in ref.basis]
+    for (_, g), (_, r) in zip(got.basis, ref.basis):
+        assert g.shape == r.shape and _typed(g) == _typed(r)
+
+
+def test_stored_bases_are_the_bases_from_spans_gives():
+    """full, part, intersect and map_image store bases without reducing
+    them again; each must equal the basis from_spans gives on the span it
+    stands for, entry types included."""
+    rng = random.Random(20261101)
+    for _ in range(60):
+        sp = GradedSpace.from_dims({n: rng.randint(0, 5) for n in range(-1, 4)})
+        degs = sp.degrees()
+        _same(Subspace.full(sp), Subspace.from_spans(
+            sp, {n: rl.identity(sp.dim(n)) for n in degs}))
+        a, b = _random_subspace(rng, sp), _random_subspace(rng, sp)
+        for n in degs + [7]:
+            _same(a.part(n), Subspace.from_spans(sp, {n: a.matrix(n)}))
+        both = {n for n, _ in a.basis} & {n for n, _ in b.basis}
+        _same(a.intersect(b), Subspace.from_spans(sp, {
+            n: rl.intersect_spans(a.matrix(n), b.matrix(n)) for n in both}))
+        shift = rng.choice([-1, 0, 1])
+        f = LinearMap.from_blocks(sp, sp, shift, {
+            n: _sparse_span(rng, sp.dim(n + shift), sp.dim(n))
+            for n in degs if sp.dim(n + shift)})
+        _same(map_image(f), Subspace.from_spans(sp, {
+            n + shift: rl.column_echelon(blk)[0] for n, blk in f.blocks}))
+
+
 def test_map_kernel_image_subspaces():
     c = small_complex()
     k = map_kernel(c.d)

@@ -8,7 +8,7 @@ from equicoh.bases import remove_slot, remove_slots, wedge_merge
 
 
 def V(n, i):
-    return poly.basis_vector(n, i)
+    return poly.PolyMultivector(n, 1, {((i,), (0,) * n): F(1)})
 
 
 def D(n, i):
@@ -16,7 +16,11 @@ def D(n, i):
 
 
 def X(n, i):
-    return poly.coordinate(n, i)
+    return poly.function(n, {tuple(int(t == i) for t in range(n)): F(1)})
+
+
+def one(n):
+    return poly.function(n, {(0,) * n: F(1)})
 
 
 def test_construction_normalizes_and_drops_zeros():
@@ -68,7 +72,7 @@ def test_pairing_identity_and_degree_guard():
     n = 3
     top_f = poly.wedge(poly.wedge(D(n, 0), D(n, 1)), D(n, 2))
     top_v = poly.wedge(poly.wedge(V(n, 0), V(n, 1)), V(n, 2))
-    assert poly.pairing(top_f, top_v) == poly.constant(n, 1)
+    assert poly.pairing(top_f, top_v) == one(n)
     f, g = X(n, 0), X(n, 1)
     lhs = poly.pairing(poly.scale_by_function(f, D(n, 0)),
                        poly.scale_by_function(g, V(n, 0)))
@@ -98,7 +102,7 @@ def test_contract_examples_and_adjunction():
     e01 = poly.wedge(V(n, 0), V(n, 1))
     assert poly.contract(D(n, 0), e01) == V(n, 1)
     assert poly.contract(D(n, 1), e01) == V(n, 0).scale(-1)
-    assert poly.contract(poly.wedge(D(n, 0), D(n, 1)), e01) == poly.constant(n, 1)
+    assert poly.contract(poly.wedge(D(n, 0), D(n, 1)), e01) == one(n)
     assert poly.contract(poly.wedge(D(n, 0), D(n, 1)), V(n, 0)).is_zero()
     # <beta, i_alpha w> = <alpha ^ beta, w> across a full basis sweep
     n = 3
@@ -155,10 +159,7 @@ def test_slot_sum_matches_contraction_on_one_forms():
 
 def test_tensor_helpers():
     n = 2
-    beta = D(n, 1)
-    w = V(n, 0)
-    t = poly.tensor_from_pair(beta, w)
-    assert t == {((1,), (0,), (0, 0)): F(1)}
+    t = {((1,), (0,), (0, 0)): F(1)}   # dx_1 (x) d/dx_0
     t2 = poly.tensor_lwedge(D(n, 0), t)
     assert t2 == {((0, 1), (0,), (0, 0)): F(1)}
     assert poly.tensor_is_zero(poly.tensor_add(t, poly.tensor_scale(t, -1)))

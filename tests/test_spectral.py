@@ -82,12 +82,12 @@ def test_one_step_filtration_gives_total_cohomology():
                                 "stable": False}
 
 
-def test_page_csv_table():
+def test_one_level_final_page_cells():
     g = lie.su2()
     cx = lie.ce_complex(g, lie.trivial_rep(g)).complex
     fc = spectral.build_filtered(cx, [core.Subspace.full(cx.space)])
     pgs = spectral.pages(fc)
-    assert spectral.page_csv(pgs[-1]) == "p,q,dim\n0,0,1\n0,3,1\n"
+    assert pgs[-1].cells == {(0, 0): 1, (0, 3): 1}
 
 
 def test_negative_r_max_is_refused():
