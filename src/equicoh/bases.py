@@ -71,5 +71,5 @@ def sym_deg(e: tuple) -> int:
     return sum(e)
 
 
-def unit_exp(n: int, j: int, k: int = 1) -> tuple:
-    return tuple(k if i == j else 0 for i in range(n))
+def unit_exp(n: int, j: int) -> tuple:
+    return tuple(1 if i == j else 0 for i in range(n))

@@ -190,23 +190,23 @@ def parse_algebra(data, field: str = "algebra") -> lie.LieAlgebra:
 # Poisson payloads
 
 
-def parse_poisson(data, field: str = "payload") -> dict:
+def parse_poisson(data) -> dict:
     """Returns {"structure", "maxdeg", "action_algebra", "generators",
     "mu", "submersive"} after full schema validation."""
-    _expect(isinstance(data, dict), field, "expected an object")
+    _expect(isinstance(data, dict), "payload", "expected an object")
     unknown = set(data) - {"ambient", "maxdeg", "pi", "regime", "action",
                            "mu", "submersive"}
-    _expect(not unknown, field, f"unknown keys {sorted(unknown)}")
-    ambient = _expect_int(data.get("ambient"), f"{field}.ambient", low=1)
+    _expect(not unknown, "payload", f"unknown keys {sorted(unknown)}")
+    ambient = _expect_int(data.get("ambient"), "payload.ambient", low=1)
     maxdeg = None
     if "maxdeg" in data:
-        maxdeg = _expect_int(data["maxdeg"], f"{field}.maxdeg", low=0)
+        maxdeg = _expect_int(data["maxdeg"], "payload.maxdeg", low=0)
     entries = data.get("pi")
-    _expect(isinstance(entries, list), f"{field}.pi",
+    _expect(isinstance(entries, list), "payload.pi",
             "expected a list of [[i, j], term] entries")
     terms = []
     for t, item in enumerate(entries):
-        here = f"{field}.pi[{t}]"
+        here = f"payload.pi[{t}]"
         _expect(isinstance(item, list) and len(item) == 2, here,
                 "expected [[i, j], term]")
         pair = item[0]
@@ -226,43 +226,43 @@ def parse_poisson(data, field: str = "payload") -> dict:
     p = po.poisson_structure(bivector)
     declared = data.get("regime")
     if declared is not None:
-        _expect(isinstance(declared, str), f"{field}.regime",
+        _expect(isinstance(declared, str), "payload.regime",
                 "expected a string")
-        _expect(declared == p.regime, f"{field}.regime",
+        _expect(declared == p.regime, "payload.regime",
                 f"declared '{declared}' but the coefficients are "
                 f"'{p.regime}'")
     action = data.get("action")
     algebra = generators = None
     if action is not None:
-        _expect(isinstance(action, dict), f"{field}.action",
+        _expect(isinstance(action, dict), "payload.action",
                 "expected an object")
         unknown = set(action) - {"algebra", "generators"}
-        _expect(not unknown, f"{field}.action",
+        _expect(not unknown, "payload.action",
                 f"unknown keys {sorted(unknown)}")
         algebra = parse_algebra(action.get("algebra"),
-                                f"{field}.action.algebra")
+                                "payload.action.algebra")
         generators = action.get("generators")
         if generators is not None:
-            _expect(isinstance(generators, list), f"{field}.action.generators",
+            _expect(isinstance(generators, list), "payload.action.generators",
                     "expected a list of generator indices")
             for s, k in enumerate(generators):
-                k = _expect_int(k, f"{field}.action.generators[{s}]", low=0)
-                _expect(k < algebra.dim, f"{field}.action.generators[{s}]",
+                k = _expect_int(k, f"payload.action.generators[{s}]", low=0)
+                _expect(k < algebra.dim, f"payload.action.generators[{s}]",
                         "generator index out of range")
                 _expect(k not in generators[:s],
-                        f"{field}.action.generators[{s}]",
+                        f"payload.action.generators[{s}]",
                         "repeated generator index")
     mu = None
     if data.get("mu") is not None:
-        _expect(isinstance(data["mu"], list), f"{field}.mu",
+        _expect(isinstance(data["mu"], list), "payload.mu",
                 "expected a list of polynomials")
-        mu = [_parse_poly(item, ambient, f"{field}.mu[{t}]")
+        mu = [_parse_poly(item, ambient, f"payload.mu[{t}]")
               for t, item in enumerate(data["mu"])]
         if algebra is not None:
-            _expect(len(mu) == algebra.dim, f"{field}.mu",
+            _expect(len(mu) == algebra.dim, "payload.mu",
                     f"expected {algebra.dim} components, one per generator")
     submersive = data.get("submersive", False)
-    _expect(isinstance(submersive, bool), f"{field}.submersive",
+    _expect(isinstance(submersive, bool), "payload.submersive",
             "expected a boolean")
     return {"structure": p, "maxdeg": maxdeg, "action_algebra": algebra,
             "generators": generators, "mu": mu, "submersive": submersive}
@@ -293,22 +293,22 @@ def momentum_from_payload(parsed: dict) -> po.MomentumData:
 # G-differential payloads
 
 
-def parse_gdiff(data, field: str = "payload") -> gd.GDiffComplex:
+def parse_gdiff(data) -> gd.GDiffComplex:
     """The G-differential complex of a payload; its axioms are checked by
     `_check_axioms`."""
     from .core import CochainComplex, GradedSpace, LinearMap
 
-    _expect(isinstance(data, dict), field, "expected an object")
+    _expect(isinstance(data, dict), "payload", "expected an object")
     unknown = set(data) - {"algebra", "dims", "d", "contractions", "lie_ops",
                            "product", "unit"}
-    _expect(not unknown, field, f"unknown keys {sorted(unknown)}")
-    algebra = parse_algebra(data.get("algebra"), f"{field}.algebra")
+    _expect(not unknown, "payload", f"unknown keys {sorted(unknown)}")
+    algebra = parse_algebra(data.get("algebra"), "payload.algebra")
     dims_raw = data.get("dims")
-    _expect(isinstance(dims_raw, dict), f"{field}.dims", "expected an object")
+    _expect(isinstance(dims_raw, dict), "payload.dims", "expected an object")
     dims = {}
     for key, value in dims_raw.items():
-        deg = _int_key(key, f"{field}.dims.{key}")
-        dims[deg] = _expect_int(value, f"{field}.dims.{key}", low=0)
+        deg = _int_key(key, f"payload.dims.{key}")
+        dims[deg] = _expect_int(value, f"payload.dims.{key}", low=0)
     space = GradedSpace.from_dims(dims)
 
     def blocks_of(raw, shift: int, here: str) -> LinearMap:
@@ -320,7 +320,7 @@ def parse_gdiff(data, field: str = "payload") -> gd.GDiffComplex:
             blocks[deg] = _parse_mat(mat, rows, cols, f"{here}.{key}")
         return LinearMap.from_blocks(space, space, shift, blocks)
 
-    d = blocks_of(data.get("d", {}), 1, f"{field}.d")
+    d = blocks_of(data.get("d", {}), 1, "payload.d")
     try:
         complex_ = CochainComplex.build(space, d)
     except Exception as exc:
@@ -328,22 +328,22 @@ def parse_gdiff(data, field: str = "payload") -> gd.GDiffComplex:
     raw_i = data.get("contractions", [])
     raw_l = data.get("lie_ops", [])
     _expect(isinstance(raw_i, list) and len(raw_i) == algebra.dim,
-            f"{field}.contractions",
+            "payload.contractions",
             f"expected {algebra.dim} generator blocks")
     _expect(isinstance(raw_l, list) and len(raw_l) == algebra.dim,
-            f"{field}.lie_ops", f"expected {algebra.dim} generator blocks")
-    contractions = [blocks_of(raw, -1, f"{field}.contractions[{t}]")
+            "payload.lie_ops", f"expected {algebra.dim} generator blocks")
+    contractions = [blocks_of(raw, -1, f"payload.contractions[{t}]")
                     for t, raw in enumerate(raw_i)]
-    lie_ops = [blocks_of(raw, 0, f"{field}.lie_ops[{t}]")
+    lie_ops = [blocks_of(raw, 0, f"payload.lie_ops[{t}]")
                for t, raw in enumerate(raw_l)]
     product = None
     if data.get("product") is not None:
         raw = data["product"]
         _expect(isinstance(raw, dict) and isinstance(raw.get("table"), dict),
-                f"{field}.product", "expected {'table': {...}}")
+                "payload.product", "expected {'table': {...}}")
         table = {}
         for dkey, pairs in raw["table"].items():
-            here = f"{field}.product.table.{dkey}"
+            here = f"payload.product.table.{dkey}"
             da, db = _int_pair(dkey, here)
             _expect(isinstance(pairs, dict), here,
                     "expected an object of basis pairs")
@@ -370,9 +370,9 @@ def parse_gdiff(data, field: str = "payload") -> gd.GDiffComplex:
     if data.get("unit") is not None:
         raw = data["unit"]
         _expect(isinstance(raw, list) and len(raw) == dims.get(0, 0),
-                f"{field}.unit",
+                "payload.unit",
                 f"expected a list of {dims.get(0, 0)} degree-0 coordinates")
-        unit = tuple(_parse_frac(x, f"{field}.unit[{t}]")
+        unit = tuple(_parse_frac(x, f"payload.unit[{t}]")
                      for t, x in enumerate(raw))
     return gd.build_gdiff(algebra, complex_, contractions, lie_ops,
                           product=product, unit=unit, check=False)
@@ -713,7 +713,7 @@ def _lie_cohomology_task(payload: dict, opts: dict) -> Callable:
 def _check_axioms(c: gd.GDiffComplex) -> gd.AxiomReport:
     """The axiom report of c; raises MathError carrying it when an axiom
     fails."""
-    report = gd.check_gdiff_axioms(c, check_product=c.product is not None)
+    report = gd.check_gdiff_axioms(c)
     if not report.ok:
         raise MathError(json.dumps(report.to_json(), sort_keys=True,
                                    default=_frac_json))

@@ -104,21 +104,19 @@ def _first_defect(m: LinearMap):
     return {"degree": n, "basis_index": min(min(row) for row in blk if row)}
 
 
-def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
-                       product_samples: int = 200) -> AxiomReport:
+def check_gdiff_axioms(c: GDiffComplex) -> AxiomReport:
     """The axioms of c in the order d^2 = 0, (i), (iii) with [L, d] = 0,
     (ii') with L-bracket, each failing instance (per generator or pair of
     generators) reported at its first nonzero column in degree order.  With
-    a product and check_product, then the Leibniz rules: for each D
-    among d, i_x, L_x of degree s,
+    a product, then the Leibniz rules: for each D among d, i_x, L_x of
+    degree s,
 
         D M_{a,b} = M_{a+s,b} (D_a (x) 1) + eps_a M_{a,b+s} (1 (x) D_b),
 
-    eps_a = (-1)^a for d and i_x, 1 for L_x, on every basis pair up to
-    120,000 pairs, else on a seeded sample; at most one witness, the first
-    failing pair in `_leibniz_pairs` order and there the first failing
-    operator in the order d, i_0, L_0, i_1, L_1, ...  Last the unit and
-    product_samples seeded associativity triples."""
+    eps_a = (-1)^a for d and i_x, 1 for L_x, on every basis pair; at most
+    one witness, the first failing pair in degree order and there the first
+    failing operator in the order d, i_0, L_0, i_1, L_1, ...  Last the unit
+    and 200 seeded associativity triples."""
     g, r = c.algebra, c.algebra.dim
     d, i, lie_ops = c.d, c.contractions, c.lie_ops
     # Each axiom: a sum of terms (coefficient, operators applied right to
@@ -162,39 +160,13 @@ def check_gdiff_axioms(c: GDiffComplex, check_product: bool = True,
                 failures.append({"axiom": axiom, "generators": gens,
                                  "degree": n, "basis_index": j})
                 break
-    if check_product and c.product is not None:
+    if c.product is not None:
         failures.extend(_check_leibniz(c))
-        failures.extend(_check_assoc_unit(c, product_samples))
+        failures.extend(_check_assoc_unit(c))
     return AxiomReport(not failures, tuple(failures))
 
 
-def _leibniz_pairs(sp, degs, budget: int):
-    """The basis pairs of the Leibniz check, as (da, ia, partners (db, ib)).
-    All pairs in order when there are at most `budget`.  Otherwise each
-    (da, ia) in order gets budget // dim A seeded draws of a degree among
-    `degs`, then of an index in it: pairs in small components are drawn
-    more often, and a partner can repeat."""
-    total = sum(sp.dim(da) * sp.dim(db) for da in degs for db in degs)
-    if total <= budget:
-        for da in degs:
-            for ia in range(sp.dim(da)):
-                yield da, ia, ((db, ib) for db in degs
-                               for ib in range(sp.dim(db)))
-        return
-    import random
-    rng = random.Random(77003917)
-    per_a = max(1, budget // max(1, sum(sp.dim(d) for d in degs)))
-    for da in degs:
-        for ia in range(sp.dim(da)):
-            picks = []
-            for _ in range(per_a):
-                db = rng.choice(degs)
-                if sp.dim(db):
-                    picks.append((db, rng.randrange(sp.dim(db))))
-            yield da, ia, iter(picks)
-
-
-def _check_leibniz(c: GDiffComplex, budget: int = 120000):
+def _check_leibniz(c: GDiffComplex):
     """d and every i_x are odd derivations of the product, every L_x an even
     one.  With M_{a,b} the product table on A^a (x) A^b, one column per basis
     pair (ia, ib), each operator D of degree s and each degree block (a, b)
@@ -204,11 +176,10 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
 
     eps_a = (-1)^a for d and i_x, 1 for L_x.  Both sides are summed over the
     nonzero entries of the table and of D, so a block costs its nonzeros, not
-    its pairs.  A failing column is reported only at a pair `_leibniz_pairs`
-    yields: every pair up to `budget`, else its seeded sample.  Returns []
-    or one witness: the first failing pair in that order and, at that pair,
-    the first failing operator in the order d, i_0, L_0, i_1, L_1, ..."""
-    sp, table, degs = c.space, c.product.table, c.space.degrees()
+    its pairs.  Every basis pair is checked.  Returns [] or one witness: the
+    first failing pair in degree order and, at that pair, the first failing
+    operator in the order d, i_0, L_0, i_1, L_1, ..."""
+    table, degs = c.product.table, c.space.degrees()
     ops = [("d-Leibniz", [], c.d, True)]
     for x in range(c.algebra.dim):
         ops += [("i-Leibniz", [x], c.contractions[x], True),
@@ -245,17 +216,15 @@ def _check_leibniz(c: GDiffComplex, budget: int = 120000):
             for (ia, ib, _), v in acc.items():
                 if v:
                     failing.setdefault((da, ia, db, ib), k)
-    pairs = _leibniz_pairs(sp, degs, budget) if failing else ()
-    for da, ia, partners in pairs:
-        for db, ib in partners:
-            k = failing.get((da, ia, db, ib))
-            if k is not None:
-                return [{"axiom": ops[k][0], "generators": ops[k][1],
-                         "degree": da, "basis_index": ia, "other": [db, ib]}]
-    return []
+    if not failing:
+        return []
+    da, ia, db, ib = pair = min(failing)
+    k = failing[pair]
+    return [{"axiom": ops[k][0], "generators": ops[k][1],
+             "degree": da, "basis_index": ia, "other": [db, ib]}]
 
 
-def _check_assoc_unit(c: GDiffComplex, samples: int):
+def _check_assoc_unit(c: GDiffComplex):
     import random
     failures = []
     sp = c.space
@@ -277,7 +246,7 @@ def _check_assoc_unit(c: GDiffComplex, samples: int):
     rng.shuffle(triples)
     count = 0
     for (da, db, dc) in triples:
-        if count >= samples:
+        if count >= 200:
             break
         if not (sp.dim(da) and sp.dim(db) and sp.dim(dc)):
             continue
@@ -350,8 +319,8 @@ def wedge_product_table(n: int) -> Product:
                               for k in range(n + 1)}, 0)
 
 
-def ce_gdiff(ce: CEComplex, acting: Optional[Subalgebra] = None,
-             check: bool = True) -> GDiffComplex:
+def ce_gdiff(ce: CEComplex,
+             acting: Optional[Subalgebra] = None) -> GDiffComplex:
     """View a CE complex as a G-differential complex.  With `acting` given,
     only the subalgebra's contractions/derivatives are kept and the acting
     algebra is k with its own structure constants."""
@@ -363,13 +332,12 @@ def ce_gdiff(ce: CEComplex, acting: Optional[Subalgebra] = None,
         unit = [1]
     if acting is None:
         return build_gdiff(ce.algebra, ce.complex, ce.contractions, ce.lie_ops,
-                           product=prod, unit=unit, check=check)
+                           product=prod, unit=unit)
     cols = column_vectors(acting.basis_matrix())
     k_alg = spanned_algebra(ce.algebra, cols, "acting-subalgebra")
     contr = [linear_combination(ce.contractions, col) for col in cols]
     lies = [linear_combination(ce.lie_ops, col) for col in cols]
-    return build_gdiff(k_alg, ce.complex, contr, lies, product=prod, unit=unit,
-                       check=check)
+    return build_gdiff(k_alg, ce.complex, contr, lies, product=prod, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +552,7 @@ def basic_subcomplex(c: GDiffComplex) -> tuple:
     return restrict_complex(c.complex, sub, label_prefix="basic")
 
 
-def sub_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> GDiffComplex:
+def sub_gdiff(c: GDiffComplex, sub: Subspace) -> GDiffComplex:
     """Restrict the whole package to an (i, L, d)-stable graded subspace."""
     small, incl = restrict_complex(c.complex, sub, label_prefix="sub")
 
@@ -593,10 +561,10 @@ def sub_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> GDiffComple
 
     contr = [restrict(op) for op in c.contractions]
     lies = [restrict(op) for op in c.lie_ops]
-    return build_gdiff(c.algebra, small, contr, lies, check=check)
+    return build_gdiff(c.algebra, small, contr, lies)
 
 
-def quotient_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> tuple:
+def quotient_gdiff(c: GDiffComplex, sub: Subspace) -> tuple:
     """Quotient by an (i, L, d)-stable graded subspace.  Returns
     (GDiffComplex, projection LinearMap)."""
     full = Subspace.full(c.space)
@@ -623,7 +591,7 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace, check: bool = True) -> tuple:
     cx = CochainComplex.build(qspace, dq)
     contr = [induce(op) for op in c.contractions]
     lies = [induce(op) for op in c.lie_ops]
-    gd = build_gdiff(c.algebra, cx, contr, lies, check=check)
+    gd = build_gdiff(c.algebra, cx, contr, lies)
     return gd, proj
 
 

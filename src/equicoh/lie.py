@@ -394,19 +394,18 @@ def spanned_algebra(g: LieAlgebra, cols: Sequence, name: str,
 
 @dataclass(frozen=True)
 class Subalgebra:
+    """A subalgebra k of g, closed under the bracket."""
+
     ambient: LieAlgebra
     basis: tuple       # columns: vectors in g
-    complement: tuple  # columns: k-stable complement (may be empty tuple)
 
     def basis_matrix(self):
         return self.basis
 
 
-def build_subalgebra(g: LieAlgebra, vectors: Sequence,
-                     complement: Optional[Sequence] = None) -> Subalgebra:
-    """vectors: columns spanning k.  Verifies closure under the bracket and,
-    when given (or found by solving the stability system), a k-stable
-    complement."""
+def build_subalgebra(g: LieAlgebra, vectors: Sequence) -> Subalgebra:
+    """vectors: columns spanning k.  Raises ValueError when they are
+    dependent or their span is not closed under the bracket."""
     b = rl.mat_from_columns([dict(enumerate(map(rl.q, v))) for v in vectors],
                             g.dim)
     cols = column_vectors(b)
@@ -416,67 +415,7 @@ def build_subalgebra(g: LieAlgebra, vectors: Sequence,
         for j, y in enumerate(cols):
             if i < j and not rl.in_span(b, g.bracket(x, y)):
                 raise ValueError(f"not closed under bracket: basis pair ({i},{j})")
-    if complement is not None:
-        w = rl.mat_from_columns([dict(enumerate(map(rl.q, v)))
-                                 for v in complement], g.dim)
-        _verify_stable_complement(g, b, w)
-        comp = w
-    else:
-        comp = _solve_stable_complement(g, b)
-    return Subalgebra(g, b, comp if comp is not None else ())
-
-
-def _verify_stable_complement(g, b, w):
-    if rl.ncols(b) + rl.ncols(w) != g.dim or rl.ncols(rl.intersect_spans(b, w)):
-        raise ValueError("complement does not complement")
-    for x in column_vectors(b):
-        for y in column_vectors(w):
-            if not rl.in_span(w, g.bracket(x, y)):
-                raise ValueError("complement is not stable under the subalgebra")
-
-
-def _solve_stable_complement(g, b):
-    """Search a k-stable complement by solving the linear system for an
-    equivariant projection theta = B phi with phi B = I and
-    [theta, ad_eta] = 0 for eta in the k-basis.  Returns columns or None."""
-    r = g.dim
-    s = rl.ncols(b)
-    nunk = s * r
-
-    def unk(i, j):
-        return i * r + j
-
-    rows, rhs = [], []
-    for i in range(s):
-        for j in range(s):
-            rows.append({unk(i, t): v for t, v in b.cols[j].items()})
-            rhs.append({0: 1} if i == j else {})
-    for eta in column_vectors(b):
-        ad = rl.mat_from_columns([dict(enumerate(g.bracket(
-            eta, [int(t == j) for t in range(r)]))) for j in range(r)], r)
-        adb = rl.mat_mul(ad, b)
-        # B phi ad - ad B phi = 0, row (t, j)
-        for t in range(r):
-            for j in range(r):
-                row = {}
-                for i, x in b[t].items():
-                    for u, y in ad.cols[j].items():
-                        row[unk(i, u)] = row.get(unk(i, u), 0) + x * y
-                for i, v in adb[t].items():
-                    row[unk(i, j)] = row.get(unk(i, j), 0) - v
-                if any(row.values()):
-                    rows.append(row)
-                    rhs.append({})
-    sol = rl.solve(rl.freeze(rows, nunk), rl.freeze(rhs, 1))
-    if sol is None:
-        return None
-    phi = rl.freeze([{j: sol[unk(i, j)].get(0, 0) for j in range(r)}
-                     for i in range(s)], r)
-    theta = rl.mat_mul(b, phi)
-    comp = rl.kernel(theta)
-    if rl.ncols(comp) != r - s:
-        return None
-    return comp
+    return Subalgebra(g, b)
 
 
 def relative_subcomplex(ce: CEComplex, k: Subalgebra) -> tuple:

@@ -71,8 +71,8 @@ from . import bases, lie, ratlin as rl
 from . import gdiff as gd
 from . import spectral
 from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
-                   anticommutator, cohomology, joint_kernel, map_kernel,
-                   restrict_complex)
+                   anticommutator, cohomology, joint_kernel,
+                   restrict_complex, stacked_kernel)
 from .poly import (AmbientMismatch, DegreeMismatch, PolyForm, PolyMultivector,
                    _derivatives, _slots, apply_vector_field, as_form,
                    as_multivector, basis_form, contract, contract_form,
@@ -391,11 +391,11 @@ def _rand_coeff(rng):
     return Fraction(rng.choice([-3, -2, -1, 1, 1, 2, 3]))
 
 
-def _rand(kind, rng, n, degree, cdeg=2, terms=2):
+def _rand(kind, rng, n, degree, terms=2):
     acc = {}
     for _ in range(terms):
         idx = tuple(sorted(rng.sample(range(n), degree)))
-        acc[(idx, _rand_poly(rng, n, cdeg))] = _rand_coeff(rng)
+        acc[(idx, _rand_poly(rng, n, 2))] = _rand_coeff(rng)
     return kind(n, degree, acc)
 
 
@@ -745,8 +745,7 @@ def build_poly_model(ambient: int, kind: type, mode: str, bound: int,
                      cx, exact, band)
 
 
-def operator_matrix(model: PolyModel, fn: Callable, shift: int,
-                    project: bool = False) -> LinearMap:
+def operator_matrix(model: PolyModel, fn: Callable, shift: int) -> LinearMap:
     """Matrix of a degree-homogeneous operator on the truncated basis."""
     blocks = {}
     for q in sorted(model.basis):
@@ -754,7 +753,7 @@ def operator_matrix(model: PolyModel, fn: Callable, shift: int,
         if tgt == 0:
             continue
         cols = [model.to_vector(fn(model.element(q, i)),
-                                project=project or not model.exact)
+                                project=not model.exact)
                 for i in range(len(model.basis[q]))]
         blocks[q] = rl.mat_from_columns(cols, tgt)
     return LinearMap.from_blocks(model.space, model.space, shift, blocks)
@@ -1023,8 +1022,7 @@ def _check_ops_stay(model: PolyModel, forms: Sequence) -> None:
 
 def momentum_gdiff(md: MomentumData, truncation: Optional[int] = None,
                    slice_degree: Optional[int] = None,
-                   generators: Optional[Sequence] = None,
-                   check: bool = True
+                   generators: Optional[Sequence] = None
                    ) -> Tuple[gd.GDiffComplex, PolyModel]:
     """The truncated multivector complex as a complex with contractions and
     Lie operators for the (sub)algebra action.  The contraction along a
@@ -1037,17 +1035,17 @@ def momentum_gdiff(md: MomentumData, truncation: Optional[int] = None,
     _check_ops_stay(model, forms)
     return _with_contractions(
         algebra, model,
-        [lambda w, neg=a.scale(-1): contract(neg, w) for a in forms], check)
+        [lambda w, neg=a.scale(-1): contract(neg, w) for a in forms])
 
 
 def _with_contractions(algebra: lie.LieAlgebra, model: PolyModel,
-                       fns: Sequence, check: bool) -> tuple:
+                       fns: Sequence) -> tuple:
     """(GDiffComplex, model): the model's complex with one contraction per
     generator, fns[j] on basis elements, and the Lie operators d i + i d."""
     contractions = [operator_matrix(model, fn, -1) for fn in fns]
     lie_ops = [anticommutator(model.complex.d, i_op) for i_op in contractions]
-    return gd.build_gdiff(algebra, model.complex, contractions, lie_ops,
-                          check=check), model
+    return gd.build_gdiff(algebra, model.complex, contractions,
+                          lie_ops), model
 
 
 @dataclass(frozen=True)
@@ -1094,13 +1092,12 @@ def mu_tangent_complex(md: MomentumData, c: gd.GDiffComplex,
                          tuple(h.dim(q) for q in range(n + 1)))
 
 
-def invariance_comparison(md: MomentumData, truncation: Optional[int] = None,
-                          slice_degree: Optional[int] = None) -> dict:
+def invariance_comparison(md: MomentumData, slice_degree: int) -> dict:
     """On the joint kernel of the contractions, the module action of a
     lifted one-form coincides with the ordinary Lie derivative along its
     anchor field.  Returns, per generator and degree, both operator
     matrices applied to a basis of that kernel (they must be equal)."""
-    c, model = momentum_gdiff(md, truncation, slice_degree)
+    c, model = momentum_gdiff(md, slice_degree=slice_degree)
     hor = joint_kernel(model.space, c.contractions)
     out = {}
     for j, a in enumerate(md.one_forms):
@@ -1122,19 +1119,18 @@ def invariance_comparison(md: MomentumData, truncation: Optional[int] = None,
 
 
 def de_rham_gdiff(algebra: lie.LieAlgebra, fields: Sequence,
-                  truncation: Optional[int] = None,
-                  slice_degree: Optional[int] = None,
-                  check: bool = True) -> Tuple[gd.GDiffComplex, PolyModel]:
-    """Truncated polynomial differential forms as a differential complex
+                  slice_degree: int) -> Tuple[gd.GDiffComplex, PolyModel]:
+    """Truncated polynomial differential forms as a G-differential complex
     with the action of `algebra`: the exterior differential, contraction
-    with each action field, and the anticommutator Lie derivatives.
+    with each action field, and the anticommutator Lie derivatives; the
+    axioms are checked.
 
     Both the differential (form degree +1, coefficient degree -1) and the
     contraction with a field having homogeneous linear coefficients (form
     degree -1, coefficient degree +1) preserve the sum of form degree and
     coefficient degree, so the same antidiagonal slicing used for constant
-    bivectors applies: `slice_degree` selects one exact slice, `truncation`
-    the sum of all slices up to the bound."""
+    bivectors applies: `slice_degree` selects one exact slice, the forms
+    whose form degree plus coefficient degree is `slice_degree`."""
     if len(fields) != algebra.dim:
         raise MomentMismatch("one action field per generator is required")
     if not fields:
@@ -1146,16 +1142,10 @@ def de_rham_gdiff(algebra: lie.LieAlgebra, fields: Sequence,
             raise UnsupportedRegime(
                 "slice truncation of forms needs action fields with "
                 f"homogeneous linear coefficients, got degrees {sorted(degs)}")
-    if slice_degree is not None:
-        mode, bound = "total-slice", slice_degree
-    elif truncation is not None:
-        mode, bound = "total", truncation
-    else:
-        raise ValueError("either truncation or slice_degree is required")
-    model = build_poly_model(n, PolyForm, mode, bound, exterior_d, True, None)
+    model = build_poly_model(n, PolyForm, "total-slice", slice_degree,
+                             exterior_d, True, None)
     return _with_contractions(
-        algebra, model,
-        [lambda w, v=v: contract_form(v, w) for v in fields], check)
+        algebra, model, [lambda w, v=v: contract_form(v, w) for v in fields])
 
 
 def sharp_comparison(md: MomentumData, slice_degree: int,
@@ -1265,20 +1255,19 @@ def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
     c, model = momentum_gdiff(md, truncation, slice_degree,
                               generators=generators)
     h = gd.equivariant_cohomology(c, sym_cap)
-    inv = joint_kernel(model.space, c.lie_ops)
-    inv_casimir = inv.intersect(map_kernel(c.d))
-    return EquivariantPoissonReport(h, inv_casimir.dim(0))
+    inv = stacked_kernel([op.block(0) for op in (*c.lie_ops, c.d)],
+                         model.space.dim(0))
+    return EquivariantPoissonReport(h, rl.ncols(inv))
 
 
 def poisson_low_degree(md: MomentumData, sym_cap: int,
-                       truncation: Optional[int] = None,
-                       slice_degree: Optional[int] = None) -> dict:
+                       slice_degree: int) -> dict:
     """Both sides of the low-degree description of equivariant cohomology
     for the action (`gdiff.low_degree_data`): degree 0 from closed functions,
     all of them invariant, and degree 1 (valid when the algebra has no
     degree-1 cohomology) as closed one-fields killed by every lifted form,
     modulo differentials of invariant functions."""
-    c, _ = momentum_gdiff(md, truncation, slice_degree)
+    c, _ = momentum_gdiff(md, slice_degree=slice_degree)
     low = gd.low_degree_data(c, gd.cartan_model(c, sym_cap))
     return {"h1_lie_vanishes": lie.lie_cohomology(md.algebra).dims.get(1, 0) == 0,
             "h0_model": low["h0_model"], "h0_direct": low["h0_kernel"],
@@ -1386,12 +1375,10 @@ def build_product_line_model(roots: Sequence,
     return ProductLineModel(roots, values, c)
 
 
-def product_line_report(model: ProductLineModel,
-                        r_max: Optional[int] = None) -> dict:
+def product_line_report(model: ProductLineModel) -> dict:
     """Pages of the contraction-depth filtration, the page differential that
     multiplies by the derivative values, and the final dims."""
-    fc = spectral.contraction_filtration(model.gdiff)
-    pgs = spectral.pages(fc, r_max)
+    pgs = spectral.pages(spectral.contraction_filtration(model.gdiff))
     d2 = None
     for pg in pgs:
         if (0, 1) in pg.diffs:

@@ -332,22 +332,19 @@ def contraction_filtration(c: GDiffComplex) -> FilteredComplex:
                 op = c.contractions[b].compose(op)
             products[k].append(op)
 
-    def level_spans(p):
-        spans = {}
-        for n in degs:
-            dim = space.dim(n)
-            k = n - p + 1
-            if k <= 0:
-                spans[n] = rl.zeros(dim, 0)
-            elif k > r:
-                spans[n] = rl.identity(dim)
-            else:
-                spans[n] = stacked_kernel([op.block(n) for op in products[k]],
-                                          dim)
-        return spans
+    def level(p):
+        """F_p: the kernels of the k-fold products, k = n - p + 1, where
+        0 < k <= r; the whole degree, stored as `Subspace.full` stores it,
+        where k > r (these degrees lie above the kernels)."""
+        kernels = Subspace.from_spans(space, {
+            n: stacked_kernel([op.block(n) for op in products[n - p + 1]],
+                              space.dim(n))
+            for n in degs if 0 < n - p + 1 <= r})
+        whole = tuple((n, rl.identity(space.dim(n)))
+                      for n in degs if n - p + 1 > r)
+        return Subspace(space, kernels.basis + whole)
 
-    levels = [Subspace.from_spans(space, level_spans(p))
-              for p in range(max_n + 2)]
+    levels = [level(p) for p in range(max_n + 2)]
     return build_filtered(c.complex, levels)
 
 

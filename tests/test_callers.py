@@ -1,5 +1,7 @@
 """Every public module-level function and class of `equicoh` has a caller in
-`src/`, or a line in KEPT saying why it stays without one."""
+`src/`, or a line in KEPT saying why it stays without one; and every
+parameter with a default is set by some call in `src/`, or has a line in
+KEPT_PARAMS saying why it stays."""
 
 import ast
 import pathlib
@@ -44,6 +46,39 @@ KEPT = {
 }
 
 
+# "module.function(parameter)" -> why the default stays although no call in
+# src/ sets the parameter.
+KEPT_PARAMS = {
+    "cli._example_task(opts)": "called through `_KIND_TASKS`",
+    "cli.gate(check)": "binds the loop's check in the closure",
+    "cli.main(argv)": "the console script reads sys.argv; tests and the "
+                      "benchmark pass argv",
+    "gdiff.ce_gdiff(acting)": "tests view a CE complex under a subalgebra",
+    "gdiff.weil_algebra(check)": "tests skip the axiom check that other tests "
+                                 "run",
+    "spectral.build_filtered(check)": "tests skip the level checks to reach "
+                                      "the checks of the pages",
+    "gdiff.cartan_weil_inclusion(variant)": "tests check that a wrong sign "
+                                            "convention is refused",
+    "gdiff.cartan_weil_inclusion(verify)": "tests pin the inclusion's matrix "
+                                           "without its verification",
+    "gdiff.forgetful_matrices(up_to)": "tests bound the degrees",
+    "gdiff.trivial_action_gdiff(product)": "tests give the complex a product",
+    "gdiff.trivial_action_gdiff(unit)": "tests give the complex a unit",
+    "lie.trivial_rep(dim)": "tests take trivial representations of "
+                            "dimension above one",
+    "poisson.momentum_setup(one_forms)": "tests check the refusal of "
+                                         "inconsistent lifted one-forms",
+    "poisson.momentum_setup(cobracket)": "tests check the refusal of "
+                                         "inconsistent cobrackets",
+    "poisson.momentum_setup(action_fields)": "tests check the refusal of "
+                                             "inconsistent action fields",
+    "poisson.verify_all(samples)": "the benchmark and tests choose the sample "
+                                   "count",
+    "poisson.verify_all(seed)": "the benchmark and tests choose the seed",
+}
+
+
 def _definitions():
     trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
     return trees, [node for tree in trees for node in tree.body
@@ -70,3 +105,77 @@ def test_every_kept_name_is_defined():
     _, defs = _definitions()
     assert len(defs) > 100
     assert set(KEPT) <= {node.name for node in defs}
+
+
+def _defaulted_params():
+    """{"module.function(parameter)": (function, parameter, position)} for
+    every parameter with a default.  The position counts from the first
+    argument a call passes, so a method's `self` or `cls` has none; a
+    keyword-only parameter has position None."""
+    out = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            pos = args.posonlyargs + args.args
+            bound = int(bool(pos) and pos[0].arg in ("self", "cls"))
+            defaulted = [(i - bound, a) for i, a in enumerate(pos)
+                         if i >= len(pos) - len(args.defaults)]
+            defaulted += [(None, a) for a, d in zip(args.kwonlyargs,
+                                                   args.kw_defaults)
+                          if d is not None]
+            for i, a in defaulted:
+                out[f"{path.stem}.{node.name}({a.arg})"] = (node.name, a.arg,
+                                                           i)
+    return out
+
+
+def _constructors(trees) -> set:
+    """Names of the classes in src/ that define `__init__` or inherit one
+    from a class in src/: a call of such a class calls that `__init__`."""
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def has_init(name):
+        node = classes.get(name)
+        return node is not None and (
+            any(isinstance(b, ast.FunctionDef) and b.name == "__init__"
+                for b in node.body)
+            or any(isinstance(b, ast.Name) and has_init(b.id)
+                   for b in node.bases))
+    return {name for name in classes if has_init(name)}
+
+
+def _set_params(trees) -> set:
+    """(function name, parameter name or position) for what some call sets;
+    a call with *args sets every position ("*"), one with **kwargs every
+    keyword ("**")."""
+    inits = _constructors(trees)
+    out = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+        name = "__init__" if name in inits else name
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            out.add((name, "*"))
+        out.update((name, i) for i in range(len(node.args)))
+        out.update((name, k.arg or "**") for k in node.keywords)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_or_has_a_reason():
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    calls = _set_params(trees)
+    unset = sorted(
+        key for key, (fn, param, pos) in _defaulted_params().items()
+        if key not in KEPT_PARAMS
+        and not {(fn, param), (fn, pos), (fn, "*"), (fn, "**")} & calls)
+    assert not unset, f"no call in src/ sets: {unset}"
+
+
+def test_every_kept_parameter_is_defaulted():
+    assert set(KEPT_PARAMS) <= set(_defaulted_params())

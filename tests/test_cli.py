@@ -419,6 +419,35 @@ def test_malformed_input_exits_2_as_a_schema_error(name):
         assert json.loads(out)["error"]["kind"] == "schema"
 
 
+def one_pair_defect():
+    """Q + V^1 (dim 400) + Q w^2 + Q z^3 under the zero action of abelian(1),
+    with dw = z, a unit and the one product v_3 v_7 = w: 162,409 basis pairs,
+    and d breaks the Leibniz rule at the pair (v_3, v_7) alone."""
+    dims = {0: 1, 1: 400, 2: 1, 3: 1}
+    table = {f"0,{n}": {f"0,{i}": [[i, "1"]] for i in range(k)}
+             for n, k in dims.items()}
+    table.update({f"{n},0": {f"{i},0": [[i, "1"]] for i in range(k)}
+                  for n, k in dims.items() if n})
+    table["1,1"] = {"3,7": [[0, "1"]]}
+    return {"algebra": {"dim": 1, "brackets": []},
+            "dims": {str(n): k for n, k in dims.items()},
+            "d": {"2": [["1"]]}, "contractions": [{}], "lie_ops": [{}],
+            "product": {"table": table}, "unit": ["1"]}
+
+
+@pytest.mark.parametrize("argv, wrap", [
+    (["gdiff-check"], lambda data: data),
+    (["compute"], lambda data: {"kind": "gdiff-check", "payload": data})],
+    ids=["gdiff-check", "compute"])
+def test_one_pair_leibniz_defect_exits_3_with_its_witness(argv, wrap):
+    code, out = run(argv, wrap(one_pair_defect()))
+    assert code == 3, out.decode()
+    report = json.loads(json.loads(out)["error"]["witness"])
+    assert report == {"ok": False, "failures": [
+        {"axiom": "d-Leibniz", "generators": [], "degree": 1,
+         "basis_index": 3, "other": [1, 7]}]}
+
+
 # Tasks whose payload parse meets a mathematical defect that no validate
 # gate of the payload's shape checks; compute and validate both exit 3.
 MATH_DEFECTS = {

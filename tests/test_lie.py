@@ -170,13 +170,6 @@ def test_relative_with_coefficients():
     assert h.dims_list(0, 3) == [1, 0, 1, 0]
 
 
-def test_subalgebra_stable_complement_found():
-    g = su2()
-    k = build_subalgebra(g, [[0, 0, 1]])
-    assert k.complement
-    assert rl.ncols(k.complement) == 2
-
-
 def test_factorization_guard_requires_compact():
     g = heisenberg()
     with pytest.raises(ValueError):

@@ -102,7 +102,7 @@ def test_momentum_gdiff_slice_dims_and_axioms():
     _, _, md = su2_momentum()
     c, model = po.momentum_gdiff(md, slice_degree=2)
     assert [model.space.dim(q) for q in range(4)] == [6, 18, 18, 6]
-    rep = gdiff.check_gdiff_axioms(c, check_product=False)
+    rep = gdiff.check_gdiff_axioms(c)
     assert rep.ok
 
 
@@ -251,7 +251,7 @@ def test_de_rham_model_axioms_and_dims():
                                  ((0,), (0, 1)): Fraction(-1)})
     c, model = po.de_rham_gdiff(lie.abelian(1), [rot], slice_degree=2)
     assert [model.space.dim(q) for q in range(3)] == [3, 4, 1]
-    rep = gdiff.check_gdiff_axioms(c, check_product=False)
+    rep = gdiff.check_gdiff_axioms(c)
     assert rep.ok
 
 
