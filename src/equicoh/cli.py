@@ -974,9 +974,11 @@ def _gates(table: _GateTable, parse: Callable, checks: Sequence) -> bool:
 def _jacobi_gate(parsed: dict):
     p = parsed["structure"]
     if not p.certified:
+        # Each coefficient printed as a Fraction, whether stored as an int
+        # or not, so that the witness reads the same for every coefficient.
+        defect = {k: Fraction(c) for k, c in p.jacobiator.coeffs}
         raise MathError(
-            f"the bivector does not self-commute; defect "
-            f"{p.jacobiator.as_dict()!r}")
+            f"the bivector does not self-commute; defect {defect!r}")
 
 
 def _poisson_gates(data, table: _GateTable) -> bool:

@@ -129,6 +129,11 @@ _DIFF_NEGATE = False    # True: d(w) = -[pi, w]
 # The graded bracket
 
 
+def _sign(k: int) -> int:
+    """(-1)^k as an int, for negative k too (where ** gives a float)."""
+    return -1 if k % 2 else 1
+
+
 def _star(a: PolyMultivector, b: PolyMultivector):
     """The terms of sum_j (a <-d/d.odd_j) ^ (db/dx_j)."""
     return _derivatives(_slots(a, from_tail=not _STAR_LEFT), b)
@@ -141,7 +146,7 @@ def schouten(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     deg = a.degree + b.degree - 1
     if deg < 0:
         return zero_multivector(a.ambient, 0)
-    swap = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 == 0 else 1
+    swap = -_sign((a.degree - 1) * (b.degree - 1))
     return PolyMultivector(a.ambient, deg, chain(
         _star(a, b), ((k, swap * c) for k, c in _star(b, a))))
 
@@ -150,9 +155,9 @@ def schouten_jacobiator(a: PolyMultivector, b: PolyMultivector,
                         c: PolyMultivector) -> PolyMultivector:
     """Graded Jacobi defect; zero exactly when the identity holds."""
     da, db, dc = a.degree, b.degree, c.degree
-    s1 = (-1) ** ((da - 1) * (dc - 1))
-    s2 = (-1) ** ((db - 1) * (da - 1))
-    s3 = (-1) ** ((dc - 1) * (db - 1))
+    s1 = _sign((da - 1) * (dc - 1))
+    s2 = _sign((db - 1) * (da - 1))
+    s3 = _sign((dc - 1) * (db - 1))
     out = schouten(a, schouten(b, c)).scale(s1)
     out = out.add(schouten(b, schouten(c, a)).scale(s2))
     return out.add(schouten(c, schouten(a, b)).scale(s3))
@@ -225,8 +230,7 @@ def constant_poisson(ambient: int, entries: Mapping) -> PoissonStructure:
     if any(i == j for i, j in entries):
         raise ValueError("diagonal entry in an antisymmetric bivector")
     return poisson_structure(PolyMultivector(ambient, 2, (
-        (((i, j), zero), Fraction(c)) if i < j
-        else (((j, i), zero), -Fraction(c))
+        (((i, j), zero), rl.q(c)) if i < j else (((j, i), zero), -rl.q(c))
         for (i, j), c in entries.items())))
 
 
@@ -388,7 +392,7 @@ def _rand_poly(rng, n, cdeg):
 
 
 def _rand_coeff(rng):
-    return Fraction(rng.choice([-3, -2, -1, 1, 1, 2, 3]))
+    return rng.choice([-3, -2, -1, 1, 1, 2, 3])
 
 
 def _rand(kind, rng, n, degree, terms=2):
@@ -401,12 +405,17 @@ def _rand(kind, rng, n, degree, terms=2):
 
 def _witness(diff, **inputs):
     if hasattr(diff, "is_zero"):
-        bad = not diff.is_zero()
+        if diff.is_zero():
+            return None
+        text = repr(diff)
     else:
-        bad = not tensor_is_zero(diff)
-    if not bad:
-        return None
-    return {"difference": repr(diff),
+        if tensor_is_zero(diff):
+            return None
+        # A tensor prints its coefficients by repr: each as a Fraction,
+        # whether stored as an int or not, so the witness reads the same
+        # for every coefficient.
+        text = repr({k: Fraction(c) for k, c in diff.items()})
+    return {"difference": text,
             "inputs": {k: repr(v) for k, v in inputs.items()}}
 
 
@@ -414,7 +423,7 @@ def _id_schouten_antisymmetry(p, rng):
     n = p.ambient
     a = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1))
     b = _rand(PolyMultivector, rng, n, rng.randrange(0, min(n, 3) + 1))
-    s = (-1) ** ((a.degree - 1) * (b.degree - 1))
+    s = _sign((a.degree - 1) * (b.degree - 1))
     diff = schouten(a, b).add(schouten(b, a).scale(s))
     return _witness(diff, a=a, b=b)
 
@@ -433,7 +442,7 @@ def _id_schouten_leibniz(p, rng):
     b = _rand(PolyMultivector, rng, n, rng.randrange(0, 2), terms=1)
     c = _rand(PolyMultivector, rng, n, rng.randrange(0, 2), terms=1)
     lhs = schouten(a, wedge(b, c))
-    s = (-1) ** ((a.degree - 1) * b.degree)
+    s = _sign((a.degree - 1) * b.degree)
     rhs = wedge(schouten(a, b), c).add(wedge(b, schouten(a, c)).scale(s))
     return _witness(lhs.sub(rhs), a=a, b=b, c=c)
 
@@ -558,8 +567,8 @@ def _id_slot_wedge(p, rng):
     w = _rand(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1), terms=1)
     lhs = tilde_i(w, wedge(a1, a2))
     rhs = tensor_add(
-        tensor_scale(tensor_lwedge(a2, tilde_i(w, a1)), (-1) ** ((k - 1) * l)),
-        tensor_scale(tensor_lwedge(a1, tilde_i(w, a2)), (-1) ** k))
+        tensor_scale(tensor_lwedge(a2, tilde_i(w, a1)), _sign((k - 1) * l)),
+        tensor_scale(tensor_lwedge(a1, tilde_i(w, a2)), _sign(k)))
     return _witness(tensor_add(lhs, tensor_scale(rhs, -1)), a1=a1, a2=a2, w=w)
 
 
@@ -689,7 +698,7 @@ class PolyModel:
 
     def element(self, q: int, position: int):
         key = self.basis[q][position]
-        return self.kind(self.ambient, q, {key: Fraction(1)})
+        return self.kind(self.ambient, q, {key: 1})
 
     def to_vector(self, w, project: bool = False) -> dict:
         """The coordinates {basis index: coefficient} of w."""

@@ -4,7 +4,10 @@ Both kinds of objects are finite sums of terms  c * x^E * basis_I  where
 x^E is a monomial in the coordinates, I is a strictly increasing tuple of
 axis indices, and basis_I is dx_{i1} ^ ... ^ dx_{ik} for forms or
 the corresponding wedge of coordinate vector fields for multivectors.
-Coefficients are exact rationals throughout.
+Coefficients are exact rationals stored as `ratlin` stores a matrix entry: an
+int, or a Fraction that is not integral.  Incoming coefficients go through
+`ratlin.q` (so a float is refused), and sums that come out integral are
+stored as ints, so arithmetic on integer coefficients stays in ints.
 
 Fixed normalizations (all other sign rules in this file follow from them):
 
@@ -28,10 +31,17 @@ one loop over pairs of terms (`_products`), and the exterior differential,
 the derivative along a vector field and the graded bracket of `poisson`
 share one loop over partial derivatives (`_derivatives`).  The tensors of the
 slot-sum operator are summed the same way, by `_tensor`.
+
+The checks on a key depend only on the ambient dimension, the degree and the
+key itself, so a module-level memo maps each (ambient, degree, raw key) it
+has checked to the key with int entries: a key seen before is looked up,
+every new key is checked in full, and a key that cannot be hashed (a list
+index tuple, say) is checked on every use.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -39,6 +49,7 @@ from operator import add
 from typing import Mapping, Tuple, Union
 
 from .bases import remove_slot, remove_slots, wedge_merge
+from .ratlin import q
 
 
 class AmbientMismatch(Exception):
@@ -54,30 +65,48 @@ Idx = Tuple[int, ...]
 Key = Tuple[Idx, Expo]
 
 
+def _checked_key(ambient: int, degree: int, key) -> Key:
+    """The key (index tuple, exponent tuple) with int entries, after every
+    check on it."""
+    idx, expo = key
+    idx = tuple(int(i) for i in idx)
+    expo = tuple(int(e) for e in expo)
+    if len(idx) != degree:
+        raise DegreeMismatch(
+            f"index tuple {idx} has length {len(idx)}, degree is {degree}")
+    if any(i < 0 or i >= ambient for i in idx):
+        raise AmbientMismatch(f"index tuple {idx} escapes ambient {ambient}")
+    if list(idx) != sorted(set(idx)):
+        raise ValueError(f"index tuple {idx} must be strictly increasing")
+    if len(expo) != ambient:
+        raise AmbientMismatch(
+            f"exponent vector {expo} has length {len(expo)}, ambient is {ambient}")
+    if any(e < 0 for e in expo):
+        raise ValueError(f"negative exponent in {expo}")
+    return idx, expo
+
+
+#: (ambient, degree) -> {raw key: `_checked_key` of it}
+_CHECKED: dict = {}
+
+
 def _validate_terms(ambient: int, degree: int, terms) -> tuple:
     """Check every term, sum the coefficients of repeated keys and sort."""
+    checked = _CHECKED.get((ambient, degree))
+    if checked is None:
+        checked = _CHECKED[ambient, degree] = {}
     acc = {}
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    for (idx, expo), coeff in items:
-        idx = tuple(int(i) for i in idx)
-        expo = tuple(int(e) for e in expo)
-        if len(idx) != degree:
-            raise DegreeMismatch(
-                f"index tuple {idx} has length {len(idx)}, degree is {degree}")
-        if any(i < 0 or i >= ambient for i in idx):
-            raise AmbientMismatch(f"index tuple {idx} escapes ambient {ambient}")
-        if list(idx) != sorted(set(idx)):
-            raise ValueError(f"index tuple {idx} must be strictly increasing")
-        if len(expo) != ambient:
-            raise AmbientMismatch(
-                f"exponent vector {expo} has length {len(expo)}, ambient is {ambient}")
-        if any(e < 0 for e in expo):
-            raise ValueError(f"negative exponent in {expo}")
-        c = Fraction(coeff)
+    for raw, coeff in terms.items() if isinstance(terms, abc.Mapping) else terms:
+        try:
+            key = checked[raw]
+        except KeyError:
+            key = checked[raw] = _checked_key(ambient, degree, raw)
+        except TypeError:   # unhashable, such as a list index tuple
+            key = _checked_key(ambient, degree, raw)
+        c = q(coeff)
         if c:
-            key = (idx, expo)
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+            acc[key] = acc.get(key, 0) + c
+    return tuple(sorted([(k, q(v)) for k, v in acc.items() if v]))
 
 
 @dataclass(frozen=True, repr=False)
@@ -114,7 +143,7 @@ class _Graded:
         return self.add(other.scale(-1))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = q(c)
         return type(self)(self.ambient, self.degree,
                           ((k, c * v) for k, v in self.coeffs))
 
@@ -169,7 +198,7 @@ def function(ambient: int, poly: Mapping[Expo, Fraction]) -> PolyMultivector:
 
 
 def basis_form(ambient: int, i: int) -> PolyForm:
-    return PolyForm(ambient, 1, {((i,), (0,) * ambient): Fraction(1)})
+    return PolyForm(ambient, 1, {((i,), (0,) * ambient): 1})
 
 
 def as_form(f: PolyMultivector) -> PolyForm:
@@ -314,11 +343,12 @@ def contract_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
 
 def _tensor(terms) -> dict:
     """The tensor of the given terms: repeats summed, zeros dropped, keys in
-    the order they first appear."""
+    the order they first appear, coefficients stored as `_Graded` stores
+    them."""
     out = {}
     for ((fi, mi), e), c in terms:
         out[fi, mi, e] = out.get((fi, mi, e), 0) + c
-    return {k: v for k, v in out.items() if v}
+    return {k: q(v) for k, v in out.items() if v}
 
 
 def _tensor_terms(t: dict):
@@ -330,8 +360,8 @@ def tensor_add(t1: dict, t2: dict) -> dict:
 
 
 def tensor_scale(t: dict, c) -> dict:
-    c = Fraction(c)
-    return {k: c * v for k, v in t.items() if c * v}
+    c = q(c)
+    return _tensor((k, c * v) for k, v in _tensor_terms(t))
 
 
 def tensor_is_zero(t: dict) -> bool:

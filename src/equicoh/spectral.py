@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import ratlin as rl
@@ -335,14 +336,19 @@ def contraction_filtration(c: GDiffComplex) -> FilteredComplex:
     def level(p):
         """F_p: the kernels of the k-fold products, k = n - p + 1, where
         0 < k <= r; the whole degree, stored as `Subspace.full` stores it,
-        where k > r (these degrees lie above the kernels)."""
-        kernels = Subspace.from_spans(space, {
-            n: stacked_kernel([op.block(n) for op in products[n - p + 1]],
-                              space.dim(n))
-            for n in degs if 0 < n - p + 1 <= r})
-        whole = tuple((n, rl.identity(space.dim(n)))
-                      for n in degs if n - p + 1 > r)
-        return Subspace(space, kernels.basis + whole)
+        where k > r or every k-fold product vanishes on the degree."""
+        spans, whole = {}, []
+        for n in degs:
+            k = n - p + 1
+            if k <= 0:
+                continue
+            blocks = [op.block(n) for op in products[k]] if k <= r else []
+            if all(map(rl.is_zero, blocks)):
+                whole.append((n, rl.identity(space.dim(n))))
+            else:
+                spans[n] = stacked_kernel(blocks, space.dim(n))
+        basis = Subspace.from_spans(space, spans).basis + tuple(whole)
+        return Subspace(space, tuple(sorted(basis, key=itemgetter(0))))
 
     levels = [level(p) for p in range(max_n + 2)]
     return build_filtered(c.complex, levels)

@@ -355,6 +355,22 @@ def test_convention_flips_break_many_identities(monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, knob
 
 
+def test_a_tensor_witness_prints_its_coefficients_as_fractions(monkeypatch):
+    """A failing slot-wedge identity prints its tensor difference by repr
+    with every coefficient a Fraction, integral ones included; the report's
+    bytes are pinned."""
+    lwedge = po.tensor_lwedge
+    monkeypatch.setattr(po, "tensor_lwedge",
+                        lambda a, t: po.tensor_scale(lwedge(a, t), 2))
+    rep = po.verify_identity(po.linear_poisson(lie.su2()), "slot-wedge",
+                             samples=12, seed=1).to_json()
+    assert not rep["ok"]
+    assert "Fraction(27, 1)" in rep["witnesses"][0]["difference"]
+    text = json.dumps(rep, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e63f363dfd15f66330cdd5004b395925d88dd42d3d9145630ea429d6e0294a2f")
+
+
 # ---------------------------------------------------------------------------
 # Truncated complexes and cohomology
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -242,7 +243,7 @@ def _ref_contract_form(v, beta):
                          _ref_pair_loop(v, beta, remove_slots))
 
 
-def _ref_exterior_d(x):
+def _ref_exterior_d_terms(x):
     out = {}
     for (idx, expo), c in x.coeffs:
         for i in range(x.ambient):
@@ -251,10 +252,14 @@ def _ref_exterior_d(x):
                 ne = list(expo)
                 ne[i] -= 1
                 _acc(out, (m[1], tuple(ne)), m[0] * c * expo[i])
-    return poly.PolyForm(x.ambient, x.degree + 1, out)
+    return out
 
 
-def _ref_apply_vector_field(v, f):
+def _ref_exterior_d(x):
+    return poly.PolyForm(x.ambient, x.degree + 1, _ref_exterior_d_terms(x))
+
+
+def _ref_apply_vector_field_terms(v, f):
     out = {}
     for ((i,), ev), cv in v.coeffs:
         for ((_, ef), cf) in f.coeffs:
@@ -263,7 +268,12 @@ def _ref_apply_vector_field(v, f):
                 ne[i] -= 1
                 _acc(out, ((), tuple(a + b for a, b in zip(ev, ne))),
                      cv * cf * ef[i])
-    return poly.PolyMultivector(f.ambient, 0, out)
+    return out
+
+
+def _ref_apply_vector_field(v, f):
+    return poly.PolyMultivector(f.ambient, 0,
+                                _ref_apply_vector_field_terms(v, f))
 
 
 def _ref_tilde_i(w, beta):
@@ -304,15 +314,19 @@ def _ref_star_into(out, a, b, scalar):
                     _acc(out, key, scalar * sign_theta * m[0] * ca * cb * eb[j])
 
 
-def _ref_schouten(a, b):
-    deg = a.degree + b.degree - 1
-    if deg < 0:
-        return poly.zero_multivector(a.ambient, 0)
+def _ref_schouten_terms(a, b):
     out = {}
     _ref_star_into(out, a, b, F(1))
     swap = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 == 0 else 1
     _ref_star_into(out, b, a, F(swap))
-    return poly.PolyMultivector(a.ambient, deg, out)
+    return out
+
+
+def _ref_schouten(a, b):
+    deg = a.degree + b.degree - 1
+    if deg < 0:
+        return poly.zero_multivector(a.ambient, 0)
+    return poly.PolyMultivector(a.ambient, deg, _ref_schouten_terms(a, b))
 
 
 def _ref_pi_sharp(p, alpha):
@@ -333,18 +347,20 @@ def _ref_pi_sharp(p, alpha):
     return total
 
 
-def _random_terms(rng, n, degree, count):
+def _random_terms(rng, n, degree, count, coeff=None):
     """Terms over a small pool of keys, so that keys repeat, with some
-    terms cancelled by their negatives."""
+    terms cancelled by their negatives; `coeff(rng)` draws a coefficient
+    (by default a Fraction with denominator 1 or 2)."""
     pool = [(tuple(sorted(rng.sample(range(n), degree))),
              tuple(rng.randrange(3) for _ in range(n))) for _ in range(3)]
     terms = []
     for _ in range(count):
         key = rng.choice(pool)
-        c = F(rng.choice([-2, -1, 1, 2, 3])) / rng.choice([1, 2])
+        c = (coeff(rng) if coeff is not None
+             else F(rng.choice([-2, -1, 1, 2, 3])) / rng.choice([1, 2]))
         terms.append((key, c))
         if rng.random() < 0.3:
-            terms.append((key, -c))
+            terms.append((key, -F(c)))
     return terms
 
 
@@ -390,3 +406,167 @@ def test_calculus_matches_the_reference_loops():
     assert poly.contract(draw(poly.PolyForm, 2),
                          draw(poly.PolyMultivector, 1)) == \
         poly.zero_multivector(n, 0)
+
+
+# ---------------------------------------------------------------------------
+# The scalar contract: a stored coefficient is an int or a non-integral
+# Fraction, never a float, whatever exact scalars went in.
+
+
+def _contract_coeff(rng):
+    """An int, a reduced Fraction, an integral Fraction such as
+    Fraction(4, 2), a bool or a 'num/den' string."""
+    return rng.choice((
+        lambda: rng.randint(-3, 3),
+        lambda: F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(2, 4)),
+        lambda: F(2 * rng.randint(-3, 3), 2),
+        lambda: rng.random() < 0.5,
+        lambda: f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}",
+    ))()
+
+
+def _fractions(terms):
+    """The sum of the terms, every value a Fraction, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        _acc(out, key, F(c))
+    return {k: v for k, v in out.items() if v}
+
+
+def _stored(x):
+    """{key: coefficient} of a poly object or a tensor, once every stored
+    coefficient is checked to be an int or a non-integral Fraction."""
+    items = list(x.items() if isinstance(x, dict) else x.coeffs)
+    for _, c in items:
+        assert type(c) is int or (type(c) is F and c.denominator != 1), c
+    return dict(items)
+
+
+def _terms(raw, ambient):
+    """Reference terms {key: Fraction} in the shape the loops above read."""
+    return SimpleNamespace(ambient=ambient, coeffs=tuple(raw.items()))
+
+
+def test_coefficient_contract():
+    """Every public operation of `poly` and the brackets of `poisson`, on
+    seeded inputs of every accepted scalar type, store only ints and
+    non-integral Fractions, with the values of the reference loops, which
+    sum in Fraction from Fraction(0)."""
+    from equicoh import lie, poisson as po
+    rng = random.Random(20261019)
+    n = 3
+
+    def pair(i, j):
+        return (1, ()) if i == j else None
+
+    def draw(kind, degree, count=4):
+        terms = _random_terms(rng, n, degree, count, _contract_coeff)
+        x = kind(n, degree, terms)
+        assert _stored(x) == _fractions(terms)
+        return x
+
+    def check(result, reference):
+        items = reference.items() if isinstance(reference, dict) else reference
+        assert _stored(result) == _fractions(items)
+
+    structures = [po.linear_poisson(lie.su2()), po.zero_poisson(n),
+                  po.constant_poisson(n, {(0, 1): _contract_coeff(rng),
+                                          (2, 1): _contract_coeff(rng)})]
+    for p in structures:
+        _stored(p.bivector)
+    for _ in range(40):
+        k, q = rng.randrange(n + 1), rng.randrange(n + 1)
+        a, a2, b = (draw(poly.PolyForm, d) for d in (k, k, q))
+        v, w = draw(poly.PolyMultivector, k), draw(poly.PolyMultivector, q)
+        f, g = draw(poly.PolyMultivector, 0), draw(poly.PolyMultivector, 0)
+        s = _contract_coeff(rng)
+        check(a.add(a2), a.coeffs + a2.coeffs)
+        check(a.sub(a2), a.coeffs + tuple((key, -c) for key, c in a2.coeffs))
+        check(a.scale(s), ((key, F(s) * c) for key, c in a.coeffs))
+        check(poly.wedge(a, b), _ref_pair_loop(a, b, wedge_merge))
+        check(poly.wedge(v, w), _ref_pair_loop(v, w, wedge_merge))
+        check(poly.pairing(a, v), _ref_pair_loop(a, v, pair))
+        check(poly.contract(a, w), _ref_pair_loop(a, w, remove_slots))
+        check(poly.contract_form(v, b), _ref_pair_loop(v, b, remove_slots))
+        check(poly.scale_by_function(f, w),
+              _ref_pair_loop(w, f, lambda i, _: (1, i)))
+        check(poly.exterior_d(a), _ref_exterior_d_terms(a))
+        check(poly.exterior_d(f), _ref_exterior_d_terms(f))
+        field = draw(poly.PolyMultivector, 1)
+        check(poly.apply_vector_field(field, f),
+              _ref_apply_vector_field_terms(field, f))
+        c = _contract_coeff(rng)
+        check(poly.function(n, {(1, 0, 2): c}), [(((), (1, 0, 2)), c)])
+        check(poly.as_form(f), f.coeffs)
+        check(poly.as_multivector(poly.as_form(f)), f.coeffs)
+        check(poly.basis_form(n, k % n), [(((k % n,), (0,) * n), 1)])
+        one_form = draw(poly.PolyForm, 1)
+        t, t2 = poly.tilde_i(w, one_form), poly.tilde_i(w, b)
+        check(t, _ref_tilde_i(w, one_form))
+        check(t2, _ref_tilde_i(w, b))
+        if w.degree:
+            check(poly.tensor_fold_functions(t, n, w.degree - 1),
+                  [((mi, e), c) for (_, mi, e), c in t.items()])
+        check(poly.tensor_lwedge(a, t2), _ref_tensor_lwedge(a, t2))
+        check(poly.tensor_add(t, t2), list(t.items()) + list(t2.items()))
+        check(poly.tensor_scale(t2, s), ((key, F(s) * c) for key, c in t2.items()))
+        assert poly.tensor_is_zero(poly.tensor_add(t2, poly.tensor_scale(t2, -1)))
+        check(po.schouten(v, w),
+              _ref_schouten_terms(v, w) if k + q else {})
+        df = _terms(_ref_exterior_d_terms(f), n)
+        dg = _terms(_ref_exterior_d_terms(g), n)
+        for p in structures:
+            check(po.poisson_bracket(p, f, g), _ref_pair_loop(
+                _terms(_ref_pair_loop(df, dg, wedge_merge), n),
+                p.bivector, pair))
+            check(po.d_pi(p, w), _ref_schouten_terms(p.bivector, w))
+            check(po.pi_sharp(p, a), _ref_pi_sharp(p, a).coeffs)
+        bad = po.poisson_structure(draw(poly.PolyMultivector, 2, 6))
+        check(bad.jacobiator,
+              _ref_schouten_terms(bad.bivector, bad.bivector))
+
+
+def test_each_key_is_checked_once_per_ambient_and_degree(monkeypatch):
+    """A raw key is checked in full the first time it meets an (ambient,
+    degree) and looked up after that; under another ambient or degree it is
+    checked again, and a key that fails or cannot be hashed is checked on
+    every use."""
+    calls = []
+    checked_key = poly._checked_key
+    monkeypatch.setattr(poly, "_CHECKED", {})
+    monkeypatch.setattr(poly, "_checked_key",
+                        lambda *args: calls.append(args) or checked_key(*args))
+    key = ((1,), (0, 0))
+    for _ in range(2):
+        assert poly.PolyMultivector(2, 1, {key: 1}).as_dict() == {key: 1}
+        assert poly.PolyForm(2, 1, [(key, 2)]).as_dict() == {key: 2}
+        assert poly.PolyForm(2, 1, MappingProxyType({key: 3})).as_dict() == \
+            {key: 3}
+    assert len(calls) == 1
+    with pytest.raises(poly.AmbientMismatch):
+        poly.PolyMultivector(3, 1, {key: 1})
+    with pytest.raises(poly.AmbientMismatch):
+        poly.PolyMultivector(1, 1, {((1,), (0,)): 1})
+    with pytest.raises(poly.DegreeMismatch):
+        poly.PolyForm(2, 2, {key: 1})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            poly.PolyMultivector(2, 2, {((1, 0), (0, 0)): 1})
+        with pytest.raises(poly.AmbientMismatch):
+            poly.PolyMultivector(2, 1, {((5,), (0, 0)): 0})
+    calls.clear()
+    listed = poly.PolyMultivector(2, 1, [(([0], [1, 0]), F(6, 2)),
+                                         (([0], [1, 0]), 1)])
+    assert len(calls) == 2
+    assert listed.coeffs == ((((0,), (1, 0)), 4),)
+    # Entries equal to ints give int keys, in either order of first use.
+    for raw in [((True,), (F(2), 0)), ((1,), (2, False)), ((1,), (2, 0))]:
+        (got, c), = poly.PolyMultivector(2, 1, {raw: F(4, 2)}).coeffs
+        assert got == ((1,), (2, 0)) and type(c) is int
+        assert {type(i) for part in got for i in part} == {int}
+    with pytest.raises(TypeError):
+        poly.PolyMultivector(2, 0, {((), (0, 0)): 0.1})
+    with pytest.raises(TypeError):
+        V(2, 0).scale(0.5)
+    with pytest.raises(TypeError):
+        poly.tensor_scale({((), (0,), (0, 0)): 1}, 0.5)

@@ -3,6 +3,7 @@ arithmetic, the symmetric-degree filtration of Cartan models, and the
 contraction filtration of G-differential complexes, and the pages read off
 the filtration-ordered pairing against the per-cell page loop."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -330,6 +331,46 @@ def test_contraction_filtration_zero_contractions_degenerates():
     h = core.cohomology(cx)
     assert pgs[2].cells == {(p, 0): h.dim(p) for p in range(3) if h.dim(p)}
     assert pgs[-1].stable
+
+
+def test_contraction_levels_equal_the_reduced_stacked_kernels(monkeypatch):
+    """Each level stores the identity where every k-fold product vanishes,
+    without reducing it, and equals the level built by reducing the stacked
+    kernel of every degree with 0 < k <= dim g."""
+    reduced = []
+    echelon = rl.column_echelon
+    monkeypatch.setattr(rl, "column_echelon", lambda m: reduced.append(
+        m == rl.identity(m.shape[0])) or echelon(m))
+    g = lie.su2()
+    a = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
+    big, _ = gdiff.tensor_product(a, gdiff.weil_algebra(g, 1).gdiff,
+                                  check=False)
+    stored = 0
+    for c in (a, big, gdiff.trivial_action_gdiff(g, small_complex())):
+        space, r = c.space, c.algebra.dim
+        degs = space.degrees()
+        products = {k: [] for k in range(1, r + 1)}
+        for k in products:
+            for combo in itertools.combinations(range(r), k):
+                op = c.contractions[combo[0]]
+                for b in combo[1:]:
+                    op = c.contractions[b].compose(op)
+                products[k].append(op)
+        reduced.clear()
+        fc = spectral.contraction_filtration(c)
+        assert not any(reduced)
+        assert len(fc.levels) == max(degs) + 2
+        for p, level in enumerate(fc.levels):
+            spans = {n: core.stacked_kernel(
+                [op.block(n) for op in products[n - p + 1]], space.dim(n))
+                for n in degs if 0 < n - p + 1 <= r}
+            whole = tuple((n, rl.identity(space.dim(n)))
+                          for n in degs if n - p + 1 > r)
+            assert level == core.Subspace(
+                space, core.Subspace.from_spans(space, spans).basis + whole)
+            stored += sum(all(rl.is_zero(op.block(n))
+                              for op in products[n - p + 1]) for n in spans)
+    assert stored
 
 
 # ---------------------------------------------------------------------------
