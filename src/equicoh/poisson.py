@@ -408,12 +408,12 @@ def _witness(diff, **inputs):
         if diff.is_zero():
             return None
         text = repr(diff)
+    elif tensor_is_zero(diff):
+        return None
     else:
-        if tensor_is_zero(diff):
-            return None
         # A tensor prints its coefficients by repr: each as a Fraction,
-        # whether stored as an int or not, so the witness reads the same
-        # for every coefficient.
+        # integral or not, so that the witness reads the same for every
+        # coefficient.
         text = repr({k: Fraction(c) for k, c in diff.items()})
     return {"difference": text,
             "inputs": {k: repr(v) for k, v in inputs.items()}}
