@@ -1098,6 +1098,8 @@ def _read_task_file(path: str) -> tuple:
         return json.loads(raw.decode("utf-8")), raw
     except (UnicodeDecodeError, ValueError) as exc:
         raise SchemaError("file", f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError("file", f"{path} nests its JSON too deeply")
 
 
 def _given(args, keys: Sequence) -> dict:

@@ -8,15 +8,15 @@ first use), read in place.  Every basis this module produces (kernels,
 images, cohomology representatives, quotient representatives) comes out of
 canonical reduced echelon forms and is therefore deterministic.
 
-`Subspace.from_spans` is the one place where a span is reduced.  A basis
-that is already stored in reduced form (an identity, the echelon that
-`rl.intersect_spans` returns, a degree of another Subspace) is passed on as
-it is, never reduced again.
+A Subspace basis is canonical: reduced column echelon.  `from_spans` reduces
+a span to it; a kernel or a preimage comes out in it from one elimination
+(`stacked_kernel`, `preimage`), and a stored basis (an identity, a degree of
+another Subspace) is passed on as it is: no basis is reduced twice.
 
 Coordinates in a stored basis are read, not solved for: each column of a
-Subspace basis (reduced column echelon) or of a kernel basis (`rl.kernel`,
-`stacked_kernel`, hence the Cartan inclusion) has a row equal to its unit
-row, and `_coordinates` reads those rows and checks one multiply-back.
+Subspace basis or of an `rl.kernel` basis (the Cartan inclusion) has a row
+equal to its unit row, and `_coordinates` reads those rows and checks one
+multiply-back.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ class Subspace:
             {n: rl.hstack(self.matrix(n), other.matrix(n)) for n in degs})
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        meets = ((n, rl.intersect_spans(m, other.matrix(n)))
+        meets = ((n, preimage(m, m, other.matrix(n)))
                  for n, m in self.basis if other.dim(n))
         return Subspace(self.ambient,
                         tuple((n, m) for n, m in meets if rl.ncols(m)))
@@ -284,19 +284,29 @@ def _coordinates(basis, m):
     return x if rl.mat_mul(basis, x) == m else None
 
 
+def preimage(b, m, t):
+    """The reduced column echelon basis of {b x : m x in span t}, for b in
+    reduced column echelon form: b times the echelon kernel columns of
+    [m | t] whose pivot is a row of x, cut to those rows.  Those columns come
+    first, and the others have no entry in the rows of x."""
+    ker = rl.echelon_kernel(rl.hstack(m, t))
+    x = ker[:rl.ncols(b)]
+    return rl.freeze(rl.mat_mul(b, rl.freeze(x, len(set().union(*x)))))
+
+
 def stacked_kernel(blocks: Sequence, dim: int):
-    """Kernel columns of the blocks stacked on top of each other (each has
-    `dim` columns; empty blocks are skipped), or the identity when no block
-    is left."""
-    stacked = [row for blk in blocks if rl.ncols(blk) for row in blk]
-    return rl.kernel(rl.freeze(stacked, dim)) if stacked else rl.identity(dim)
+    """The reduced column echelon basis of the common kernel of the blocks
+    (each has `dim` columns): the identity when they are all zero."""
+    stacked = [row for blk in blocks for row in blk if row]
+    return rl.echelon_kernel(rl.freeze(stacked, dim)) if stacked \
+        else rl.identity(dim)
 
 
 def joint_kernel(space: GradedSpace, ops: Sequence[LinearMap]) -> Subspace:
     """Common kernel of the operators, degree by degree."""
-    return Subspace.from_spans(space, {
-        n: stacked_kernel([op.block(n) for op in ops], space.dim(n))
-        for n in space.degrees()})
+    kernels = ((n, stacked_kernel([op.block(n) for op in ops], space.dim(n)))
+               for n in space.degrees())
+    return Subspace(space, tuple((n, k) for n, k in kernels if rl.ncols(k)))
 
 
 def map_kernel(m: LinearMap) -> Subspace:

@@ -31,7 +31,7 @@ from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, InconsistentResult,
                    LinearMap, Subspace, cohomology, image_of_subspace,
                    joint_kernel, linear_combination, map_image, map_kernel,
-                   restrict_complex, restrict_map, stacked_kernel, subquotient)
+                   restrict_complex, restrict_map, subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, build_representation,
                   ce_complex, column_vectors, spanned_algebra, sym_derivation)
 
@@ -699,15 +699,13 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
             if n not in adegs:
                 continue
             # the total Lie derivative preserves each fine component, so the
-            # invariant basis is fine-graded
+            # invariant basis is fine-graded: the free-column `rl.kernel` basis
             size = sp.dim(n) * len(mons[m])
-            mats = []
+            stack = [{} for _ in range(r * size)]
             for b in range(r):
-                mat = [{} for _ in range(size)]
-                rl.add_kron(mat, c.lie_ops[b].block(n), ones[m])
-                rl.add_kron(mat, a_ones[n], ls_mats[m][b])
-                mats.append(rl.freeze(mat, size))
-            kernels.append(stacked_kernel(mats, size))
+                rl.add_kron(stack, c.lie_ops[b].block(n), ones[m], b * size)
+                rl.add_kron(stack, a_ones[n], ls_mats[m][b], b * size)
+            kernels.append(rl.kernel(rl.freeze(stack, size)))
             entries.append((n, m, rl.ncols(kernels[-1]), len(labs), size))
             labs.extend(("c", n, m, ai, mi)
                         for ai in range(sp.dim(n)) for mi in range(len(mons[m])))

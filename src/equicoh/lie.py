@@ -255,8 +255,9 @@ def sym_range_rep(g: LieAlgebra, kmax: int) -> Representation:
 
 def invariants(rep: Representation) -> Subspace:
     space = GradedSpace.from_dims({0: rep.space_dim})
-    ops = [rep.op(i) for i in range(rep.algebra.dim)]
-    return Subspace.from_spans(space, {0: stacked_kernel(ops, rep.space_dim)})
+    inv = stacked_kernel([rep.op(i) for i in range(rep.algebra.dim)],
+                         rep.space_dim)
+    return Subspace(space, ((0, inv),) if rl.ncols(inv) else ())
 
 
 # ---------------------------------------------------------------------------

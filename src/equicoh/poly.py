@@ -68,9 +68,10 @@ Key = Tuple[Idx, Expo]
 def _checked_key(ambient: int, degree: int, key) -> Key:
     """The key (index tuple, exponent tuple) with int entries, after every
     check on it."""
-    idx, expo = key
-    idx = tuple(int(i) for i in idx)
-    expo = tuple(int(e) for e in expo)
+    raw = idx, expo = tuple(map(tuple, key))
+    idx, expo = tuple(map(int, idx)), tuple(map(int, expo))
+    if (idx, expo) != raw:
+        raise ValueError(f"key {raw} has an entry that is not an integer")
     if len(idx) != degree:
         raise DegreeMismatch(
             f"index tuple {idx} has length {len(idx)}, degree is {degree}")

@@ -335,6 +335,18 @@ def kernel(a) -> Matrix:
     return freeze(rows, len(free))
 
 
+def echelon_kernel(a) -> Matrix:
+    """The reduced column echelon basis of ker(a), from one elimination:
+    the kernel basis of a with its columns reversed, read back with rows and
+    columns reversed.  (The basis is unique, so it is
+    `column_echelon(kernel(a))`.)"""
+    n = a.shape[1]
+    ker = kernel(freeze([{n - 1 - j: v for j, v in r.items()} for r in a], n))
+    k = ker.shape[1]
+    return freeze([{k - 1 - j: v for j, v in row.items()}
+                   for row in reversed(ker)], k)
+
+
 def column_echelon(a):
     """Canonical reduced column echelon basis of the column space.
     Returns (B, pivot_rows): B is nrows x rank, B[pivot_rows[i]][j] = delta_ij."""
@@ -364,15 +376,3 @@ def in_span(basis, v) -> bool:
     """Is column vector v in the span of the columns of `basis`?"""
     return not any(v) or (basis.shape[1] > 0
                           and solve_vec(basis, v) is not None)
-
-
-def intersect_spans(b1, b2) -> Matrix:
-    """Canonical basis of span(b1) & span(b2) (columns)."""
-    if not b1.shape[1] or not b2.shape[1]:
-        return zeros(len(b1), 0)
-    ker = kernel(hstack(b1, b2))
-    if not ker.shape[1]:
-        return zeros(len(b1), 0)
-    e, _ = column_echelon(mat_mul(b1, freeze(ker[:b1.shape[1]],
-                                             ker.shape[1])))
-    return e

@@ -36,13 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import ratlin as rl
 from .core import (CochainComplex, LinearMap, NotSubcomplex, Subspace,
-                   _coordinates, cohomology, restrict_map, stacked_kernel,
-                   subquotient)
+                   _coordinates, cohomology, preimage, restrict_map,
+                   stacked_kernel, subquotient)
 from .gdiff import CartanModel, GDiffComplex, cartan_twist
 
 
@@ -135,18 +134,14 @@ def _z_subspace(fc: FilteredComplex, cache: dict, r: int, p: int, n: int) -> Sub
     key = (r, p, n)
     if key in cache:
         return cache[key]
-    space = fc.complex.space
     out = fc.level(p).part(n)
     target = fc.level(p + r).matrix(n + 1)
-    if r >= 0 and out.dim(n) and rl.ncols(target) < space.dim(n + 1):
+    if r >= 0 and out.dim(n) and rl.ncols(target) < len(target):
         b = out.matrix(n)
         mb = rl.mat_mul(fc.complex.d.block(n), b)
         if not rl.is_zero(mb):
-            aug = rl.hstack(mb, rl.mat_scale(target, -1)) \
-                if rl.ncols(target) else mb
-            ker = rl.kernel(aug)
-            coeffs = rl.freeze(ker[:rl.ncols(b)], rl.ncols(ker))
-            out = Subspace.from_spans(space, {n: rl.mat_mul(b, coeffs)})
+            z = preimage(b, mb, target)
+            out = Subspace(out.ambient, ((n, z),) if rl.ncols(z) else ())
     cache[key] = out
     return out
 
@@ -316,9 +311,10 @@ def symdegree_filtration(model: CartanModel) -> FilteredComplex:
 
 def contraction_filtration(c: GDiffComplex) -> FilteredComplex:
     """F_p in degree n: everything killed by all (n - p + 1)-fold products
-    of contractions.  Zero-fold products are the identity, so level n + 1
-    vanishes in degree n; products longer than dim g vanish identically, so
-    low levels are everything."""
+    of contractions, stored as `stacked_kernel` gives it (the canonical
+    basis; the identity where every product vanishes).  Zero-fold products
+    are the identity, so level n + 1 vanishes in degree n; products longer
+    than dim g vanish identically, so low levels are everything."""
     space = c.space
     r = c.algebra.dim
     degs = space.degrees()
@@ -334,21 +330,12 @@ def contraction_filtration(c: GDiffComplex) -> FilteredComplex:
             products[k].append(op)
 
     def level(p):
-        """F_p: the kernels of the k-fold products, k = n - p + 1, where
-        0 < k <= r; the whole degree, stored as `Subspace.full` stores it,
-        where k > r or every k-fold product vanishes on the degree."""
-        spans, whole = {}, []
-        for n in degs:
-            k = n - p + 1
-            if k <= 0:
-                continue
-            blocks = [op.block(n) for op in products[k]] if k <= r else []
-            if all(map(rl.is_zero, blocks)):
-                whole.append((n, rl.identity(space.dim(n))))
-            else:
-                spans[n] = stacked_kernel(blocks, space.dim(n))
-        basis = Subspace.from_spans(space, spans).basis + tuple(whole)
-        return Subspace(space, tuple(sorted(basis, key=itemgetter(0))))
+        """F_p: in each degree n >= p, the stacked kernel of the
+        (n - p + 1)-fold products (of none where n - p + 1 > r)."""
+        kernels = ((n, stacked_kernel([op.block(n) for op in
+                                       products.get(n - p + 1, ())],
+                                      space.dim(n))) for n in degs if n >= p)
+        return Subspace(space, tuple((n, k) for n, k in kernels if rl.ncols(k)))
 
     levels = [level(p) for p in range(max_n + 2)]
     return build_filtered(c.complex, levels)

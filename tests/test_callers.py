@@ -1,7 +1,7 @@
 """Every public module-level function and class of `equicoh` has a caller in
-`src/`, or a line in KEPT saying why it stays without one; and every
-parameter with a default is set by some call in `src/`, or has a line in
-KEPT_PARAMS saying why it stays."""
+`src/`, or a line in KEPT saying why it stays without one; every parameter
+with a default is set by some call in `src/`, or has a line in KEPT_PARAMS
+saying why it stays; and every module-level import is read in its module."""
 
 import ast
 import pathlib
@@ -179,3 +179,19 @@ def test_every_defaulted_parameter_is_set_or_has_a_reason():
 
 def test_every_kept_parameter_is_defaulted():
     assert set(KEPT_PARAMS) <= set(_defaulted_params())
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                unused += [f"{path.stem}: {name}" for name in (
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in node.names) if name not in read]
+    assert not unused, f"imported and never read: {unused}"

@@ -419,6 +419,19 @@ def test_malformed_input_exits_2_as_a_schema_error(name):
         assert json.loads(out)["error"]["kind"] == "schema"
 
 
+@pytest.mark.parametrize("command", ["compute", "validate", "lie-cohomology"])
+def test_deeply_nested_json_exits_2_as_a_file_error(command, tmp_path):
+    """JSON nested beyond the parser's recursion limit is refused as a
+    schema error of the file, with no traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([command, str(path)])
+    assert code == 2
+    assert json.loads(buf.getvalue())["error"]["field"] == "file"
+
+
 def one_pair_defect():
     """Q + V^1 (dim 400) + Q w^2 + Q z^3 under the zero action of abelian(1),
     with dw = z, a unit and the one product v_3 v_7 = w: 162,409 basis pairs,

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from equicoh import lie
+from equicoh import gdiff, lie, spectral
 from equicoh import ratlin as rl
 from equicoh.core import (CochainComplex, DifferentialNotSquareZero, GradedSpace,
                           InconsistentResult, LinearMap, NotContained,
                           Subspace, cohomology, map_image, map_kernel,
-                          restrict_map, subquotient)
+                          preimage, restrict_map, subquotient)
 
 
 def _rows(m):
@@ -227,17 +227,66 @@ def _random_subspace(rng, sp):
     return Subspace.from_spans(sp, spans)
 
 
+def _ref_intersect_spans(b1, b2):
+    """span(b1) & span(b2) by kernel-then-reduce: b1 times the top rows of
+    the kernel basis of [b1 | b2], brought to reduced column echelon form."""
+    if not rl.ncols(b1) or not rl.ncols(b2):
+        return rl.zeros(len(b1), 0)
+    ker = rl.kernel(rl.hstack(b1, b2))
+    if not rl.ncols(ker):
+        return rl.zeros(len(b1), 0)
+    e, _ = rl.column_echelon(rl.mat_mul(b1, rl.freeze(ker[:rl.ncols(b1)],
+                                                      rl.ncols(ker))))
+    return e
+
+
+def _ref_preimage(b, m, t):
+    """{b x : m x in span t} by kernel-then-reduce: b times the top rows of
+    the kernel basis of [m | -t], brought to reduced column echelon form."""
+    aug = rl.hstack(m, rl.mat_scale(t, -1)) if rl.ncols(t) else m
+    ker = rl.kernel(aug)
+    coeffs = rl.freeze(ker[:rl.ncols(b)], rl.ncols(ker))
+    return rl.column_echelon(rl.mat_mul(b, coeffs))[0]
+
+
+def _ref_z_subspace(fc, r, p, n):
+    """Z_r(p, n) by kernel-then-reduce, uncached."""
+    if p < 0:
+        r, p = r + p, 0
+    space = fc.complex.space
+    out = fc.level(p).part(n)
+    target = fc.level(p + r).matrix(n + 1)
+    if r >= 0 and out.dim(n) and rl.ncols(target) < space.dim(n + 1):
+        b = out.matrix(n)
+        mb = rl.mat_mul(fc.complex.d.block(n), b)
+        if not rl.is_zero(mb):
+            aug = rl.hstack(mb, rl.mat_scale(target, -1)) \
+                if rl.ncols(target) else mb
+            ker = rl.kernel(aug)
+            coeffs = rl.freeze(ker[:rl.ncols(b)], rl.ncols(ker))
+            out = Subspace.from_spans(space, {n: rl.mat_mul(b, coeffs)})
+    return out
+
+
+def _in_contract(m):
+    """Every stored entry is an int or a non-integral Fraction."""
+    return all(type(x) is int and x or type(x) is Fraction and x.denominator > 1
+               for row in m for x in row.values())
+
+
 def _same(got, ref):
     assert got.ambient == ref.ambient
     assert [n for n, _ in got.basis] == [n for n, _ in ref.basis]
     for (_, g), (_, r) in zip(got.basis, ref.basis):
         assert g.shape == r.shape and _typed(g) == _typed(r)
+        assert _in_contract(g)
 
 
 def test_stored_bases_are_the_bases_from_spans_gives():
-    """full, part, intersect and map_image store bases without reducing
-    them again; each must equal the basis from_spans gives on the span it
-    stands for, entry types included."""
+    """full, part, intersect, map_kernel and map_image store bases without
+    reducing them again; each must equal the basis from_spans gives on the
+    span it stands for (the kernel-then-reduce one for intersect and
+    map_kernel), entry types included."""
     rng = random.Random(20261101)
     for _ in range(60):
         sp = GradedSpace.from_dims({n: rng.randint(0, 5) for n in range(-1, 4)})
@@ -249,13 +298,92 @@ def test_stored_bases_are_the_bases_from_spans_gives():
             _same(a.part(n), Subspace.from_spans(sp, {n: a.matrix(n)}))
         both = {n for n, _ in a.basis} & {n for n, _ in b.basis}
         _same(a.intersect(b), Subspace.from_spans(sp, {
-            n: rl.intersect_spans(a.matrix(n), b.matrix(n)) for n in both}))
+            n: _ref_intersect_spans(a.matrix(n), b.matrix(n)) for n in both}))
         shift = rng.choice([-1, 0, 1])
         f = LinearMap.from_blocks(sp, sp, shift, {
             n: _sparse_span(rng, sp.dim(n + shift), sp.dim(n))
             for n in degs if sp.dim(n + shift)})
         _same(map_image(f), Subspace.from_spans(sp, {
             n + shift: rl.column_echelon(blk)[0] for n, blk in f.blocks}))
+        _same(map_kernel(f), Subspace.from_spans(sp, {
+            n: rl.kernel(f.block(n)) for n in degs}))
+
+
+def _kernel_inputs(rng):
+    """Seeded sparse matrices, their products with others (entries such as
+    Fraction(2, 1) that `mat_mul` leaves unnormalized), and zero, full-rank,
+    row-less and column-less ones."""
+    fixed = [rl.zeros(3, 4), rl.zeros(0, 5), rl.zeros(4, 0), rl.zeros(0, 0),
+             rl.identity(4), rl.freeze([[1, 2, 3], [0, 1, 4]]),
+             rl.freeze([[Fraction(1, 2), 1], [1, 2]])]
+    out = []
+    for _ in range(120):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        a = _sparse_span(rng, r, c)
+        out += [a, rl.mat_mul(a, _sparse_span(rng, c, rng.randint(0, 6)))]
+    return fixed + out
+
+
+def _has_integral_fraction(m):
+    return any(type(x) is Fraction and x.denominator == 1
+               for row in m for x in row.values())
+
+
+def test_one_elimination_per_kernel_equals_kernel_then_reduce():
+    """echelon_kernel against column_echelon(kernel(a)); preimage,
+    Subspace.intersect and _z_subspace against the kernel-then-reduce
+    routines they replace; every stored basis in the scalar contract."""
+    rng = random.Random(20261019)
+    inputs = _kernel_inputs(rng)
+    assert any(map(_has_integral_fraction, inputs))
+    for a in inputs:
+        got = rl.echelon_kernel(a)
+        ref = rl.column_echelon(rl.kernel(a))[0]
+        assert got.shape == ref.shape == (rl.ncols(a), rl.ncols(ref))
+        assert _typed(got) == _typed(ref) and _in_contract(got)
+    # b in reduced column echelon form (possibly without columns); m random,
+    # a product with integral Fractions, or zero; t random, empty, or
+    # holding the columns of m (every x qualifies)
+    for _ in range(300):
+        n, k, rows, s = (rng.randint(0, 5) for _ in range(4))
+        b = rl.column_echelon(_sparse_span(rng, n, k))[0]
+        k = rl.ncols(b)
+        m = rng.choice([
+            lambda: _sparse_span(rng, rows, k),
+            lambda: rl.mat_mul(_sparse_span(rng, rows, n), b),
+            lambda: rl.zeros(rows, k)])()
+        t = rng.choice([
+            lambda: _sparse_span(rng, rows, s),
+            lambda: rl.zeros(rows, 0),
+            lambda: rl.hstack(m, _sparse_span(rng, rows, s))])()
+        got = preimage(b, m, t)
+        assert _typed(got) == _typed(_ref_preimage(b, m, t))
+        assert _in_contract(got)
+    for _ in range(40):
+        sp = GradedSpace.from_dims({n: rng.randint(0, 5) for n in range(3)})
+        a = _random_subspace(rng, sp)
+        prods = Subspace.from_spans(sp, {
+            n: rl.mat_mul(a.matrix(n), _sparse_span(rng, a.dim(n), 3))
+            for n in sp.degrees()})
+        for other in (a, Subspace.full(sp), Subspace.zero(sp), prods,
+                      _random_subspace(rng, sp)):
+            both = {n for n, _ in a.basis} & {n for n, _ in other.basis}
+            _same(a.intersect(other), Subspace.from_spans(sp, {
+                n: _ref_intersect_spans(a.matrix(n), other.matrix(n))
+                for n in both}))
+    g = lie.su2()
+    ce = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
+    weil = gdiff.weil_algebra(g, 1).gdiff
+    big, _ = gdiff.tensor_product(ce, weil, check=False)
+    for fc in (spectral.contraction_filtration(ce),
+               spectral.contraction_filtration(big),
+               spectral.symdegree_filtration(gdiff.cartan_model(ce, 2))):
+        cache = {}
+        for r in range(-1, fc.top + 3):
+            for p in range(-2, fc.top + 2):
+                for n in fc.complex.space.degrees():
+                    _same(spectral._z_subspace(fc, cache, r, p, n),
+                          _ref_z_subspace(fc, r, p, n))
 
 
 def test_map_kernel_image_subspaces():

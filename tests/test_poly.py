@@ -560,10 +560,19 @@ def test_each_key_is_checked_once_per_ambient_and_degree(monkeypatch):
     assert len(calls) == 2
     assert listed.coeffs == ((((0,), (1, 0)), 4),)
     # Entries equal to ints give int keys, in either order of first use.
-    for raw in [((True,), (F(2), 0)), ((1,), (2, False)), ((1,), (2, 0))]:
+    for raw in [((True,), (F(2), 0)), ((1,), (2, False)), ((1,), (2, 0)),
+                ((1.0,), (2.0, 0))]:
         (got, c), = poly.PolyMultivector(2, 1, {raw: F(4, 2)}).coeffs
         assert got == ((1,), (2, 0)) and type(c) is int
         assert {type(i) for part in got for i in part} == {int}
+    # Other entries are refused, not truncated, on every use.
+    calls.clear()
+    for raw in [((0.7,), (1.9, 0)), ((F(1, 2),), (1, 0)), ((1,), (F(3, 2), 0)),
+                ((1,), (2, 0.5))]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not an integer"):
+                poly.PolyMultivector(2, 1, {raw: 1})
+    assert len(calls) == 8
     with pytest.raises(TypeError):
         poly.PolyMultivector(2, 0, {((), (0, 0)): 0.1})
     with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from equicoh import ratlin as rl
+from equicoh.core import preimage
 
 
 def rand_mat(rng, r, c, lo=-4, hi=4, frac=False):
@@ -108,9 +109,11 @@ def test_column_echelon_idempotent_and_spanning():
 
 
 def test_span_operations():
+    """The intersection of spans is the preimage of the second span under
+    the basis of the first (reduced column echelon, as b1 is)."""
     b1 = cols([[1, 0, 0], [0, 1, 0]], 3)
     b2 = cols([[0, 1, 0], [0, 0, 1]], 3)
-    inter = rl.intersect_spans(b1, b2)
+    inter = preimage(b1, b1, b2)
     assert rl.ncols(inter) == 1
     assert rl.in_span(inter, [0, 1, 0])
     assert rl.rank(rl.hstack(b1, b2)) == 3
@@ -121,7 +124,9 @@ def test_intersection_random_consistency():
     for _ in range(20):
         b1 = rand_mat(rng, 5, rng.randint(1, 4))
         b2 = rand_mat(rng, 5, rng.randint(1, 4))
-        inter = rl.intersect_spans(b1, b2)
+        e1, _ = rl.column_echelon(b1)
+        inter = preimage(e1, e1, b2)
+        assert rl.column_echelon(inter)[0] == inter
         assert rl.solve(b1, inter) is not None
         assert rl.solve(b2, inter) is not None
         # dim(U+V) = dim U + dim V - dim(U&V), U and V the column spans
@@ -314,8 +319,10 @@ def test_scalar_contract_against_the_definitions():
             ref, ref_pivots = _ref_rref(dense, rl.ncols(m))
             assert (_typed(out.dense()), pivots) == (_typed(ref), ref_pivots)
             assert rl.rank(m) == len(ref_pivots)
-            assert _typed(rl.kernel(m).dense()) == _typed(
-                _ref_kernel(dense, rl.ncols(m)))
+            ref_kernel = _ref_kernel(dense, rl.ncols(m))
+            assert _typed(rl.kernel(m).dense()) == _typed(ref_kernel)
+            assert _typed(rl.echelon_kernel(m).dense()) == _typed(
+                _ref_column_echelon(ref_kernel)[0])
             ech, ech_pivots = rl.column_echelon(m)
             ref, ref_pivots = _ref_column_echelon(dense)
             assert (_typed(ech.dense()), ech_pivots) == (_typed(ref), ref_pivots)

@@ -334,13 +334,14 @@ def test_contraction_filtration_zero_contractions_degenerates():
 
 
 def test_contraction_levels_equal_the_reduced_stacked_kernels(monkeypatch):
-    """Each level stores the identity where every k-fold product vanishes,
-    without reducing it, and equals the level built by reducing the stacked
-    kernel of every degree with 0 < k <= dim g."""
+    """Building the levels reduces no span (a degree where every k-fold
+    product vanishes gets the identity from its one elimination), and each
+    level equals the level built by reducing the free-column kernel of the
+    stacked k-fold products in every degree with 0 < k <= dim g."""
     reduced = []
     echelon = rl.column_echelon
-    monkeypatch.setattr(rl, "column_echelon", lambda m: reduced.append(
-        m == rl.identity(m.shape[0])) or echelon(m))
+    monkeypatch.setattr(rl, "column_echelon",
+                        lambda m: reduced.append(m) or echelon(m))
     g = lie.su2()
     a = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
     big, _ = gdiff.tensor_product(a, gdiff.weil_algebra(g, 1).gdiff,
@@ -358,12 +359,12 @@ def test_contraction_levels_equal_the_reduced_stacked_kernels(monkeypatch):
                 products[k].append(op)
         reduced.clear()
         fc = spectral.contraction_filtration(c)
-        assert not any(reduced)
+        assert not reduced
         assert len(fc.levels) == max(degs) + 2
         for p, level in enumerate(fc.levels):
-            spans = {n: core.stacked_kernel(
-                [op.block(n) for op in products[n - p + 1]], space.dim(n))
-                for n in degs if 0 < n - p + 1 <= r}
+            spans = {n: rl.kernel(rl.freeze(
+                [row for op in products[n - p + 1] for row in op.block(n)],
+                space.dim(n))) for n in degs if 0 < n - p + 1 <= r}
             whole = tuple((n, rl.identity(space.dim(n)))
                           for n in degs if n - p + 1 > r)
             assert level == core.Subspace(
