@@ -448,7 +448,8 @@ def _parse_rational_list(text: str, field: str) -> list:
 
 
 def _parse_int_range(text: str, field: str) -> list:
-    """Non-negative integers given as "lo..hi" or "a,b,..."."""
+    """Non-negative integers given as "lo..hi" or "a,b,...": at least one,
+    and no entry of the list empty."""
     _expect(isinstance(text, str), field, "expected a string")
     text = text.strip()
     if ".." in text:
@@ -461,8 +462,11 @@ def _parse_int_range(text: str, field: str) -> list:
             raise SchemaError(field, "range upper end below lower end")
         out = list(range(lo, hi + 1))
     else:
+        parts = text.split(",")
+        if not all(part.strip() for part in parts):
+            raise SchemaError(field, "empty entry in the list")
         try:
-            out = [int(part) for part in text.split(",") if part.strip()]
+            out = [int(part) for part in parts]
         except ValueError:
             raise SchemaError(field, f"cannot parse {_shown(text)}")
     _expect(all(x >= 0 for x in out), field, "degrees must be non-negative")

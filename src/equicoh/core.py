@@ -5,13 +5,16 @@ Degrees are integers; every graded object is finitely supported.  All values
 are immutable after construction, so they can be shared freely; matrices
 are `ratlin.Matrix` values (read-only sparse rows, column index built on
 first use), read in place.  Every basis this module produces (kernels,
-images, cohomology representatives, quotient representatives) comes out of
-canonical reduced echelon forms and is therefore deterministic.
+preimages, cohomology representatives, quotient representatives) comes out
+of canonical reduced echelon forms and is therefore deterministic.
 
 A Subspace basis is canonical: reduced column echelon.  `from_spans` reduces
 a span to it; a kernel or a preimage comes out in it from one elimination
 (`stacked_kernel`, `preimage`), and a stored basis (an identity, a degree of
-another Subspace) is passed on as it is: no basis is reduced twice.
+another Subspace) is passed on as it is: no basis is reduced twice.  A
+subquotient denominator is never reduced at all: `subquotient` takes any
+spanning columns (an image, a sum of spans) and reads everything off its one
+elimination.
 
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis or of an `rl.kernel` basis (the Cartan inclusion) has a row
@@ -251,12 +254,6 @@ class Subspace:
         return all(_coordinates(self.matrix(n), m) is not None
                    for n, m in other.basis)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        degs = {n for n, _ in self.basis} | {n for n, _ in other.basis}
-        return Subspace.from_spans(
-            self.ambient,
-            {n: rl.hstack(self.matrix(n), other.matrix(n)) for n in degs})
-
     def intersect(self, other: "Subspace") -> "Subspace":
         meets = ((n, preimage(m, m, other.matrix(n)))
                  for n, m in self.basis if other.dim(n))
@@ -311,20 +308,6 @@ def joint_kernel(space: GradedSpace, ops: Sequence[LinearMap]) -> Subspace:
 
 def map_kernel(m: LinearMap) -> Subspace:
     return joint_kernel(m.source, [m])
-
-
-def map_image(m: LinearMap) -> Subspace:
-    return Subspace.from_spans(m.target,
-                               {n + m.shift: blk for n, blk in m.blocks})
-
-
-def image_of_subspace(m: LinearMap, sub: Subspace) -> Subspace:
-    spans = {}
-    for n, _ in sub.basis:
-        blk = m.block(n)
-        if len(blk):
-            spans[n + m.shift] = rl.mat_mul(blk, sub.matrix(n))
-    return Subspace.from_spans(m.target, spans)
 
 
 def linear_combination(ops: Sequence[LinearMap], coeffs: Sequence) -> LinearMap:
@@ -388,28 +371,34 @@ class SubquotientResult:
             rl.freeze(rl.mat_mul(proj, c))
 
 
-def subquotient(z: Subspace, b: Subspace) -> SubquotientResult:
-    """Form z/b.  Raises NotContained (with a witness degree) if b is not
-    inside z.  Representatives are the canonical kernel/echelon columns of z
-    that extend a basis of b, so repeated runs agree exactly."""
+def subquotient(z: Subspace,
+                spans: Mapping[int, rl.Matrix]) -> SubquotientResult:
+    """Form z/b, b spanned in each degree n by the columns of spans[n]: any
+    spanning columns (dependent, repeated or zero), never reduced first.
+    One rref of [spans | z] per degree: rank b is its number of pivots in
+    the spans part; b lies in z iff rank b plus the z-part pivots make
+    dim z (else NotContained, with a witness degree); the z-part pivots pick
+    the representatives, the canonical echelon columns of z extending a
+    basis of b.  The reduced form is unique, so they and the projector
+    depend on span(b) alone and repeated runs agree exactly."""
     dims, reps, projs = {}, {}, {}
-    degs = sorted({n for n, _ in z.basis} | {n for n, _ in b.basis})
-    for n in degs:
+    for n in sorted({n for n, _ in z.basis} | set(spans)):
         zb = z.matrix(n)
-        bb = b.matrix(n)
+        bb = spans.get(n, rl.zeros(len(zb), 0))
         k = rl.ncols(bb)
         # pivot columns of [b | z] are the greedy left-to-right independent
-        # set, so the pivots landing in the z-part are the canonical
-        # representatives completing a basis of b, to one of z iff b <= z.
-        # Rows k.. of the reduced form write each column of z through them:
-        # the projector from z-coordinates.
+        # set.  Rows rank b.. of the reduced form write each column of z
+        # through the chosen ones: the projector from z-coordinates.
         r, pivots = rl.rref(rl.hstack(bb, zb))
         chosen = [p - k for p in pivots if p >= k]
-        if k + len(chosen) != rl.ncols(zb):
+        if len(pivots) != rl.ncols(zb):
             raise NotContained(f"denominator escapes numerator at degree {n}")
+        if not pivots:   # z and b both vanish: no class, as if not given
+            continue
+        rank_b = len(pivots) - len(chosen)
         dims[n] = len(chosen)
         projs[n] = rl.freeze([{j - k: v for j, v in row.items()}
-                              for row in r[k:k + len(chosen)]], rl.ncols(zb))
+                              for row in r[rank_b:len(pivots)]], rl.ncols(zb))
         if chosen:
             reps[n] = rl.mat_from_columns([zb.cols[j] for j in chosen],
                                           len(zb))
@@ -431,9 +420,8 @@ class CohomologyResult:
 
 def cohomology(c: CochainComplex) -> CohomologyResult:
     """ker d / im d with canonical representatives per degree."""
-    z = map_kernel(c.d)
-    b = map_image(c.d)
-    sq = subquotient(z, b)
+    sq = subquotient(map_kernel(c.d),
+                     {n + c.d.shift: m for n, m in c.d.blocks})
     degs = sorted(set(c.space.degrees()) | set(sq.dims))
     dims = {n: sq.dim(n) for n in degs}
     return CohomologyResult(c.space, dims, dict(sq.reps))

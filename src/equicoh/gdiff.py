@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 
 from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, InconsistentResult,
-                   LinearMap, Subspace, cohomology, image_of_subspace,
-                   joint_kernel, linear_combination, map_image, map_kernel,
-                   restrict_complex, restrict_map, subquotient)
+                   LinearMap, Subspace, cohomology, joint_kernel,
+                   linear_combination, map_kernel, restrict_complex,
+                   restrict_map, subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, build_representation,
                   ce_complex, column_vectors, spanned_algebra, sym_derivation)
 
@@ -568,7 +568,7 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace) -> tuple:
     """Quotient by an (i, L, d)-stable graded subspace.  Returns
     (GDiffComplex, projection LinearMap)."""
     full = Subspace.full(c.space)
-    sq = subquotient(full, sub)
+    sq = subquotient(full, dict(sub.basis))
     labels = {n: tuple(f"q{n}.{i}" for i in range(sq.dim(n)))
               for n in c.space.degrees() if sq.dim(n)}
     qspace = GradedSpace.from_labels(labels)
@@ -1071,8 +1071,8 @@ def low_degree_data(c: GDiffComplex, model: Optional[CartanModel] = None) -> dic
     hor1 = z1.intersect(joint_kernel(sp, c.contractions))
     inv = joint_kernel(sp, c.lie_ops)
     inv1 = z1.intersect(inv)
-    den = image_of_subspace(c.d, inv.part(0))
-    h1_direct = subquotient(hor1, den).dim(1)
+    den = rl.mat_mul(c.d.block(0), inv.matrix(0))
+    h1_direct = subquotient(hor1, {1: den}).dim(1)
 
     return {
         "h0_model": h_model.dim(0),
@@ -1090,7 +1090,8 @@ def forgetful_matrices(model: CartanModel, up_to: Optional[int] = None) -> dict:
     a representative is evaluated at zero (its symmetric-degree-0 component)
     and projected onto cohomology classes of the base complex."""
     a = model.base.complex
-    proj = subquotient(map_kernel(a.d), map_image(a.d))
+    proj = subquotient(map_kernel(a.d),
+                       {n + a.d.shift: m for n, m in a.d.blocks})
     hg = cohomology(model.complex)
     top = up_to if up_to is not None else model.band
     out = {}

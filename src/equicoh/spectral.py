@@ -225,15 +225,11 @@ def pages(fc: FilteredComplex, r_max: Optional[int] = None) -> list:
             znum = _z_subspace(fc, cache, r, p, n)
             got = 0
             if znum.dim(n):
-                den = _z_subspace(fc, cache, r - 1, p + 1, n)
-                zden2 = _z_subspace(fc, cache, r - 1, p - r + 1, n - 1)
-                b2 = zden2.matrix(n - 1)
-                if rl.ncols(b2):
-                    img = rl.mat_mul(fc.complex.d.block(n - 1), b2)
-                    if not rl.is_zero(img):
-                        den = Subspace.from_spans(
-                            space, {n: rl.hstack(den.matrix(n), img)})
-                cell = subquotient(znum, den)
+                den = _z_subspace(fc, cache, r - 1, p + 1, n).matrix(n)
+                b2 = _z_subspace(fc, cache, r - 1, p - r + 1,
+                                 n - 1).matrix(n - 1)
+                img = rl.mat_mul(fc.complex.d.block(n - 1), b2)
+                cell = subquotient(znum, {n: rl.hstack(den, img)})
                 got = cell.dim(n)
             if got != want:
                 raise PageMismatch(f"page {r} cell ({p},{q}) has dimension "
@@ -292,11 +288,12 @@ def symdegree_filtration(model: CartanModel) -> FilteredComplex:
     """F_p = components of symmetric degree m with 2m >= p inside the
     invariant complex of a Cartan model.  The invariant basis is fine-graded
     by (form degree, symmetric degree), so each level is spanned by trailing
-    coordinate blocks."""
+    coordinate blocks: distinct unit columns in increasing row order, which
+    is already the canonical basis, stored as it is."""
     space = model.complex.space
     levels = []
     for p in range(2 * model.sym_cap + 2):
-        spans = {}
+        basis = []
         for n in space.degrees():
             cols = []
             offset = 0
@@ -304,8 +301,9 @@ def symdegree_filtration(model: CartanModel) -> FilteredComplex:
                 if 2 * m >= p:
                     cols += [{offset + j: 1} for j in range(inv_dim)]
                 offset += inv_dim
-            spans[n] = rl.mat_from_columns(cols, space.dim(n))
-        levels.append(Subspace.from_spans(space, spans))
+            if cols:
+                basis.append((n, rl.mat_from_columns(cols, space.dim(n))))
+        levels.append(Subspace(space, tuple(basis)))
     return build_filtered(model.complex, levels)
 
 

@@ -408,6 +408,15 @@ MALFORMED = {
                        "payload": dict(SU2_DUAL, action={
                            "algebra": SU2, "generators": [0, 1, 2, 0]})}),
 }
+# An empty slice list, or one with an empty entry, is refused, not read as
+# fewer slices (an empty list used to report "agrees": true having computed
+# nothing).
+MALFORMED.update({
+    f"example-{name}-slices-{label}": (["example", name, "--slices", text],
+                                       NO_FILE)
+    for name in ("poiss1", "torus")
+    for label, text in (("empty", ""), ("comma", ","),
+                        ("empty-entry", "1,,2"))})
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

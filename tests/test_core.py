@@ -7,8 +7,8 @@ from equicoh import gdiff, lie, spectral
 from equicoh import ratlin as rl
 from equicoh.core import (CochainComplex, DifferentialNotSquareZero, GradedSpace,
                           InconsistentResult, LinearMap, NotContained,
-                          Subspace, cohomology, map_image, map_kernel,
-                          preimage, restrict_map, subquotient)
+                          Subspace, cohomology, map_kernel, preimage,
+                          restrict_map, subquotient)
 
 
 def _rows(m):
@@ -74,7 +74,7 @@ def test_subquotient_and_projection():
     sp = GradedSpace.from_dims({0: 3})
     z = Subspace.from_spans(sp, {0: _cols([[1, 0, 0], [0, 1, 0]], 3)})
     b = Subspace.from_spans(sp, {0: _cols([[1, 0, 0]], 3)})
-    sq = subquotient(z, b)
+    sq = subquotient(z, dict(b.basis))
     assert sq.dim(0) == 1
     # [e1 + e2] = [e2]
     assert sq.project(0, rl.freeze([[1], [1], [0]])).dense() == [[1]]
@@ -86,7 +86,7 @@ def test_subquotient_not_contained():
     z = Subspace.from_spans(sp, {0: _cols([[1, 0]], 2)})
     b = Subspace.from_spans(sp, {0: _cols([[0, 1]], 2)})
     with pytest.raises(NotContained):
-        subquotient(z, b)
+        subquotient(z, dict(b.basis))
 
 
 def _typed(m):
@@ -133,7 +133,7 @@ def test_coordinates_read_off_bases_agree_with_a_solve():
             assert z.contains(w) == (rl.solve(zm, w.matrix(0)) is not None)
 
         # project: the reference solves against [b | reps]
-        sq = subquotient(z, b)
+        sq = subquotient(z, dict(b.basis))
         aug = rl.hstack(b.matrix(0), sq.reps.get(0, rl.zeros(n, 0)))
         for vec in (_combination(rng, zcols, n), _rand_vec(rng, n)):
             if not rl.ncols(aug):
@@ -178,8 +178,8 @@ def test_project_of_a_matrix_is_the_project_of_each_column():
         sp = GradedSpace.from_dims({0: n})
         zcols = [_rand_vec(rng, n) for _ in range(rng.randint(0, n))]
         z = _span(sp, zcols)
-        sq = subquotient(z, _span(sp, [_combination(rng, zcols, n)
-                                       for _ in range(rng.randint(0, 2))]))
+        bcols = [_combination(rng, zcols, n) for _ in range(rng.randint(0, 2))]
+        sq = subquotient(z, dict(_span(sp, bcols).basis))
         vecs = [_combination(rng, zcols, n) for _ in range(rng.randint(1, 4))]
         each = [sq.project(0, rl.freeze([[x] for x in vec])) for vec in vecs]
         got = sq.project(0, _cols(vecs, n))
@@ -283,10 +283,11 @@ def _same(got, ref):
 
 
 def test_stored_bases_are_the_bases_from_spans_gives():
-    """full, part, intersect, map_kernel and map_image store bases without
-    reducing them again; each must equal the basis from_spans gives on the
-    span it stands for (the kernel-then-reduce one for intersect and
-    map_kernel), entry types included."""
+    """full, part, intersect, map_kernel and the levels of
+    symdegree_filtration store bases without reducing them again; each must
+    equal the basis from_spans gives on the span it stands for (the
+    kernel-then-reduce one for intersect and map_kernel), entry types
+    included."""
     rng = random.Random(20261101)
     for _ in range(60):
         sp = GradedSpace.from_dims({n: rng.randint(0, 5) for n in range(-1, 4)})
@@ -303,10 +304,17 @@ def test_stored_bases_are_the_bases_from_spans_gives():
         f = LinearMap.from_blocks(sp, sp, shift, {
             n: _sparse_span(rng, sp.dim(n + shift), sp.dim(n))
             for n in degs if sp.dim(n + shift)})
-        _same(map_image(f), Subspace.from_spans(sp, {
-            n + shift: rl.column_echelon(blk)[0] for n, blk in f.blocks}))
         _same(map_kernel(f), Subspace.from_spans(sp, {
             n: rl.kernel(f.block(n)) for n in degs}))
+    g = lie.su2()
+    for rep in (lie.trivial_rep(g), lie.sym_power_rep(g, 2)):
+        ce = gdiff.ce_gdiff(lie.ce_complex(g, rep))
+        for cap in (1, 2, 3):
+            fc = spectral.symdegree_filtration(gdiff.cartan_model(ce, cap))
+            space = fc.complex.space
+            for level in fc.levels:
+                _same(level, Subspace.from_spans(space, {
+                    n: level.matrix(n) for n in space.degrees()}))
 
 
 def _kernel_inputs(rng):
@@ -386,10 +394,90 @@ def test_one_elimination_per_kernel_equals_kernel_then_reduce():
                           _ref_z_subspace(fc, r, p, n))
 
 
+def _ref_subquotient(z, spans):
+    """z / span(spans) with the denominator reduced first: b from
+    from_spans, then one rref of [b | z] per degree with k = ncols(b).
+    Returns (dims, reps, projectors); NotContained as subquotient."""
+    b = Subspace.from_spans(z.ambient, spans)
+    dims, reps, projs = {}, {}, {}
+    for n in sorted({n for n, _ in z.basis} | {n for n, _ in b.basis}):
+        zb, bb = z.matrix(n), b.matrix(n)
+        k = rl.ncols(bb)
+        r, pivots = rl.rref(rl.hstack(bb, zb))
+        chosen = [p - k for p in pivots if p >= k]
+        if k + len(chosen) != rl.ncols(zb):
+            raise NotContained(f"denominator escapes numerator at degree {n}")
+        dims[n] = len(chosen)
+        projs[n] = rl.freeze([{j - k: v for j, v in row.items()}
+                              for row in r[k:k + len(chosen)]], rl.ncols(zb))
+        if chosen:
+            reps[n] = rl.mat_from_columns([zb.cols[j] for j in chosen],
+                                          len(zb))
+    return dims, reps, projs
+
+
+def _subquotient_parts(z, spans):
+    sq = subquotient(z, spans)
+    return sq.dims, sq.reps, sq._proj
+
+
+def _outcome(fn, *args):
+    """dims, and shape and typed entries of each representative matrix and
+    projector; or the NotContained message, which names the degree."""
+    try:
+        dims, reps, projs = fn(*args)
+    except NotContained as exc:
+        return str(exc)
+    return dims, *({n: (m.shape, _typed(m)) for n, m in mats.items()}
+                   for mats in (reps, projs))
+
+
+def _spanning_columns(rng, z, n):
+    """Columns spanning a denominator at degree n: products of z's basis
+    with sparse coefficients (dependent, repeated and zero columns, and
+    integral Fractions from `mat_mul`), such a product next to itself, zero
+    columns, or random columns, which may leave z."""
+    zb = z.matrix(n)
+    prod = rl.mat_mul(zb, _sparse_span(rng, rl.ncols(zb),
+                                       rng.randint(0, rl.ncols(zb) + 3)))
+    return rng.choice([prod, prod, rl.hstack(prod, prod),
+                       rl.zeros(len(zb), rng.randint(0, 3)),
+                       _sparse_span(rng, len(zb), rng.randint(1, 3))])
+
+
+def test_subquotient_of_spanning_columns_equals_reduce_first():
+    """Seeded: subquotient(z, spans) gives the dims, representatives,
+    projectors and entry types of the reduce-first reference, and
+    NotContained at the same degree; the spans come dependent, repeated,
+    zero, with integral Fractions, in degrees where z is empty or outside
+    the ambient space, or not at all."""
+    rng = random.Random(20261102)
+    seen = set()
+    for _ in range(150):
+        sp = GradedSpace.from_dims({n: rng.randint(0, 5)
+                                    for n in range(-1, 3)})
+        z = _random_subspace(rng, sp)
+        spans = {n: _spanning_columns(rng, z, n)
+                 for n in sp.degrees() + [7] if rng.random() < 0.7}
+        for given in (spans, {}):
+            got = _outcome(_subquotient_parts, z, given)
+            assert got == _outcome(_ref_subquotient, z, given)
+            seen.add("refused" if isinstance(got, str) else "formed")
+        for n, m in spans.items():
+            if rl.rank(m) < rl.ncols(m):
+                seen.add("dependent")
+            if not z.dim(n) and rl.ncols(m):
+                seen.add("outside z")
+            if _has_integral_fraction(m):
+                seen.add("integral Fraction")
+    assert seen == {"refused", "formed", "dependent", "outside z",
+                    "integral Fraction"}
+
+
 def test_map_kernel_image_subspaces():
     c = small_complex()
     k = map_kernel(c.d)
-    i = map_image(c.d)
+    i = Subspace.from_spans(c.space, {n + 1: m for n, m in c.d.blocks})
     assert k.dim(0) == 1 and k.dim(1) == 1 and k.dim(2) == 1
     assert i.dim(1) == 1 and i.dim(2) == 1
     assert k.contains(i)

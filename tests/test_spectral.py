@@ -399,8 +399,9 @@ def _reference_pages(fc):
                                       n - 1).matrix(n - 1)
             if rl.ncols(b2):
                 img = rl.mat_mul(fc.complex.d.block(n - 1), b2)
-                den = den.add(core.Subspace.from_spans(space, {n: img}))
-            cell = core.subquotient(znum, den)
+                den = core.Subspace.from_spans(
+                    space, {n: rl.hstack(den.matrix(n), img)})
+            cell = core.subquotient(znum, dict(den.basis))
             if cell.dim(n):
                 cells[(p, n - p)] = cell.dim(n)
                 reps[(p, n - p)] = cell.reps[n]
