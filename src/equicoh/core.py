@@ -16,6 +16,11 @@ subquotient denominator is never reduced at all: `subquotient` takes any
 spanning columns (an image, a sum of spans) and reads everything off its one
 elimination.
 
+Every product basis (Chevalley-Eilenberg cochains, the Weil algebra, tensor
+products, the Cartan model) is laid out by `product_space` alone: it decides
+where x (x) y sits, and `kron_map` builds the operators on that layout as
+sums of Kronecker products.
+
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis or of an `rl.kernel` basis (the Cartan inclusion) has a row
 equal to its unit row, and `_coordinates` reads those rows and checks one
@@ -166,6 +171,50 @@ class LinearMap:
         """Apply to a degree-n coordinate vector; returns degree n+shift vector."""
         return [sum((v * vec[j] for j, v in row.items() if vec[j]), 0)
                 for row in self.block(n)]
+
+
+def product_space(parts: Mapping[int, Sequence], label) -> tuple:
+    """Lay out degree n as the ordered sum of the products X_a (x) Y_b given
+    as parts[n] = [(a, b, labels of X_a, labels of Y_b), ...]: x_i (x) y_j
+    sits at the product's offset + i * dim Y_b + j (the `rl.add_kron`
+    layout) with label(a, b, x_i, y_j).  Returns the space and
+    offsets[n][(a, b)] = (offset, dim X_a, dim Y_b), zero-size products
+    included, in the order given."""
+    labels, offsets = {}, {}
+    for n, products in parts.items():
+        labs = labels[n] = []
+        offs = offsets[n] = {}
+        for a, b, xs, ys in products:
+            offs[(a, b)] = (len(labs), len(xs), len(ys))
+            labs.extend(label(a, b, x, y) for x in xs for y in ys)
+    return GradedSpace.from_labels(labels), offsets
+
+
+def kron_map(space: GradedSpace, offsets: Mapping, shift: int,
+             terms: Sequence) -> LinearMap:
+    """The map of degree `shift` on a `product_space` layout that sends each
+    product (a, b) into the product (a + sx, b + sy), where that is laid
+    out, by the sum of scale(a) * x(a) (x) y(b) over the terms
+    (sx, sy, x, y, scale), in order.  x and y give matrices by degree; None
+    stands for the identity, and a scale of None for 1."""
+    blocks = {}
+    for n in space.degrees():
+        if not space.dim(n + shift):
+            continue
+        tgt = offsets[n + shift]
+        out = [{} for _ in range(space.dim(n + shift))]
+        for (a, b), (col0, nx, ny) in offsets[n].items():
+            if not nx * ny:
+                continue
+            for sx, sy, x, y, scale in terms:
+                target = tgt.get((a + sx, b + sy))
+                if target is not None:
+                    rl.add_kron(out, rl.identity(nx) if x is None else x(a),
+                                rl.identity(ny) if y is None else y(b),
+                                target[0], col0,
+                                1 if scale is None else scale(a))
+        blocks[n] = rl.freeze(out, space.dim(n))
+    return LinearMap.from_blocks(space, space, shift, blocks)
 
 
 def anticommutator(a: LinearMap, b: LinearMap) -> LinearMap:

@@ -13,6 +13,13 @@ finite-dimensional Lie algebra, subject to
 [L_xi, d] = 0 and L_[xi,zeta] = [L_xi, L_zeta] follow and are checked too,
 as are the graded Leibniz rules when a product is declared.
 
+The Weil algebra, tensor products and the Cartan model sit on product bases
+laid out by `core.product_space`, and each operator on them is a sum of
+Kronecker products (`core.kron_map`).  The Weil algebra is the sum of the
+Lambda^k g* (x) S^m g*: its d, i_b and L_b are Kronecker sums of the
+exterior operators of `lie` with the coadjoint derivation and the
+multiplication by generators of S(g*).
+
 Checks of the paper's introduction to G-differential complexes that have no
 caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
 quotient by it are G-differential complexes), `locally_free_connection` and
@@ -29,11 +36,12 @@ from typing import Optional, Sequence
 
 from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, InconsistentResult,
-                   LinearMap, Subspace, cohomology, joint_kernel,
-                   linear_combination, map_kernel, restrict_complex,
-                   restrict_map, subquotient)
-from .lie import (CEComplex, LieAlgebra, Subalgebra, build_representation,
-                  ce_complex, column_vectors, spanned_algebra, sym_derivation)
+                   LinearMap, Subspace, cohomology, joint_kernel, kron_map,
+                   linear_combination, map_kernel, product_space,
+                   restrict_complex, restrict_map, subquotient)
+from .lie import (CEComplex, LieAlgebra, Subalgebra, _exterior_operators,
+                  column_vectors, spanned_algebra, sym_derivation,
+                  sym_multiplication)
 
 
 class AxiomFailure(Exception):
@@ -358,94 +366,67 @@ def weil_algebra(g: LieAlgebra, sym_cap: int, check: bool = True) -> WeilAlgebra
     <= sym_cap (quotient truncation; the differential never lowers symmetric
     degree).  Exterior generators sit in degree 1, symmetric in degree 2.
 
-    On symmetric degree m, d (its part keeping m), every i_b and every L_b
-    are those of the Chevalley-Eilenberg complex of g with coefficients in
-    S^m(g*), on which g acts by the coadjoint derivation; d adds the Koszul
-    term -delta, which raises m by one."""
+    Degree n is the sum of the products Lambda^k (x) S^m with k + 2m = n, in
+    increasing k, each with its monomials in increasing order, and every
+    operator is a Kronecker sum on them (rho_b the coadjoint derivation of
+    S^m, u_t multiplication by the t-th generator):
+
+        d = sum_b (lambda^b ^) (x) rho_b + d_Lambda (x) 1 - sum_t i_t (x) u_t,
+        i_b = i_b (x) 1,
+        L_b = 1 (x) rho_b + ad*_b (x) 1.
+
+    The first two terms of d are the Chevalley-Eilenberg differential of g
+    with coefficients in S^m; the last, -delta, raises m by one."""
     n = g.dim
-    m_max = sym_cap
-    comps = {}   # degree -> list of (idx, expo)
+    mons = {m: bases.sym_basis(n, m)[::-1] for m in range(sym_cap + 1)}
+    parts = {}
     for k in range(n + 1):
-        for m in range(m_max + 1):
-            deg = k + 2 * m
-            for idx in bases.ext_basis(n, k):
-                for expo in bases.sym_basis(n, m):
-                    comps.setdefault(deg, []).append((idx, expo))
-    # stable ordering: by exterior degree then lex
-    for deg in comps:
-        comps[deg].sort(key=lambda t: (len(t[0]), t[0], t[1]))
-    space = GradedSpace.from_labels({deg: [("w",) + lab for lab in comps[deg]]
-                                     for deg in sorted(comps)})
-    pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
-
-    coad = [g.coad(a) for a in range(n)]
-    ces = [ce_complex(g, build_representation(
-        g, [sym_derivation(x, m) for x in coad], len(bases.sym_basis(n, m)),
-        name=f"sym{m}(g*)")) for m in range(m_max + 1)]
-    where = {}   # (k, m) -> W position of each CE basis element (a, idx)
-    for m, ce in enumerate(ces):
-        mons = bases.sym_basis(n, m)
-        for k in ce.space.degrees():
-            where[(k, m)] = [pos[k + 2 * m][(idx, mons[a])]
-                             for a, idx in ce.space.labels(k)]
-
-    def lift(ops, shift):
-        """Sparse rows, per degree, of the operator that is ops[m] on
-        symmetric degree m."""
-        blocks = {}
-        for m, op in enumerate(ops):
-            for k, blk in op.blocks:
-                deg = k + 2 * m
-                if deg not in blocks:
-                    blocks[deg] = [{} for _ in comps[deg + shift]]
-                out = blocks[deg]
-                rows, cols = where[(k + shift, m)], where[(k, m)]
-                for i, row in enumerate(blk):
-                    for j, v in row.items():
-                        out[rows[i]][cols[j]] = v
-        return blocks
-
-    def frozen(blocks):
-        return {deg: rl.freeze(rows, len(comps[deg]))
-                for deg, rows in blocks.items()}
-
-    dblocks = lift([ce.complex.d for ce in ces], 1)
-    # -delta: -(sum_a (i_a idx) (x) u_a expo), truncated at sym cap
-    for deg, labs in comps.items():
-        for col, (idx, expo) in enumerate(labs):
-            if bases.sym_deg(expo) == m_max:
-                continue
-            for p_i, t in enumerate(idx):
-                if deg not in dblocks:
-                    dblocks[deg] = [{} for _ in comps[deg + 1]]
-                new_e = list(expo)
-                new_e[t] += 1
-                row = dblocks[deg][
-                    pos[deg + 1][(idx[:p_i] + idx[p_i + 1:], tuple(new_e))]]
-                row[col] = row.get(col, 0) - (-1 if p_i % 2 else 1)
-    d = LinearMap.from_blocks(space, space, 1, frozen(dblocks))
-    cx = CochainComplex.build(space, d)
-    contractions = [LinearMap.from_blocks(
-        space, space, -1, frozen(lift([ce.contractions[b] for ce in ces], -1)))
-        for b in range(n)]
-    lie_ops = [LinearMap.from_blocks(
-        space, space, 0, frozen(lift([ce.lie_ops[b] for ce in ces], 0)))
-        for b in range(n)]
-
-    unit = [0] * len(comps[0])
-    unit[pos[0][((), tuple([0] * n))]] = 1
-
-    gd = build_gdiff(g, cx, contractions, lie_ops,
-                     product=_monomial_product(comps, m_max), unit=unit,
+        for m in mons:
+            parts.setdefault(k + 2 * m, []).append(
+                (k, m, bases.ext_basis(n, k), mons[m]))
+    space, offsets = product_space(parts, lambda k, m, idx, e: ("w", idx, e))
+    wedge, d_ext, contr, coad = _exterior_operators(g)
+    rho = [{m: sym_derivation(g.coad(b), mons[m]) for m in mons}
+           for b in range(n)]
+    mult = [{m: sym_multiplication(t, mons[m], mons[m + 1])
+             for m in range(sym_cap)} for t in range(n)]
+    d = kron_map(space, offsets, 1,
+                 [(1, 0, wedge[b].get, rho[b].get, None) for b in range(n)]
+                 + [(1, 0, d_ext.get, None, None)]
+                 + [(-1, 1, contr[t].get, mult[t].get, lambda _: -1)
+                    for t in range(n)])
+    contractions = [kron_map(space, offsets, -1,
+                             [(-1, 0, contr[b].get, None, None)])
+                    for b in range(n)]
+    lie_ops = [kron_map(space, offsets, 0, [(0, 0, None, rho[b].get, None),
+                                            (0, 0, coad[b].get, None, None)])
+               for b in range(n)]
+    comps = {deg: [lab[1:] for lab in space.labels(deg)]
+             for deg in space.degrees()}
+    gd = build_gdiff(g, CochainComplex.build(space, d), contractions, lie_ops,
+                     product=_monomial_product(comps, sym_cap), unit=[1],
                      check=check)
-    lam = tuple(pos[1][((k,), tuple([0] * n))] for k in range(n))
-    fpos = tuple(pos[2][((), bases.unit_exp(n, k))] for k in range(n)) \
+    # W^0 is the unit alone, W^1 the lambda^k in order, and W^2 starts with
+    # S^1
+    fpos = tuple(mons[1].index(bases.unit_exp(n, k)) for k in range(n)) \
         if sym_cap >= 1 else ()
-    return WeilAlgebra(gd, sym_cap, lam, fpos)
+    return WeilAlgebra(gd, sym_cap, tuple(range(n)), fpos)
 
 
 # ---------------------------------------------------------------------------
 # Tensor products
+
+
+def _tensor_layout(sp1: GradedSpace, sp2: GradedSpace) -> tuple:
+    """The product space of two graded spaces, the products A^d1 (x) B^d2 of
+    a total degree in increasing d1, and its offsets; degrees are listed
+    as first met over (d1, d2), which fixes the key order of `pos`."""
+    parts = {}
+    for d1 in sp1.degrees():
+        for d2 in sp2.degrees():
+            parts.setdefault(d1 + d2, []).append(
+                (d1, d2, range(sp1.dim(d1)), range(sp2.dim(d2))))
+    return product_space(parts, lambda d1, d2, i1, i2: ("t", d1, i1, d2, i2))
 
 
 def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
@@ -454,59 +435,22 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
     where pos[total_degree][(deg1, i1, deg2, i2)] = basis index."""
     if c1.algebra != c2.algebra:
         raise MismatchedAlgebra("tensor factors carry different algebras")
-    sp1, sp2 = c1.space, c2.space
-    comps = {}
-    for d1 in sp1.degrees():
-        for d2 in sp2.degrees():
-            comps.setdefault(d1 + d2, []).extend(
-                (d1, i1, d2, i2)
-                for i1 in range(sp1.dim(d1)) for i2 in range(sp2.dim(d2)))
-    for deg in comps:
-        comps[deg].sort()
-    space = GradedSpace.from_labels({deg: [("t",) + lab for lab in comps[deg]]
-                                     for deg in sorted(comps)})
-    pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
+    space, offsets = _tensor_layout(c1.space, c2.space)
+    pos = {deg: {lab[1:]: i for i, lab in enumerate(space.labels(deg))}
+           for deg in offsets}
 
-    one1, one2 = ({n: rl.identity(sp.dim(n)) for n in sp.degrees()}
-                  for sp in (sp1, sp2))
-
-    def build_op(op1: LinearMap, op2: LinearMap, shift, koszul):
-        """Blocks of op1 (x) 1 + koszul(d1) * (1 (x) op2) on each component
-        (d1, d2); a component starts at the position of its (d1, 0, d2, 0)."""
-        blocks = {}
-        for deg in comps:
-            tgt = pos.get(deg + shift)
-            if tgt is None:
-                continue
-            blk = [{} for _ in tgt]
-            for d1 in sp1.degrees():
-                d2 = deg - d1
-                col0 = pos[deg].get((d1, 0, d2, 0))
-                if col0 is None:
-                    continue
-                row0 = tgt.get((d1 + shift, 0, d2, 0))
-                if row0 is not None:
-                    rl.add_kron(blk, op1.block(d1), one2[d2], row0, col0)
-                row0 = tgt.get((d1, 0, d2 + shift, 0))
-                if row0 is not None:
-                    rl.add_kron(blk, one1[d1], op2.block(d2), row0, col0,
-                                koszul(d1))
-            blocks[deg] = rl.freeze(blk, len(comps[deg]))
-        return blocks
+    def op(op1: LinearMap, op2: LinearMap, koszul) -> LinearMap:
+        """op1 (x) 1 + koszul(d1) * (1 (x) op2)."""
+        s = op1.shift
+        return kron_map(space, offsets, s, [(s, 0, op1.block, None, None),
+                                            (0, s, None, op2.block, koszul)])
 
     parity = lambda d1: -1 if d1 % 2 else 1
-    d = LinearMap.from_blocks(space, space, 1,
-                              build_op(c1.d, c2.d, 1, parity))
-    cx = CochainComplex.build(space, d)
-    contractions = []
-    lie_ops = []
-    for b in range(c1.algebra.dim):
-        contractions.append(LinearMap.from_blocks(
-            space, space, -1,
-            build_op(c1.contractions[b], c2.contractions[b], -1, parity)))
-        lie_ops.append(LinearMap.from_blocks(
-            space, space, 0,
-            build_op(c1.lie_ops[b], c2.lie_ops[b], 0, lambda d1: 1)))
+    cx = CochainComplex.build(space, op(c1.d, c2.d, parity))
+    contractions = [op(c1.contractions[b], c2.contractions[b], parity)
+                    for b in range(c1.algebra.dim)]
+    lie_ops = [op(c1.lie_ops[b], c2.lie_ops[b], None)
+               for b in range(c1.algebra.dim)]
 
     product = None
     unit = None
@@ -530,7 +474,7 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
         product = Product({key: dict(sorted(pairs.items()))
                            for key, pairs in sorted(table.items()) if pairs})
         if c1.unit is not None and c2.unit is not None:
-            unit = [0] * len(comps[0])
+            unit = [0] * space.dim(0)
             for i1, v1 in enumerate(c1.unit):
                 for i2, v2 in enumerate(c2.unit):
                     if v1 and v2:
@@ -611,36 +555,22 @@ def trivial_action_gdiff(algebra: LieAlgebra, complex_: CochainComplex,
                         product, tuple(unit) if unit is not None else None)
 
 
-def cartan_twist(c: GDiffComplex, model_space: GradedSpace, fine: dict,
-                 mons: dict) -> dict:
-    """Sparse rows (dicts column -> entry, for the caller to add to and
-    freeze), degree deg -> deg + 1 of the full Cartan model space (laid out
-    as `fine` and `mons` of CartanModel), of the twist sum_j i_j (x) u_j:
-    u_j multiplies by the j-th generator of S(g*), from S^m to S^(m+1)."""
+def _twist_terms(c: GDiffComplex, mons: dict) -> list:
+    """The `kron_map` terms of the twist sum_j i_j (x) u_j of the Cartan
+    differential: u_j multiplies by the j-th generator of S(g*), from S^m to
+    S^(m+1)."""
     r = c.algebra.dim
-    mult = {}   # (m, j) -> u_j from S^m to S^(m+1)
-    for m in mons:
-        if m + 1 not in mons:
-            continue
-        index = {e: i for i, e in enumerate(mons[m + 1])}
-        for j in range(r):
-            u = [{} for _ in mons[m + 1]]
-            for mi, e in enumerate(mons[m]):
-                u[index[bases.sym_mul(e, bases.unit_exp(r, j))]][mi] = 1
-            mult[(m, j)] = rl.freeze(u, len(mons[m]))
-    blocks = {}
-    for deg, entries in fine.items():
-        if deg + 1 not in fine:
-            continue
-        tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
-        blk = blocks[deg] = [{} for _ in range(model_space.dim(deg + 1))]
-        for (n, m, _, off, _) in entries:
-            row0 = tgt.get((n - 1, m + 1))
-            if row0 is not None:
-                for j in range(r):
-                    rl.add_kron(blk, c.contractions[j].block(n),
-                                mult[(m, j)], row0, off)
-    return blocks
+    mult = [{m: sym_multiplication(j, mons[m], mons[m + 1])
+             for m in mons if m + 1 in mons} for j in range(r)]
+    return [(-1, 1, c.contractions[j].block, mult[j].get, None)
+            for j in range(r)]
+
+
+def cartan_twist(c: GDiffComplex, space: GradedSpace, offsets: dict,
+                 mons: dict) -> LinearMap:
+    """The twist sum_j i_j (x) u_j, degree +1 on the full Cartan model space
+    (laid out as `model_space` and `offsets` of CartanModel)."""
+    return kron_map(space, offsets, 1, _twist_terms(c, mons))
 
 
 @dataclass(frozen=True)
@@ -662,6 +592,7 @@ class CartanModel:
     complex: CochainComplex       # invariant complex
     inclusion: LinearMap          # invariant space -> full model space
     model_space: GradedSpace
+    offsets: dict                 # its `core.product_space` offsets
     fine: dict                    # degree -> ((n, m, inv_dim, offset, size), ...)
     mons: dict                    # m -> monomial exponent tuples
 
@@ -669,12 +600,12 @@ class CartanModel:
 def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
     """The Cartan model of c with symmetric degree <= sym_cap.
 
-    The full model space is A (x) S(g*), graded by deg(a) + 2m.  Degree deg
-    is the sum of the fine components A^n (x) S^m with n + 2m = deg, in
-    increasing m; fine[deg] lists (n, m, invariant dim, offset, size) for
-    each, and a (x) u^E sits at offset + (form index) * |S^m| + (monomial
-    index of E in mons[m]).  On each fine component the differential is the
-    Kronecker sum
+    The full model space is A (x) S(g*), graded by deg(a) + 2m, laid out by
+    `core.product_space`.  Degree deg is the sum of the fine components
+    A^n (x) S^m with n + 2m = deg, in increasing m; fine[deg] lists (n, m,
+    invariant dim, offset, size) for each, and a (x) u^E sits at offset +
+    (form index) * |S^m| + (monomial index of E in mons[m]).  On each fine
+    component the differential is the Kronecker sum
 
         d_G = d (x) 1 + sum_j i_j (x) u_j      (cartan_twist),
 
@@ -685,33 +616,30 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
     r = g.dim
     sp = c.space
     mons = {m: bases.sym_basis(r, m) for m in range(sym_cap + 1)}
-    ls_mats = {m: [sym_derivation(g.coad(b), m) for b in range(r)]
+    ls_mats = {m: [sym_derivation(g.coad(b), mons[m]) for b in range(r)]
                for m in mons}
-    ones = {m: rl.identity(len(mons[m])) for m in mons}
-    a_ones = {n: rl.identity(sp.dim(n)) for n in sp.degrees()}
-
     adegs = sp.degrees()
-    labels, fine, inv_labels, incl_blocks = {}, {}, {}, {}
-    for deg in range((max(adegs) if adegs else 0) + 2 * sym_cap + 1):
-        labs, entries, kernels = [], [], []
-        for m in range(sym_cap + 1):
-            n = deg - 2 * m
-            if n not in adegs:
-                continue
+    top = (max(adegs) if adegs else 0) + 2 * sym_cap
+    parts = {deg: [(n, m, range(sp.dim(n)), range(len(mons[m])))
+                   for m in mons if (n := deg - 2 * m) in adegs]
+             for deg in range(top + 1)}
+    model_space, offsets = product_space(
+        parts, lambda n, m, ai, mi: ("c", n, m, ai, mi))
+    fine, inv_labels, incl_blocks = {}, {}, {}
+    for deg in model_space.degrees():
+        entries, kernels = [], []
+        for (n, m), (off, dim_a, dim_s) in offsets[deg].items():
             # the total Lie derivative preserves each fine component, so the
             # invariant basis is fine-graded: the free-column `rl.kernel` basis
-            size = sp.dim(n) * len(mons[m])
+            size = dim_a * dim_s
             stack = [{} for _ in range(r * size)]
             for b in range(r):
-                rl.add_kron(stack, c.lie_ops[b].block(n), ones[m], b * size)
-                rl.add_kron(stack, a_ones[n], ls_mats[m][b], b * size)
+                rl.add_kron(stack, c.lie_ops[b].block(n), rl.identity(dim_s),
+                            b * size)
+                rl.add_kron(stack, rl.identity(dim_a), ls_mats[m][b],
+                            b * size)
             kernels.append(rl.kernel(rl.freeze(stack, size)))
-            entries.append((n, m, rl.ncols(kernels[-1]), len(labs), size))
-            labs.extend(("c", n, m, ai, mi)
-                        for ai in range(sp.dim(n)) for mi in range(len(mons[m])))
-        if not labs:
-            continue
-        labels[deg] = labs
+            entries.append((n, m, rl.ncols(kernels[-1]), off, size))
         fine[deg] = tuple(entries)
         total_inv = sum(k for (_, _, k, _, _) in entries)
         if total_inv == 0:
@@ -723,27 +651,17 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
             rows += [{colpos + j: v for j, v in row.items()} for row in kernel]
             colpos += k
         incl_blocks[deg] = rl.freeze(rows, total_inv)
-    model_space = GradedSpace.from_labels(labels)
     inv_space = GradedSpace.from_labels(inv_labels)
     inclusion = LinearMap.from_blocks(inv_space, model_space, 0, incl_blocks)
 
     # full-model differential (note: d_G^2 is only zero on invariants)
-    dblocks = cartan_twist(c, model_space, fine, mons)
-    for deg, blk in dblocks.items():
-        tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
-        for (n, m, _, off, _) in fine[deg]:
-            row0 = tgt.get((n + 1, m))
-            if row0 is not None:
-                rl.add_kron(blk, c.d.block(n), ones[m], row0, off)
-    d_full = LinearMap.from_blocks(
-        model_space, model_space, 1,
-        {deg: rl.freeze(blk, model_space.dim(deg))
-         for deg, blk in dblocks.items()})
+    d_full = kron_map(model_space, offsets, 1, _twist_terms(c, mons)
+                      + [(1, 0, c.d.block, None, None)])
     d_inv = restrict_map(d_full, inclusion,
                          "the Cartan differential leaves the invariants")
     cx = CochainComplex.build(inv_space, d_inv)
     return CartanModel(c, sym_cap, 2 * sym_cap, cx, inclusion, model_space,
-                       fine, mons)
+                       offsets, fine, mons)
 
 
 @dataclass(frozen=True)
@@ -928,35 +846,24 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
 MQ_SIGN = (1, 1, 0)   # eps(n, wd) = s * (-1)^(p*n + q*wd) with (s, p, q)
 
 
-def _mq_twist(a: GDiffComplex, w: WeilAlgebra, tensor: GDiffComplex,
-              pos: dict, variant) -> LinearMap:
+def _mq_twist(a: GDiffComplex, w: WeilAlgebra, variant) -> LinearMap:
+    """N = sum_b eps * i_b (x) (lambda^b ^) on the layout of A (x) W."""
     s, p, q = variant
-    tsp = tensor.space
-    wsp = w.gdiff.space
-    lam = {}   # (b, wd) -> left multiplication by lambda^b on W^wd
-    for b in range(a.algebra.dim):
-        for wd in wsp.degrees():
-            m = [{} for _ in range(wsp.dim(wd + 1))]
-            for i2 in range(wsp.dim(wd)):
-                for k, sgn in w.gdiff.product.terms(
-                        1, w.lambda_positions[b], wd, i2):
-                    m[k][i2] = m[k].get(i2, 0) + sgn
-            lam[(b, wd)] = rl.freeze(m, wsp.dim(wd))
-    blocks = {}
-    for deg in tsp.degrees():
-        blk = [{} for _ in range(tsp.dim(deg))]
-        for n in a.space.degrees():
-            wd = deg - n
-            col0 = pos[deg].get((n, 0, wd, 0))
-            row0 = pos[deg].get((n - 1, 0, wd + 1, 0))
-            if col0 is None or row0 is None:
-                continue
-            eps = s * (-1 if (p * n + q * wd) % 2 else 1)
-            for b in range(a.algebra.dim):
-                rl.add_kron(blk, a.contractions[b].block(n), lam[(b, wd)],
-                            row0, col0, eps)
-        blocks[deg] = rl.freeze(blk, tsp.dim(deg))
-    return LinearMap.from_blocks(tsp, tsp, 0, blocks)
+    wsp, prod = w.gdiff.space, w.gdiff.product
+    space, offsets = _tensor_layout(a.space, wsp)
+
+    def lam(b, wd):
+        """(-1)^(q wd) times left multiplication by lambda^b on W^wd."""
+        m = [{} for _ in range(wsp.dim(wd + 1))]
+        for i2 in range(wsp.dim(wd)):
+            for k, sgn in prod.terms(1, w.lambda_positions[b], wd, i2):
+                m[k][i2] = m[k].get(i2, 0) + sgn * (-1) ** (q * wd % 2)
+        return rl.freeze(m, wsp.dim(wd))
+
+    return kron_map(space, offsets, 0, [
+        (-1, 1, a.contractions[b].block,
+         {wd: lam(b, wd) for wd in wsp.degrees()}.get,
+         lambda n: s * (-1) ** (p * n % 2)) for b in range(a.algebra.dim)])
 
 
 def _exp_nilpotent(nmap: LinearMap) -> LinearMap:
@@ -1016,7 +923,7 @@ def cartan_weil_inclusion(model: CartanModel, w: WeilAlgebra,
         rblocks[deg] = rl.freeze(blk, len(labs))
     rearr = LinearMap.from_blocks(msp, tensor.space, 0, rblocks)
 
-    twist = _mq_twist(a, w, tensor, pos, variant)
+    twist = _mq_twist(a, w, variant)
     expn = _exp_nilpotent(twist)
     inc = expn.compose(rearr.compose(model.inclusion))
 

@@ -14,7 +14,9 @@ identity used downstream holds as an exact matrix identity.
 
 Every action on symmetric powers (polynomial coefficients here, S(g*) in the
 Weil algebra and the Cartan model) is `sym_derivation`: a generator matrix
-extended to S^m as a derivation.
+extended to S^m as a derivation.  Multiplication by a generator of S(g*),
+from S^m to S^(m+1), is `sym_multiplication`; the Koszul term of the Weil
+differential and the Cartan twist are both built from it.
 
 Two builders have no caller here: `coboundary_bialgebra` (the Lie
 bialgebra of an r-matrix, the infinitesimal form of a coboundary Poisson
@@ -29,9 +31,10 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import bases, ratlin as rl
-from .core import (CochainComplex, GradedSpace, LinearMap, NotContained,
-                   NotSubcomplex, Subspace, cohomology, joint_kernel,
-                   linear_combination, restrict_complex, stacked_kernel)
+from .core import (CochainComplex, GradedSpace, NotContained, NotSubcomplex,
+                   Subspace, cohomology, joint_kernel, kron_map,
+                   linear_combination, product_space, restrict_complex,
+                   stacked_kernel)
 
 
 class JacobiViolation(Exception):
@@ -210,11 +213,10 @@ def coadjoint_rep(g: LieAlgebra) -> Representation:
                                 name="coadjoint")
 
 
-def sym_derivation(gen, m: int):
+def sym_derivation(gen, mons: Sequence):
     """The derivation of S^m extending x_j -> sum_t gen[t][j] x_t, as a
-    matrix over the monomials bases.sym_basis(len(gen), m)."""
+    matrix over the monomials `mons` (exponent tuples, all of degree m)."""
     n = len(gen)
-    mons = bases.sym_basis(n, m)
     index = {e: i for i, e in enumerate(mons)}
     out = [{} for _ in mons]
     for col, e in enumerate(mons):
@@ -230,12 +232,23 @@ def sym_derivation(gen, m: int):
     return rl.freeze(out, len(mons))
 
 
+def sym_multiplication(j: int, mons: Sequence, target: Sequence):
+    """Multiplication by x_j from the span of the monomials `mons` (exponent
+    tuples of one degree m) to that of `target` (those of degree m + 1)."""
+    index = {e: i for i, e in enumerate(target)}
+    out = [{} for _ in target]
+    for col, e in enumerate(mons):
+        out[index[e[:j] + (e[j] + 1,) + e[j + 1:]]][col] = 1
+    return rl.freeze(out, len(mons))
+
+
 def sym_power_rep(g: LieAlgebra, k: int) -> Representation:
     """Degree-k polynomials on g* (coordinates x_j dual to e_j); generators
     act as derivations with e_a . x_j = sum_m c^m_{aj} x_m, the derivative of
     the coadjoint flow on functions."""
     return build_representation(
-        g, [sym_derivation(g.ad(a), k) for a in range(g.dim)],
+        g, [sym_derivation(g.ad(a), bases.sym_basis(g.dim, k))
+            for a in range(g.dim)],
         len(bases.sym_basis(g.dim, k)), name=f"sym{k}-coadjoint")
 
 
@@ -340,28 +353,20 @@ def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex
     if rep.algebra != g:
         raise RepresentationInvalid("the representation is of another algebra")
     n = g.dim
-    ext = [bases.ext_basis(n, k) for k in range(n + 1)]
-    space = GradedSpace.from_labels({
-        k: [(a, idx) for idx in ext[k] for a in range(rep.space_dim)]
-        for k in range(n + 1)})
+    space, offsets = product_space(
+        {k: [(k, 0, bases.ext_basis(n, k), range(rep.space_dim))]
+         for k in range(n + 1)}, lambda k, _, idx, a: (a, idx))
     wedge, d_ext, contr, coad = _exterior_operators(g)
-    one = rl.identity(rep.space_dim)
-    ext_one = [rl.identity(len(e)) for e in ext]
-
-    def kron_sum(shift, terms):
-        """The map of degree `shift` that is sum of family[k] (x) v over the
-        (family, v) in terms on each Lambda^k (x) V."""
-        blocks = {}
-        for k in range(max(0, -shift), min(n, n - shift) + 1):
-            out = [{} for _ in range(space.dim(k + shift))]
-            for fam, v in terms:
-                rl.add_kron(out, fam[k], v)
-            blocks[k] = rl.freeze(out, space.dim(k))
-        return LinearMap.from_blocks(space, space, shift, blocks)
-
-    d = kron_sum(1, [(wedge[b], rep.op(b)) for b in range(n)] + [(d_ext, one)])
-    contractions = tuple(kron_sum(-1, [(contr[b], one)]) for b in range(n))
-    lie_ops = tuple(kron_sum(0, [(ext_one, rep.op(b)), (coad[b], one)])
+    rho = [lambda _, b=b: rep.op(b) for b in range(n)]
+    d = kron_map(space, offsets, 1, [(1, 0, wedge[b].get, rho[b], None)
+                                     for b in range(n)]
+                 + [(1, 0, d_ext.get, None, None)])
+    contractions = tuple(kron_map(space, offsets, -1,
+                                  [(-1, 0, contr[b].get, None, None)])
+                         for b in range(n))
+    lie_ops = tuple(kron_map(space, offsets, 0,
+                             [(0, 0, None, rho[b], None),
+                              (0, 0, coad[b].get, None, None)])
                     for b in range(n))
     return CEComplex(g, rep, CochainComplex.build(space, d), contractions,
                      lie_ops)

@@ -19,12 +19,9 @@ structures on both forms and multivectors.  None of the individual signs
 here are free: the registry behind `verify_identity` checks the complete
 calculus (bracket variants, Cartan formulas, module laws, duality, the
 anchor's intertwining properties), and the shipped combination of signs is
-the unique one under which every registered identity holds.  The three
-module-level switches below exist only so regression tests can demonstrate
-that each alternative breaks a named identity with an explicit witness.
-The anchor of a structure (the images of the dx_i) is built when first read
-and kept with the structure, so it is fixed when first built:
-`_SHARP_TRANSPOSE` is read at that moment.
+the unique one under which every registered identity holds.  The anchor
+of a structure (the images of the dx_i) is built when first read and kept
+with the structure.
 
 Cohomology is computed on exact finite truncations whose flavor depends on
 the coefficient regime of the bivector:
@@ -103,7 +100,8 @@ class NotAntiHomomorphism(Exception):
 
 
 class PoissonActionViolation(Exception):
-    """Differential of an action field disagrees with the cobracket."""
+    """The Lie derivative of the bivector along an action field disagrees
+    with the cobracket."""
 
 
 class DDeltaViolation(Exception):
@@ -118,13 +116,6 @@ class BasicMismatch(Exception):
     """Fiber-tangent multivectors differ from the basic subcomplex."""
 
 
-# Sign switches; see the module docstring.  Shipped values are frozen by the
-# identity registry and must not be changed.
-_STAR_LEFT = False      # True: left odd derivative in the graded bracket
-_SHARP_TRANSPOSE = False  # True: transposed anchor on one-forms
-_DIFF_NEGATE = False    # True: d(w) = -[pi, w]
-
-
 # ---------------------------------------------------------------------------
 # The graded bracket
 
@@ -136,7 +127,7 @@ def _sign(k: int) -> int:
 
 def _star(a: PolyMultivector, b: PolyMultivector):
     """The terms of sum_j (a <-d/d.odd_j) ^ (db/dx_j)."""
-    return _derivatives(_slots(a, from_tail=not _STAR_LEFT), b)
+    return _derivatives(_slots(a, from_tail=True), b)
 
 
 def schouten(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
@@ -263,17 +254,15 @@ def _require_certified(p: PoissonStructure):
 def d_pi(p: PoissonStructure, w: PolyMultivector) -> PolyMultivector:
     """The degree +1 differential [pi, .] on multivector fields."""
     _require_certified(p)
-    out = schouten(p.bivector, w)
-    return out.scale(-1) if _DIFF_NEGATE else out
+    return schouten(p.bivector, w)
 
 
 def _sharp_rows(p: PoissonStructure) -> tuple:
     """Row i: the anchor image of dx_i, as a polynomial vector field."""
-    sign = -1 if _SHARP_TRANSPOSE else 1
     rows = [[] for _ in range(p.ambient)]
     for ((i, j), e), c in p.bivector.coeffs:
-        rows[i].append((((j,), e), sign * c))
-        rows[j].append((((i,), e), -sign * c))
+        rows[i].append((((j,), e), c))
+        rows[j].append((((i,), e), -c))
     return tuple(PolyMultivector(p.ambient, 1, r) for r in rows)
 
 
@@ -941,8 +930,10 @@ def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,
         (NotAntiHomomorphism);
       * d(lift(a)) equals the multiplicative extension of the lift over the
         cobracket of a (DDeltaViolation);
-      * the differential of each action field equals the extension of the
-        action over the cobracket (PoissonActionViolation)."""
+      * the Lie derivative L_v pi = [v, pi] along each action field
+        equals the extension of the action over the cobracket, the
+        Poisson-action condition of Lu and Weinstein
+        (PoissonActionViolation)."""
     _require_certified(p)
     n = p.ambient
     r = algebra.dim
@@ -983,12 +974,13 @@ def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,
             raise DDeltaViolation(
                 f"generator {j}: d(lift) = {dform!r} but the cobracket "
                 f"extension is {ext!r}")
-        dfield = d_pi(p, fields[j])
+        lfield = schouten(fields[j], p.bivector)
         extf = _aext(fields, delta)
-        if not dfield.sub(extf).is_zero():
+        if not lfield.sub(extf).is_zero():
             raise PoissonActionViolation(
-                f"generator {j}: differential of the action field is "
-                f"{dfield!r} but the cobracket extension is {extf!r}")
+                f"generator {j}: the Lie derivative of the bivector along "
+                f"the action field is {lfield!r} but the cobracket "
+                f"extension is {extf!r}")
     return MomentumData(algebra, p, one_forms, fields,
                         cobracket, tuple(mu) if mu is not None else None,
                         submersive)

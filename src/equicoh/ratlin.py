@@ -21,6 +21,7 @@ representatives) deterministic regardless of pivot-selection heuristics.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import attrgetter, is_
 from types import MappingProxyType
@@ -125,7 +126,9 @@ def zeros(r: int, c: int) -> Matrix:
     return freeze((_EMPTY,) * r, c)
 
 
+@cache
 def identity(n: int) -> Matrix:
+    """The n x n identity, built once per size (a Matrix is immutable)."""
     return freeze([{i: 1} for i in range(n)], n)
 
 

@@ -347,12 +347,8 @@ def _twist_on_invariants(model: CartanModel) -> LinearMap:
     """The part of the Cartan differential that raises symmetric degree
     (contraction paired with multiplication by the coordinate generator),
     restricted to the invariant complex."""
-    mspace = model.model_space
-    blocks = cartan_twist(model.base, mspace, model.fine, model.mons)
     return restrict_map(
-        LinearMap.from_blocks(mspace, mspace, 1, {
-            deg: rl.freeze(rows, mspace.dim(deg))
-            for deg, rows in blocks.items()}),
+        cartan_twist(model.base, model.model_space, model.offsets, model.mons),
         model.inclusion, "the Cartan twist leaves the invariants")
 
 

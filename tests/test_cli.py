@@ -490,6 +490,19 @@ def test_task_math_defect_exits_3(name, command):
     assert code == 3, out.decode()
 
 
+@pytest.mark.parametrize("brackets, witness", [
+    ([[0, 0, [[1, "1"]]]], "[e_0, e_0] != 0"),
+    ([[0, 1, [[0, "1"]]], [1, 0, [[0, "1"]]]], "inconsistent (1,0) vs (0,1)")],
+    ids=["diagonal", "conflict"])
+def test_antisymmetry_violation_exits_3_with_its_witness(brackets, witness):
+    code, out = run(["lie-cohomology"],
+                    {"algebra": {"dim": 2, "brackets": brackets}})
+    assert code == 3, out.decode()
+    assert json.loads(out)["error"] == {
+        "code": 3, "kind": "math",
+        "witness": f"bracket table rejected: {witness}"}
+
+
 _UNPARSABLE = [("poiss2", "fprime", "t+" * 20000),
                ("poiss1", "slices", "0," * 20000 + "x"),
                ("poiss2", "roots", "x" * 40000)]

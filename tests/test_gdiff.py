@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from equicoh import core, gdiff, lie, ratlin as rl, spectral
+from equicoh import bases, core, gdiff, lie, ratlin as rl, spectral
 
 
 def su2_ce():
@@ -687,3 +687,311 @@ def test_leibniz_check_agrees_with_the_per_pair_reference():
         report = gdiff.check_gdiff_axioms(dataclasses.replace(m, product=None))
         assert list(report.failures) == _reference_operator_axioms(m)
     assert failing == 50
+
+
+# ---------------------------------------------------------------------------
+# The product-basis builders against their former per-builder layouts.  Each
+# `_ref_*` keeps the loop that built the object before `core.product_space`
+# and `core.kron_map` decided every product layout.
+
+
+def _ref_ce_complex(g, rep):
+    n = g.dim
+    ext = [bases.ext_basis(n, k) for k in range(n + 1)]
+    space = core.GradedSpace.from_labels({
+        k: [(a, idx) for idx in ext[k] for a in range(rep.space_dim)]
+        for k in range(n + 1)})
+    wedge, d_ext, contr, coad = lie._exterior_operators(g)
+    one = rl.identity(rep.space_dim)
+    ext_one = [rl.identity(len(e)) for e in ext]
+
+    def kron_sum(shift, terms):
+        blocks = {}
+        for k in range(max(0, -shift), min(n, n - shift) + 1):
+            out = [{} for _ in range(space.dim(k + shift))]
+            for fam, v in terms:
+                rl.add_kron(out, fam[k], v)
+            blocks[k] = rl.freeze(out, space.dim(k))
+        return core.LinearMap.from_blocks(space, space, shift, blocks)
+
+    d = kron_sum(1, [(wedge[b], rep.op(b)) for b in range(n)] + [(d_ext, one)])
+    contractions = tuple(kron_sum(-1, [(contr[b], one)]) for b in range(n))
+    lie_ops = tuple(kron_sum(0, [(ext_one, rep.op(b)), (coad[b], one)])
+                    for b in range(n))
+    return lie.CEComplex(g, rep, core.CochainComplex.build(space, d),
+                         contractions, lie_ops)
+
+
+def _ref_weil_algebra(g, sym_cap):
+    n = g.dim
+    comps = {}
+    for k in range(n + 1):
+        for m in range(sym_cap + 1):
+            for idx in bases.ext_basis(n, k):
+                for expo in bases.sym_basis(n, m):
+                    comps.setdefault(k + 2 * m, []).append((idx, expo))
+    for deg in comps:
+        comps[deg].sort(key=lambda t: (len(t[0]), t[0], t[1]))
+    space = core.GradedSpace.from_labels(
+        {deg: [("w",) + lab for lab in comps[deg]] for deg in sorted(comps)})
+    pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
+    ces = [_ref_ce_complex(g, lie.build_representation(
+        g, [lie.sym_derivation(g.coad(a), bases.sym_basis(n, m))
+            for a in range(n)], len(bases.sym_basis(n, m))))
+        for m in range(sym_cap + 1)]
+    where = {}
+    for m, ce in enumerate(ces):
+        mons = bases.sym_basis(n, m)
+        for k in ce.space.degrees():
+            where[(k, m)] = [pos[k + 2 * m][(idx, mons[a])]
+                             for a, idx in ce.space.labels(k)]
+
+    def lift(ops, shift):
+        blocks = {}
+        for m, op in enumerate(ops):
+            for k, blk in op.blocks:
+                deg = k + 2 * m
+                if deg not in blocks:
+                    blocks[deg] = [{} for _ in comps[deg + shift]]
+                rows, cols = where[(k + shift, m)], where[(k, m)]
+                for i, row in enumerate(blk):
+                    for j, v in row.items():
+                        blocks[deg][rows[i]][cols[j]] = v
+        return blocks
+
+    def frozen(blocks):
+        return {deg: rl.freeze(rows, len(comps[deg]))
+                for deg, rows in blocks.items()}
+
+    dblocks = lift([ce.complex.d for ce in ces], 1)
+    for deg, labs in comps.items():
+        for col, (idx, expo) in enumerate(labs):
+            if bases.sym_deg(expo) == sym_cap:
+                continue
+            for p_i, t in enumerate(idx):
+                if deg not in dblocks:
+                    dblocks[deg] = [{} for _ in comps[deg + 1]]
+                new_e = list(expo)
+                new_e[t] += 1
+                row = dblocks[deg][
+                    pos[deg + 1][(idx[:p_i] + idx[p_i + 1:], tuple(new_e))]]
+                row[col] = row.get(col, 0) - (-1 if p_i % 2 else 1)
+    d = core.LinearMap.from_blocks(space, space, 1, frozen(dblocks))
+    contractions = [core.LinearMap.from_blocks(
+        space, space, -1, frozen(lift([ce.contractions[b] for ce in ces], -1)))
+        for b in range(n)]
+    lie_ops = [core.LinearMap.from_blocks(
+        space, space, 0, frozen(lift([ce.lie_ops[b] for ce in ces], 0)))
+        for b in range(n)]
+    unit = [0] * len(comps[0])
+    unit[pos[0][((), tuple([0] * n))]] = 1
+    gd = gdiff.GDiffComplex(g, core.CochainComplex.build(space, d),
+                            tuple(contractions), tuple(lie_ops),
+                            gdiff._monomial_product(comps, sym_cap),
+                            tuple(unit))
+    lam = tuple(pos[1][((k,), tuple([0] * n))] for k in range(n))
+    fpos = tuple(pos[2][((), bases.unit_exp(n, k))] for k in range(n)) \
+        if sym_cap >= 1 else ()
+    return gdiff.WeilAlgebra(gd, sym_cap, lam, fpos)
+
+
+def _ref_tensor_product(c1, c2):
+    sp1, sp2 = c1.space, c2.space
+    comps = {}
+    for d1 in sp1.degrees():
+        for d2 in sp2.degrees():
+            comps.setdefault(d1 + d2, []).extend(
+                (d1, i1, d2, i2)
+                for i1 in range(sp1.dim(d1)) for i2 in range(sp2.dim(d2)))
+    for deg in comps:
+        comps[deg].sort()
+    space = core.GradedSpace.from_labels(
+        {deg: [("t",) + lab for lab in comps[deg]] for deg in sorted(comps)})
+    pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
+    one1, one2 = ({n: rl.identity(sp.dim(n)) for n in sp.degrees()}
+                  for sp in (sp1, sp2))
+
+    def build_op(op1, op2, shift, koszul):
+        blocks = {}
+        for deg in comps:
+            tgt = pos.get(deg + shift)
+            if tgt is None:
+                continue
+            blk = [{} for _ in tgt]
+            for d1 in sp1.degrees():
+                d2 = deg - d1
+                col0 = pos[deg].get((d1, 0, d2, 0))
+                if col0 is None:
+                    continue
+                row0 = tgt.get((d1 + shift, 0, d2, 0))
+                if row0 is not None:
+                    rl.add_kron(blk, op1.block(d1), one2[d2], row0, col0)
+                row0 = tgt.get((d1, 0, d2 + shift, 0))
+                if row0 is not None:
+                    rl.add_kron(blk, one1[d1], op2.block(d2), row0, col0,
+                                koszul(d1))
+            blocks[deg] = rl.freeze(blk, len(comps[deg]))
+        return core.LinearMap.from_blocks(space, space, shift, blocks)
+
+    parity = lambda d1: -1 if d1 % 2 else 1
+    d = build_op(c1.d, c2.d, 1, parity)
+    contractions = tuple(build_op(c1.contractions[b], c2.contractions[b], -1,
+                                  parity) for b in range(c1.algebra.dim))
+    lie_ops = tuple(build_op(c1.lie_ops[b], c2.lie_ops[b], 0, lambda d1: 1)
+                    for b in range(c1.algebra.dim))
+    return space, pos, d, contractions, lie_ops
+
+
+def _ref_cartan_twist(c, model_space, fine, mons):
+    r = c.algebra.dim
+    mult = {}
+    for m in mons:
+        if m + 1 not in mons:
+            continue
+        index = {e: i for i, e in enumerate(mons[m + 1])}
+        for j in range(r):
+            u = [{} for _ in mons[m + 1]]
+            for mi, e in enumerate(mons[m]):
+                u[index[bases.sym_mul(e, bases.unit_exp(r, j))]][mi] = 1
+            mult[(m, j)] = rl.freeze(u, len(mons[m]))
+    blocks = {}
+    for deg, entries in fine.items():
+        if deg + 1 not in fine:
+            continue
+        tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
+        blk = blocks[deg] = [{} for _ in range(model_space.dim(deg + 1))]
+        for (n, m, _, off, _) in entries:
+            row0 = tgt.get((n - 1, m + 1))
+            if row0 is not None:
+                for j in range(r):
+                    rl.add_kron(blk, c.contractions[j].block(n),
+                                mult[(m, j)], row0, off)
+    return blocks
+
+
+def _ref_cartan_model(c, sym_cap):
+    """(model space, fine, mons, inclusion, invariant d, full twist)."""
+    g, r, sp = c.algebra, c.algebra.dim, c.space
+    mons = {m: bases.sym_basis(r, m) for m in range(sym_cap + 1)}
+    ls_mats = {m: [lie.sym_derivation(g.coad(b), mons[m]) for b in range(r)]
+               for m in mons}
+    ones = {m: rl.identity(len(mons[m])) for m in mons}
+    a_ones = {n: rl.identity(sp.dim(n)) for n in sp.degrees()}
+    adegs = sp.degrees()
+    labels, fine, inv_labels, incl_blocks = {}, {}, {}, {}
+    for deg in range((max(adegs) if adegs else 0) + 2 * sym_cap + 1):
+        labs, entries, kernels = [], [], []
+        for m in range(sym_cap + 1):
+            n = deg - 2 * m
+            if n not in adegs:
+                continue
+            size = sp.dim(n) * len(mons[m])
+            stack = [{} for _ in range(r * size)]
+            for b in range(r):
+                rl.add_kron(stack, c.lie_ops[b].block(n), ones[m], b * size)
+                rl.add_kron(stack, a_ones[n], ls_mats[m][b], b * size)
+            kernels.append(rl.kernel(rl.freeze(stack, size)))
+            entries.append((n, m, rl.ncols(kernels[-1]), len(labs), size))
+            labs.extend(("c", n, m, ai, mi) for ai in range(sp.dim(n))
+                        for mi in range(len(mons[m])))
+        if not labs:
+            continue
+        labels[deg] = labs
+        fine[deg] = tuple(entries)
+        total_inv = sum(k for (_, _, k, _, _) in entries)
+        if total_inv == 0:
+            continue
+        inv_labels[deg] = tuple(f"inv{deg}.{i}" for i in range(total_inv))
+        rows, colpos = [], 0
+        for (_, _, k, _, _), kernel in zip(entries, kernels):
+            rows += [{colpos + j: v for j, v in row.items()} for row in kernel]
+            colpos += k
+        incl_blocks[deg] = rl.freeze(rows, total_inv)
+    model_space = core.GradedSpace.from_labels(labels)
+    inv_space = core.GradedSpace.from_labels(inv_labels)
+    inclusion = core.LinearMap.from_blocks(inv_space, model_space, 0,
+                                           incl_blocks)
+    twist = core.LinearMap.from_blocks(model_space, model_space, 1, {
+        deg: rl.freeze(rows, model_space.dim(deg)) for deg, rows in
+        _ref_cartan_twist(c, model_space, fine, mons).items()})
+    dblocks = _ref_cartan_twist(c, model_space, fine, mons)
+    for deg, blk in dblocks.items():
+        tgt = {(n, m): off for (n, m, _, off, _) in fine[deg + 1]}
+        for (n, m, _, off, _) in fine[deg]:
+            row0 = tgt.get((n + 1, m))
+            if row0 is not None:
+                rl.add_kron(blk, c.d.block(n), ones[m], row0, off)
+    d_full = core.LinearMap.from_blocks(
+        model_space, model_space, 1,
+        {deg: rl.freeze(blk, model_space.dim(deg))
+         for deg, blk in dblocks.items()})
+    d_inv = core.restrict_map(d_full, inclusion, "leaves the invariants")
+    return model_space, fine, mons, inclusion, d_inv, twist
+
+
+def _stored(x):
+    """x as nested tuples of reprs, which show each scalar's type and each
+    dict's key order; a matrix is its shape and its stored rows, each read
+    by column (no result reads the order in which a row's entries were
+    added), and a graded space its repr, labels included."""
+    if isinstance(x, rl.Matrix):
+        return x.shape, repr([sorted(row.items()) for row in x])
+    if dataclasses.is_dataclass(x) and not isinstance(x, core.GradedSpace):
+        return type(x).__name__, tuple(
+            _stored(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_stored, x))
+    return repr(x)
+
+
+_REF_ALGEBRAS = {"abelian0": lambda: lie.abelian(0),
+                 "abelian1": lambda: lie.abelian(1),
+                 "abelian2": lambda: lie.abelian(2),
+                 "abelian3": lambda: lie.abelian(3),
+                 "heisenberg": lie.heisenberg, "sl2": lie.sl2, "su2": lie.su2}
+_REF_REPS = {"trivial": lie.trivial_rep,
+             "sym2": lambda g: lie.sym_power_rep(g, 2),
+             "adjoint": lie.adjoint_rep, "coadjoint": lie.coadjoint_rep}
+
+
+def _gapped(g):
+    """A complex on degrees 0, 2 and 3 under the zero action of g: its
+    tensor degrees are first met out of order, and over abelian(0) its
+    Cartan degree 2 holds a zero-size product beside a nonzero one."""
+    space = core.GradedSpace.from_dims({0: 1, 2: 1, 3: 2})
+    return gdiff.trivial_action_gdiff(g, core.CochainComplex.build(
+        space, core.LinearMap.zero(space, space, 1)))
+
+
+@pytest.mark.parametrize("alg", sorted(_REF_ALGEBRAS))
+def test_builders_match_their_former_layouts(alg):
+    """Labels, every stored block with its entry types, `pos` with its key
+    order, `fine`, `mons`, the product tables and the units of the rebuilt
+    builders equal those of the former loops, on every algebra, coefficient
+    (and the gapped complex) and symmetric cap 0-3, tensor products through
+    cap 2."""
+    g = _REF_ALGEBRAS[alg]()
+    complexes = {"gapped": _gapped(g)}
+    for rep_name, rep in _REF_REPS.items():
+        ce = lie.ce_complex(g, rep(g))
+        assert _stored(ce) == _stored(_ref_ce_complex(g, ce.rep)), rep_name
+        complexes[rep_name] = gdiff.ce_gdiff(ce)
+    weils = {}
+    for cap in range(4):
+        weils[cap] = gdiff.weil_algebra(g, cap, check=False)
+        assert _stored(weils[cap]) == _stored(_ref_weil_algebra(g, cap)), cap
+    for name, a in complexes.items():
+        for cap in range(4):
+            model = gdiff.cartan_model(a, cap)
+            twist = gdiff.cartan_twist(a, model.model_space, model.offsets,
+                                       model.mons)
+            assert _stored((model.model_space, model.fine, model.mons,
+                            model.inclusion, model.complex.d, twist)) == \
+                _stored(_ref_cartan_model(a, cap)), (name, cap)
+        for cap in range(3):
+            w = weils[cap].gdiff
+            for c1, c2 in ((a, w), (w, a)) if name == "gapped" else ((a, w),):
+                tensor, pos = gdiff.tensor_product(c1, c2, check=False)
+                assert _stored((tensor.space, pos, tensor.d,
+                                tensor.contractions, tensor.lie_ops)) == \
+                    _stored(_ref_tensor_product(c1, c2)), (name, cap)

@@ -1,0 +1,85 @@
+"""Every check fires: one row per guard, with the input or the injected
+defect that makes it fire and the message it must give.  Each row fails
+when its guard is switched off."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from equicoh import core, lie, poisson as po, ratlin as rl, spectral
+
+
+def _su2_tangent_report():
+    """The fiber-tangent check on slice 2 of the su(2) momentum data."""
+    g = lie.su2()
+    p = po.linear_poisson(g)
+    mu = [po.function(3, {tuple(int(t == j) for t in range(3)): Fraction(1)})
+          for j in range(3)]
+    md = po.momentum_setup(p, g, mu=mu)
+    return po.mu_tangent_complex(md, *po.momentum_gdiff(md, slice_degree=2))
+
+
+def _one_step_pages():
+    """The pages of CE(su2) under the one-step filtration: stable at once."""
+    g = lie.su2()
+    cx = lie.ce_complex(g, lie.trivial_rep(g)).complex
+    return spectral.pages(spectral.build_filtered(
+        cx, [core.Subspace.full(cx.space)]))
+
+
+def _page(r, cells, diffs):
+    return spectral.Page(r, cells, {}, {k: rl.freeze(m) for k, m in
+                                        diffs.items()}, False)
+
+
+def _check_pages():
+    """E_1 on (0,0), (1,0), (2,0) of dims 1, 2, 1, with d_1 into (1,0) and
+    out of it of rank one each, and E_2 zero as that rank count demands:
+    only d_1 o d_1 != 0 is wrong."""
+    prev = _page(1, {(0, 0): 1, (1, 0): 2, (2, 0): 1},
+                 {(0, 0): [[1], [0]], (1, 0): [[1, 0]]})
+    spectral._check_page_consistency(prev, _page(2, {}, {}))
+
+
+def _one_more_in_degree_0(cohomology):
+    def wrong(c):
+        h = cohomology(c)
+        return dataclasses.replace(h, dims={**h.dims, 0: h.dim(0) + 1})
+    return wrong
+
+
+# name -> (None or (module, name, defect: real function -> replacement),
+#          the run that must raise, the exception, its message)
+GUARDS = {
+    "antisymmetry-diagonal": (
+        None, lambda: lie.build_lie_algebra(2, [[0, 0, [[1, 1]]]]),
+        lie.AntisymmetryViolation, r"\[e_0, e_0\] != 0"),
+    "antisymmetry-conflict": (
+        None, lambda: lie.build_lie_algebra(2, [[0, 1, [[0, 1]]],
+                                                [1, 0, [[0, 1]]]]),
+        lie.AntisymmetryViolation, r"inconsistent \(1,0\) vs \(0,1\)"),
+    # the geometric Lie derivatives dropped: every horizontal multivector
+    # counts as tangent, the non-invariant ones too
+    "basic-mismatch": (
+        (po, "_geometric_lie_ops", lambda real: lambda md, model: []),
+        _su2_tangent_report, po.BasicMismatch,
+        r"differ from the basic subcomplex at degrees \[0\]$"),
+    "not-convergent": (
+        (spectral, "cohomology", _one_more_in_degree_0), _one_step_pages,
+        spectral.NotConvergent,
+        r"antidiagonal 0 of the stable page differs from H\^0"),
+    "page-d-squared": (
+        None, _check_pages, spectral.PageMismatch,
+        r"d_1 fails to square to zero at \(1,0\)"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_fires(monkeypatch, name):
+    defect, run, exc, message = GUARDS[name]
+    if defect is not None:
+        module, attr, make = defect
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    with pytest.raises(exc, match=message):
+        run()

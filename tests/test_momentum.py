@@ -94,6 +94,48 @@ def test_nontrivial_cobracket_needs_explicit_forms():
                           cobracket=bial)
 
 
+def poisson_group_q4(sign=1):
+    """The abelian plane acting on symplectic Q^4 by the lifts x2 dx0 + dx2
+    and dx0, with the cobracket delta(e_0) = sign * e_0 ^ e_1: a Poisson
+    action of a Poisson group for sign 1."""
+    p = po.symplectic_poisson(2)
+    g = lie.abelian(2)
+    bial = lie.build_bialgebra(g, [[0, [[0, 1, sign]]]])
+    lifts = [PolyForm(4, 1, {((0,), (0, 0, 1, 0)): 1,
+                             ((2,), (0, 0, 0, 0)): 1}),
+             PolyForm(4, 1, {((0,), (0, 0, 0, 0)): 1})]
+    return p, g, bial, lifts
+
+
+def test_poisson_group_action_is_accepted():
+    p, g, bial, lifts = poisson_group_q4()
+    md = po.momentum_setup(p, g, one_forms=lifts, cobracket=bial)
+    # L_v0 pi = [v0, pi] is the nonzero extension v0 ^ v1, while
+    # d_pi(v0) = [pi, v0] is its negative
+    lie_derivative = po.schouten(md.fields[0], p.bivector)
+    assert not lie_derivative.is_zero()
+    assert lie_derivative.sub(po.wedge(md.fields[0], md.fields[1])).is_zero()
+    assert lie_derivative.add(po.d_pi(p, md.fields[0])).is_zero()
+    assert po.schouten(md.fields[1], p.bivector).is_zero()
+
+
+def test_negated_anchor_breaks_the_poisson_action(monkeypatch):
+    sharp_rows = po._sharp_rows
+    monkeypatch.setattr(po, "_sharp_rows",
+                        lambda p: tuple(v.scale(-1) for v in sharp_rows(p)))
+    p, g, bial, lifts = poisson_group_q4()
+    with pytest.raises(po.PoissonActionViolation) as exc:
+        po.momentum_setup(p, g, one_forms=lifts, cobracket=bial)
+    assert "generator 0" in str(exc.value)
+
+
+def test_negated_cobracket_breaks_the_lifts():
+    p, g, bial, lifts = poisson_group_q4(-1)
+    with pytest.raises(po.DDeltaViolation) as exc:
+        po.momentum_setup(p, g, one_forms=lifts, cobracket=bial)
+    assert "generator 0" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # The induced G-differential structure
 

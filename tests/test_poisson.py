@@ -289,13 +289,32 @@ def test_identity_report_serializes():
     assert data["checked"] == 4
 
 
-@pytest.mark.parametrize("knob", ["_STAR_LEFT", "_SHARP_TRANSPOSE",
-                                  "_DIFF_NEGATE"])
+_star, _sharp_rows, _d_pi = po._star, po._sharp_rows, po.d_pi
+
+#: Each shipped sign convention, by name, with the function that carries it
+#: and that function with the convention flipped.
+_FLIPS = {
+    # the left odd derivative in the graded bracket
+    "_STAR_LEFT": ("_star", lambda a, b: po._derivatives(
+        po._slots(a, from_tail=False), b)),
+    # the transposed anchor on one-forms
+    "_SHARP_TRANSPOSE": ("_sharp_rows", lambda p: tuple(
+        v.scale(-1) for v in _sharp_rows(p))),
+    # d(w) = -[pi, w]
+    "_DIFF_NEGATE": ("d_pi", lambda p, w: _d_pi(p, w).scale(-1)),
+}
+
+
+def _flip(monkeypatch, knob):
+    monkeypatch.setattr(po, *_FLIPS[knob])
+
+
+@pytest.mark.parametrize("knob", list(_FLIPS))
 def test_convention_flips_break_the_module_law(monkeypatch, knob):
     """Each sign convention is pinned by the suite: flipping any one of the
     three internal choices makes the module law fail with explicit
     witnesses on both model structures."""
-    monkeypatch.setattr(po, knob, True)
+    _flip(monkeypatch, knob)
     for build in [lambda: po.symplectic_poisson(1),
                   lambda: po.linear_poisson(lie.su2())]:
         p = build()  # re-certify under the flipped convention
@@ -338,7 +357,7 @@ _FLIP_STRUCTURES = [("symplectic-1", lambda: po.symplectic_poisson(1)),
 
 
 def test_convention_flips_break_many_identities(monkeypatch):
-    monkeypatch.setattr(po, "_SHARP_TRANSPOSE", True)
+    _flip(monkeypatch, "_SHARP_TRANSPOSE")
     p = po.symplectic_poisson(1)
     rep = po.verify_all(p, samples=12, seed=1)
     bad = [n for n, r in rep.items() if not r.ok]
@@ -346,7 +365,7 @@ def test_convention_flips_break_many_identities(monkeypatch):
     monkeypatch.undo()
     for knob, digest in _FLIP_DIGESTS.items():
         with monkeypatch.context() as m:
-            m.setattr(po, knob, True)
+            _flip(m, knob)
             report = {name: [r.to_json() for r in
                              po.verify_all(build(), samples=12,
                                            seed=1).values()]
