@@ -4,10 +4,18 @@ cheap mathematical gates.
 
 Exit codes: 0 success; 2 schema violation (the report carries a pointer to
 the offending field); 3 mathematical validation failure (the report echoes
-the witness produced by the owning module).  Default JSON output contains
-no timestamps and is byte-identical for byte-identical input; timing is
-only added behind ``--timing``.  Every numeric cell in a result table is
-produced by a library operation, never by CLI-side arithmetic."""
+the witness produced by the owning module).  Exit 3 also marks two more
+outcomes.  A computed verdict that is false (a top-level `agrees`,
+`matches`, `e1_matches`, `e2_matches` or `acyclic_in_band` of the result)
+exits 3 with the report printed in full.  An internal consistency check
+that fails after the input was accepted (`DEFECTS`) exits 3 with a `math`
+error whose witness starts with the check's exception class, not with a
+traceback.
+
+Default JSON output contains no timestamps and is byte-identical for
+byte-identical input; timing is only added behind ``--timing``.  Every
+numeric cell in a result table is produced by a library operation, never
+by CLI-side arithmetic."""
 
 from __future__ import annotations
 
@@ -19,8 +27,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from . import core, lie, spectral
 from . import gdiff as gd
-from . import lie
 from . import poisson as po
 from .core import cohomology
 from .poly import PolyMultivector
@@ -53,6 +61,17 @@ class MathError(Exception):
 
 class UnknownExample(Exception):
     pass
+
+
+#: Result keys whose false value is a failed prediction (exit 3).
+VERDICTS = ("agrees", "matches", "e1_matches", "e2_matches",
+            "acyclic_in_band")
+
+#: Checks of the program's own results: raised on accepted input, they
+#: exit 3 with a `math` error naming the class.
+DEFECTS = (spectral.PageMismatch, spectral.NotConvergent,
+           core.InconsistentResult, core.NotContained, core.NotSubcomplex,
+           core.DifferentialNotSquareZero, po.BasicMismatch, gd.AxiomFailure)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,11 +1226,14 @@ def main(argv: Optional[Sequence] = None) -> int:
         return _emit_error(2, exc, fmt)
     except (MathError, po.UncertifiedPoisson) as exc:
         return _emit_error(3, exc, fmt)
+    except DEFECTS as exc:
+        return _emit_error(3, MathError(f"{type(exc).__name__}: {exc}"), fmt)
     if timer is not None:
         import time
         report["timing_seconds"] = round(time.monotonic() - timer, 6)
     sys.stdout.write(render(report, fmt))
-    return 0
+    return 3 if any(report["result"].get(key) is False
+                    for key in VERDICTS) else 0
 
 
 if __name__ == "__main__":

@@ -124,7 +124,9 @@ def check_gdiff_axioms(c: GDiffComplex) -> AxiomReport:
     eps_a = (-1)^a for d and i_x, 1 for L_x, on every basis pair; at most
     one witness, the first failing pair in degree order and there the first
     failing operator in the order d, i_0, L_0, i_1, L_1, ...  Last the unit
-    and 200 seeded associativity triples."""
+    on every basis element, and associativity on 200 seeded triples of
+    basis elements only, not on every triple: a product that fails
+    associativity on one triple alone can pass."""
     g, r = c.algebra, c.algebra.dim
     d, i, lie_ops = c.d, c.contractions, c.lie_ops
     # Each axiom: a sum of terms (coefficient, operators applied right to

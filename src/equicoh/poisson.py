@@ -23,21 +23,30 @@ the unique one under which every registered identity holds.  The anchor
 of a structure (the images of the dx_i) is built when first read and kept
 with the structure.
 
-Cohomology is computed on exact finite truncations whose flavor depends on
-the coefficient regime of the bivector:
+Cohomology is computed on finite polynomial models, all cut by one rule.
+A basis key of exterior degree q and coefficient degree m has the weight
+m + tilt * q, and a model is the set of keys whose weight lies in a window
+[lo, hi]: a slice s is [s, s], a truncation T is [0, T].  The tilt is
+chosen so that the differential keeps the weight where it can:
 
-  * constant coefficients: the differential lowers coefficient degree by
-    one, so (coefficient degree + multivector degree) is preserved and the
-    complex splits into finite antidiagonal slices;
-  * linear coefficients: the differential preserves coefficient degree, so
-    the complex splits into exact fixed-coefficient-degree slices (and the
-    slice of degree k is, in exact matrix terms, the cochain complex of the
-    underlying Lie algebra with degree-k polynomial coefficients);
-  * higher-degree coefficients without constant part: the differential
-    raises coefficient degree, so a degree cap gives a quotient complex
-    whose low coefficient degrees (the reported validity band) agree with
-    the untruncated answer;
+  * constant coefficients (tilt 1): the differential lowers coefficient
+    degree by one and raises multivector degree by one, so every window
+    is an exact subcomplex (slices are the antidiagonals);
+  * linear coefficients (tilt 0): the differential preserves coefficient
+    degree, so every window is exact (and the slice of degree k is, in
+    exact matrix terms, the cochain complex of the underlying Lie algebra
+    with degree-k polynomial coefficients);
+  * higher-degree coefficients without constant part (tilt 0): the
+    differential raises the weight, so the window [0, T] is a capped
+    quotient complex, whose low coefficient degrees (the reported validity
+    `band`) agree with the untruncated answer;
   * mixed constant and higher parts: unsupported.
+
+Polynomial differential forms under the exterior differential use tilt 1,
+as constant bivectors do.  Contracting with a term of coefficient degree
+e moves the weight by e - tilt, so a contraction (with lifted forms or
+action fields) keeps a model exact unless that shift is above 0, or below
+0 with lo > 0; `_check_ops_stay` refuses the others.
 
 The momentum machinery packages a Lie algebra action given by lifted
 one-forms (with anchor images as the action fields), validates the
@@ -666,23 +675,25 @@ def verify_all(p: PoissonStructure, samples: int = 40, seed: int = 0) -> dict:
 
 @dataclass(frozen=True)
 class PolyModel:
-    """A finite-dimensional truncation of the polynomial multivector fields
-    (or forms), with its basis bookkeeping and the induced differential.
+    """A finite-dimensional model of the polynomial multivector fields (or
+    forms), with its basis bookkeeping and the induced differential.
 
+    The basis is the keys whose weight, coefficient degree plus `tilt`
+    times exterior degree, lies in [lo, hi] (module docstring).
     `basis[q]` lists keys (index tuple, exponent tuple) in the order of the
-    coordinates; `kind` is PolyMultivector or PolyForm.  `exact` is False
-    only for capped quotient truncations, in which case `band` is the
-    largest coefficient degree the cohomology is valid for."""
+    coordinates; `kind` is PolyMultivector or PolyForm.  `band` is None
+    for an exact subcomplex; for a capped quotient it is the largest
+    coefficient degree the cohomology is valid for."""
 
     ambient: int
     kind: type
-    mode: str
-    bound: int
+    tilt: int
+    lo: int
+    hi: int
     basis: dict
     index: dict
     space: GradedSpace
-    complex: CochainComplex
-    exact: bool
+    complex: Optional[CochainComplex]
     band: Optional[int]
 
     def element(self, q: int, position: int):
@@ -702,56 +713,42 @@ class PolyModel:
         return vec
 
 
-def _coeff_degrees_for(mode: str, bound: int, q: int) -> Optional[range]:
-    if mode == "slice-coeff":
-        return range(bound, bound + 1)
-    if mode == "cap" or mode == "coeff-upto":
-        return range(0, bound + 1)
-    if mode == "total":
-        return range(0, bound - q + 1) if bound >= q else range(0)
-    if mode == "total-slice":
-        m = bound - q
-        return range(m, m + 1) if m >= 0 else range(0)
-    raise ValueError(f"unknown truncation mode {mode}")
-
-
-def build_poly_model(ambient: int, kind: type, mode: str, bound: int,
-                     differential: Callable, exact: bool,
+def build_poly_model(ambient: int, kind: type, tilt: int, lo: int, hi: int,
+                     differential: Callable,
                      band: Optional[int]) -> PolyModel:
-    """Enumerate the truncated basis and build the induced differential.
-    Keys are ordered index-tuple-major (lexicographic), then by coefficient
-    degree, then by the symmetric monomial order."""
+    """The model of the keys whose weight m + tilt * q lies in [lo, hi],
+    with the induced differential.  Keys are ordered index-tuple-major
+    (lexicographic), then by coefficient degree, then by the symmetric
+    monomial order."""
     basis = {}
-    index = {}
     for q in range(ambient + 1):
-        keys = []
-        for j in bases.ext_basis(ambient, q):
-            degs = _coeff_degrees_for(mode, bound, q)
-            for m in degs:
-                for e in bases.sym_basis(ambient, m):
-                    keys.append((j, e))
+        keys = tuple((j, e) for j in bases.ext_basis(ambient, q)
+                     for m in range(max(lo - tilt * q, 0), hi - tilt * q + 1)
+                     for e in bases.sym_basis(ambient, m))
         if keys:
-            basis[q] = tuple(keys)
-            for i, k in enumerate(keys):
-                index[(q, k)] = i
+            basis[q] = keys
+    index = {(q, k): i for q, ks in basis.items() for i, k in enumerate(ks)}
     space = GradedSpace.from_labels(
         {q: tuple(repr(k) for k in ks) for q, ks in basis.items()})
-    model = PolyModel(ambient, kind, mode, bound, basis, index, space,
-                      None, exact, band)
-    cx = CochainComplex.build(space, operator_matrix(model, differential, 1))
-    return PolyModel(ambient, kind, mode, bound, basis, index, space,
-                     cx, exact, band)
+    model = PolyModel(ambient, kind, tilt, lo, hi, basis, index, space, None,
+                      band)
+    # The differential is read off the model's own basis: its complex is
+    # set once, here.
+    object.__setattr__(model, "complex", CochainComplex.build(
+        space, operator_matrix(model, differential, 1)))
+    return model
 
 
 def operator_matrix(model: PolyModel, fn: Callable, shift: int) -> LinearMap:
-    """Matrix of a degree-homogeneous operator on the truncated basis."""
+    """Matrix of a degree-homogeneous operator on the model's basis; on a
+    capped quotient the terms above the cap are dropped."""
     blocks = {}
     for q in sorted(model.basis):
         tgt = model.space.dim(q + shift)
         if tgt == 0:
             continue
         cols = [model.to_vector(fn(model.element(q, i)),
-                                project=not model.exact)
+                                project=model.band is not None)
                 for i in range(len(model.basis[q]))]
         blocks[q] = rl.mat_from_columns(cols, tgt)
     return LinearMap.from_blocks(model.space, model.space, shift, blocks)
@@ -759,42 +756,28 @@ def operator_matrix(model: PolyModel, fn: Callable, shift: int) -> LinearMap:
 
 def poisson_complex(p: PoissonStructure, truncation: Optional[int] = None,
                     slice_degree: Optional[int] = None) -> PolyModel:
-    """A finite truncation of the multivector complex, per the regime rules
-    in the module docstring.  For the linear regime, `slice_degree` selects
-    one exact coefficient-degree slice; for the constant regime it selects
-    one exact (coefficient + multivector)-degree slice."""
+    """The multivector model of the window [s, s] for `slice_degree` s, or
+    else [0, T] for `truncation` T, with the regime's tilt (module
+    docstring): 1 for constant coefficients, 0 otherwise.  Without a
+    constant part and above linear coefficients only truncations are
+    allowed, and the model is a capped quotient with a band."""
     _require_certified(p)
-    regime = p.regime
-    if regime == "general":
+    if p.regime == "general":
         raise UnsupportedRegime(
             "bivector mixes constant and higher-degree coefficients; no "
             "exact finite truncation is available")
-    diff = lambda w: d_pi(p, w)
-    if regime == "linear":
-        if slice_degree is not None:
-            return build_poly_model(p.ambient, PolyMultivector, "slice-coeff",
-                                    slice_degree, diff, True, None)
-        if truncation is None:
-            raise ValueError("a truncation bound is required")
-        return build_poly_model(p.ambient, PolyMultivector, "coeff-upto",
-                                truncation, diff, True, None)
-    if regime == "constant":
-        if slice_degree is not None:
-            return build_poly_model(p.ambient, PolyMultivector, "total-slice",
-                                    slice_degree, diff, True, None)
-        if truncation is None:
-            raise ValueError("a truncation bound is required")
-        return build_poly_model(p.ambient, PolyMultivector, "total",
-                                truncation, diff, True, None)
-    # general-no-constant: capped quotient with a validity band
-    if slice_degree is not None:
+    capped = p.regime == "general-no-constant"
+    if capped and slice_degree is not None:
         raise ValueError("slices are only exact for constant or linear "
                          "coefficient regimes")
-    if truncation is None:
+    if slice_degree is None and truncation is None:
         raise ValueError("a truncation bound is required")
-    band = truncation - (p.max_coeff_degree() - 1)
-    return build_poly_model(p.ambient, PolyMultivector, "cap", truncation,
-                            diff, False, band)
+    lo, hi = ((0, truncation) if slice_degree is None
+              else (slice_degree, slice_degree))
+    return build_poly_model(
+        p.ambient, PolyMultivector, int(p.regime == "constant"), lo, hi,
+        lambda w: d_pi(p, w),
+        hi - (p.max_coeff_degree() - 1) if capped else None)
 
 
 @dataclass(frozen=True)
@@ -998,27 +981,23 @@ def _sub_algebra(md: MomentumData, generators: Optional[Sequence]) -> tuple:
     return sub, tuple(md.one_forms[i] for i in idx)
 
 
-def _check_ops_stay(model: PolyModel, forms: Sequence) -> None:
-    """The truncation modes used here keep every operator exact; this guards
-    the assumption instead of silently projecting."""
-    if not model.exact:
+def _check_ops_stay(model: PolyModel, operands: Sequence) -> None:
+    """Refuse contractions with `operands` (forms or vector fields) that
+    would leave the model: a term of coefficient degree e moves the weight
+    by e - tilt, which must not be above 0, nor below 0 when lo > 0.  This
+    guards exactness instead of silently projecting."""
+    if model.band is not None:
         raise UnsupportedRegime(
             "equivariant structure on a capped quotient truncation is not "
             "exact; use a slice or total-degree truncation")
-    for a in forms:
-        for (s, e), _ in a.coeffs:
-            if model.mode == "total-slice" and sum(e) != 1:
+    for a in operands:
+        for (_, e), _ in a.coeffs:
+            shift = sum(e) - model.tilt
+            if shift > 0 or (shift < 0 and model.lo > 0):
                 raise UnsupportedRegime(
-                    "a single total-degree slice needs lifted forms with "
-                    "homogeneous linear coefficients")
-            if model.mode == "total" and sum(e) > 1:
-                raise UnsupportedRegime(
-                    "total-degree truncations need lifted forms with "
-                    "coefficients of degree at most one")
-            if model.mode in ("slice-coeff", "coeff-upto") and sum(e) != 0:
-                raise UnsupportedRegime(
-                    "coefficient-degree truncations need lifted forms with "
-                    "constant coefficients")
+                    f"contracting with a term of coefficient degree "
+                    f"{sum(e)} moves the weight by {shift}, out of the "
+                    f"window [{model.lo}, {model.hi}] of tilt {model.tilt}")
 
 
 def momentum_gdiff(md: MomentumData, truncation: Optional[int] = None,
@@ -1126,25 +1105,18 @@ def de_rham_gdiff(algebra: lie.LieAlgebra, fields: Sequence,
     with each action field, and the anticommutator Lie derivatives; the
     axioms are checked.
 
-    Both the differential (form degree +1, coefficient degree -1) and the
-    contraction with a field having homogeneous linear coefficients (form
-    degree -1, coefficient degree +1) preserve the sum of form degree and
-    coefficient degree, so the same antidiagonal slicing used for constant
-    bivectors applies: `slice_degree` selects one exact slice, the forms
-    whose form degree plus coefficient degree is `slice_degree`."""
+    The model is the window [s, s] of tilt 1 for `slice_degree` s: the
+    forms whose form degree plus coefficient degree is s, which the
+    exterior differential (form degree +1, coefficient degree -1) keeps.
+    Each field must keep it too, by the weight rule of `_check_ops_stay`;
+    fields with homogeneous linear coefficients always do."""
     if len(fields) != algebra.dim:
         raise MomentMismatch("one action field per generator is required")
     if not fields:
         raise ValueError("at least ambient information is required")
-    n = fields[0].ambient
-    for v in fields:
-        degs = {sum(e) for (_, e), _ in v.coeffs}
-        if degs - {1}:
-            raise UnsupportedRegime(
-                "slice truncation of forms needs action fields with "
-                f"homogeneous linear coefficients, got degrees {sorted(degs)}")
-    model = build_poly_model(n, PolyForm, "total-slice", slice_degree,
-                             exterior_d, True, None)
+    model = build_poly_model(fields[0].ambient, PolyForm, 1, slice_degree,
+                             slice_degree, exterior_d, None)
+    _check_ops_stay(model, fields)
     return _with_contractions(
         algebra, model, [lambda w, v=v: contract_form(v, w) for v in fields])
 
@@ -1305,16 +1277,13 @@ def momentum_spectral_sequence(md: MomentumData,
     """Spectral sequence of the contraction-depth filtration on the
     truncated multivector complex.  For bundled submersive examples the
     first and second pages are compared against the product of the algebra
-    cohomology with the fiber-tangent complex (dimensions, cell by cell).
-    A product-line model is accepted directly in place of momentum data."""
-    line = isinstance(md, ProductLineModel)
-    c, model = (md.gdiff, None) if line else momentum_gdiff(
-        md, truncation, slice_degree)
+    cohomology with the fiber-tangent complex (dimensions, cell by cell)."""
+    c, model = momentum_gdiff(md, truncation, slice_degree)
     pgs = spectral.pages(spectral.contraction_filtration(c), r_max)
     first = next((pg.r for pg in pgs if pg.diffs), None)
     pe1 = pe2 = None
     m1 = m2 = None
-    if not line and md.submersive:
+    if md.submersive:
         tang = mu_tangent_complex(md, c, model)
         hq = lie.lie_cohomology(md.algebra)
         pe1, pe2 = {}, {}

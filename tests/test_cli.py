@@ -1,6 +1,7 @@
 """The `equicoh` command end to end: every example and every task kind exits
 0 with the pinned output bytes on every run; malformed payloads exit 2
-(schema) or 3 (math) and never end in a traceback."""
+(schema) or 3 (math), and so do a false verdict and a failed check of the
+program's own results (3); none ends in a traceback."""
 
 import ast
 import contextlib
@@ -19,6 +20,8 @@ from hypothesis import HealthCheck, Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from equicoh import cli, gdiff as gd, lie
+
+from test_guards import GUARDS
 
 SU2 = {"dim": 3, "compact_type": True, "name": "su2",
        "brackets": [[0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]],
@@ -488,6 +491,52 @@ MATH_DEFECTS = {
 def test_task_math_defect_exits_3(name, command):
     code, out = run([command], MATH_DEFECTS[name])
     assert code == 3, out.decode()
+
+
+# The window [0, 0] of a tilt-1 model holds only the constants, where the
+# contraction with a constant lifted form vanishes: slice 0 computes what
+# truncation 0 computes, and slice 1 is refused.
+CONSTANT_LIFT = dict(CIRCLE_Q2, action={"algebra": {"dim": 1}},
+                     mu=[[{"exponents": [1, 0], "coeff": "1"}]])
+
+
+def test_slice_zero_of_a_constant_lift_computes_the_window():
+    slice_code, slice_out = run(["momentum-ss", "--slice", "0"],
+                                CONSTANT_LIFT)
+    trunc_code, trunc_out = run(["momentum-ss", "--max-degree", "0"],
+                                CONSTANT_LIFT)
+    assert slice_code == 0, slice_out.decode()
+    assert trunc_code == 0, trunc_out.decode()
+    assert (json.loads(slice_out)["result"]["pages"]
+            == json.loads(trunc_out)["result"]["pages"])
+    code, out = run(["momentum-ss", "--slice", "1"], CONSTANT_LIFT)
+    assert code == 3, out.decode()
+    assert json.loads(out)["error"]["kind"] == "math"
+
+
+def test_false_verdict_exits_3_with_the_full_report():
+    code, out = run(["momentum-ss", "--slice", "0"],
+                    dict(CIRCLE_Q2, submersive=True))
+    assert code == 3, out.decode()
+    report = json.loads(out)
+    assert report["kind"] == "momentum-ss"
+    assert report["result"]["e1_matches"] is False
+    assert report["result"]["pages"]
+
+
+@pytest.mark.parametrize("guard, name", [
+    ("basic-mismatch", "BasicMismatch"), ("not-convergent", "NotConvergent")])
+def test_program_defect_exits_3_naming_its_class(monkeypatch, guard, name):
+    """A check of the program's own results that fails on accepted input
+    (here made to fail by the defects of tests/test_guards.py) exits 3 with
+    a math error, not a traceback."""
+    module, attr, make = GUARDS[guard][0]
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    code, out = run(["momentum-ss", "--slice", "2"], SU2_DUAL)
+    assert code == 3, out.decode()
+    error = json.loads(out)["error"]
+    assert error["kind"] == "math"
+    assert error["witness"].startswith(f"{name}: ")
 
 
 @pytest.mark.parametrize("brackets, witness", [
