@@ -12,6 +12,16 @@ that fails after the input was accepted (`DEFECTS`) exits 3 with a `math`
 error whose witness starts with the check's exception class, not with a
 traceback.
 
+`validate` runs the payload parse that `compute` runs, so at parse time it
+refuses every task input that `compute` refuses before computing, with the
+same exit and witness: the schema, a bracket table that is not a Lie
+algebra, a bivector that does not self-commute, inconsistent momentum data,
+a generator subset (`relative`, `action.generators`) that is dependent or
+not closed under the bracket, `factorized` on an algebra not of compact
+type, and `action.generators` on a `momentum-ss` task.  What only the
+computation finds, such as an unsupported model met while building, is
+refused by `compute` alone.
+
 Default JSON output contains no timestamps and is byte-identical for
 byte-identical input; timing is only added behind ``--timing``.  Every
 numeric cell in a result table is produced by a library operation, never
@@ -289,8 +299,11 @@ def parse_poisson(data) -> dict:
 
 def _require_certified_cli(p: po.PoissonStructure):
     if not p.certified:
-        raise MathError("the bivector does not self-commute; defect "
-                        f"{p.jacobiator!r}")
+        # Each coefficient printed as a Fraction, whether stored as an int
+        # or not, so that the witness reads the same for every coefficient.
+        defect = {k: Fraction(c) for k, c in p.jacobiator.coeffs}
+        raise MathError(
+            f"the bivector does not self-commute; defect {defect!r}")
 
 
 def momentum_from_payload(parsed: dict) -> po.MomentumData:
@@ -678,6 +691,17 @@ def run_example(name: str, parameters: dict) -> dict:
 # Task dispatch
 
 
+def _generator_subalgebra(g: lie.LieAlgebra, indices: Sequence,
+                          what: str) -> lie.Subalgebra:
+    """The subalgebra spanned by the generators `indices` of g; a MathError
+    naming `what` when they are dependent or do not close."""
+    try:
+        return lie.build_subalgebra(g, [[int(t == i) for t in range(g.dim)]
+                                        for i in indices])
+    except ValueError as exc:
+        raise MathError(f"{what} generators rejected: {exc}")
+
+
 def _lie_cohomology_task(payload: dict, opts: dict) -> Callable:
     _expect(isinstance(payload, dict), "payload", "expected an object")
     unknown = set(payload) - {"algebra", "coefficients", "relative",
@@ -701,20 +725,15 @@ def _lie_cohomology_task(payload: dict, opts: dict) -> Callable:
         idx = payload["relative"]
         _expect(isinstance(idx, list) and idx, "payload.relative",
                 "expected a non-empty list of generator indices")
-        cols = []
         for t, k in enumerate(idx):
             k = _expect_int(k, f"payload.relative[{t}]", low=0)
             _expect(k < g.dim, f"payload.relative[{t}]", "index out of range")
-            col = [Fraction(0)] * g.dim
-            col[k] = Fraction(1)
-            cols.append(col)
-        try:
-            sub = lie.build_subalgebra(g, cols)
-        except Exception as exc:
-            raise MathError(f"relative generators rejected: {exc}")
+        sub = _generator_subalgebra(g, idx, "relative")
     factorized = payload.get("factorized", False)
     _expect(isinstance(factorized, bool), "payload.factorized",
             "expected a boolean")
+    if factorized and not g.compact_type:
+        raise MathError("factorized prediction requires compact_type")
 
     def run():
         rep = None if power is None else lie.sym_power_rep(g, power)
@@ -722,8 +741,6 @@ def _lie_cohomology_task(payload: dict, opts: dict) -> Callable:
             h = lie.lie_cohomology(g, rep, k=sub, factorized=factorized)
         except lie.FactorizationMismatch as exc:
             raise MathError(f"factorization mismatch: {exc}")
-        except ValueError as exc:
-            raise MathError(str(exc))
         top = g.dim
         result = {"dims": [h.dims.get(n, 0) for n in range(top + 1)]}
         if h.predicted_dims is not None:
@@ -840,12 +857,14 @@ def _momentum_input(payload: dict, opts: dict) -> tuple:
 def _equivariant_poisson_task(payload: dict, opts: dict) -> Callable:
     parsed, md, truncation, slice_degree = _momentum_input(payload, opts)
     sym_cap = _expect_int(_opt(opts, "sym_cap", 2), "sym_cap", low=1)
+    sub = (None if parsed["generators"] is None else
+           _generator_subalgebra(md.algebra, parsed["generators"], "action"))
 
     def run():
         try:
             rep = po.equivariant_poisson_cohomology(
                 md, sym_cap=sym_cap, truncation=truncation,
-                slice_degree=slice_degree, generators=parsed["generators"])
+                slice_degree=slice_degree, sub=sub)
         except (po.UnsupportedRegime, ValueError) as exc:
             raise MathError(str(exc))
         h = rep.cohomology
@@ -859,7 +878,10 @@ def _equivariant_poisson_task(payload: dict, opts: dict) -> Callable:
 
 
 def _momentum_ss_task(payload: dict, opts: dict) -> Callable:
-    _, md, truncation, slice_degree = _momentum_input(payload, opts)
+    parsed, md, truncation, slice_degree = _momentum_input(payload, opts)
+    _expect(parsed["generators"] is None, "payload.action.generators",
+            "a momentum-ss task acts with the whole algebra; it reads no "
+            "generators")
 
     def run():
         try:
@@ -994,19 +1016,11 @@ def _gates(table: _GateTable, parse: Callable, checks: Sequence) -> bool:
     return ok
 
 
-def _jacobi_gate(parsed: dict):
-    p = parsed["structure"]
-    if not p.certified:
-        # Each coefficient printed as a Fraction, whether stored as an int
-        # or not, so that the witness reads the same for every coefficient.
-        defect = {k: Fraction(c) for k, c in p.jacobiator.coeffs}
-        raise MathError(
-            f"the bivector does not self-commute; defect {defect!r}")
-
-
 def _poisson_gates(data, table: _GateTable) -> bool:
     return _gates(table, lambda: parse_poisson(data),
-                  (("antisymmetry", None), ("jacobi", _jacobi_gate)))
+                  (("antisymmetry", None),
+                   ("jacobi", lambda parsed: _require_certified_cli(
+                       parsed["structure"]))))
 
 
 def _gdiff_gates(data, table: _GateTable) -> bool:

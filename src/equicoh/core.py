@@ -296,9 +296,6 @@ class Subspace:
     def dims(self) -> dict:
         return {deg: rl.ncols(m) for deg, m in self.basis}
 
-    def total_dim(self) -> int:
-        return sum(rl.ncols(m) for _, m in self.basis)
-
     def contains(self, other: "Subspace") -> bool:
         return all(_coordinates(self.matrix(n), m) is not None
                    for n, m in other.basis)

@@ -37,11 +37,10 @@ from typing import Optional, Sequence
 from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, InconsistentResult,
                    LinearMap, Subspace, cohomology, joint_kernel, kron_map,
-                   linear_combination, map_kernel, product_space,
-                   restrict_complex, restrict_map, subquotient)
+                   map_kernel, product_space, restrict_complex, restrict_map,
+                   subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, _exterior_operators,
-                  column_vectors, spanned_algebra, sym_derivation,
-                  sym_multiplication)
+                  sym_derivation, sym_multiplication)
 
 
 class AxiomFailure(Exception):
@@ -343,11 +342,9 @@ def ce_gdiff(ce: CEComplex,
     if acting is None:
         return build_gdiff(ce.algebra, ce.complex, ce.contractions, ce.lie_ops,
                            product=prod, unit=unit)
-    cols = column_vectors(acting.basis_matrix())
-    k_alg = spanned_algebra(ce.algebra, cols, "acting-subalgebra")
-    contr = [linear_combination(ce.contractions, col) for col in cols]
-    lies = [linear_combination(ce.lie_ops, col) for col in cols]
-    return build_gdiff(k_alg, ce.complex, contr, lies, product=prod, unit=unit)
+    return build_gdiff(acting.algebra, ce.complex,
+                       acting.restrict(ce.contractions),
+                       acting.restrict(ce.lie_ops), product=prod, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +675,6 @@ class EquivariantCohomology:
     def dims_list(self, up_to: Optional[int] = None):
         hi = self.band if up_to is None else up_to
         return [self.cohomology.dim(n) for n in range(hi + 1)]
-
-    def reliable(self, n: int) -> bool:
-        return n <= self.band
 
     def to_json(self) -> dict:
         degs = sorted(self.model.complex.space.degrees())

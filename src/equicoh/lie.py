@@ -18,6 +18,13 @@ extended to S^m as a derivation.  Multiplication by a generator of S(g*),
 from S^m to S^(m+1), is `sym_multiplication`; the Koszul term of the Weil
 differential and the Cartan twist are both built from it.
 
+A subalgebra k of g (relative cohomology H(g, k; V), or a G-differential
+complex viewed under k) is built and checked once, by `build_subalgebra`:
+it refuses dependent vectors and a span not closed under the bracket, and
+solves each bracket for the structure constants of k.  `Subalgebra.restrict`
+is the one restriction of an action to k: the operator of a basis vector v
+of k is sum_j v_j times the operator of e_j.
+
 Two builders have no caller here: `coboundary_bialgebra` (the Lie
 bialgebra of an r-matrix, the infinitesimal form of a coboundary Poisson
 group) and `sym_range_rep` (S(g*) up to a degree, whose invariants are the
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from . import bases, ratlin as rl
@@ -372,67 +380,48 @@ def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex
                      lie_ops)
 
 
-def column_vectors(m) -> list:
-    """The columns of a matrix as coordinate vectors (lists)."""
-    return [[col.get(i, 0) for i in range(len(m))] for col in m.cols]
-
-
-def spanned_algebra(g: LieAlgebra, cols: Sequence, name: str,
-                    compact_type: bool = False) -> LieAlgebra:
-    """The Lie algebra spanned by the columns `cols` of g, in the basis they
-    form.  Raises ValueError when the columns are dependent or their span
-    is not closed under the bracket."""
-    kb = rl.mat_from_columns([dict(enumerate(col)) for col in cols], g.dim)
-    if rl.rank(kb) != len(cols):
-        raise ValueError("subalgebra basis is dependent")
-    brackets = []
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            coords = rl.solve_vec(kb, g.bracket(cols[i], cols[j]))
-            if coords is None:
-                raise ValueError("chosen generators do not span a subalgebra")
-            terms = [[k, v] for k, v in enumerate(coords) if v]
-            if terms:
-                brackets.append([i, j, terms])
-    return build_lie_algebra(len(cols), brackets, compact_type=compact_type,
-                             name=name)
-
-
 @dataclass(frozen=True)
 class Subalgebra:
-    """A subalgebra k of g, closed under the bracket."""
+    """A subalgebra k of g: its basis vectors, coordinate tuples in g, and k
+    as a Lie algebra in that basis."""
 
     ambient: LieAlgebra
-    basis: tuple       # columns: vectors in g
+    basis: tuple
+    algebra: LieAlgebra
 
-    def basis_matrix(self):
-        return self.basis
+    def restrict(self, ops: Sequence) -> list:
+        """The action of k from one operator per basis vector e_j of g (maps,
+        or anything with `scale` and `add`, such as lifted forms): the
+        operator sum_j v_j ops[j] of each basis vector v of k."""
+        return [linear_combination(ops, v) for v in self.basis]
 
 
 def build_subalgebra(g: LieAlgebra, vectors: Sequence) -> Subalgebra:
-    """vectors: columns spanning k.  Raises ValueError when they are
-    dependent or their span is not closed under the bracket."""
-    b = rl.mat_from_columns([dict(enumerate(map(rl.q, v))) for v in vectors],
-                            g.dim)
-    cols = column_vectors(b)
-    if rl.rank(b) != len(cols):
+    """The subalgebra spanned by `vectors` (coordinate vectors in g), with
+    the structure constants of the basis they form.  Raises ValueError when
+    they are dependent or their span is not closed under the bracket."""
+    basis = tuple(tuple(map(rl.q, v)) for v in vectors)
+    kb = rl.mat_from_columns([dict(enumerate(v)) for v in basis], g.dim)
+    if rl.rank(kb) != len(basis):
         raise ValueError("subalgebra basis is dependent")
-    for i, x in enumerate(cols):
-        for j, y in enumerate(cols):
-            if i < j and not rl.in_span(b, g.bracket(x, y)):
-                raise ValueError(f"not closed under bracket: basis pair ({i},{j})")
-    return Subalgebra(g, b)
+    brackets = []
+    for i, j in combinations(range(len(basis)), 2):
+        coords = rl.solve_vec(kb, g.bracket(basis[i], basis[j]))
+        if coords is None:
+            raise ValueError(f"not closed under bracket: basis pair ({i},{j})")
+        terms = [[t, v] for t, v in enumerate(coords) if v]
+        if terms:
+            brackets.append([i, j, terms])
+    return Subalgebra(g, basis, build_lie_algebra(
+        len(basis), brackets, compact_type=g.compact_type))
 
 
 def relative_subcomplex(ce: CEComplex, k: Subalgebra) -> tuple:
     """Joint kernel of i_eta and L_eta over a basis of k, with the restricted
     differential.  Returns (CochainComplex, inclusion).  Raises NotSubcomplex
     if the kernel is not d-stable."""
-    ops = []
-    for col in column_vectors(k.basis_matrix()):
-        ops.append(linear_combination(ce.contractions, col))
-        ops.append(linear_combination(ce.lie_ops, col))
-    sub = joint_kernel(ce.space, ops)
+    sub = joint_kernel(ce.space,
+                       k.restrict(ce.contractions) + k.restrict(ce.lie_ops))
     try:
         small, incl = restrict_complex(ce.complex, sub, label_prefix="rel")
     except NotContained as e:

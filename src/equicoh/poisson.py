@@ -969,18 +969,6 @@ def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,
                         submersive)
 
 
-def _sub_algebra(md: MomentumData, generators: Optional[Sequence]) -> tuple:
-    """(algebra, one_forms) for a generator subset; brackets must close."""
-    if generators is None:
-        return md.algebra, md.one_forms
-    g = md.algebra
-    idx = list(generators)
-    sub = lie.spanned_algebra(g, [[int(t == i) for t in range(g.dim)]
-                                  for i in idx],
-                              f"{g.name}-sub{tuple(idx)}", g.compact_type)
-    return sub, tuple(md.one_forms[i] for i in idx)
-
-
 def _check_ops_stay(model: PolyModel, operands: Sequence) -> None:
     """Refuse contractions with `operands` (forms or vector fields) that
     would leave the model: a term of coefficient degree e moves the weight
@@ -1002,14 +990,20 @@ def _check_ops_stay(model: PolyModel, operands: Sequence) -> None:
 
 def momentum_gdiff(md: MomentumData, truncation: Optional[int] = None,
                    slice_degree: Optional[int] = None,
-                   generators: Optional[Sequence] = None
+                   sub: Optional[lie.Subalgebra] = None
                    ) -> Tuple[gd.GDiffComplex, PolyModel]:
     """The truncated multivector complex as a complex with contractions and
     Lie operators for the (sub)algebra action.  The contraction along a
     generator is the interior product with the *negated* lifted one-form:
     the lifts reverse brackets, so negating them turns the package into a
-    genuine action satisfying the standard operator axioms."""
-    algebra, forms = _sub_algebra(md, generators)
+    genuine action satisfying the standard operator axioms.
+
+    With `sub`, a subalgebra k of md.algebra from `lie.build_subalgebra`,
+    only k acts, with its own structure constants: the lifted form of a
+    basis vector v of k is sum_j v_j lift(e_j) (`Subalgebra.restrict`), so
+    for a unit vector e_i it is the lift of e_i."""
+    algebra, forms = ((md.algebra, md.one_forms) if sub is None
+                      else (sub.algebra, sub.restrict(md.one_forms)))
     model = poisson_complex(md.pi, truncation=truncation,
                             slice_degree=slice_degree)
     _check_ops_stay(model, forms)
@@ -1219,14 +1213,15 @@ class EquivariantPoissonReport:
 def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
                                    truncation: Optional[int] = None,
                                    slice_degree: Optional[int] = None,
-                                   generators: Optional[Sequence] = None
+                                   sub: Optional[lie.Subalgebra] = None
                                    ) -> EquivariantPoissonReport:
     """Equivariant cohomology of the truncated multivector complex for the
-    action packaged in the momentum data, via the polynomial Cartan model.
-    Also reports the invariant-function dimension (joint kernel of the Lie
-    operators among the degree-0 cocycles)."""
-    c, model = momentum_gdiff(md, truncation, slice_degree,
-                              generators=generators)
+    action packaged in the momentum data, via the polynomial Cartan model;
+    with `sub` (a `lie.Subalgebra` of md.algebra), for the action of that
+    subalgebra alone, as in `momentum_gdiff`.  Also reports the
+    invariant-function dimension (joint kernel of the Lie operators among
+    the degree-0 cocycles)."""
+    c, model = momentum_gdiff(md, truncation, slice_degree, sub=sub)
     h = gd.equivariant_cohomology(c, sym_cap)
     inv = stacked_kernel([op.block(0) for op in (*c.lie_ops, c.d)],
                          model.space.dim(0))

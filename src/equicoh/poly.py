@@ -125,9 +125,6 @@ class _Graded:
         object.__setattr__(self, "coeffs",
                            _validate_terms(self.ambient, self.degree, terms))
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

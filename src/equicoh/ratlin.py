@@ -373,9 +373,3 @@ def solve(a, b):
 def solve_vec(a, v):
     x = solve(a, freeze([{0: e} for e in v], 1))
     return None if x is None else [row.get(0, 0) for row in x]
-
-
-def in_span(basis, v) -> bool:
-    """Is column vector v in the span of the columns of `basis`?"""
-    return not any(v) or (basis.shape[1] > 0
-                          and solve_vec(basis, v) is not None)

@@ -1,5 +1,6 @@
 """Every public module-level function and class of `equicoh` has a caller in
-`src/`, or a line in KEPT saying why it stays without one; every parameter
+`src/`, or a line in KEPT saying why it stays without one; every public
+method has a caller in `src/` or in the benchmark's modules; every parameter
 with a default is set by some call in `src/`, or has a line in KEPT_PARAMS
 saying why it stays; and every module-level import is read in its module."""
 
@@ -8,6 +9,7 @@ import pathlib
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "equicoh"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 KEPT = {
     # library functions that check a statement of the paper
@@ -99,6 +101,23 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     uncalled = sorted(node.name for node in defs if node.name not in KEPT
                       and total[node.name] == _names(node)[node.name])
     assert not uncalled, f"no caller in src/: {uncalled}"
+
+
+def test_every_public_method_has_a_caller():
+    """A public method of a class in src/, private classes included, is
+    called when its name is read outside its own body: in src/, or in the
+    benchmark's modules, which read sizes off the results.  Names are read
+    without their class, so a read counts for every method of that name."""
+    trees, _ = _definitions()
+    bench = [ast.parse(path.read_text()) for path in BENCH.glob("*.py")
+             if not path.name.startswith("test_")]
+    total = sum(map(_names, trees + bench), Counter())
+    uncalled = sorted(
+        f"{cls.name}.{node.name}" for tree in trees for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and total[node.name] == _names(node)[node.name])
+    assert not uncalled, f"no caller in src/ or bench/: {uncalled}"
 
 
 def test_every_kept_name_is_defined():

@@ -42,6 +42,8 @@ SU2_DUAL = {
     "submersive": True,
 }
 
+SU2_DUAL_CIRCLE = dict(SU2_DUAL, action={"algebra": SU2, "generators": [2]})
+
 CIRCLE_Q2 = {
     "ambient": 2, "regime": "constant",
     "pi": [[[0, 1], {"exponents": [0, 0], "coeff": "1"}]],
@@ -410,6 +412,16 @@ MALFORMED = {
         ["validate"], {"kind": "equivariant-poisson", "options": {"slice": 2},
                        "payload": dict(SU2_DUAL, action={
                            "algebra": SU2, "generators": [0, 1, 2, 0]})}),
+    # The spectral sequence is that of the whole algebra's action, so a
+    # generator subset is refused rather than dropped.
+    "momentum-ss-generators": (["momentum-ss", "--slice", "1"],
+                               SU2_DUAL_CIRCLE),
+    "compute-momentum-ss-generators": (
+        ["compute"], {"kind": "momentum-ss", "options": {"slice": 1},
+                      "payload": SU2_DUAL_CIRCLE}),
+    "validate-momentum-ss-generators": (
+        ["validate"], {"kind": "momentum-ss", "options": {"slice": 1},
+                       "payload": SU2_DUAL_CIRCLE}),
 }
 # An empty slice list, or one with an empty entry, is refused, not read as
 # fewer slices (an empty list used to report "agrees": true having computed
@@ -473,24 +485,97 @@ def test_one_pair_leibniz_defect_exits_3_with_its_witness(argv, wrap):
          "basis_index": 3, "other": [1, 7]}]}
 
 
-# Tasks whose payload parse meets a mathematical defect that no validate
-# gate of the payload's shape checks; compute and validate both exit 3.
+def _failed_check(command, out) -> str:
+    """The witness of a math failure: compute's error, or the detail of the
+    first failing gate of validate."""
+    report = json.loads(out)
+    if command == "validate":
+        return next(row["detail"] for row in report["result"]["gates"]
+                    if not row["ok"])
+    return report["error"]["witness"]
+
+
+# Tasks whose payload parse meets a mathematical defect; compute and
+# validate both exit 3, with the witness that starts as given.
 MATH_DEFECTS = {
-    "relative-not-a-subalgebra": {
-        "kind": "lie-cohomology",
-        "payload": {"algebra": SU2, "relative": [0, 1]}},
-    "momentum-not-anti-homomorphism": {
-        "kind": "equivariant-poisson", "options": {"slice": 1},
-        "payload": dict(SU2_DUAL, mu=[[{"exponents": unit_exp(3, j),
-                                        "coeff": "2"}] for j in range(3)])},
+    "relative-not-a-subalgebra": (
+        {"kind": "lie-cohomology",
+         "payload": {"algebra": SU2, "relative": [0, 1]}},
+        "relative generators rejected: not closed under bracket: basis "
+        "pair (0,1)"),
+    "momentum-not-anti-homomorphism": (
+        {"kind": "equivariant-poisson", "options": {"slice": 1},
+         "payload": dict(SU2_DUAL, mu=[[{"exponents": unit_exp(3, j),
+                                         "coeff": "2"}] for j in range(3)])},
+        "generators (0, 1): lift of the bracket is "),
+    "action-not-a-subalgebra": (
+        {"kind": "equivariant-poisson", "options": {"slice": 1},
+         "payload": dict(SU2_DUAL, action={"algebra": SU2,
+                                           "generators": [0, 1]})},
+        "action generators rejected: not closed under bracket: basis "
+        "pair (0,1)"),
+    "factorized-not-compact": (
+        {"kind": "lie-cohomology",
+         "payload": {"algebra": {"dim": 3, "brackets": [[0, 1, [[2, "1"]]]]},
+                     "factorized": True}},
+        "factorized prediction requires compact_type"),
+    "differential-not-square-zero": (
+        {"kind": "gdiff-check",
+         "payload": {"algebra": {"dim": 0}, "dims": {"0": 1, "1": 1, "2": 1},
+                     "d": {"0": [["1"]], "1": [["1"]]}}},
+        "differential does not square to zero: (0, [[1]])"),
 }
 
 
 @pytest.mark.parametrize("command", ["compute", "validate"])
 @pytest.mark.parametrize("name", sorted(MATH_DEFECTS))
 def test_task_math_defect_exits_3(name, command):
-    code, out = run([command], MATH_DEFECTS[name])
+    task, witness = MATH_DEFECTS[name]
+    code, out = run([command], task)
     assert code == 3, out.decode()
+    assert _failed_check(command, out).startswith(witness)
+
+
+# x_2 d0^d1 + x_1 d1^d2 is not Poisson: [pi, pi] = 2 x_2 d0^d1^d2.
+NOT_POISSON = {"ambient": 3, "maxdeg": 1,
+               "pi": [[[0, 1], {"exponents": [0, 0, 1], "coeff": "1"}],
+                      [[1, 2], {"exponents": [0, 1, 0], "coeff": "1"}]]}
+
+
+@pytest.mark.parametrize("command", ["poisson-cohomology", "validate"])
+def test_uncertified_bivector_has_one_witness(command):
+    code, out = run([command], NOT_POISSON)
+    assert code == 3, out.decode()
+    assert _failed_check(command, out) == (
+        "the bivector does not self-commute; defect "
+        "{((0, 1, 2), (0, 0, 1)): Fraction(2, 1)}")
+
+
+# Checks met while computing: argv, payload builder or None, and the defect
+# of tests/test_guards.py or None that makes each fire, with the witness of
+# its exit 3.
+COMPUTE_CHECKS = {
+    "duplicate-roots": (
+        ["example", "poiss2", "--roots", "0,0,1"], None, None,
+        "roots (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) contain "
+        "repeats"),
+    "factorization-mismatch": (
+        ["lie-cohomology"], CASES["lie-cohomology-relative"][1],
+        "factorization-mismatch",
+        "factorization mismatch: ({0: 1, 1: 0, 2: 1, 3: 0}, "
+        "{0: 2, 1: 0, 2: 2, 3: 0})"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTE_CHECKS))
+def test_compute_check_exits_3_with_its_witness(monkeypatch, name):
+    argv, build, guard, witness = COMPUTE_CHECKS[name]
+    if guard is not None:
+        module, attr, make = GUARDS[guard][0]
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    code, out = run(argv, build() if build is not None else NO_FILE)
+    assert code == 3, out.decode()
+    assert json.loads(out)["error"]["witness"] == witness
 
 
 # The window [0, 0] of a tilt-1 model holds only the constants, where the

@@ -491,7 +491,7 @@ def _stored_matrices():
         "absent block": LinearMap.zero(c.space, c.space, 0).block(0),
         "matrix": map_kernel(c.d).matrix(1),
         "op": lie.adjoint_rep(g).op(0),
-        "basis_matrix": lie.build_subalgebra(g, [[0, 0, 1]]).basis_matrix(),
+        "basis_matrix": lie.build_subalgebra(g, [[0, 0, 1]]).basis,
     }
 
 

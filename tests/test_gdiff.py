@@ -128,7 +128,6 @@ def test_equivariant_point_is_invariant_polynomials():
     eq = gdiff.equivariant_cohomology(c, 2)
     assert eq.dims_list() == [1, 0, 0, 0, 1]
     assert eq.band == 4
-    assert eq.reliable(4) and not eq.reliable(5)
 
 
 def test_equivariant_su2_on_itself_is_trivial():

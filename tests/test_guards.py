@@ -42,6 +42,24 @@ def _check_pages():
     spectral._check_page_consistency(prev, _page(2, {}, {}))
 
 
+def _circle_in_su2():
+    g = lie.su2()
+    return g, lie.build_subalgebra(g, [[0, 0, 1]])
+
+
+def _relative_circle():
+    """The relative subcomplex of CE(su2) for the circle of e_2."""
+    g, circle = _circle_in_su2()
+    return lie.relative_subcomplex(lie.ce_complex(g), circle)
+
+
+def _factorized_circle():
+    """H(su2, circle; S^2) against H(su2, circle) (x) (S^2)^su2."""
+    g, circle = _circle_in_su2()
+    return lie.lie_cohomology(g, lie.sym_power_rep(g, 2), k=circle,
+                              factorized=True)
+
+
 def _one_more_in_degree_0(cohomology):
     def wrong(c):
         h = cohomology(c)
@@ -72,6 +90,18 @@ GUARDS = {
     "page-d-squared": (
         None, _check_pages, spectral.PageMismatch,
         r"d_1 fails to square to zero at \(1,0\)"),
+    # the kernel of the contraction alone, without the Lie derivative: the
+    # horizontal forms, which d does not keep
+    "not-subcomplex": (
+        (lie, "joint_kernel", lambda real: lambda space, ops:
+         real(space, ops[:1])),
+        _relative_circle, core.NotSubcomplex,
+        r"^subspace is not closed under d at degree 1$"),
+    # the prediction's trivial coefficients taken twice
+    "factorization-mismatch": (
+        (lie, "trivial_rep", lambda real: lambda g: real(g, 2)),
+        _factorized_circle, lie.FactorizationMismatch,
+        r"^\(\{0: 1, 1: 0, 2: 1, 3: 0\}, \{0: 2, 1: 0, 2: 2, 3: 0\}\)$"),
 }
 
 

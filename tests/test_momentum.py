@@ -214,10 +214,11 @@ def test_equivariant_dims_match_invariants_in_degree_zero():
 
 
 def test_circle_restriction_factorizes():
-    _, _, md = su2_momentum()
+    g, _, md = su2_momentum()
+    circle = lie.build_subalgebra(g, [[0, 0, 1]])
     for s in range(4):
         rep = po.equivariant_poisson_cohomology(md, sym_cap=2, slice_degree=s,
-                                                generators=[2])
+                                                sub=circle)
         inv = 1 if s % 2 == 0 else 0
         dims = [rep.cohomology.dim(n) for n in range(4)]
         assert dims == [inv, 0, inv, 0]

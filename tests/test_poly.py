@@ -538,9 +538,10 @@ def test_each_key_is_checked_once_per_ambient_and_degree(monkeypatch):
                         lambda *args: calls.append(args) or checked_key(*args))
     key = ((1,), (0, 0))
     for _ in range(2):
-        assert poly.PolyMultivector(2, 1, {key: 1}).as_dict() == {key: 1}
-        assert poly.PolyForm(2, 1, [(key, 2)]).as_dict() == {key: 2}
-        assert poly.PolyForm(2, 1, MappingProxyType({key: 3})).as_dict() == \
+        assert dict(poly.PolyMultivector(2, 1, {key: 1}).coeffs) == {key: 1}
+        assert dict(poly.PolyForm(2, 1, [(key, 2)]).coeffs) == {key: 2}
+        assert dict(poly.PolyForm(2, 1,
+                                  MappingProxyType({key: 3})).coeffs) == \
             {key: 3}
     assert len(calls) == 1
     with pytest.raises(poly.AmbientMismatch):

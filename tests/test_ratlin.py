@@ -115,7 +115,7 @@ def test_span_operations():
     b2 = cols([[0, 1, 0], [0, 0, 1]], 3)
     inter = preimage(b1, b1, b2)
     assert rl.ncols(inter) == 1
-    assert rl.in_span(inter, [0, 1, 0])
+    assert rl.solve_vec(inter, [0, 1, 0]) is not None
     assert rl.rank(rl.hstack(b1, b2)) == 3
 
 

@@ -113,8 +113,8 @@ def test_symdegree_su2_pages_and_transgression():
     # first page = second page = H^q(A) x invariant polynomials (even p)
     h = core.cohomology(a.complex)
     assert [h.dim(n) for n in range(4)] == [1, 0, 0, 1]
-    inv_poly = [lie.invariants(lie.sym_power_rep(lie.su2(), j)).total_dim()
-                for j in range(3)]
+    inv_poly = [sum(lie.invariants(lie.sym_power_rep(lie.su2(), j))
+                    .dims().values()) for j in range(3)]
     assert inv_poly == [1, 0, 1]
     expected = {}
     for q in range(4):
@@ -409,10 +409,12 @@ def _reference_pages(fc):
         for (p, q) in cells:
             tgt = (p + r, q - r + 1)
             if tgt in cells:
+                rep = reps[(p, q)]
                 mat = rl.hstack(*[
                     sq[tgt].project(p + q + 1, rl.freeze(
-                        [[x] for x in fc.complex.d.apply(p + q, v)]))
-                    for v in lie.column_vectors(reps[(p, q)])])
+                        [[x] for x in fc.complex.d.apply(
+                            p + q, [col.get(i, 0) for i in range(len(rep))])]))
+                    for col in rep.cols])
                 if not rl.is_zero(mat):
                     diffs[(p, q)] = mat
         stable = bool(r >= stop_r and out and out[-1][0] == cells
