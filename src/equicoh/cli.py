@@ -18,7 +18,8 @@ same exit and witness: the schema, a bracket table that is not a Lie
 algebra, a bivector that does not self-commute, inconsistent momentum data,
 a generator subset (`relative`, `action.generators`) that is dependent or
 not closed under the bracket, `factorized` on an algebra not of compact
-type, and `action.generators` on a `momentum-ss` task.  What only the
+type, repeated `roots` of an example, and `action.generators` on a
+`poisson-cohomology` or `momentum-ss` task.  What only the
 computation finds, such as an unsupported model met while building, is
 refused by `compute` alone.
 
@@ -468,14 +469,18 @@ def fprime_function(expr: str) -> Callable:
     return fn
 
 
-def _parse_rational_list(text: str, field: str) -> list:
-    _expect(isinstance(text, str), field, "expected a string")
+def _parse_roots(text: str) -> list:
+    """Distinct rationals "a,b,...": a repeat is a MathError with the
+    witness of `po.build_product_line_model`."""
+    _expect(isinstance(text, str), "roots", "expected a string")
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
-            raise SchemaError(field, "empty entry in the list")
-        out.append(_parse_frac(part, field))
+            raise SchemaError("roots", "empty entry in the list")
+        out.append(_parse_frac(part, "roots"))
+    if len(set(out)) != len(out):
+        raise MathError(f"roots {tuple(out)} contain repeats")
     return out
 
 
@@ -550,10 +555,7 @@ def _example_poiss1(slices: list, sym_cap: int) -> dict:
 
 def _product_line_example(roots: list, fprime: Callable) -> dict:
     values = [fprime(r) for r in roots]
-    try:
-        model = po.build_product_line_model(roots, values)
-    except po.DuplicateRoots as exc:
-        raise MathError(str(exc))
+    model = po.build_product_line_model(roots, values)
     report = po.product_line_report(model)
     m = len(roots)
     rank = sum(1 for v in values if v != 0)
@@ -672,7 +674,7 @@ _EXAMPLE_RUNNERS = {
 _PARAMETER_PARSERS = {
     "slices": lambda value: _parse_int_range(value, "slices"),
     "sym_cap": lambda value: _expect_int(value, "sym_cap", low=0),
-    "roots": lambda value: _parse_rational_list(value, "roots"),
+    "roots": _parse_roots,
     "fprime": fprime_function,
     "planes": _parse_planes,
     "max_degree": lambda value: _expect_int(value, "max_degree", low=0),
@@ -816,6 +818,9 @@ def _weil_check_task(payload: dict, opts: dict) -> Callable:
 
 def _poisson_cohomology_task(payload: dict, opts: dict) -> Callable:
     parsed = parse_poisson(payload)
+    _expect(parsed["generators"] is None, "payload.action.generators",
+            "a poisson-cohomology task computes without the action; it "
+            "reads no generators")
     _require_certified_cli(parsed["structure"])
     truncation = _opt(opts, "max_degree", parsed["maxdeg"])
     slice_degree = opts.get("slice")

@@ -158,14 +158,8 @@ class LinearMap:
         blocks = {n: rl.mat_scale(m, s) for n, m in self.blocks}
         return LinearMap.from_blocks(self.source, self.target, self.shift, blocks)
 
-    def sub(self, other: "LinearMap") -> "LinearMap":
-        return self.add(other.scale(-1))
-
     def is_zero(self) -> bool:
         return not self.blocks
-
-    def equals(self, other: "LinearMap") -> bool:
-        return self.shift == other.shift and self.sub(other).is_zero()
 
     def apply(self, n: int, vec: Sequence):
         """Apply to a degree-n coordinate vector; returns degree n+shift vector."""

@@ -13,6 +13,11 @@ finite-dimensional Lie algebra, subject to
 [L_xi, d] = 0 and L_[xi,zeta] = [L_xi, L_zeta] follow and are checked too,
 as are the graded Leibniz rules when a product is declared.
 
+One helper, `_first_failure`, checks every operator identity: the axioms
+above and the G-maps below.  Its witness is the first failing basis column
+in degree order: the smallest column of the lowest nonzero block of the
+identity formed as a map.
+
 The Weil algebra, tensor products and the Cartan model sit on product bases
 laid out by `core.product_space`, and each operator on them is a sum of
 Kronecker products (`core.kron_map`).  The Weil algebra is the sum of the
@@ -104,19 +109,44 @@ class AxiomReport:
         return {"ok": self.ok, "failures": [dict(f) for f in self.failures]}
 
 
-def _first_defect(m: LinearMap):
-    if m.is_zero():
-        return None
-    n, blk = m.blocks[0]
-    return {"degree": n, "basis_index": min(min(row) for row in blk if row)}
+def _first_failure(columns, terms):
+    """The first of `columns`, (degree, basis index) pairs in the order
+    given, on which the sum over `terms` (coeff, op_k, ..., op_1) of
+    coeff * op_k ... op_1 (op_1 applied first) is nonzero, as {"degree",
+    "basis_index"}; None when the identity holds on every column.  Each
+    operator is applied to the sparse column through the column index of
+    its stored blocks."""
+    terms = [(coeff, [({n: blk.cols for n, blk in op.blocks}, op.shift)
+                      for op in reversed(ops)]) for coeff, *ops in terms]
+    for n, j in columns:
+        acc = {}
+        for coeff, ops in terms:
+            vec, deg = {j: coeff}, n
+            for cols, shift in ops:
+                out, cols = {}, cols.get(deg)
+                if cols:
+                    for i, x in vec.items():
+                        for t, v in cols[i].items():
+                            out[t] = out.get(t, 0) + x * v
+                vec, deg = out, deg + shift
+            for t, v in vec.items():
+                acc[t] = acc.get(t, 0) + v
+        if any(acc.values()):
+            return {"degree": n, "basis_index": j}
+    return None
+
+
+def _columns(space: GradedSpace) -> list:
+    """Every (degree, basis index) of a graded space, in degree order."""
+    return [(n, j) for n in space.degrees() for j in range(space.dim(n))]
 
 
 def check_gdiff_axioms(c: GDiffComplex) -> AxiomReport:
     """The axioms of c in the order d^2 = 0, (i), (iii) with [L, d] = 0,
     (ii') with L-bracket, each failing instance (per generator or pair of
-    generators) reported at its first nonzero column in degree order.  With
-    a product, then the Leibniz rules: for each D among d, i_x, L_x of
-    degree s,
+    generators) reported by `_first_failure` at its first failing column in
+    degree order.  With a product, then the Leibniz rules: for each D among
+    d, i_x, L_x of degree s,
 
         D M_{a,b} = M_{a+s,b} (D_a (x) 1) + eps_a M_{a,b+s} (1 (x) D_b),
 
@@ -141,34 +171,10 @@ def check_gdiff_axioms(c: GDiffComplex) -> AxiomReport:
         for name, ops in (("ii'", i), ("L-bracket", lie_ops)):
             axioms.append((name, [a, b], [(x, ops[k]) for x, k in br] + [
                 (-1, lie_ops[a], ops[b]), (1, ops[b], lie_ops[a])]))
-
-    def apply(op, n, vec):
-        """op on the sparse vector vec of degree n, by the column index of
-        its stored block."""
-        out = {}
-        for deg, blk in op.blocks:
-            if deg == n:
-                cols = blk.cols
-                for j, x in vec.items():
-                    for t, v in cols[j].items():
-                        out[t] = out.get(t, 0) + x * v
-        return out
-
-    failures = []   # per axiom its first nonzero column, in degree order
-    for axiom, gens, terms in axioms:
-        for n, j in [(n, j) for n in c.space.degrees()
-                     for j in range(c.space.dim(n))]:
-            acc = {}
-            for coeff, *ops in terms:
-                vec, deg = {j: coeff}, n
-                for op in reversed(ops):
-                    vec, deg = apply(op, deg, vec), deg + op.shift
-                for t, v in vec.items():
-                    acc[t] = acc.get(t, 0) + v
-            if any(acc.values()):
-                failures.append({"axiom": axiom, "generators": gens,
-                                 "degree": n, "basis_index": j})
-                break
+    columns = _columns(c.space)
+    failures = [{"axiom": axiom, "generators": gens, **witness}
+                for axiom, gens, terms in axioms
+                if (witness := _first_failure(columns, terms))]
     if c.product is not None:
         failures.extend(_check_leibniz(c))
         failures.extend(_check_assoc_unit(c))
@@ -343,8 +349,9 @@ def ce_gdiff(ce: CEComplex,
         return build_gdiff(ce.algebra, ce.complex, ce.contractions, ce.lie_ops,
                            product=prod, unit=unit)
     return build_gdiff(acting.algebra, ce.complex,
-                       acting.restrict(ce.contractions),
-                       acting.restrict(ce.lie_ops), product=prod, unit=unit)
+                       acting.restrict(ce.algebra, ce.contractions),
+                       acting.restrict(ce.algebra, ce.lie_ops), product=prod,
+                       unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +367,7 @@ class WeilAlgebra:
     f_positions: tuple       # basis index of f_k in degree 2
 
 
-def weil_algebra(g: LieAlgebra, sym_cap: int, check: bool = True) -> WeilAlgebra:
+def weil_algebra(g: LieAlgebra, sym_cap: int) -> WeilAlgebra:
     """Truncated Weil algebra Lambda(g*) (x) S(g*) with symmetric degree
     <= sym_cap (quotient truncation; the differential never lowers symmetric
     degree).  Exterior generators sit in degree 1, symmetric in degree 2.
@@ -403,8 +410,7 @@ def weil_algebra(g: LieAlgebra, sym_cap: int, check: bool = True) -> WeilAlgebra
     comps = {deg: [lab[1:] for lab in space.labels(deg)]
              for deg in space.degrees()}
     gd = build_gdiff(g, CochainComplex.build(space, d), contractions, lie_ops,
-                     product=_monomial_product(comps, sym_cap), unit=[1],
-                     check=check)
+                     product=_monomial_product(comps, sym_cap), unit=[1])
     # W^0 is the unit alone, W^1 the lambda^k in order, and W^2 starts with
     # S^1
     fpos = tuple(mons[1].index(bases.unit_exp(n, k)) for k in range(n)) \
@@ -542,16 +548,15 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace) -> tuple:
 # Cartan model and equivariant cohomology
 
 
-def trivial_action_gdiff(algebra: LieAlgebra, complex_: CochainComplex,
-                         product=None, unit=None) -> GDiffComplex:
+def trivial_action_gdiff(algebra: LieAlgebra,
+                         complex_: CochainComplex) -> GDiffComplex:
     """Equip a complex with the zero action of `algebra` (all contractions
     and Lie derivatives vanish); every axiom holds trivially."""
     z_i = [LinearMap.zero(complex_.space, complex_.space, -1)
            for _ in range(algebra.dim)]
     z_l = [LinearMap.zero(complex_.space, complex_.space, 0)
            for _ in range(algebra.dim)]
-    return GDiffComplex(algebra, complex_, tuple(z_i), tuple(z_l),
-                        product, tuple(unit) if unit is not None else None)
+    return GDiffComplex(algebra, complex_, tuple(z_i), tuple(z_l))
 
 
 def _twist_terms(c: GDiffComplex, mons: dict) -> list:
@@ -799,34 +804,21 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
         blocks[deg] = rl.freeze(blk, len(labs))
     phi = LinearMap.from_blocks(wsp, sp, 0, blocks)
 
-    # compatibility with contractions and Lie derivatives (no truncation there)
+    # compatibility with contractions and Lie derivatives (no truncation
+    # there), and the chain property away from the truncation edge
+    wg, every = w.gdiff, _columns(wsp)
     for b in range(r):
-        left = target.contractions[b].compose(phi)
-        right = phi.compose(w.gdiff.contractions[b])
-        diff = left.sub(right)
-        if not diff.is_zero():
-            raise ConnectionInvalid({"identity": "contraction", "generator": b,
-                                     **_first_defect(diff)})
-        left = target.lie_ops[b].compose(phi)
-        right = phi.compose(w.gdiff.lie_ops[b])
-        diff = left.sub(right)
-        if not diff.is_zero():
-            raise ConnectionInvalid({"identity": "lie-derivative", "generator": b,
-                                     **_first_defect(diff)})
-
-    # chain property away from the truncation edge
-    for deg in wsp.degrees():
-        labs = wsp.labels(deg)
-        for col, lab in enumerate(labs):
-            _, idx, expo = lab
-            if bases.sym_deg(expo) >= w.sym_cap:
-                continue
-            e = [1 if t == col else 0 for t in range(len(labs))]
-            lhs = target.d.apply(deg, phi.apply(deg, e))
-            rhs = phi.apply(deg + 1, w.gdiff.d.apply(deg, e))
-            if lhs != rhs:
-                raise ConnectionInvalid({"identity": "chain", "degree": deg,
-                                         "basis_index": col})
+        for identity, ops, wops in (
+                ("contraction", target.contractions, wg.contractions),
+                ("lie-derivative", target.lie_ops, wg.lie_ops)):
+            if witness := _first_failure(every, [(1, ops[b], phi),
+                                                 (-1, phi, wops[b])]):
+                raise ConnectionInvalid({"identity": identity, "generator": b,
+                                         **witness})
+    below = [(n, j) for n, j in every
+             if bases.sym_deg(wsp.labels(n)[j][2]) < w.sym_cap]
+    if witness := _first_failure(below, [(1, target.d, phi), (-1, phi, wg.d)]):
+        raise ConnectionInvalid({"identity": "chain", **witness})
     return UniversalMapResult(phi, tuple(tuple(v) for v in f_img), w.sym_cap)
 
 
@@ -842,9 +834,10 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
 MQ_SIGN = (1, 1, 0)   # eps(n, wd) = s * (-1)^(p*n + q*wd) with (s, p, q)
 
 
-def _mq_twist(a: GDiffComplex, w: WeilAlgebra, variant) -> LinearMap:
-    """N = sum_b eps * i_b (x) (lambda^b ^) on the layout of A (x) W."""
-    s, p, q = variant
+def _mq_twist(a: GDiffComplex, w: WeilAlgebra) -> LinearMap:
+    """N = sum_b eps * i_b (x) (lambda^b ^) on the layout of A (x) W, eps
+    read off MQ_SIGN when called."""
+    s, p, q = MQ_SIGN
     wsp, prod = w.gdiff.space, w.gdiff.product
     space, offsets = _tensor_layout(a.space, wsp)
 
@@ -885,8 +878,8 @@ class TwistedInclusion:
     inclusion: LinearMap   # Cartan invariant complex -> tensor space
 
 
-def cartan_weil_inclusion(model: CartanModel, w: WeilAlgebra,
-                          variant=MQ_SIGN, verify: bool = True) -> TwistedInclusion:
+def cartan_weil_inclusion(model: CartanModel,
+                          w: WeilAlgebra) -> TwistedInclusion:
     """Embed the Cartan model into A (x) W^(<=M) so that the image is basic
     and the differentials correspond.  Verifies chain property, basic image
     and injectivity; raises AxiomFailure on any defect."""
@@ -919,32 +912,25 @@ def cartan_weil_inclusion(model: CartanModel, w: WeilAlgebra,
         rblocks[deg] = rl.freeze(blk, len(labs))
     rearr = LinearMap.from_blocks(msp, tensor.space, 0, rblocks)
 
-    twist = _mq_twist(a, w, variant)
+    twist = _mq_twist(a, w)
     expn = _exp_nilpotent(twist)
     inc = expn.compose(rearr.compose(model.inclusion))
 
-    if verify:
-        failures = []
-        chain = tensor.d.compose(inc).sub(inc.compose(model.complex.d))
-        if not chain.is_zero():
-            failures.append({"axiom": "chain", **_first_defect(chain)})
-        for b in range(a.algebra.dim):
-            ib = tensor.contractions[b].compose(inc)
-            if not ib.is_zero():
-                failures.append({"axiom": "basic-contraction", "generators": [b],
-                                 **_first_defect(ib)})
-            lb = tensor.lie_ops[b].compose(inc)
-            if not lb.is_zero():
-                failures.append({"axiom": "basic-lie", "generators": [b],
-                                 **_first_defect(lb)})
-        for deg in model.complex.space.degrees():
-            dim = model.complex.space.dim(deg)
-            blk = inc.block(deg)
-            if dim and (not len(blk) or rl.rank(blk) != dim):
-                failures.append({"axiom": "injective", "degree": deg,
-                                 "basis_index": 0})
-        if failures:
-            raise AxiomFailure(AxiomReport(False, tuple(failures)))
+    src = model.complex.space
+    every = _columns(src)
+    checks = [({"axiom": "chain"},
+               [(1, tensor.d, inc), (-1, inc, model.complex.d)])]
+    checks += [({"axiom": axiom, "generators": [b]}, [(1, ops[b], inc)])
+               for b in range(a.algebra.dim)
+               for axiom, ops in (("basic-contraction", tensor.contractions),
+                                  ("basic-lie", tensor.lie_ops))]
+    failures = [{**head, **witness} for head, terms in checks
+                if (witness := _first_failure(every, terms))]
+    failures += [{"axiom": "injective", "degree": deg, "basis_index": 0}
+                 for deg in src.degrees()
+                 if rl.rank(inc.block(deg)) != src.dim(deg)]
+    if failures:
+        raise AxiomFailure(AxiomReport(False, tuple(failures)))
     return TwistedInclusion(tensor, pos, inc)
 
 
@@ -987,7 +973,7 @@ def low_degree_data(c: GDiffComplex, model: Optional[CartanModel] = None) -> dic
     }
 
 
-def forgetful_matrices(model: CartanModel, up_to: Optional[int] = None) -> dict:
+def forgetful_matrices(model: CartanModel) -> dict:
     """Exact matrices of the forgetful homomorphism from the model's
     cohomology to the cohomology of the underlying complex, degree by degree:
     a representative is evaluated at zero (its symmetric-degree-0 component)
@@ -996,9 +982,8 @@ def forgetful_matrices(model: CartanModel, up_to: Optional[int] = None) -> dict:
     proj = subquotient(map_kernel(a.d),
                        {n + a.d.shift: m for n, m in a.d.blocks})
     hg = cohomology(model.complex)
-    top = up_to if up_to is not None else model.band
     out = {}
-    for n in range(top + 1):
+    for n in range(model.band + 1):
         reps = hg.reps.get(n, rl.zeros(model.complex.space.dim(n), 0))
         full = rl.mat_mul(model.inclusion.block(n), reps)
         rows = [{}] * a.space.dim(n)

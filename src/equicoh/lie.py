@@ -22,8 +22,9 @@ A subalgebra k of g (relative cohomology H(g, k; V), or a G-differential
 complex viewed under k) is built and checked once, by `build_subalgebra`:
 it refuses dependent vectors and a span not closed under the bracket, and
 solves each bracket for the structure constants of k.  `Subalgebra.restrict`
-is the one restriction of an action to k: the operator of a basis vector v
-of k is sum_j v_j times the operator of e_j.
+is the one restriction of an action of g to k, and refuses an action of
+any other algebra: the operator of a basis vector v of k is sum_j v_j
+times the operator of e_j.
 
 Two builders have no caller here: `coboundary_bialgebra` (the Lie
 bialgebra of an r-matrix, the infinitesimal form of a coboundary Poisson
@@ -206,9 +207,9 @@ def build_representation(g: LieAlgebra, operators: Sequence, dim: int,
     return Representation(g, dim, ops, name)
 
 
-def trivial_rep(g: LieAlgebra, dim: int = 1) -> Representation:
-    z = rl.zeros(dim, dim)
-    return build_representation(g, [z] * g.dim, dim, name=f"trivial{dim}")
+def trivial_rep(g: LieAlgebra) -> Representation:
+    return build_representation(g, [rl.zeros(1, 1)] * g.dim, 1,
+                                name="trivial1")
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
@@ -389,10 +390,15 @@ class Subalgebra:
     basis: tuple
     algebra: LieAlgebra
 
-    def restrict(self, ops: Sequence) -> list:
-        """The action of k from one operator per basis vector e_j of g (maps,
-        or anything with `scale` and `add`, such as lifted forms): the
-        operator sum_j v_j ops[j] of each basis vector v of k."""
+    def restrict(self, g: LieAlgebra, ops: Sequence) -> list:
+        """The action of k from an action of g given as one operator per
+        basis vector e_j of g (maps, or anything with `scale` and `add`,
+        such as lifted forms): the operator sum_j v_j ops[j] of each basis
+        vector v of k.  Raises ValueError unless g is the algebra k is a
+        subalgebra of."""
+        if g != self.ambient:
+            raise ValueError("a subalgebra of another algebra than the one "
+                             "that acts")
         return [linear_combination(ops, v) for v in self.basis]
 
 
@@ -418,10 +424,12 @@ def build_subalgebra(g: LieAlgebra, vectors: Sequence) -> Subalgebra:
 
 def relative_subcomplex(ce: CEComplex, k: Subalgebra) -> tuple:
     """Joint kernel of i_eta and L_eta over a basis of k, with the restricted
-    differential.  Returns (CochainComplex, inclusion).  Raises NotSubcomplex
-    if the kernel is not d-stable."""
+    differential.  Returns (CochainComplex, inclusion).  Raises ValueError
+    if k is not a subalgebra of the complex's algebra, NotSubcomplex if the
+    kernel is not d-stable."""
     sub = joint_kernel(ce.space,
-                       k.restrict(ce.contractions) + k.restrict(ce.lie_ops))
+                       k.restrict(ce.algebra, ce.contractions)
+                       + k.restrict(ce.algebra, ce.lie_ops))
     try:
         small, incl = restrict_complex(ce.complex, sub, label_prefix="rel")
     except NotContained as e:

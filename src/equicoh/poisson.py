@@ -1003,7 +1003,8 @@ def momentum_gdiff(md: MomentumData, truncation: Optional[int] = None,
     basis vector v of k is sum_j v_j lift(e_j) (`Subalgebra.restrict`), so
     for a unit vector e_i it is the lift of e_i."""
     algebra, forms = ((md.algebra, md.one_forms) if sub is None
-                      else (sub.algebra, sub.restrict(md.one_forms)))
+                      else (sub.algebra,
+                            sub.restrict(md.algebra, md.one_forms)))
     model = poisson_complex(md.pi, truncation=truncation,
                             slice_degree=slice_degree)
     _check_ops_stay(model, forms)

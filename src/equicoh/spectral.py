@@ -72,28 +72,27 @@ class FilteredComplex:
         return len(self.levels) - 1
 
 
-def build_filtered(complex_: CochainComplex, levels: Sequence[Subspace],
-                   check: bool = True) -> FilteredComplex:
+def build_filtered(complex_: CochainComplex,
+                   levels: Sequence[Subspace]) -> FilteredComplex:
     levels = tuple(levels)
-    if check:
-        space = complex_.space
-        full = Subspace.full(space)
-        if not levels or not levels[0].equals(full):
-            raise NotSubcomplex("level 0 must be the whole space")
-        for p in range(1, len(levels)):
-            for n in space.degrees():
-                if levels[p - 1].dim(n) < space.dim(n) and _coordinates(
-                        levels[p - 1].matrix(n), levels[p].matrix(n)) is None:
-                    raise NotSubcomplex(
-                        f"level {p} escapes level {p - 1} at degree {n}")
-        for p, sub in enumerate(levels):
-            for n in space.degrees():
-                if not sub.dim(n) or sub.dim(n + 1) == space.dim(n + 1):
-                    continue
-                img = rl.mat_mul(complex_.d.block(n), sub.matrix(n))
-                if _coordinates(sub.matrix(n + 1), img) is None:
-                    raise NotSubcomplex(
-                        f"level {p} is not d-stable at degree {n}")
+    space = complex_.space
+    full = Subspace.full(space)
+    if not levels or not levels[0].equals(full):
+        raise NotSubcomplex("level 0 must be the whole space")
+    for p in range(1, len(levels)):
+        for n in space.degrees():
+            if levels[p - 1].dim(n) < space.dim(n) and _coordinates(
+                    levels[p - 1].matrix(n), levels[p].matrix(n)) is None:
+                raise NotSubcomplex(
+                    f"level {p} escapes level {p - 1} at degree {n}")
+    for p, sub in enumerate(levels):
+        for n in space.degrees():
+            if not sub.dim(n) or sub.dim(n + 1) == space.dim(n + 1):
+                continue
+            img = rl.mat_mul(complex_.d.block(n), sub.matrix(n))
+            if _coordinates(sub.matrix(n + 1), img) is None:
+                raise NotSubcomplex(
+                    f"level {p} is not d-stable at degree {n}")
     return FilteredComplex(complex_, levels)
 
 

@@ -2,7 +2,9 @@
 `src/`, or a line in KEPT saying why it stays without one; every public
 method has a caller in `src/` or in the benchmark's modules; every parameter
 with a default is set by some call in `src/`, or has a line in KEPT_PARAMS
-saying why it stays; and every module-level import is read in its module."""
+saying why it stays; and every module-level import is read in its module.
+A line of KEPT or KEPT_PARAMS whose name gained a caller, or whose parameter
+some call now sets, fails too, so both lists only shrink."""
 
 import ast
 import pathlib
@@ -56,19 +58,6 @@ KEPT_PARAMS = {
     "cli.main(argv)": "the console script reads sys.argv; tests and the "
                       "benchmark pass argv",
     "gdiff.ce_gdiff(acting)": "tests view a CE complex under a subalgebra",
-    "gdiff.weil_algebra(check)": "tests skip the axiom check that other tests "
-                                 "run",
-    "spectral.build_filtered(check)": "tests skip the level checks to reach "
-                                      "the checks of the pages",
-    "gdiff.cartan_weil_inclusion(variant)": "tests check that a wrong sign "
-                                            "convention is refused",
-    "gdiff.cartan_weil_inclusion(verify)": "tests pin the inclusion's matrix "
-                                           "without its verification",
-    "gdiff.forgetful_matrices(up_to)": "tests bound the degrees",
-    "gdiff.trivial_action_gdiff(product)": "tests give the complex a product",
-    "gdiff.trivial_action_gdiff(unit)": "tests give the complex a unit",
-    "lie.trivial_rep(dim)": "tests take trivial representations of "
-                            "dimension above one",
     "poisson.momentum_setup(one_forms)": "tests check the refusal of "
                                          "inconsistent lifted one-forms",
     "poisson.momentum_setup(cobracket)": "tests check the refusal of "
@@ -95,12 +84,23 @@ def _names(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_public_definition_has_a_caller_or_a_reason():
+def _uncalled() -> set:
+    """The public module-level definitions whose name is read nowhere in
+    src/ outside their own body."""
     trees, defs = _definitions()
     total = sum(map(_names, trees), Counter())
-    uncalled = sorted(node.name for node in defs if node.name not in KEPT
-                      and total[node.name] == _names(node)[node.name])
+    return {node.name for node in defs
+            if total[node.name] == _names(node)[node.name]}
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    uncalled = sorted(_uncalled() - set(KEPT))
     assert not uncalled, f"no caller in src/: {uncalled}"
+
+
+def test_every_kept_name_still_has_no_caller():
+    called = sorted(set(KEPT) - _uncalled())
+    assert not called, f"called in src/, so KEPT gives a stale reason: {called}"
 
 
 def test_every_public_method_has_a_caller():
@@ -186,18 +186,28 @@ def _set_params(trees) -> set:
     return out
 
 
-def test_every_defaulted_parameter_is_set_or_has_a_reason():
+def _unset_params() -> set:
+    """The defaulted parameters that no call in src/ sets."""
     trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
     calls = _set_params(trees)
-    unset = sorted(
-        key for key, (fn, param, pos) in _defaulted_params().items()
-        if key not in KEPT_PARAMS
-        and not {(fn, param), (fn, pos), (fn, "*"), (fn, "**")} & calls)
+    return {key for key, (fn, param, pos) in _defaulted_params().items()
+            if not {(fn, param), (fn, pos), (fn, "*"), (fn, "**")} & calls}
+
+
+def test_every_defaulted_parameter_is_set_or_has_a_reason():
+    unset = sorted(_unset_params() - set(KEPT_PARAMS))
     assert not unset, f"no call in src/ sets: {unset}"
 
 
 def test_every_kept_parameter_is_defaulted():
     assert set(KEPT_PARAMS) <= set(_defaulted_params())
+
+
+def test_every_kept_parameter_is_still_unset():
+    now_set = sorted(set(KEPT_PARAMS) & set(_defaulted_params())
+                     - _unset_params())
+    assert not now_set, \
+        f"set by a call in src/, so KEPT_PARAMS gives a stale reason: {now_set}"
 
 
 def test_every_import_is_used():

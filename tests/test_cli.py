@@ -43,6 +43,7 @@ SU2_DUAL = {
 }
 
 SU2_DUAL_CIRCLE = dict(SU2_DUAL, action={"algebra": SU2, "generators": [2]})
+SU2_DUAL_PLANE = dict(SU2_DUAL, action={"algebra": SU2, "generators": [0, 1]})
 
 CIRCLE_Q2 = {
     "ambient": 2, "regime": "constant",
@@ -422,6 +423,16 @@ MALFORMED = {
     "validate-momentum-ss-generators": (
         ["validate"], {"kind": "momentum-ss", "options": {"slice": 1},
                        "payload": SU2_DUAL_CIRCLE}),
+    # Poisson cohomology is computed without the action, so a generator
+    # subset is refused rather than ignored.
+    "poisson-cohomology-generators": (["poisson-cohomology"],
+                                      SU2_DUAL_PLANE),
+    "compute-poisson-cohomology-generators": (
+        ["compute"], {"kind": "poisson-cohomology",
+                      "payload": SU2_DUAL_PLANE}),
+    "validate-poisson-cohomology-generators": (
+        ["validate"], {"kind": "poisson-cohomology",
+                       "payload": SU2_DUAL_PLANE}),
 }
 # An empty slice list, or one with an empty entry, is refused, not read as
 # fewer slices (an empty list used to report "agrees": true having computed
@@ -551,12 +562,20 @@ def test_uncertified_bivector_has_one_witness(command):
         "{((0, 1, 2), (0, 0, 1)): Fraction(2, 1)}")
 
 
-# Checks met while computing: argv, payload builder or None, and the defect
-# of tests/test_guards.py or None that makes each fire, with the witness of
-# its exit 3.
+# Checks met while computing, or while parsing where validate must agree:
+# argv, payload builder or None, and the defect of tests/test_guards.py or
+# None that makes each fire, with the witness of its exit 3.
 COMPUTE_CHECKS = {
     "duplicate-roots": (
         ["example", "poiss2", "--roots", "0,0,1"], None, None,
+        "roots (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) contain "
+        "repeats"),
+    "compute-duplicate-roots": (
+        ["compute"], lambda: _example_task("poiss2", roots="0,0,1"), None,
+        "roots (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) contain "
+        "repeats"),
+    "validate-duplicate-roots": (
+        ["validate"], lambda: _example_task("poiss2", roots="0,0,1"), None,
         "roots (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) contain "
         "repeats"),
     "factorization-mismatch": (
@@ -575,7 +594,7 @@ def test_compute_check_exits_3_with_its_witness(monkeypatch, name):
         monkeypatch.setattr(module, attr, make(getattr(module, attr)))
     code, out = run(argv, build() if build is not None else NO_FILE)
     assert code == 3, out.decode()
-    assert json.loads(out)["error"]["witness"] == witness
+    assert _failed_check(argv[0], out) == witness
 
 
 # The window [0, 0] of a tilt-1 model holds only the constants, where the

@@ -82,7 +82,7 @@ def test_leibniz_rules_hold_on_every_pair():
     h, sl2 = lie.heisenberg(), lie.sl2()
     weil = {"su2-4": (lie.su2(), 4), "abelian2-4": (lie.abelian(2), 4),
             "heisenberg-2": (h, 2), "sl2-2": (sl2, 2)}
-    subjects = {f"weil-{name}": gdiff.weil_algebra(g, cap, check=False).gdiff
+    subjects = {f"weil-{name}": gdiff.weil_algebra(g, cap).gdiff
                 for name, (g, cap) in weil.items()}
     for g in (h, sl2):
         subjects[f"ce-{g.name}"] = gdiff.ce_gdiff(
@@ -104,9 +104,9 @@ def _one_pair_defect():
     table.update({(n, 0): {(i, 0): ((i, 1),) for i in range(k)}
                   for n, k in dims.items() if n})
     table[(1, 1)] = {(3, 7): ((0, 1),)}
-    return gdiff.trivial_action_gdiff(
-        lie.abelian(1), core.CochainComplex.build(space, d),
-        gdiff.Product(table), unit=[1])
+    return dataclasses.replace(gdiff.trivial_action_gdiff(
+        lie.abelian(1), core.CochainComplex.build(space, d)),
+        product=gdiff.Product(table), unit=(1,))
 
 
 def test_one_pair_leibniz_defect_is_reported():
@@ -124,7 +124,7 @@ def test_equivariant_point_is_invariant_polynomials():
     g = lie.su2()
     space = core.GradedSpace.from_dims({0: 1})
     pt = core.CochainComplex.build(space, core.LinearMap.zero(space, space, 1))
-    c = gdiff.trivial_action_gdiff(g, pt, unit=[1])
+    c = dataclasses.replace(gdiff.trivial_action_gdiff(g, pt), unit=(1,))
     eq = gdiff.equivariant_cohomology(c, 2)
     assert eq.dims_list() == [1, 0, 0, 0, 1]
     assert eq.band == 4
@@ -153,14 +153,28 @@ def test_equivariant_circle_in_su2_gives_sphere():
     assert eq.dims_list() == [1, 0, 1, 0, 0]
 
 
-def test_trivial_factor_keeps_low_degrees_nonzero():
-    g, a = su2_ce()
+def _free_torus(g):
+    """Lambda of the dual of abelian(2), with its wedge product and unit,
+    under the zero action of g."""
     t = lie.abelian(2)
     lam2 = lie.ce_complex(t, lie.trivial_rep(t)).complex
-    free2 = gdiff.trivial_action_gdiff(g, lam2,
-                                       product=gdiff.wedge_product_table(2),
-                                       unit=[1])
-    big, _ = gdiff.tensor_product(a, free2)
+    return dataclasses.replace(gdiff.trivial_action_gdiff(g, lam2),
+                               product=gdiff.wedge_product_table(2),
+                               unit=(1,))
+
+
+def test_acting_subalgebra_of_another_algebra_is_refused():
+    """A subalgebra of abelian(3) has as many coordinates as su(2) has
+    operators, and still is no subalgebra of su(2)."""
+    ce = lie.ce_complex(lie.su2(), lie.trivial_rep(lie.su2()))
+    line = lie.build_subalgebra(lie.abelian(3), [[0, 0, 1]])
+    with pytest.raises(ValueError, match="subalgebra of another algebra"):
+        gdiff.ce_gdiff(ce, acting=line)
+
+
+def test_trivial_factor_keeps_low_degrees_nonzero():
+    g, a = su2_ce()
+    big, _ = gdiff.tensor_product(a, _free_torus(g))
     h = core.cohomology(big.complex)
     assert [h.dim(n) for n in range(6)] == [1, 2, 1, 1, 2, 1]
     eq = gdiff.equivariant_cohomology(big, 2)
@@ -183,12 +197,13 @@ def test_twisted_inclusion_su2():
             [hc.dim(n) for n in range(2 * cap + 1)]
 
 
-def test_twisted_inclusion_rejects_wrong_sign():
+def test_twisted_inclusion_rejects_wrong_sign(monkeypatch):
     g, a = su2_ce()
     w = gdiff.weil_algebra(g, 1)
     model = gdiff.cartan_model(a, 1)
+    monkeypatch.setattr(gdiff, "MQ_SIGN", (1, 0, 0))
     with pytest.raises(gdiff.AxiomFailure):
-        gdiff.cartan_weil_inclusion(model, w, variant=(1, 0, 0))
+        gdiff.cartan_weil_inclusion(model, w)
 
 
 def test_twisted_inclusion_nontrivial_coefficients():
@@ -213,13 +228,7 @@ def test_maurer_cartan_connection_is_flat():
 
 
 def test_no_connection_for_trivial_action():
-    g = lie.su2()
-    t = lie.abelian(2)
-    lam2 = lie.ce_complex(t, lie.trivial_rep(t)).complex
-    triv = gdiff.trivial_action_gdiff(g, lam2,
-                                      product=gdiff.wedge_product_table(2),
-                                      unit=[1])
-    assert not gdiff.locally_free_connection(triv).exists
+    assert not gdiff.locally_free_connection(_free_torus(lie.su2())).exists
 
 
 def test_circle_connection_in_su2():
@@ -286,12 +295,12 @@ def _tensor_factors():
           for alg in (g, h, t)}
     return {
         "ce-su2-weil-su2-1": (ce["su2"],
-                              gdiff.weil_algebra(g, 1, check=False).gdiff),
+                              gdiff.weil_algebra(g, 1).gdiff),
         "weil-heisenberg-1-ce-heisenberg": (
-            gdiff.weil_algebra(h, 1, check=False).gdiff, ce["heisenberg"]),
+            gdiff.weil_algebra(h, 1).gdiff, ce["heisenberg"]),
         "weil-abelian2-1-weil-abelian2-2": (
-            gdiff.weil_algebra(t, 1, check=False).gdiff,
-            gdiff.weil_algebra(t, 2, check=False).gdiff),
+            gdiff.weil_algebra(t, 1).gdiff,
+            gdiff.weil_algebra(t, 2).gdiff),
     }
 
 
@@ -361,12 +370,7 @@ def test_low_degree_descriptions_su2():
 
 def test_low_degree_descriptions_product():
     g, a = su2_ce()
-    t = lie.abelian(2)
-    lam2 = lie.ce_complex(t, lie.trivial_rep(t)).complex
-    free2 = gdiff.trivial_action_gdiff(g, lam2,
-                                       product=gdiff.wedge_product_table(2),
-                                       unit=[1])
-    big, _ = gdiff.tensor_product(a, free2)
+    big, _ = gdiff.tensor_product(a, _free_torus(g))
     data = gdiff.low_degree_data(big)
     assert data["h0_model"] == data["h0_kernel"] == 1
     assert data["kernel_invariant"]
@@ -376,14 +380,9 @@ def test_low_degree_descriptions_product():
 
 def test_forgetful_map_iso_degree_one_epi_degree_two():
     g, a = su2_ce()
-    t = lie.abelian(2)
-    lam2 = lie.ce_complex(t, lie.trivial_rep(t)).complex
-    free2 = gdiff.trivial_action_gdiff(g, lam2,
-                                       product=gdiff.wedge_product_table(2),
-                                       unit=[1])
-    big, _ = gdiff.tensor_product(a, free2)
+    big, _ = gdiff.tensor_product(a, _free_torus(g))
     model = gdiff.cartan_model(big, 2)
-    fm = gdiff.forgetful_matrices(model, up_to=2)
+    fm = gdiff.forgetful_matrices(model)
     h = core.cohomology(big.complex)
     # degree 1: bijective, degree 2: surjective onto ordinary cohomology
     assert rl.ncols(fm[1]) == len(fm[1]) == 2 and rl.rank(fm[1]) == 2
@@ -414,7 +413,7 @@ def _pinned_builders():
     ce_ad = lie.ce_complex(g, lie.adjoint_rep(g))
     ce_sl2 = lie.ce_complex(lie.sl2(), lie.coadjoint_rep(lie.sl2()))
     _, a = su2_ce()
-    w1 = gdiff.weil_algebra(g, 1, check=False)
+    w1 = gdiff.weil_algebra(g, 1)
     tensor, pos = gdiff.tensor_product(a, w1.gdiff, check=False)
     model = gdiff.cartan_model(a, 2)
     model_s2 = gdiff.cartan_model(gdiff.ce_gdiff(ce_s2), 1)
@@ -432,10 +431,9 @@ def _pinned_builders():
         "twist-on-invariants-su2-2": lambda: (
             spectral._twist_on_invariants(model),),
         "cartan-weil-inclusion-su2-2": lambda: (gdiff.cartan_weil_inclusion(
-            model, gdiff.weil_algebra(g, 2, check=False),
-            verify=False).inclusion,),
+            model, gdiff.weil_algebra(g, 2)).inclusion,),
         "cartan-weil-inclusion-su2-sym2-1": lambda: (
-            gdiff.cartan_weil_inclusion(model_s2, w1, verify=False).inclusion,),
+            gdiff.cartan_weil_inclusion(model_s2, w1).inclusion,),
     }
 
 
@@ -480,9 +478,9 @@ def _leibniz_subjects():
     Leibniz tests mutate."""
     h = lie.heisenberg()
     return {
-        "weil-su2-2": gdiff.weil_algebra(lie.su2(), 2, check=False).gdiff,
+        "weil-su2-2": gdiff.weil_algebra(lie.su2(), 2).gdiff,
         "weil-abelian2-2":
-            gdiff.weil_algebra(lie.abelian(2), 2, check=False).gdiff,
+            gdiff.weil_algebra(lie.abelian(2), 2).gdiff,
         "ce-su2": su2_ce()[1],
         "ce-heisenberg": gdiff.ce_gdiff(lie.ce_complex(h, lie.trivial_rep(h))),
     }
@@ -624,8 +622,21 @@ def _reference_leibniz(c):
     return []
 
 
+def _minus(a, b):
+    return a.add(b.scale(-1))
+
+
 def commutator(a, b):
-    return a.compose(b).sub(b.compose(a))
+    return _minus(a.compose(b), b.compose(a))
+
+
+def _first_defect(m):
+    """None for the zero map, else its lowest nonzero block's degree and
+    that block's smallest nonzero column."""
+    if m.is_zero():
+        return None
+    n, blk = m.blocks[0]
+    return {"degree": n, "basis_index": min(min(row) for row in blk if row)}
 
 
 def _reference_operator_axioms(c):
@@ -637,25 +648,25 @@ def _reference_operator_axioms(c):
     def defect(axiom, gens, m):
         if not m.is_zero():
             out.append({"axiom": axiom, "generators": gens,
-                        **gdiff._first_defect(m)})
+                        **_first_defect(m)})
 
     defect("d^2=0", [], d.compose(d))
     for a in range(r):
         for b in range(a, r):
             defect("i", [a, b], core.anticommutator(i[a], i[b]))
     for a in range(r):
-        defect("iii", [a], core.anticommutator(d, i[a]).sub(lie_ops[a]))
+        defect("iii", [a], _minus(core.anticommutator(d, i[a]), lie_ops[a]))
         defect("[L,d]=0", [a], commutator(lie_ops[a], d))
     basis = rl.identity(r).dense()
     for a in range(r):
         for b in range(r):
             if a != b:
                 br = c.algebra.bracket(basis[a], basis[b])
-                defect("ii'", [a, b], core.linear_combination(i, br).sub(
-                    commutator(lie_ops[a], i[b])))
+                defect("ii'", [a, b], _minus(core.linear_combination(i, br),
+                                             commutator(lie_ops[a], i[b])))
                 defect("L-bracket", [a, b],
-                       core.linear_combination(lie_ops, br).sub(
-                           commutator(lie_ops[a], lie_ops[b])))
+                       _minus(core.linear_combination(lie_ops, br),
+                              commutator(lie_ops[a], lie_ops[b])))
     return out
 
 
@@ -667,9 +678,9 @@ def test_leibniz_check_agrees_with_the_per_pair_reference():
     as maps."""
     sl2 = lie.sl2()
     subjects = [
-        gdiff.weil_algebra(lie.su2(), 1, check=False).gdiff,
-        gdiff.weil_algebra(lie.abelian(2), 2, check=False).gdiff,
-        gdiff.weil_algebra(lie.heisenberg(), 1, check=False).gdiff,
+        gdiff.weil_algebra(lie.su2(), 1).gdiff,
+        gdiff.weil_algebra(lie.abelian(2), 2).gdiff,
+        gdiff.weil_algebra(lie.heisenberg(), 1).gdiff,
         su2_ce()[1],
         gdiff.ce_gdiff(lie.ce_complex(sl2, lie.trivial_rep(sl2))),
     ]
@@ -686,6 +697,151 @@ def test_leibniz_check_agrees_with_the_per_pair_reference():
         report = gdiff.check_gdiff_axioms(dataclasses.replace(m, product=None))
         assert list(report.failures) == _reference_operator_axioms(m)
     assert failing == 50
+
+
+# ---------------------------------------------------------------------------
+# The G-map checks on seeded one-entry mutations, against the identities
+# formed as maps
+
+
+def _unchecked(run):
+    """What run() returns with `gdiff._first_failure` finding nothing: the
+    map a G-map builder forms before its check."""
+    real = gdiff._first_failure
+    gdiff._first_failure = lambda columns, terms: None
+    try:
+        return run()
+    finally:
+        gdiff._first_failure = real
+
+
+def _outcome(run):
+    """("ok", None), or the name and witness of the exception run() raises
+    (an AxiomFailure gives its list of failures)."""
+    try:
+        run()
+    except (gdiff.ConnectionInvalid, gdiff.AxiomFailure) as exc:
+        witness = exc.args[0]
+        if isinstance(witness, gdiff.AxiomReport):
+            witness = list(witness.failures)
+        return type(exc).__name__, witness
+    return "ok", None
+
+
+def _reference_universal_check(w, target, phi):
+    """The checks of the universal map phi: W -> target, each identity
+    formed as a map, the chain property on the columns of symmetric degree
+    below the cap only (a projection onto them composed on the right)."""
+    wg, wsp = w.gdiff, w.gdiff.space
+    for b in range(wg.algebra.dim):
+        for identity, ops, wops in (
+                ("contraction", target.contractions, wg.contractions),
+                ("lie-derivative", target.lie_ops, wg.lie_ops)):
+            m = _first_defect(_minus(ops[b].compose(phi),
+                                     phi.compose(wops[b])))
+            if m:
+                return "ConnectionInvalid", {"identity": identity,
+                                             "generator": b, **m}
+    below = core.LinearMap.from_blocks(wsp, wsp, 0, {
+        n: rl.freeze([{j: 1} if bases.sym_deg(lab[2]) < w.sym_cap else {}
+                      for j, lab in enumerate(wsp.labels(n))], wsp.dim(n))
+        for n in wsp.degrees()})
+    m = _first_defect(_minus(target.d.compose(phi),
+                             phi.compose(wg.d)).compose(below))
+    if m:
+        return "ConnectionInvalid", {"identity": "chain", **m}
+    return "ok", None
+
+
+def _reference_inclusion_check(model, w, inc):
+    """The checks of the inclusion inc of the Cartan model into A (x) W,
+    each identity formed as a map."""
+    tensor, _ = gdiff.tensor_product(model.base, w.gdiff, check=False)
+    failures = []
+    chain = _first_defect(_minus(tensor.d.compose(inc),
+                                 inc.compose(model.complex.d)))
+    if chain:
+        failures.append({"axiom": "chain", **chain})
+    for b in range(model.base.algebra.dim):
+        for axiom, ops in (("basic-contraction", tensor.contractions),
+                           ("basic-lie", tensor.lie_ops)):
+            m = _first_defect(ops[b].compose(inc))
+            if m:
+                failures.append({"axiom": axiom, "generators": [b], **m})
+    for deg in model.complex.space.degrees():
+        if rl.rank(inc.block(deg)) != model.complex.space.dim(deg):
+            failures.append({"axiom": "injective", "degree": deg,
+                             "basis_index": 0})
+    return ("AxiomFailure", failures) if failures else ("ok", None)
+
+
+def _mutate_theta(theta, rng):
+    """theta with one seeded entry moved by a nonzero rational."""
+    out = [list(v) for v in theta]
+    k = rng.randrange(len(out))
+    out[k][rng.randrange(len(out[k]))] += rng.choice((1, -1, 2,
+                                                      Fraction(1, 2)))
+    return out
+
+
+def test_gmap_checks_agree_with_the_identities_formed_as_maps(monkeypatch):
+    """Seeded property: on one-entry mutations of the connection, of the
+    target's d, i_x and L_x (i_x and L_x of A for the inclusion into
+    A (x) W), and of the sign convention MQ_SIGN, the
+    universal map from the Weil algebra and the Cartan-to-Weil inclusion
+    raise the exception, with the witness, that the identities formed as
+    maps give: lowest nonzero block, smallest column; for the chain
+    property of the universal map only the columns below the cap count."""
+    g = lie.su2()
+    _, a = su2_ce()
+    circle = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)),
+                            acting=lie.build_subalgebra(g, [[0, 0, 1]]))
+    w2 = gdiff.weil_algebra(g, 2)
+    # (Weil algebra, target, connection on the target)
+    maps = [(gdiff.weil_algebra(g, cap), target, theta)
+            for cap in (1, 2)
+            for target, theta in ((a, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                                  (w2.gdiff, gdiff.locally_free_connection(
+                                      w2.gdiff).theta))]
+    maps.append((gdiff.weil_algebra(circle.algebra, 2), circle, ((0, 0, 1),)))
+    rng = random.Random(9611002)
+    seen = set()
+    for w, target, theta in maps:
+        for _ in range(8):
+            family = rng.choice(("theta", "d", "i", "L"))
+            t, th = target, theta
+            if family == "theta":
+                th = _mutate_theta(theta, rng)
+            else:
+                t = _mutant(target, family, rng.randrange(g.dim)
+                            if target.algebra.dim == g.dim else 0, rng)
+            got = _outcome(lambda: gdiff.weil_universal_map(w, t, th))
+            phi = _unchecked(lambda: gdiff.weil_universal_map(w, t, th)).map
+            assert got == _reference_universal_check(w, t, phi)
+            seen.add(got[1]["identity"] if got[1] else "ok")
+    assert seen == {"ok", "contraction", "lie-derivative", "chain"}
+
+    models = {cap: (gdiff.cartan_model(a, cap), gdiff.weil_algebra(g, cap))
+              for cap in (1, 2)}
+    # each one-entry change of MQ_SIGN = (1, 1, 0) at caps 1 and 2, and
+    # moved entries of A's i_x and L_x at cap 1 (a moved d would not square
+    # to zero on A (x) W)
+    cases = [(cap, sign) for cap in (1, 2)
+             for sign in ((-1, 1, 0), (1, 0, 0), (1, 1, 1))] + [(1, None)] * 8
+    failing = 0
+    for cap, sign in cases:
+        m, w = models[cap]
+        if sign is None:
+            m = dataclasses.replace(m, base=_mutant(
+                a, rng.choice(("i", "L")), rng.randrange(g.dim), rng))
+        else:
+            monkeypatch.setattr(gdiff, "MQ_SIGN", sign)
+        got = _outcome(lambda: gdiff.cartan_weil_inclusion(m, w))
+        inc = _unchecked(lambda: gdiff.cartan_weil_inclusion(m, w))
+        assert got == _reference_inclusion_check(m, w, inc.inclusion)
+        failing += got[0] != "ok"
+        monkeypatch.undo()
+    assert failing >= 12
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +1133,7 @@ def test_builders_match_their_former_layouts(alg):
         complexes[rep_name] = gdiff.ce_gdiff(ce)
     weils = {}
     for cap in range(4):
-        weils[cap] = gdiff.weil_algebra(g, cap, check=False)
+        weils[cap] = gdiff.weil_algebra(g, cap)
         assert _stored(weils[cap]) == _stored(_ref_weil_algebra(g, cap)), cap
     for name, a in complexes.items():
         for cap in range(4):

@@ -99,7 +99,8 @@ GUARDS = {
         r"^subspace is not closed under d at degree 1$"),
     # the prediction's trivial coefficients taken twice
     "factorization-mismatch": (
-        (lie, "trivial_rep", lambda real: lambda g: real(g, 2)),
+        (lie, "trivial_rep", lambda real: lambda g: lie.build_representation(
+            g, [rl.zeros(2, 2)] * g.dim, 2)),
         _factorized_circle, lie.FactorizationMismatch,
         r"^\(\{0: 1, 1: 0, 2: 1, 3: 0\}, \{0: 2, 1: 0, 2: 2, 3: 0\}\)$"),
 }

@@ -224,6 +224,13 @@ def test_circle_restriction_factorizes():
         assert dims == [inv, 0, inv, 0]
 
 
+def test_subalgebra_of_another_algebra_is_refused():
+    _, _, md = su2_momentum()
+    line = lie.build_subalgebra(lie.abelian(3), [[0, 0, 1]])
+    with pytest.raises(ValueError, match="subalgebra of another algebra"):
+        po.momentum_gdiff(md, slice_degree=1, sub=line)
+
+
 def test_low_degree_sides_agree():
     _, _, md = su2_momentum()
     for s in [0, 2, 3]:

@@ -3,6 +3,7 @@ arithmetic, the symmetric-degree filtration of Cartan models, and the
 contraction filtration of G-differential complexes, and the pages read off
 the filtration-ordered pairing against the per-cell page loop."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -60,10 +61,10 @@ def test_unchecked_levels_that_are_no_filtration_are_refused():
     cx = lie.ce_complex(g, lie.trivial_rep(g)).complex
     full = core.Subspace.full(cx.space)
     line = core.Subspace.from_spans(cx.space, {1: [[1], [0], [0]]})
-    unchecked = spectral.build_filtered(cx, [line], check=False)
+    unchecked = spectral.FilteredComplex(cx, (line,))
     with pytest.raises(spectral.NotSubcomplex, match="no basis at degree 2"):
         spectral.pages(unchecked)
-    unchecked = spectral.build_filtered(cx, [full, line, full], check=False)
+    unchecked = spectral.FilteredComplex(cx, (full, line, full))
     with pytest.raises(spectral.PageMismatch, match="page 0 cell"):
         spectral.pages(unchecked)
 
@@ -238,7 +239,7 @@ def test_symdegree_point_circle_collapses_at_first_page():
     g = lie.abelian(1)
     space = core.GradedSpace.from_dims({0: 1})
     pt = core.CochainComplex.build(space, core.LinearMap.zero(space, space, 1))
-    c = gdiff.trivial_action_gdiff(g, pt, unit=[1])
+    c = dataclasses.replace(gdiff.trivial_action_gdiff(g, pt), unit=(1,))
     model = gdiff.cartan_model(c, 2)
     fc = spectral.symdegree_filtration(model)
     pgs = spectral.pages(fc)
