@@ -1247,6 +1247,9 @@ def main(argv: Optional[Sequence] = None) -> int:
         return _emit_error(3, exc, fmt)
     except DEFECTS as exc:
         return _emit_error(3, MathError(f"{type(exc).__name__}: {exc}"), fmt)
+    except MemoryError:
+        return _emit_error(2, SchemaError(
+            "input", "too large: the computation ran out of memory"), fmt)
     if timer is not None:
         import time
         report["timing_seconds"] = round(time.monotonic() - timer, 6)

@@ -601,8 +601,26 @@ class CartanModel:
     mons: dict                    # m -> monomial exponent tuples
 
 
-def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
-    """The Cartan model of c with symmetric degree <= sym_cap.
+def _invariant_basis(pairs, size: int):
+    """The free-column `rl.kernel` basis of the common kernel of the
+    operators x (x) 1 + 1 (x) y on a size-dimensional product, one pair
+    (x, y) at a time: K <- K ker(B K) until K is empty, from an identity
+    built here (`rl.identity` would keep one per size in memory).  A
+    product of free-column bases is one, and that basis is unique."""
+    k = rl.freeze([{i: 1} for i in range(size)], size)
+    for x, y in pairs:
+        if not rl.ncols(k):
+            break
+        op = [{} for _ in range(size)]
+        rl.add_kron(op, x, rl.identity(len(y)))
+        rl.add_kron(op, rl.identity(len(x)), y)
+        k = rl.mat_mul(k, rl.kernel(rl.mat_mul(rl.freeze(op, size), k)))
+    return rl.freeze(k)
+
+
+def cartan_model(c: GDiffComplex, sym_cap: int,
+                 top: Optional[int] = None) -> CartanModel:
+    """The Cartan model of c (symmetric degree <= sym_cap) through degree top.
 
     The full model space is A (x) S(g*), graded by deg(a) + 2m, laid out by
     `core.product_space`.  Degree deg is the sum of the fine components
@@ -615,7 +633,9 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
 
     u_j multiplication by the j-th generator, S^m -> S^(m+1), and the model
     is its restriction to the joint kernel of the invariance operators
-    L_b (x) 1 + 1 (x) L_b, with L_b on S^m the coadjoint derivation."""
+    L_b (x) 1 + 1 (x) L_b, with L_b on S^m the coadjoint derivation.  They
+    preserve each fine component; its invariants are cut one operator at a
+    time, in the free-column `rl.kernel` basis of the operators stacked."""
     g = c.algebra
     r = g.dim
     sp = c.space
@@ -623,7 +643,7 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
     ls_mats = {m: [sym_derivation(g.coad(b), mons[m]) for b in range(r)]
                for m in mons}
     adegs = sp.degrees()
-    top = (max(adegs) if adegs else 0) + 2 * sym_cap
+    top = max(adegs, default=0) + 2 * sym_cap if top is None else top
     parts = {deg: [(n, m, range(sp.dim(n)), range(len(mons[m])))
                    for m in mons if (n := deg - 2 * m) in adegs]
              for deg in range(top + 1)}
@@ -633,16 +653,9 @@ def cartan_model(c: GDiffComplex, sym_cap: int) -> CartanModel:
     for deg in model_space.degrees():
         entries, kernels = [], []
         for (n, m), (off, dim_a, dim_s) in offsets[deg].items():
-            # the total Lie derivative preserves each fine component, so the
-            # invariant basis is fine-graded: the free-column `rl.kernel` basis
             size = dim_a * dim_s
-            stack = [{} for _ in range(r * size)]
-            for b in range(r):
-                rl.add_kron(stack, c.lie_ops[b].block(n), rl.identity(dim_s),
-                            b * size)
-                rl.add_kron(stack, rl.identity(dim_a), ls_mats[m][b],
-                            b * size)
-            kernels.append(rl.kernel(rl.freeze(stack, size)))
+            kernels.append(_invariant_basis(
+                zip((op.block(n) for op in c.lie_ops), ls_mats[m]), size))
             entries.append((n, m, rl.ncols(kernels[-1]), off, size))
         fine[deg] = tuple(entries)
         total_inv = sum(k for (_, _, k, _, _) in entries)
@@ -673,27 +686,36 @@ class EquivariantCohomology:
     model: CartanModel
     cohomology: object   # CohomologyResult
     band: int
+    through: Optional[int]   # the last degree computed; None: every one
 
     def dim(self, n: int) -> int:
+        if self.through is not None and n > self.through:
+            raise ValueError(f"H^{n} is not computed (through {self.through})")
         return self.cohomology.dim(n)
 
     def dims_list(self, up_to: Optional[int] = None):
         hi = self.band if up_to is None else up_to
-        return [self.cohomology.dim(n) for n in range(hi + 1)]
+        return [self.dim(n) for n in range(hi + 1)]
 
     def to_json(self) -> dict:
         degs = sorted(self.model.complex.space.degrees())
         return {
             "sym_cap": self.model.sym_cap,
             "band": self.band,
-            "dims": {str(n): self.cohomology.dim(n) for n in degs},
+            "dims": {str(n): self.dim(n) for n in degs
+                     if self.through is None or n <= self.through},
             "truncated_above": self.band,
         }
 
 
-def equivariant_cohomology(c: GDiffComplex, sym_cap: int) -> EquivariantCohomology:
-    model = cartan_model(c, sym_cap)
-    return EquivariantCohomology(model, cohomology(model.complex), model.band)
+def equivariant_cohomology(c: GDiffComplex, sym_cap: int,
+                           through: Optional[int] = None) -> EquivariantCohomology:
+    """H of the Cartan model of c with symmetric degree <= sym_cap; with
+    `through`, of C^{<= through + 1} only, which H^n for n <= through needs:
+    then only those degrees are answered, and `dim` raises above them."""
+    model = cartan_model(c, sym_cap, None if through is None else through + 1)
+    return EquivariantCohomology(model, cohomology(model.complex), model.band,
+                                 through)
 
 
 # ---------------------------------------------------------------------------

@@ -1132,8 +1132,8 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
         two slices isomorphic complexes (after twisting by s per degree);
       * `tangent_matches_basic_image`: the invariant fiber-tangent
         multivectors coincide with the sharp image of the basic forms;
-      * with `sym_cap`: equivariant cohomology dims of both sides and
-        whether they agree."""
+      * with `sym_cap`: equivariant cohomology dims of both sides through
+        the band 2 sym_cap, and whether they agree."""
     p = md.pi
     _require_certified(p)
     c_x, model_x = momentum_gdiff(md, slice_degree=slice_degree)
@@ -1191,8 +1191,8 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
         "tangent_matches_basic_image": tangent.subspace.equals(image),
     }
     if sym_cap is not None:
-        h_o = gd.equivariant_cohomology(c_o, sym_cap)
-        h_x = gd.equivariant_cohomology(c_x, sym_cap)
+        h_o = gd.equivariant_cohomology(c_o, sym_cap, 2 * sym_cap)
+        h_x = gd.equivariant_cohomology(c_x, sym_cap, 2 * sym_cap)
         top = min(h_o.band, h_x.band)
         out["equivariant_form_dims"] = [h_o.dim(t) for t in range(top + 1)]
         out["equivariant_multivector_dims"] = [h_x.dim(t)
@@ -1216,14 +1216,14 @@ def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
                                    slice_degree: Optional[int] = None,
                                    sub: Optional[lie.Subalgebra] = None
                                    ) -> EquivariantPoissonReport:
-    """Equivariant cohomology of the truncated multivector complex for the
-    action packaged in the momentum data, via the polynomial Cartan model;
-    with `sub` (a `lie.Subalgebra` of md.algebra), for the action of that
-    subalgebra alone, as in `momentum_gdiff`.  Also reports the
-    invariant-function dimension (joint kernel of the Lie operators among
-    the degree-0 cocycles)."""
+    """Equivariant cohomology, through the band 2 sym_cap, of the truncated
+    multivector complex for the action packaged in the momentum data, via
+    the polynomial Cartan model; with `sub` (a `lie.Subalgebra` of
+    md.algebra), for the action of that subalgebra alone, as in
+    `momentum_gdiff`.  Also reports the invariant-function dimension (joint
+    kernel of the Lie operators among the degree-0 cocycles)."""
     c, model = momentum_gdiff(md, truncation, slice_degree, sub=sub)
-    h = gd.equivariant_cohomology(c, sym_cap)
+    h = gd.equivariant_cohomology(c, sym_cap, 2 * sym_cap)
     inv = stacked_kernel([op.block(0) for op in (*c.lie_ops, c.d)],
                          model.space.dim(0))
     return EquivariantPoissonReport(h, rl.ncols(inv))

@@ -253,7 +253,9 @@ def _combine(r, piv, col):
 def _sparse_echelon(rows):
     """Sparse fraction-free Gauss-Jordan.  Input: sparse integer dict rows.
     Returns list of (pivot_col, row) sorted by pivot_col, fully reduced
-    (each pivot column appears in exactly one row)."""
+    (each pivot column appears in exactly one row).  Back-substitution is
+    per nonzero: from the last row up, each row combines only with the
+    reduced rows of the pivot columns it holds, which add none."""
     buckets: dict[int, list[dict]] = {}
 
     def push(r):
@@ -273,16 +275,14 @@ def _sparse_echelon(rows):
         for r in cand[1:]:
             push(_combine(r, piv, col))
         pivrows.append((col, piv))
-    # back-substitution (rows sorted by pivot col; reduce upward).  Later rows
-    # have no entries at earlier pivot columns, so pivots keep their sign.
-    for i in range(len(pivrows) - 1, -1, -1):
-        col_i, row_i = pivrows[i]
-        for k in range(i + 1, len(pivrows)):
-            col_k, row_k = pivrows[k]
-            if row_i.get(col_k, 0):
-                row_i = _combine(row_i, row_k, col_k)
-        pivrows[i] = (col_i, row_i)
-    return pivrows
+    # back-substitution.  Later rows have no entries at earlier pivot
+    # columns, so pivots keep their sign.
+    done = {}
+    for col, row in reversed(pivrows):
+        for j in sorted(filter(done.__contains__, row)):
+            row = _combine(row, done[j], j)
+        done[col] = row
+    return [*reversed(done.items())]
 
 
 def filtration_pairs(a, row_levels, col_levels):

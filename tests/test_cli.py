@@ -643,6 +643,63 @@ def test_program_defect_exits_3_naming_its_class(monkeypatch, guard, name):
     assert error["witness"].startswith(f"{name}: ")
 
 
+@pytest.mark.parametrize("argv, build", [
+    (["example", "torus"], None),
+    (["compute"], lambda: _example_task("torus")),
+    (["equivariant", "--sym-cap", "2"], ce_su2_export)],
+    ids=["example", "compute", "equivariant"])
+def test_out_of_memory_exits_2_with_a_schema_error(monkeypatch, argv, build):
+    """A builder that runs out of memory ends in exit 2 with a short schema
+    error, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gd, "cartan_model", exhausted)
+    code, out = run(argv, build() if build is not None else NO_FILE)
+    assert code == 2, out.decode()
+    assert json.loads(out) == {"error": {
+        "code": 2, "kind": "schema", "field": "input",
+        "message": "too large: the computation ran out of memory"}}
+
+
+def test_bounded_cartan_builds_match_the_full_builds(monkeypatch):
+    """Every equivariant cohomology that the poiss1 (slices 0..6, sym caps
+    1-3), torus and equivariant-poisson reports read is built through the
+    band 2 sym_cap; its dims there equal those of the full build, which
+    computes every degree of the model, and the next degree is refused.
+    The reports still agree."""
+    build = gd.equivariant_cohomology
+    bands = []
+
+    def both(c, sym_cap, through=None):
+        h = build(c, sym_cap, through)
+        assert through == h.band == 2 * sym_cap
+        full = build(c, sym_cap)
+        assert h.dims_list() == full.dims_list()
+        assert h.to_json()["dims"] == {
+            n: d for n, d in full.to_json()["dims"].items()
+            if int(n) <= through}
+        assert h.model.model_space.degrees() == [
+            n for n in full.model.model_space.degrees() if n <= through + 1]
+        with pytest.raises(ValueError, match="not computed"):
+            h.dim(through + 1)
+        full.dim(through + 1)
+        bands.append(through)
+        return h
+
+    monkeypatch.setattr(gd, "equivariant_cohomology", both)
+    for cap in (1, 2, 3):
+        argv = ["example", "poiss1", "--slices", "0..6", "--sym-cap", str(cap)]
+        code, out = run(argv)
+        assert code == 0, out.decode()
+    for argv, build_payload, _ in (CASES["example-torus"],
+                                   CASES["equivariant-poisson-subalgebra"],
+                                   CASES["equivariant-poisson-constant"]):
+        code, out = run(argv, build_payload() if build_payload else NO_FILE)
+        assert code == 0, out.decode()
+    assert bands == [2] * 7 + [4] * 7 + [6] * 7 + [4] * 4 + [4, 4]
+
+
 @pytest.mark.parametrize("brackets, witness", [
     ([[0, 0, [[1, "1"]]]], "[e_0, e_0] != 0"),
     ([[0, 1, [[0, "1"]]], [1, 0, [[0, "1"]]]], "inconsistent (1,0) vs (0,1)")],

@@ -1150,3 +1150,84 @@ def test_builders_match_their_former_layouts(alg):
                 assert _stored((tensor.space, pos, tensor.d,
                                 tensor.contractions, tensor.lie_ops)) == \
                     _stored(_ref_tensor_product(c1, c2)), (name, cap)
+
+
+def _stacked_invariant_basis(pairs, size):
+    """The former invariant basis of a Cartan fine component: `rl.kernel`
+    of the operators x (x) 1 + 1 (x) y stacked."""
+    stack = [{} for _ in range(len(pairs) * size)]
+    for b, (x, y) in enumerate(pairs):
+        rl.add_kron(stack, x, rl.identity(len(y)), b * size)
+        rl.add_kron(stack, rl.identity(len(x)), y, b * size)
+    return rl.kernel(rl.freeze(stack, size))
+
+
+def _random_square(rng, n, frac):
+    """A seeded n x n matrix: strictly upper triangular (nilpotent, so the
+    Kronecker sums of two share a kernel) or dense, with int or Fraction
+    entries."""
+    upper = rng.random() < 0.7
+    rows = []
+    for i in range(n):
+        row = {}
+        for j in range(i + 1 if upper else 0, n):
+            if rng.random() < 0.5:
+                v = rng.randint(-3, 3)
+                row[j] = Fraction(v, rng.randint(1, 3)) if frac else v
+        rows.append(row)
+    return rl.freeze(rows, n)
+
+
+def _structured_invariance_pairs():
+    """(name, pairs (L_b on A^n, L_b on S^m), size) of every fine component
+    of the Cartan models of su(2) and the Heisenberg algebra on CE with
+    trivial, adjoint and S^2 coefficients, symmetric degrees 0-2."""
+    cases = []
+    for alg in ("su2", "heisenberg"):
+        g = _REF_ALGEBRAS[alg]()
+        for rep_name in ("trivial", "adjoint", "sym2"):
+            a = gdiff.ce_gdiff(lie.ce_complex(g, _REF_REPS[rep_name](g)))
+            for m in range(3):
+                mons = bases.sym_basis(g.dim, m)
+                for n in a.space.degrees():
+                    pairs = [(a.lie_ops[b].block(n),
+                              lie.sym_derivation(g.coad(b), mons))
+                             for b in range(g.dim)]
+                    cases.append(((alg, rep_name, n, m), pairs,
+                                  a.space.dim(n) * len(mons)))
+    return cases
+
+
+def test_invariants_one_operator_at_a_time_match_the_stacked_kernel():
+    """The invariant basis of a fine component, cut one operator at a time,
+    equals `rl.kernel` of the stacked operators, entry types included: on
+    seeded random Kronecker sums with int and Fraction entries (no
+    operator, one, and several; size-0 and empty-kernel components among
+    them) and on the invariance operators of su(2) and the Heisenberg
+    algebra."""
+    rng = random.Random(20261019)
+    cases = [(("empty kernel",), [(rl.identity(3), rl.zeros(1, 1)),
+                                  (rl.zeros(3, 3), rl.zeros(1, 1))], 3),
+             (("size 0",), [(rl.zeros(0, 0), rl.zeros(2, 2))] * 2, 0),
+             (("no operator",), [], 4)]
+    for t in range(300):
+        dim_a, dim_s = rng.randint(0, 4), rng.randint(0, 4)
+        frac = rng.random() < 0.5
+        pairs = [(_random_square(rng, dim_a, frac),
+                  _random_square(rng, dim_s, frac))
+                 for _ in range(rng.randint(0, 4))]
+        cases.append(((t, dim_a, dim_s), pairs, dim_a * dim_s))
+    cases += _structured_invariance_pairs()
+    seen = set()
+    for name, pairs, size in cases:
+        got = gdiff._invariant_basis(iter(pairs), size)
+        ref = _stacked_invariant_basis(pairs, size)
+        assert _stored(got) == _stored(ref), name
+        first = _stacked_invariant_basis(pairs[:1], size)
+        seen.add((min(len(pairs), 2), size > 0, rl.ncols(ref) > 0,
+                  rl.ncols(ref) < rl.ncols(first)))
+    # (operators, capped at 2; size > 0; kernel nonzero; a later operator
+    # cuts the kernel of the first): each shape of case is met
+    assert {(0, True, True, False), (1, True, True, False),
+            (2, True, False, False), (2, True, True, True),
+            (2, False, False, False)} <= seen

@@ -332,3 +332,28 @@ def test_scalar_contract_against_the_definitions():
             assert (x is None) == (ref is None)
             if x is not None:
                 assert _typed(x.dense()) == _typed(ref)
+
+
+def test_back_substitution_on_rows_holding_many_pivot_columns():
+    """`rref`, `rank` and `kernel` against the definitions, entry types
+    included, on seeded near-square matrices of mostly nonzero entries:
+    after forward elimination each row holds most of the later pivot
+    columns, so back-substitution must clear every one of them."""
+    rng = random.Random(20261019)
+
+    def entry():
+        if rng.random() < 0.2:   # zeros, bools and integral Fractions too
+            return _contract_scalar(rng)
+        return rng.choice((rng.randint(1, 4),
+                           Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 3))))
+
+    for _ in range(60):
+        c = rng.randint(3, 10)
+        r = c + rng.randint(-2, 1)
+        m = rl.freeze([{j: entry() for j in range(c)} for _ in range(r)], c)
+        out, pivots = rl.rref(m)
+        ref, ref_pivots = _ref_rref(m.dense(), c)
+        assert (_typed(out.dense()), pivots) == (_typed(ref), ref_pivots)
+        assert rl.rank(m) == len(ref_pivots)
+        assert _typed(rl.kernel(m).dense()) == _typed(_ref_kernel(m.dense(),
+                                                                  c))
