@@ -14,9 +14,10 @@ finite-dimensional Lie algebra, subject to
 as are the graded Leibniz rules when a product is declared.
 
 One helper, `_first_failure`, checks every operator identity: the axioms
-above and the G-maps below.  Its witness is the first failing basis column
-in degree order: the smallest column of the lowest nonzero block of the
-identity formed as a map.
+above, the G-maps below, and on the momentum path of `poisson` the sharp
+map's intertwining and the Lie operators on horizontal multivectors.  Its
+witness is the first failing basis column in degree order: the smallest
+column of the lowest nonzero block of the identity formed as a map.
 
 The Weil algebra, tensor products and the Cartan model sit on product bases
 laid out by `core.product_space`, and each operator on them is a sum of

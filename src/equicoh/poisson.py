@@ -55,13 +55,15 @@ equivariant structure to the generic machinery: equivariant cohomology via
 the polynomial Cartan model, and the spectral sequence of the
 contraction-depth filtration.
 
-Three checks of the paper have no caller here: `poisson_to_lie_matrices`
-(the Poisson complex of the linear structure on g* is the Lie algebra
-complex of g with polynomial coefficients), `invariance_comparison` (on
-horizontal multivectors the action of a lifted form is the Lie derivative
-along its field) and `poisson_low_degree` (in degrees 0 and 1, equivariant
-Poisson cohomology is the invariant Casimirs, and the horizontal Poisson
-vector fields modulo Hamiltonian fields of invariant functions).
+The invariance statement (on horizontal multivectors the action of a
+lifted form is minus the Lie derivative along its field) is checked by
+`mu_tangent_complex`, on every submersive spectral sequence and every sharp
+comparison.  Two checks of the paper have no caller here:
+`poisson_to_lie_matrices` (the Poisson complex of the linear structure on g*
+is the Lie algebra complex of g with polynomial coefficients) and
+`poisson_low_degree` (in degrees 0 and 1, equivariant Poisson cohomology is
+the invariant Casimirs, and the horizontal Poisson vector fields modulo
+Hamiltonian fields of invariant functions).
 """
 
 from __future__ import annotations
@@ -1044,53 +1046,43 @@ def mu_tangent_complex(md: MomentumData, c: gd.GDiffComplex,
                        model: PolyModel) -> TangentReport:
     """The subcomplex of invariant multivectors killed by every lifted
     one-form, in the complex (c, model) that `momentum_gdiff` built from md.
-    Closure under the differential is verified exactly, and the space is
-    cross-checked against the basic subcomplex (joint kernel of the
-    contractions and of the operators d i + i d); a discrepancy raises
-    BasicMismatch."""
+
+    It is the basic subcomplex, the joint kernel of the contractions i_j and
+    of the Lie operators L_j = d i_j + i_j d, because on horizontal
+    multivectors each L_j is minus the Lie derivative along the action
+    field v_j:
+
+        L_j w + [v_j, w] = 0   whenever i_k w = 0 for every k.
+
+    `gdiff._first_failure` checks that identity on the basis of the joint
+    kernel of the contractions; a failure, or a generator with no Lie
+    derivative along its field, raises BasicMismatch naming the generator
+    (and the degree and basis index of the failing column).  Closure under
+    the differential is verified exactly."""
+    geom = _geometric_lie_ops(md, model)
+    if len(geom) != len(c.lie_ops):
+        raise BasicMismatch(f"generator {len(geom)} has no Lie derivative "
+                            f"along its action field")
     hor = joint_kernel(model.space, c.contractions)
-    tangent = hor.intersect(
-        joint_kernel(model.space, _geometric_lie_ops(md, model)))
-    basic = hor.intersect(
-        joint_kernel(model.space, c.lie_ops))
-    if not tangent.equals(basic):
-        bad = [n for n in model.space.degrees()
-               if tangent.dim(n) != basic.dim(n)]
-        raise BasicMismatch(
-            f"invariant fiber-tangent multivectors differ from the basic "
-            f"subcomplex at degrees {bad}")
+    inc = LinearMap.from_blocks(GradedSpace.from_dims(hor.dims()),
+                                model.space, 0, dict(hor.basis))
+    columns = gd._columns(inc.source)
+    for j, (lie_op, field_op) in enumerate(zip(c.lie_ops, geom)):
+        if witness := gd._first_failure(columns, [(1, lie_op, inc),
+                                                  (1, field_op, inc)]):
+            raise BasicMismatch(
+                f"generator {j}: on horizontal multivectors the Lie operator "
+                f"is not minus the Lie derivative along the action field, at "
+                f"degree {witness['degree']}, basis index "
+                f"{witness['basis_index']}")
+    tangent = joint_kernel(model.space,
+                           list(c.contractions) + list(c.lie_ops))
     small, _ = restrict_complex(model.complex, tangent, label_prefix="t")
     h = cohomology(small)
     n = md.pi.ambient
     return TangentReport(tangent, small,
                          tuple(tangent.dim(q) for q in range(n + 1)),
                          tuple(h.dim(q) for q in range(n + 1)))
-
-
-def invariance_comparison(md: MomentumData, slice_degree: int) -> dict:
-    """On the joint kernel of the contractions, the module action of a
-    lifted one-form coincides with the ordinary Lie derivative along its
-    anchor field.  Returns, per generator and degree, both operator
-    matrices applied to a basis of that kernel (they must be equal)."""
-    c, model = momentum_gdiff(md, slice_degree=slice_degree)
-    hor = joint_kernel(model.space, c.contractions)
-    out = {}
-    for j, a in enumerate(md.one_forms):
-        lmod = operator_matrix(model,
-                               lambda w: lie_derivative_multivector(
-                                   md.pi, a, w), 0)
-        geom = operator_matrix(model,
-                               lambda w: schouten(md.fields[j], w), 0)
-        per = {}
-        for n in model.space.degrees():
-            b = hor.matrix(n)
-            if not rl.ncols(b):
-                continue
-            m1 = rl.mat_mul(lmod.block(n), b)
-            m2 = rl.mat_mul(geom.block(n), b)
-            per[n] = (m1, m2)
-        out[j] = per
-    return out
 
 
 def de_rham_gdiff(algebra: lie.LieAlgebra, fields: Sequence,
@@ -1122,12 +1114,19 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
     contraction with the action fields) against the multivector complex of
     the bivector through the sharp map, slice by slice.
 
-    Returns the exact sharp matrices per degree together with:
-      * `d_sign`: the sign s with sharp . d_form = s * (d_multivector . sharp)
-        on every degree (None when every block pair vanishes), and
-        `d_intertwines`: whether a single such sign exists;
-      * `contraction_intertwines`: sharp commutes on the nose with the
-        contraction operators of the two structures;
+    Sharp is one map phi from forms to multivectors, and
+    `gdiff._first_failure` checks on every basis form, in degree order,
+
+        phi d_o = s d_x phi   for s = 1 and for s = -1,
+        phi i_o = i_x phi     for each generator.
+
+    Returns:
+      * `d_sign`: the s whose identity first fails in the later degree (an
+        identity that holds fails at infinity); None when both first fail
+        in the same degree, which includes both holding (every block pair
+        vanishes); `d_intertwines`: whether one of the two holds;
+      * `contraction_intertwines`: phi commutes on the nose with the
+        contraction along every generator;
       * `invertible`: every sharp block is square of full rank, making the
         two slices isomorphic complexes (after twisting by s per degree);
       * `tangent_matches_basic_image`: the invariant fiber-tangent
@@ -1139,39 +1138,23 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
     c_x, model_x = momentum_gdiff(md, slice_degree=slice_degree)
     c_o, model_o = de_rham_gdiff(md.algebra, list(md.fields),
                                  slice_degree=slice_degree)
-    phi = {}
-    for q in sorted(model_o.basis):
-        cols = [model_x.to_vector(pi_sharp(p, model_o.element(q, i)))
-                for i in range(len(model_o.basis[q]))]
-        phi[q] = rl.freeze(rl.mat_from_columns(cols, model_x.space.dim(q)))
+    phi = LinearMap.from_blocks(model_o.space, model_x.space, 0, {
+        q: rl.mat_from_columns(
+            [model_x.to_vector(pi_sharp(p, model_o.element(q, i)))
+             for i in range(len(model_o.basis[q]))], model_x.space.dim(q))
+        for q in model_o.basis})
+    columns = gd._columns(model_o.space)
 
-    def sharp(q):
-        return phi[q] if q in phi else rl.zeros(model_x.space.dim(q),
-                                                model_o.space.dim(q))
-    d_sign = None
-    d_intertwines = True
-    for q in sorted(model_o.basis):
-        a = rl.mat_mul(sharp(q + 1), c_o.d.block(q))
-        b = rl.mat_mul(c_x.d.block(q), phi[q])
-        if rl.is_zero(a) and rl.is_zero(b):
-            continue
-        s = (1 if a == b
-             else -1 if a == rl.mat_scale(b, -1)
-             else None)
-        if s is None or (d_sign is not None and s != d_sign):
-            d_intertwines = False
-            break
-        d_sign = s
-    inter = True
-    for j in range(md.algebra.dim):
-        for q in sorted(model_o.basis):
-            a = rl.mat_mul(sharp(q - 1), c_o.contractions[j].block(q))
-            b = rl.mat_mul(c_x.contractions[j].block(q), phi[q])
-            if a != b:
-                inter = False
+    def d_fails_at(s):
+        w = gd._first_failure(columns, [(1, phi, c_o.d), (-s, c_x.d, phi)])
+        return w["degree"] if w else float("inf")
+    fails = {s: d_fails_at(s) for s in (1, -1)}
+    d_sign = None if fails[1] == fails[-1] else max(fails, key=fails.get)
+    inter = not any(gd._first_failure(columns, [(1, phi, i_o), (-1, i_x, phi)])
+                    for i_o, i_x in zip(c_o.contractions, c_x.contractions))
     invertible = all(
         model_o.space.dim(q) == model_x.space.dim(q)
-        and rl.rank(phi[q]) == model_o.space.dim(q)
+        and rl.rank(phi.block(q)) == model_o.space.dim(q)
         for q in sorted(model_o.basis))
     tangent = mu_tangent_complex(md, c_x, model_x)
     basic_o = joint_kernel(
@@ -1180,12 +1163,11 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
     for q in model_o.space.degrees():
         b = basic_o.matrix(q)
         if rl.ncols(b):
-            spans[q] = rl.mat_mul(phi[q], b)
+            spans[q] = rl.mat_mul(phi.block(q), b)
     image = Subspace.from_spans(model_x.space, spans)
     out = {
-        "sharp": phi,
         "d_sign": d_sign,
-        "d_intertwines": d_intertwines,
+        "d_intertwines": float("inf") in fails.values(),
         "contraction_intertwines": inter,
         "invertible": invertible,
         "tangent_matches_basic_image": tangent.subspace.equals(image),

@@ -20,9 +20,6 @@ KEPT = {
     "poisson_low_degree": "low-degree equivariant Poisson cohomology: closed "
                           "invariant functions, and horizontal closed "
                           "one-fields modulo d of invariant functions",
-    "invariance_comparison": "on the kernel of the contractions the module "
-                             "action of a lifted form is the Lie derivative "
-                             "along its anchor field",
     "poisson_to_lie_matrices": "Poisson cohomology of a linear structure maps "
                                "to Lie algebra cohomology",
     "forgetful_matrices": "the forgetful map from equivariant cohomology to "

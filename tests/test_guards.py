@@ -77,12 +77,20 @@ GUARDS = {
         None, lambda: lie.build_lie_algebra(2, [[0, 1, [[0, 1]]],
                                                 [1, 0, [[0, 1]]]]),
         lie.AntisymmetryViolation, r"inconsistent \(1,0\) vs \(0,1\)"),
-    # the geometric Lie derivatives dropped: every horizontal multivector
-    # counts as tangent, the non-invariant ones too
+    # the geometric Lie derivatives dropped: no generator has one
     "basic-mismatch": (
         (po, "_geometric_lie_ops", lambda real: lambda md, model: []),
         _su2_tangent_report, po.BasicMismatch,
-        r"differ from the basic subcomplex at degrees \[0\]$"),
+        r"^generator 0 has no Lie derivative along its action field$"),
+    # the geometric Lie derivatives negated: they cut out the same kernel,
+    # so only an identity that sees sign catches it
+    "tangent-sign": (
+        (po, "_geometric_lie_ops", lambda real: lambda md, model: [
+            op.scale(-1) for op in real(md, model)]),
+        _su2_tangent_report, po.BasicMismatch,
+        r"^generator 0: on horizontal multivectors the Lie operator is not "
+        r"minus the Lie derivative along the action field, at degree 0, "
+        r"basis index 1$"),
     "not-convergent": (
         (spectral, "cohomology", _one_more_in_degree_0), _one_step_pages,
         spectral.NotConvergent,

@@ -1,14 +1,16 @@
 """Momentum data and the equivariant side of the Poisson calculus: setup
-validation with witnesses, the fiber-tangent subcomplex, the invariance
-comparison on the contraction kernel, equivariant cohomology with subgroup
+validation with witnesses, the fiber-tangent subcomplex and the Lie
+operators on the contraction kernel, equivariant cohomology with subgroup
 restriction, the low-degree descriptions, the contraction-depth spectral
 sequence, and the sharp comparison between form and multivector models."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from equicoh import gdiff, lie, poisson as po
+from equicoh import gdiff, lie, poisson as po, ratlin as rl
+from equicoh.core import CochainComplex, LinearMap, joint_kernel
 from equicoh.poly import PolyForm, PolyMultivector
 
 
@@ -28,6 +30,16 @@ def circle_q2():
     sp = po.symplectic_poisson(1)
     mu = po.function(2, {(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
     return sp, po.momentum_setup(sp, lie.abelian(1), mu=[mu])
+
+
+def two_plane_torus():
+    """The rotations of the two coordinate planes of Q^4."""
+    sp = po.symplectic_poisson(2)
+    mu = [po.function(4, {(2, 0, 0, 0): Fraction(-1, 2),
+                          (0, 2, 0, 0): Fraction(-1, 2)}),
+          po.function(4, {(0, 0, 2, 0): Fraction(-1, 2),
+                          (0, 0, 0, 2): Fraction(-1, 2)})]
+    return po.momentum_setup(sp, lie.abelian(2), mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,7 @@ def test_momentum_gdiff_contractions_negate_the_lifts():
 
 
 # ---------------------------------------------------------------------------
-# Fiber-tangent subcomplex and the invariance comparison
+# Fiber-tangent subcomplex
 
 
 def test_tangent_space_on_even_slices_is_the_casimir_line():
@@ -178,24 +190,19 @@ def test_zero_action_makes_everything_tangent():
     assert rep.dims == tuple(model.space.dim(q) for q in range(3))
 
 
-def test_module_action_equals_geometric_derivative_on_the_kernel():
-    _, _, md = su2_momentum()
-    out = po.invariance_comparison(md, slice_degree=2)
-    assert set(out) == {0, 1, 2}
-    compared = 0
-    for per in out.values():
-        for m1, m2 in per.values():
-            assert m1 == m2
-            compared += 1
-    assert compared > 0
-
-
-def test_invariance_comparison_circle_action():
-    _, md = circle_q2()
-    out = po.invariance_comparison(md, slice_degree=3)
-    for per in out.values():
-        for m1, m2 in per.values():
-            assert m1 == m2
+@pytest.mark.parametrize("momentum, s, horizontal, tangent", [
+    (lambda: su2_momentum()[2], 2, {0: 6}, (1, 0, 0, 0)),
+    (lambda: circle_q2()[1], 3, {0: 4, 1: 2}, (0, 0, 0))],
+    ids=["su2-slice-2", "circle-slice-3"])
+def test_lie_operators_are_minus_the_field_derivatives_when_horizontal(
+        momentum, s, horizontal, tangent):
+    """`mu_tangent_complex` raises unless each Lie operator is minus the Lie
+    derivative along its action field on the horizontal multivectors; here
+    they are not all invariant, so the identity compares nonzero columns."""
+    md = momentum()
+    c, model = po.momentum_gdiff(md, slice_degree=s)
+    assert joint_kernel(model.space, c.contractions).dims() == horizontal
+    assert po.mu_tangent_complex(md, c, model).dims == tangent
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +326,66 @@ def test_sharp_intertwines_the_circle_models():
 
 
 def test_sharp_comparison_torus_on_four_coordinates():
-    sp = po.symplectic_poisson(2)
-    mu = [po.function(4, {(2, 0, 0, 0): Fraction(-1, 2),
-                          (0, 2, 0, 0): Fraction(-1, 2)}),
-          po.function(4, {(0, 0, 2, 0): Fraction(-1, 2),
-                          (0, 0, 0, 2): Fraction(-1, 2)})]
-    md = po.momentum_setup(sp, lie.abelian(2), mu=mu)
-    rep = po.sharp_comparison(md, slice_degree=2, sym_cap=1)
+    rep = po.sharp_comparison(two_plane_torus(), slice_degree=2, sym_cap=1)
     assert rep["d_intertwines"] and rep["contraction_intertwines"]
     assert rep["invertible"] and rep["tangent_matches_basic_image"]
     assert rep["equivariant_dims_agree"] is True
+
+
+def _mutated_momentum_gdiff(monkeypatch, mutate):
+    """Make `momentum_gdiff` hand out mutate(c) in place of c."""
+    real = po.momentum_gdiff
+
+    def mutated(*args, **kwargs):
+        c, model = real(*args, **kwargs)
+        return mutate(c), model
+    monkeypatch.setattr(po, "momentum_gdiff", mutated)
+
+
+def _scaled_d(scales):
+    """The multivector differential with its k-th stored block times
+    scales[k]."""
+    def mutate(c):
+        d = LinearMap.from_blocks(c.space, c.space, 1, {
+            n: rl.mat_scale(m, k) for (n, m), k in zip(c.d.blocks, scales)})
+        return dataclasses.replace(c, complex=CochainComplex(c.space, d))
+    return mutate
+
+
+# On the two-plane torus, slice 2, d_x has two blocks and phi d_o = -d_x phi.
+@pytest.mark.parametrize("scales, d_sign, d_intertwines", [
+    ((-1, -1), 1, True),
+    # the sign d_sign holds in the first degree, and both fail in the second
+    ((1, -1), -1, False),
+    ((-1, 1), 1, False),
+    ((1, 0), -1, False),
+    # both signs fail in the first degree
+    ((2, 1), None, False),
+    ((0, 1), None, False)])
+def test_sharp_comparison_sees_a_scaled_differential(
+        monkeypatch, scales, d_sign, d_intertwines):
+    md = two_plane_torus()
+    _mutated_momentum_gdiff(monkeypatch, _scaled_d(scales))
+    rep = po.sharp_comparison(md, slice_degree=2)
+    assert rep["d_sign"] == d_sign
+    assert rep["d_intertwines"] is d_intertwines
+    assert rep["contraction_intertwines"] is True
+
+
+def test_sharp_comparison_sees_a_perturbed_contraction(monkeypatch):
+    def mutate(c):
+        (n, m), *rest = c.contractions[1].blocks
+        bumped = m.dense()
+        bumped[0][0] += 1
+        i_1 = LinearMap.from_blocks(c.space, c.space, -1,
+                                    {**dict(rest), n: bumped})
+        return dataclasses.replace(
+            c, contractions=(c.contractions[0], i_1))
+    md = two_plane_torus()
+    _mutated_momentum_gdiff(monkeypatch, mutate)
+    rep = po.sharp_comparison(md, slice_degree=2)
+    assert rep["contraction_intertwines"] is False
+    assert rep["d_sign"] == -1 and rep["d_intertwines"] is True
 
 
 def test_each_call_builds_its_momentum_complex_once(monkeypatch):
