@@ -19,6 +19,25 @@ map's intertwining and the Lie operators on horizontal multivectors.  Its
 witness is the first failing basis column in degree order: the smallest
 column of the lowest nonzero block of the identity formed as a map.
 
+With a product, the axioms are first checked through a generating set G
+(`_generators`): all of A^0 and, in each degree, basis vectors that
+complement the products of lower positive degrees.  Three lemmas make that
+enough, each applied once the one before it holds on all of A:
+
+    1. {x : (xy)z = x(yz) for all y, z} is a subspace closed under the
+       product (Light's test), so associativity with left factor in G
+       gives it on every triple;
+    2. with associativity, {x : D(xy) = (Dx)y + eps x(Dy) for all y} is
+       closed under the product for each of d, i_x and L_x, so the Leibniz
+       rules with left factor in G give them on every pair;
+    3. each operator identity is a combination of graded commutators of
+       these derivations and of the derivations themselves, so it is a
+       derivation, and a derivation that vanishes on G vanishes.
+
+When that pass fails, the full passes give the report: every column and
+every pair.  Associativity keeps its pass through G, and its witness is the
+first failing triple with left factor in G.
+
 The Weil algebra, tensor products and the Cartan model sit on product bases
 laid out by `core.product_space`, and each operator on them is a sum of
 Kronecker products (`core.kron_map`).  The Weil algebra is the sum of the
@@ -154,9 +173,18 @@ def check_gdiff_axioms(c: GDiffComplex) -> AxiomReport:
     eps_a = (-1)^a for d and i_x, 1 for L_x, on every basis pair; at most
     one witness, the first failing pair in degree order and there the first
     failing operator in the order d, i_0, L_0, i_1, L_1, ...  Last the unit
-    on every basis element, and associativity on 200 seeded triples of
-    basis elements only, not on every triple: a product that fails
-    associativity on one triple alone can pass."""
+    on every basis element and, when it holds, associativity on every
+    triple, witnessed by the first failing triple with left factor in
+    `_generators(c)`.
+
+    With a product, a pass through the generating set comes first: the
+    unit, associativity, the Leibniz rules with left factor in the set and
+    the operator identities on its columns.  When it holds, so does every
+    axiom (see the module docstring) and the report is ok; otherwise the
+    full passes above give the report.  Once the unit u = a e_p holds,
+    associativity and the Leibniz rules skip e_p: it is associative, and
+    the Leibniz rule of D holds at it iff D e_p = 0, which is checked with
+    the identities instead."""
     g, r = c.algebra, c.algebra.dim
     d, i, lie_ops = c.d, c.contractions, c.lie_ops
     # Each axiom: a sum of terms (coefficient, operators applied right to
@@ -172,117 +200,220 @@ def check_gdiff_axioms(c: GDiffComplex) -> AxiomReport:
         for name, ops in (("ii'", i), ("L-bracket", lie_ops)):
             axioms.append((name, [a, b], [(x, ops[k]) for x, k in br] + [
                 (-1, lie_ops[a], ops[b]), (1, ops[b], lie_ops[a])]))
+    if c.product is not None:
+        left = _generators(c)
+        columns = [(n, j) for n, idx in left.items() for j in idx]
+        checks = [(columns, terms) for _, _, terms in axioms]
+        product_failures = _check_unit(c)
+        if not product_failures and c.unit and sum(map(bool, c.unit)) == 1:
+            # The unit u = a e_p holds, so e_p is associative, and the
+            # Leibniz rule of D holds at e_p iff D e_p = 0.
+            p = next(j for j, v in enumerate(c.unit) if v)
+            left = {**left, 0: [j for j in left[0] if j != p]}
+            checks += [([(0, p)], [(1, op)]) for op in (d, *i, *lie_ops)]
+        product_failures = product_failures or _check_associativity(c, left)
+        if not (product_failures or _leibniz_failures(c, left)
+                or any(_first_failure(*check) for check in checks)):
+            return AxiomReport(True, ())
     columns = _columns(c.space)
     failures = [{"axiom": axiom, "generators": gens, **witness}
                 for axiom, gens, terms in axioms
                 if (witness := _first_failure(columns, terms))]
     if c.product is not None:
-        failures.extend(_check_leibniz(c))
-        failures.extend(_check_assoc_unit(c))
+        failures += _check_leibniz(c) + product_failures
     return AxiomReport(not failures, tuple(failures))
+
+
+def _generators(c: GDiffComplex) -> dict:
+    """A generating set of the product of c, as degree -> basis indices (the
+    degrees that have some): all of A^0 and, in each degree n > 0, the basis
+    vectors of the non-pivot columns of the span D_n of the products x a, x
+    in the set of degree 0 < |x| < n.  They complement D_n in A^n, so by
+    induction on n every element is a sum of products of elements of the
+    set.  A complex with a negative degree gives its whole basis."""
+    sp, table = c.space, c.product.table
+    degs = sp.degrees()
+    if degs and degs[0] < 0:
+        return {n: list(range(sp.dim(n))) for n in degs}
+    gens = {}
+    for n in degs:
+        # D_n is spanned by the unit vectors of `spanned`, the one-term
+        # products, and by the other products less those columns, so its
+        # pivot columns are `spanned` and the pivots of the rest.
+        spanned, rows = set(), []
+        for i, left in gens.items():
+            if i == 0:
+                continue
+            left = set(left)
+            for (ia, _), terms in table.get((i, n - i), {}).items():
+                if ia in left:
+                    row = {}
+                    for k, v in terms:
+                        row[k] = row.get(k, 0) + v
+                    row = {k: v for k, v in row.items() if v}
+                    if len(row) == 1:
+                        spanned.update(row)
+                    elif row:
+                        rows.append(row)
+        rows = [{k: v for k, v in row.items() if k not in spanned}
+                for row in rows]
+        if any(rows):
+            spanned.update(rl.rref(rl.freeze(rows, sp.dim(n)))[1])
+        if len(spanned) < sp.dim(n):
+            gens[n] = [j for j in range(sp.dim(n)) if j not in spanned]
+    return gens
+
+
+def _check_unit(c: GDiffComplex) -> list:
+    """[] or the first (degree, basis index) in degree order where the unit
+    is not a two-sided identity, read off the table blocks (0, n) and
+    (n, 0) in one pass per degree."""
+    if c.unit is None:
+        return []
+    table, unit = c.product.table, c.unit
+    for n in c.space.degrees():
+        sides = ({}, {})   # basis index e -> 1 e, e 1 as {index: coeff}
+        for side, key, at in ((sides[0], (0, n), 0), (sides[1], (n, 0), 1)):
+            for pair, terms in table.get(key, {}).items():
+                out = side.setdefault(pair[1 - at], {})
+                for k, v in terms:
+                    out[k] = out.get(k, 0) + unit[pair[at]] * v
+        for e in range(c.space.dim(n)):
+            if any({k: v for k, v in side.get(e, {}).items() if v} != {e: 1}
+                   for side in sides):
+                return [{"axiom": "unit", "generators": [], "degree": n,
+                         "basis_index": e}]
+    return []
+
+
+def _check_associativity(c: GDiffComplex, left: dict) -> list:
+    """[] or the first triple (x, y, z) of basis elements in degree order,
+    x in `left` (degree -> basis indices), with (xy)z != x(yz).  Both sides
+    are summed over the nonzero entries of the table, one degree block
+    (|y|, |z|) at a time: (xy)z through the products xy read off the rows
+    of `left`, x(yz) through the products by x of the terms of each yz."""
+    table, degs = c.product.table, c.space.degrees()
+    want = {n: set(idx) for n, idx in left.items()}
+    made = {}   # (|x|, |y|) -> e_k -> [(x, y, coeff of e_k in xy)]
+    hit = {}    # |m| -> e_m -> [(|x|, x, terms of x e_m)]
+    for (dx, dm), pairs in table.items():
+        for (ix, im), terms in pairs.items() if dx in want else ():
+            if ix in want[dx]:
+                hit.setdefault(dm, {}).setdefault(im, []).append(
+                    (dx, ix, terms))
+                xy = made.setdefault((dx, dm), {})
+                for k, v in terms:
+                    xy.setdefault(k, []).append((ix, im, v))
+    failing = []
+    for dy, dz in [(dy, dz) for dy in degs for dz in degs]:
+        acc = {}   # (|x|, x, y, z, out) -> (xy)z - x(yz)
+        for dx in left:
+            xy = made.get((dx, dy))
+            if not xy:
+                continue
+            for (ie, iz), terms in table.get((dx + dy, dz), {}).items():
+                for ix, iy, a in xy.get(ie, ()):
+                    for k, v in terms:
+                        key = (dx, ix, iy, iz, k)
+                        acc[key] = acc.get(key, 0) + a * v
+        by_x = hit.get(dy + dz, {})
+        for (iy, iz), terms in table.get((dy, dz), {}).items():
+            for m, v in terms:
+                for dx, ix, xterms in by_x.get(m, ()):
+                    for k, w in xterms:
+                        key = (dx, ix, iy, iz, k)
+                        acc[key] = acc.get(key, 0) - v * w
+        failing += [(dx, ix, dy, iy, dz, iz)
+                    for (dx, ix, iy, iz, _), v in acc.items() if v]
+    if not failing:
+        return []
+    dx, ix, dy, iy, dz, iz = min(failing)
+    return [{"axiom": "associativity", "generators": [], "degree": dx,
+             "basis_index": ix, "other": [dy, iy, dz, iz]}]
 
 
 def _check_leibniz(c: GDiffComplex):
     """d and every i_x are odd derivations of the product, every L_x an even
-    one.  With M_{a,b} the product table on A^a (x) A^b, one column per basis
-    pair (ia, ib), each operator D of degree s and each degree block (a, b)
-    must satisfy
+    one, checked on every basis pair by `_leibniz_failures`."""
+    return _leibniz_failures(c, {n: range(c.space.dim(n))
+                                 for n in c.space.degrees()})
+
+
+def _leibniz_failures(c: GDiffComplex, left: dict) -> list:
+    """The Leibniz rules on the basis pairs (x, y) with x in `left` (degree
+    -> basis indices).  With M_{a,b} the product table on A^a (x) A^b, one
+    column per basis pair (ia, ib), each operator D of degree s and each
+    degree block (a, b) must satisfy
 
         D M_{a,b} = M_{a+s,b} (D_a (x) 1) + eps_a M_{a,b+s} (1 (x) D_b),
 
     eps_a = (-1)^a for d and i_x, 1 for L_x.  Both sides are summed over the
-    nonzero entries of the table and of D, so a block costs its nonzeros, not
-    its pairs.  Every basis pair is checked.  Returns [] or one witness: the
-    first failing pair in degree order and, at that pair, the first failing
-    operator in the order d, i_0, L_0, i_1, L_1, ..."""
+    nonzero entries of D and of the table rows of `left` and of D applied
+    to them, so a block costs its nonzeros, not its pairs.  Returns [] or
+    one witness: the first failing pair in degree order and, at that pair,
+    the first failing operator in the order d, i_0, L_0, i_1, L_1, ..."""
     table, degs = c.product.table, c.space.degrees()
     ops = [("d-Leibniz", [], c.d, True)]
     for x in range(c.algebra.dim):
         ops += [("i-Leibniz", [x], c.contractions[x], True),
                 ("L-Leibniz", [x], c.lie_ops[x], False)]
+    # The rows of `left` and of the basis elements D x, x in `left`.
+    need = {n: set(idx) for n, idx in left.items()}
+    for _, _, op, _ in ops:
+        for n, blk in op.blocks:
+            cols = blk.cols
+            for ia in left.get(n, ()):
+                need.setdefault(n + op.shift, set()).update(cols[ia])
+    rows = {}   # (da, db) -> {ia: [(ib, terms), ...]} for ia in `need`
+    for (da, db), pairs in table.items():
+        want = need.get(da, ())
+        for (ia, ib), terms in pairs.items():
+            if ia in want:
+                rows.setdefault((da, db), {}).setdefault(ia, []).append(
+                    (ib, terms))
     failing = {}   # (da, ia, db, ib) -> index of the first failing operator
     for k, (_, _, op, odd) in enumerate(ops):
         s = op.shift
         # Per source degree of D: the nonzero {row: value} of each column
         # and {column: value} of each row.
         cols = {n: blk.cols for n, blk in op.blocks}
-        rows = dict(op.blocks)
-        for da, db in [(da, db) for da in degs for db in degs]:
+        drows = dict(op.blocks)
+        for da, idx in left.items():
             eps = -1 if odd and da % 2 else 1
-            acc = {}   # (ia, ib, row) -> left side minus right side
-            d_ab, d_a, d_b = cols.get(da + db), rows.get(da), rows.get(db)
-            if d_ab:
-                for (ia, ib), terms in table.get((da, db), {}).items():
-                    for kk, cc in terms:
-                        for t, v in d_ab[kk].items():
-                            key = (ia, ib, t)
-                            acc[key] = acc.get(key, 0) + cc * v
-            if d_a:
-                for (t, ib), terms in table.get((da + s, db), {}).items():
-                    for ia, v in d_a[t].items():
-                        for kk, cc in terms:
-                            key = (ia, ib, kk)
-                            acc[key] = acc.get(key, 0) - v * cc
-            if d_b:
-                for (ia, t), terms in table.get((da, db + s), {}).items():
-                    for ib, v in d_b[t].items():
-                        for kk, cc in terms:
-                            key = (ia, ib, kk)
-                            acc[key] = acc.get(key, 0) - eps * v * cc
-            for (ia, ib, _), v in acc.items():
-                if v:
-                    failing.setdefault((da, ia, db, ib), k)
+            d_a = cols.get(da)
+            for db in degs:
+                acc = {}   # (ia, ib, row) -> left side minus right side
+                d_ab, d_b = cols.get(da + db), drows.get(db)
+                here, r1 = rows.get((da, db), {}), rows.get((da + s, db), {})
+                r2 = rows.get((da, db + s), {})
+                for ia in idx:
+                    if d_ab:
+                        for ib, terms in here.get(ia, ()):
+                            for kk, cc in terms:
+                                for t, v in d_ab[kk].items():
+                                    key = (ia, ib, t)
+                                    acc[key] = acc.get(key, 0) + cc * v
+                    if d_a:
+                        for t, v in d_a[ia].items():
+                            for ib, terms in r1.get(t, ()):
+                                for kk, cc in terms:
+                                    key = (ia, ib, kk)
+                                    acc[key] = acc.get(key, 0) - v * cc
+                    if d_b:
+                        for t, terms in r2.get(ia, ()):
+                            for ib, v in d_b[t].items():
+                                for kk, cc in terms:
+                                    key = (ia, ib, kk)
+                                    acc[key] = acc.get(key, 0) - eps * v * cc
+                for (ia, ib, _), v in acc.items():
+                    if v:
+                        failing.setdefault((da, ia, db, ib), k)
     if not failing:
         return []
     da, ia, db, ib = pair = min(failing)
     k = failing[pair]
     return [{"axiom": ops[k][0], "generators": ops[k][1],
              "degree": da, "basis_index": ia, "other": [db, ib]}]
-
-
-def _check_assoc_unit(c: GDiffComplex):
-    import random
-    failures = []
-    sp = c.space
-    prod = c.product
-    if c.unit is not None:
-        one = list(c.unit)
-        for n in sp.degrees():
-            for i in range(sp.dim(n)):
-                e = [1 if t == i else 0 for t in range(sp.dim(n))]
-                left = prod.mult(sp, 0, one, n, e)
-                right = prod.mult(sp, n, e, 0, one)
-                if left != e or right != e:
-                    failures.append({"axiom": "unit", "generators": [],
-                                     "degree": n, "basis_index": i})
-                    return failures
-    rng = random.Random(20240311)
-    degs = sp.degrees()
-    triples = [(a, b, cdeg) for a in degs for b in degs for cdeg in degs]
-    rng.shuffle(triples)
-    count = 0
-    for (da, db, dc) in triples:
-        if count >= 200:
-            break
-        if not (sp.dim(da) and sp.dim(db) and sp.dim(dc)):
-            continue
-        ia = rng.randrange(sp.dim(da))
-        ib = rng.randrange(sp.dim(db))
-        ic = rng.randrange(sp.dim(dc))
-        ea = [1 if t == ia else 0 for t in range(sp.dim(da))]
-        eb = [1 if t == ib else 0 for t in range(sp.dim(db))]
-        ec = [1 if t == ic else 0 for t in range(sp.dim(dc))]
-        ab = prod.mult(sp, da, ea, db, eb)
-        bc = prod.mult(sp, db, eb, dc, ec)
-        lhs = prod.mult(sp, da + db, ab, dc, ec)
-        rhs = prod.mult(sp, da, ea, db + dc, bc)
-        if lhs != rhs:
-            failures.append({"axiom": "associativity", "generators": [],
-                             "degree": da, "basis_index": ia,
-                             "other": [db, ib, dc, ic]})
-            return failures
-        count += 1
-    return failures
 
 
 def build_gdiff(algebra, complex_, contractions, lie_ops, product=None,

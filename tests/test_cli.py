@@ -496,6 +496,29 @@ def test_one_pair_leibniz_defect_exits_3_with_its_witness(argv, wrap):
          "basis_index": 3, "other": [1, 7]}]}
 
 
+def non_associative():
+    """The payload of `one_pair_defect` with d = 0 and one more product,
+    w v_5 = z: (v_3 v_7) v_5 = z but v_3 (v_7 v_5) = 0, and every other
+    axiom holds."""
+    data = one_pair_defect()
+    data["d"] = {}
+    data["product"]["table"]["2,1"] = {"0,5": [[0, "1"]]}
+    return data
+
+
+@pytest.mark.parametrize("argv, wrap", [
+    (["gdiff-check"], lambda data: data),
+    (["compute"], lambda data: {"kind": "gdiff-check", "payload": data})],
+    ids=["gdiff-check", "compute"])
+def test_non_associative_product_exits_3_with_its_witness(argv, wrap):
+    code, out = run(argv, wrap(non_associative()))
+    assert code == 3, out.decode()
+    report = json.loads(json.loads(out)["error"]["witness"])
+    assert report == {"ok": False, "failures": [
+        {"axiom": "associativity", "generators": [], "degree": 1,
+         "basis_index": 3, "other": [1, 7, 1, 5]}]}
+
+
 def _failed_check(command, out) -> str:
     """The witness of a math failure: compute's error, or the detail of the
     first failing gate of validate."""

@@ -76,7 +76,7 @@ def test_weil_product_axioms():
 
 
 def test_leibniz_rules_hold_on_every_pair():
-    """The axioms with the full Leibniz check, no pair sampled, on the
+    """The axioms, and the full Leibniz check with no pair sampled, on the
     benchmark's Weil algebras (78,400 pairs for su2) and on further Weil and
     Chevalley-Eilenberg algebras."""
     h, sl2 = lie.heisenberg(), lie.sl2()
@@ -90,6 +90,7 @@ def test_leibniz_rules_hold_on_every_pair():
     assert _pair_count(subjects["weil-su2-4"]) == 78400
     for name, c in subjects.items():
         assert gdiff.check_gdiff_axioms(c).ok, name
+        assert gdiff._check_leibniz(c) == [], name
 
 
 def _one_pair_defect():
@@ -544,15 +545,34 @@ def _pair_count(c):
     return c.space.total_dim() ** 2
 
 
+def _pinned_reports():
+    return {f"{name}/{family}{'' if x is None else x}":
+            gdiff.check_gdiff_axioms(m).to_json()
+            for name, family, x, m in _pinned_mutants()}
+
+
 def test_leibniz_witnesses_are_pinned():
     """The axiom report of every pinned mutation, Leibniz witness included,
     as recorded before the check became blockwise."""
-    full = {}
-    for name, family, x, m in _pinned_mutants():
-        key = f"{name}/{family}{'' if x is None else x}"
-        full[key] = gdiff.check_gdiff_axioms(m).to_json()
+    full = _pinned_reports()
     assert all(full[k]["failures"] for k in full)
     assert _json_digest(full) == LEIBNIZ_FULL_DIGEST
+
+
+def test_pinned_reports_move_one_associativity_witness():
+    """The pinned reports are those of the check that sampled associativity
+    on 200 triples (SAMPLED_DIGEST) but for one witness: on the product
+    mutant of W(abelian(2), 2) the sample met a failing triple with left
+    factor of degree 3 first, and the check through the generating set
+    reports the first failing triple with a generator on the left."""
+    full = _pinned_reports()
+    failures = full["weil-abelian2-2/product"]["failures"]
+    assert [f["axiom"] for f in failures] == ["d-Leibniz", "associativity"]
+    assert failures[1] == {"axiom": "associativity", "generators": [],
+                           "degree": 1, "basis_index": 0,
+                           "other": [4, 1, 1, 1]}
+    failures[1].update(degree=3, basis_index=1, other=[2, 0, 1, 1])
+    assert _json_digest(full) == SAMPLED_DIGEST
 
 
 def _json_digest(obj):
@@ -560,8 +580,12 @@ def _json_digest(obj):
                                      default=str).encode()).hexdigest()
 
 
-# Recorded with the per-pair check that the blockwise one replaced.
+# Recorded with the check through a generating set; the Leibniz witnesses
+# are those of the per-pair check that the blockwise one replaced.
 LEIBNIZ_FULL_DIGEST = \
+    "84ebdc95d6c16291c8f52d0c6cb9c759c13d8a413362f30ae9cbaa4804446b35"
+# The same reports, recorded when associativity was sampled.
+SAMPLED_DIGEST = \
     "ec5e132b6cbb107ead7d91af908836025ef7bb7b6af0101a92c3291d33451ac3"
 
 
@@ -697,6 +721,284 @@ def test_leibniz_check_agrees_with_the_per_pair_reference():
         report = gdiff.check_gdiff_axioms(dataclasses.replace(m, product=None))
         assert list(report.failures) == _reference_operator_axioms(m)
     assert failing == 50
+
+
+# ---------------------------------------------------------------------------
+# The checks through a generating set
+
+
+def _algebra(dims, products, unit=(1,)):
+    """The algebra with dims[n] basis elements in degree n, d = 0, the zero
+    action of abelian(1), the given unit and the products {(da, db): {(ia,
+    ib): k}}, each e_ia e_ib = e_k; with a unit of one coordinate, its
+    products with every basis element are added."""
+    table = {key: {pair: ((k, 1),) for pair, k in pairs.items()}
+             for key, pairs in products.items()}
+    if unit == (1,):
+        for n, k in dims.items():
+            table.setdefault((0, n), {}).update(
+                {(0, i): ((i, 1),) for i in range(k)})
+            table.setdefault((n, 0), {}).update(
+                {(i, 0): ((i, 1),) for i in range(k)})
+    space = core.GradedSpace.from_dims(dims)
+    return dataclasses.replace(gdiff.trivial_action_gdiff(
+        lie.abelian(1), core.CochainComplex.build(
+            space, core.LinearMap.zero(space, space, 1))),
+        product=gdiff.Product(table), unit=unit)
+
+
+def test_generators_of_weil_algebras_are_the_lambdas_and_the_fs():
+    for cap in (1, 2, 3):
+        w = gdiff.weil_algebra(lie.su2(), cap)
+        assert gdiff._generators(w.gdiff) == {0: [0], 1: [0, 1, 2],
+                                              2: [0, 1, 2]}
+        assert w.lambda_positions == (0, 1, 2)
+        assert sorted(w.f_positions) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("g", [lie.su2(), lie.heisenberg()],
+                         ids=["su2", "heisenberg"])
+def test_generators_of_an_exterior_algebra_are_its_degree_one(g):
+    c = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
+    assert gdiff._generators(c) == {0: [0], 1: [0, 1, 2]}
+
+
+def test_generators_of_a_tensor_product_are_those_of_its_factors():
+    g, a = su2_ce()
+    w = gdiff.weil_algebra(g, 2).gdiff
+    t, pos = gdiff.tensor_product(a, w)
+    expected = {}
+    for first, c in ((True, a), (False, w)):
+        for n, idx in gdiff._generators(c).items():
+            expected.setdefault(n, set()).update(
+                pos[n][(n, j, 0, 0) if first else (0, 0, n, j)] for j in idx)
+    assert {n: set(idx) for n, idx in gdiff._generators(t).items()} == \
+        expected
+    assert expected == {0: {0}, 1: set(range(6)), 2: {0, 1, 2}}
+
+
+def test_generators_with_a_negative_degree_are_the_whole_basis():
+    """Products land in lower degrees, so degree order proves nothing: the
+    square of the degree-1 element is no generator by the rule of
+    nonnegative degrees, and is one here."""
+    c = _algebra({-1: 1, 0: 1, 1: 1, 2: 1}, {(1, 1): {(0, 0): 0}})
+    assert gdiff._generators(c) == {-1: [0], 0: [0], 1: [0], 2: [0]}
+    assert gdiff.check_gdiff_axioms(c).ok
+
+
+def test_product_left_associativity_defect_fails_at_a_generator():
+    """a, b, c, e in degree 1 with ab = w, bc = v, wc = av = p and pe = t:
+    the defect is put at (w, c, e), whose left factor w = ab is a product,
+    (wc)e = t and w(ce) = 0.  No generator sees it as a left factor, and
+    (a, b, c) associates; the lemma still forces a failing triple with a
+    generator on the left, here (a, bc, e)."""
+    c = _algebra({0: 1, 1: 4, 2: 2, 3: 1, 4: 1},
+                 {(1, 1): {(0, 1): 0, (1, 2): 1}, (2, 1): {(0, 2): 0},
+                  (1, 2): {(0, 1): 0}, (3, 1): {(0, 3): 0}})
+    assert gdiff._generators(c) == {0: [0], 1: [0, 1, 2, 3], 4: [0]}
+    triples = _failing_triples(c)
+    assert (2, 0, 1, 2, 1, 3) in triples
+    assert (1, 0, 1, 1, 1, 2) not in triples
+    assert gdiff.check_gdiff_axioms(c).failures == (
+        {"axiom": "associativity", "generators": [], "degree": 1,
+         "basis_index": 0, "other": [2, 1, 1, 3]},)
+
+
+def test_a_differential_that_moves_the_unit_is_no_derivation():
+    """d 1 = xi on Lambda(1) under the zero action: every identity holds,
+    and so does the Leibniz rule on every pair with xi on the left (xi xi =
+    0).  Only the unit sees the defect, and associativity and the Leibniz
+    rules through the generating set skip it."""
+    c = _algebra({0: 1, 1: 1}, {})
+    d = core.LinearMap.from_blocks(c.space, c.space, 1, {0: [[1]]})
+    c = dataclasses.replace(c, complex=core.CochainComplex.build(c.space, d))
+    assert gdiff.check_gdiff_axioms(c).failures == (
+        {"axiom": "d-Leibniz", "generators": [], "degree": 0,
+         "basis_index": 0, "other": [0, 0]},)
+
+
+def test_generators_generate_and_complement_the_products():
+    """In each degree n > 0 of algebras in the standard and in random bases,
+    the generators and the products of lower positive degrees span A^n,
+    and the generators are as many as the products leave out: with left
+    factor a generator or with any left factor alike."""
+    rng = random.Random(20261021)
+    bases = [gdiff.weil_algebra(lie.su2(), 2).gdiff,
+             gdiff.weil_algebra(lie.abelian(2), 2).gdiff,
+             gdiff.ce_gdiff(lie.ce_complex(lie.sl2(),
+                                           lie.trivial_rep(lie.sl2())))]
+    for c in bases + [_rebased(c, rng) for c in bases]:
+        sp, gens = c.space, gdiff._generators(c)
+        assert gens[0] == list(range(sp.dim(0)))
+        spans = {0: [{j: 1} for j in gens[0]]}   # degree -> generated rows
+        for n in sp.degrees()[1:]:
+            rows = [_mult(c.product, i, u, n - i, w)
+                    for i in range(1, n) for u in spans.get(i, ())
+                    for w in spans.get(n - i, ())]
+            left = [_mult(c.product, i, {x: 1}, n - i, {j: 1})
+                    for i in range(1, n) for x in gens.get(i, ())
+                    for j in range(sp.dim(n - i))]
+            ours = gens.get(n, [])
+            assert len(ours) == sp.dim(n) - rl.rank(rl.freeze(rows, sp.dim(n)))
+            assert len(ours) == sp.dim(n) - rl.rank(rl.freeze(left, sp.dim(n)))
+            basis, pivots = rl.rref(rl.freeze(rows + [{j: 1} for j in ours],
+                                             sp.dim(n)))
+            assert len(pivots) == sp.dim(n)
+            spans[n] = [dict(row) for row in basis[:len(pivots)]]
+
+
+def _failing_triples(c):
+    """Every basis triple (dx, ix, dy, iy, dz, iz), in degree order, with
+    (xy)z != x(yz), from the products of all basis pairs."""
+    sp, prod = c.space, c.product
+    basis = [(n, j) for n in sp.degrees() for j in range(sp.dim(n))]
+    pp = {(x, y): _mult(prod, x[0], {x[1]: 1}, y[0], {y[1]: 1})
+          for x in basis for y in basis}
+    out = []
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                lhs, rhs = {}, {}
+                for side, pairs in ((lhs, [((x[0] + y[0], k), z, v)
+                                           for k, v in pp[x, y].items()]),
+                                    (rhs, [(x, (y[0] + z[0], k), v)
+                                           for k, v in pp[y, z].items()])):
+                    for u, w, v in pairs:
+                        for k, cv in pp.get((u, w), {}).items():
+                            side[k] = side.get(k, 0) + v * cv
+                if {k: v for k, v in lhs.items() if v} != \
+                        {k: v for k, v in rhs.items() if v}:
+                    out.append((*x, *y, *z))
+    return out
+
+
+def _reference_unit(c):
+    """The unit on every basis element, by `Product.mult`."""
+    sp = c.space
+    for n in sp.degrees():
+        for i in range(sp.dim(n)):
+            e = [int(t == i) for t in range(sp.dim(n))]
+            if (c.product.mult(sp, 0, c.unit, n, e) != e
+                    or c.product.mult(sp, n, e, 0, c.unit) != e):
+                return [{"axiom": "unit", "generators": [], "degree": n,
+                         "basis_index": i}]
+    return []
+
+
+def _reference_report(c):
+    """The full passes by their references: the operator identities formed
+    as maps, the Leibniz rules one pair at a time, the unit by
+    `Product.mult` and, when it holds, associativity on every triple,
+    witnessed by the first failing one with a generator on the left."""
+    failures = _reference_operator_axioms(c) + _reference_leibniz(c)
+    unit = _reference_unit(c) if c.unit is not None else []
+    if unit:
+        return failures + unit
+    gens = gdiff._generators(c)
+    triples = _failing_triples(c)
+    first = [t for t in triples if t[1] in gens.get(t[0], ())]
+    assert bool(first) == bool(triples)
+    if first:
+        dx, ix, dy, iy, dz, iz = first[0]
+        failures.append({"axiom": "associativity", "generators": [],
+                         "degree": dx, "basis_index": ix,
+                         "other": [dy, iy, dz, iz]})
+    return failures
+
+
+def _rebased(c, rng):
+    """c in the basis e'_j = e_j + sum_{i<j} p_ij e_i of each degree, the
+    p_ij seeded small integers: its products have several terms."""
+    sp = c.space
+    fwd = {n: rl.freeze([{j: 1 if i == j else rng.choice((0, 1, -1, 2))
+                          for j in range(i, sp.dim(n))}
+                         for i in range(sp.dim(n))], sp.dim(n))
+           for n in sp.degrees()}
+    back = {n: rl.solve(m, rl.identity(sp.dim(n))) for n, m in fwd.items()}
+
+    def conj(op):
+        return core.LinearMap.from_blocks(sp, sp, op.shift, {
+            n: rl.mat_mul(back[n + op.shift], rl.mat_mul(m, fwd[n]))
+            for n, m in op.blocks})
+
+    table = {}
+    for da, db in c.product.table:
+        pairs = table.setdefault((da, db), {})
+        for a in range(sp.dim(da)):
+            for b in range(sp.dim(db)):
+                ab = _mult(c.product, da, dict(fwd[da].cols[a]), db,
+                           dict(fwd[db].cols[b]))
+                new = {}
+                for k, v in ab.items():
+                    for t, w in back[da + db].cols[k].items():
+                        new[t] = new.get(t, 0) + w * v
+                pairs[(a, b)] = tuple((t, v) for t, v in new.items() if v)
+    unit = tuple(sum(back[0][t].get(k, 0) * v for k, v in enumerate(c.unit))
+                 for t in range(sp.dim(0)))
+    return dataclasses.replace(
+        c, complex=core.CochainComplex(sp, conj(c.d)),
+        contractions=tuple(map(conj, c.contractions)),
+        lie_ops=tuple(map(conj, c.lie_ops)), product=gdiff.Product(table),
+        unit=unit)
+
+
+def _two_idempotents():
+    """Q^2 (x) Lambda(1): idempotents e, f in degree 0 with unit e + f,
+    and e xi, f xi in degree 1."""
+    block = {(0, 0): 0, (1, 1): 1}
+    return _algebra({0: 2, 1: 2}, {(0, 0): block, (0, 1): block,
+                                   (1, 0): block}, unit=(1, 1))
+
+
+def test_unit_check_agrees_with_products_by_the_unit():
+    """Seeded property: on one-entry product mutations, among them entries
+    of the blocks (0, n) and (n, 0), of two algebras whose unit has one
+    coordinate and of Q^2 (two idempotents) tensor Lambda(1), whose unit has
+    two, the unit check gives the witness of `Product.mult`."""
+    subjects = [su2_ce()[1], gdiff.weil_algebra(lie.abelian(1), 2).gdiff,
+                _two_idempotents()]
+    rng = random.Random(20261020)
+    failing = 0
+    for _ in range(60):
+        m = rng.choice(subjects)
+        m = _mutant(m, "product", 0, rng)
+        assert gdiff._check_unit(m) == _reference_unit(m)
+        failing += bool(_reference_unit(m))
+    assert 0 < failing < 60
+
+
+def test_generating_set_checks_agree_with_the_full_references():
+    """Seeded property: on small algebras, on the same in random bases
+    (products of several terms) and on one- and two-entry mutations of d,
+    i_x, L_x and the product of either, the report is the full
+    references': no axiom holds through the generating set and fails on
+    some column, pair or triple, and associativity fails on some triple
+    only when it fails on one with a generator on the left."""
+    bases = [su2_ce()[1],
+             gdiff.ce_gdiff(lie.ce_complex(lie.heisenberg(),
+                                           lie.trivial_rep(lie.heisenberg()))),
+             gdiff.weil_algebra(lie.abelian(1), 2).gdiff,
+             gdiff.weil_algebra(lie.abelian(2), 1).gdiff,
+             gdiff.weil_algebra(lie.su2(), 1).gdiff, _two_idempotents()]
+    rng = random.Random(9611022)
+    subjects = bases + [_rebased(c, rng) for c in bases]
+    cases = list(subjects)
+    for _ in range(60):
+        m = rng.choice(subjects)
+        for _ in range(rng.choice((1, 1, 2))):
+            family = rng.choice(("d", "i", "L", "product"))
+            m = _mutant(m, family, rng.randrange(m.algebra.dim), rng)
+        cases.append(m)
+    verdicts = []
+    for m in cases:
+        report = gdiff.check_gdiff_axioms(m)
+        assert list(report.failures) == _reference_report(m)
+        verdicts.append(report.ok)
+    assert verdicts[:len(subjects)] == [True] * len(subjects)
+    assert not any(verdicts[len(subjects):])
+    assert any(len(terms) > 1 for c in subjects[len(bases):]
+               for pairs in c.product.table.values()
+               for terms in pairs.values())
 
 
 # ---------------------------------------------------------------------------
