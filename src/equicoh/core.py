@@ -19,7 +19,7 @@ elimination.
 Every product basis (Chevalley-Eilenberg cochains, the Weil algebra, tensor
 products, the Cartan model) is laid out by `product_space` alone: it decides
 where x (x) y sits, and `kron_map` builds the operators on that layout as
-sums of Kronecker products.
+sums of Kronecker products (`gdiff._kron_table` the product tables).
 
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis or of an `rl.kernel` basis (the Cartan inclusion) has a row

@@ -43,7 +43,8 @@ laid out by `core.product_space`, and each operator on them is a sum of
 Kronecker products (`core.kron_map`).  The Weil algebra is the sum of the
 Lambda^k g* (x) S^m g*: its d, i_b and L_b are Kronecker sums of the
 exterior operators of `lie` with the coadjoint derivation and the
-multiplication by generators of S(g*).
+multiplication by generators of S(g*).  `_kron_table` builds the product
+tables on that layout from the factors' (Lambda(g*) and S(g*) for W).
 
 Checks of the paper's introduction to G-differential complexes that have no
 caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
@@ -431,39 +432,51 @@ def build_gdiff(algebra, complex_, contractions, lie_ops, product=None,
 # CE complexes as G-differential complexes
 
 
-def _monomial_product(comps: dict, m_max: int) -> Product:
-    """Product table of the monomials lambda_idx u^expo listed per degree as
-    comps[deg] = [(idx, expo), ...]: wedge on the exterior part, symmetric
-    products above degree m_max truncated."""
-    pos = {deg: {lab: i for i, lab in enumerate(labs)}
-           for deg, labs in comps.items()}
+def _basis_table(basis: dict, mul) -> dict:
+    """Product table of the monomials basis[deg]: x y = mul(x, y), a (sign,
+    monomial) pair or None when it vanishes, truncated to listed degrees."""
+    index = {deg: {x: i for i, x in enumerate(xs)}
+             for deg, xs in basis.items()}
     table = {}
-    degs = sorted(comps)
-    for da in degs:
-        for db in degs:
-            if da + db not in comps:
-                continue
-            pairs = {}
-            for ia, (idx_a, ea) in enumerate(comps[da]):
-                for ib, (idx_b, eb) in enumerate(comps[db]):
-                    if bases.sym_deg(ea) + bases.sym_deg(eb) > m_max:
-                        continue
-                    mg = bases.wedge_merge(idx_a, idx_b)
-                    if mg is None:
-                        continue
-                    s, new = mg
-                    lab = (new, bases.sym_mul(ea, eb))
-                    pairs[(ia, ib)] = ((pos[da + db][lab], s),)
-            if pairs:
-                table[(da, db)] = pairs
-    return Product(table)
+    for da, db in sorted((a, b) for a in basis for b in basis
+                         if a + b in basis):
+        pairs = {(ia, ib): ((index[da + db][xy[1]], xy[0]),)
+                 for ia, x in enumerate(basis[da])
+                 for ib, y in enumerate(basis[db])
+                 if (xy := mul(x, y)) is not None}
+        if pairs:
+            table[(da, db)] = pairs
+    return table
+
+
+def _kron_table(offsets: dict, t1: dict, t2: dict, sign) -> dict:
+    """The product table on a `core.product_space` layout of factors with
+    tables t1 and t2, (x1 (x) x2)(y1 (x) y2) = sign(|x2|, |y1|) x1 y1 (x)
+    x2 y2, over the nonzero entries of the two; positions are read from
+    `offsets`, and keys and pairs come in increasing order."""
+    at = {ab: (n,) + off for n, offs in offsets.items()
+          for ab, off in offs.items()}
+    table = {}
+    for (a1, b1), pairs1 in t1.items():
+        for (a2, b2), pairs2 in t2.items():
+            (na, oa, _, wa), (nb, ob, _, wb), (_, oc, _, wc) = (
+                at[a1, a2], at[b1, b2], at[a1 + b1, a2 + b2])
+            sgn, pairs = sign(a2, b1), table.setdefault((na, nb), {})
+            for (i1, j1), s1 in pairs1.items():
+                for (i2, j2), s2 in pairs2.items():
+                    if s1 and s2:
+                        pairs[oa + i1 * wa + i2, ob + j1 * wb + j2] = tuple(
+                            (oc + k1 * wc + k2, sgn * co1 * co2)
+                            for k1, co1 in s1 for k2, co2 in s2)
+    return {key: dict(sorted(pairs.items()))
+            for key, pairs in sorted(table.items()) if pairs}
 
 
 def wedge_product_table(n: int) -> Product:
     """Product table for Lambda(g*) with basis the increasing index tuples
     (coefficient dimension 1)."""
-    return _monomial_product({k: [(idx, ()) for idx in bases.ext_basis(n, k)]
-                              for k in range(n + 1)}, 0)
+    return Product(_basis_table({k: bases.ext_basis(n, k)
+                                 for k in range(n + 1)}, bases.wedge_merge))
 
 
 def ce_gdiff(ce: CEComplex,
@@ -539,10 +552,11 @@ def weil_algebra(g: LieAlgebra, sym_cap: int) -> WeilAlgebra:
     lie_ops = [kron_map(space, offsets, 0, [(0, 0, None, rho[b].get, None),
                                             (0, 0, coad[b].get, None, None)])
                for b in range(n)]
-    comps = {deg: [lab[1:] for lab in space.labels(deg)]
-             for deg in space.degrees()}
+    # S(g*) is even, so Lambda (x) S takes no Koszul sign
+    product = _kron_table(offsets, wedge_product_table(n).table, _basis_table(
+        mons, lambda x, y: (1, bases.sym_mul(x, y))), lambda m, k: 1)
     gd = build_gdiff(g, CochainComplex.build(space, d), contractions, lie_ops,
-                     product=_monomial_product(comps, sym_cap), unit=[1])
+                     product=Product(product), unit=[1])
     # W^0 is the unit alone, W^1 the lambda^k in order, and W^2 starts with
     # S^1
     fpos = tuple(mons[1].index(bases.unit_exp(n, k)) for k in range(n)) \
@@ -592,30 +606,16 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
     product = None
     unit = None
     if c1.product is not None and c2.product is not None:
-        # (a1 (x) a2)(b1 (x) b2) = (-1)^(|a2||b1|) a1 b1 (x) a2 b2, over the
-        # nonzero entries of the two factor tables.
-        table = {}
-        for (a1, b1), pairs1 in c1.product.table.items():
-            for (a2, b2), pairs2 in c2.product.table.items():
-                sgn = -1 if (a2 % 2) and (b1 % 2) else 1
-                pa, pb = pos.get(a1 + a2), pos.get(b1 + b2)
-                pout = pos.get(a1 + b1 + a2 + b2)
-                pairs = table.setdefault((a1 + a2, b1 + b2), {})
-                for (i1, j1), t1 in pairs1.items():
-                    for (i2, j2), t2 in pairs2.items():
-                        if t1 and t2:
-                            pairs[pa[(a1, i1, a2, i2)], pb[(b1, j1, b2, j2)]] = \
-                                tuple((pout[(a1 + b1, k1, a2 + b2, k2)],
-                                       sgn * co1 * co2)
-                                      for k1, co1 in t1 for k2, co2 in t2)
-        product = Product({key: dict(sorted(pairs.items()))
-                           for key, pairs in sorted(table.items()) if pairs})
+        # (a1 (x) a2)(b1 (x) b2) = (-1)^(|a2||b1|) a1 b1 (x) a2 b2, and the
+        # unit is u1 (x) u2, both placed by the layout's offsets
+        product = Product(_kron_table(
+            offsets, c1.product.table, c2.product.table,
+            lambda a2, b1: -1 if a2 % 2 and b1 % 2 else 1))
         if c1.unit is not None and c2.unit is not None:
+            off = offsets[0][(0, 0)][0]
             unit = [0] * space.dim(0)
-            for i1, v1 in enumerate(c1.unit):
-                for i2, v2 in enumerate(c2.unit):
-                    if v1 and v2:
-                        unit[pos[0][(0, i1, 0, i2)]] = v1 * v2
+            unit[off:off + len(c1.unit) * len(c2.unit)] = [
+                v1 * v2 if v1 and v2 else 0 for v1 in c1.unit for v2 in c2.unit]
     gd = build_gdiff(c1.algebra, cx, contractions, lie_ops, product=product,
                      unit=unit, check=check)
     return gd, pos

@@ -265,58 +265,6 @@ def test_tensor_rejects_mismatched_algebras():
         gdiff.tensor_product(a, b)
 
 
-def _per_pair_table(c1, c2, pos):
-    """The product table of c1 (x) c2 from every pair of product basis
-    elements, two factor-table lookups per pair, with the Koszul sign."""
-    comps = {deg: sorted(labs, key=labs.get) for deg, labs in pos.items()}
-    table = {}
-    for da in sorted(comps):
-        for db in sorted(comps):
-            if da + db not in comps:
-                continue
-            pairs = {}
-            for ia, (a1, i1, a2, i2) in enumerate(comps[da]):
-                for ib, (b1, j1, b2, j2) in enumerate(comps[db]):
-                    t1 = c1.product.terms(a1, i1, b1, j1)
-                    t2 = c2.product.terms(a2, i2, b2, j2)
-                    if not t1 or not t2:
-                        continue
-                    sgn = -1 if (a2 % 2) and (b1 % 2) else 1
-                    pairs[(ia, ib)] = tuple(
-                        (pos[da + db][(a1 + b1, k1, a2 + b2, k2)],
-                         sgn * co1 * co2) for k1, co1 in t1 for k2, co2 in t2)
-            if pairs:
-                table[(da, db)] = pairs
-    return table
-
-
-def _tensor_factors():
-    g, h, t = lie.su2(), lie.heisenberg(), lie.abelian(2)
-    ce = {alg.name: gdiff.ce_gdiff(lie.ce_complex(alg, lie.trivial_rep(alg)))
-          for alg in (g, h, t)}
-    return {
-        "ce-su2-weil-su2-1": (ce["su2"],
-                              gdiff.weil_algebra(g, 1).gdiff),
-        "weil-heisenberg-1-ce-heisenberg": (
-            gdiff.weil_algebra(h, 1).gdiff, ce["heisenberg"]),
-        "weil-abelian2-1-weil-abelian2-2": (
-            gdiff.weil_algebra(t, 1).gdiff,
-            gdiff.weil_algebra(t, 2).gdiff),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_tensor_factors()))
-def test_tensor_product_table_is_the_per_pair_table(name):
-    """The table built from the nonzero pairs of the factor tables is the
-    one every basis pair gives, keys and terms in the same order."""
-    c1, c2 = _tensor_factors()[name]
-    tensor, pos = gdiff.tensor_product(c1, c2, check=False)
-    ref = _per_pair_table(c1, c2, pos)
-    assert [(key, list(pairs.items())) for key, pairs in
-            tensor.product.table.items()] == \
-        [(key, list(pairs.items())) for key, pairs in ref.items()]
-
-
 def test_short_exact_sequence_euler_characteristic():
     g = lie.su2()
     w = gdiff.weil_algebra(g, 2)
@@ -950,6 +898,81 @@ def _two_idempotents():
                                    (1, 0): block}, unit=(1, 1))
 
 
+def _per_pair_table(c1, c2, pos):
+    """The product table of c1 (x) c2 from every pair of product basis
+    elements, two factor-table lookups per pair, with the Koszul sign."""
+    comps = {deg: sorted(labs, key=labs.get) for deg, labs in pos.items()}
+    table = {}
+    for da in sorted(comps):
+        for db in sorted(comps):
+            if da + db not in comps:
+                continue
+            pairs = {}
+            for ia, (a1, i1, a2, i2) in enumerate(comps[da]):
+                for ib, (b1, j1, b2, j2) in enumerate(comps[db]):
+                    t1 = c1.product.terms(a1, i1, b1, j1)
+                    t2 = c2.product.terms(a2, i2, b2, j2)
+                    if not t1 or not t2:
+                        continue
+                    sgn = -1 if (a2 % 2) and (b1 % 2) else 1
+                    pairs[(ia, ib)] = tuple(
+                        (pos[da + db][(a1 + b1, k1, a2 + b2, k2)],
+                         sgn * co1 * co2) for k1, co1 in t1 for k2, co2 in t2)
+            if pairs:
+                table[(da, db)] = pairs
+    return table
+
+
+def _tensor_factors():
+    """Pairs of factors: builders' tables, a rebased Weil algebra whose
+    entries have several terms beside an algebra whose unit has two
+    coordinates, a table with an entry of no terms, and a factor with
+    degree -1, so that degree 0 of the product starts with A^-1 (x) B^1
+    and the unit sits at a nonzero offset."""
+    g, h, t = lie.su2(), lie.heisenberg(), lie.abelian(2)
+    ce = {alg.name: gdiff.ce_gdiff(lie.ce_complex(alg, lie.trivial_rep(alg)))
+          for alg in (g, h, t)}
+    table = dict(ce["su2"].product.table)
+    table[(1, 1)] = {**table[(1, 1)], (0, 1): ()}
+    return {
+        "ce-su2-weil-su2-1": (ce["su2"],
+                              gdiff.weil_algebra(g, 1).gdiff),
+        "weil-heisenberg-1-ce-heisenberg": (
+            gdiff.weil_algebra(h, 1).gdiff, ce["heisenberg"]),
+        "weil-abelian2-1-weil-abelian2-2": (
+            gdiff.weil_algebra(t, 1).gdiff,
+            gdiff.weil_algebra(t, 2).gdiff),
+        "two-idempotents-rebased-weil-abelian1-2": (
+            _two_idempotents(),
+            _rebased(gdiff.weil_algebra(lie.abelian(1), 2).gdiff,
+                     random.Random(9611023))),
+        "ce-su2-empty-entry-weil-su2-1": (
+            dataclasses.replace(ce["su2"], product=gdiff.Product(table)),
+            gdiff.weil_algebra(g, 1).gdiff),
+        "negative-degree-two-idempotents": (
+            _algebra({-1: 1, 0: 1, 1: 1, 2: 1}, {(1, 1): {(0, 0): 0}}),
+            _two_idempotents()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tensor_factors()))
+def test_tensor_product_table_is_the_per_pair_table(name):
+    """The table built from the nonzero pairs of the factor tables is the
+    one every basis pair gives, keys and terms in the same order, and the
+    unit is the Kronecker product of the factor units."""
+    c1, c2 = _tensor_factors()[name]
+    tensor, pos = gdiff.tensor_product(c1, c2, check=False)
+    ref = _per_pair_table(c1, c2, pos)
+    assert [(key, list(pairs.items())) for key, pairs in
+            tensor.product.table.items()] == \
+        [(key, list(pairs.items())) for key, pairs in ref.items()]
+    unit = [0] * tensor.space.dim(0)
+    for i1, v1 in enumerate(c1.unit):
+        for i2, v2 in enumerate(c2.unit):
+            unit[pos[0][(0, i1, 0, i2)]] = v1 * v2
+    assert tensor.unit == tuple(unit)
+
+
 def test_unit_check_agrees_with_products_by_the_unit():
     """Seeded property: on one-entry product mutations, among them entries
     of the blocks (0, n) and (n, 0), of two algebras whose unit has one
@@ -1179,6 +1202,34 @@ def _ref_ce_complex(g, rep):
                          contractions, lie_ops)
 
 
+def _monomial_product(comps: dict, m_max: int) -> gdiff.Product:
+    """Product table of the monomials lambda_idx u^expo listed per degree as
+    comps[deg] = [(idx, expo), ...]: wedge on the exterior part, symmetric
+    products above degree m_max truncated."""
+    pos = {deg: {lab: i for i, lab in enumerate(labs)}
+           for deg, labs in comps.items()}
+    table = {}
+    degs = sorted(comps)
+    for da in degs:
+        for db in degs:
+            if da + db not in comps:
+                continue
+            pairs = {}
+            for ia, (idx_a, ea) in enumerate(comps[da]):
+                for ib, (idx_b, eb) in enumerate(comps[db]):
+                    if bases.sym_deg(ea) + bases.sym_deg(eb) > m_max:
+                        continue
+                    mg = bases.wedge_merge(idx_a, idx_b)
+                    if mg is None:
+                        continue
+                    s, new = mg
+                    lab = (new, bases.sym_mul(ea, eb))
+                    pairs[(ia, ib)] = ((pos[da + db][lab], s),)
+            if pairs:
+                table[(da, db)] = pairs
+    return gdiff.Product(table)
+
+
 def _ref_weil_algebra(g, sym_cap):
     n = g.dim
     comps = {}
@@ -1244,7 +1295,7 @@ def _ref_weil_algebra(g, sym_cap):
     unit[pos[0][((), tuple([0] * n))]] = 1
     gd = gdiff.GDiffComplex(g, core.CochainComplex.build(space, d),
                             tuple(contractions), tuple(lie_ops),
-                            gdiff._monomial_product(comps, sym_cap),
+                            _monomial_product(comps, sym_cap),
                             tuple(unit))
     lam = tuple(pos[1][((k,), tuple([0] * n))] for k in range(n))
     fpos = tuple(pos[2][((), bases.unit_exp(n, k))] for k in range(n)) \
