@@ -20,8 +20,9 @@ here are free: the registry behind `verify_identity` checks the complete
 calculus (bracket variants, Cartan formulas, module laws, duality, the
 anchor's intertwining properties), and the shipped combination of signs is
 the unique one under which every registered identity holds.  The anchor
-of a structure (the images of the dx_i) is built when first read and kept
-with the structure.
+of a structure (the images of the dx_i), and the wedge of its images over
+each index tuple that the anchor of a form reads, are built when first
+read and kept with the structure.
 
 Cohomology is computed on finite polynomial models, all cut by one rule.
 A basis key of exterior degree q and coefficient degree m has the weight
@@ -73,6 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
+from operator import add
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from . import bases, lie, ratlin as rl
@@ -200,6 +202,13 @@ class PoissonStructure:
         not a compared field."""
         return _sharp_rows(self)
 
+    @cached_property
+    def anchor_wedges(self) -> dict:
+        """{index tuple s: the wedge of the anchor rows j in s, in the order
+        of s}, each built from `anchor_rows` on first use and kept; not a
+        compared field."""
+        return {}
+
 
 def _detect_regime(w: PolyMultivector) -> str:
     degs = {sum(e) for (_, e), _ in w.coeffs}
@@ -286,16 +295,19 @@ def _sum(kind: type, ambient: int, degree: int, parts) -> object:
 def pi_sharp(p: PoissonStructure, alpha: PolyForm) -> PolyMultivector:
     """Anchor from forms to multivector fields: beta(pi_sharp(alpha)) =
     <alpha ^ beta, pi> on one-forms, extended multiplicatively (and the
-    identity on degree zero)."""
+    identity on degree zero).  Multiplicativity sends the term c x^e dx_s
+    to c x^e times the wedge of the anchor rows j in s, which the structure
+    keeps per s (`anchor_wedges`); every term goes to one constructor."""
     if alpha.ambient != p.ambient:
         raise AmbientMismatch(f"ambient {alpha.ambient} vs {p.ambient}")
     if alpha.degree == 0:
         return as_multivector(alpha)
-    rows = p.anchor_rows
-    return _sum(PolyMultivector, p.ambient, alpha.degree, (
-        reduce(wedge, (rows[j] for j in s),
-               PolyMultivector(p.ambient, 0, {((), e): c}))
-        for (s, e), c in alpha.coeffs))
+    rows, wedges = p.anchor_rows, p.anchor_wedges
+    for s in {s for (s, _), _ in alpha.coeffs} - wedges.keys():
+        wedges[s] = reduce(wedge, (rows[j] for j in s))
+    return PolyMultivector(p.ambient, alpha.degree, (
+        ((idx, tuple(map(add, e, ew))), c * cw)
+        for (s, e), c in alpha.coeffs for (idx, ew), cw in wedges[s].coeffs))
 
 
 def poisson_bracket(p: PoissonStructure, f: PolyMultivector,
@@ -313,7 +325,8 @@ def form_bracket(p: PoissonStructure, alpha: PolyForm,
     lead = exterior_d(pairing(wedge(alpha, beta), p.bivector))
     mid = contract_form(pi_sharp(p, alpha), exterior_d(beta))
     tail = contract_form(pi_sharp(p, beta), exterior_d(alpha))
-    return lead.add(mid).sub(tail)
+    return PolyForm(alpha.ambient, 1, chain(
+        lead.coeffs, mid.coeffs, ((k, -c) for k, c in tail.coeffs)))
 
 
 def field_lie_derivative_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
@@ -344,16 +357,20 @@ def form_lie_derivative(p: PoissonStructure, alpha: PolyForm,
                         beta: Union[PolyForm, PolyMultivector]) -> PolyForm:
     """Module action of a one-form on forms: on functions it applies the
     anchor field, on coordinate differentials it is the one-form bracket,
-    and it extends as a degree-0 derivation."""
+    and it extends as a degree-0 derivation.  The bracket is taken with the
+    dx_i of the axes i that occur in beta's index tuples only."""
     if alpha.degree != 1:
         raise DegreeMismatch("the module action is indexed by one-forms")
     if isinstance(beta, PolyMultivector):
         beta = as_form(beta)
+    if beta.ambient != p.ambient:
+        raise AmbientMismatch(f"ambient {beta.ambient} vs {p.ambient}")
     n = beta.ambient
     xi = pi_sharp(p, alpha)
     if beta.degree == 0:
         return as_form(apply_vector_field(xi, as_multivector(beta)))
-    gen = [form_bracket(p, alpha, basis_form(n, i)) for i in range(n)]
+    axes = {i for (s, _), _ in beta.coeffs for i in s}
+    gen = {i: form_bracket(p, alpha, basis_form(n, i)) for i in axes}
     zero = (0,) * n
 
     def parts():

@@ -26,7 +26,9 @@ and `as_multivector` convert between the two interpretations.
 
 Every operation yields its terms ((index tuple, exponent tuple), coefficient),
 repeated keys allowed, straight to the constructor of its result; the
-constructor alone checks, sums and sorts them.  The bilinear operations share
+constructor alone checks, sums and sorts them.  A sum or difference of
+objects chains their terms, negated where subtracted, into one constructor
+call, without building the negated object.  The bilinear operations share
 one loop over pairs of terms (`_products`), and the exterior differential,
 the derivative along a vector field and the graded bracket of `poisson`
 share one loop over partial derivatives (`_derivatives`).  The tensors of the
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add
+from types import GeneratorType
 from typing import Mapping, Tuple, Union
 
 from .bases import remove_slot, remove_slots, wedge_merge
@@ -90,14 +93,23 @@ def _checked_key(ambient: int, degree: int, key) -> Key:
 #: (ambient, degree) -> {raw key: `_checked_key` of it}
 _CHECKED: dict = {}
 
+#: Term collections read as sequences of terms without the `abc.Mapping`
+#: check, which costs a Python-level call on every construction; a dict is
+#: read as a mapping at once, and any other type gets the full check.
+_TERM_SEQUENCES = frozenset({tuple, list, GeneratorType, chain})
+
 
 def _validate_terms(ambient: int, degree: int, terms) -> tuple:
     """Check every term, sum the coefficients of repeated keys and sort."""
     checked = _CHECKED.get((ambient, degree))
     if checked is None:
         checked = _CHECKED[ambient, degree] = {}
+    kind = type(terms)
+    if kind is dict or (kind not in _TERM_SEQUENCES
+                        and isinstance(terms, abc.Mapping)):
+        terms = terms.items()
     acc = {}
-    for raw, coeff in terms.items() if isinstance(terms, abc.Mapping) else terms:
+    for raw, coeff in terms:
         try:
             key = checked[raw]
         except KeyError:
@@ -138,7 +150,9 @@ class _Graded:
                           self.coeffs + other.coeffs)
 
     def sub(self, other):
-        return self.add(other.scale(-1))
+        self._same_shape(other)
+        return type(self)(self.ambient, self.degree, chain(
+            self.coeffs, ((k, -v) for k, v in other.coeffs)))
 
     def scale(self, c):
         c = q(c)

@@ -6,12 +6,14 @@ coefficient regime, and the sampled product-line models."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from equicoh import lie, poisson as po, spectral
-from equicoh.poly import PolyForm, PolyMultivector
+from equicoh.poly import PolyForm, PolyMultivector, scale_by_function
 
 
 def mono(ambient, exps, coeff=1):
@@ -326,18 +328,46 @@ def test_convention_flips_break_the_module_law(monkeypatch, knob):
 
 
 def test_anchor_is_built_once_per_structure_and_only_when_read(monkeypatch):
+    """The anchor rows and the wedges of rows that pi_sharp reads are built
+    on first use and kept per structure, not per bivector: a structure that
+    compares equal still builds its own."""
     built = []
     rows = po._sharp_rows
     monkeypatch.setattr(po, "_sharp_rows",
                         lambda p: built.append(p) or rows(p))
     p = po.linear_poisson(lie.su2())
     po.d_pi(p, field(3, 0, (1, 0, 0)))
+    assert po.pi_sharp(p, po.as_form(mono(3, (1, 0, 2), 5))) == \
+        mono(3, (1, 0, 2), 5)
     assert built == []
+    assert "anchor_wedges" not in vars(p)
     po.verify_all(p, samples=2, seed=0)
+    assert "anchor_wedges" in vars(p)
     again = po.linear_poisson(lie.su2())
     po.pi_sharp(again, PolyForm(3, 1, {((0,), (0, 0, 1)): Fraction(1)}))
     assert [id(q) for q in built] == [id(p), id(again)]
     assert again == p
+    assert set(again.anchor_wedges) == {(0,)}
+    # A two-form adds the wedge over (0, 1); a second read reuses it.
+    two = PolyForm(3, 2, {((0, 1), (0, 1, 0)): Fraction(1, 2)})
+    first = po.pi_sharp(again, two)
+    kept = dict(again.anchor_wedges)
+    assert set(kept) == {(0,), (0, 1)}
+    assert po.pi_sharp(again, two) == first
+    assert all(again.anchor_wedges[s] is w for s, w in kept.items())
+    assert len(built) == 2
+    # A structure built under the transposed anchor, equal to `again` as a
+    # value, reads its own rows and wedges.
+    with monkeypatch.context() as m:
+        _flip(m, "_SHARP_TRANSPOSE")
+        flipped = po.linear_poisson(lie.su2())
+        assert flipped == again
+        assert po.pi_sharp(flipped, two) == first
+        one = PolyForm(3, 1, {((0,), (0, 0, 0)): Fraction(1)})
+        assert po.pi_sharp(flipped, one) == po.pi_sharp(again, one).scale(-1)
+    assert flipped.anchor_wedges is not again.anchor_wedges
+    assert flipped.anchor_wedges[(0,)] == kept[(0,)].scale(-1)
+    assert flipped.anchor_wedges[(0, 1)] == kept[(0, 1)]
 
 
 #: SHA-256 of the full `verify_all` JSON (samples 12, seed 1) on the three
@@ -388,6 +418,158 @@ def test_a_tensor_witness_prints_its_coefficients_as_fractions(monkeypatch):
     text = json.dumps(rep, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e63f363dfd15f66330cdd5004b395925d88dd42d3d9145630ea429d6e0294a2f")
+
+
+# ---------------------------------------------------------------------------
+# The composite operations against their former compositions
+#
+# pi_sharp keeps one wedge of anchor rows per index tuple, the form Lie
+# derivative brackets with the dx_i its argument has, and `sub` and the
+# one-form bracket hand all their terms to one constructor.  The references
+# below compose them from whole objects, one operation at a time: the
+# anchor rows read from `_sharp_rows` on every call (so the flips act on
+# them) and wedged one by one onto each term, the bracket taken with every
+# coordinate differential, and every sum made of `.add` and `.scale(-1)`.
+
+
+def _ref_sub(x, y):
+    return x.add(y.scale(-1))
+
+
+def _ref_pi_sharp(p, alpha):
+    if alpha.degree == 0:
+        return PolyMultivector(alpha.ambient, 0, alpha.coeffs)
+    rows = po._sharp_rows(p)
+    total = po.zero_multivector(p.ambient, alpha.degree)
+    for (s, e), c in alpha.coeffs:
+        total = total.add(reduce(po.wedge, (rows[j] for j in s),
+                                 PolyMultivector(p.ambient, 0, {((), e): c})))
+    return total
+
+
+def _ref_form_bracket(p, alpha, beta):
+    lead = po.exterior_d(po.pairing(po.wedge(alpha, beta), p.bivector))
+    mid = po.contract_form(_ref_pi_sharp(p, alpha), po.exterior_d(beta))
+    tail = po.contract_form(_ref_pi_sharp(p, beta), po.exterior_d(alpha))
+    return _ref_sub(lead.add(mid), tail)
+
+
+def _ref_form_lie_derivative(p, alpha, beta):
+    n = beta.ambient
+    xi = _ref_pi_sharp(p, alpha)
+    if beta.degree == 0:
+        return po.as_form(po.apply_vector_field(
+            xi, PolyMultivector(n, 0, beta.coeffs)))
+    gen = [_ref_form_bracket(p, alpha, po.basis_form(n, i)) for i in range(n)]
+    zero = (0,) * n
+    total = po.zero_form(n, beta.degree)
+    for (s, e), c in beta.coeffs:
+        f = PolyMultivector(n, 0, {((), e): c})
+        total = total.add(scale_by_function(
+            po.apply_vector_field(xi, f),
+            PolyForm(n, beta.degree, {(s, zero): 1})))
+        for t in range(len(s)):
+            left = PolyForm(n, t, {(s[:t], zero): 1})
+            right = PolyForm(n, len(s) - t - 1, {(s[t + 1:], zero): 1})
+            piece = po.wedge(po.wedge(left, gen[s[t]]), right)
+            total = total.add(scale_by_function(f, piece))
+    return total
+
+
+def _ref_sharp_tensor_fold(p, t, ambient, mv_degree):
+    zero = (0,) * ambient
+    total = po.zero_multivector(ambient, mv_degree)
+    for (fi, mi, e), c in t.items():
+        total = total.add(po.wedge(
+            _ref_pi_sharp(p, PolyForm(ambient, len(fi), {(fi, e): c})),
+            PolyMultivector(ambient, len(mi), {(mi, zero): 1})))
+    return total
+
+
+def _draw(kind, rng, n, degree, terms=3):
+    """A seeded object with int and non-integral Fraction coefficients and
+    exponents up to 2 on each axis; keys may repeat."""
+    return kind(n, degree, [
+        ((tuple(sorted(rng.sample(range(n), degree))),
+          tuple(rng.randrange(3) for _ in range(n))),
+         rng.choice([-3, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+        for _ in range(terms)])
+
+
+def _same(got, ref):
+    """Equal objects, coefficient by coefficient and type by type."""
+    assert type(got) is type(ref)
+    assert (got.ambient, got.degree) == (ref.ambient, ref.degree)
+    assert got.coeffs == ref.coeffs
+    assert [type(c) for _, c in got.coeffs] == [type(c) for _, c in ref.coeffs]
+
+
+#: The structures of the poisson-identities bench workload, and a certified
+#: bivector with quadratic and cubic coefficients (pi = g e_0 ^ e_1 on Q^3
+#: satisfies Jacobi for every g).
+_CALCULUS_STRUCTURES = [
+    ("linear-su2", lambda: po.linear_poisson(lie.su2())),
+    ("linear-heisenberg", lambda: po.linear_poisson(lie.heisenberg())),
+    ("symplectic-2", lambda: po.symplectic_poisson(2)),
+    ("symplectic-3", lambda: po.symplectic_poisson(3)),
+    ("non-linear", lambda: po.poisson_structure(PolyMultivector(3, 2, {
+        ((0, 1), (2, 0, 1)): 1, ((0, 1), (0, 0, 2)): Fraction(1, 2)}))),
+]
+
+
+@pytest.mark.parametrize("knob", [None] + list(_FLIPS))
+def test_composite_operations_match_their_former_compositions(monkeypatch,
+                                                              knob):
+    """pi_sharp, form_bracket, form_lie_derivative, sharp_tensor_fold and
+    `sub` give the coefficients, and coefficient types, of the references
+    above, on every calculus structure, under the shipped conventions and
+    under each flip.  Every structure is built first under the shipped
+    conventions and then again under the knob, so wedges kept for an equal
+    structure would be read."""
+    rng = random.Random(f"composites:{knob}")
+    for _, build in _CALCULUS_STRUCTURES:
+        shipped = build()
+        for i in range(shipped.ambient):
+            po.pi_sharp(shipped, po.basis_form(shipped.ambient, i))
+    if knob is not None:
+        _flip(monkeypatch, knob)
+    for name, build in _CALCULUS_STRUCTURES:
+        p = build()
+        assert p.certified, name
+        n = p.ambient
+        for _ in range(6):
+            alpha, beta = (_draw(PolyForm, rng, n, 1) for _ in range(2))
+            q = rng.randrange(min(n, 3) + 1)
+            gamma, gamma2 = (_draw(PolyForm, rng, n, q) for _ in range(2))
+            _same(gamma.sub(gamma2), _ref_sub(gamma, gamma2))
+            _same(po.pi_sharp(p, gamma), _ref_pi_sharp(p, gamma))
+            _same(po.form_bracket(p, alpha, beta),
+                  _ref_form_bracket(p, alpha, beta))
+            _same(po.form_lie_derivative(p, alpha, gamma),
+                  _ref_form_lie_derivative(p, alpha, gamma))
+            w = _draw(PolyMultivector, rng, n, rng.randrange(1, min(n, 3) + 1))
+            t = po.tilde_i(w, po.exterior_d(alpha))
+            _same(po.sharp_tensor_fold(p, t, n, w.degree),
+                  _ref_sharp_tensor_fold(p, t, n, w.degree))
+
+
+def test_the_anchor_is_multiplicative():
+    """pi_sharp(alpha ^ beta) = pi_sharp(alpha) ^ pi_sharp(beta) for forms
+    of degree at most 2, and pi_sharp is the identity on functions: the
+    property that lets pi_sharp keep one wedge of anchor rows per index
+    tuple.  150 pairs over the calculus structures."""
+    rng = random.Random("anchor-multiplicative")
+    for name, build in _CALCULUS_STRUCTURES:
+        p = build()
+        n = p.ambient
+        for _ in range(30):
+            alpha, beta = (_draw(PolyForm, rng, n, rng.randrange(3))
+                           for _ in range(2))
+            lhs = po.pi_sharp(p, po.wedge(alpha, beta))
+            rhs = po.wedge(po.pi_sharp(p, alpha), po.pi_sharp(p, beta))
+            assert lhs == rhs, (name, alpha, beta)
+            f = _draw(PolyForm, rng, n, 0)
+            assert po.pi_sharp(p, f) == PolyMultivector(n, 0, f.coeffs)
 
 
 # ---------------------------------------------------------------------------
