@@ -67,9 +67,5 @@ def sym_mul(e1: tuple, e2: tuple) -> tuple:
     return tuple(a + b for a, b in zip(e1, e2))
 
 
-def sym_deg(e: tuple) -> int:
-    return sum(e)
-
-
 def unit_exp(n: int, j: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n))

@@ -16,10 +16,12 @@ subquotient denominator is never reduced at all: `subquotient` takes any
 spanning columns (an image, a sum of spans) and reads everything off its one
 elimination.
 
+A graded space is its dimensions; its basis elements carry no labels.
 Every product basis (Chevalley-Eilenberg cochains, the Weil algebra, tensor
-products, the Cartan model) is laid out by `product_space` alone: it decides
-where x (x) y sits, and `kron_map` builds the operators on that layout as
-sums of Kronecker products (`gdiff._kron_table` the product tables).
+products, the Cartan model) is laid out by `product_space` alone: its
+offsets are the only record of where x (x) y sits, and `kron_map` builds
+the operators on that layout as sums of Kronecker products
+(`gdiff._kron_table` the product tables).
 
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis or of an `rl.kernel` basis (the Cartan inclusion) has a row
@@ -57,46 +59,30 @@ class InconsistentResult(Exception):
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finitely supported graded space: degree -> ordered basis labels."""
+    """Finitely supported graded space: degree -> dimension.  A basis
+    element is its position in its degree; a product basis is indexed by
+    the offsets of `product_space` alone."""
 
-    components: tuple  # tuple of (degree, tuple(labels)) sorted by degree
-
-    @staticmethod
-    def from_dims(dims: Mapping[int, int], prefix: str = "b") -> "GradedSpace":
-        comps = []
-        for n in sorted(dims):
-            if dims[n]:
-                comps.append((n, tuple(f"{prefix}{n}.{i}" for i in range(dims[n]))))
-        return GradedSpace(tuple(comps))
+    components: tuple  # tuple of (degree, dimension > 0) sorted by degree
 
     @staticmethod
-    def from_labels(labels: Mapping[int, Sequence]) -> "GradedSpace":
-        comps = []
-        for n in sorted(labels):
-            if len(labels[n]):
-                comps.append((n, tuple(labels[n])))
-        return GradedSpace(tuple(comps))
+    def from_dims(dims: Mapping[int, int]) -> "GradedSpace":
+        return GradedSpace(tuple((n, dims[n]) for n in sorted(dims) if dims[n]))
 
     def dim(self, n: int) -> int:
-        for deg, labels in self.components:
+        for deg, dim in self.components:
             if deg == n:
-                return len(labels)
+                return dim
         return 0
-
-    def labels(self, n: int) -> tuple:
-        for deg, labels in self.components:
-            if deg == n:
-                return labels
-        return ()
 
     def degrees(self) -> list:
         return [deg for deg, _ in self.components]
 
     def total_dim(self) -> int:
-        return sum(len(labels) for _, labels in self.components)
+        return sum(dim for _, dim in self.components)
 
     def dims(self) -> dict:
-        return {deg: len(labels) for deg, labels in self.components}
+        return dict(self.components)
 
 
 @dataclass(frozen=True)
@@ -167,21 +153,21 @@ class LinearMap:
                 for row in self.block(n)]
 
 
-def product_space(parts: Mapping[int, Sequence], label) -> tuple:
+def product_space(parts: Mapping[int, Sequence]) -> tuple:
     """Lay out degree n as the ordered sum of the products X_a (x) Y_b given
-    as parts[n] = [(a, b, labels of X_a, labels of Y_b), ...]: x_i (x) y_j
-    sits at the product's offset + i * dim Y_b + j (the `rl.add_kron`
-    layout) with label(a, b, x_i, y_j).  Returns the space and
-    offsets[n][(a, b)] = (offset, dim X_a, dim Y_b), zero-size products
-    included, in the order given."""
-    labels, offsets = {}, {}
+    as parts[n] = [(a, b, dim X_a, dim Y_b), ...]: x_i (x) y_j sits at the
+    product's offset + i * dim Y_b + j (the `rl.add_kron` layout).  Returns
+    the space and offsets[n][(a, b)] = (offset, dim X_a, dim Y_b), zero-size
+    products included, in the order given; the offsets are the only index
+    of the basis."""
+    dims, offsets = {}, {}
     for n, products in parts.items():
-        labs = labels[n] = []
         offs = offsets[n] = {}
-        for a, b, xs, ys in products:
-            offs[(a, b)] = (len(labs), len(xs), len(ys))
-            labs.extend(label(a, b, x, y) for x in xs for y in ys)
-    return GradedSpace.from_labels(labels), offsets
+        dims[n] = 0
+        for a, b, nx, ny in products:
+            offs[(a, b)] = (dims[n], nx, ny)
+            dims[n] += nx * ny
+    return GradedSpace.from_dims(dims), offsets
 
 
 def kron_map(space: GradedSpace, offsets: Mapping, shift: int,
@@ -454,9 +440,6 @@ class CohomologyResult:
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def dims_list(self, lo: int, hi: int) -> list:
-        return [self.dim(n) for n in range(lo, hi + 1)]
-
 
 def cohomology(c: CochainComplex) -> CohomologyResult:
     """ker d / im d with canonical representatives per degree."""
@@ -467,15 +450,11 @@ def cohomology(c: CochainComplex) -> CohomologyResult:
     return CohomologyResult(c.space, dims, dict(sq.reps))
 
 
-def restrict_complex(c: CochainComplex, sub: Subspace,
-                     label_prefix: str = "s") -> tuple:
+def restrict_complex(c: CochainComplex, sub: Subspace) -> tuple:
     """Restrict d to a d-stable subspace.  Returns (CochainComplex in the
     subspace's own coordinates, inclusion LinearMap).  Raises NotContained
     if the subspace is not d-stable (witness degree in the message)."""
-    labels = {n: tuple(f"{label_prefix}{n}.{i}" for i in range(sub.dim(n)))
-              for n in sorted(dict(sub.basis))}
-    small = GradedSpace.from_labels(labels)
-    inclusion = LinearMap.from_blocks(small, c.space, 0,
-                                      {n: sub.matrix(n) for n, _ in sub.basis})
+    small = GradedSpace.from_dims(sub.dims())
+    inclusion = LinearMap.from_blocks(small, c.space, 0, dict(sub.basis))
     d = restrict_map(c.d, inclusion, "subspace is not closed under d")
     return CochainComplex.build(small, d), inclusion

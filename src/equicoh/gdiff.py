@@ -56,15 +56,14 @@ quotient by it are G-differential complexes), `locally_free_connection` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bases, ratlin as rl
-from .core import (CochainComplex, GradedSpace, InconsistentResult,
-                   LinearMap, Subspace, cohomology, joint_kernel, kron_map,
-                   map_kernel, product_space, restrict_complex, restrict_map,
-                   subquotient)
+from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
+                   cohomology, joint_kernel, kron_map, map_kernel,
+                   product_space, restrict_complex, restrict_map, subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, _exterior_operators,
                   sym_derivation, sym_multiplication)
 
@@ -505,11 +504,15 @@ def ce_gdiff(ce: CEComplex,
 
 @dataclass(frozen=True)
 class WeilAlgebra:
+    """A truncated Weil algebra with its `core.product_space` layout:
+    lambda_I u^E of Lambda^k (x) S^m sits at offsets[k + 2m][(k, m)][0] +
+    (index of I) * |S^m| + (index of E in mons[m]), so lambda^b is the b-th
+    basis element of degree 1."""
+
     gdiff: GDiffComplex
     sym_cap: int
-    # index maps for the generators
-    lambda_positions: tuple  # basis index of lambda^k in degree 1
-    f_positions: tuple       # basis index of f_k in degree 2
+    offsets: dict   # degree -> (k, m) -> (offset, |Lambda^k|, |S^m|)
+    mons: dict      # m -> the monomial exponent tuples of S^m, in order
 
 
 def weil_algebra(g: LieAlgebra, sym_cap: int) -> WeilAlgebra:
@@ -534,8 +537,8 @@ def weil_algebra(g: LieAlgebra, sym_cap: int) -> WeilAlgebra:
     for k in range(n + 1):
         for m in mons:
             parts.setdefault(k + 2 * m, []).append(
-                (k, m, bases.ext_basis(n, k), mons[m]))
-    space, offsets = product_space(parts, lambda k, m, idx, e: ("w", idx, e))
+                (k, m, len(bases.ext_basis(n, k)), len(mons[m])))
+    space, offsets = product_space(parts)
     wedge, d_ext, contr, coad = _exterior_operators(g)
     rho = [{m: sym_derivation(g.coad(b), mons[m]) for m in mons}
            for b in range(n)]
@@ -557,38 +560,30 @@ def weil_algebra(g: LieAlgebra, sym_cap: int) -> WeilAlgebra:
         mons, lambda x, y: (1, bases.sym_mul(x, y))), lambda m, k: 1)
     gd = build_gdiff(g, CochainComplex.build(space, d), contractions, lie_ops,
                      product=Product(product), unit=[1])
-    # W^0 is the unit alone, W^1 the lambda^k in order, and W^2 starts with
-    # S^1
-    fpos = tuple(mons[1].index(bases.unit_exp(n, k)) for k in range(n)) \
-        if sym_cap >= 1 else ()
-    return WeilAlgebra(gd, sym_cap, tuple(range(n)), fpos)
+    return WeilAlgebra(gd, sym_cap, offsets, mons)
 
 
 # ---------------------------------------------------------------------------
 # Tensor products
 
 
-def _tensor_layout(sp1: GradedSpace, sp2: GradedSpace) -> tuple:
-    """The product space of two graded spaces, the products A^d1 (x) B^d2 of
-    a total degree in increasing d1, and its offsets; degrees are listed
-    as first met over (d1, d2), which fixes the key order of `pos`."""
+def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
+                   check: bool = True) -> tuple:
+    """Graded tensor product with Koszul signs, with a product table when
+    both factors have one.  Returns (GDiffComplex, offsets), the offsets of
+    its `core.product_space` layout: degree n is the sum of the A^d1 (x)
+    B^d2 with d1 + d2 = n in increasing d1, offsets[n][(d1, d2)] = (offset,
+    dim A^d1, dim B^d2), and a_i (x) b_j sits at offset + i * dim B^d2 + j.
+    Degrees are listed as first met over (d1, d2)."""
+    if c1.algebra != c2.algebra:
+        raise MismatchedAlgebra("tensor factors carry different algebras")
+    sp1, sp2 = c1.space, c2.space
     parts = {}
     for d1 in sp1.degrees():
         for d2 in sp2.degrees():
             parts.setdefault(d1 + d2, []).append(
-                (d1, d2, range(sp1.dim(d1)), range(sp2.dim(d2))))
-    return product_space(parts, lambda d1, d2, i1, i2: ("t", d1, i1, d2, i2))
-
-
-def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
-                   check: bool = True) -> tuple:
-    """Graded tensor product with Koszul signs.  Returns (GDiffComplex, pos)
-    where pos[total_degree][(deg1, i1, deg2, i2)] = basis index."""
-    if c1.algebra != c2.algebra:
-        raise MismatchedAlgebra("tensor factors carry different algebras")
-    space, offsets = _tensor_layout(c1.space, c2.space)
-    pos = {deg: {lab[1:]: i for i, lab in enumerate(space.labels(deg))}
-           for deg in offsets}
+                (d1, d2, sp1.dim(d1), sp2.dim(d2)))
+    space, offsets = product_space(parts)
 
     def op(op1: LinearMap, op2: LinearMap, koszul) -> LinearMap:
         """op1 (x) 1 + koszul(d1) * (1 (x) op2)."""
@@ -618,7 +613,7 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
                 v1 * v2 if v1 and v2 else 0 for v1 in c1.unit for v2 in c2.unit]
     gd = build_gdiff(c1.algebra, cx, contractions, lie_ops, product=product,
                      unit=unit, check=check)
-    return gd, pos
+    return gd, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +625,12 @@ def basic_subcomplex(c: GDiffComplex) -> tuple:
     restricted differential.  Returns (CochainComplex, inclusion)."""
     ops = list(c.contractions) + list(c.lie_ops)
     sub = joint_kernel(c.space, ops)
-    return restrict_complex(c.complex, sub, label_prefix="basic")
+    return restrict_complex(c.complex, sub)
 
 
 def sub_gdiff(c: GDiffComplex, sub: Subspace) -> GDiffComplex:
     """Restrict the whole package to an (i, L, d)-stable graded subspace."""
-    small, incl = restrict_complex(c.complex, sub, label_prefix="sub")
+    small, incl = restrict_complex(c.complex, sub)
 
     def restrict(op: LinearMap) -> LinearMap:
         return restrict_map(op, incl, "subspace not stable under operator")
@@ -650,9 +645,7 @@ def quotient_gdiff(c: GDiffComplex, sub: Subspace) -> tuple:
     (GDiffComplex, projection LinearMap)."""
     full = Subspace.full(c.space)
     sq = subquotient(full, dict(sub.basis))
-    labels = {n: tuple(f"q{n}.{i}" for i in range(sq.dim(n)))
-              for n in c.space.degrees() if sq.dim(n)}
-    qspace = GradedSpace.from_labels(labels)
+    qspace = GradedSpace.from_dims(sq.dims)
 
     proj = LinearMap.from_blocks(c.space, qspace, 0, {
         n: sq.project(n, rl.identity(c.space.dim(n)))
@@ -776,12 +769,11 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
                for m in mons}
     adegs = sp.degrees()
     top = max(adegs, default=0) + 2 * sym_cap if top is None else top
-    parts = {deg: [(n, m, range(sp.dim(n)), range(len(mons[m])))
+    parts = {deg: [(n, m, sp.dim(n), len(mons[m]))
                    for m in mons if (n := deg - 2 * m) in adegs]
              for deg in range(top + 1)}
-    model_space, offsets = product_space(
-        parts, lambda n, m, ai, mi: ("c", n, m, ai, mi))
-    fine, inv_labels, incl_blocks = {}, {}, {}
+    model_space, offsets = product_space(parts)
+    fine, inv_dims, incl_blocks = {}, {}, {}
     for deg in model_space.degrees():
         entries, kernels = [], []
         for (n, m), (off, dim_a, dim_s) in offsets[deg].items():
@@ -793,14 +785,14 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
         total_inv = sum(k for (_, _, k, _, _) in entries)
         if total_inv == 0:
             continue
-        inv_labels[deg] = tuple(f"inv{deg}.{i}" for i in range(total_inv))
+        inv_dims[deg] = total_inv
         # the fine components in order, each kernel in its own columns
         rows, colpos = [], 0
         for (_, _, k, _, _), kernel in zip(entries, kernels):
             rows += [{colpos + j: v for j, v in row.items()} for row in kernel]
             colpos += k
         incl_blocks[deg] = rl.freeze(rows, total_inv)
-    inv_space = GradedSpace.from_labels(inv_labels)
+    inv_space = GradedSpace.from_dims(inv_dims)
     inclusion = LinearMap.from_blocks(inv_space, model_space, 0, incl_blocks)
 
     # full-model differential (note: d_G^2 is only zero on invariants)
@@ -912,7 +904,9 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
     """Multiplicative extension of lambda^k -> Theta_k, with the forced values
     F_k = -sum_{i<j} c^k_{ij} Theta_i Theta_j - d Theta_k on the symmetric
     generators.  Verifies compatibility with (d, i, L); the d-compatibility is
-    checked away from the truncation edge (symmetric degree < cap)."""
+    checked away from the truncation edge (symmetric degree < cap).  Each
+    basis element lambda_I u^E and its symmetric degree are read off the
+    offsets and monomials of `w`."""
     if target.product is None or target.unit is None:
         raise NotMultiplicative("universal map needs a multiplicative target")
     g = w.gdiff.algebra
@@ -934,28 +928,31 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
         dth = target.d.apply(1, theta[k])
         f_img.append([x - y for x, y in zip(acc, dth)])
 
+    def image(idx, expo):
+        """The image of lambda_idx u^expo: the Theta_i in order, then the
+        F_k, multiplied onto the unit."""
+        cur_deg = 0
+        cur = list(target.unit)
+        for i in idx:
+            cur = prod.mult(sp, cur_deg, cur, 1, theta[i])
+            cur_deg += 1
+        for k in range(r):
+            for _ in range(expo[k]):
+                cur = prod.mult(sp, cur_deg, cur, 2, f_img[k])
+                cur_deg += 2
+        return cur
+
     wsp = w.gdiff.space
     blocks = {}
     for deg in wsp.degrees():
-        labs = wsp.labels(deg)
         blk = [{} for _ in range(sp.dim(deg))]
-        for col, lab in enumerate(labs):
-            _, idx, expo = lab
-            cur_deg = 0
-            cur = list(target.unit)
-            for i in idx:
-                cur = prod.mult(sp, cur_deg, cur, 1, theta[i])
-                cur_deg += 1
-            for k in range(r):
-                for _ in range(expo[k]):
-                    cur = prod.mult(sp, cur_deg, cur, 2, f_img[k])
-                    cur_deg += 2
-            if cur_deg != deg:
-                raise InconsistentResult(f"Weil label {lab} is not of degree {deg}")
-            for t, v in enumerate(cur):
-                if v:
-                    blk[t][col] = v
-        blocks[deg] = rl.freeze(blk, len(labs))
+        for (k, m), (off, _, dim_s) in w.offsets[deg].items():
+            for i, idx in enumerate(bases.ext_basis(r, k)):
+                for j, expo in enumerate(w.mons[m]):
+                    for t, v in enumerate(image(idx, expo)):
+                        if v:
+                            blk[t][off + i * dim_s + j] = v
+        blocks[deg] = rl.freeze(blk, wsp.dim(deg))
     phi = LinearMap.from_blocks(wsp, sp, 0, blocks)
 
     # compatibility with contractions and Lie derivatives (no truncation
@@ -969,8 +966,9 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
                                                  (-1, phi, wops[b])]):
                 raise ConnectionInvalid({"identity": identity, "generator": b,
                                          **witness})
-    below = [(n, j) for n, j in every
-             if bases.sym_deg(wsp.labels(n)[j][2]) < w.sym_cap]
+    below = [(n, off + j) for n in wsp.degrees()
+             for (_, m), (off, dim_e, dim_s) in w.offsets[n].items()
+             if m < w.sym_cap for j in range(dim_e * dim_s)]
     if witness := _first_failure(below, [(1, target.d, phi), (-1, phi, wg.d)]):
         raise ConnectionInvalid({"identity": "chain", **witness})
     return UniversalMapResult(phi, tuple(tuple(v) for v in f_img), w.sym_cap)
@@ -988,18 +986,19 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
 MQ_SIGN = (1, 1, 0)   # eps(n, wd) = s * (-1)^(p*n + q*wd) with (s, p, q)
 
 
-def _mq_twist(a: GDiffComplex, w: WeilAlgebra) -> LinearMap:
-    """N = sum_b eps * i_b (x) (lambda^b ^) on the layout of A (x) W, eps
-    read off MQ_SIGN when called."""
+def _mq_twist(a: GDiffComplex, w: WeilAlgebra, space: GradedSpace,
+              offsets: dict) -> LinearMap:
+    """N = sum_b eps * i_b (x) (lambda^b ^) on the layout (space, offsets)
+    of A (x) W, eps read off MQ_SIGN when called."""
     s, p, q = MQ_SIGN
     wsp, prod = w.gdiff.space, w.gdiff.product
-    space, offsets = _tensor_layout(a.space, wsp)
 
     def lam(b, wd):
         """(-1)^(q wd) times left multiplication by lambda^b on W^wd."""
+        off, _, dim_s = w.offsets[1][(1, 0)]
         m = [{} for _ in range(wsp.dim(wd + 1))]
         for i2 in range(wsp.dim(wd)):
-            for k, sgn in prod.terms(1, w.lambda_positions[b], wd, i2):
+            for k, sgn in prod.terms(1, off + b * dim_s, wd, i2):
                 m[k][i2] = m[k].get(i2, 0) + sgn * (-1) ** (q * wd % 2)
         return rl.freeze(m, wsp.dim(wd))
 
@@ -1027,8 +1026,7 @@ def _exp_nilpotent(nmap: LinearMap) -> LinearMap:
 
 @dataclass(frozen=True)
 class TwistedInclusion:
-    tensor: GDiffComplex
-    pos: dict
+    tensor: GDiffComplex   # A (x) W, without a product table
     inclusion: LinearMap   # Cartan invariant complex -> tensor space
 
 
@@ -1036,37 +1034,34 @@ def cartan_weil_inclusion(model: CartanModel,
                           w: WeilAlgebra) -> TwistedInclusion:
     """Embed the Cartan model into A (x) W^(<=M) so that the image is basic
     and the differentials correspond.  Verifies chain property, basic image
-    and injectivity; raises AxiomFailure on any defect."""
+    and injectivity; raises AxiomFailure on any defect.  The checks read no
+    product, so A (x) W is built without its table."""
     a = model.base
     if w.sym_cap != model.sym_cap:
         raise ValueError("symmetric caps of model and Weil algebra differ")
-    tensor, pos = tensor_product(a, w.gdiff, check=False)
+    tensor, offsets = tensor_product(
+        a, replace(w.gdiff, product=None, unit=None), check=False)
 
-    # W-basis positions of the purely symmetric monomials
-    wpos = {}
-    for m in range(w.sym_cap + 1):
-        deg = 2 * m
-        for i, lab in enumerate(w.gdiff.space.labels(deg)):
-            _, idx, expo = lab
-            if not idx:
-                wpos[expo] = i
-
-    # rearrangement: full Cartan model space -> tensor space
+    # rearrangement: full Cartan model space -> tensor space, a_i (x) u^E of
+    # A^n (x) S^m to a_i (x) u^E of A^n (x) W^2m, where u^E lies in the
+    # product Lambda^0 (x) S^m of W^2m
     msp = model.model_space
     rblocks = {}
     for deg in msp.degrees():
-        labs = msp.labels(deg)
-        if tensor.space.dim(deg) == 0:
-            continue
         blk = [{} for _ in range(tensor.space.dim(deg))]
-        for col, lab in enumerate(labs):
-            _, n, m, ai, mi = lab
-            expo = model.mons[m][mi]
-            blk[pos[deg][(n, ai, 2 * m, wpos[expo])]][col] = 1
-        rblocks[deg] = rl.freeze(blk, len(labs))
+        for (n, m), (off, dim_a, dim_s) in model.offsets[deg].items():
+            if not dim_a * dim_s:
+                continue
+            w_off = w.offsets[2 * m][(0, m)][0]
+            row = {e: w_off + j for j, e in enumerate(w.mons[m])}
+            t_off, _, dim_w = offsets[deg][(n, 2 * m)]
+            for i in range(dim_a):
+                for j, expo in enumerate(model.mons[m]):
+                    blk[t_off + i * dim_w + row[expo]][off + i * dim_s + j] = 1
+        rblocks[deg] = rl.freeze(blk, msp.dim(deg))
     rearr = LinearMap.from_blocks(msp, tensor.space, 0, rblocks)
 
-    twist = _mq_twist(a, w)
+    twist = _mq_twist(a, w, tensor.space, offsets)
     expn = _exp_nilpotent(twist)
     inc = expn.compose(rearr.compose(model.inclusion))
 
@@ -1085,7 +1080,7 @@ def cartan_weil_inclusion(model: CartanModel,
                  if rl.rank(inc.block(deg)) != src.dim(deg)]
     if failures:
         raise AxiomFailure(AxiomReport(False, tuple(failures)))
-    return TwistedInclusion(tensor, pos, inc)
+    return TwistedInclusion(tensor, inc)
 
 
 # ---------------------------------------------------------------------------

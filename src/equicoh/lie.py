@@ -363,8 +363,8 @@ def ce_complex(g: LieAlgebra, rep: Optional[Representation] = None) -> CEComplex
         raise RepresentationInvalid("the representation is of another algebra")
     n = g.dim
     space, offsets = product_space(
-        {k: [(k, 0, bases.ext_basis(n, k), range(rep.space_dim))]
-         for k in range(n + 1)}, lambda k, _, idx, a: (a, idx))
+        {k: [(k, 0, len(bases.ext_basis(n, k)), rep.space_dim)]
+         for k in range(n + 1)})
     wedge, d_ext, contr, coad = _exterior_operators(g)
     rho = [lambda _, b=b: rep.op(b) for b in range(n)]
     d = kron_map(space, offsets, 1, [(1, 0, wedge[b].get, rho[b], None)
@@ -431,7 +431,7 @@ def relative_subcomplex(ce: CEComplex, k: Subalgebra) -> tuple:
                        k.restrict(ce.algebra, ce.contractions)
                        + k.restrict(ce.algebra, ce.lie_ops))
     try:
-        small, incl = restrict_complex(ce.complex, sub, label_prefix="rel")
+        small, incl = restrict_complex(ce.complex, sub)
     except NotContained as e:
         raise NotSubcomplex(str(e)) from e
     return small, incl
@@ -442,9 +442,6 @@ class LieCohomology:
     dims: dict
     reps: dict
     predicted_dims: Optional[dict] = None
-
-    def dims_list(self, lo: int, hi: int) -> list:
-        return [self.dims.get(n, 0) for n in range(lo, hi + 1)]
 
 
 def lie_cohomology(g: LieAlgebra, rep: Optional[Representation] = None,

@@ -747,8 +747,7 @@ def build_poly_model(ambient: int, kind: type, tilt: int, lo: int, hi: int,
         if keys:
             basis[q] = keys
     index = {(q, k): i for q, ks in basis.items() for i, k in enumerate(ks)}
-    space = GradedSpace.from_labels(
-        {q: tuple(repr(k) for k in ks) for q, ks in basis.items()})
+    space = GradedSpace.from_dims({q: len(ks) for q, ks in basis.items()})
     model = PolyModel(ambient, kind, tilt, lo, hi, basis, index, space, None,
                       band)
     # The differential is read off the model's own basis: its complex is
@@ -1094,7 +1093,7 @@ def mu_tangent_complex(md: MomentumData, c: gd.GDiffComplex,
                 f"{witness['basis_index']}")
     tangent = joint_kernel(model.space,
                            list(c.contractions) + list(c.lie_ops))
-    small, _ = restrict_complex(model.complex, tangent, label_prefix="t")
+    small, _ = restrict_complex(model.complex, tangent)
     h = cohomology(small)
     n = md.pi.ambient
     return TangentReport(tangent, small,
@@ -1205,9 +1204,6 @@ def sharp_comparison(md: MomentumData, slice_degree: int,
 class EquivariantPoissonReport:
     cohomology: object      # gdiff.EquivariantCohomology
     invariant_function_dim: int
-
-    def dims_list(self, up_to: int) -> list:
-        return self.cohomology.dims_list(up_to)
 
 
 def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
@@ -1328,7 +1324,7 @@ def build_product_line_model(roots: Sequence,
     if len(values) != len(roots):
         raise ValueError("need one derivative value per root")
     m = len(roots)
-    space = GradedSpace.from_dims({0: m, 1: m, 2: m, 3: m}, prefix="line")
+    space = GradedSpace.from_dims({0: m, 1: m, 2: m, 3: m})
     dblocks = {1: rl.freeze([{i: values[i]} for i in range(m)], m)}
     d = LinearMap.from_blocks(space, space, 1, dblocks)
     cx = CochainComplex.build(space, d)

@@ -34,7 +34,7 @@ def small_complex():
 def test_cohomology_small():
     c = small_complex()
     h = cohomology(c)
-    assert h.dims_list(0, 2) == [1, 0, 0]
+    assert [h.dim(n) for n in range(3)] == [1, 0, 0]
     # representative of H^0 is the canonical kernel vector (0,1)
     assert _rows(h.reps[0]) == ((0,), (1,))
 
@@ -526,3 +526,29 @@ def test_absent_block_has_target_by_source_shape():
     assert _rows(LinearMap.zero(src, tgt, 1).block(0)) == ((0, 0, 0), (0, 0, 0))
     assert _rows(LinearMap.zero(tgt, src, -1).block(1)) == ((0, 0), (0, 0), (0, 0))
     assert _rows(Subspace.zero(src).matrix(0)) == ((), (), ())
+
+
+def test_compose_and_add_refuse_other_dimensions_per_degree():
+    """Spaces compare by their dimensions per degree: an equal total
+    dimension is not enough, and two spaces built apart with the same
+    dimensions are one."""
+    p = GradedSpace.from_dims({0: 1, 1: 2})
+    q = GradedSpace.from_dims({0: 2, 1: 1})
+    assert p.total_dim() == q.total_dim() and p != q
+    on_p = LinearMap.from_blocks(p, p, 0, {0: rl.identity(1),
+                                           1: rl.identity(2)})
+    on_q = LinearMap.from_blocks(q, q, 0, {0: rl.identity(2),
+                                           1: rl.identity(1)})
+    p_to_q = LinearMap.from_blocks(p, q, 1, {0: [[1]]})
+    for refused in (lambda: on_p.compose(on_q), lambda: on_q.compose(on_p),
+                    lambda: on_p.compose(p_to_q), lambda: on_p.add(on_q),
+                    lambda: on_q.add(on_p),
+                    lambda: p_to_q.add(LinearMap.zero(p, p, 1))):
+        with pytest.raises(rl.ShapeMismatch):
+            refused()
+    again = GradedSpace.from_dims({1: 2, 0: 1, 2: 0})
+    assert again == p
+    on_again = LinearMap.from_blocks(again, again, 0, {0: rl.identity(1),
+                                                       1: rl.identity(2)})
+    assert on_p.compose(on_again).blocks == on_p.add(on_again).scale(
+        Fraction(1, 2)).blocks

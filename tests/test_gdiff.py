@@ -241,6 +241,22 @@ def test_circle_connection_in_su2():
     assert conn.exists and conn.theta == ((0, 0, 1),)
 
 
+@pytest.mark.parametrize("g", [lie.su2(), lie.heisenberg(), lie.abelian(2)],
+                         ids=["su2", "heisenberg", "abelian2"])
+def test_universal_map_of_the_weil_connection_is_the_identity(g):
+    """W's own connection, Theta_k = lambda^k, has curvature f_k, so the
+    universal map into W is the identity: each lambda_I u^E, read off the
+    offsets, goes to itself, products with several factors of both kinds
+    included."""
+    for cap in (1, 2):
+        w = gdiff.weil_algebra(g, cap)
+        wsp = w.gdiff.space
+        theta = [[int(j == k) for j in range(wsp.dim(1))] for k in range(g.dim)]
+        phi = gdiff.weil_universal_map(w, w.gdiff, theta).map
+        for n in wsp.degrees():
+            assert phi.block(n) == rl.identity(wsp.dim(n)), (cap, n)
+
+
 def test_universal_map_rejects_non_connection():
     g, a = su2_ce()
     w = gdiff.weil_algebra(g, 1)
@@ -271,12 +287,11 @@ def test_short_exact_sequence_euler_characteristic():
     wsp = w.gdiff.space
     spans = {}
     for deg in wsp.degrees():
-        labs = wsp.labels(deg)
-        cols = []
-        for i, lab in enumerate(labs):
-            if sum(lab[2]) >= 1:   # positive symmetric degree
-                cols.append({i: 1})
-        spans[deg] = rl.mat_from_columns(cols, len(labs))
+        # the products of positive symmetric degree
+        cols = [{off + j: 1}
+                for (_, m), (off, dim_e, dim_s) in w.offsets[deg].items()
+                if m >= 1 for j in range(dim_e * dim_s)]
+        spans[deg] = rl.mat_from_columns(cols, wsp.dim(deg))
     subsp = core.Subspace.from_spans(wsp, spans)
     b = gdiff.sub_gdiff(w.gdiff, subsp)
     c, _ = gdiff.quotient_gdiff(w.gdiff, subsp)
@@ -376,8 +391,7 @@ def _pinned_builders():
     ce_sl2 = lie.ce_complex(lie.sl2(), lie.coadjoint_rep(lie.sl2()))
     _, a = su2_ce()
     w1 = gdiff.weil_algebra(g, 1)
-    tensor, _ = gdiff.tensor_product(a, w1.gdiff, check=False)
-    _, offsets = gdiff._tensor_layout(a.space, w1.gdiff.space)
+    tensor, offsets = gdiff.tensor_product(a, w1.gdiff, check=False)
     model = gdiff.cartan_model(a, 2)
     model_s2 = gdiff.cartan_model(gdiff.ce_gdiff(ce_s2), 1)
     return {
@@ -715,8 +729,10 @@ def test_generators_of_weil_algebras_are_the_lambdas_and_the_fs():
         w = gdiff.weil_algebra(lie.su2(), cap)
         assert gdiff._generators(w.gdiff) == {0: [0], 1: [0, 1, 2],
                                               2: [0, 1, 2]}
-        assert w.lambda_positions == (0, 1, 2)
-        assert sorted(w.f_positions) == [0, 1, 2]
+        # the lambda^k are W^1, and the f_k the product S^1 that opens W^2
+        assert w.offsets[1] == {(1, 0): (0, 3, 1)}
+        assert w.offsets[2][(0, 1)] == (0, 1, 3)
+        assert sorted(w.mons[1]) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 @pytest.mark.parametrize("g", [lie.su2(), lie.heisenberg()],
@@ -729,7 +745,8 @@ def test_generators_of_an_exterior_algebra_are_its_degree_one(g):
 def test_generators_of_a_tensor_product_are_those_of_its_factors():
     g, a = su2_ce()
     w = gdiff.weil_algebra(g, 2).gdiff
-    t, pos = gdiff.tensor_product(a, w)
+    t, offsets = gdiff.tensor_product(a, w)
+    pos = _pos_from_offsets(offsets)
     expected = {}
     for first, c in ((True, a), (False, w)):
         for n, idx in gdiff._generators(c).items():
@@ -976,7 +993,8 @@ def test_tensor_product_table_is_the_per_pair_table(name):
     one every basis pair gives, keys and terms in the same order, and the
     unit is the Kronecker product of the factor units."""
     c1, c2 = _tensor_factors()[name]
-    tensor, pos = gdiff.tensor_product(c1, c2, check=False)
+    tensor, offsets = gdiff.tensor_product(c1, c2, check=False)
+    pos = _pos_from_offsets(offsets)
     ref = _per_pair_table(c1, c2, pos)
     assert [(key, list(pairs.items())) for key, pairs in
             tensor.product.table.items()] == \
@@ -1082,9 +1100,10 @@ def _reference_universal_check(w, target, phi):
             if m:
                 return "ConnectionInvalid", {"identity": identity,
                                              "generator": b, **m}
+    labels = _former_weil_labels(wg.algebra.dim, w.sym_cap)
     below = core.LinearMap.from_blocks(wsp, wsp, 0, {
-        n: rl.freeze([{j: 1} if bases.sym_deg(lab[2]) < w.sym_cap else {}
-                      for j, lab in enumerate(wsp.labels(n))], wsp.dim(n))
+        n: rl.freeze([{j: 1} if sum(expo) < w.sym_cap else {}
+                      for j, (_, expo) in enumerate(labels[n])], wsp.dim(n))
         for n in wsp.degrees()})
     m = _first_defect(_minus(target.d.compose(phi),
                              phi.compose(wg.d)).compose(below))
@@ -1187,15 +1206,66 @@ def test_gmap_checks_agree_with_the_identities_formed_as_maps(monkeypatch):
 # ---------------------------------------------------------------------------
 # The product-basis builders against their former per-builder layouts.  Each
 # `_ref_*` keeps the loop that built the object before `core.product_space`
-# and `core.kron_map` decided every product layout.
+# and `core.kron_map` decided every product layout.  The `_former_*_labels`
+# rebuild the labels that the spaces carried then, in basis order; the
+# positions they give are the expected ones.
+
+
+def _former_ce_labels(n, dim):
+    """Exterior degree k -> the labels (a, I) of C(g; V), dim g = n and dim
+    V = dim."""
+    return {k: [(a, idx) for idx in bases.ext_basis(n, k) for a in range(dim)]
+            for k in range(n + 1)}
+
+
+def _former_weil_labels(n, sym_cap):
+    """Degree -> the labels (I, E) of lambda_I u^E in W(g, sym_cap),
+    dim g = n."""
+    comps = {}
+    for k in range(n + 1):
+        for m in range(sym_cap + 1):
+            for idx in bases.ext_basis(n, k):
+                for expo in bases.sym_basis(n, m):
+                    comps.setdefault(k + 2 * m, []).append((idx, expo))
+    for deg in comps:
+        comps[deg].sort(key=lambda t: (len(t[0]), t[0], t[1]))
+    return comps
+
+
+def _former_tensor_labels(sp1, sp2):
+    """Degree -> the labels (d1, i1, d2, i2) of the tensor product space,
+    degrees as first met over (d1, d2)."""
+    comps = {}
+    for d1 in sp1.degrees():
+        for d2 in sp2.degrees():
+            comps.setdefault(d1 + d2, []).extend(
+                (d1, i1, d2, i2)
+                for i1 in range(sp1.dim(d1)) for i2 in range(sp2.dim(d2)))
+    return {deg: sorted(labs) for deg, labs in comps.items()}
+
+
+def _former_cartan_labels(sp, mons, top):
+    """Degree -> the labels (n, m, ai, mi) of the full Cartan model space of
+    a complex on `sp` through degree top."""
+    labels = {}
+    for deg in range(top + 1):
+        labs = [(n, m, ai, mi) for m in range(len(mons))
+                if (n := deg - 2 * m) in sp.degrees()
+                for ai in range(sp.dim(n)) for mi in range(len(mons[m]))]
+        if labs:
+            labels[deg] = labs
+    return labels
+
+
+def _dims(labels):
+    return core.GradedSpace.from_dims({n: len(labs)
+                                       for n, labs in labels.items()})
 
 
 def _ref_ce_complex(g, rep):
     n = g.dim
     ext = [bases.ext_basis(n, k) for k in range(n + 1)]
-    space = core.GradedSpace.from_labels({
-        k: [(a, idx) for idx in ext[k] for a in range(rep.space_dim)]
-        for k in range(n + 1)})
+    space = _dims(_former_ce_labels(n, rep.space_dim))
     wedge, d_ext, contr, coad = lie._exterior_operators(g)
     one = rl.identity(rep.space_dim)
     ext_one = [rl.identity(len(e)) for e in ext]
@@ -1232,7 +1302,7 @@ def _monomial_product(comps: dict, m_max: int) -> gdiff.Product:
             pairs = {}
             for ia, (idx_a, ea) in enumerate(comps[da]):
                 for ib, (idx_b, eb) in enumerate(comps[db]):
-                    if bases.sym_deg(ea) + bases.sym_deg(eb) > m_max:
+                    if sum(ea) + sum(eb) > m_max:
                         continue
                     mg = bases.wedge_merge(idx_a, idx_b)
                     if mg is None:
@@ -1246,17 +1316,10 @@ def _monomial_product(comps: dict, m_max: int) -> gdiff.Product:
 
 
 def _ref_weil_algebra(g, sym_cap):
+    """The G-differential complex of W(g, sym_cap)."""
     n = g.dim
-    comps = {}
-    for k in range(n + 1):
-        for m in range(sym_cap + 1):
-            for idx in bases.ext_basis(n, k):
-                for expo in bases.sym_basis(n, m):
-                    comps.setdefault(k + 2 * m, []).append((idx, expo))
-    for deg in comps:
-        comps[deg].sort(key=lambda t: (len(t[0]), t[0], t[1]))
-    space = core.GradedSpace.from_labels(
-        {deg: [("w",) + lab for lab in comps[deg]] for deg in sorted(comps)})
+    comps = _former_weil_labels(n, sym_cap)
+    space = _dims(comps)
     pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
     ces = [_ref_ce_complex(g, lie.build_representation(
         g, [lie.sym_derivation(g.coad(a), bases.sym_basis(n, m))
@@ -1266,8 +1329,8 @@ def _ref_weil_algebra(g, sym_cap):
     for m, ce in enumerate(ces):
         mons = bases.sym_basis(n, m)
         for k in ce.space.degrees():
-            where[(k, m)] = [pos[k + 2 * m][(idx, mons[a])]
-                             for a, idx in ce.space.labels(k)]
+            where[(k, m)] = [pos[k + 2 * m][(idx, mons[a])] for a, idx in
+                             _former_ce_labels(n, len(mons))[k]]
 
     def lift(ops, shift):
         blocks = {}
@@ -1289,7 +1352,7 @@ def _ref_weil_algebra(g, sym_cap):
     dblocks = lift([ce.complex.d for ce in ces], 1)
     for deg, labs in comps.items():
         for col, (idx, expo) in enumerate(labs):
-            if bases.sym_deg(expo) == sym_cap:
+            if sum(expo) == sym_cap:
                 continue
             for p_i, t in enumerate(idx):
                 if deg not in dblocks:
@@ -1308,28 +1371,15 @@ def _ref_weil_algebra(g, sym_cap):
         for b in range(n)]
     unit = [0] * len(comps[0])
     unit[pos[0][((), tuple([0] * n))]] = 1
-    gd = gdiff.GDiffComplex(g, core.CochainComplex.build(space, d),
-                            tuple(contractions), tuple(lie_ops),
-                            _monomial_product(comps, sym_cap),
-                            tuple(unit))
-    lam = tuple(pos[1][((k,), tuple([0] * n))] for k in range(n))
-    fpos = tuple(pos[2][((), bases.unit_exp(n, k))] for k in range(n)) \
-        if sym_cap >= 1 else ()
-    return gdiff.WeilAlgebra(gd, sym_cap, lam, fpos)
+    return gdiff.GDiffComplex(g, core.CochainComplex.build(space, d),
+                              tuple(contractions), tuple(lie_ops),
+                              _monomial_product(comps, sym_cap), tuple(unit))
 
 
 def _ref_tensor_product(c1, c2):
     sp1, sp2 = c1.space, c2.space
-    comps = {}
-    for d1 in sp1.degrees():
-        for d2 in sp2.degrees():
-            comps.setdefault(d1 + d2, []).extend(
-                (d1, i1, d2, i2)
-                for i1 in range(sp1.dim(d1)) for i2 in range(sp2.dim(d2)))
-    for deg in comps:
-        comps[deg].sort()
-    space = core.GradedSpace.from_labels(
-        {deg: [("t",) + lab for lab in comps[deg]] for deg in sorted(comps)})
+    comps = _former_tensor_labels(sp1, sp2)
+    space = _dims(comps)
     pos = {deg: {lab: i for i, lab in enumerate(comps[deg])} for deg in comps}
     one1, one2 = ({n: rl.identity(sp.dim(n)) for n in sp.degrees()}
                   for sp in (sp1, sp2))
@@ -1401,7 +1451,7 @@ def _ref_cartan_model(c, sym_cap):
     ones = {m: rl.identity(len(mons[m])) for m in mons}
     a_ones = {n: rl.identity(sp.dim(n)) for n in sp.degrees()}
     adegs = sp.degrees()
-    labels, fine, inv_labels, incl_blocks = {}, {}, {}, {}
+    labels, fine, inv_dims, incl_blocks = {}, {}, {}, {}
     for deg in range((max(adegs) if adegs else 0) + 2 * sym_cap + 1):
         labs, entries, kernels = [], [], []
         for m in range(sym_cap + 1):
@@ -1424,14 +1474,14 @@ def _ref_cartan_model(c, sym_cap):
         total_inv = sum(k for (_, _, k, _, _) in entries)
         if total_inv == 0:
             continue
-        inv_labels[deg] = tuple(f"inv{deg}.{i}" for i in range(total_inv))
+        inv_dims[deg] = total_inv
         rows, colpos = [], 0
         for (_, _, k, _, _), kernel in zip(entries, kernels):
             rows += [{colpos + j: v for j, v in row.items()} for row in kernel]
             colpos += k
         incl_blocks[deg] = rl.freeze(rows, total_inv)
-    model_space = core.GradedSpace.from_labels(labels)
-    inv_space = core.GradedSpace.from_labels(inv_labels)
+    model_space = _dims(labels)
+    inv_space = core.GradedSpace.from_dims(inv_dims)
     inclusion = core.LinearMap.from_blocks(inv_space, model_space, 0,
                                            incl_blocks)
     twist = core.LinearMap.from_blocks(model_space, model_space, 1, {
@@ -1490,11 +1540,11 @@ def _gapped(g):
 
 @pytest.mark.parametrize("alg", sorted(_REF_ALGEBRAS))
 def test_builders_match_their_former_layouts(alg):
-    """Labels, every stored block with its entry types, `pos` with its key
-    order, `fine`, `mons`, the product tables and the units of the rebuilt
-    builders equal those of the former loops, on every algebra, coefficient
-    (and the gapped complex) and symmetric cap 0-3, tensor products through
-    cap 2."""
+    """Dimensions, every stored block with its entry types, the tensor
+    positions with their key order, `fine`, `mons`, the product tables and
+    the units of the rebuilt builders equal those of the former loops, on
+    every algebra, coefficient (and the gapped complex) and symmetric cap
+    0-3, tensor products through cap 2."""
     g = _REF_ALGEBRAS[alg]()
     complexes = {"gapped": _gapped(g)}
     for rep_name, rep in _REF_REPS.items():
@@ -1504,7 +1554,8 @@ def test_builders_match_their_former_layouts(alg):
     weils = {}
     for cap in range(4):
         weils[cap] = gdiff.weil_algebra(g, cap)
-        assert _stored(weils[cap]) == _stored(_ref_weil_algebra(g, cap)), cap
+        assert _stored(weils[cap].gdiff) == \
+            _stored(_ref_weil_algebra(g, cap)), cap
     for name, a in complexes.items():
         for cap in range(4):
             model = gdiff.cartan_model(a, cap)
@@ -1516,10 +1567,160 @@ def test_builders_match_their_former_layouts(alg):
         for cap in range(3):
             w = weils[cap].gdiff
             for c1, c2 in ((a, w), (w, a)) if name == "gapped" else ((a, w),):
-                tensor, pos = gdiff.tensor_product(c1, c2, check=False)
-                assert _stored((tensor.space, pos, tensor.d,
+                tensor, offsets = gdiff.tensor_product(c1, c2, check=False)
+                assert _stored((tensor.space, _pos_from_offsets(offsets),
+                                tensor.d,
                                 tensor.contractions, tensor.lie_ops)) == \
                     _stored(_ref_tensor_product(c1, c2)), (name, cap)
+
+
+def _assert_tiled(space, offsets, parts):
+    """The offsets of degree n list the products of parts[n], (a, b, dim
+    X_a, dim Y_b), zero-size ones included, in the order given, each
+    starting where the one before it ends, and fill space.dim(n).  Returns
+    how many of the products have size zero."""
+    assert set(offsets) == set(parts)
+    assert set(space.degrees()) == {n for n, products in parts.items()
+                                    if any(x * y for *_, x, y in products)}
+    zero = 0
+    for n, products in parts.items():
+        assert list(offsets[n]) == [(a, b) for a, b, _, _ in products], n
+        at = 0
+        for a, b, dim_x, dim_y in products:
+            assert offsets[n][(a, b)] == (at, dim_x, dim_y), (n, a, b)
+            at += dim_x * dim_y
+            zero += not dim_x * dim_y
+        assert at == space.dim(n), n
+    return zero
+
+
+def _labels_by_offsets(offsets, xs, ys):
+    """Degree -> the labels (x, y) of the basis, x_i (x) y_j of the product
+    (a, b) placed at its offset + i * dim Y_b + j, x_i = xs(a)[i] and y_j =
+    ys(b)[j]; empty degrees left out."""
+    out = {}
+    for n, offs in offsets.items():
+        labs = [None] * sum(dim_x * dim_y for _, dim_x, dim_y in offs.values())
+        for (a, b), (off, _, dim_y) in offs.items():
+            for i, x in enumerate(xs(a)):
+                for j, y in enumerate(ys(b)):
+                    labs[off + i * dim_y + j] = (x, y)
+        if labs:
+            out[n] = labs
+    return out
+
+
+def _tensor_parts(sp1, sp2):
+    parts = {}
+    for d1 in sp1.degrees():
+        for d2 in sp2.degrees():
+            parts.setdefault(d1 + d2, []).append(
+                (d1, d2, sp1.dim(d1), sp2.dim(d2)))
+    return parts
+
+
+def _assert_tensor_tiled(c1, c2):
+    """The tensor product's offsets tile it, and the positions they give
+    are those of the former labels, key order included."""
+    tensor, offsets = gdiff.tensor_product(c1, c2, check=False)
+    _assert_tiled(tensor.space, offsets, _tensor_parts(c1.space, c2.space))
+    pos = _pos_from_offsets(offsets)
+    former = _former_tensor_labels(c1.space, c2.space)
+    assert list(pos) == list(former)
+    assert {n: list(p.items()) for n, p in pos.items()} == \
+        {n: [(lab, i) for i, lab in enumerate(labs)]
+         for n, labs in former.items()}
+    return offsets
+
+
+def _assert_inclusion_positions(model, w, offsets):
+    """The positions `cartan_weil_inclusion` reads to send a_i (x) u^E of
+    A^n (x) S^m in the model space to a_i (x) u^E of A^n (x) W^2m, from the
+    offsets of the model, of W and of A (x) W (`offsets`), equal those the
+    former labels gave."""
+    r, sp = model.base.algebra.dim, model.base.space
+    weil = _former_weil_labels(r, w.sym_cap)
+    former_w = {expo: weil[2 * sum(expo)].index(((), expo))
+                for m in model.mons for expo in model.mons[m]}
+    tensor = {n: {lab: i for i, lab in enumerate(labs)}
+              for n, labs in _former_tensor_labels(sp, w.gdiff.space).items()}
+    top = max(model.model_space.degrees(), default=0)
+    got, expected = {}, {}
+    for deg, labs in _former_cartan_labels(sp, model.mons, top).items():
+        for col, (n, m, i, j) in enumerate(labs):
+            expo = model.mons[m][j]
+            expected[deg, col] = tensor[deg][(n, i, 2 * m, former_w[expo])]
+            off, _, dim_s = model.offsets[deg][(n, m)]
+            w_off = w.offsets[2 * m][(0, m)][0]
+            t_off, _, dim_w = offsets[deg][(n, 2 * m)]
+            got[deg, off + i * dim_s + j] = (
+                t_off + i * dim_w + w_off + list(w.mons[m]).index(expo))
+    assert got == expected
+
+
+@pytest.mark.parametrize("alg", sorted(_REF_ALGEBRAS))
+def test_offsets_tile_every_product_space(alg):
+    """In every degree of the CE complexes, the Weil algebras (caps 0-3),
+    tensor products and Cartan models (caps 0-3, through every degree and
+    through degrees 0 and 3), the `core.product_space` offsets are
+    contiguous in the order given, zero-size products included, and fill
+    the degree; the positions that `weil_universal_map` and
+    `cartan_weil_inclusion` read off them are those of the former labels."""
+    g = _REF_ALGEBRAS[alg]()
+    n = g.dim
+    ext = lambda k: bases.ext_basis(n, k)
+    complexes, zero = {"gapped": _gapped(g)}, 0
+    for rep_name in ("trivial", "sym2", "adjoint"):
+        ce = lie.ce_complex(g, _REF_REPS[rep_name](g))
+        dim = ce.rep.space_dim
+        space, offsets = core.product_space(
+            {k: [(k, 0, len(ext(k)), dim)] for k in range(n + 1)})
+        assert space == ce.space
+        zero += _assert_tiled(space, offsets, {
+            k: [(k, 0, len(ext(k)), dim)] for k in range(n + 1)})
+        former = _former_ce_labels(n, dim)
+        assert _labels_by_offsets(offsets, ext, lambda _: range(dim)) == {
+            k: [(idx, a) for a, idx in labs]
+            for k, labs in former.items() if labs}
+        complexes[rep_name] = gdiff.ce_gdiff(ce)
+    weils = {}
+    for cap in range(4):
+        w = weils[cap] = gdiff.weil_algebra(g, cap)
+        parts = {}
+        for k in range(n + 1):
+            for m in range(cap + 1):
+                parts.setdefault(k + 2 * m, []).append(
+                    (k, m, len(ext(k)), len(bases.sym_basis(n, m))))
+        zero += _assert_tiled(w.gdiff.space, w.offsets, parts)
+        assert _labels_by_offsets(w.offsets, ext, w.mons.__getitem__) == \
+            _former_weil_labels(n, cap)
+    for name, a in complexes.items():
+        sp = a.space
+        for cap in range(4):
+            mons = {m: bases.sym_basis(n, m) for m in range(cap + 1)}
+            for top in (3, 0, None):
+                model = gdiff.cartan_model(a, cap, top)
+                last = (max(sp.degrees(), default=0) + 2 * cap
+                        if top is None else top)
+                zero += _assert_tiled(model.model_space, model.offsets, {
+                    deg: [(deg - 2 * m, m, sp.dim(deg - 2 * m), len(mons[m]))
+                          for m in mons if deg - 2 * m in sp.degrees()]
+                    for deg in range(last + 1)})
+            offsets = _assert_tensor_tiled(a, weils[cap].gdiff)
+            # the model through every degree, built last
+            _assert_inclusion_positions(model, weils[cap], offsets)
+        if name == "gapped":
+            _assert_tensor_tiled(weils[2].gdiff, a)
+    # zero-size products: S^m of abelian(0) for m > 0
+    assert bool(zero) == (alg == "abelian0")
+
+
+@pytest.mark.parametrize("name", sorted(_tensor_factors()))
+def test_offsets_tile_the_tensor_products_of_the_table_cases(name):
+    """The tensor products of the product-table test, the negative-degree
+    factor among them, are tiled by their offsets as the former labels
+    placed them."""
+    _assert_tensor_tiled(*_tensor_factors()[name])
 
 
 def _stacked_invariant_basis(pairs, size):

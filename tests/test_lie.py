@@ -92,18 +92,19 @@ def test_ce_equivariance_bracket_relations():
 
 def test_su2_cohomology():
     h = lie_cohomology(su2())
-    assert h.dims_list(0, 3) == [1, 0, 0, 1]
+    assert [h.dims.get(n, 0) for n in range(4)] == [1, 0, 0, 1]
 
 
 def test_heisenberg_cohomology():
     h = lie_cohomology(heisenberg())
-    assert h.dims_list(0, 3) == [1, 2, 2, 1]
+    assert [h.dims.get(n, 0) for n in range(4)] == [1, 2, 2, 1]
 
 
 def test_abelian_cohomology_binomials():
     for n in range(1, 5):
         h = lie_cohomology(abelian(n))
-        assert h.dims_list(0, n) == [comb(n, k) for k in range(n + 1)]
+        assert [h.dims.get(k, 0) for k in range(n + 1)] == \
+            [comb(n, k) for k in range(n + 1)]
 
 
 def test_zero_lie_algebra_keeps_the_space_dimension():
@@ -119,7 +120,7 @@ def test_su2_coadjoint_slices_whitehead():
         rep = sym_power_rep(g, j)
         h = lie_cohomology(g, rep, factorized=True)
         inv = 1 if j % 2 == 0 else 0
-        assert h.dims_list(0, 3) == [inv, 0, 0, inv]
+        assert [h.dims.get(n, 0) for n in range(4)] == [inv, 0, 0, inv]
         assert h.predicted_dims == {0: inv, 1: 0, 2: 0, 3: inv}
 
 
@@ -172,7 +173,7 @@ def test_relative_with_coefficients():
     k = build_subalgebra(g, [[0, 0, 1]])
     h = lie_cohomology(g, sym_power_rep(g, 2), k=k, factorized=True)
     # H(g,k) (x) V^g = [1,0,1,0] x 1
-    assert h.dims_list(0, 3) == [1, 0, 1, 0]
+    assert [h.dims.get(n, 0) for n in range(4)] == [1, 0, 1, 0]
 
 
 def test_factorization_guard_requires_compact():

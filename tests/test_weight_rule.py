@@ -1,10 +1,10 @@
 """One truncation rule for polynomial models: the window [lo, hi] on the
-weight (coefficient degree + tilt * exterior degree) gives the same bases,
-labels, differentials and bands as the five truncation modes it replaced,
-and `_check_ops_stay` refuses the same operators as their per-mode rules,
-except one edge that the window computes: slice 0 of a tilt-1 model with a
-constant-coefficient operator, whose model holds only the constants, where
-every contraction vanishes."""
+weight (coefficient degree + tilt * exterior degree) gives the same bases
+(keys in order), dimensions, differentials and bands as the five truncation
+modes it replaced, and `_check_ops_stay` refuses the same operators as their
+per-mode rules, except one edge that the window computes: slice 0 of a
+tilt-1 model with a constant-coefficient operator, whose model holds only
+the constants, where every contraction vanishes."""
 
 from fractions import Fraction
 
@@ -61,8 +61,7 @@ def _ref_model(ambient, kind, mode, bound, differential, exact):
                 for e in bases.sym_basis(ambient, m)]
         if keys:
             basis[q] = tuple(keys)
-    space = GradedSpace.from_labels(
-        {q: tuple(repr(k) for k in ks) for q, ks in basis.items()})
+    space = GradedSpace.from_dims({q: len(ks) for q, ks in basis.items()})
     blocks = {}
     for q, keys in basis.items():
         target = {k: i for i, k in enumerate(basis.get(q + 1, ()))}
