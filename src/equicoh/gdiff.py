@@ -1050,7 +1050,7 @@ def cartan_weil_inclusion(model: CartanModel,
     for deg in msp.degrees():
         blk = [{} for _ in range(tensor.space.dim(deg))]
         for (n, m), (off, dim_a, dim_s) in model.offsets[deg].items():
-            if not dim_a * dim_s:
+            if not dim_a * dim_s:   # S^m of a zero algebra: W^2m may be 0
                 continue
             w_off = w.offsets[2 * m][(0, m)][0]
             row = {e: w_off + j for j, e in enumerate(w.mons[m])}
