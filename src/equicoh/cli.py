@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import core, lie, spectral
+from . import core, lie, ratlin as rl, spectral
 from . import gdiff as gd
 from . import poisson as po
 from .core import cohomology
@@ -129,6 +129,18 @@ def _int_pair(key: str, field: str) -> tuple:
     parts = key.split(",")
     _expect(len(parts) == 2, field, message)
     return tuple(_int_key(part, field, message) for part in parts)
+
+
+def _keyed(raw: dict, field: str, read=_int_key):
+    """(key as `read` reads it, its field, value) per entry of `raw`; two
+    keys that read as one, such as "1" and "01", are refused."""
+    seen = set()
+    for key, value in raw.items():
+        at = f"{field}.{key}"
+        k = read(key, at)
+        _expect(k not in seen, at, "duplicate key")
+        seen.add(k)
+        yield k, at, value
 
 
 def _parse_term(data, ambient: int, field: str):
@@ -326,6 +338,34 @@ def momentum_from_payload(parsed: dict) -> po.MomentumData:
 # G-differential payloads
 
 
+def product_from_table(table: dict, dims: dict) -> gd.Product:
+    """The product of a payload's table {"a,b": {"i,j": [[k, coeff], ...]}}
+    on a space of dimensions `dims` (see `gdiff.Product`); the terms of a
+    pair add up."""
+    blocks = {}
+    for (da, db), at, pairs in _keyed(table, "payload.product.table",
+                                      _int_pair):
+        _expect(isinstance(pairs, dict), at,
+                "expected an object of basis pairs")
+        nb, rows = dims.get(db, 0), [{} for _ in range(dims.get(da + db, 0))]
+        for (ia, ib), field, terms in _keyed(pairs, at, _int_pair):
+            _expect(0 <= ia < dims.get(da, 0) and 0 <= ib < nb, field,
+                    "basis index out of range")
+            _expect(isinstance(terms, list), field,
+                    "expected a list of [k, coeff] terms")
+            col = ia * nb + ib
+            for t, term in enumerate(terms):
+                _expect(isinstance(term, list) and len(term) == 2,
+                        f"{field}[{t}]", "expected [k, coeff]")
+                k = _expect_int(term[0], f"{field}[{t}][0]", low=0)
+                _expect(k < len(rows), f"{field}[{t}][0]",
+                        "basis index out of range")
+                rows[k][col] = rl.q(rows[k].get(col, 0) + _parse_frac(
+                    term[1], f"{field}[{t}][1]"))
+        blocks[da, db] = rl.freeze(rows, dims.get(da, 0) * nb)
+    return gd.Product(dict(sorted(blocks.items())))
+
+
 def parse_gdiff(data) -> gd.GDiffComplex:
     """The G-differential complex of a payload; its axioms are checked by
     `_check_axioms`."""
@@ -338,19 +378,15 @@ def parse_gdiff(data) -> gd.GDiffComplex:
     algebra = parse_algebra(data.get("algebra"), "payload.algebra")
     dims_raw = data.get("dims")
     _expect(isinstance(dims_raw, dict), "payload.dims", "expected an object")
-    dims = {}
-    for key, value in dims_raw.items():
-        deg = _int_key(key, f"payload.dims.{key}")
-        dims[deg] = _expect_int(value, f"payload.dims.{key}", low=0)
+    dims = {deg: _expect_int(value, at, low=0)
+            for deg, at, value in _keyed(dims_raw, "payload.dims")}
     space = GradedSpace.from_dims(dims)
 
     def blocks_of(raw, shift: int, here: str) -> LinearMap:
         _expect(isinstance(raw, dict), here, "expected an object of blocks")
-        blocks = {}
-        for key, mat in raw.items():
-            deg = _int_key(key, f"{here}.{key}")
-            rows, cols = dims.get(deg + shift, 0), dims.get(deg, 0)
-            blocks[deg] = _parse_mat(mat, rows, cols, f"{here}.{key}")
+        blocks = {deg: _parse_mat(mat, dims.get(deg + shift, 0),
+                                  dims.get(deg, 0), at)
+                  for deg, at, mat in _keyed(raw, here)}
         return LinearMap.from_blocks(space, space, shift, blocks)
 
     d = blocks_of(data.get("d", {}), 1, "payload.d")
@@ -374,31 +410,7 @@ def parse_gdiff(data) -> gd.GDiffComplex:
         raw = data["product"]
         _expect(isinstance(raw, dict) and isinstance(raw.get("table"), dict),
                 "payload.product", "expected {'table': {...}}")
-        table = {}
-        for dkey, pairs in raw["table"].items():
-            here = f"payload.product.table.{dkey}"
-            da, db = _int_pair(dkey, here)
-            _expect(isinstance(pairs, dict), here,
-                    "expected an object of basis pairs")
-            inner = {}
-            for pkey, terms in pairs.items():
-                at = f"{here}.{pkey}"
-                ia, ib = _int_pair(pkey, at)
-                _expect(0 <= ia < dims.get(da, 0) and 0 <= ib < dims.get(db, 0),
-                        at, "basis index out of range")
-                _expect(isinstance(terms, list), at,
-                        "expected a list of [k, coeff] terms")
-                parsed = []
-                for t, term in enumerate(terms):
-                    _expect(isinstance(term, list) and len(term) == 2,
-                            f"{at}[{t}]", "expected [k, coeff]")
-                    k = _expect_int(term[0], f"{at}[{t}][0]", low=0)
-                    _expect(k < dims.get(da + db, 0), f"{at}[{t}][0]",
-                            "basis index out of range")
-                    parsed.append((k, _parse_frac(term[1], f"{at}[{t}][1]")))
-                inner[(ia, ib)] = tuple(parsed)
-            table[(da, db)] = inner
-        product = gd.Product(table)
+        product = product_from_table(raw["table"], dims)
     unit = None
     if data.get("unit") is not None:
         raw = data["unit"]

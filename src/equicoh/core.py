@@ -21,7 +21,7 @@ Every product basis (Chevalley-Eilenberg cochains, the Weil algebra, tensor
 products, the Cartan model) is laid out by `product_space` alone: its
 offsets are the only record of where x (x) y sits, and `kron_map` builds
 the operators on that layout as sums of Kronecker products
-(`gdiff._kron_table` the product tables).
+(`gdiff._tensor_table` the matrices of products on it).
 
 Coordinates in a stored basis are read, not solved for: each column of a
 Subspace basis or of an `rl.kernel` basis (the Cartan inclusion) has a row

@@ -43,8 +43,8 @@ laid out by `core.product_space`, and each operator on them is a sum of
 Kronecker products (`core.kron_map`).  The Weil algebra is the sum of the
 Lambda^k g* (x) S^m g*: its d, i_b and L_b are Kronecker sums of the
 exterior operators of `lie` with the coadjoint derivation and the
-multiplication by generators of S(g*).  `_kron_table` builds the product
-tables on that layout from the factors' (Lambda(g*) and S(g*) for W).
+multiplication by generators of S(g*).  `_tensor_table` builds the
+product on that layout from the factors' (Lambda(g*) and S(g*) for W).
 
 Checks of the paper's introduction to G-differential complexes that have no
 caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
@@ -56,6 +56,7 @@ quotient by it are G-differential complexes), `locally_free_connection` and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -82,24 +83,11 @@ class NotMultiplicative(Exception):
 
 @dataclass(frozen=True)
 class Product:
-    """Bilinear product on a graded space, as a sparse basis-pair table:
-    table[(da, db)][(ia, ib)] = ((out_index, coeff), ...) in degree da+db."""
+    """A degree-0 product A (x) A -> A: table[(a, b)] = M_{a,b}, an
+    `rl.Matrix` from A^a (x) A^b to A^(a+b) (zero when absent), the pair
+    (ia, ib) in column ia * dim A^b + ib (the `core.product_space` layout)."""
 
     table: dict
-
-    def terms(self, da: int, ia: int, db: int, ib: int):
-        return self.table.get((da, db), {}).get((ia, ib), ())
-
-    def mult(self, space: GradedSpace, da: int, va: Sequence, db: int, vb: Sequence):
-        """Product of two homogeneous coordinate vectors."""
-        out = [0] * space.dim(da + db)
-        pairs = self.table.get((da, db), {})
-        for (ia, ib), terms in pairs.items():
-            c = va[ia] * vb[ib]
-            if c:
-                for k, coeff in terms:
-                    out[k] += c * coeff
-        return out
 
 
 @dataclass(frozen=True)
@@ -241,20 +229,15 @@ def _generators(c: GDiffComplex) -> dict:
         # products, and by the other products less those columns, so its
         # pivot columns are `spanned` and the pivots of the rest.
         spanned, rows = set(), []
-        for i, left in gens.items():
-            if i == 0:
-                continue
-            left = set(left)
-            for (ia, _), terms in table.get((i, n - i), {}).items():
-                if ia in left:
-                    row = {}
-                    for k, v in terms:
-                        row[k] = row.get(k, 0) + v
-                    row = {k: v for k, v in row.items() if v}
-                    if len(row) == 1:
-                        spanned.update(row)
-                    elif row:
-                        rows.append(row)
+        for i in [i for i in gens if i]:
+            left, nb, prods = set(gens[i]), sp.dim(n - i), {}
+            # the columns x a of M_{i,n-i}, x in the set, from its entries
+            for k, row in enumerate(table.get((i, n - i), ())):
+                for col, v in row.items():
+                    if col // nb in left:
+                        prods.setdefault(col, {})[k] = v
+            spanned.update(*(r for r in prods.values() if len(r) == 1))
+            rows += [r for r in prods.values() if len(r) > 1]
         rows = [{k: v for k, v in row.items() if k not in spanned}
                 for row in rows]
         if any(rows):
@@ -266,19 +249,18 @@ def _generators(c: GDiffComplex) -> dict:
 
 def _check_unit(c: GDiffComplex) -> list:
     """[] or the first (degree, basis index) in degree order where the unit
-    is not a two-sided identity, read off the table blocks (0, n) and
-    (n, 0) in one pass per degree."""
-    if c.unit is None:
-        return []
-    table, unit = c.product.table, c.unit
-    for n in c.space.degrees():
+    u is not a two-sided identity: M_{0,n} (u (x) 1) and M_{n,0} (1 (x) u)
+    must be the identity of A^n, read off the entries of the two blocks."""
+    table, unit, dim = c.product.table, c.unit, c.space.dim
+    for n in c.space.degrees() if unit is not None else ():
         sides = ({}, {})   # basis index e -> 1 e, e 1 as {index: coeff}
         for side, key, at in ((sides[0], (0, n), 0), (sides[1], (n, 0), 1)):
-            for pair, terms in table.get(key, {}).items():
-                out = side.setdefault(pair[1 - at], {})
-                for k, v in terms:
+            for k, row in enumerate(table.get(key, ())):
+                for col, v in row.items():
+                    pair = divmod(col, dim(key[1]))
+                    out = side.setdefault(pair[1 - at], {})
                     out[k] = out.get(k, 0) + unit[pair[at]] * v
-        for e in range(c.space.dim(n)):
+        for e in range(dim(n)):
             if any({k: v for k, v in side.get(e, {}).items() if v} != {e: 1}
                    for side in sides):
                 return [{"axiom": "unit", "generators": [], "degree": n,
@@ -288,43 +270,46 @@ def _check_unit(c: GDiffComplex) -> list:
 
 def _check_associativity(c: GDiffComplex, left: dict) -> list:
     """[] or the first triple (x, y, z) of basis elements in degree order,
-    x in `left` (degree -> basis indices), with (xy)z != x(yz).  Both sides
-    are summed over the nonzero entries of the table, one degree block
-    (|y|, |z|) at a time: (xy)z through the products xy read off the rows
-    of `left`, x(yz) through the products by x of the terms of each yz."""
-    table, degs = c.product.table, c.space.degrees()
-    want = {n: set(idx) for n, idx in left.items()}
-    made = {}   # (|x|, |y|) -> e_k -> [(x, y, coeff of e_k in xy)]
-    hit = {}    # |m| -> e_m -> [(|x|, x, terms of x e_m)]
-    for (dx, dm), pairs in table.items():
-        for (ix, im), terms in pairs.items() if dx in want else ():
-            if ix in want[dx]:
-                hit.setdefault(dm, {}).setdefault(im, []).append(
-                    (dx, ix, terms))
-                xy = made.setdefault((dx, dm), {})
-                for k, v in terms:
-                    xy.setdefault(k, []).append((ix, im, v))
+    x in `left` (degree -> basis indices), with (xy)z != x(yz): there the
+    identity L_x M_{b,c} = M_{a+b,c} (L_x (x) 1) fails, L_x the product by
+    x, of degree a.  Both sides are summed over nonzero entries, never as
+    products of matrices, one block (|y|, |z|) at a time: (xy)z over the
+    entries of M_{a+b,c} and the products xy by row, x(yz) over row m of
+    M_{b,c} and the products x e_m."""
+    table, degs, dim = c.product.table, c.space.degrees(), c.space.dim
+    xs = {n: {i: (n, i) for i in idx} for n, idx in left.items()}
+    # the entries ((|x|, x), y, k, coeff of e_k in xy), each held once and
+    # listed by (|x|, |y|) and k, and by |y| and y
+    made, hit = {}, {}
+    for (dx, dy), blk in table.items():
+        here, ny = xs.get(dx), dim(dy)
+        for k, row in enumerate(blk) if here else ():
+            for col, v in row.items():
+                ix, iy = divmod(col, ny)
+                if ix in here:
+                    e = (here[ix], iy, k, v)
+                    made.setdefault((dx, dy), {}).setdefault(k, []).append(e)
+                    hit.setdefault(dy, {}).setdefault(iy, []).append(e)
     failing = []
     for dy, dz in [(dy, dz) for dy in degs for dz in degs]:
-        acc = {}   # (|x|, x, y, z, out) -> (xy)z - x(yz)
+        acc, nz = {}, dim(dz)   # ((|x|, x), y, z, out) -> (xy)z - x(yz)
         for dx in left:
             xy = made.get((dx, dy))
-            if not xy:
-                continue
-            for (ie, iz), terms in table.get((dx + dy, dz), {}).items():
-                for ix, iy, a in xy.get(ie, ()):
-                    for k, v in terms:
-                        key = (dx, ix, iy, iz, k)
+            for k, row in enumerate(table.get((dx + dy, dz), ())
+                                    if xy else ()):
+                for col, v in row.items():
+                    for x, iy, _, a in xy.get(col // nz, ()):
+                        key = (x, iy, col % nz, k)
                         acc[key] = acc.get(key, 0) + a * v
         by_x = hit.get(dy + dz, {})
-        for (iy, iz), terms in table.get((dy, dz), {}).items():
-            for m, v in terms:
-                for dx, ix, xterms in by_x.get(m, ()):
-                    for k, w in xterms:
-                        key = (dx, ix, iy, iz, k)
-                        acc[key] = acc.get(key, 0) - v * w
-        failing += [(dx, ix, dy, iy, dz, iz)
-                    for (dx, ix, iy, iz, _), v in acc.items() if v]
+        for m, row in enumerate(table.get((dy, dz), ()) if by_x else ()):
+            for col, v in row.items() if m in by_x else ():
+                iy, iz = divmod(col, nz)
+                for x, _, k, w in by_x[m]:
+                    key = (x, iy, iz, k)
+                    acc[key] = acc.get(key, 0) - v * w
+        failing += [(*x, dy, iy, dz, iz)
+                    for (x, iy, iz, _), v in acc.items() if v]
     if not failing:
         return []
     dx, ix, dy, iy, dz, iz = min(failing)
@@ -341,18 +326,17 @@ def _check_leibniz(c: GDiffComplex):
 
 def _leibniz_failures(c: GDiffComplex, left: dict) -> list:
     """The Leibniz rules on the basis pairs (x, y) with x in `left` (degree
-    -> basis indices).  With M_{a,b} the product table on A^a (x) A^b, one
-    column per basis pair (ia, ib), each operator D of degree s and each
-    degree block (a, b) must satisfy
+    -> basis indices).  With M_{a,b} the product block on A^a (x) A^b, each
+    operator D of degree s and each degree block (a, b) must satisfy
 
         D M_{a,b} = M_{a+s,b} (D_a (x) 1) + eps_a M_{a,b+s} (1 (x) D_b),
 
     eps_a = (-1)^a for d and i_x, 1 for L_x.  Both sides are summed over the
-    nonzero entries of D and of the table rows of `left` and of D applied
-    to them, so a block costs its nonzeros, not its pairs.  Returns [] or
-    one witness: the first failing pair in degree order and, at that pair,
-    the first failing operator in the order d, i_0, L_0, i_1, L_1, ..."""
-    table, degs = c.product.table, c.space.degrees()
+    nonzero entries of D and of M, never as products of matrices, so a block
+    costs its nonzeros, not its pairs.  Returns [] or one witness: the first
+    failing pair in degree order and, at that pair, the first failing
+    operator in the order d, i_0, L_0, i_1, L_1, ..."""
+    table, degs, dim = c.product.table, c.space.degrees(), c.space.dim
     ops = [("d-Leibniz", [], c.d, True)]
     for x in range(c.algebra.dim):
         ops += [("i-Leibniz", [x], c.contractions[x], True),
@@ -364,13 +348,15 @@ def _leibniz_failures(c: GDiffComplex, left: dict) -> list:
             cols = blk.cols
             for ia in left.get(n, ()):
                 need.setdefault(n + op.shift, set()).update(cols[ia])
-    rows = {}   # (da, db) -> {ia: [(ib, terms), ...]} for ia in `need`
-    for (da, db), pairs in table.items():
-        want = need.get(da, ())
-        for (ia, ib), terms in pairs.items():
-            if ia in want:
-                rows.setdefault((da, db), {}).setdefault(ia, []).append(
-                    (ib, terms))
+    rows = {}   # (da, db) -> {ia: [(ib, k, coeff of e_k in e_ia e_ib)]}
+    for (da, db), blk in table.items():
+        want, nb = need.get(da, ()), dim(db)
+        for k, row in enumerate(blk) if want else ():
+            for col, v in row.items():
+                ia, ib = divmod(col, nb)
+                if ia in want:
+                    rows.setdefault((da, db), {}).setdefault(ia, []).append(
+                        (ib, k, v))
     failing = {}   # (da, ia, db, ib) -> index of the first failing operator
     for k, (_, _, op, odd) in enumerate(ops):
         s = op.shift
@@ -388,23 +374,20 @@ def _leibniz_failures(c: GDiffComplex, left: dict) -> list:
                 r2 = rows.get((da, db + s), {})
                 for ia in idx:
                     if d_ab:
-                        for ib, terms in here.get(ia, ()):
-                            for kk, cc in terms:
-                                for t, v in d_ab[kk].items():
-                                    key = (ia, ib, t)
-                                    acc[key] = acc.get(key, 0) + cc * v
+                        for ib, kk, cc in here.get(ia, ()):
+                            for t, v in d_ab[kk].items():
+                                key = (ia, ib, t)
+                                acc[key] = acc.get(key, 0) + cc * v
                     if d_a:
                         for t, v in d_a[ia].items():
-                            for ib, terms in r1.get(t, ()):
-                                for kk, cc in terms:
-                                    key = (ia, ib, kk)
-                                    acc[key] = acc.get(key, 0) - v * cc
+                            for ib, kk, cc in r1.get(t, ()):
+                                key = (ia, ib, kk)
+                                acc[key] = acc.get(key, 0) - v * cc
                     if d_b:
-                        for t, terms in r2.get(ia, ()):
+                        for t, kk, cc in r2.get(ia, ()):
                             for ib, v in d_b[t].items():
-                                for kk, cc in terms:
-                                    key = (ia, ib, kk)
-                                    acc[key] = acc.get(key, 0) - eps * v * cc
+                                key = (ia, ib, kk)
+                                acc[key] = acc.get(key, 0) - eps * v * cc
                 for (ia, ib, _), v in acc.items():
                     if v:
                         failing.setdefault((da, ia, db, ib), k)
@@ -432,48 +415,52 @@ def build_gdiff(algebra, complex_, contractions, lie_ops, product=None,
 
 
 def _basis_table(basis: dict, mul) -> dict:
-    """Product table of the monomials basis[deg]: x y = mul(x, y), a (sign,
+    """The product of the monomials basis[deg]: x y = mul(x, y), a (sign,
     monomial) pair or None when it vanishes, truncated to listed degrees."""
     index = {deg: {x: i for i, x in enumerate(xs)}
              for deg, xs in basis.items()}
     table = {}
     for da, db in sorted((a, b) for a in basis for b in basis
                          if a + b in basis):
-        pairs = {(ia, ib): ((index[da + db][xy[1]], xy[0]),)
-                 for ia, x in enumerate(basis[da])
-                 for ib, y in enumerate(basis[db])
-                 if (xy := mul(x, y)) is not None}
-        if pairs:
-            table[(da, db)] = pairs
+        at, rows = index[da + db], [{} for _ in basis[da + db]]
+        for col, (x, y) in enumerate(itertools.product(basis[da], basis[db])):
+            if (xy := mul(x, y)) is not None:
+                rows[at[xy[1]]][col] = xy[0]
+        if any(rows):
+            table[(da, db)] = rl.freeze(rows, len(basis[da]) * len(basis[db]))
     return table
 
 
-def _kron_table(offsets: dict, t1: dict, t2: dict, sign) -> dict:
-    """The product table on a `core.product_space` layout of factors with
-    tables t1 and t2, (x1 (x) x2)(y1 (x) y2) = sign(|x2|, |y1|) x1 y1 (x)
-    x2 y2, over the nonzero entries of the two; positions are read from
-    `offsets`, and keys and pairs come in increasing order."""
+def _tensor_table(space: GradedSpace, offsets: dict, t1: dict, t2: dict,
+                  sign) -> Product:
+    """The product on a `core.product_space` layout of factors with blocks
+    t1 and t2, (x1 (x) x2)(y1 (x) y2) = sign(|x2|, |y1|) x1 y1 (x) x2 y2:
+    (M1 (x) M2) (1 (x) tau (x) 1), tau the signed swap of x2 and y1, written
+    once per pair of nonzero factor entries."""
     at = {ab: (n,) + off for n, offs in offsets.items()
           for ab, off in offs.items()}
-    table = {}
-    for (a1, b1), pairs1 in t1.items():
-        for (a2, b2), pairs2 in t2.items():
-            (na, oa, _, wa), (nb, ob, _, wb), (_, oc, _, wc) = (
+    dim, rows = space.dim, {}   # (|x|, |y|) -> the rows of M_{|x|,|y|}
+    for (a1, b1), m1 in t1.items():
+        for (a2, b2), m2 in t2.items():
+            (na, oa, _, wa), (nb, ob, n1, wb), (_, oc, _, wc) = (
                 at[a1, a2], at[b1, b2], at[a1 + b1, a2 + b2])
-            sgn, pairs = sign(a2, b1), table.setdefault((na, nb), {})
-            for (i1, j1), s1 in pairs1.items():
-                for (i2, j2), s2 in pairs2.items():
-                    if s1 and s2:
-                        pairs[oa + i1 * wa + i2, ob + j1 * wb + j2] = tuple(
-                            (oc + k1 * wc + k2, sgn * co1 * co2)
-                            for k1, co1 in s1 for k2, co2 in s2)
-    return {key: dict(sorted(pairs.items()))
-            for key, pairs in sorted(table.items()) if pairs}
+            if (na, nb) not in rows:
+                rows[na, nb] = [{} for _ in range(dim(na + nb))]
+            out, w, s = rows[na, nb], dim(nb), sign(a2, b1)
+            # the entries of M1 and M2 at their row and column offsets
+            e1 = [(oc + k * wc, (oa + c // n1 * wa) * w + ob + c % n1 * wb,
+                   s * x) for k, row in enumerate(m1) for c, x in row.items()]
+            e2 = [(k, c // wb * w + c % wb, y)
+                  for k, row in enumerate(m2) for c, y in row.items()]
+            for r1, c1, x in e1:
+                for r2, c2, y in e2:
+                    out[r1 + r2][c1 + c2] = x * y
+    return Product({key: rl.freeze(rows[key], dim(key[0]) * dim(key[1]))
+                    for key in sorted(rows) if any(rows[key])})
 
 
 def wedge_product_table(n: int) -> Product:
-    """Product table for Lambda(g*) with basis the increasing index tuples
-    (coefficient dimension 1)."""
+    """The product of Lambda(g*) on the increasing index tuples."""
     return Product(_basis_table({k: bases.ext_basis(n, k)
                                  for k in range(n + 1)}, bases.wedge_merge))
 
@@ -556,10 +543,11 @@ def weil_algebra(g: LieAlgebra, sym_cap: int) -> WeilAlgebra:
                                             (0, 0, coad[b].get, None, None)])
                for b in range(n)]
     # S(g*) is even, so Lambda (x) S takes no Koszul sign
-    product = _kron_table(offsets, wedge_product_table(n).table, _basis_table(
-        mons, lambda x, y: (1, bases.sym_mul(x, y))), lambda m, k: 1)
+    product = _tensor_table(space, offsets, wedge_product_table(n).table,
+                            _basis_table(mons, lambda x, y: (
+                                1, bases.sym_mul(x, y))), lambda m, k: 1)
     gd = build_gdiff(g, CochainComplex.build(space, d), contractions, lie_ops,
-                     product=Product(product), unit=[1])
+                     product=product, unit=[1])
     return WeilAlgebra(gd, sym_cap, offsets, mons)
 
 
@@ -603,9 +591,9 @@ def tensor_product(c1: GDiffComplex, c2: GDiffComplex,
     if c1.product is not None and c2.product is not None:
         # (a1 (x) a2)(b1 (x) b2) = (-1)^(|a2||b1|) a1 b1 (x) a2 b2, and the
         # unit is u1 (x) u2, both placed by the layout's offsets
-        product = Product(_kron_table(
-            offsets, c1.product.table, c2.product.table,
-            lambda a2, b1: -1 if a2 % 2 and b1 % 2 else 1))
+        product = _tensor_table(
+            space, offsets, c1.product.table, c2.product.table,
+            lambda a2, b1: -1 if a2 % 2 and b1 % 2 else 1)
         if c1.unit is not None and c2.unit is not None:
             off = offsets[0][(0, 0)][0]
             unit = [0] * space.dim(0)
@@ -912,34 +900,31 @@ def weil_universal_map(w: WeilAlgebra, target: GDiffComplex,
     g = w.gdiff.algebra
     if g != target.algebra:
         raise MismatchedAlgebra("Weil algebra and target carry different algebras")
-    r = g.dim
-    sp = target.space
-    prod = target.product
+    r, sp, table = g.dim, target.space, target.product.table
     theta = [list(map(rl.q, v)) for v in theta]
+
+    def mult(da, va, db, vb):   # M_{da,db} (va (x) vb)
+        ab = [x * y for x in va for y in vb]
+        return [sum(v * ab[j] for j, v in row.items())
+                for row in table.get((da, db), rl.zeros(sp.dim(da + db), 0))]
+
     f_img = []
     for k in range(r):
-        acc = [0] * sp.dim(2)
+        acc = [-x for x in target.d.apply(1, theta[k])]
         for i in range(r):
             for j in range(i + 1, r):
-                ckij = g.c[i][j][k]
-                if ckij:
-                    tt = prod.mult(sp, 1, theta[i], 1, theta[j])
+                if ckij := g.c[i][j][k]:
+                    tt = mult(1, theta[i], 1, theta[j])
                     acc = [x - ckij * y for x, y in zip(acc, tt)]
-        dth = target.d.apply(1, theta[k])
-        f_img.append([x - y for x, y in zip(acc, dth)])
+        f_img.append(acc)
 
     def image(idx, expo):
         """The image of lambda_idx u^expo: the Theta_i in order, then the
         F_k, multiplied onto the unit."""
-        cur_deg = 0
-        cur = list(target.unit)
-        for i in idx:
-            cur = prod.mult(sp, cur_deg, cur, 1, theta[i])
-            cur_deg += 1
-        for k in range(r):
-            for _ in range(expo[k]):
-                cur = prod.mult(sp, cur_deg, cur, 2, f_img[k])
-                cur_deg += 2
+        deg, cur = 0, list(target.unit)
+        for s, v in [(1, theta[i]) for i in idx] + [
+                (2, f_img[k]) for k in range(r) for _ in range(expo[k])]:
+            deg, cur = deg + s, mult(deg, cur, s, v)
         return cur
 
     wsp = w.gdiff.space
@@ -991,16 +976,15 @@ def _mq_twist(a: GDiffComplex, w: WeilAlgebra, space: GradedSpace,
     """N = sum_b eps * i_b (x) (lambda^b ^) on the layout (space, offsets)
     of A (x) W, eps read off MQ_SIGN when called."""
     s, p, q = MQ_SIGN
-    wsp, prod = w.gdiff.space, w.gdiff.product
+    wsp, table = w.gdiff.space, w.gdiff.product.table
 
     def lam(b, wd):
-        """(-1)^(q wd) times left multiplication by lambda^b on W^wd."""
-        off, _, dim_s = w.offsets[1][(1, 0)]
-        m = [{} for _ in range(wsp.dim(wd + 1))]
-        for i2 in range(wsp.dim(wd)):
-            for k, sgn in prod.terms(1, off + b * dim_s, wd, i2):
-                m[k][i2] = m[k].get(i2, 0) + sgn * (-1) ** (q * wd % 2)
-        return rl.freeze(m, wsp.dim(wd))
+        """(-1)^(q wd) times the product by lambda^b, the b-th basis element
+        of W^1, on W^wd: columns b n to b n + n - 1 of M_{1,wd}."""
+        n, sgn = wsp.dim(wd), (-1) ** (q * wd % 2)
+        blk = table.get((1, wd), rl.zeros(wsp.dim(wd + 1), 0))
+        return rl.freeze([{j - b * n: sgn * v for j, v in row.items()
+                           if b * n <= j < b * n + n} for row in blk], n)
 
     return kron_map(space, offsets, 0, [
         (-1, 1, a.contractions[b].block,

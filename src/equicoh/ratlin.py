@@ -122,6 +122,7 @@ def ncols(a) -> int:
     return a.shape[1]
 
 
+@cache
 def zeros(r: int, c: int) -> Matrix:
     return freeze((_EMPTY,) * r, c)
 

@@ -76,6 +76,24 @@ def _frac(x):
     return str(Fraction(x))
 
 
+def table_dict(c):
+    """The product of c in the payload's table form {(da, db): {(ia, ib):
+    ((k, coeff), ...)}}: every block, each nonzero column ia * dim A^db + ib
+    as its pair, pairs and terms in increasing order."""
+    dim = c.space.dim
+    return {(da, db): {divmod(j, dim(db)): tuple(col.items())
+                       for j, col in enumerate(m.cols) if col}
+            for (da, db), m in c.product.table.items()}
+
+
+def payload_table(table):
+    """A table {(da, db): {(ia, ib): ((k, coeff), ...)}} in the payload's
+    form {"da,db": {"ia,ib": [[k, "coeff"], ...]}}."""
+    return {f"{da},{db}": {f"{ia},{ib}": [[k, _frac(v)] for k, v in terms]
+                           for (ia, ib), terms in pairs.items()}
+            for (da, db), pairs in table.items()}
+
+
 def gdiff_payload(c):
     """The `gdiff` payload of a G-differential complex: every nonzero-shaped
     block as dense rows of strings, with its product table and unit."""
@@ -103,10 +121,7 @@ def gdiff_payload(c):
             "contractions": [blocks(op, -1) for op in c.contractions],
             "lie_ops": [blocks(op, 0) for op in c.lie_ops]}
     if c.product is not None:
-        data["product"] = {"table": {
-            f"{da},{db}": {f"{ia},{ib}": [[k, _frac(v)] for k, v in terms]
-                           for (ia, ib), terms in pairs.items()}
-            for (da, db), pairs in c.product.table.items()}}
+        data["product"] = {"table": payload_table(table_dict(c))}
     if c.unit is not None:
         data["unit"] = list(map(_frac, c.unit))
     return data
@@ -445,6 +460,38 @@ MALFORMED.update({
                         ("empty-entry", "1,,2"))})
 
 
+# Keys that read as one degree or one pair, such as "1" and "01" or "1,0"
+# and "1, 0", are refused and not left for the last one to win: in dims, in
+# the blocks of d and of the operators, and in the product's degree pairs and
+# basis pairs.  validate refuses them as compute does.  The payload file has
+# its keys sorted, so the field named is the key that sorts second.
+DUPLICATE_KEYS = {
+    "dims": ("payload.dims.1", _one_gen(dims={"0": 1, "1": 1, "01": 1})),
+    "d": ("payload.d.00", _one_gen(d={"0": [["0"]], "00": [["0"]]})),
+    "contractions": ("payload.contractions[0].1",
+                     _one_gen(contractions=[{"1": [["1"]], "01": [["1"]]}])),
+    "product-degrees": ("payload.product.table.1,0", _with_table(
+        {**ONE_GEN["product"]["table"], "1, 0": {"0,0": [[0, "1"]]}})),
+    "product-pairs": ("payload.product.table.0,1.0,0", _with_table(
+        {**ONE_GEN["product"]["table"],
+         "0,1": {"0,0": [[0, "1"]], "0, 0": [[0, "1"]]}})),
+}
+MALFORMED.update({
+    f"{command}-duplicate-{name}": (
+        [command], payload if command == "validate"
+        else {"kind": "gdiff-check", "payload": payload})
+    for name, (_, payload) in DUPLICATE_KEYS.items()
+    for command in ("validate", "compute")})
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATE_KEYS))
+def test_duplicate_key_is_named_in_the_schema_error(name):
+    field, payload = DUPLICATE_KEYS[name]
+    code, out = run(["gdiff-check"], payload)
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == field
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_2_as_a_schema_error(name):
     argv, payload = MALFORMED[name]
@@ -517,6 +564,45 @@ def test_non_associative_product_exits_3_with_its_witness(argv, wrap):
     assert report == {"ok": False, "failures": [
         {"axiom": "associativity", "generators": [], "degree": 1,
          "basis_index": 3, "other": [1, 7, 1, 5]}]}
+
+
+@pytest.mark.parametrize("terms, failures", [
+    ([[0, "1/2"], [0, "1/2"]], []),
+    ([[0, "1"], [0, "1"]],
+     [{"axiom": "i-Leibniz", "basis_index": 0, "degree": 0,
+       "generators": [0], "other": [1, 0]},
+      {"axiom": "unit", "basis_index": 0, "degree": 1, "generators": []}])],
+    ids=["halves", "twice"])
+def test_repeated_term_indices_of_a_pair_add(terms, failures):
+    """The terms of one basis pair add up, a repeated index included: with
+    1 lambda given as two halves of lambda the unit holds, and given twice
+    as lambda it is 2 lambda, and the unit and a Leibniz rule fail."""
+    payload = _with_table({**ONE_GEN["product"]["table"],
+                           "0,1": {"0,0": terms}})
+    code, out = run(["gdiff-check"], payload)
+    if failures:
+        assert code == 3
+        report = json.loads(json.loads(out)["error"]["witness"])
+    else:
+        assert code == 0
+        report = json.loads(out)["result"]
+    assert report == {"ok": not failures, "failures": failures}
+
+
+@pytest.mark.parametrize("name", ["ce-su2", "weil-su2-2",
+                                  "ce-su2-weil-su2-2"])
+def test_exported_product_parses_back_to_the_built_blocks(name):
+    """A product exported as a payload's table and parsed back is the
+    builder's: the same degree pairs in the same order, each block equal
+    entry for entry, and the same unit."""
+    a = gd.ce_gdiff(lie.ce_complex(lie.su2()))
+    c = a if name == "ce-su2" else gd.weil_algebra(lie.su2(), 2).gdiff
+    if name == "ce-su2-weil-su2-2":
+        c = gd.tensor_product(a, c)[0]
+    parsed = cli.parse_gdiff(json.loads(json.dumps(gdiff_payload(c))))
+    assert list(parsed.product.table.items()) == \
+        list(c.product.table.items())
+    assert parsed.unit == c.unit
 
 
 def _failed_check(command, out) -> str:

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from equicoh import bases, core, gdiff, lie, ratlin as rl, spectral
+from equicoh import bases, cli, core, gdiff, lie, ratlin as rl, spectral
+
+from test_cli import payload_table, table_dict
 
 
 def su2_ce():
@@ -93,6 +95,13 @@ def test_leibniz_rules_hold_on_every_pair():
         assert gdiff._check_leibniz(c) == [], name
 
 
+def _product(table, dims):
+    """The product of a table {(da, db): {(ia, ib): ((k, coeff), ...)}} on
+    a space of dimensions `dims`, through the conversion of a payload's
+    table."""
+    return cli.product_from_table(payload_table(table), dims)
+
+
 def _one_pair_defect():
     """Q + V^1 (dim 400) + Q w^2 + Q z^3 under the zero action of abelian(1),
     with dw = z, a unit and the one product v_3 v_7 = w: 162,409 basis pairs,
@@ -107,7 +116,7 @@ def _one_pair_defect():
     table[(1, 1)] = {(3, 7): ((0, 1),)}
     return dataclasses.replace(gdiff.trivial_action_gdiff(
         lie.abelian(1), core.CochainComplex.build(space, d)),
-        product=gdiff.Product(table), unit=(1,))
+        product=_product(table, dims), unit=(1,))
 
 
 def test_one_pair_leibniz_defect_is_reported():
@@ -477,16 +486,17 @@ def _mutate_op(op, rng):
     return core.LinearMap.from_blocks(sp, op.target, op.shift, blocks)
 
 
-def _mutate_product(prod, sp, rng):
-    """prod with one seeded term added to one basis pair."""
-    keys = sorted(k for k in prod.table if sp.dim(k[0] + k[1]))
+def _mutate_product(c, rng):
+    """The product of c with one seeded term added to one basis pair, in the
+    payload's table form and through the CLI's conversion."""
+    sp = c.space
+    keys = sorted(k for k in c.product.table if sp.dim(k[0] + k[1]))
     da, db = rng.choice(keys)
     pair = (rng.randrange(sp.dim(da)), rng.randrange(sp.dim(db)))
-    table = dict(prod.table)
-    table[(da, db)] = dict(table[(da, db)])
+    table = table_dict(c)
     table[(da, db)][pair] = table[(da, db)].get(pair, ()) + (
         (rng.randrange(sp.dim(da + db)), rng.choice((1, -1, Fraction(1, 3)))),)
-    return gdiff.Product(table)
+    return _product(table, sp.dims())
 
 
 def _mutant(c, family, x, rng):
@@ -497,7 +507,7 @@ def _mutant(c, family, x, rng):
             c, complex=core.CochainComplex(c.space, _mutate_op(c.d, rng)))
     if family == "product":
         return dataclasses.replace(
-            c, product=_mutate_product(c.product, c.space, rng))
+            c, product=_mutate_product(c, rng))
     field = "contractions" if family == "i" else "lie_ops"
     ops = list(getattr(c, field))
     ops[x] = _mutate_op(ops[x], rng)
@@ -578,11 +588,18 @@ def _apply(op, deg, vec):
     return {k: v for k, v in out.items() if v}
 
 
-def _mult(prod, da, va, db, vb):
+def _terms(c, da, ia, db, ib):
+    """The terms (k, coeff) of e_ia e_ib: column ia * dim A^db + ib of the
+    product's block (da, db)."""
+    m = c.product.table.get((da, db))
+    return m.cols[ia * c.space.dim(db) + ib].items() if m else ()
+
+
+def _mult(c, da, va, db, vb):
     out = {}
     for ia, ca in va.items():
         for ib, cb in vb.items():
-            for k, coeff in prod.terms(da, ia, db, ib):
+            for k, coeff in _terms(c, da, ia, db, ib):
                 out[k] = out.get(k, 0) + ca * cb * coeff
     return {k: v for k, v in out.items() if v}
 
@@ -598,7 +615,7 @@ def _reference_leibniz(c):
     """The Leibniz check one basis pair at a time: each product e_a e_b is
     pushed through d, i_x and L_x and compared with the derivation rule, on
     every pair in degree order, stopping at the first failure."""
-    sp, prod = c.space, c.product
+    sp = c.space
     rules = [("d-Leibniz", [], c.d, -1)]
     for x in range(c.algebra.dim):
         rules += [("i-Leibniz", [x], c.contractions[x], -1),
@@ -608,13 +625,13 @@ def _reference_leibniz(c):
         ea = {ia: 1}
         for db, ib in [(db, ib) for db in degs for ib in range(sp.dim(db))]:
             eb = {ib: 1}
-            ab = _mult(prod, da, ea, db, eb)
+            ab = _mult(c, da, ea, db, eb)
             for axiom, gens, op, odd_sign in rules:
                 s = op.shift
                 sign = odd_sign ** da
                 lhs = _apply(op, da + db, ab)
-                rhs = _plus(_mult(prod, da + s, _apply(op, da, ea), db, eb),
-                            _mult(prod, da, ea, db + s, _apply(op, db, eb)),
+                rhs = _plus(_mult(c, da + s, _apply(op, da, ea), db, eb),
+                            _mult(c, da, ea, db + s, _apply(op, db, eb)),
                             sign)
                 if lhs != rhs:
                     return [{"axiom": axiom, "generators": gens,
@@ -721,7 +738,7 @@ def _algebra(dims, products, unit=(1,)):
     return dataclasses.replace(gdiff.trivial_action_gdiff(
         lie.abelian(1), core.CochainComplex.build(
             space, core.LinearMap.zero(space, space, 1))),
-        product=gdiff.Product(table), unit=unit)
+        product=_product(table, dims), unit=unit)
 
 
 def test_generators_of_weil_algebras_are_the_lambdas_and_the_fs():
@@ -812,10 +829,10 @@ def test_generators_generate_and_complement_the_products():
         assert gens[0] == list(range(sp.dim(0)))
         spans = {0: [{j: 1} for j in gens[0]]}   # degree -> generated rows
         for n in sp.degrees()[1:]:
-            rows = [_mult(c.product, i, u, n - i, w)
+            rows = [_mult(c, i, u, n - i, w)
                     for i in range(1, n) for u in spans.get(i, ())
                     for w in spans.get(n - i, ())]
-            left = [_mult(c.product, i, {x: 1}, n - i, {j: 1})
+            left = [_mult(c, i, {x: 1}, n - i, {j: 1})
                     for i in range(1, n) for x in gens.get(i, ())
                     for j in range(sp.dim(n - i))]
             ours = gens.get(n, [])
@@ -830,9 +847,9 @@ def test_generators_generate_and_complement_the_products():
 def _failing_triples(c):
     """Every basis triple (dx, ix, dy, iy, dz, iz), in degree order, with
     (xy)z != x(yz), from the products of all basis pairs."""
-    sp, prod = c.space, c.product
+    sp = c.space
     basis = [(n, j) for n in sp.degrees() for j in range(sp.dim(n))]
-    pp = {(x, y): _mult(prod, x[0], {x[1]: 1}, y[0], {y[1]: 1})
+    pp = {(x, y): _mult(c, x[0], {x[1]: 1}, y[0], {y[1]: 1})
           for x in basis for y in basis}
     out = []
     for x in basis:
@@ -853,13 +870,13 @@ def _failing_triples(c):
 
 
 def _reference_unit(c):
-    """The unit on every basis element, by `Product.mult`."""
-    sp = c.space
+    """The unit on every basis element, by products of coordinate
+    vectors."""
+    sp, unit = c.space, dict(enumerate(c.unit))
     for n in sp.degrees():
         for i in range(sp.dim(n)):
-            e = [int(t == i) for t in range(sp.dim(n))]
-            if (c.product.mult(sp, 0, c.unit, n, e) != e
-                    or c.product.mult(sp, n, e, 0, c.unit) != e):
+            if (_mult(c, 0, unit, n, {i: 1}) != {i: 1}
+                    or _mult(c, n, {i: 1}, 0, unit) != {i: 1}):
                 return [{"axiom": "unit", "generators": [], "degree": n,
                          "basis_index": i}]
     return []
@@ -867,8 +884,8 @@ def _reference_unit(c):
 
 def _reference_report(c):
     """The full passes by their references: the operator identities formed
-    as maps, the Leibniz rules one pair at a time, the unit by
-    `Product.mult` and, when it holds, associativity on every triple,
+    as maps, the Leibniz rules one pair at a time, the unit by products of
+    coordinate vectors and, when it holds, associativity on every triple,
     witnessed by the first failing one with a generator on the left."""
     failures = _reference_operator_axioms(c) + _reference_leibniz(c)
     unit = _reference_unit(c) if c.unit is not None else []
@@ -906,7 +923,7 @@ def _rebased(c, rng):
         pairs = table.setdefault((da, db), {})
         for a in range(sp.dim(da)):
             for b in range(sp.dim(db)):
-                ab = _mult(c.product, da, dict(fwd[da].cols[a]), db,
+                ab = _mult(c, da, dict(fwd[da].cols[a]), db,
                            dict(fwd[db].cols[b]))
                 new = {}
                 for k, v in ab.items():
@@ -918,8 +935,8 @@ def _rebased(c, rng):
     return dataclasses.replace(
         c, complex=core.CochainComplex(sp, conj(c.d)),
         contractions=tuple(map(conj, c.contractions)),
-        lie_ops=tuple(map(conj, c.lie_ops)), product=gdiff.Product(table),
-        unit=unit)
+        lie_ops=tuple(map(conj, c.lie_ops)),
+        product=_product(table, sp.dims()), unit=unit)
 
 
 def _two_idempotents():
@@ -942,8 +959,8 @@ def _per_pair_table(c1, c2, pos):
             pairs = {}
             for ia, (a1, i1, a2, i2) in enumerate(comps[da]):
                 for ib, (b1, j1, b2, j2) in enumerate(comps[db]):
-                    t1 = c1.product.terms(a1, i1, b1, j1)
-                    t2 = c2.product.terms(a2, i2, b2, j2)
+                    t1 = tuple(_terms(c1, a1, i1, b1, j1))
+                    t2 = tuple(_terms(c2, a2, i2, b2, j2))
                     if not t1 or not t2:
                         continue
                     sgn = -1 if (a2 % 2) and (b1 % 2) else 1
@@ -964,8 +981,8 @@ def _tensor_factors():
     g, h, t = lie.su2(), lie.heisenberg(), lie.abelian(2)
     ce = {alg.name: gdiff.ce_gdiff(lie.ce_complex(alg, lie.trivial_rep(alg)))
           for alg in (g, h, t)}
-    table = dict(ce["su2"].product.table)
-    table[(1, 1)] = {**table[(1, 1)], (0, 1): ()}
+    table = table_dict(ce["su2"])
+    table[(1, 1)][(0, 1)] = ()
     return {
         "ce-su2-weil-su2-1": (ce["su2"],
                               gdiff.weil_algebra(g, 1).gdiff),
@@ -979,7 +996,8 @@ def _tensor_factors():
             _rebased(gdiff.weil_algebra(lie.abelian(1), 2).gdiff,
                      random.Random(9611023))),
         "ce-su2-empty-entry-weil-su2-1": (
-            dataclasses.replace(ce["su2"], product=gdiff.Product(table)),
+            dataclasses.replace(ce["su2"], product=_product(
+                table, ce["su2"].space.dims())),
             gdiff.weil_algebra(g, 1).gdiff),
         "negative-degree-two-idempotents": (
             _algebra({-1: 1, 0: 1, 1: 1, 2: 1}, {(1, 1): {(0, 0): 0}}),
@@ -989,16 +1007,14 @@ def _tensor_factors():
 
 @pytest.mark.parametrize("name", sorted(_tensor_factors()))
 def test_tensor_product_table_is_the_per_pair_table(name):
-    """The table built from the nonzero pairs of the factor tables is the
-    one every basis pair gives, keys and terms in the same order, and the
-    unit is the Kronecker product of the factor units."""
+    """The blocks built from the nonzero entries of the factor blocks are
+    those every basis pair gives, keys in the same order and every entry
+    equal, and the unit is the Kronecker product of the factor units."""
     c1, c2 = _tensor_factors()[name]
     tensor, offsets = gdiff.tensor_product(c1, c2, check=False)
     pos = _pos_from_offsets(offsets)
-    ref = _per_pair_table(c1, c2, pos)
-    assert [(key, list(pairs.items())) for key, pairs in
-            tensor.product.table.items()] == \
-        [(key, list(pairs.items())) for key, pairs in ref.items()]
+    ref = _product(_per_pair_table(c1, c2, pos), tensor.space.dims())
+    assert list(tensor.product.table.items()) == list(ref.table.items())
     unit = [0] * tensor.space.dim(0)
     for i1, v1 in enumerate(c1.unit):
         for i2, v2 in enumerate(c2.unit):
@@ -1053,7 +1069,7 @@ def test_generating_set_checks_agree_with_the_full_references():
     assert verdicts[:len(subjects)] == [True] * len(subjects)
     assert not any(verdicts[len(subjects):])
     assert any(len(terms) > 1 for c in subjects[len(bases):]
-               for pairs in c.product.table.values()
+               for pairs in table_dict(c).values()
                for terms in pairs.values())
 
 
@@ -1312,7 +1328,7 @@ def _monomial_product(comps: dict, m_max: int) -> gdiff.Product:
                     pairs[(ia, ib)] = ((pos[da + db][lab], s),)
             if pairs:
                 table[(da, db)] = pairs
-    return gdiff.Product(table)
+    return _product(table, {deg: len(labs) for deg, labs in comps.items()})
 
 
 def _ref_weil_algebra(g, sym_cap):
@@ -1506,11 +1522,15 @@ def _stored(x):
     """x as nested tuples of reprs, which show each scalar's type and each
     dict's key order; a matrix is its shape and its stored rows, each read
     by column (no result reads the order in which a row's entries were
-    added), and a graded space its dimensions."""
+    added), and a graded space its dimensions; a dict of matrices (the
+    blocks of a product) is its keys in order, each with its matrix."""
     if isinstance(x, rl.Matrix):
         return x.shape, repr([sorted(row.items()) for row in x])
     if isinstance(x, core.GradedSpace):
         return "GradedSpace", repr(x.dims())
+    if isinstance(x, dict) and any(isinstance(v, rl.Matrix)
+                                   for v in x.values()):
+        return tuple((repr(k), _stored(v)) for k, v in x.items())
     if dataclasses.is_dataclass(x):
         return type(x).__name__, tuple(
             _stored(getattr(x, f.name)) for f in dataclasses.fields(x))

@@ -143,6 +143,15 @@ def test_q_parsing():
     assert str(rl.q(Fraction(-1, 2))) == "-1/2"
 
 
+def test_zeros_are_built_once_per_shape():
+    """A Matrix is immutable, so one zero matrix serves each shape, as one
+    identity serves each size."""
+    assert rl.zeros(3, 2) is rl.zeros(3, 2)
+    assert rl.zeros(3, 2).shape == (3, 2) and rl.is_zero(rl.zeros(3, 2))
+    assert rl.zeros(2, 3) is not rl.zeros(3, 2)
+    assert rl.identity(4) is rl.identity(4)
+
+
 def test_add_kron_matches_the_kronecker_product():
     """add_kron against the definition: entry (i, j) of a times (k, l) of b,
     scaled, added at row row0 + i*rows(b) + k, column col0 + j*cols(b) + l;
