@@ -22,7 +22,9 @@ anchor's intertwining properties), and the shipped combination of signs is
 the unique one under which every registered identity holds.  The anchor
 of a structure (the images of the dx_i), and the wedge of its images over
 each index tuple that the anchor of a form reads, are built when first
-read and kept with the structure.
+read and kept with the structure.  The anchor, the bracket of one-forms,
+the module action on forms and the anchor fold of tensors send their terms
+(`_sharp` yields the anchor's) straight to the constructor of the result.
 
 Cohomology is computed on finite polynomial models, all cut by one rule.
 A basis key of exterior degree q and coefficient degree m has the weight
@@ -84,9 +86,9 @@ from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
                    anticommutator, cohomology, joint_kernel,
                    restrict_complex, stacked_kernel)
 from .poly import (AmbientMismatch, DegreeMismatch, PolyForm, PolyMultivector,
-                   _derivatives, _slots, apply_vector_field, as_form,
-                   as_multivector, basis_form, contract, contract_form,
-                   exterior_d, function, pairing, scale_by_function,
+                   _checked_key, _d, _derivatives, _products, _slots,
+                   apply_vector_field, as_form, as_multivector, basis_form,
+                   contract, contract_form, exterior_d, function, pairing,
                    tensor_add, tensor_fold_functions, tensor_is_zero,
                    tensor_lwedge, tensor_scale, tilde_i, wedge, zero_form,
                    zero_multivector)
@@ -286,28 +288,29 @@ def _sharp_rows(p: PoissonStructure) -> tuple:
     return tuple(PolyMultivector(p.ambient, 1, r) for r in rows)
 
 
-def _sum(kind: type, ambient: int, degree: int, parts) -> object:
-    """The sum of objects of one kind and degree, as one set of terms."""
-    return kind(ambient, degree,
-                chain.from_iterable(x.coeffs for x in parts))
+def _sharp(p: PoissonStructure, terms):
+    """The terms of the anchor of the given form terms: c x^e dx_s goes to
+    c x^e times the wedge of the anchor rows j in s (1 for s empty), which
+    the structure keeps per s (`anchor_wedges`)."""
+    wedges = p.anchor_wedges
+    for (s, e), c in terms:
+        if s not in wedges:
+            wedges[s] = reduce(wedge, (p.anchor_rows[j] for j in s),
+                               function(p.ambient, {(0,) * p.ambient: 1}))
+        for (idx, ew), cw in wedges[s].coeffs:
+            yield (idx, tuple(map(add, e, ew))), c * cw
 
 
 def pi_sharp(p: PoissonStructure, alpha: PolyForm) -> PolyMultivector:
     """Anchor from forms to multivector fields: beta(pi_sharp(alpha)) =
     <alpha ^ beta, pi> on one-forms, extended multiplicatively (and the
-    identity on degree zero).  Multiplicativity sends the term c x^e dx_s
-    to c x^e times the wedge of the anchor rows j in s, which the structure
-    keeps per s (`anchor_wedges`); every term goes to one constructor."""
+    identity on degree zero, which reads no anchor row).  The terms of
+    `_sharp` go to one constructor."""
     if alpha.ambient != p.ambient:
         raise AmbientMismatch(f"ambient {alpha.ambient} vs {p.ambient}")
     if alpha.degree == 0:
         return as_multivector(alpha)
-    rows, wedges = p.anchor_rows, p.anchor_wedges
-    for s in {s for (s, _), _ in alpha.coeffs} - wedges.keys():
-        wedges[s] = reduce(wedge, (rows[j] for j in s))
-    return PolyMultivector(p.ambient, alpha.degree, (
-        ((idx, tuple(map(add, e, ew))), c * cw)
-        for (s, e), c in alpha.coeffs for (idx, ew), cw in wedges[s].coeffs))
+    return PolyMultivector(p.ambient, alpha.degree, _sharp(p, alpha.coeffs))
 
 
 def poisson_bracket(p: PoissonStructure, f: PolyMultivector,
@@ -319,14 +322,17 @@ def poisson_bracket(p: PoissonStructure, f: PolyMultivector,
 def form_bracket(p: PoissonStructure, alpha: PolyForm,
                  beta: PolyForm) -> PolyForm:
     """The bracket of one-forms:
-    {alpha, beta} = d<alpha ^ beta, pi> + i_{#alpha} d(beta) - i_{#beta} d(alpha)."""
+    {alpha, beta} = d<alpha ^ beta, pi> + i_{#alpha} d(beta) - i_{#beta} d(alpha),
+    one constructor for the three; the wedge and pairing that build the
+    function <alpha ^ beta, pi> refuse inputs of another kind or ambient."""
     if alpha.degree != 1 or beta.degree != 1:
         raise DegreeMismatch("the form bracket takes two one-forms")
-    lead = exterior_d(pairing(wedge(alpha, beta), p.bivector))
-    mid = contract_form(pi_sharp(p, alpha), exterior_d(beta))
-    tail = contract_form(pi_sharp(p, beta), exterior_d(alpha))
-    return PolyForm(alpha.ambient, 1, chain(
-        lead.coeffs, mid.coeffs, ((k, -c) for k, c in tail.coeffs)))
+    lead = pairing(wedge(alpha, beta), p.bivector)
+    return PolyForm(p.ambient, 1, chain(
+        _d(lead),
+        _products(_sharp(p, alpha.coeffs), _d(beta), bases.remove_slots),
+        ((k, -c) for k, c in _products(_sharp(p, beta.coeffs), _d(alpha),
+                                       bases.remove_slots))))
 
 
 def field_lie_derivative_form(v: PolyMultivector, beta: PolyForm) -> PolyForm:
@@ -358,7 +364,8 @@ def form_lie_derivative(p: PoissonStructure, alpha: PolyForm,
     """Module action of a one-form on forms: on functions it applies the
     anchor field, on coordinate differentials it is the one-form bracket,
     and it extends as a degree-0 derivation.  The bracket is taken with the
-    dx_i of the axes i that occur in beta's index tuples only."""
+    dx_i of the axes i that occur in beta's index tuples only; the slot t
+    of dx_s becomes (-1)^t {alpha, dx_(s_t)} ^ dx_(s without s_t)."""
     if alpha.degree != 1:
         raise DegreeMismatch("the module action is indexed by one-forms")
     if isinstance(beta, PolyMultivector):
@@ -366,34 +373,28 @@ def form_lie_derivative(p: PoissonStructure, alpha: PolyForm,
     if beta.ambient != p.ambient:
         raise AmbientMismatch(f"ambient {beta.ambient} vs {p.ambient}")
     n = beta.ambient
-    xi = pi_sharp(p, alpha)
-    if beta.degree == 0:
-        return as_form(apply_vector_field(xi, as_multivector(beta)))
-    axes = {i for (s, _), _ in beta.coeffs for i in s}
-    gen = {i: form_bracket(p, alpha, basis_form(n, i)) for i in axes}
-    zero = (0,) * n
-
-    def parts():
-        for (s, e), c in beta.coeffs:
-            f = PolyMultivector(n, 0, {((), e): c})
-            yield scale_by_function(apply_vector_field(xi, f),
-                                    PolyForm(n, beta.degree, {(s, zero): 1}))
-            for t in range(len(s)):
-                left = PolyForm(n, t, {(s[:t], zero): 1})
-                right = PolyForm(n, len(s) - t - 1, {(s[t + 1:], zero): 1})
-                piece = wedge(wedge(left, gen[s[t]]), right)
-                yield scale_by_function(f, piece)
-    return _sum(PolyForm, n, beta.degree, parts())
+    gen = {i: form_bracket(p, alpha, basis_form(n, i)).coeffs
+           for i in {i for (s, _), _ in beta.coeffs for i in s}}
+    return PolyForm(n, beta.degree, chain(
+        _derivatives(_slots(pi_sharp(p, alpha)), beta), chain.from_iterable(
+            _products(gen[axis], (term,), bases.wedge_merge)
+            for axis, term in _slots(beta))))
 
 
 def sharp_tensor_fold(p: PoissonStructure, t: dict, ambient: int,
                       mv_degree: int) -> PolyMultivector:
     """Collapse a (form (x) multivector) tensor through the anchor:
-    beta (x) v  ->  pi_sharp(beta) ^ v."""
+    beta (x) v  ->  pi_sharp(beta) ^ v.  Each key of the tensor is checked
+    as the keys of a form and a multivector are."""
+    if ambient != p.ambient:
+        raise AmbientMismatch(f"ambient {ambient} vs {p.ambient}")
     zero = (0,) * ambient
-    return _sum(PolyMultivector, ambient, mv_degree, (
-        wedge(pi_sharp(p, PolyForm(ambient, len(fi), {(fi, e): c})),
-              PolyMultivector(ambient, len(mi), {(mi, zero): 1}))
+    for fi, mi, e in t:
+        _checked_key(ambient, len(fi), (fi, e))
+        _checked_key(ambient, len(mi), (mi, zero))
+    return PolyMultivector(ambient, mv_degree, chain.from_iterable(
+        _products(_sharp(p, (((fi, e), c),)), (((mi, zero), 1),),
+                  bases.wedge_merge)
         for (fi, mi, e), c in t.items()))
 
 
@@ -719,13 +720,14 @@ class PolyModel:
         key = self.basis[q][position]
         return self.kind(self.ambient, q, {key: 1})
 
-    def to_vector(self, w, project: bool = False) -> dict:
-        """The coordinates {basis index: coefficient} of w."""
+    def to_vector(self, w) -> dict:
+        """The coordinates {basis index: coefficient} of w; on a capped
+        quotient the terms above the cap are dropped."""
         vec = {}
         for key, c in w.coeffs:
             pos = self.index.get((w.degree, key))
             if pos is None:
-                if project:
+                if self.band is not None:
                     continue
                 raise ValueError(f"term {key} escapes the truncated basis")
             vec[pos] = c
@@ -765,8 +767,7 @@ def operator_matrix(model: PolyModel, fn: Callable, shift: int) -> LinearMap:
         tgt = model.space.dim(q + shift)
         if tgt == 0:
             continue
-        cols = [model.to_vector(fn(model.element(q, i)),
-                                project=model.band is not None)
+        cols = [model.to_vector(fn(model.element(q, i)))
                 for i in range(len(model.basis[q]))]
         blocks[q] = rl.mat_from_columns(cols, tgt)
     return LinearMap.from_blocks(model.space, model.space, shift, blocks)
@@ -909,9 +910,10 @@ def _aext(family: Sequence, coeffs: Mapping) -> object:
     """Extend a generator-indexed family of forms or of fields
     multiplicatively over a two-vector of the algebra given as
     {(p, q): coeff}."""
-    return _sum(type(family[0]), family[0].ambient, 2,
-                (wedge(family[a], family[b]).scale(c)
-                 for (a, b), c in coeffs.items()))
+    return type(family[0])(family[0].ambient, 2, (
+        (key, c * v) for (a, b), c in coeffs.items()
+        for key, v in _products(family[a].coeffs, family[b].coeffs,
+                                bases.wedge_merge)))
 
 
 def momentum_setup(p: PoissonStructure, algebra: lie.LieAlgebra,

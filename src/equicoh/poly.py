@@ -29,9 +29,10 @@ repeated keys allowed, straight to the constructor of its result; the
 constructor alone checks, sums and sorts them.  A sum or difference of
 objects chains their terms, negated where subtracted, into one constructor
 call, without building the negated object.  The bilinear operations share
-one loop over pairs of terms (`_products`), and the exterior differential,
-the derivative along a vector field and the graded bracket of `poisson`
-share one loop over partial derivatives (`_derivatives`).  The tensors of the
+one loop over pairs of terms (`_products`), and the exterior differential
+(`_d`), the derivative along a vector field and the graded bracket of
+`poisson` share one loop over partial derivatives (`_derivatives`); `poisson`
+feeds these term loops into its own constructors.  The tensors of the
 slot-sum operator are summed the same way, by `_tensor`.
 
 The checks on a key depend only on the ambient dimension, the degree and the
@@ -265,22 +266,19 @@ def _derivatives(xs, y):
         yield from _products((term,), partials[axis], wedge_merge)
 
 
+def _d(x):
+    """The terms of d(x) for x read as a form (`exterior_d`)."""
+    n = x.ambient
+    return _derivatives(((i, (((i,), (0,) * n), 1)) for i in range(n)), x)
+
+
 # ---------------------------------------------------------------------------
-# Products with functions, wedge products and the exterior differential
-
-
-def scale_by_function(f, x):
-    """Multiply a multivector or form by a polynomial function."""
-    if f.ambient != x.ambient:
-        raise AmbientMismatch(f"ambient {f.ambient} vs {x.ambient}")
-    if f.degree != 0:
-        raise DegreeMismatch("not a polynomial: degree is nonzero")
-    return type(x)(x.ambient, x.degree,
-                   _products(x.coeffs, f.coeffs, lambda i, _: (1, i)))
+# Wedge products and the exterior differential
 
 
 def wedge(x, y):
-    """Exterior product of two multivectors or two forms."""
+    """Exterior product of two multivectors or two forms; a degree-0 factor
+    multiplies by a polynomial function."""
     if type(x) is not type(y):
         raise TypeError("wedge requires two objects of the same kind")
     if x.ambient != y.ambient:
@@ -294,9 +292,7 @@ def exterior_d(x: Union[PolyForm, PolyMultivector]) -> PolyForm:
     and polynomial functions given as degree-0 multivectors."""
     if isinstance(x, PolyMultivector):
         x = as_form(x)
-    n = x.ambient
-    dx = ((i, (((i,), (0,) * n), 1)) for i in range(n))
-    return PolyForm(n, x.degree + 1, _derivatives(dx, x))
+    return PolyForm(x.ambient, x.degree + 1, _d(x))
 
 
 # ---------------------------------------------------------------------------

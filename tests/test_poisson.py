@@ -12,8 +12,8 @@ from functools import reduce
 
 import pytest
 
-from equicoh import lie, poisson as po, spectral
-from equicoh.poly import PolyForm, PolyMultivector, scale_by_function
+from equicoh import lie, poisson as po, poly, spectral
+from equicoh.poly import PolyForm, PolyMultivector
 
 
 def mono(ambient, exps, coeff=1):
@@ -221,6 +221,45 @@ def test_form_bracket_jacobi_su2():
     acc = acc.add(po.form_bracket(p, be, po.form_bracket(p, ga, al)))
     acc = acc.add(po.form_bracket(p, ga, po.form_bracket(p, al, be)))
     assert acc.is_zero()
+
+
+def test_the_form_calculus_refuses_mismatched_inputs():
+    """The form bracket, the module action on forms, the anchor and the
+    anchor fold of tensors refuse inputs of another ambient, in any
+    position, and the form bracket refuses multivectors: the streams of
+    terms behind them would not fail on their own."""
+    structures = {2: po.symplectic_poisson(1), 3: po.linear_poisson(lie.su2())}
+
+    def form(n, degree):
+        return PolyForm(n, degree, {(tuple(range(degree)), (1,) * n): 2})
+
+    for np, na, nb in [(3, 2, 3), (3, 3, 2), (2, 3, 3), (2, 2, 3),
+                       (2, 3, 2), (3, 2, 2)]:
+        with pytest.raises(po.AmbientMismatch):
+            po.form_bracket(structures[np], form(na, 1), form(nb, 1))
+    p = structures[3]
+    for alpha, beta in [(field(3, 0), form(3, 1)), (form(3, 1), field(3, 1)),
+                        (field(3, 0), field(3, 1))]:
+        with pytest.raises(TypeError):
+            po.form_bracket(p, alpha, beta)
+    for degree in range(3):
+        with pytest.raises(po.AmbientMismatch):
+            po.form_lie_derivative(p, form(2, 1), form(3, degree))
+        with pytest.raises(po.AmbientMismatch):
+            po.form_lie_derivative(p, form(3, 1), form(2, degree))
+        with pytest.raises(po.AmbientMismatch):
+            po.pi_sharp(p, form(2, degree))
+    # dx_0 (x) e_1 with exponents of ambient 3, folded at each ambient, and
+    # with exponents of ambient 2 folded at ambient 3; index tuples out of
+    # the ambient or out of order
+    for ambient, key in [(2, ((0,), (1,), (1, 0, 0))),
+                         (3, ((0,), (1,), (1, 0, 0))),
+                         (3, ((0,), (1,), (1, 0))), (2, ((5,), (1,), (1, 0))),
+                         (2, ((0,), (5,), (1, 0)))]:
+        with pytest.raises(po.AmbientMismatch):
+            po.sharp_tensor_fold(structures[2], {key: 1}, ambient, 2)
+    with pytest.raises(ValueError):
+        po.sharp_tensor_fold(structures[2], {((1, 0), (), (0, 0)): 1}, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +504,14 @@ def _ref_form_lie_derivative(p, alpha, beta):
     total = po.zero_form(n, beta.degree)
     for (s, e), c in beta.coeffs:
         f = PolyMultivector(n, 0, {((), e): c})
-        total = total.add(scale_by_function(
-            po.apply_vector_field(xi, f),
+        total = total.add(po.wedge(
+            po.as_form(po.apply_vector_field(xi, f)),
             PolyForm(n, beta.degree, {(s, zero): 1})))
         for t in range(len(s)):
             left = PolyForm(n, t, {(s[:t], zero): 1})
             right = PolyForm(n, len(s) - t - 1, {(s[t + 1:], zero): 1})
             piece = po.wedge(po.wedge(left, gen[s[t]]), right)
-            total = total.add(scale_by_function(f, piece))
+            total = total.add(po.wedge(po.as_form(f), piece))
     return total
 
 
@@ -520,12 +559,12 @@ _CALCULUS_STRUCTURES = [
 @pytest.mark.parametrize("knob", [None] + list(_FLIPS))
 def test_composite_operations_match_their_former_compositions(monkeypatch,
                                                               knob):
-    """pi_sharp, form_bracket, form_lie_derivative, sharp_tensor_fold and
-    `sub` give the coefficients, and coefficient types, of the references
-    above, on every calculus structure, under the shipped conventions and
-    under each flip.  Every structure is built first under the shipped
-    conventions and then again under the knob, so wedges kept for an equal
-    structure would be read."""
+    """pi_sharp, form_bracket, form_lie_derivative, sharp_tensor_fold (on
+    form parts of degree 1 and 0) and `sub` give the coefficients, and
+    coefficient types, of the references above, on every calculus
+    structure, under the shipped conventions and under each flip.  Every
+    structure is built first under the shipped conventions and then again
+    under the knob, so wedges kept for an equal structure would be read."""
     rng = random.Random(f"composites:{knob}")
     for _, build in _CALCULUS_STRUCTURES:
         shipped = build()
@@ -551,6 +590,40 @@ def test_composite_operations_match_their_former_compositions(monkeypatch,
             t = po.tilde_i(w, po.exterior_d(alpha))
             _same(po.sharp_tensor_fold(p, t, n, w.degree),
                   _ref_sharp_tensor_fold(p, t, n, w.degree))
+            # form parts of degree 0, whose anchor is the identity
+            t = po.tilde_i(w, alpha)
+            _same(po.sharp_tensor_fold(p, t, n, w.degree - 1),
+                  _ref_sharp_tensor_fold(p, t, n, w.degree - 1))
+
+
+def test_each_composite_operation_constructs_its_result_once(monkeypatch):
+    """The terms of the form bracket, the module action on forms, the anchor
+    fold and the multiplicative extension over a two-vector go straight to
+    the constructor of the result: the bracket builds the function
+    <alpha ^ beta, pi> (its wedge and pairing) besides, and the module
+    action on dx_0 ^ dx_1 the anchor field and, per axis, dx_i and its
+    bracket with alpha.  Counted on a structure whose anchor wedges are
+    kept already."""
+    p = po.linear_poisson(lie.su2())
+    alpha = PolyForm(3, 1, {((0,), (0, 1, 0)): 1, ((2,), (1, 0, 0)): 2})
+    beta = PolyForm(3, 1, {((1,), (0, 0, 1)): Fraction(1, 2)})
+    two = PolyForm(3, 2, {((0, 1), (1, 0, 1)): 3})
+    w = PolyMultivector(3, 2, {((0, 2), (1, 0, 0)): 1})
+    t = po.tilde_i(w, po.exterior_d(alpha))
+    fields = [po.pi_sharp(p, po.basis_form(3, j)) for j in range(3)]
+    po.form_lie_derivative(p, alpha, two)
+    po.sharp_tensor_fold(p, t, 3, 2)
+    made = []
+    init = poly._Graded.__init__
+    monkeypatch.setattr(poly._Graded, "__init__",
+                        lambda self, *a: made.append(a) or init(self, *a))
+    for run, count in [(lambda: po.form_bracket(p, alpha, beta), 3),
+                       (lambda: po.form_lie_derivative(p, alpha, two), 10),
+                       (lambda: po.sharp_tensor_fold(p, t, 3, 2), 1),
+                       (lambda: po._aext(fields, {(0, 1): 1, (1, 2): 2}), 1)]:
+        made.clear()
+        run()
+        assert len(made) == count
 
 
 def test_the_anchor_is_multiplicative():
