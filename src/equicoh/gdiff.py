@@ -46,6 +46,11 @@ exterior operators of `lie` with the coadjoint derivation and the
 multiplication by generators of S(g*).  `_tensor_table` builds the
 product on that layout from the factors' (Lambda(g*) and S(g*) for W).
 
+A bounded Cartan model (`equivariant_cohomology` with `through`) cuts no
+invariants in degree through + 1: it keeps d_G out of degree `through` in
+the full model space there (`CartanModel.exit`), and H^through is its kernel
+modulo the image of d_{through - 1}.
+
 Checks of the paper's introduction to G-differential complexes that have no
 caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
 quotient by it are G-differential complexes), `locally_free_connection` and
@@ -62,8 +67,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bases, ratlin as rl
-from .core import (CochainComplex, GradedSpace, LinearMap, Subspace,
-                   cohomology, joint_kernel, kron_map, map_kernel,
+from .core import (CochainComplex, GradedSpace, LinearMap, NotContained,
+                   Subspace, cohomology, joint_kernel, kron_map, map_kernel,
                    product_space, restrict_complex, restrict_map, subquotient)
 from .lie import (CEComplex, LieAlgebra, Subalgebra, _exterior_operators,
                   sym_derivation, sym_multiplication)
@@ -696,6 +701,12 @@ class CartanModel:
     twisted differential d (x) 1 + sum_j i_j (x) u_j.  Total degree of
     a (x) u^E is deg(a) + 2|E|; results are reliable up to degree 2*sym_cap.
 
+    A bounded build (`cartan_model` with `top`) lays the model space out
+    through top but cuts the invariants only through top - 1: `complex`,
+    `inclusion` and `fine` stop there, and `exit` holds d_G out of degree
+    top - 1, from its invariants into the full model space of degree top,
+    which is all that H^(top - 1) needs.  An unbounded build has no `exit`.
+
     The sign of the contraction term is the one that matches the exterior
     parity conventions used throughout: with it, the exponential-twisted
     embedding into A (x) W is simultaneously a chain map, basic, and
@@ -712,28 +723,60 @@ class CartanModel:
     offsets: dict                 # its `core.product_space` offsets
     fine: dict                    # degree -> ((n, m, inv_dim, offset, size), ...)
     mons: dict                    # m -> monomial exponent tuples
+    exit: Optional[LinearMap] = None   # invariant space -> model space, +1
+
+
+def _kron_sum(x, y):
+    """x (x) 1 + 1 (x) y, for square x and y."""
+    size = len(x) * len(y)
+    op = [{} for _ in range(size)]
+    rl.add_kron(op, x, rl.identity(len(y)))
+    rl.add_kron(op, rl.identity(len(x)), y)
+    return rl.freeze(op, size)
 
 
 def _invariant_basis(pairs, size: int):
     """The free-column `rl.kernel` basis of the common kernel of the
     operators x (x) 1 + 1 (x) y on a size-dimensional product, one pair
-    (x, y) at a time: K <- K ker(B K) until K is empty, from an identity
-    built here (`rl.identity` would keep one per size in memory).  A
+    (x, y) at a time: K <- K ker(B K) until K is empty.  K starts as the
+    whole space, kept implicit, so the first cut is ker B itself, and a
+    zero B K leaves K as it is.  Only when nothing is cut is the identity
+    built, here (`rl.identity` would keep one per size in memory).  A
     product of free-column bases is one, and that basis is unique."""
-    k = rl.freeze([{i: 1} for i in range(size)], size)
+    k = None   # the whole space
     for x, y in pairs:
-        if not rl.ncols(k):
+        if k is not None and not rl.ncols(k):
             break
-        op = [{} for _ in range(size)]
-        rl.add_kron(op, x, rl.identity(len(y)))
-        rl.add_kron(op, rl.identity(len(x)), y)
-        k = rl.mat_mul(k, rl.kernel(rl.mat_mul(rl.freeze(op, size), k)))
-    return rl.freeze(k)
+        op = _kron_sum(x, y)
+        bk = op if k is None else rl.mat_mul(op, k)
+        if not rl.is_zero(bk):
+            k = rl.kernel(bk) if k is None else rl.mat_mul(k, rl.kernel(bk))
+    return rl.freeze([{i: 1} for i in range(size)], size) if k is None \
+        else rl.freeze(k)
+
+
+def _check_exit(c: GDiffComplex, ls_mats: dict, offsets: dict, deg: int,
+                exit_block) -> None:
+    """Raise NotContained unless the columns of exit_block, in the full
+    model coordinates of degree deg + 1 (laid out by `offsets`), are
+    invariant: on each fine component A^n (x) S^m every L_b (x) 1 + 1 (x)
+    L_b kills its rows.  That is the test `restrict_map` makes against the
+    invariants of degree deg + 1, without cutting them."""
+    for (n, m), (off, dim_a, dim_s) in offsets.items():
+        part = rl.freeze(exit_block[off:off + dim_a * dim_s],
+                         rl.ncols(exit_block))
+        if rl.is_zero(part):
+            continue
+        for op, y in zip(c.lie_ops, ls_mats[m]):
+            if not rl.is_zero(rl.mat_mul(_kron_sum(op.block(n), y), part)):
+                raise NotContained("the Cartan differential leaves the "
+                                   f"invariants at degree {deg}")
 
 
 def cartan_model(c: GDiffComplex, sym_cap: int,
                  top: Optional[int] = None) -> CartanModel:
-    """The Cartan model of c (symmetric degree <= sym_cap) through degree top.
+    """The Cartan model of c (symmetric degree <= sym_cap), its space laid
+    out through degree top (by default the last degree it has).
 
     The full model space is A (x) S(g*), graded by deg(a) + 2m, laid out by
     `core.product_space`.  Degree deg is the sum of the fine components
@@ -748,7 +791,12 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
     is its restriction to the joint kernel of the invariance operators
     L_b (x) 1 + 1 (x) L_b, with L_b on S^m the coadjoint derivation.  They
     preserve each fine component; its invariants are cut one operator at a
-    time, in the free-column `rl.kernel` basis of the operators stacked."""
+    time, in the free-column `rl.kernel` basis of the operators stacked.
+
+    With `top`, the invariants are cut through top - 1 only: degree top of
+    the model space is only the target of d_G out of top - 1, kept as the
+    `exit` map and checked to land in the invariants by the invariance
+    operators of degree top (`_check_exit`)."""
     g = c.algebra
     r = g.dim
     sp = c.space
@@ -756,13 +804,19 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
     ls_mats = {m: [sym_derivation(g.coad(b), mons[m]) for b in range(r)]
                for m in mons}
     adegs = sp.degrees()
-    top = max(adegs, default=0) + 2 * sym_cap if top is None else top
+    bounded = top is not None
+    if not bounded:
+        top = max(adegs, default=0) + 2 * sym_cap
+    # the last degree whose invariants are cut
+    last = top - 1 if bounded else top
     parts = {deg: [(n, m, sp.dim(n), len(mons[m]))
                    for m in mons if (n := deg - 2 * m) in adegs]
              for deg in range(top + 1)}
     model_space, offsets = product_space(parts)
     fine, inv_dims, incl_blocks = {}, {}, {}
     for deg in model_space.degrees():
+        if deg > last:
+            break
         entries, kernels = [], []
         for (n, m), (off, dim_a, dim_s) in offsets[deg].items():
             size = dim_a * dim_s
@@ -786,11 +840,20 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
     # full-model differential (note: d_G^2 is only zero on invariants)
     d_full = kron_map(model_space, offsets, 1, _twist_terms(c, mons)
                       + [(1, 0, c.d.block, None, None)])
+    exit_map = None
+    if bounded:
+        exit_block = rl.mat_mul(d_full.block(last), inclusion.block(last))
+        _check_exit(c, ls_mats, offsets[top], last, exit_block)
+        exit_map = LinearMap.from_blocks(inv_space, model_space, 1,
+                                         {last: exit_block})
+        # the exit block has no invariant target to be restricted to
+        d_full = replace(d_full, blocks=tuple(
+            (n, m) for n, m in d_full.blocks if n < last))
     d_inv = restrict_map(d_full, inclusion,
                          "the Cartan differential leaves the invariants")
     cx = CochainComplex.build(inv_space, d_inv)
     return CartanModel(c, sym_cap, 2 * sym_cap, cx, inclusion, model_space,
-                       offsets, fine, mons)
+                       offsets, fine, mons, exit_map)
 
 
 @dataclass(frozen=True)
@@ -823,11 +886,13 @@ class EquivariantCohomology:
 def equivariant_cohomology(c: GDiffComplex, sym_cap: int,
                            through: Optional[int] = None) -> EquivariantCohomology:
     """H of the Cartan model of c with symmetric degree <= sym_cap; with
-    `through`, of C^{<= through + 1} only, which H^n for n <= through needs:
-    then only those degrees are answered, and `dim` raises above them."""
+    `through`, H^n for n <= through only: the invariants are cut through
+    `through`, and H^through is the kernel of d_G into the full model space
+    of degree through + 1 (the model's `exit`) modulo the image of
+    d_{through - 1}.  Then `dim` raises above `through`."""
     model = cartan_model(c, sym_cap, None if through is None else through + 1)
-    return EquivariantCohomology(model, cohomology(model.complex), model.band,
-                                 through)
+    return EquivariantCohomology(model, cohomology(model.complex, model.exit),
+                                 model.band, through)
 
 
 # ---------------------------------------------------------------------------

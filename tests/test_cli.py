@@ -771,23 +771,44 @@ def test_out_of_memory_exits_2_with_a_schema_error(monkeypatch, argv, build):
         "message": "too large: the computation ran out of memory"}}
 
 
+def _stored_reps(reps, through):
+    """The representatives through `through`, degree by degree, as their
+    shapes and stored rows, entry types included."""
+    return {n: (m.shape, repr([sorted(row.items()) for row in m]))
+            for n, m in sorted(reps.items()) if n <= through}
+
+
 def test_bounded_cartan_builds_match_the_full_builds(monkeypatch):
     """Every equivariant cohomology that the poiss1 (slices 0..6, sym caps
     1-3), torus and equivariant-poisson reports read is built through the
-    band 2 sym_cap; its dims there equal those of the full build, which
-    computes every degree of the model, and the next degree is refused.
-    The reports still agree."""
+    band 2 sym_cap; its dims and representatives there equal those of the
+    full build, which computes every degree of the model, and the next
+    degree is refused.  The bounded build cuts no invariants above the
+    band: one invariant basis per fine component through it, 84 on poiss1
+    at cap 3 (98 when degree 2 sym_cap + 1 was cut too).  The reports still
+    agree."""
     build = gd.equivariant_cohomology
-    bands = []
+    cut = gd._invariant_basis
+    bands, calls, bounded_calls = [], [0], []
+
+    def counted(pairs, size):
+        calls[0] += 1
+        return cut(pairs, size)
 
     def both(c, sym_cap, through=None):
+        before = calls[0]
         h = build(c, sym_cap, through)
+        bounded_calls.append(calls[0] - before)
         assert through == h.band == 2 * sym_cap
+        assert max(h.model.fine, default=0) <= through
+        assert bounded_calls[-1] == sum(map(len, h.model.fine.values()))
         full = build(c, sym_cap)
         assert h.dims_list() == full.dims_list()
         assert h.to_json()["dims"] == {
             n: d for n, d in full.to_json()["dims"].items()
             if int(n) <= through}
+        assert _stored_reps(h.cohomology.reps, through) == \
+            _stored_reps(full.cohomology.reps, through)
         assert h.model.model_space.degrees() == [
             n for n in full.model.model_space.degrees() if n <= through + 1]
         with pytest.raises(ValueError, match="not computed"):
@@ -796,11 +817,13 @@ def test_bounded_cartan_builds_match_the_full_builds(monkeypatch):
         bands.append(through)
         return h
 
+    monkeypatch.setattr(gd, "_invariant_basis", counted)
     monkeypatch.setattr(gd, "equivariant_cohomology", both)
     for cap in (1, 2, 3):
         argv = ["example", "poiss1", "--slices", "0..6", "--sym-cap", str(cap)]
         code, out = run(argv)
         assert code == 0, out.decode()
+    assert sum(bounded_calls[-7:]) == 84
     for argv, build_payload, _ in (CASES["example-torus"],
                                    CASES["equivariant-poisson-subalgebra"],
                                    CASES["equivariant-poisson-constant"]):

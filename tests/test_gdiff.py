@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from equicoh import bases, cli, core, gdiff, lie, ratlin as rl, spectral
+from equicoh import (bases, cli, core, gdiff, lie, poisson as po, ratlin as rl,
+                     spectral)
 
 from test_cli import payload_table, table_dict
+from test_guards import top_twisted_ce_su2
 
 
 def su2_ce():
@@ -392,9 +394,25 @@ def _ce_operators(ce):
     return (ce.complex.d,) + tuple(ce.contractions) + tuple(ce.lie_ops)
 
 
+def _bounded_cohomology(c, sym_cap):
+    """The H dims and dense representatives, degree by degree through the
+    band 2 sym_cap, of the bounded build that the reports read."""
+    through = 2 * sym_cap
+    h = gdiff.equivariant_cohomology(c, sym_cap, through)
+    reps = h.cohomology.reps
+    return tuple((n, h.dim(n), tuple(map(tuple, reps[n].dense()))
+                  if n in reps else ()) for n in range(through + 1))
+
+
 def _pinned_builders():
     """Name -> the maps whose stored blocks are pinned."""
     g = lie.su2()
+    h = lie.heisenberg()
+    torus = cli._rotation_momentum(2)
+    torus_plane = po.momentum_gdiff(torus, slice_degree=2)[0]
+    model_torus = gdiff.cartan_model(torus_plane, 2)
+    model_h = gdiff.cartan_model(
+        gdiff.ce_gdiff(lie.ce_complex(h, lie.adjoint_rep(h))), 2)
     ce_s2 = lie.ce_complex(g, lie.sym_power_rep(g, 2))
     ce_ad = lie.ce_complex(g, lie.adjoint_rep(g))
     ce_sl2 = lie.ce_complex(lie.sl2(), lie.coadjoint_rep(lie.sl2()))
@@ -421,6 +439,17 @@ def _pinned_builders():
             model, gdiff.weil_algebra(g, 2)).inclusion,),
         "cartan-weil-inclusion-su2-sym2-1": lambda: (
             gdiff.cartan_weil_inclusion(model_s2, w1).inclusion,),
+        "cartan-torus2-slice2-2": lambda: (
+            model_torus.complex.d, model_torus.inclusion,
+            model_torus.model_space, model_torus.fine, model_torus.mons),
+        "cartan-heisenberg-adjoint-2": lambda: (
+            model_h.complex.d, model_h.inclusion, model_h.model_space,
+            model_h.fine, model_h.mons),
+        "bounded-poiss1-slice3-2": lambda: (_bounded_cohomology(
+            po.momentum_gdiff(cli._su2_momentum(), slice_degree=3)[0], 2),),
+        "bounded-torus2-slices0,2-2": lambda: tuple(
+            _bounded_cohomology(po.momentum_gdiff(torus, slice_degree=s)[0], 2)
+            for s in (0, 2)),
     }
 
 
@@ -453,6 +482,14 @@ BUILDER_DIGESTS = {
         "eb008a383ccda218193cafe69a58d8e5263b81deb6d78bc1c8659958d04f0740",
     "cartan-weil-inclusion-su2-sym2-1":
         "6fc331208a9b8d4a0bcc505f49f9d8624d458a96a44d2f26df1da998d4d461b3",
+    "cartan-torus2-slice2-2":
+        "05621d8c0b4e1f84d0f26c930caf40276a2aea0558344de55b3259e3b0a22787",
+    "cartan-heisenberg-adjoint-2":
+        "3e5aeb283e1fdc1e940dc70d4978023d90a1446adabb0df8c9fe3083917323c7",
+    "bounded-poiss1-slice3-2":
+        "c4bf44a89ceb40c4bc902c2543d8234fa13752973a0cbac5ba2750c8608adbe0",
+    "bounded-torus2-slices0,2-2":
+        "9ac177b8a86d121cc60cbb5b2bc529cbd7d4f1f8876d8320283edef47a67ec04",
 }
 
 
@@ -1787,6 +1824,22 @@ def _structured_invariance_pairs():
                     cases.append(((alg, rep_name, n, m), pairs,
                                   a.space.dim(n) * len(mons)))
     return cases
+
+
+@pytest.mark.parametrize("sym_cap, through", [(1, 3), (2, 3), (2, 4)])
+def test_a_bounded_build_refuses_what_the_full_build_refuses(sym_cap,
+                                                            through):
+    """A d_G that leaves the invariants first out of degree 3 raises the
+    same NotContained in a bounded build, whose exit check reads it in the
+    full model space when 3 is the last degree, as in the full build."""
+    bad = top_twisted_ce_su2()
+    messages = []
+    for top in (through, None):
+        with pytest.raises(core.NotContained) as exc:
+            gdiff.equivariant_cohomology(bad, sym_cap, top)
+        messages.append(str(exc.value))
+    assert messages == ["the Cartan differential leaves the invariants "
+                        "at degree 3"] * 2
 
 
 def test_invariants_one_operator_at_a_time_match_the_stacked_kernel():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from equicoh import core, lie, poisson as po, ratlin as rl, spectral
+from equicoh import core, gdiff, lie, poisson as po, ratlin as rl, spectral
 
 
 def _su2_tangent_report():
@@ -60,6 +60,18 @@ def _factorized_circle():
                               factorized=True)
 
 
+def top_twisted_ce_su2():
+    """CE(su2) with the contraction along e_0 doubled on degree 3 alone:
+    d_G is equivariant below degree 3, and out of the invariant volume form
+    it is not."""
+    g = lie.su2()
+    a = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
+    i0 = a.contractions[0]
+    i0 = core.LinearMap.from_blocks(i0.source, i0.target, -1, {
+        **dict(i0.blocks), 3: rl.mat_scale(i0.block(3), 2)})
+    return dataclasses.replace(a, contractions=(i0,) + a.contractions[1:])
+
+
 def _one_more_in_degree_0(cohomology):
     def wrong(c):
         h = cohomology(c)
@@ -91,6 +103,12 @@ GUARDS = {
         r"^generator 0: on horizontal multivectors the Lie operator is not "
         r"minus the Lie derivative along the action field, at degree 0, "
         r"basis index 1$"),
+    # H^3 of a bounded build reads d_G out of degree 3 without cutting the
+    # invariants of degree 4: only the exit check sees it leave them
+    "cartan-exit-invariance": (
+        None, lambda: gdiff.equivariant_cohomology(top_twisted_ce_su2(), 1, 3),
+        core.NotContained,
+        r"^the Cartan differential leaves the invariants at degree 3$"),
     "not-convergent": (
         (spectral, "cohomology", _one_more_in_degree_0), _one_step_pages,
         spectral.NotConvergent,
