@@ -641,31 +641,30 @@ def _example_su2_dual(max_degree: int) -> dict:
             "agrees": bool(h.matches)}
 
 
+def _weil_bands(g: lie.LieAlgebra, sym_cap: int) -> tuple:
+    """The Weil algebra of g at sym_cap, the dims of its cohomology through
+    degree sym_cap and those of the cohomology of its basic subcomplex
+    through 2 sym_cap."""
+    w = gd.weil_algebra(g, sym_cap)
+    h = cohomology(w.gdiff.complex)
+    hb = cohomology(gd.basic_subcomplex(w.gdiff)[0])
+    return (w, [h.dim(n) for n in range(sym_cap + 1)],
+            [hb.dim(n) for n in range(2 * sym_cap + 1)])
+
+
 def _example_weil(sym_cap: int) -> dict:
     out = {}
-    agrees = True
     for g in (lie.su2(), lie.abelian(2)):
-        w = gd.weil_algebra(g, sym_cap)
-        h = cohomology(w.gdiff.complex)
-        acyclic_band = [h.dim(n) for n in range(sym_cap + 1)]
-        basic, _ = gd.basic_subcomplex(w.gdiff)
-        hb = cohomology(basic)
-        top = 2 * sym_cap
-        basic_dims = [hb.dim(n) for n in range(top + 1)]
-        predicted_acyclic = [1] + [0] * sym_cap
-        predicted_basic = [
+        _, band, basic_dims = _weil_bands(g, sym_cap)
+        computed = {"cohomology_band": band, "basic_dims": basic_dims}
+        predicted = {"cohomology_band": [1] + [0] * sym_cap, "basic_dims": [
             lie.invariants(lie.sym_power_rep(g, n // 2)).dim(0)
-            if n % 2 == 0 else 0 for n in range(top + 1)]
-        key = g.name or f"dim{g.dim}"
-        ok = (acyclic_band == predicted_acyclic
-              and basic_dims == predicted_basic)
-        agrees = agrees and ok
-        out[key] = {"computed": {"cohomology_band": acyclic_band,
-                                 "basic_dims": basic_dims},
-                    "predicted": {"cohomology_band": predicted_acyclic,
-                                  "basic_dims": predicted_basic},
-                    "agrees": ok}
-    return {"sym_cap": sym_cap, "algebras": out, "agrees": agrees}
+            if n % 2 == 0 else 0 for n in range(2 * sym_cap + 1)]}
+        out[g.name or f"dim{g.dim}"] = {"computed": computed,
+                                         "predicted": predicted,
+                                         "agrees": computed == predicted}
+    return {"sym_cap": sym_cap, "algebras": out,
+            "agrees": all(alg["agrees"] for alg in out.values())}
 
 
 # Each example's runner and the only parameters it reads, with their
@@ -809,19 +808,13 @@ def _weil_check_task(payload: dict, opts: dict) -> Callable:
                           "sym_cap", low=1)
 
     def run():
-        w = gd.weil_algebra(g, sym_cap)
-        h = cohomology(w.gdiff.complex)
-        basic, _ = gd.basic_subcomplex(w.gdiff)
-        hb = cohomology(basic)
-        top = 2 * sym_cap
+        w, band, basic_dims = _weil_bands(g, sym_cap)
         result = {
             "sym_cap": sym_cap,
-            "dims": [w.gdiff.complex.space.dim(n) for n in range(top + 1)],
-            "cohomology_band": [h.dim(n) for n in range(sym_cap + 1)],
-            "acyclic_in_band": all(h.dim(n) == 0
-                                   for n in range(1, sym_cap + 1))
-            and h.dim(0) == 1,
-            "basic_dims": [hb.dim(n) for n in range(top + 1)],
+            "dims": [w.gdiff.space.dim(n) for n in range(2 * sym_cap + 1)],
+            "cohomology_band": band,
+            "acyclic_in_band": band == [1] + [0] * sym_cap,
+            "basic_dims": basic_dims,
         }
         warnings = [f"acyclicity is certified for degrees <= {sym_cap} only"]
         return result, warnings

@@ -445,8 +445,8 @@ def cohomology(c: CochainComplex,
                exit_map: LinearMap | None = None) -> CohomologyResult:
     """ker d / im d with canonical representatives per degree.  With
     `exit_map`, a degree +1 map out of c.space (the differential out of the
-    last degree of a truncated complex, into a space beyond it), the
-    cocycles are the joint kernel of d and `exit_map`."""
+    last degree of a truncated complex into a space beyond it, as a Cartan
+    model's `exit`), the cocycles are the joint kernel of d and `exit_map`."""
     ops = [c.d] if exit_map is None else [c.d, exit_map]
     sq = subquotient(joint_kernel(c.space, ops),
                      {n + c.d.shift: m for n, m in c.d.blocks})

@@ -46,10 +46,11 @@ exterior operators of `lie` with the coadjoint derivation and the
 multiplication by generators of S(g*).  `_tensor_table` builds the
 product on that layout from the factors' (Lambda(g*) and S(g*) for W).
 
-A bounded Cartan model (`equivariant_cohomology` with `through`) cuts no
-invariants in degree through + 1: it keeps d_G out of degree `through` in
-the full model space there (`CartanModel.exit`), and H^through is its kernel
-modulo the image of d_{through - 1}.
+Every Cartan model is bounded: it cuts invariants through a last degree
+and keeps d_G out of it as `CartanModel.exit`, zero by default.  Every
+reader reads the exit (`equivariant_cohomology`, whose result
+`forgetful_matrices` and `low_degree_data` read, and `cartan_weil_inclusion`)
+or refuses a nonzero one (`spectral.symdegree_filtration`).
 
 Checks of the paper's introduction to G-differential complexes that have no
 caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
@@ -70,8 +71,8 @@ from . import bases, ratlin as rl
 from .core import (CochainComplex, GradedSpace, LinearMap, NotContained,
                    Subspace, cohomology, joint_kernel, kron_map, map_kernel,
                    product_space, restrict_complex, restrict_map, subquotient)
-from .lie import (CEComplex, LieAlgebra, Subalgebra, _exterior_operators,
-                  sym_derivation, sym_multiplication)
+from .lie import (CEComplex, LieAlgebra, _exterior_operators, sym_derivation,
+                  sym_multiplication)
 
 
 class AxiomFailure(Exception):
@@ -470,24 +471,17 @@ def wedge_product_table(n: int) -> Product:
                                  for k in range(n + 1)}, bases.wedge_merge))
 
 
-def ce_gdiff(ce: CEComplex,
-             acting: Optional[Subalgebra] = None) -> GDiffComplex:
-    """View a CE complex as a G-differential complex.  With `acting` given,
-    only the subalgebra's contractions/derivatives are kept and the acting
-    algebra is k with its own structure constants."""
+def ce_gdiff(ce: CEComplex) -> GDiffComplex:
+    """View a CE complex as a G-differential complex, with the wedge
+    product when the coefficients are the trivial line."""
     prod = None
     unit = None
     if ce.rep.space_dim == 1 and all(rl.is_zero(ce.rep.op(i))
                                      for i in range(ce.algebra.dim)):
         prod = wedge_product_table(ce.algebra.dim)
         unit = [1]
-    if acting is None:
-        return build_gdiff(ce.algebra, ce.complex, ce.contractions, ce.lie_ops,
-                           product=prod, unit=unit)
-    return build_gdiff(acting.algebra, ce.complex,
-                       acting.restrict(ce.algebra, ce.contractions),
-                       acting.restrict(ce.algebra, ce.lie_ops), product=prod,
-                       unit=unit)
+    return build_gdiff(ce.algebra, ce.complex, ce.contractions, ce.lie_ops,
+                       product=prod, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +695,11 @@ class CartanModel:
     twisted differential d (x) 1 + sum_j i_j (x) u_j.  Total degree of
     a (x) u^E is deg(a) + 2|E|; results are reliable up to degree 2*sym_cap.
 
-    A bounded build (`cartan_model` with `top`) lays the model space out
-    through top but cuts the invariants only through top - 1: `complex`,
-    `inclusion` and `fine` stop there, and `exit` holds d_G out of degree
-    top - 1, from its invariants into the full model space of degree top,
-    which is all that H^(top - 1) needs.  An unbounded build has no `exit`.
+    Every build lays the model space out through a degree top but cuts
+    the invariants only through top - 1: `complex`, `inclusion` and `fine`
+    stop there, and `exit` holds d_G out of degree top - 1, from its
+    invariants into the full model space of degree top, which H^(top - 1)
+    needs unless it is zero, as it is when top is past the last degree.
 
     The sign of the contraction term is the one that matches the exterior
     parity conventions used throughout: with it, the exponential-twisted
@@ -723,7 +717,7 @@ class CartanModel:
     offsets: dict                 # its `core.product_space` offsets
     fine: dict                    # degree -> ((n, m, inv_dim, offset, size), ...)
     mons: dict                    # m -> monomial exponent tuples
-    exit: Optional[LinearMap] = None   # invariant space -> model space, +1
+    exit: LinearMap               # invariant space -> model space, +1
 
 
 def _kron_sum(x, y):
@@ -776,7 +770,7 @@ def _check_exit(c: GDiffComplex, ls_mats: dict, offsets: dict, deg: int,
 def cartan_model(c: GDiffComplex, sym_cap: int,
                  top: Optional[int] = None) -> CartanModel:
     """The Cartan model of c (symmetric degree <= sym_cap), its space laid
-    out through degree top (by default the last degree it has).
+    out through degree top (by default one past the last degree it has).
 
     The full model space is A (x) S(g*), graded by deg(a) + 2m, laid out by
     `core.product_space`.  Degree deg is the sum of the fine components
@@ -793,10 +787,10 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
     preserve each fine component; its invariants are cut one operator at a
     time, in the free-column `rl.kernel` basis of the operators stacked.
 
-    With `top`, the invariants are cut through top - 1 only: degree top of
-    the model space is only the target of d_G out of top - 1, kept as the
-    `exit` map and checked to land in the invariants by the invariance
-    operators of degree top (`_check_exit`)."""
+    The invariants are cut through top - 1 only: degree top of the model
+    space is only the target of d_G out of top - 1, kept as the `exit` map
+    (zero by default) and checked to land in the invariants by the
+    invariance operators of degree top (`_check_exit`)."""
     g = c.algebra
     r = g.dim
     sp = c.space
@@ -804,11 +798,9 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
     ls_mats = {m: [sym_derivation(g.coad(b), mons[m]) for b in range(r)]
                for m in mons}
     adegs = sp.degrees()
-    bounded = top is not None
-    if not bounded:
-        top = max(adegs, default=0) + 2 * sym_cap
-    # the last degree whose invariants are cut
-    last = top - 1 if bounded else top
+    if top is None:
+        top = max(adegs, default=0) + 2 * sym_cap + 1
+    last = top - 1   # the last degree whose invariants are cut
     parts = {deg: [(n, m, sp.dim(n), len(mons[m]))
                    for m in mons if (n := deg - 2 * m) in adegs]
              for deg in range(top + 1)}
@@ -840,15 +832,13 @@ def cartan_model(c: GDiffComplex, sym_cap: int,
     # full-model differential (note: d_G^2 is only zero on invariants)
     d_full = kron_map(model_space, offsets, 1, _twist_terms(c, mons)
                       + [(1, 0, c.d.block, None, None)])
-    exit_map = None
-    if bounded:
-        exit_block = rl.mat_mul(d_full.block(last), inclusion.block(last))
-        _check_exit(c, ls_mats, offsets[top], last, exit_block)
-        exit_map = LinearMap.from_blocks(inv_space, model_space, 1,
-                                         {last: exit_block})
-        # the exit block has no invariant target to be restricted to
-        d_full = replace(d_full, blocks=tuple(
-            (n, m) for n, m in d_full.blocks if n < last))
+    exit_block = rl.mat_mul(d_full.block(last), inclusion.block(last))
+    _check_exit(c, ls_mats, offsets[top], last, exit_block)
+    exit_map = LinearMap.from_blocks(inv_space, model_space, 1,
+                                     {last: exit_block})
+    # the exit block has no invariant target to be restricted to
+    d_full = replace(d_full, blocks=tuple(
+        (n, m) for n, m in d_full.blocks if n < last))
     d_inv = restrict_map(d_full, inclusion,
                          "the Cartan differential leaves the invariants")
     cx = CochainComplex.build(inv_space, d_inv)
@@ -877,8 +867,7 @@ class EquivariantCohomology:
         return {
             "sym_cap": self.model.sym_cap,
             "band": self.band,
-            "dims": {str(n): self.dim(n) for n in degs
-                     if self.through is None or n <= self.through},
+            "dims": {str(n): self.dim(n) for n in degs},
             "truncated_above": self.band,
         }
 
@@ -1083,8 +1072,10 @@ def cartan_weil_inclusion(model: CartanModel,
                           w: WeilAlgebra) -> TwistedInclusion:
     """Embed the Cartan model into A (x) W^(<=M) so that the image is basic
     and the differentials correspond.  Verifies chain property, basic image
-    and injectivity; raises AxiomFailure on any defect.  The checks read no
-    product, so A (x) W is built without its table."""
+    and injectivity; raises AxiomFailure on any defect.  The chain property
+    reads d_G out of the model's last degree off its exit: d_(A (x) W) inc =
+    inc d + E exit, E the map on the full model space that inc extends.  The
+    checks read no product, so A (x) W is built without its table."""
     a = model.base
     if w.sym_cap != model.sym_cap:
         raise ValueError("symmetric caps of model and Weil algebra differ")
@@ -1116,8 +1107,9 @@ def cartan_weil_inclusion(model: CartanModel,
 
     src = model.complex.space
     every = _columns(src)
-    checks = [({"axiom": "chain"},
-               [(1, tensor.d, inc), (-1, inc, model.complex.d)])]
+    checks = [({"axiom": "chain"}, [(1, tensor.d, inc),
+                                    (-1, inc, model.complex.d),
+                                    (-1, expn, rearr, model.exit)])]
     checks += [({"axiom": axiom, "generators": [b]}, [(1, ops[b], inc)])
                for b in range(a.algebra.dim)
                for axiom, ops in (("basic-contraction", tensor.contractions),
@@ -1136,19 +1128,21 @@ def cartan_weil_inclusion(model: CartanModel,
 # Low-degree descriptions of equivariant cohomology
 
 
-def low_degree_data(c: GDiffComplex, model: Optional[CartanModel] = None) -> dict:
+def low_degree_data(c: GDiffComplex,
+                    eq: Optional[EquivariantCohomology] = None) -> dict:
     """Both sides of the low-degree descriptions of equivariant cohomology.
 
     Degree 0: the model's H^0 against ker(d : A^0 -> A^1), which is checked
     to be invariant.  Degree 1 (meaningful when H^1 of the acting algebra
     vanishes): closed invariant 1-elements against closed horizontal ones,
     and the model's H^1 against {a in A^1 : da = 0, i a = 0} / d((A^0)^inv).
+    The model's H^0 and H^1 are read off `eq` (by default
+    `equivariant_cohomology(c, 1, 1)`), which refuses one it has not computed.
     """
-    if model is None:
-        model = cartan_model(c, 1)
+    if eq is None:
+        eq = equivariant_cohomology(c, 1, 1)
     sp = c.space
     z = map_kernel(c.d)
-    h_model = cohomology(model.complex)
 
     kernel0 = z.matrix(0)
     kernel_invariant = not rl.ncols(kernel0) or all(
@@ -1162,26 +1156,28 @@ def low_degree_data(c: GDiffComplex, model: Optional[CartanModel] = None) -> dic
     h1_direct = subquotient(hor1, {1: den}).dim(1)
 
     return {
-        "h0_model": h_model.dim(0),
+        "h0_model": eq.dim(0),
         "h0_kernel": rl.ncols(kernel0),
         "kernel_invariant": kernel_invariant,
         "closed_invariant_is_horizontal": hor1.equals(inv1),
-        "h1_model": h_model.dim(1),
+        "h1_model": eq.dim(1),
         "h1_direct": h1_direct,
     }
 
 
-def forgetful_matrices(model: CartanModel) -> dict:
-    """Exact matrices of the forgetful homomorphism from the model's
-    cohomology to the cohomology of the underlying complex, degree by degree:
-    a representative is evaluated at zero (its symmetric-degree-0 component)
+def forgetful_matrices(eq: EquivariantCohomology) -> dict:
+    """Exact matrices of the forgetful homomorphism from the equivariant
+    cohomology `eq` to the cohomology of the underlying complex, degree by
+    degree through the band and the last degree `eq` computed: a
+    representative is evaluated at zero (its symmetric-degree-0 component)
     and projected onto cohomology classes of the base complex."""
+    model, hg = eq.model, eq.cohomology
     a = model.base.complex
     proj = subquotient(map_kernel(a.d),
                        {n + a.d.shift: m for n, m in a.d.blocks})
-    hg = cohomology(model.complex)
+    last = model.band if eq.through is None else min(model.band, eq.through)
     out = {}
-    for n in range(model.band + 1):
+    for n in range(last + 1):
         reps = hg.reps.get(n, rl.zeros(model.complex.space.dim(n), 0))
         full = rl.mat_mul(model.inclusion.block(n), reps)
         rows = [{}] * a.space.dim(n)

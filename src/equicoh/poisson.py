@@ -1232,9 +1232,10 @@ def poisson_low_degree(md: MomentumData, sym_cap: int,
     for the action (`gdiff.low_degree_data`): degree 0 from closed functions,
     all of them invariant, and degree 1 (valid when the algebra has no
     degree-1 cohomology) as closed one-fields killed by every lifted form,
-    modulo differentials of invariant functions."""
+    modulo differentials of invariant functions.  The Cartan model is cut
+    through degree 1."""
     c, _ = momentum_gdiff(md, slice_degree=slice_degree)
-    low = gd.low_degree_data(c, gd.cartan_model(c, sym_cap))
+    low = gd.low_degree_data(c, gd.equivariant_cohomology(c, sym_cap, 1))
     return {"h1_lie_vanishes": lie.lie_cohomology(md.algebra).dims.get(1, 0) == 0,
             "h0_model": low["h0_model"], "h0_direct": low["h0_kernel"],
             "h1_model": low["h1_model"], "h1_direct": low["h1_direct"]}

@@ -288,7 +288,10 @@ def symdegree_filtration(model: CartanModel) -> FilteredComplex:
     invariant complex of a Cartan model.  The invariant basis is fine-graded
     by (form degree, symmetric degree), so each level is spanned by trailing
     coordinate blocks: distinct unit columns in increasing row order, which
-    is already the canonical basis, stored as it is."""
+    is already the canonical basis, stored as it is.  It reads the invariant
+    complex alone, so it refuses a model whose d_G leaves its last degree."""
+    if not model.exit.is_zero():
+        raise ValueError("the Cartan model has a nonzero exit")
     space = model.complex.space
     levels = []
     for p in range(2 * model.sym_cap + 2):
@@ -356,9 +359,10 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
     the page differential agrees with applying the symmetric-degree-raising
     part of the Cartan differential to the representative's leading
     (symmetric degree p/2) component.  Returns {"ok": bool, "cells": [...],
-    "failures": [...]}."""
-    if page2.r != 2:
-        raise ValueError("second-page check requires the r = 2 page")
+    "failures": [...]}.  Refuses a model that `symdegree_filtration` refuses."""
+    if page2.r != 2 or not model.exit.is_zero():
+        raise ValueError("second-page check requires the r = 2 page of a "
+                         "Cartan model with a zero exit")
     twist = _twist_on_invariants(model)
     space = model.complex.space
     checked, failures = [], []

@@ -54,7 +54,6 @@ KEPT_PARAMS = {
     "cli.gate(check)": "binds the loop's check in the closure",
     "cli.main(argv)": "the console script reads sys.argv; tests and the "
                       "benchmark pass argv",
-    "gdiff.ce_gdiff(acting)": "tests view a CE complex under a subalgebra",
     "poisson.momentum_setup(one_forms)": "tests check the refusal of "
                                          "inconsistent lifted one-forms",
     "poisson.momentum_setup(cobracket)": "tests check the refusal of "

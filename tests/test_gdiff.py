@@ -21,6 +21,18 @@ def su2_ce():
     return g, gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
 
 
+def restricted_ce(g, sub):
+    """CE(g) with its wedge product under the action of the subalgebra
+    `sub` alone: the contractions and Lie derivatives restricted to it by
+    `Subalgebra.restrict`."""
+    ce = lie.ce_complex(g, lie.trivial_rep(g))
+    return gdiff.build_gdiff(sub.algebra, ce.complex,
+                             sub.restrict(ce.algebra, ce.contractions),
+                             sub.restrict(ce.algebra, ce.lie_ops),
+                             product=gdiff.wedge_product_table(g.dim),
+                             unit=[1])
+
+
 def test_ce_gdiff_axioms_pass():
     for g in (lie.su2(), lie.heisenberg(), lie.abelian(2)):
         c = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)))
@@ -157,9 +169,7 @@ def test_equivariant_torus_on_itself_is_trivial():
 
 def test_equivariant_circle_in_su2_gives_sphere():
     g = lie.su2()
-    ce = lie.ce_complex(g, lie.trivial_rep(g))
-    sub = lie.build_subalgebra(g, [[0, 0, 1]])
-    ak = gdiff.ce_gdiff(ce, acting=sub)
+    ak = restricted_ce(g, lie.build_subalgebra(g, [[0, 0, 1]]))
     assert ak.algebra.dim == 1
     eq = gdiff.equivariant_cohomology(ak, 2)
     assert eq.dims_list() == [1, 0, 1, 0, 0]
@@ -178,10 +188,9 @@ def _free_torus(g):
 def test_acting_subalgebra_of_another_algebra_is_refused():
     """A subalgebra of abelian(3) has as many coordinates as su(2) has
     operators, and still is no subalgebra of su(2)."""
-    ce = lie.ce_complex(lie.su2(), lie.trivial_rep(lie.su2()))
     line = lie.build_subalgebra(lie.abelian(3), [[0, 0, 1]])
     with pytest.raises(ValueError, match="subalgebra of another algebra"):
-        gdiff.ce_gdiff(ce, acting=line)
+        restricted_ce(lie.su2(), line)
 
 
 def test_trivial_factor_keeps_low_degrees_nonzero():
@@ -245,9 +254,7 @@ def test_no_connection_for_trivial_action():
 
 def test_circle_connection_in_su2():
     g = lie.su2()
-    ce = lie.ce_complex(g, lie.trivial_rep(g))
-    sub = lie.build_subalgebra(g, [[0, 0, 1]])
-    ak = gdiff.ce_gdiff(ce, acting=sub)
+    ak = restricted_ce(g, lie.build_subalgebra(g, [[0, 0, 1]]))
     conn = gdiff.locally_free_connection(ak)
     assert conn.exists and conn.theta == ((0, 0, 1),)
 
@@ -356,13 +363,71 @@ def test_low_degree_descriptions_product():
 def test_forgetful_map_iso_degree_one_epi_degree_two():
     g, a = su2_ce()
     big, _ = gdiff.tensor_product(a, _free_torus(g))
-    model = gdiff.cartan_model(big, 2)
-    fm = gdiff.forgetful_matrices(model)
+    fm = gdiff.forgetful_matrices(gdiff.equivariant_cohomology(big, 2))
     h = core.cohomology(big.complex)
     # degree 1: bijective, degree 2: surjective onto ordinary cohomology
     assert rl.ncols(fm[1]) == len(fm[1]) == 2 and rl.rank(fm[1]) == 2
     assert rl.rank(fm[2]) == h.dim(2) == 1
     assert rl.rank(fm[0]) == 1
+
+
+def _read_cartan(reader, a, top):
+    """What `reader` gives on the Cartan model of a at symmetric cap 2,
+    bounded at `top` (its last degree top - 1), or on the full build when
+    top is None."""
+    through = None if top is None else top - 1
+    if reader == "forgetful_matrices":
+        return gdiff.forgetful_matrices(
+            gdiff.equivariant_cohomology(a, 2, through))
+    if reader == "low_degree_data":
+        return gdiff.low_degree_data(
+            a, gdiff.equivariant_cohomology(a, 2, through))
+    tw = gdiff.cartan_weil_inclusion(gdiff.cartan_model(a, 2, top),
+                                     gdiff.weil_algebra(a.algebra, 2))
+    return dict(tw.inclusion.blocks)
+
+
+@pytest.mark.parametrize("top", range(1, 7))
+@pytest.mark.parametrize("reader", ["forgetful_matrices", "low_degree_data",
+                                    "cartan_weil_inclusion"])
+def test_a_bounded_model_reads_as_the_full_build_below_its_top(reader, top):
+    """On CE(su2) at cap 2 (last degree 7), each reader of a model bounded
+    at `top` gives the full build's answer through top - 1: the forgetful
+    matrices there, H^0 and H^1 of the low-degree data (refused through
+    degree 0 alone, as H^1 is not computed), and the Cartan-to-Weil
+    inclusion, whose chain check reads d_G out of degree top - 1 off the
+    exit."""
+    _, a = su2_ce()
+    full = _read_cartan(reader, a, None)
+    if reader == "low_degree_data" and top == 1:
+        with pytest.raises(ValueError, match="H\\^1 is not computed"):
+            _read_cartan(reader, a, top)
+        return
+    got = _read_cartan(reader, a, top)
+    if reader != "low_degree_data":
+        full = {n: m for n, m in full.items() if n < top}
+    assert got == full
+
+
+@pytest.mark.parametrize("top", [4, None])
+def test_symdegree_filtration_refuses_a_nonzero_exit(top):
+    """The model of CE(su2) at cap 2 bounded at top 4 leaves d_G out of
+    degree 3 in its exit, which the filtration of its invariant complex
+    alone would miss, so the filtration and the second-page check refuse
+    it; the full build's exit is zero, and both accept it."""
+    _, a = su2_ce()
+    model = gdiff.cartan_model(a, 2, top)
+    page2 = spectral.pages(spectral.symdegree_filtration(
+        gdiff.cartan_model(a, 2)))[2]
+    assert model.exit.is_zero() == (top is None)
+    if top is None:
+        spectral.symdegree_filtration(model)
+        assert spectral.verify_cartan_d2(model, page2)["ok"]
+        return
+    for read in (spectral.symdegree_filtration,
+                 lambda m: spectral.verify_cartan_d2(m, page2)):
+        with pytest.raises(ValueError, match="zero exit"):
+            read(model)
 
 
 def _blocks_digest(*items):
@@ -1206,8 +1271,7 @@ def test_gmap_checks_agree_with_the_identities_formed_as_maps(monkeypatch):
     property of the universal map only the columns below the cap count."""
     g = lie.su2()
     _, a = su2_ce()
-    circle = gdiff.ce_gdiff(lie.ce_complex(g, lie.trivial_rep(g)),
-                            acting=lie.build_subalgebra(g, [[0, 0, 1]]))
+    circle = restricted_ce(g, lie.build_subalgebra(g, [[0, 0, 1]]))
     w2 = gdiff.weil_algebra(g, 2)
     # (Weil algebra, target, connection on the target)
     maps = [(gdiff.weil_algebra(g, cap), target, theta)
@@ -1757,7 +1821,7 @@ def test_offsets_tile_every_product_space(alg):
             mons = {m: bases.sym_basis(n, m) for m in range(cap + 1)}
             for top in (3, 0, None):
                 model = gdiff.cartan_model(a, cap, top)
-                last = (max(sp.degrees(), default=0) + 2 * cap
+                last = (max(sp.degrees(), default=0) + 2 * cap + 1
                         if top is None else top)
                 zero += _assert_tiled(model.model_space, model.offsets, {
                     deg: [(deg - 2 * m, m, sp.dim(deg - 2 * m), len(mons[m]))
