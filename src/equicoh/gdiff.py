@@ -50,7 +50,7 @@ Every Cartan model is bounded: it cuts invariants through a last degree
 and keeps d_G out of it as `CartanModel.exit`, zero by default.  Every
 reader reads the exit (`equivariant_cohomology`, whose result
 `forgetful_matrices` and `low_degree_data` read, and `cartan_weil_inclusion`)
-or refuses a nonzero one (`spectral.symdegree_filtration`).
+or refuses a model bounded below its last degree (`spectral`).
 
 Checks of the paper's introduction to G-differential complexes that have no
 caller here: `sub_gdiff` and `quotient_gdiff` (a stable subspace and the
@@ -1128,19 +1128,17 @@ def cartan_weil_inclusion(model: CartanModel,
 # Low-degree descriptions of equivariant cohomology
 
 
-def low_degree_data(c: GDiffComplex,
-                    eq: Optional[EquivariantCohomology] = None) -> dict:
+def low_degree_data(c: GDiffComplex) -> dict:
     """Both sides of the low-degree descriptions of equivariant cohomology.
 
     Degree 0: the model's H^0 against ker(d : A^0 -> A^1), which is checked
     to be invariant.  Degree 1 (meaningful when H^1 of the acting algebra
     vanishes): closed invariant 1-elements against closed horizontal ones,
     and the model's H^1 against {a in A^1 : da = 0, i a = 0} / d((A^0)^inv).
-    The model's H^0 and H^1 are read off `eq` (by default
-    `equivariant_cohomology(c, 1, 1)`), which refuses one it has not computed.
+    The model's H^0 and H^1 are read off `equivariant_cohomology(c, 1, 1)`;
+    a higher cap gives the same, as they need only S^0 and S^1.
     """
-    if eq is None:
-        eq = equivariant_cohomology(c, 1, 1)
+    eq = equivariant_cohomology(c, 1, 1)
     sp = c.space
     z = map_kernel(c.d)
 

@@ -1226,8 +1226,7 @@ def equivariant_poisson_cohomology(md: MomentumData, sym_cap: int,
     return EquivariantPoissonReport(h, rl.ncols(inv))
 
 
-def poisson_low_degree(md: MomentumData, sym_cap: int,
-                       slice_degree: int) -> dict:
+def poisson_low_degree(md: MomentumData, slice_degree: int) -> dict:
     """Both sides of the low-degree description of equivariant cohomology
     for the action (`gdiff.low_degree_data`): degree 0 from closed functions,
     all of them invariant, and degree 1 (valid when the algebra has no
@@ -1235,7 +1234,7 @@ def poisson_low_degree(md: MomentumData, sym_cap: int,
     modulo differentials of invariant functions.  The Cartan model is cut
     through degree 1."""
     c, _ = momentum_gdiff(md, slice_degree=slice_degree)
-    low = gd.low_degree_data(c, gd.equivariant_cohomology(c, sym_cap, 1))
+    low = gd.low_degree_data(c)
     return {"h1_lie_vanishes": lie.lie_cohomology(md.algebra).dims.get(1, 0) == 0,
             "h0_model": low["h0_model"], "h0_direct": low["h0_kernel"],
             "h1_model": low["h1_model"], "h1_direct": low["h1_direct"]}

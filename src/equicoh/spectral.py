@@ -283,15 +283,21 @@ def _check_page_consistency(prev: Page, cur: Page):
 # Filtrations used in practice
 
 
+def _require_full(model: CartanModel) -> None:
+    """Refuse a model bounded below its last degree, exit zero or not."""
+    last = max(model.base.space.degrees(), default=0) + 2 * model.sym_cap
+    if max(model.offsets) <= last:
+        raise ValueError(f"the model is bounded below its last degree {last}")
+
+
 def symdegree_filtration(model: CartanModel) -> FilteredComplex:
     """F_p = components of symmetric degree m with 2m >= p inside the
     invariant complex of a Cartan model.  The invariant basis is fine-graded
     by (form degree, symmetric degree), so each level is spanned by trailing
     coordinate blocks: distinct unit columns in increasing row order, which
     is already the canonical basis, stored as it is.  It reads the invariant
-    complex alone, so it refuses a model whose d_G leaves its last degree."""
-    if not model.exit.is_zero():
-        raise ValueError("the Cartan model has a nonzero exit")
+    complex alone, so it refuses a model bounded below its last degree."""
+    _require_full(model)
     space = model.complex.space
     levels = []
     for p in range(2 * model.sym_cap + 2):
@@ -360,9 +366,9 @@ def verify_cartan_d2(model: CartanModel, page2: Page) -> dict:
     part of the Cartan differential to the representative's leading
     (symmetric degree p/2) component.  Returns {"ok": bool, "cells": [...],
     "failures": [...]}.  Refuses a model that `symdegree_filtration` refuses."""
-    if page2.r != 2 or not model.exit.is_zero():
-        raise ValueError("second-page check requires the r = 2 page of a "
-                         "Cartan model with a zero exit")
+    if page2.r != 2:
+        raise ValueError("second-page check requires the r = 2 page")
+    _require_full(model)
     twist = _twist_on_invariants(model)
     space = model.complex.space
     checked, failures = [], []

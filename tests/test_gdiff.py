@@ -375,58 +375,52 @@ def _read_cartan(reader, a, top):
     """What `reader` gives on the Cartan model of a at symmetric cap 2,
     bounded at `top` (its last degree top - 1), or on the full build when
     top is None."""
-    through = None if top is None else top - 1
     if reader == "forgetful_matrices":
+        through = None if top is None else top - 1
         return gdiff.forgetful_matrices(
             gdiff.equivariant_cohomology(a, 2, through))
-    if reader == "low_degree_data":
-        return gdiff.low_degree_data(
-            a, gdiff.equivariant_cohomology(a, 2, through))
     tw = gdiff.cartan_weil_inclusion(gdiff.cartan_model(a, 2, top),
                                      gdiff.weil_algebra(a.algebra, 2))
     return dict(tw.inclusion.blocks)
 
 
 @pytest.mark.parametrize("top", range(1, 7))
-@pytest.mark.parametrize("reader", ["forgetful_matrices", "low_degree_data",
+@pytest.mark.parametrize("reader", ["forgetful_matrices",
                                     "cartan_weil_inclusion"])
 def test_a_bounded_model_reads_as_the_full_build_below_its_top(reader, top):
     """On CE(su2) at cap 2 (last degree 7), each reader of a model bounded
     at `top` gives the full build's answer through top - 1: the forgetful
-    matrices there, H^0 and H^1 of the low-degree data (refused through
-    degree 0 alone, as H^1 is not computed), and the Cartan-to-Weil
-    inclusion, whose chain check reads d_G out of degree top - 1 off the
-    exit."""
+    matrices there, and the Cartan-to-Weil inclusion, whose chain check
+    reads d_G out of degree top - 1 off the exit."""
     _, a = su2_ce()
     full = _read_cartan(reader, a, None)
-    if reader == "low_degree_data" and top == 1:
-        with pytest.raises(ValueError, match="H\\^1 is not computed"):
-            _read_cartan(reader, a, top)
-        return
     got = _read_cartan(reader, a, top)
-    if reader != "low_degree_data":
-        full = {n: m for n, m in full.items() if n < top}
-    assert got == full
+    assert got == {n: m for n, m in full.items() if n < top}
 
 
-@pytest.mark.parametrize("top", [4, None])
-def test_symdegree_filtration_refuses_a_nonzero_exit(top):
-    """The model of CE(su2) at cap 2 bounded at top 4 leaves d_G out of
-    degree 3 in its exit, which the filtration of its invariant complex
-    alone would miss, so the filtration and the second-page check refuse
-    it; the full build's exit is zero, and both accept it."""
+@pytest.mark.parametrize("top", [1, 4, 7, 8, None])
+def test_the_spectral_readers_refuse_a_bounded_model(top):
+    """The symmetric-degree filtration and the second-page check read the
+    invariant complex alone, so they refuse a model of CE(su2) at cap 2
+    bounded below its last degree 7: at top 4, whose exit carries d_G out
+    of degree 3, and at tops 1 and 7, whose exits are zero (d_G(1 (x) 1) =
+    0, and degree 8 is empty) but which leave out the invariants above top
+    - 1.  They accept a build laid out past degree 7 (top 8 or the
+    default), and the second-page check refuses any page but the second."""
     _, a = su2_ce()
     model = gdiff.cartan_model(a, 2, top)
-    page2 = spectral.pages(spectral.symdegree_filtration(
-        gdiff.cartan_model(a, 2)))[2]
-    assert model.exit.is_zero() == (top is None)
-    if top is None:
+    pgs = spectral.pages(spectral.symdegree_filtration(
+        gdiff.cartan_model(a, 2)))
+    assert model.exit.is_zero() == (top != 4)
+    if top is None or top > 7:
         spectral.symdegree_filtration(model)
-        assert spectral.verify_cartan_d2(model, page2)["ok"]
+        assert spectral.verify_cartan_d2(model, pgs[2])["ok"]
+        with pytest.raises(ValueError, match="requires the r = 2 page"):
+            spectral.verify_cartan_d2(model, pgs[3])
         return
     for read in (spectral.symdegree_filtration,
-                 lambda m: spectral.verify_cartan_d2(m, page2)):
-        with pytest.raises(ValueError, match="zero exit"):
+                 lambda m: spectral.verify_cartan_d2(m, pgs[2])):
+        with pytest.raises(ValueError, match="bounded below its last degree 7"):
             read(model)
 
 

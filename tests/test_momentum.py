@@ -241,7 +241,7 @@ def test_subalgebra_of_another_algebra_is_refused():
 def test_low_degree_sides_agree():
     _, _, md = su2_momentum()
     for s in [0, 2, 3]:
-        out = po.poisson_low_degree(md, sym_cap=2, slice_degree=s)
+        out = po.poisson_low_degree(md, slice_degree=s)
         assert out["h1_lie_vanishes"] is True
         assert out["h0_model"] == out["h0_direct"]
         assert out["h1_model"] == out["h1_direct"]
@@ -250,7 +250,7 @@ def test_low_degree_sides_agree():
 def test_low_degree_sides_agree_for_the_circle_action():
     _, md = circle_q2()
     for s in [0, 1, 2]:
-        out = po.poisson_low_degree(md, sym_cap=2, slice_degree=s)
+        out = po.poisson_low_degree(md, slice_degree=s)
         assert out["h0_model"] == out["h0_direct"]
         assert out["h1_model"] == out["h1_direct"]
 
